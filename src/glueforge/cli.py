@@ -4,7 +4,8 @@ Every command reads one input file, runs the corresponding pipeline, and
 emits a deterministic JSON report carrying the input's content hash and
 all parameters, so identical invocations are byte identical.  Exit codes
 are fixed for scripting: 0 pass, 1 verdict fail, 2 parse trouble, 3
-invariant violation, 4 the all-bundle fibered case.
+invariant violation, 4 the all-bundle fibered case, 5 internal error (any
+other exception, reported on one stderr line as a fault of glueforge).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_VERDICT = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_FIBERED = 4
+EXIT_INTERNAL = 5
 
 
 @dataclass(frozen=True)
@@ -265,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
     except GlueforgeError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -453,12 +453,18 @@ def _as_dist(dist: object) -> Callable[[object, object], int]:
     raise ValidationError("distance oracle must be a DistanceTable or callable")
 
 
-def local_to_global_report(dist: object, path: object, window: int) -> QuasigeodesicReport:
+def local_to_global_report(
+    dist: object,
+    path: object,
+    window: int,
+    rows: Callable[[object, Sequence], Sequence[int]] | None = None,
+) -> QuasigeodesicReport:
     """Worst (edge length)/(endpoint distance) ratio over sub-intervals of
     length at most the window (local) and over all sub-intervals (global).
     A sub-interval of positive length with coinciding endpoints is not a
     quasigeodesic at any constant; the report flags the offending interval
-    and carries no ratios."""
+    and carries no ratios.  rows(u, vs), when given, must return
+    [dist(u, v) for v in vs]; it lets an oracle share work along a row."""
     d = _as_dist(dist)
     if window < 1:
         raise ValidationError("window must be at least 1")
@@ -467,20 +473,27 @@ def local_to_global_report(dist: object, path: object, window: int) -> Quasigeod
         seq: Sequence = path.vertices
     else:
         seq = path  # type: ignore[assignment]
+    if rows is None:
+
+        def rows(u: object, vs: Sequence) -> list[int]:
+            return [d(u, v) for v in vs]
+
     n = len(seq)
-    local = Fraction(1)
-    global_ = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist_ij = d(seq[i], seq[j])
+    # ratios as integer pairs (num, den), compared by cross-multiplication
+    local_n, local_d = 1, 1
+    global_n, global_d = 1, 1
+    for i in range(n - 1):
+        for j, dist_ij in enumerate(rows(seq[i], seq[i + 1 :]), start=i + 1):
             if dist_ij == 0:
                 return QuasigeodesicReport(window, None, None, False, (i, j))
-            ratio = Fraction(j - i, dist_ij)
-            if ratio > global_:
-                global_ = ratio
-            if j - i <= window and ratio > local:
-                local = ratio
-    return QuasigeodesicReport(window, local, global_, True, None)
+            span = j - i
+            if span * global_d > global_n * dist_ij:
+                global_n, global_d = span, dist_ij
+            if span <= window and span * local_d > local_n * dist_ij:
+                local_n, local_d = span, dist_ij
+    return QuasigeodesicReport(
+        window, Fraction(local_n, local_d), Fraction(global_n, global_d), True, None
+    )
 
 
 def read_graph(text: str) -> FiniteGraph:

@@ -26,6 +26,7 @@ from .torus import (
     FareyMarking,
     Slope,
     SurfaceMap,
+    distances_from,
     farey_distance,
     farey_geodesic,
     parse_slope,
@@ -44,6 +45,7 @@ __all__ = [
     "disk_distance",
     "pushforward",
     "curve_distance",
+    "curve_distances_from",
     "geodesic_between",
     "marking_to_path_distance",
     "as_torus_marking",
@@ -313,12 +315,22 @@ def curve_distance(handle: BackendHandle, a: object, b: object) -> int:
     return handle.table().d(a, b)  # type: ignore[arg-type]
 
 
+def curve_distances_from(handle: BackendHandle, a: object, targets: Sequence) -> list[int]:
+    """Curve-graph distances from a to each target: one chart on the torus,
+    one table row on a graph."""
+    if handle.is_torus:
+        if not isinstance(a, Slope) or not all(isinstance(t, Slope) for t in targets):
+            raise ValidationError("torus curve vertices are slopes")
+        return distances_from(a, targets)
+    row = handle.table().as_array()[a]
+    return [int(row[t]) for t in targets]
+
+
 def marking_distance(m1: AbstractMarking, m2: AbstractMarking) -> int:
     """Min over element pairs of the curve-graph distance."""
     _require_same(m1.handle, m2.handle)
-    return min(
-        curve_distance(m1.handle, x, y) for x in m1.elements() for y in m2.elements()
-    )
+    ys = m2.elements()
+    return min(min(curve_distances_from(m1.handle, x, ys)) for x in m1.elements())
 
 
 def marking_diameter(*markings: AbstractMarking) -> int:
@@ -332,9 +344,8 @@ def marking_diameter(*markings: AbstractMarking) -> int:
         elems.extend(m.elements())
     return max(
         (
-            curve_distance(handle, elems[i], elems[j])
-            for i in range(len(elems))
-            for j in range(i + 1, len(elems))
+            max(curve_distances_from(handle, elems[i], elems[i + 1 :]))
+            for i in range(len(elems) - 1)
         ),
         default=0,
     )
@@ -373,7 +384,7 @@ def disk_distance(m: AbstractMarking, disks: DiskSet) -> int:
         name = disks.owner or "<unnamed>"
         raise ValidationError(f"empty disk set on boundary {name}")
     return min(
-        curve_distance(m.handle, d, x) for d in disks.elements for x in m.elements()
+        min(curve_distances_from(m.handle, x, disks.elements)) for x in m.elements()
     )
 
 
@@ -437,9 +448,7 @@ def marking_to_path_distance(m: AbstractMarking, path: Sequence) -> int:
     """Min curve-graph distance from any marking element to any path vertex."""
     if not path:
         raise ValidationError("empty path")
-    return min(
-        curve_distance(m.handle, x, v) for x in m.elements() for v in path
-    )
+    return min(min(curve_distances_from(m.handle, x, path)) for x in m.elements())
 
 
 def as_torus_marking(m: AbstractMarking) -> FareyMarking:

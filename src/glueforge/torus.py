@@ -6,6 +6,11 @@ quantities are computed in integer arithmetic.  Teichmueller space is the
 upper half plane with the distance halved, so that the translation length
 conventions match the curve-length formula len_z(p/q) = |p - q z| / sqrt(y).
 
+Farey distance costs O(length of the continued fraction): the kernel is
+one Euclid loop over the normalized target, with no recursion, so it stays
+exact and fast for slopes with thousands of digits.  A fixed-size memo keyed
+on the reduced image (p mod q, q) answers repeated questions.
+
 Conventions fixed here and recorded in exported reports:
   * annular projections move the annulus core to infinity by the canonical
     orientation-preserving map and return |floor(a') - floor(b')| + 2;
@@ -21,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .errors import EmptyProjectionError, ParseError, ValidationError
 
@@ -38,11 +44,11 @@ __all__ = [
     "AnnulusLabel",
     "FareyMarking",
     "farey_distance",
+    "distances_from",
     "farey_geodesic",
     "annular_projection_distance",
     "marking_distance",
     "marking_diameter",
-    "geodesic_between_markings",
     "marking_to_path_distance",
     "max_subsurface_projection",
     "sigma_matrix",
@@ -126,16 +132,14 @@ def cf_expansion(a: Slope) -> list[int]:
     """
     if a.is_infinity:
         raise ValidationError("infinity has no continued-fraction expansion")
-    x = Fraction(a.p, a.q)
+    p, q = a.p, a.q
     out: list[int] = []
     while True:
-        n = math.floor(x)
+        n, r = divmod(p, q)
         out.append(n)
-        frac = x - n
-        if frac == 0:
-            break
-        x = 1 / frac
-    return out
+        if r == 0:
+            return out
+        p, q = q, r
 
 
 @dataclass(frozen=True)
@@ -276,73 +280,141 @@ class FareyMarking:
         return f"({self.base},{self.transversal})"
 
 
-def normalizer_to_infinity(w: Slope) -> SurfaceMap:
+def normalizer_to_infinity(w: Slope, neighbour: Slope | None = None) -> SurfaceMap:
     """Canonical orientation-preserving map sending w to infinity.
 
     Deterministic: the Farey neighbour sent to 0 is r/s with p s - q r = 1
     and 0 <= s < q (s = 0 and M = identity when w is already infinity).
+    Passing any Farey neighbour of w spares the modular inverse.
     """
     if w.is_infinity:
         return IDENTITY
     p, q = w.p, w.q
     if q == 1:
-        s, r = 0, -1
-    else:
+        s = 0
+    elif neighbour is None:
         s = pow(p % q, -1, q)
-        r = (p * s - 1) // q
+    else:
+        # p t - q u = +-1 for the neighbour u/t, so +-t inverts p mod q
+        t = neighbour.q
+        s = (t if p * t - q * neighbour.p == 1 else -t) % q
+    r = (p * s - 1) // q
     return SurfaceMap(s, -r, -q, p)
 
 
-@lru_cache(maxsize=None)
-def _dist_to_infinity(p: int, q: int) -> int:
-    # Geodesics from infinity descend through floor or ceil of the target;
-    # both recursive arguments keep coprimality and shrink the denominator.
-    if q == 0:
+@lru_cache(maxsize=4096)
+def _dist_from_infinity(r: int, q: int) -> int:
+    """Farey distance from infinity to r/q, for 0 <= r < q.
+
+    With r/q = [0; a1, ..., an], the distance is X_1, where
+    X_k = min(X_{k+1} + 1, X_{k+2} + a_k), X_{n+1} = 1 and X_{n+2} = inf
+    (so X_n = 2, and an integer, n = 0, is at distance 1).  The Euclid loop
+    produces a1, a2, ... in order, so X_1 is carried as a min-plus row
+    (u, v) with X_1 = min(u + X_k, v + X_{k+1}); after the last quotient
+    X_1 = u + 1.  v = 1 stands in for infinity at k = 1.
+    """
+    u, v = 0, 1
+    while r:
+        a, rem = divmod(q, r)
+        w = u + 1
+        u, v = (w if w < v else v), u + a
+        q, r = r, rem
+    return u + 1
+
+
+def _chart_image(m: SurfaceMap, b: Slope) -> tuple[int, int]:
+    """Image of b under m as (numerator, denominator >= 0), already reduced
+    because m is unimodular."""
+    num = m.a * b.p + m.b * b.q
+    den = m.c * b.p + m.d * b.q
+    if den < 0:
+        return -num, -den
+    return num, den
+
+
+def _chart_floor(m: SurfaceMap, b: Slope) -> int:
+    num, den = _chart_image(m, b)
+    return num // den
+
+
+def _chart_distance(m: SurfaceMap, b: Slope) -> int:
+    # distance is invariant under integer translation, so only the
+    # reduced image (p mod q, q) matters
+    num, den = _chart_image(m, b)
+    if den == 0:
         return 0
-    if q == 1:
-        return 1
-    n = p // q
-    r1 = p - n * q
-    r2 = r1 - q
-    return 1 + min(_dist_to_infinity(q, r1), _dist_to_infinity(-q, -r2))
+    return _dist_from_infinity(num % den, den)
 
 
 def farey_distance(a: Slope, b: Slope) -> int:
     """Exact distance in the Farey graph."""
     if a == b:
         return 0
+    return _chart_distance(normalizer_to_infinity(a), b)
+
+
+def distances_from(a: Slope, targets: Iterable[Slope]) -> list[int]:
+    """Farey distances from a to each target, normalizing a only once."""
     m = normalizer_to_infinity(a)
-    img = m.on_slope(b)
-    return _dist_to_infinity(img.p, img.q)
+    return [_chart_distance(m, t) for t in targets]
 
 
 def farey_geodesic(a: Slope, b: Slope) -> list[Slope]:
     """One geodesic from a to b; ties broken lexicographically on (q, p).
 
-    At each step only the two pulled-back integer neighbours floor/ceil of
-    the normalized target can decrease the distance; among those that do,
-    the candidate with the smaller canonical (q, p) key is chosen.
+    At each step only the two neighbours floor/ceil of the target, in a
+    chart sending the current vertex to infinity, can decrease the
+    distance; among those that do, the candidate with the smaller
+    canonical (q, p) key is chosen.
+
+    The walk expands b once, as n + [0; a1, ..., ak] in the chart of a.
+    Every later target is a tail of that expansion with a lowered head:
+    from n + [0; h, a_{j+1}, ...], stepping to n leaves [h; a_{j+1}, ...]
+    in the chart y -> 1/(y - n), and stepping to n + 1 leaves
+    [1; h - 1, a_{j+1}, ...] (or [1 + a_{j+1}; a_{j+2}, ...] when h = 1)
+    in the chart y -> 1/(n + 1 - y).  Both candidate distances then come
+    from the table of tail distances in O(1).
     """
+    if a == b:
+        return [a]
+    m = normalizer_to_infinity(a)
+    cf = cf_expansion(m.on_slope(b))
+    quots = cf[1:]
+    k = len(quots)
+    # tails[j]: distance from infinity to [0; quots[j], ..., quots[k-1]];
+    # tails[k] = 1 is an integer, and k + 2 exceeds every distance
+    tails = [0] * k + [1, k + 2]
+    for j in range(k - 1, -1, -1):
+        tails[j] = min(tails[j + 1] + 1, tails[j + 2] + quots[j])
+
+    def is_integer(h: int, j: int) -> bool:
+        return j == k or (j == k - 1 and h == 1)
+
+    def dist(h: int, j: int) -> int:
+        return 1 if is_integer(h, j) else min(tails[j + 1] + 1, tails[j + 2] + h)
+
+    chart = m.inverse()  # current chart coordinates -> slopes
     path = [a]
-    cur = a
-    remaining = farey_distance(a, b)
-    while cur != b:
-        m = normalizer_to_infinity(cur)
-        minv = m.inverse()
-        img = m.on_slope(b)
-        if img.q == 1:
-            nxt = b
+    n, h, j = cf[0], (quots[0] if quots else 1), 0
+    while not is_integer(h, j):
+        # states (integer part, head, index of the head) after each step
+        floor = (h, quots[j + 1], j + 1) if j + 1 < k else (h, 1, k)
+        if h > 1:
+            ceil = (1, h - 1, j)
+        elif j + 2 < k:
+            ceil = (1 + quots[j + 1], quots[j + 2], j + 2)
         else:
-            n = img.p // img.q
-            cands = []
-            for k in (n, n + 1):
-                step = Slope(k, 1)
-                if farey_distance(step, img) == remaining - 1:
-                    cands.append(minv.on_slope(step))
-            nxt = min(cands, key=Slope.sort_key)
+            ceil = (1 + quots[j + 1], 1, k)
+        want = dist(h, j) - 1
+        cands = [
+            (chart.on_slope(Slope(v, 1)), v, sign, state)
+            for v, sign, state in ((n, 1, floor), (n + 1, -1, ceil))
+            if dist(state[1], state[2]) == want
+        ]
+        nxt, v, sign, (n, h, j) = min(cands, key=lambda c: c[0].sort_key())
         path.append(nxt)
-        cur = nxt
-        remaining -= 1
+        chart = chart @ SurfaceMap(v, sign, 1, 0)
+    path.append(b)
     return path
 
 
@@ -356,11 +428,7 @@ def annular_projection_distance(w: AnnulusLabel, a: Slope, b: Slope) -> int:
     if a == w.core or b == w.core:
         raise EmptyProjectionError(f"slope equal to the core of {w}")
     m = normalizer_to_infinity(w.core)
-    ia = m.on_slope(a)
-    ib = m.on_slope(b)
-    fa = ia.p // ia.q
-    fb = ib.p // ib.q
-    return abs(fa - fb) + 2
+    return abs(_chart_floor(m, a) - _chart_floor(m, b)) + 2
 
 
 def marking_distance(m1: FareyMarking, m2: FareyMarking) -> int:
@@ -382,29 +450,21 @@ def marking_diameter(*markings: FareyMarking) -> int:
     )
 
 
-def geodesic_between_markings(m1: FareyMarking, m2: FareyMarking) -> list[Slope]:
-    """Deterministic geodesic between markings: base slope to base slope."""
-    return farey_geodesic(m1.base, m2.base)
-
-
 def marking_to_path_distance(m: FareyMarking, path: list[Slope]) -> int:
     """Min Farey distance from any marking slope to any path vertex."""
     return min(farey_distance(s, v) for s in m.slopes() for v in path)
 
 
-def _marking_pair_projection(w: AnnulusLabel, m1: FareyMarking, m2: FareyMarking) -> int | None:
+def _marking_pair_projection(
+    core: Slope, chart: SurfaceMap, m1: FareyMarking, m2: FareyMarking
+) -> int | None:
     """Max projection over slope pairs with both slopes off the core; None if no pair."""
-    best: int | None = None
-    for x in m1.slopes():
-        if x == w.core:
-            continue
-        for y in m2.slopes():
-            if y == w.core:
-                continue
-            v = annular_projection_distance(w, x, y)
-            if best is None or v > best:
-                best = v
-    return best
+    # one chart for the core serves all four slope pairs
+    f1 = [_chart_floor(chart, x) for x in m1.slopes() if x != core]
+    f2 = [_chart_floor(chart, y) for y in m2.slopes() if y != core]
+    if not f1 or not f2:
+        return None
+    return max(max(f1) - min(f2), max(f2) - min(f1)) + 2
 
 
 def _sweep_candidates(values: list[Fraction], denom_bound: int, pad: int = 2) -> list[Slope]:
@@ -433,23 +493,32 @@ def _convergents(s: Slope) -> list[Slope]:
     return out
 
 
-def _pivot_candidates(m1: FareyMarking, m2: FareyMarking) -> set[Slope]:
-    """Annulus cores that can carry a large projection of the slope pairs.
+def _pivot_candidates(m1: FareyMarking, m2: FareyMarking) -> dict[Slope, Slope]:
+    """Annulus cores that can carry a large projection of the slope pairs,
+    each with a Farey neighbour, which gives its chart without a modular
+    inverse.
 
     For each ordered pair of marking slopes, the convergents of the second
     slope in the chart normalizing the first to infinity, mapped back.
     The set is equivariant under orientation-preserving maps: the chart
     changes only by an integer shift, which shifts every convergent.
+    A marking slope neighbours its partner; a convergent neighbours the
+    one before it.
     """
+    out = {m.base: m.transversal for m in (m1, m2)}
+    out.update({m.transversal: m.base for m in (m1, m2)})
     slopes = (*m1.slopes(), *m2.slopes())
-    out: set[Slope] = set(slopes)
     for x in slopes:
-        norm = normalizer_to_infinity(x)
+        norm = normalizer_to_infinity(x, out[x])
         back = norm.inverse()
         for y in slopes:
             if y == x:
                 continue
-            out.update(back.on_slope(c) for c in _convergents(norm.on_slope(y)))
+            neighbour = x  # back of infinity, which neighbours the first convergent
+            for c in _convergents(norm.on_slope(y)):
+                core = back.on_slope(c)
+                out.setdefault(core, neighbour)
+                neighbour = core
     return out
 
 
@@ -467,20 +536,21 @@ def max_subsurface_projection(
     Ties go to the candidate with the smaller (q, p) key.
     """
     cands = _pivot_candidates(m1, m2)
+    extra: set[Slope] = set()
     if denom_bound is not None:
         finite = [s.value() for s in (*m1.slopes(), *m2.slopes()) if not s.is_infinity]
         if finite:
-            cands.update(_sweep_candidates(finite, denom_bound))
+            extra.update(_sweep_candidates(finite, denom_bound))
         else:
-            cands.update(Slope(k, 1) for k in range(-2, 3))
+            extra.update(Slope(k, 1) for k in range(-2, 3))
     best_label: AnnulusLabel | None = None
     best_val = -1
-    for core in sorted(cands, key=Slope.sort_key):
-        w = AnnulusLabel(core)
-        v = _marking_pair_projection(w, m1, m2)
+    for core in sorted(cands.keys() | extra, key=Slope.sort_key):
+        chart = normalizer_to_infinity(core, cands.get(core))
+        v = _marking_pair_projection(core, chart, m1, m2)
         if v is not None and v > best_val:
             best_val = v
-            best_label = w
+            best_label = AnnulusLabel(core)
     assert best_label is not None
     return best_label, best_val
 

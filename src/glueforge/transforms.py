@@ -32,6 +32,7 @@ from .hypgraph import local_to_global_report
 from .surface import (
     AbstractMarking,
     curve_distance,
+    curve_distances_from,
     disk_distance,
     geodesic_between,
     marking_distance,
@@ -296,8 +297,11 @@ def combine_stack(
     def dist(u: object, v: object) -> int:
         return curve_distance(handle, u, v)
 
+    def rows(u: object, vs: Sequence) -> list[int]:
+        return curve_distances_from(handle, u, vs)
+
     if len(path) >= 2:
-        report = local_to_global_report(dist, path, window=len(path) - 1)
+        report = local_to_global_report(dist, path, window=len(path) - 1, rows=rows)
         k_prime = report.global_k if report.ok else None
     else:
         k_prime = Fraction(1)
@@ -311,7 +315,7 @@ def combine_stack(
         lower_ok = Fraction(combined) >= lower
 
     direct = geodesic_between(seq[0], seq[-1])
-    fellow = max(min(dist(v, w) for w in direct) for v in path)
+    fellow = max(min(rows(v, direct)) for v in path)
 
     ok = (
         heights_ok

@@ -2,11 +2,18 @@
 export paths, all through main(argv)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import glueforge
+from glueforge import cli
 from glueforge.cli import (
     EXIT_FIBERED,
+    EXIT_INTERNAL,
     EXIT_INVARIANT,
     EXIT_PARSE,
     EXIT_PASS,
@@ -80,6 +87,15 @@ def files(tmp_path_factory):
         boundary_markings=((("p0", "E1"), mk("50/1", "1/0")),),
     ).validate()
     out["thin"] = save("thin.json", thin.canonical_json())
+
+    # large gluing heights: a long continued fraction and a deep stack
+    inv1000 = GluingGraph(
+        manifolds=(core("c0", mk("1/1000", "0/1")),),
+        pieces=(("p0", "c0"),),
+        identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
+    ).validate()
+    out["inv1000"] = save("inv1000.json", inv1000.canonical_json())
+    out["deep200"] = save("deep200.json", core_stack_core([200]).canonical_json())
 
     out["bad"] = save("bad.json", '{"pieces": [')
     out["p4"] = save("p4.txt", P4)
@@ -304,6 +320,40 @@ def test_hyplab_cycle_graph(files, capsys):
     result = json.loads(out)["result"]
     assert result["delta"] == [1, 1]
     assert result["interval"]["vertices"] == [0, 1, 2, 3, 4, 5]
+
+
+def test_internal_fault_has_its_own_exit_code(files, capsys, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", broken)
+    code, out, err = run(capsys, ["validate", "--input", files["chain"]])
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+# ------------------------------------------------------ large gluing heights
+
+
+@pytest.mark.parametrize(
+    "command, name", [("report", "inv1000"), ("collapse", "deep200")]
+)
+def test_large_heights_finish_with_a_report(files, command, name):
+    # a cold interpreter, as a user runs it: no warm caches, real stderr
+    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "glueforge.cli", command, "--input", files[name]],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode in (EXIT_PASS, EXIT_VERDICT), proc.stderr
+    assert "Traceback" not in proc.stderr
+    obj = envelope(proc.stdout)
+    assert obj["command"] == command
+    assert obj["input_sha256"] == sha256_of_text(open(files[name]).read())
 
 
 # ----------------------------------------------------------- determinism

@@ -16,6 +16,7 @@ from glueforge.surface import (
     GraphProjection,
     as_torus_marking,
     curve_distance,
+    curve_distances_from,
     disk_distance,
     geodesic_between,
     marking_diameter,
@@ -177,6 +178,22 @@ def test_curve_distance_and_diameter():
     m2 = AbstractMarking(h, (2, 3))
     assert marking_diameter(m1, m2) == 3
     assert marking_diameter(torus_marking(Slope(0, 1), INFINITY)) == 1
+
+
+def test_curve_distances_from_is_a_row_of_curve_distance():
+    g = BackendHandle.finite_graph(cycle_graph(7))
+    row = [2, 0, 5, 6]
+    assert curve_distances_from(g, 2, row) == [curve_distance(g, 2, v) for v in row]
+    t = BackendHandle.torus()
+    rng = random.Random(5)
+    slopes = [rand_torus_marking(rng, 12).payload.base for _ in range(20)] + [INFINITY]
+    for a in slopes[:5]:
+        assert curve_distances_from(t, a, slopes) == [curve_distance(t, a, b) for b in slopes]
+    assert curve_distances_from(t, INFINITY, []) == []
+    with pytest.raises(ValidationError):
+        curve_distances_from(t, INFINITY, [Slope(0, 1), 1])
+    with pytest.raises(ValidationError):
+        curve_distances_from(t, 0, [Slope(0, 1)])
 
 
 # ------------------------------------------------------------- projections

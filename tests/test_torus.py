@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,7 @@ from glueforge.torus import (
     annular_projection_distance,
     cf_expansion,
     curve_length,
+    distances_from,
     farey_distance,
     farey_geodesic,
     intersection_number,
@@ -42,6 +46,7 @@ from glueforge.torus import (
     thick_check,
 )
 
+import glueforge
 from oracles import FareyOracle, canon
 
 A_GOLD = SurfaceMap(2, 1, 1, 1)
@@ -50,6 +55,11 @@ A_GOLD = SurfaceMap(2, 1, 1, 1)
 @pytest.fixture(scope="module")
 def oracle() -> FareyOracle:
     return FareyOracle(endpoint_denom=12, graph_denom=64)
+
+
+@pytest.fixture(scope="module")
+def big_oracle() -> FareyOracle:
+    return FareyOracle(endpoint_denom=40, graph_denom=80)
 
 
 # --- slopes -------------------------------------------------------------
@@ -200,6 +210,110 @@ def test_farey_distance_symmetry_and_adjacency():
         assert d == farey_distance(b, a)
         assert (d == 0) == (a == b)
         assert (d == 1) == is_adjacent(a, b)
+
+
+# --- large heights: the kernel's cost follows the continued fraction ----
+
+
+SRC = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
+
+
+def fibonacci_ratio(terms: int) -> Slope:
+    """F(n+2)/F(n+1), whose continued fraction has the given number of terms."""
+    a, b = 1, 1
+    for _ in range(terms - 1):
+        a, b = b, a + b
+    return Slope(a + b, b)
+
+
+@pytest.mark.parametrize("q", [600, 5000, 10**6])
+def test_one_over_q_in_a_fresh_process(q):
+    # a fresh interpreter has nothing memoized, so the answer cannot lean
+    # on earlier, smaller questions
+    code = (
+        "from glueforge.torus import INFINITY, Slope, farey_distance, farey_geodesic\n"
+        f"s = Slope(1, {q})\n"
+        "print(farey_distance(INFINITY, s), farey_distance(s, INFINITY))\n"
+        "print(*farey_geodesic(INFINITY, s))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": SRC},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["2 2", f"inf 0/1 1/{q}"]
+
+
+def test_fibonacci_ratio_of_5000_terms_needs_no_recursion():
+    s = fibonacci_ratio(5000)
+    assert len(cf_expansion(s)) == 5000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        d_inf = farey_distance(INFINITY, s)
+        d_zero = farey_distance(Slope(0, 1), s)
+        row = distances_from(s, [INFINITY, Slope(0, 1), s])
+    finally:
+        sys.setrecursionlimit(limit)
+    # all-ones expansions: every second term can be skipped
+    assert d_inf == 5000 // 2 + 1
+    assert d_zero == (5000 + 3) // 2
+    assert row == [d_inf, d_zero, 0]
+
+
+def test_fibonacci_closed_form_matches_bfs_oracle(big_oracle):
+    # the closed form checked above at 5000 terms, against plain BFS where
+    # the oracle reaches: F(n+2)/F(n+1) - 1 = F(n)/F(n+1) lies in [0, 1]
+    terms = 1
+    while True:
+        s = fibonacci_ratio(terms)
+        if s.q > 40:
+            break
+        assert big_oracle.distance((1, 0), (s.p - s.q, s.q)) == terms // 2 + 1
+        assert farey_distance(INFINITY, s) == terms // 2 + 1
+        terms += 1
+    assert terms > 8
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 50, 199, 500])
+def test_distance_invariant_under_high_axis_powers(k):
+    m = A_GOLD.power(k)
+    pairs = [
+        (INFINITY, Slope(0, 1)),
+        (Slope(2, 5), INFINITY),
+        (Slope(0, 1), Slope(13, 8)),
+        (Slope(3, 7), Slope(-5, 9)),
+        (Slope(1, 1000), Slope(0, 1)),
+        (fibonacci_ratio(40), Slope(-2, 3)),
+    ]
+    for refl in (False, True):
+        g = m @ REFLECTION if refl else m
+        for a, b in pairs:
+            d = farey_distance(a, b)
+            assert farey_distance(g.on_slope(a), g.on_slope(b)) == d
+            assert farey_distance(g.on_slope(b), g.on_slope(a)) == d
+
+
+def test_distances_from_matches_pairwise_distance():
+    rng = random.Random(20261017)
+    pool = [INFINITY, Slope(0, 1), fibonacci_ratio(60), Slope(1, 10**6)]
+    pool += [Slope(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**6)) for _ in range(40)]
+    pool += [A_GOLD.power(k).on_slope(Slope(rng.randrange(-9, 10), 1)) for k in range(0, 300, 37)]
+    for a in pool:
+        assert distances_from(a, pool) == [farey_distance(a, t) for t in pool]
+    assert distances_from(INFINITY, []) == []
+
+
+def test_distances_from_agrees_with_bfs_oracle(big_oracle):
+    slopes = [Slope(*e) for e in big_oracle.endpoints]
+    rng = random.Random(3)
+    for a in rng.sample(big_oracle.endpoints, 25):
+        assert distances_from(Slope(*a), slopes) == [
+            big_oracle.distance(a, b) for b in big_oracle.endpoints
+        ], a
 
 
 def test_farey_geodesic_frozen_example():
