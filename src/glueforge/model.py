@@ -20,20 +20,33 @@ from .errors import ParseError, ValidationError
 from .gluing import GluingGraph, Slot, SlotMap
 from .surface import AbstractMarking, BackendHandle, as_torus_marking
 from .torus import (
+    IDENTITY,
     Slope,
+    SurfaceMap,
     TeichPoint,
+    curve_length,
     relative_cf_max_coeff,
     shortest_marking,
     shortest_slope,
+    sigma_matrix,
     sigma_of_marking,
-    systole,
     teich_distance,
     teich_geodesic,
 )
 
 # balanced points are the only irrational data; everything upstream of
-# them is exact, so a fixed absolute-ish tolerance is safe here
+# them is exact, so a fixed absolute-ish tolerance is safe for checking
+# that an involution exchanges them
 SIGMA_TOL = 1e-9
+
+# the stabilizer of i: sigma(mu) and sigma(nu) balance at the same point
+# iff sigma(mu)^-1 sigma(nu) is one of these
+_FIXERS_OF_I = (
+    IDENTITY,
+    SurfaceMap(-1, 0, 0, -1),
+    SurfaceMap(0, -1, 1, 0),
+    SurfaceMap(0, 1, -1, 0),
+)
 
 # the horizontal complement is a convention, not data: on the torus the
 # flat product split is used and recorded so exports stay comparable
@@ -273,15 +286,19 @@ def sample_tube(tube: TubeBlock, n: int) -> tuple[TubeSample, ...]:
         raise ValidationError("tube sampling needs at least 2 samples")
     assert tube.sigma_a is not None and tube.sigma_b is not None
     if tube.degenerate:
-        z = tube.sigma_a
-        fixed = TubeSample(0.0, z, systole(z), shortest_slope(z))
-        return (fixed, TubeSample(1.0, z, fixed.systole, fixed.shortest))
+        fixed = _sample(0.0, tube.sigma_a)
+        return (fixed, replace(fixed, t=1.0))
     out = []
     for k in range(n):
         t = k / (n - 1)
-        z = teich_geodesic(tube.sigma_a, tube.sigma_b, t)
-        out.append(TubeSample(t, z, systole(z), shortest_slope(z)))
+        out.append(_sample(t, teich_geodesic(tube.sigma_a, tube.sigma_b, t)))
     return tuple(out)
+
+
+def _sample(t: float, z: TeichPoint) -> TubeSample:
+    # curve_length of the shortest slope is exactly what systole returns
+    shortest = shortest_slope(z)
+    return TubeSample(t, z, curve_length(z, shortest), shortest)
 
 
 def _geometry(
@@ -295,7 +312,8 @@ def _geometry(
 ) -> TubeBlock:
     sigma_a = _sigma(mu)
     sigma_b = _sigma(nu)
-    degenerate = sigma_a.close_to(sigma_b, SIGMA_TOL)
+    relative = sigma_matrix(as_torus_marking(mu)).inverse() @ sigma_matrix(as_torus_marking(nu))
+    degenerate = relative in _FIXERS_OF_I
     tube = TubeBlock(
         slot_a,
         slot_b,

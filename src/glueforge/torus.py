@@ -11,6 +11,12 @@ one Euclid loop over the normalized target, with no recursion, so it stays
 exact and fast for slopes with thousands of digits.  A fixed-size memo keyed
 on the reduced image (p mod q, q) answers repeated questions.
 
+The shortest slope at x + iy costs O(log 1/y): Lagrange-Gauss reduction of
+the lattice Z + Zz runs exactly on the dyadic rationals x and y, and only
+the few short vectors of the reduced basis meet the float tie rule.
+Balanced points are checked against their exact values; one that double
+precision cannot hold raises PrecisionLossError, an internal fault.
+
 Conventions fixed here and recorded in exported reports:
   * annular projections move the annulus core to infinity by the canonical
     orientation-preserving map and return |floor(a') - floor(b')| + 2;
@@ -28,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import EmptyProjectionError, ParseError, ValidationError
+from .errors import EmptyProjectionError, ParseError, PrecisionLossError, ValidationError
 
 __all__ = [
     "Slope",
@@ -59,9 +65,6 @@ __all__ = [
     "systole",
     "teich_distance",
     "teich_geodesic",
-    "thick_check",
-    "segment_thick_check",
-    "SegmentThickReport",
 ]
 
 
@@ -564,9 +567,42 @@ def sigma_matrix(m: FareyMarking) -> SurfaceMap:
     return cand
 
 
+# Largest cosh d - 1 (d the half-plane distance) accepted between a float
+# balanced point and the exact one.  The float image of i cancels its
+# imaginary part away as axis powers grow: the error stays below 1e-5 in
+# distance up to power 14 and reaches 0.03 at power 18.
+SIGMA_COSH_TOL = Fraction(1, 10**6)
+
+
 def sigma_of_marking(m: FareyMarking) -> TeichPoint:
-    """Balanced point of the marking: the sigma matrix applied to i."""
-    return sigma_matrix(m).on_point(TeichPoint(0.0, 1.0))
+    """Balanced point of the marking: the sigma matrix applied to i.
+
+    The point is the float Moebius image of i.  It is checked against the
+    exact point x = (ac + bd)/(c^2 + d^2), y = 1/(c^2 + d^2), and a point
+    that double precision cannot hold raises PrecisionLossError.
+    """
+    g = sigma_matrix(m)
+    s = g.c * g.c + g.d * g.d
+    try:
+        w = (g.a * 1j + g.b) / (g.c * 1j + g.d)
+    except OverflowError:  # entries beyond the range of a double
+        w = complex(math.nan, math.nan)
+    exact = (Fraction(g.a * g.c + g.b * g.d, s), Fraction(1, s))
+    if not (math.isfinite(w.real) and 0.0 < w.imag < math.inf) or (
+        _cosh_gap(w, *exact) > SIGMA_COSH_TOL
+    ):
+        raise PrecisionLossError(
+            f"balanced point with c^2 + d^2 of {s.bit_length()} bits"
+            " is beyond double precision"
+        )
+    return TeichPoint(w.real, w.imag)
+
+
+def _cosh_gap(w: complex, x: Fraction, y: Fraction) -> Fraction:
+    """cosh d - 1 = |w - z|^2 / (2 Im w Im z) between w and z = x + iy, exactly."""
+    dx = Fraction(w.real) - x
+    dy = Fraction(w.imag) - y
+    return (dx * dx + dy * dy) / (2 * Fraction(w.imag) * y)
 
 
 def curve_length(z: TeichPoint, a: Slope) -> float:
@@ -590,30 +626,62 @@ def _slope_tie_key(s: Slope) -> tuple[int, int, int, int]:
     return (1 if s.is_infinity else 0, s.q, abs(s.p), s.p)
 
 
-def shortest_slope(z: TeichPoint) -> Slope:
-    """Shortest slope at z; ties resolved by the documented key."""
-    best = None
+def _tie_break(z: TeichPoint, cands: Iterable[Slope]) -> Slope:
+    """Shortest candidate at z under the float tie rule, in visiting order."""
+    best: Slope | None = None
     best_n = math.inf
-    q = 0
-    while True:
-        if q == 0:
-            cands = [(1, 0)]
-        else:
-            if (q * z.y) ** 2 > best_n * (1 + _TIE_TOL):
-                break
-            center = round(q * z.x)
-            cands = [(p, q) for p in range(center - 2, center + 3) if math.gcd(p, q) == 1]
-        for p, qq in cands:
-            n = _norm_sq(z, p, qq)
-            if n < best_n * (1 - _TIE_TOL) or best is None:
-                best, best_n = Slope(p, qq), n
-            elif n <= best_n * (1 + _TIE_TOL):
-                cand = Slope(p, qq)
-                if _slope_tie_key(cand) < _slope_tie_key(best):
-                    best, best_n = cand, min(best_n, n)
-        q += 1
+    for cand in cands:
+        n = _norm_sq(z, cand.p, cand.q)
+        if best is None or n < best_n * (1 - _TIE_TOL):
+            best, best_n = cand, n
+        elif n <= best_n * (1 + _TIE_TOL) and _slope_tie_key(cand) < _slope_tie_key(best):
+            best, best_n = cand, min(best_n, n)
     assert best is not None
     return best
+
+
+def _short_slopes(z: TeichPoint) -> list[Slope]:
+    """Slopes of the lattice Z + Zz within twice the minimal squared length.
+
+    Lagrange-Gauss reduction (H. Cohen, A Course in Computational Algebraic
+    Number Theory, section 1.3) runs in O(log 1/y) steps on z.x and z.y as
+    exact rationals (a double is a dyadic rational), scaled to integers.
+    For a reduced basis b1, b2 (|b1| <= |b2|, |<b1, b2>| <= |b1|^2 / 2)
+    every other primitive vector is at least three times as long, squared,
+    as b1, so only b1, b2, b2 + b1 and b2 - b1 can come near the minimum.
+    They are returned in (q, p) order, 1/0 first.
+    """
+    xn, xd = z.x.as_integer_ratio()
+    yn, yd = z.y.as_integer_ratio()
+    den = math.lcm(xd, yd)
+    # a lattice vector p + q z as (den * real part, den * imaginary part, p, q)
+    u = (den, 0, 1, 0)
+    v = (xn * (den // xd), yn * (den // yd), 0, 1)
+    nu = u[0] ** 2
+    nv = v[0] ** 2 + v[1] ** 2
+    if nv < nu:
+        u, v, nu, nv = v, u, nv, nu
+    while True:
+        k = (2 * (u[0] * v[0] + u[1] * v[1]) + nu) // (2 * nu)
+        v = tuple(b - k * a for a, b in zip(u, v))
+        nv = v[0] ** 2 + v[1] ** 2
+        if nv >= nu:
+            break
+        u, v, nu, nv = v, u, nv, nu
+    vectors = [u, v, tuple(b + a for a, b in zip(u, v)), tuple(b - a for a, b in zip(u, v))]
+    # p + q z is the slope p/(-q)
+    out = {Slope(w[2], -w[3]) for w in vectors if w[0] ** 2 + w[1] ** 2 <= 2 * nu}
+    return sorted(out, key=Slope.sort_key)
+
+
+def shortest_slope(z: TeichPoint) -> Slope:
+    """Shortest slope at z; ties resolved by the documented key.
+
+    The tie rule visits the short slopes in (q, p) order, as a scan over
+    denominators would.  A slope more than twice as long, squared, as the
+    shortest never wins or ties, so dropping it changes nothing.
+    """
+    return _tie_break(z, _short_slopes(z))
 
 
 def _shortest_neighbour(z: TeichPoint, base: Slope) -> Slope:
@@ -626,17 +694,7 @@ def _shortest_neighbour(z: TeichPoint, base: Slope) -> Slope:
     denom = abs(ac) ** 2
     k_star = 0.0 if denom == 0 else -(ac.conjugate() * bc).real / denom
     k0 = math.floor(k_star)
-    best: Slope | None = None
-    best_n = math.inf
-    for k in range(k0 - 3, k0 + 5):
-        cand = minv.on_slope(Slope(k, 1))
-        n = _norm_sq(z, cand.p, cand.q)
-        if best is None or n < best_n * (1 - _TIE_TOL):
-            best, best_n = cand, n
-        elif n <= best_n * (1 + _TIE_TOL) and _slope_tie_key(cand) < _slope_tie_key(best):
-            best, best_n = cand, min(best_n, n)
-    assert best is not None
-    return best
+    return _tie_break(z, (minv.on_slope(Slope(k, 1)) for k in range(k0 - 3, k0 + 5)))
 
 
 def shortest_marking(z: TeichPoint) -> FareyMarking:
@@ -675,64 +733,9 @@ def teich_geodesic(z: TeichPoint, w: TeichPoint, t: float) -> TeichPoint:
     return TeichPoint(c + r * math.cos(th), r * math.sin(th))
 
 
-def thick_check(z: TeichPoint, eps0: float) -> bool:
-    """True iff every curve at z has length at least eps0."""
-    return systole(z) >= eps0
-
-
-@dataclass(frozen=True)
-class SegmentThickReport:
-    """Sampled thickness of a half-plane geodesic segment."""
-
-    eps0: float
-    samples: int
-    min_systole: float
-    argmin_t: float
-    thick: bool
-    relative_cf_max_coeff: int
-    endpoints_marking_distance: int
-
-    def to_dict(self) -> dict:
-        return {
-            "eps0": self.eps0,
-            "samples": self.samples,
-            "min_systole": self.min_systole,
-            "argmin_t": self.argmin_t,
-            "thick": self.thick,
-            "relative_cf_max_coeff": self.relative_cf_max_coeff,
-            "endpoints_marking_distance": self.endpoints_marking_distance,
-        }
-
-
 def relative_cf_max_coeff(m_from: FareyMarking, m_to: FareyMarking) -> int:
     """Max |coefficient| of the target base expanded in the source marking chart."""
     rel = sigma_matrix(m_from).inverse().on_slope(m_to.base)
     if rel.is_infinity:
         return 0
     return max(abs(c) for c in cf_expansion(rel))
-
-
-def segment_thick_check(
-    z: TeichPoint, w: TeichPoint, eps0: float, samples: int
-) -> SegmentThickReport:
-    """Sampled systole minimum along [z, w] plus the combinatorial indicator."""
-    if samples < 2:
-        raise ValidationError("segment sampling needs at least 2 samples")
-    best = math.inf
-    best_t = 0.0
-    for k in range(samples):
-        t = k / (samples - 1)
-        s = systole(teich_geodesic(z, w, t))
-        if s < best:
-            best, best_t = s, t
-    mz = shortest_marking(z)
-    mw = shortest_marking(w)
-    return SegmentThickReport(
-        eps0=eps0,
-        samples=samples,
-        min_systole=best,
-        argmin_t=best_t,
-        thick=best >= eps0,
-        relative_cf_max_coeff=relative_cf_max_coeff(mz, mw),
-        endpoints_marking_distance=marking_distance(mz, mw),
-    )

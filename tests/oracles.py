@@ -119,3 +119,46 @@ def all_geodesics(adj: dict, dist, x, y) -> list[tuple]:
         if dist(nxt, y) == dist(x, y) - 1:
             out.extend((x,) + rest for rest in all_geodesics(adj, dist, nxt, y))
     return out
+
+
+SCAN_TIE_TOL = 1e-9
+
+
+def scan_shortest_slope(x: float, y: float) -> tuple[int, int]:
+    """Shortest slope at x + iy by scanning denominators q = 0, 1, 2, ...
+
+    The reference for the lattice-reduced kernel: it stops once q * y
+    alone exceeds the best length, so its cost grows like 1/y.  The float
+    norm, tie margin and tie key are those the package documents: finite
+    slopes first, then (q, |p|, p).
+    """
+
+    def norm_sq(p: int, q: int) -> float:
+        dx = p - q * x
+        dy = q * y
+        return dx * dx + dy * dy
+
+    def key(s: tuple[int, int]) -> tuple[int, int, int, int]:
+        p, q = s
+        return (1 if q == 0 else 0, q, abs(p), p)
+
+    best = None
+    best_n = math.inf
+    q = 0
+    while True:
+        if q == 0:
+            cands = [(1, 0)]
+        else:
+            if (q * y) ** 2 > best_n * (1 + SCAN_TIE_TOL):
+                break
+            center = round(q * x)
+            cands = [(p, q) for p in range(center - 2, center + 3) if math.gcd(p, q) == 1]
+        for cand in cands:
+            n = norm_sq(*cand)
+            if n < best_n * (1 - SCAN_TIE_TOL) or best is None:
+                best, best_n = cand, n
+            elif n <= best_n * (1 + SCAN_TIE_TOL) and key(cand) < key(best):
+                best, best_n = cand, min(best_n, n)
+        q += 1
+    assert best is not None
+    return best

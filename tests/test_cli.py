@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -96,6 +97,7 @@ def files(tmp_path_factory):
     ).validate()
     out["inv1000"] = save("inv1000.json", inv1000.canonical_json())
     out["deep200"] = save("deep200.json", core_stack_core([200]).canonical_json())
+    out["deep30"] = save("deep30.json", core_stack_core([30]).canonical_json())
 
     out["bad"] = save("bad.json", '{"pieces": [')
     out["p4"] = save("p4.txt", P4)
@@ -354,6 +356,28 @@ def test_large_heights_finish_with_a_report(files, command, name):
     obj = envelope(proc.stdout)
     assert obj["command"] == command
     assert obj["input_sha256"] == sha256_of_text(open(files[name]).read())
+
+
+def test_balanced_points_beyond_double_precision_are_internal_faults(files):
+    # axis power 30 puts balanced points near y = 1e-25, which a double
+    # computes as about 1e-16; the run stops at once instead of sampling
+    # a wrong tube
+    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "glueforge.cli", "model", "--input", files["deep30"]],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == EXIT_INTERNAL
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("internal error: PrecisionLossError: ")
 
 
 # ----------------------------------------------------------- determinism

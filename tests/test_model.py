@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from glueforge.gluing import (
 )
 from glueforge.hypgraph import cycle_graph
 from glueforge.model import (
+    DEFAULT_SAMPLES,
     ModelSkeleton,
     TubeBlock,
     build_skeleton,
@@ -37,6 +39,7 @@ from glueforge.torus import (
     teich_distance,
 )
 from glueforge.transforms import collapse_ibundles
+from test_transforms import core_stack_core
 
 T = BackendHandle.torus()
 A = SurfaceMap(2, 1, 1, 1)
@@ -121,6 +124,39 @@ def test_sample_vertical_tube_midpoint():
     assert smps[2].systole == pytest.approx(0.5)
     assert str(smps[2].shortest) == "inf"
     assert [s.t for s in smps] == [0.0, 0.5, 1.0]
+
+
+def point_tube(z: TeichPoint) -> TubeBlock:
+    return TubeBlock(
+        ("p", "E0"), ("q", "E0"), "internal", sigma_a=z, sigma_b=z, degenerate=True
+    )
+
+
+def sampled_skeleton(tube: TubeBlock, n: int) -> ModelSkeleton:
+    tube = replace(tube, samples=sample_tube(tube, n))
+    return ModelSkeleton(
+        pieces=(),
+        tubes=(tube,),
+        incidence=(("p:E0", "q:E0"),),
+        total_tube_length=tube.length,
+        min_sampled_systole=min(s.systole for s in tube.samples),
+    )
+
+
+def test_thick_check_frozen():
+    assert systole(TeichPoint(0.0, 4.0)) == pytest.approx(0.5)
+    assert verify_thickness(sampled_skeleton(point_tube(TeichPoint(0.0, 1.0)), 2), 0.9).ok
+    assert not verify_thickness(sampled_skeleton(point_tube(TeichPoint(0.0, 4.0)), 2), 0.9).ok
+
+
+def test_segment_thick_check_samples():
+    sk = sampled_skeleton(vertical_tube(4.0), 3)
+    rep = verify_thickness(sk, 0.4)
+    assert rep.rows[0].min_systole == pytest.approx(0.5)
+    assert rep.ok
+    assert not verify_thickness(sk, 0.6).ok
+    with pytest.raises(ValidationError):
+        sample_tube(vertical_tube(4.0), 1)
 
 
 def test_tube_length_is_half_plane_distance():
@@ -231,6 +267,17 @@ def test_skeleton_quotient_tube_degenerate_at_fixed_point():
     ).validate()
     tube = build_skeleton(x, samples=9).tubes[0]
     assert tube.degenerate and len(tube.samples) == 2
+
+
+def test_thin_distinct_endpoints_make_a_real_tube():
+    # both ends of the second tube sit below y = 1e-9, where an absolute
+    # closeness test took them for one point; sigma(mu)^-1 sigma(nu) does
+    # not fix i, so the tube is sampled along its length
+    tube = build_skeleton(core_stack_core([12], right_power=13)).tubes[1]
+    assert tube.sigma_a.y < 1e-9 and tube.sigma_b.y < 1e-9
+    assert not tube.degenerate
+    assert tube.length == pytest.approx(0.9624, abs=1e-4)
+    assert len(tube.samples) == DEFAULT_SAMPLES
 
 
 def test_skeleton_boundary_tube_and_missing_marking_warning():

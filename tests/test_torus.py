@@ -7,13 +7,20 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glueforge.errors import EmptyProjectionError, ParseError, ValidationError
+from glueforge.errors import (
+    EmptyProjectionError,
+    GlueforgeError,
+    ParseError,
+    PrecisionLossError,
+    ValidationError,
+)
 from glueforge.torus import (
     INFINITY,
     IDENTITY,
@@ -35,7 +42,6 @@ from glueforge.torus import (
     max_subsurface_projection,
     parse_slope,
     relative_cf_max_coeff,
-    segment_thick_check,
     shortest_marking,
     shortest_slope,
     sigma_matrix,
@@ -43,11 +49,10 @@ from glueforge.torus import (
     systole,
     teich_distance,
     teich_geodesic,
-    thick_check,
 )
 
 import glueforge
-from oracles import FareyOracle, canon
+from oracles import FareyOracle, canon, scan_shortest_slope
 
 A_GOLD = SurfaceMap(2, 1, 1, 1)
 
@@ -525,6 +530,85 @@ def test_shortest_slope_thin_point():
     assert shortest_slope(TeichPoint(0.0, 0.04)) == Slope(0, 1)
 
 
+def _sl2z_word(rng: random.Random, length: int) -> SurfaceMap:
+    g = IDENTITY
+    for _ in range(length):
+        g = g @ rng.choice(
+            (SurfaceMap(1, 1, 0, 1), SurfaceMap(1, -1, 0, 1), SurfaceMap(0, -1, 1, 0))
+        )
+    return g
+
+
+def test_shortest_slope_matches_denominator_scan():
+    # the three tie points i, e^{i pi/3}, (1 + i)/2 and their images under
+    # the modular group, rational x with small denominators, and generic
+    # points, with y from 10 down to 1e-3
+    rng = random.Random(31337)
+    ties = (complex(0.0, 1.0), complex(0.5, math.sqrt(3) / 2), complex(0.5, 0.5))
+    points = [(w.real, w.imag) for w in ties]
+    while len(points) < 600:
+        g = _sl2z_word(rng, rng.randrange(0, 6))
+        base = rng.choice(ties)
+        w = (g.a * base + g.b) / (g.c * base + g.d)
+        if w.imag >= 1e-3:
+            points.append((w.real, w.imag))
+    for _ in range(1500):
+        q = rng.randrange(1, 13)
+        points.append((rng.randrange(-3 * q, 3 * q + 1) / q, 10 ** rng.uniform(-3, 1)))
+    for _ in range(1500):
+        points.append((rng.uniform(-3, 3), 10 ** rng.uniform(-3, 1)))
+    for x, y in points:
+        s = shortest_slope(TeichPoint(x, y))
+        assert (s.p, s.q) == scan_shortest_slope(x, y), (x, y)
+
+
+def test_shortest_slope_at_a_very_thin_point():
+    # the scan would walk about a million denominators here
+    z = TeichPoint(1 / math.pi, 1e-12)
+    start = time.perf_counter()
+    best = shortest_slope(z)
+    assert time.perf_counter() - start < 1.0
+    x, y = Fraction(z.x), Fraction(z.y)
+
+    def exact_norm(p: int, q: int) -> Fraction:
+        return (p - q * x) ** 2 + (q * y) ** 2
+
+    # no smaller q gives a smaller |p - q x|, so the shortest p - q z is a
+    # best approximation of the second kind: p/q is a convergent of x
+    others = {(1, 0)}
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    for a in cf_expansion(Slope(*x.as_integer_ratio())):
+        for j in range(1, a + 1):
+            others.add((j * h1 + h0, j * k1 + k0))
+        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
+    assert (best.p, best.q) in others
+    others.discard((best.p, best.q))
+    assert best.q > 10**5
+    assert all(exact_norm(best.p, best.q) < exact_norm(p, q) for p, q in others)
+
+
+def test_sigma_of_marking_bits_up_to_axis_power_14():
+    # the precision guard returns the float Moebius image of i untouched
+    for k in range(-14, 15):
+        g = A_GOLD.power(k)
+        for m in (
+            g.on_marking(FareyMarking(Slope(0, 1), INFINITY)),
+            g.on_marking(FareyMarking(Slope(1, 2), Slope(1, 1))),
+            (g @ REFLECTION).on_marking(FareyMarking(Slope(1, 1), INFINITY)),
+        ):
+            assert sigma_of_marking(m) == sigma_matrix(m).on_point(TeichPoint(0.0, 1.0))
+
+
+@pytest.mark.parametrize("k", [18, 24, 30, 800])
+def test_sigma_of_marking_beyond_double_precision(k):
+    # from power 24 the float y cancels to zero or below, from about 800
+    # the matrix entries overflow a double; all are internal faults
+    m = A_GOLD.power(k).on_marking(FareyMarking(Slope(0, 1), INFINITY))
+    with pytest.raises(PrecisionLossError, match="beyond double precision") as info:
+        sigma_of_marking(m)
+    assert not isinstance(info.value, GlueforgeError)
+
+
 def test_sigma_round_trip_small_denominators():
     rng = random.Random(20260814)
     seen = 0
@@ -598,24 +682,6 @@ def test_map_action_on_points_is_isometric():
 
 
 # --- thickness --------------------------------------------------------------
-
-
-def test_thick_check_frozen():
-    assert systole(TeichPoint(0.0, 4.0)) == pytest.approx(0.5)
-    assert thick_check(TeichPoint(0.0, 1.0), 0.9)
-    assert not thick_check(TeichPoint(0.0, 4.0), 0.9)
-
-
-def test_segment_thick_check_samples():
-    i = TeichPoint(0.0, 1.0)
-    four_i = TeichPoint(0.0, 4.0)
-    rep = segment_thick_check(i, four_i, eps0=0.4, samples=3)
-    assert rep.min_systole == pytest.approx(0.5)
-    assert rep.thick
-    rep2 = segment_thick_check(i, four_i, eps0=0.6, samples=3)
-    assert not rep2.thick
-    with pytest.raises(ValidationError):
-        segment_thick_check(i, four_i, eps0=0.4, samples=1)
 
 
 def test_relative_cf_coefficient_twist():
