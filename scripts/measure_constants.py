@@ -10,7 +10,7 @@ Four experiments, each printing a small table:
   thickness   min sampled tube systole as a function of the relative
               continued-fraction coefficient of a boundary marking
 
-Run all of them with defaults (about half a minute), or pick one with
+Run all of them with defaults (a few seconds), or pick one with
 --only and turn the knobs.
 """
 
@@ -29,7 +29,7 @@ from glueforge.gluing import (
     SlotMap,
 )
 from glueforge.model import build_skeleton
-from glueforge.surface import AbstractMarking, BackendHandle, sup_projection
+from glueforge.surface import AbstractMarking, BackendHandle, marking_distance, sup_projection
 from glueforge.torus import (
     REFLECTION,
     AnnulusLabel,
@@ -39,7 +39,6 @@ from glueforge.torus import (
     annular_projection_distance,
     farey_geodesic,
     is_adjacent,
-    marking_distance,
     parse_slope,
     shortest_marking,
     sigma_of_marking,
@@ -108,9 +107,11 @@ def measure_comparison(args: argparse.Namespace) -> None:
         s, t = sigma_of_marking(mu), sigma_of_marking(nu)
         rows.append(
             (
-                marking_distance(mu, nu),
+                marking_distance(AbstractMarking(T, mu), AbstractMarking(T, nu)),
                 teich_distance(s, t),
-                marking_distance(shortest_marking(s), shortest_marking(t)),
+                marking_distance(
+                    AbstractMarking(T, shortest_marking(s)), AbstractMarking(T, shortest_marking(t))
+                ),
             )
         )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .errors import ParseError, ValidationError
-from .gluing import GluingGraph, Slot, SlotMap
+from .gluing import GluingGraph, Slot, SlotMap, _slot_name
 from .surface import AbstractMarking, BackendHandle, as_torus_marking
 from .torus import (
     IDENTITY,
@@ -33,11 +33,6 @@ from .torus import (
     teich_distance,
     teich_geodesic,
 )
-
-# balanced points are the only irrational data; everything upstream of
-# them is exact, so a fixed absolute-ish tolerance is safe for checking
-# that an involution exchanges them
-SIGMA_TOL = 1e-9
 
 # the stabilizer of i: sigma(mu) and sigma(nu) balance at the same point
 # iff sigma(mu)^-1 sigma(nu) is one of these
@@ -55,10 +50,6 @@ HORIZONTAL_SPLIT = "zero-connection-product"
 SCHEMA = "skeleton/1"
 
 DEFAULT_SAMPLES = 9
-
-
-def _slot_name(slot: Slot) -> str:
-    return f"{slot[0]}:{slot[1]}"
 
 
 def _point_json(z: TeichPoint | None) -> list[float] | None:
@@ -334,25 +325,7 @@ def _quotient_tube(
     nu = ident_map.apply(mu)
     if not ident_map.handle.is_torus:
         return TubeBlock(slot, slot, "quotient", combinatorial=True, involution=ident_map)
-    tube = _geometry(slot, slot, "quotient", mu, nu, samples, involution=ident_map)
-    # the gluing restricts to an isometry of the tube that must exchange
-    # the two ends; an involution that moved the ends elsewhere would not
-    # quotient to a bundle over the fiber
-    assert ident_map.matrix is not None
-    image_a = ident_map.matrix.on_point(tube.sigma_a)
-    image_b = ident_map.matrix.on_point(tube.sigma_b)
-    if not (image_a.close_to(tube.sigma_b, SIGMA_TOL) and image_b.close_to(tube.sigma_a, SIGMA_TOL)):
-        raise ValidationError(
-            f"self-identification on {_slot_name(slot)} does not exchange the"
-            " tube endpoints"
-        )
-    if not tube.degenerate:
-        mid = teich_geodesic(tube.sigma_a, tube.sigma_b, 0.5)
-        if not ident_map.matrix.on_point(mid).close_to(mid, SIGMA_TOL):
-            raise ValidationError(
-                f"self-identification on {_slot_name(slot)} moves the tube midpoint"
-            )
-    return tube
+    return _geometry(slot, slot, "quotient", mu, nu, samples, involution=ident_map)
 
 
 def build_skeleton(

@@ -53,9 +53,6 @@ __all__ = [
     "distances_from",
     "farey_geodesic",
     "annular_projection_distance",
-    "marking_distance",
-    "marking_diameter",
-    "marking_to_path_distance",
     "max_subsurface_projection",
     "sigma_matrix",
     "sigma_of_marking",
@@ -432,30 +429,6 @@ def annular_projection_distance(w: AnnulusLabel, a: Slope, b: Slope) -> int:
         raise EmptyProjectionError(f"slope equal to the core of {w}")
     m = normalizer_to_infinity(w.core)
     return abs(_chart_floor(m, a) - _chart_floor(m, b)) + 2
-
-
-def marking_distance(m1: FareyMarking, m2: FareyMarking) -> int:
-    """Min over the four slope pairs of the Farey distance."""
-    return min(
-        farey_distance(x, y) for x in m1.slopes() for y in m2.slopes()
-    )
-
-
-def marking_diameter(*markings: FareyMarking) -> int:
-    """Max pairwise Farey distance over all slopes of the given markings."""
-    slopes: list[Slope] = []
-    for m in markings:
-        slopes.extend(m.slopes())
-    return max(
-        farey_distance(slopes[i], slopes[j])
-        for i in range(len(slopes))
-        for j in range(i + 1, len(slopes))
-    )
-
-
-def marking_to_path_distance(m: FareyMarking, path: list[Slope]) -> int:
-    """Min Farey distance from any marking slope to any path vertex."""
-    return min(farey_distance(s, v) for s in m.slopes() for v in path)
 
 
 def _marking_pair_projection(

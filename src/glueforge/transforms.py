@@ -83,6 +83,12 @@ def _fold_slot(x: GluingGraph, pid: str) -> str | None:
     return None
 
 
+def _twisted_end(x: GluingGraph, pid: str) -> bool:
+    """A twisted piece or a folded slot closes a chain: the walk turns back
+    on itself there."""
+    return x.spec_of(pid).kind != TRIVIAL_IBUNDLE or _fold_slot(x, pid) is not None
+
+
 def _resolve_stack(x: GluingGraph, piece_ids: Sequence[str]) -> list[_StackStep]:
     if not piece_ids:
         raise ValidationError("empty stack")
@@ -156,6 +162,10 @@ class StackCertificate:
     bound.  k_prime is the measured global quasigeodesic constant of the
     concatenated geodesic (None when the concatenation revisits a vertex),
     and the certified inequality is combined >= sum(heights)/k' - k'.
+
+    entry, exit and flip serve collapse and stay out of the report: the
+    chain's entry slot, its exit slot (None at a twisted end) and the total
+    flip pulling the far end's chart into the entry frame.
     """
 
     pieces: tuple[str, ...]
@@ -176,6 +186,9 @@ class StackCertificate:
     fellow_traveling: int
     twisted_note: str
     ok: bool
+    entry: Slot
+    exit: Slot | None
+    flip: SlotMap
 
     def to_json(self) -> dict:
         return {
@@ -343,6 +356,9 @@ def combine_stack(
         fellow_traveling=fellow,
         twisted_note=note,
         ok=ok,
+        entry=steps[0].entry,
+        exit=None if _twisted_end(x, steps[-1].piece) else steps[-1].exit,
+        flip=flip_total,
     )
 
 
@@ -477,11 +493,7 @@ def _stack_components(x: GluingGraph) -> list[list[str]]:
         else:
             # a twisted piece or a folded slot must close the chain, so
             # start the walk from a plain end when one exists
-            plain_ends = [
-                p
-                for p in ends
-                if x.spec_of(p).kind == TRIVIAL_IBUNDLE and _fold_slot(x, p) is None
-            ]
+            plain_ends = [p for p in ends if not _twisted_end(x, p)]
             start = plain_ends[0] if plain_ends else ends[0]
         order = [start]
         prev = None
@@ -494,116 +506,115 @@ def _stack_components(x: GluingGraph) -> list[list[str]]:
     return sorted(stacks, key=lambda s: s[0])
 
 
-def _outer_attachment(
-    x: GluingGraph, slot: Slot
-) -> tuple[Slot, SlotMap] | None:
-    """The non-bundle slot glued onto a stack end, with the chart pull."""
-    if not x.is_buried(slot):
-        return None
-    partner, pull = x.psi(slot)
-    return partner, pull
+# one removed chain: the surviving slots at its two ends, the identification
+# joining them, and the free marking handed to a neighbor
+_Wiring = tuple[Slot | None, Slot | None, Identification | None, tuple[Slot, AbstractMarking] | None]
 
 
-def _collapsed_graph(
-    x: GluingGraph,
-    removed: set[str],
-    new_idents: list[Identification],
-    new_markings: list[tuple[Slot, AbstractMarking]],
-) -> GluingGraph:
-    pieces = tuple(sorted((p for p in x.pieces if p[0] not in removed)))
+def _rewired_graph(
+    x: GluingGraph, certs: Sequence[StackCertificate]
+) -> tuple[GluingGraph, list[_Wiring]]:
+    """Remove every chain and glue its two neighbors to each other through
+    the total flip; a twisted end self-glues its one neighbor, and an
+    unburied far end hands its free marking to the other neighbor."""
+    removed = {p for cert in certs for p in cert.pieces}
+    wiring: list[_Wiring] = []
+    for cert in certs:
+        left = x.psi(cert.entry) if x.is_buried(cert.entry) else None
+        right = x.psi(cert.exit) if cert.exit is not None and x.is_buried(cert.exit) else None
+        ident: Identification | None = None
+        pushed: tuple[Slot, AbstractMarking] | None = None
+        if cert.exit is None:
+            # the chain folds back on itself: the surviving neighbor slot
+            # is glued to itself by a conjugated involution
+            assert left is not None, "twisted chain with a free end is fibered"
+            l_slot, m_left = left
+            end = cert.pieces[-1]
+            fold = _fold_slot(x, end)
+            if fold is not None:
+                _, phi_node = x.psi((end, fold))
+            else:
+                phi_node = x.spec_of(end).bundle_map
+                assert phi_node is not None
+            up = cert.flip.inverse().compose(m_left)
+            psi_star = up.inverse().compose(phi_node).compose(up)
+            ident = Identification(l_slot[0], l_slot[1], l_slot[0], l_slot[1], psi_star)
+        elif left is not None and right is not None:
+            l_slot, m_left = left
+            r_slot, m_right = right
+            psi_star = m_right.inverse().compose(cert.flip.inverse()).compose(m_left)
+            ident = Identification(l_slot[0], l_slot[1], r_slot[0], r_slot[1], psi_star)
+        elif left is not None:
+            # far end unburied: the neighbor slot opens up, inheriting any
+            # declared free-boundary marking through the chain
+            l_slot, m_left = left
+            free = x.lam(cert.exit)
+            if free is not None:
+                pushed = (l_slot, m_left.inverse().compose(cert.flip).apply(free))
+        elif right is not None:
+            r_slot, m_right = right
+            free = x.lam(cert.entry)
+            if free is not None:
+                down = m_right.inverse().compose(cert.flip.inverse())
+                pushed = (r_slot, down.apply(free))
+        wiring.append((left[0] if left else None, right[0] if right else None, ident, pushed))
+
     kept = tuple(
         i
         for i in x.identifications
         if i.piece_a not in removed and i.piece_b not in removed
     )
+    new_idents = [w[2] for w in wiring if w[2] is not None]
+    new_markings = [w[3] for w in wiring if w[3] is not None]
     lam = tuple(m for m in x.boundary_markings if m[0][0] not in removed)
-    return GluingGraph(
+    collapsed = GluingGraph(
         manifolds=x.manifolds,
-        pieces=pieces,
+        pieces=tuple(sorted((p for p in x.pieces if p[0] not in removed))),
         identifications=kept + tuple(sorted(new_idents, key=lambda i: i.slot_a)),
         boundary_markings=lam + tuple(sorted(new_markings, key=lambda m: m[0])),
     ).validate()
+    return collapsed, wiring
 
 
-def _fibered_collapse(
-    x: GluingGraph, r_bound: int, h_bound: int, denom_bound: int | None
-) -> CollapseResult:
-    if any(
-        x.spec_of(pid).kind != TRIVIAL_IBUNDLE or _fold_slot(x, pid) is not None
-        for pid, _ in x.pieces
-    ):
-        return CollapseResult(
-            collapsed=x,
-            stacks=(),
-            fibered=True,
-            r_prime=measured_r_bound(x, denom_bound),
-            note="fibered gluing case with a twisted bundle: left uncollapsed",
-        )
-    stacks = _stack_components(x)
-    assert len(stacks) == 1, "connected all-bundle gluing must be one chain"
-    order = stacks[0]
-    steps = _resolve_stack(x, order)
-    cert = combine_stack(x, order, h_bound, r_bound, denom_bound)
-    _, flip_total, _ = _nu_sequence(x, steps)
-    first, last = steps[0], steps[-1]
-    assert last.exit is not None
-    handle = x.boundary_of(first.entry).handle
-
-    new_pid = "+".join(order)
-    new_mid = f"B[{new_pid}]"
+def _combined_bundle(
+    x: GluingGraph, cert: StackCertificate
+) -> tuple[GluingGraph, Identification | None, str]:
+    """The one trivial bundle replacing a whole fibered chain, its exchange
+    map the total flip; a cycle keeps its closing identification as the
+    bundle's self-gluing."""
+    assert cert.exit is not None
+    handle = x.boundary_of(cert.entry).handle
+    new_pid = "+".join(cert.pieces)
     spec = DecoratedManifoldSpec(
-        new_mid,
+        f"B[{new_pid}]",
         TRIVIAL_IBUNDLE,
         (
-            BoundarySpec("F0", handle=handle, decoration=x.decoration(first.entry)),
-            BoundarySpec("F1", handle=handle, decoration=x.decoration(last.exit)),
+            BoundarySpec("F0", handle=handle, decoration=x.decoration(cert.entry)),
+            BoundarySpec("F1", handle=handle, decoration=x.decoration(cert.exit)),
         ),
-        bundle_map=flip_total,
+        bundle_map=cert.flip,
     )
-    idents: tuple[Identification, ...] = ()
+    ident = None
     note = "fibered gluing case: open bundle chain combined"
-    new_height = None
-    if x.is_buried(first.entry):
-        # a cycle: the closing identification survives as the self-gluing
-        # of the combined bundle, pushing the F0 chart onto the F1 chart
-        partner, pull = x.psi(last.exit)
-        assert partner == first.entry
-        idents = (Identification(new_pid, "F0", new_pid, "F1", pull),)
+    if x.is_buried(cert.entry):
+        # the closing identification pushes the F0 chart onto the F1 chart
+        partner, pull = x.psi(cert.exit)
+        assert partner == cert.entry
+        ident = Identification(new_pid, "F0", new_pid, "F1", pull)
         note = "fibered gluing case: bundle cycle combined and self-glued"
     lam = []
     for slot, m in x.boundary_markings:
-        if slot == first.entry:
+        if slot == cert.entry:
             lam.append(((new_pid, "F0"), m))
-        elif slot == last.exit:
+        elif slot == cert.exit:
             lam.append(((new_pid, "F1"), m))
     collapsed = GluingGraph(
         manifolds=(spec,),
-        pieces=((new_pid, new_mid),),
-        identifications=idents,
+        pieces=((new_pid, spec.id),),
+        identifications=(ident,) if ident else (),
         boundary_markings=tuple(lam),
     ).validate()
-    if idents:
-        new_height = heights(collapsed).height(new_pid, "F0")
-    sup = sup_projection(cert.nu[0], cert.nu[-1], denom_bound).value
-    record = CollapsedStack(
-        pieces=tuple(order),
-        certificate=cert,
-        left=None,
-        right=None,
-        new_identification=idents[0] if idents else None,
-        new_marking=None,
-        new_height=new_height,
-        sup_value=sup,
-        sup_ok=sup <= 2 * r_bound,
-        clause_b_excesses=(),
-    )
-    return CollapseResult(
-        collapsed=collapsed,
-        stacks=(record,),
-        fibered=True,
-        r_prime=measured_r_bound(collapsed, denom_bound),
-        note=note,
-    )
+    return collapsed, ident, note
 
 
 def collapse_ibundles(
@@ -614,109 +625,48 @@ def collapse_ibundles(
 ) -> CollapseResult:
     """Remove every I-bundle chain, rewiring its neighbors by the composed
     chart maps; each removed chain carries a stack certificate and the new
-    tube's measured combinatorics."""
+    tube's measured combinatorics.
+
+    In the fibered case every piece is an I-bundle and the gluing is one
+    chain.  It collapses to a single trivial bundle B[...] whose exchange
+    map is the chain's total flip, self-glued when the chain is a cycle; a
+    fibered gluing with a twisted end is left uncollapsed."""
     x.validate()
-    if not any(x.spec_of(pid).is_bundle for pid, _ in x.pieces):
+    bundles = [x.spec_of(pid).is_bundle for pid, _ in x.pieces]
+    fibered = all(bundles)
+    note = ""
+    if not any(bundles):
+        note = "no I-bundle pieces"
+    elif fibered and any(_twisted_end(x, pid) for pid, _ in x.pieces):
+        note = "fibered gluing case with a twisted bundle: left uncollapsed"
+    else:
+        orders = _stack_components(x)
+        for order in orders:
+            twisted = [_twisted_end(x, p) for p in order]
+            if sum(twisted) > 1 or (any(twisted) and not twisted[-1]):
+                note = f"doubly-twisted stack left uncollapsed: {', '.join(order)}"
+                break
+    if note:
         return CollapseResult(
             collapsed=x,
             stacks=(),
-            fibered=False,
+            fibered=fibered,
             r_prime=measured_r_bound(x, denom_bound),
-            note="no I-bundle pieces",
-        )
-    if all(x.spec_of(pid).is_bundle for pid, _ in x.pieces):
-        return _fibered_collapse(x, r_bound, h_bound, denom_bound)
-
-    orders = _stack_components(x)
-    for order in orders:
-        twisted = [
-            x.spec_of(p).kind != TRIVIAL_IBUNDLE or _fold_slot(x, p) is not None
-            for p in order
-        ]
-        if sum(twisted) > 1 or (any(twisted) and not twisted[-1]):
-            return CollapseResult(
-                collapsed=x,
-                stacks=(),
-                fibered=False,
-                r_prime=measured_r_bound(x, denom_bound),
-                note=f"doubly-twisted stack left uncollapsed: {', '.join(order)}",
-            )
-
-    removed: set[str] = set()
-    new_idents: list[Identification] = []
-    new_markings: list[tuple[Slot, AbstractMarking]] = []
-    partial: list[dict] = []
-    for order in orders:
-        steps = _resolve_stack(x, order)
-        cert = combine_stack(x, order, h_bound, r_bound, denom_bound)
-        _, flip_total, _ = _nu_sequence(x, steps)
-        first, last = steps[0], steps[-1]
-        left = _outer_attachment(x, first.entry)
-        fold = last.exit is not None and _fold_slot(x, last.piece) == last.exit[1]
-        twisted_end = last.exit is None or fold
-        right = None if twisted_end else _outer_attachment(x, last.exit)
-        ident: Identification | None = None
-        pushed: tuple[Slot, AbstractMarking] | None = None
-
-        if twisted_end:
-            # the chain folds back on itself: the surviving neighbor slot
-            # is glued to itself by a conjugated involution
-            assert left is not None, "twisted chain with a free end is fibered"
-            l_slot, m_left = left
-            if fold:
-                assert last.exit is not None
-                _, phi_node = x.psi(last.exit)
-            else:
-                spec_tw = x.spec_of(last.piece)
-                assert spec_tw.bundle_map is not None
-                phi_node = spec_tw.bundle_map
-            up = flip_total.inverse().compose(m_left)
-            psi_star = up.inverse().compose(phi_node).compose(up)
-            ident = Identification(l_slot[0], l_slot[1], l_slot[0], l_slot[1], psi_star)
-        elif left is not None and right is not None:
-            l_slot, m_left = left
-            r_slot, m_right = right
-            psi_star = m_right.inverse().compose(flip_total.inverse()).compose(m_left)
-            ident = Identification(l_slot[0], l_slot[1], r_slot[0], r_slot[1], psi_star)
-        elif left is not None and right is None:
-            # far end unburied: the neighbor slot opens up, inheriting any
-            # declared free-boundary marking through the chain
-            assert last.exit is not None
-            l_slot, m_left = left
-            free = x.lam(last.exit)
-            if free is not None:
-                pushed = (l_slot, m_left.inverse().compose(flip_total).apply(free))
-        elif right is not None:
-            assert last.exit is not None
-            r_slot, m_right = right
-            free = x.lam(first.entry)
-            if free is not None:
-                down = m_right.inverse().compose(flip_total.inverse())
-                pushed = (r_slot, down.apply(free))
-
-        removed.update(order)
-        if ident is not None:
-            new_idents.append(ident)
-        if pushed is not None:
-            new_markings.append(pushed)
-        partial.append(
-            {
-                "order": tuple(order),
-                "cert": cert,
-                "left": left[0] if left else None,
-                "right": right[0] if right else None,
-                "ident": ident,
-                "pushed": pushed,
-            }
+            note=note,
         )
 
-    collapsed = _collapsed_graph(x, removed, new_idents, new_markings)
+    certs = [combine_stack(x, order, h_bound, r_bound, denom_bound) for order in orders]
+    if fibered:
+        assert len(certs) == 1, "connected all-bundle gluing must be one chain"
+        collapsed, ident, note = _combined_bundle(x, certs[0])
+        wiring = [(None, None, ident, None)]
+    else:
+        collapsed, wiring = _rewired_graph(x, certs)
     table = induced_markings(collapsed)
     hts = heights(collapsed, table)
 
     records = []
-    for item in partial:
-        ident = item["ident"]
+    for cert, (left, right, ident, pushed) in zip(certs, wiring):
         new_height = None
         excesses: list[tuple[str, int]] = []
         if ident is not None:
@@ -731,16 +681,15 @@ def collapse_ibundles(
                 h = hts.height(*slot)
                 assert nu is not None and h is not None
                 excesses.append((_slot_name(slot), h - disk_distance(nu, boundary.disks)))
-        cert = item["cert"]
         sup = sup_projection(cert.nu[0], cert.nu[-1], denom_bound).value
         records.append(
             CollapsedStack(
-                pieces=item["order"],
+                pieces=cert.pieces,
                 certificate=cert,
-                left=item["left"],
-                right=item["right"],
+                left=left,
+                right=right,
                 new_identification=ident,
-                new_marking=item["pushed"],
+                new_marking=pushed,
                 new_height=new_height,
                 sup_value=sup,
                 sup_ok=sup <= 2 * r_bound,
@@ -751,9 +700,9 @@ def collapse_ibundles(
     return CollapseResult(
         collapsed=collapsed,
         stacks=tuple(records),
-        fibered=False,
+        fibered=fibered,
         r_prime=measured_r_bound(collapsed, denom_bound),
-        note="",
+        note=note,
     )
 
 

@@ -46,7 +46,6 @@ from glueforge.torus import (
     farey_distance,
     farey_geodesic,
     is_adjacent,
-    marking_distance as torus_marking_distance,
     shortest_marking,
     sigma_of_marking,
     teich_distance,
@@ -309,10 +308,12 @@ def test_criterion_07_marking_teichmueller_comparison():
         for _ in range(rng.randrange(0, 26)):
             m = m @ (T_MAP if rng.random() < 0.5 else L_MAP)
         mu, nu = MU.payload, m.on_marking(MU.payload)
-        dc = torus_marking_distance(mu, nu)
+        dc = marking_distance(AbstractMarking(T, mu), AbstractMarking(T, nu))
         s, t = sigma_of_marking(mu), sigma_of_marking(nu)
         dt = teich_distance(s, t)
-        dc2 = torus_marking_distance(shortest_marking(s), shortest_marking(t))
+        dc2 = marking_distance(
+            AbstractMarking(T, shortest_marking(s)), AbstractMarking(T, shortest_marking(t))
+        )
         rows.append((dc, dt, dc2))
 
     def fits(c: float) -> bool:

@@ -1,12 +1,19 @@
 """Skeleton assembly tests: tube geometry, sampling, thickness, export."""
 
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glueforge.errors import ParseError, ValidationError
+import glueforge
+from glueforge.errors import ParseError, PrecisionLossError, ValidationError
 from glueforge.gluing import (
     GENERIC,
     TRIVIAL_IBUNDLE,
@@ -31,6 +38,7 @@ from glueforge.surface import AbstractMarking, BackendHandle, as_torus_marking
 from glueforge.torus import (
     REFLECTION,
     FareyMarking,
+    Slope,
     SurfaceMap,
     TeichPoint,
     parse_slope,
@@ -44,6 +52,7 @@ from test_transforms import core_stack_core
 T = BackendHandle.torus()
 A = SurfaceMap(2, 1, 1, 1)
 T_MAP = SurfaceMap(1, 1, 0, 1)
+L_MAP = SurfaceMap(1, 0, 1, 1)
 
 
 def mk(base: str, transversal: str) -> AbstractMarking:
@@ -267,6 +276,59 @@ def test_skeleton_quotient_tube_degenerate_at_fixed_point():
     ).validate()
     tube = build_skeleton(x, samples=9).tubes[0]
     assert tube.degenerate and len(tube.samples) == 2
+
+
+def self_glued(dec: AbstractMarking, involution: SurfaceMap) -> GluingGraph:
+    return GluingGraph(
+        manifolds=(core("M", dec),),
+        pieces=(("p0", "M"),),
+        identifications=(Identification("p0", "E0", "p0", "E0", tmap(involution)),),
+    ).validate()
+
+
+def test_self_glued_piece_with_float_midpoint_drift(tmp_path):
+    # the involution fixes the exact tube midpoint, but the float midpoint
+    # lands about 5e-8 away from its image; the skeleton must still build
+    dec = AbstractMarking(T, FareyMarking(Slope(21899, 30384), Slope(6029, 8365)))
+    x = self_glued(dec, SurfaceMap(4, -1, 15, -4))
+    tube = build_skeleton(x).tubes[0]
+    assert tube.kind == "quotient" and not tube.degenerate
+    path = tmp_path / "self_glued.json"
+    path.write_text(x.canonical_json())
+    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "glueforge.cli", "model", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+WORDS = st.lists(st.booleans(), min_size=10, max_size=30)
+
+
+def word(letters: list[bool]) -> SurfaceMap:
+    m = SurfaceMap(1, 0, 0, 1)
+    for t in letters:
+        m = m @ (T_MAP if t else L_MAP)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(WORDS, st.booleans(), WORDS)
+def test_self_glued_pieces_always_build(conj, swap, dec_word):
+    # every orientation-reversing involution is conjugate to the reflection
+    # or to the coordinate swap, and any such self-gluing is valid input
+    g = word(conj)
+    involution = g @ (SurfaceMap(0, 1, 1, 0) if swap else REFLECTION) @ g.inverse()
+    x = self_glued(push(word(dec_word)), involution)
+    try:
+        build_skeleton(x, samples=5)
+    except PrecisionLossError:
+        pass
 
 
 def test_thin_distinct_endpoints_make_a_real_tube():

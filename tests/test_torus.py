@@ -38,7 +38,6 @@ from glueforge.torus import (
     farey_geodesic,
     intersection_number,
     is_adjacent,
-    marking_distance,
     max_subsurface_projection,
     parse_slope,
     relative_cf_max_coeff,
@@ -392,13 +391,6 @@ def test_marking_validation():
         FareyMarking(Slope(1, 3), Slope(2, 3))
     with pytest.raises(ValidationError):
         FareyMarking(Slope(0, 1), Slope(0, 1))
-
-
-def test_marking_distance_frozen():
-    m1 = FareyMarking(Slope(0, 1), INFINITY)
-    m2 = FareyMarking(Slope(8, 5), Slope(13, 8))
-    assert marking_distance(m1, m2) == 3
-    assert marking_distance(m1, m1) == 0
 
 
 def test_max_subsurface_projection_twist_family():

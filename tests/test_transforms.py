@@ -1,6 +1,8 @@
 """Transformation tests: stack certificates, I-bundle collapse,
 compression assembly, decomposition, and transparency."""
 
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from glueforge.gluing import (
     heights,
     induced_markings,
 )
+from glueforge.ioutil import canonical_dumps, sha256_of_text
 from glueforge.surface import (
     AbstractMarking,
     BackendHandle,
@@ -414,7 +417,7 @@ def test_collapse_unburied_end_pushes_free_marking():
     assert not res.collapsed.is_buried(("p0", "E0"))
 
 
-def test_collapse_twisted_end_self_identification():
+def twisted_end() -> GluingGraph:
     cover = CoverData(
         mu0=push(A.power(2)),
         mu1=push(A.power(2)),
@@ -429,12 +432,15 @@ def test_collapse_twisted_end_self_identification():
         bundle_map=tmap(REFLECTION),
         cover=cover,
     )
-    x = GluingGraph(
+    return GluingGraph(
         manifolds=(core("M", MU), tw),
         pieces=(("p0", "M"), ("w", "W")),
         identifications=(Identification("p0", "E0", "w", "F0", tmap(REFLECTION)),),
     ).validate()
-    res = collapse_ibundles(x, 6, 1)
+
+
+def test_collapse_twisted_end_self_identification():
+    res = collapse_ibundles(twisted_end(), 6, 1)
     st = res.stacks[0]
     assert st.certificate.twisted_note == "twisted end w certified in its declared double cover"
     ident = st.new_identification
@@ -457,10 +463,10 @@ def test_collapse_twisted_end_self_identification():
         collapse_ibundles(y, 6, 1)
 
 
-def test_collapse_folded_bundle_slot():
+def folded_end() -> GluingGraph:
     # a trivial bundle whose far slot is self-glued acts as a twisted end
     b = bundle("B", mk("1/1", "1/0"), mk("1/1", "1/0"))
-    x = GluingGraph(
+    return GluingGraph(
         manifolds=(core("M", MU), b),
         pieces=(("p0", "M"), ("w", "B")),
         identifications=(
@@ -468,42 +474,52 @@ def test_collapse_folded_bundle_slot():
             Identification("w", "F1", "w", "F1", tmap(REFLECTION)),
         ),
     ).validate()
-    res = collapse_ibundles(x, 6, 0)
+
+
+def test_collapse_folded_bundle_slot():
+    res = collapse_ibundles(folded_end(), 6, 0)
     ident = res.stacks[0].new_identification
     assert ident is not None and ident.slot_a == ident.slot_b == ("p0", "E0")
     assert ident.map.is_involution()
     assert [p for p, _ in res.collapsed.pieces] == ["p0"]
 
 
-def test_collapse_fibered_self_glued_bundle():
-    b = bundle("B", MU, MU)
-    glue = SurfaceMap(13, 8, 8, 5) @ REFLECTION
-    x = GluingGraph(
-        manifolds=(b,),
+FIBERED_GLUE = SurfaceMap(13, 8, 8, 5) @ REFLECTION
+
+
+def fibered_self_glued() -> GluingGraph:
+    return GluingGraph(
+        manifolds=(bundle("B", MU, MU),),
         pieces=(("b0", "B"),),
-        identifications=(Identification("b0", "F0", "b0", "F1", tmap(glue)),),
+        identifications=(Identification("b0", "F0", "b0", "F1", tmap(FIBERED_GLUE)),),
     ).validate()
-    res = collapse_ibundles(x, 6, 1)
+
+
+def test_collapse_fibered_self_glued_bundle():
+    res = collapse_ibundles(fibered_self_glued(), 6, 1)
     assert res.fibered
     assert "self-glued" in res.note
     assert len(res.collapsed.pieces) == 1
     ident = res.collapsed.identifications[0]
-    assert ident.map.matrix == glue
+    assert ident.map.matrix == FIBERED_GLUE
     assert res.stacks[0].new_height == heights(res.collapsed).height(*ident.slot_a)
 
 
-def test_collapse_fibered_cycle_combines_monodromy():
+def fibered_cycle() -> GluingGraph:
     bundles = [axis_bundle(f"B{i}", k) for i, k in enumerate([1, 3, 6])]
     idents = [
         Identification(f"b{i}", "F1", f"b{(i + 1) % 3}", "F0", tmap(REFLECTION))
         for i in range(3)
     ]
-    x = GluingGraph(
+    return GluingGraph(
         manifolds=tuple(bundles),
         pieces=tuple((f"b{i}", f"B{i}") for i in range(3)),
         identifications=tuple(idents),
     ).validate()
-    res = collapse_ibundles(x, 6, 1)
+
+
+def test_collapse_fibered_cycle_combines_monodromy():
+    res = collapse_ibundles(fibered_cycle(), 6, 1)
     assert res.fibered
     assert len(res.collapsed.pieces) == 1
     pid = res.collapsed.pieces[0][0]
@@ -514,9 +530,12 @@ def test_collapse_fibered_cycle_combines_monodromy():
     assert len(res.collapsed.identifications) == 1
 
 
+def fibered_open_chain() -> GluingGraph:
+    return chain(axis_bundle("B0", 1), axis_bundle("B1", 3))
+
+
 def test_collapse_fibered_open_chain():
-    x = chain(axis_bundle("B0", 1), axis_bundle("B1", 3))
-    res = collapse_ibundles(x, 6, 1)
+    res = collapse_ibundles(fibered_open_chain(), 6, 1)
     assert res.fibered
     assert "open bundle chain" in res.note
     assert len(res.collapsed.pieces) == 1
@@ -524,7 +543,7 @@ def test_collapse_fibered_open_chain():
     assert res.stacks[0].new_identification is None
 
 
-def test_collapse_fibered_twisted_left_alone():
+def fibered_twisted() -> GluingGraph:
     cover = CoverData(MU, MU, tmap(IDENTITY), tmap(IDENTITY), tmap(REFLECTION))
     tw = DecoratedManifoldSpec(
         "W",
@@ -533,11 +552,15 @@ def test_collapse_fibered_twisted_left_alone():
         bundle_map=tmap(REFLECTION),
         cover=cover,
     )
-    x = GluingGraph(
+    return GluingGraph(
         manifolds=(axis_bundle("B0", 2), tw),
         pieces=(("b0", "B0"), ("w", "W")),
         identifications=(Identification("b0", "F1", "w", "F0", tmap(REFLECTION)),),
     ).validate()
+
+
+def test_collapse_fibered_twisted_left_alone():
+    x = fibered_twisted()
     res = collapse_ibundles(x, 6, 1)
     assert res.fibered
     assert res.collapsed is x
@@ -568,6 +591,51 @@ def test_measured_r_bound_frozen():
     assert measured_r_bound(x) == 5
     res = collapse_ibundles(x, 6, 1)
     assert measured_r_bound(res.collapsed) == res.r_prime == 5
+
+
+def example_builders() -> dict:
+    """The builders of scripts/make_example_gluings.py, by example name."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "make_example_gluings.py"
+    spec = importlib.util.spec_from_file_location("make_example_gluings", path)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: build for name, build, _, _ in module.EXAMPLES}
+
+
+# sha256 of the canonical collapse report (CLI defaults R = 6, h = 1, with
+# the correspondence) for the six example gluings and the fixtures above;
+# any change to these bytes is a report schema change
+COLLAPSE_REPORT_SHA256 = {
+    "chain": "e40b4c9a992c68a45a915d80f4101dfc8a8c402ec6cfd064bf7e68f566591964",
+    "stack": "57455ef08636dae3b9d105016aa0f1ac15940bc3c130ea646479b28171a6b764",
+    "twisted": "1f02b4318e8c0d92fdb69923b54050820e16a64c9d3178b7df5f08e4b400066c",
+    "compression": "f8101b8498fd5d374bdc21069344b3ba4ac793e071832b79b0053849dc32be38",
+    "thin": "fd823c370482f61a98be976eab4167642ac119827de7ad71b07d6cbc7674877c",
+    "fibered": "8d401c0d72d648ae490dbd0fe580b7b5d2241d0174b901f872cc3227211fb80d",
+    "fibered-cycle": "7bc05019f056cf4c341329c0126705b8f80e2454aa8d5961c53877b2251b6373",
+    "fibered-open": "e910073a94a5b6943b405ce5c0413ba0f404a40d2c0b4d1ad56b8afad804d821",
+    "fibered-twisted": "257640c4101df9dbbc338c9483e25192572d4f33efbdcc3a87cf3f70617e2f92",
+    "twisted-end": "d07f20ed19aabf4017240fdc1f7568861a78af2cec14111280b7fbf2acab7be9",
+    "folded": "402a3fab893c7413f9412fc57f28de268329977547eba0648b9df7ad67e007eb",
+    "fibered-self": "bd10867a097aa23f4f447b954482769fa2b3876c06fb1de432105b7fcd784cba",
+}
+COLLAPSE_FIXTURES = {
+    "fibered-cycle": fibered_cycle,
+    "fibered-open": fibered_open_chain,
+    "fibered-twisted": fibered_twisted,
+    "twisted-end": twisted_end,
+    "folded": folded_end,
+    "fibered-self": fibered_self_glued,
+}
+
+
+@pytest.mark.parametrize("name", list(COLLAPSE_REPORT_SHA256))
+def test_collapse_report_bytes_pinned(name):
+    build = COLLAPSE_FIXTURES.get(name) or example_builders()[name]
+    res = collapse_ibundles(build(), 6, 1)
+    text = canonical_dumps(res.to_json(emit_correspondence=True))
+    assert sha256_of_text(text) == COLLAPSE_REPORT_SHA256[name]
 
 
 # ------------------------------------------------------------- compression
