@@ -11,6 +11,9 @@ cap; above the cap it degrades to a uniform sample and says so.
 Quasigeodesic constants are plain ratios: K' is the max over sub-intervals
 of (edge length)/(endpoint distance), so length <= K'*d holds exactly and
 the additive-slack-1 form length <= K'*d + 1 holds a fortiori.
+
+numpy is imported inside the functions that work on distance arrays, not
+at module level, so that torus-only runs never load it.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import ParseError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FiniteGraph",
@@ -97,6 +101,8 @@ class DistanceTable:
     """All-pairs distances; the metric invariants are checkable on demand."""
 
     def __init__(self, matrix: np.ndarray):
+        import numpy as np
+
         self._m = np.asarray(matrix, dtype=np.int64)
 
     @property
@@ -113,10 +119,20 @@ class DistanceTable:
         return self._m
 
     def submatrix(self, vertices: Sequence[int]) -> "DistanceTable":
+        import numpy as np
+
         idx = list(vertices)
         return DistanceTable(self._m[np.ix_(idx, idx)])
 
+    def preserved_by(self, perm: Sequence[int]) -> bool:
+        """True iff the vertex bijection perm keeps every distance."""
+        import numpy as np
+
+        return bool(np.array_equal(self.submatrix(perm)._m, self._m))
+
     def check(self) -> None:
+        import numpy as np
+
         m = self._m
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("distance table not square")
@@ -134,6 +150,8 @@ class DistanceTable:
 
 def all_pairs_distances(g: FiniteGraph) -> DistanceTable:
     """BFS from every vertex."""
+    import numpy as np
+
     n = g.vertex_count
     adj = g.adjacency()
     out = np.full((n, n), -1, dtype=np.int64)
@@ -154,6 +172,8 @@ def four_point_delta(table: DistanceTable) -> Fraction:
     the three pairing sums d(i,j)+d(k,l), d(i,k)+d(j,l), d(i,l)+d(j,k)
     differ by at most 2*delta.  Exhaustive; quadruples with repeats
     contribute gap 0, so scanning i<j against all (k,l) is complete."""
+    import numpy as np
+
     m = table.as_array()
     n = table.n
     worst = 0
@@ -184,6 +204,8 @@ def quasiconvexity_constant(table: DistanceTable, subset: Sequence[int]) -> int:
     in the a-neighbourhood of the subset.  Uses the interval
     characterization, which covers the union of all geodesics without
     enumerating them."""
+    import numpy as np
+
     sub = sorted(set(subset))
     if not sub:
         raise ValidationError("quasiconvexity needs a nonempty subset")
@@ -314,6 +336,8 @@ def check_qconvex_stability(table: DistanceTable, subset: Sequence[int], r: int)
     for every threshold h0 the least sufficient r' is witnessed.  The
     extremal field is the configuration of largest excess (ties broken by
     larger d(x,y), then lexicographically); None when every excess is 0."""
+    import numpy as np
+
     sub = sorted(set(subset))
     if not sub:
         raise ValidationError("stability scan needs a nonempty subset")

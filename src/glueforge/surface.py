@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import BackendMismatchError, ParseError, ValidationError
 from .hypgraph import DistanceTable, FiniteGraph, all_pairs_distances
 from .torus import (
@@ -398,8 +396,7 @@ def _graph_permutation(handle: BackendHandle, descriptor: object) -> list[int]:
         raise ValidationError("graph map descriptor must be a permutation")
     if len(perm) != n or sorted(perm) != list(range(n)):
         raise ValidationError("graph map descriptor is not a vertex bijection")
-    m = handle.table().as_array()
-    if not np.array_equal(m[np.ix_(perm, perm)], m):
+    if not handle.table().preserved_by(perm):
         raise ValidationError("graph map descriptor is not distance preserving")
     return perm
 

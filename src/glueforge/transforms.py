@@ -20,7 +20,9 @@ from .gluing import (
     BoundarySpec,
     DecoratedManifoldSpec,
     GluingGraph,
+    HeightTable,
     Identification,
+    InducedMarkingTable,
     Slot,
     SlotMap,
     TRIVIAL_IBUNDLE,
@@ -441,7 +443,13 @@ def measured_r_bound(x: GluingGraph, denom_bound: int | None = None) -> int:
     """Smallest bound at which every decorated slot clears the projection
     clause and every compressible slot clears the meridian clause."""
     table = induced_markings(x)
-    hts = heights(x, table)
+    return _r_bound(x, table, heights(x, table), denom_bound)
+
+
+def _r_bound(
+    x: GluingGraph, table: InducedMarkingTable, hts: HeightTable, denom_bound: int | None
+) -> int:
+    """measured_r_bound over the induced markings and heights of x."""
     best = 0
     for slot in x.slots():
         nu = table.nu(*slot)
@@ -701,7 +709,7 @@ def collapse_ibundles(
         collapsed=collapsed,
         stacks=tuple(records),
         fibered=fibered,
-        r_prime=measured_r_bound(collapsed, denom_bound),
+        r_prime=_r_bound(collapsed, table, hts, denom_bound),
         note=note,
     )
 

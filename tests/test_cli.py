@@ -27,11 +27,23 @@ from glueforge.gluing import (
     DecoratedManifoldSpec,
     GluingGraph,
     Identification,
+    SlotMap,
 )
+from glueforge.hypgraph import cycle_graph
 from glueforge.ioutil import sha256_of_text
-from glueforge.surface import BackendHandle
+from glueforge.surface import AbstractMarking, BackendHandle
 from glueforge.torus import IDENTITY, REFLECTION
-from test_transforms import MU, axis_bundle, chain, core, core_stack_core, mk, push, tmap
+from test_transforms import (
+    MU,
+    axis_bundle,
+    chain,
+    core,
+    core_stack_core,
+    example_builders,
+    mk,
+    push,
+    tmap,
+)
 
 T = BackendHandle.torus()
 P4 = "4 3\n0 1\n1 2\n2 3\n"
@@ -98,6 +110,24 @@ def files(tmp_path_factory):
     out["inv1000"] = save("inv1000.json", inv1000.canonical_json())
     out["deep200"] = save("deep200.json", core_stack_core([200]).canonical_json())
     out["deep30"] = save("deep30.json", core_stack_core([30]).canonical_json())
+
+    for name, build in example_builders().items():
+        out[f"example:{name}"] = save(f"example-{name}.json", build().canonical_json())
+
+    h = BackendHandle.finite_graph(cycle_graph(6))
+
+    def graph_core(mid: str, *vertices: int) -> DecoratedManifoldSpec:
+        dec = AbstractMarking(h, vertices)
+        return DecoratedManifoldSpec(mid, GENERIC, (BoundarySpec("E0", handle=h, decoration=dec),))
+
+    graph_pair = GluingGraph(
+        manifolds=(graph_core("c0", 0, 1), graph_core("c1", 2, 3)),
+        pieces=(("p0", "c0"), ("p1", "c1")),
+        identifications=(
+            Identification("p0", "E0", "p1", "E0", SlotMap(h, perm=(0, 5, 4, 3, 2, 1))),
+        ),
+    ).validate()
+    out["graph_pair"] = save("graph_pair.json", graph_pair.canonical_json())
 
     out["bad"] = save("bad.json", '{"pieces": [')
     out["p4"] = save("p4.txt", P4)
@@ -378,6 +408,59 @@ def test_balanced_points_beyond_double_precision_are_internal_faults(files):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("internal error: PrecisionLossError: ")
+
+
+# ------------------------------------------------------- numpy stays cold
+
+# runs main(argv) in a fresh interpreter, then reports its exit code and
+# whether numpy was ever imported
+_NUMPY_PROBE = (
+    "import sys\n"
+    "from glueforge import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, 'numpy' in sys.modules)\n"
+)
+
+
+def numpy_probe(argv: list[str]) -> str:
+    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "command, example",
+    [
+        ("validate", "twisted"),
+        ("report", "chain"),
+        ("collapse", "stack"),
+        ("decompose", "compression"),
+        ("model", "thin"),
+        ("model --format obj", "chain"),
+    ],
+)
+def test_torus_commands_never_load_numpy(files, tmp_path, command, example):
+    target = tmp_path / "out"
+    argv = [*command.split(), "--input", files[f"example:{example}"], "--out", str(target)]
+    out = numpy_probe(argv)
+    assert out == f"{EXIT_PASS} False\n"
+    assert target.stat().st_size > 0
+
+
+@pytest.mark.parametrize("command, name", [("validate", "graph_pair"), ("hyplab", "c6")])
+def test_graph_commands_load_numpy(files, tmp_path, command, name):
+    target = tmp_path / "out"
+    out = numpy_probe([command, "--input", files[name], "--out", str(target)])
+    assert out == f"{EXIT_PASS} True\n"
+    assert json.loads(target.read_text())["command"] == command
 
 
 # ----------------------------------------------------------- determinism

@@ -586,6 +586,105 @@ def test_collapse_compressible_neighbor_excess():
     assert res.r_prime >= excess
 
 
+# gluing and exchange maps that are not involutions (determinant -1,
+# nonzero trace), so a map and its inverse, or a conjugation and its
+# reverse, give different results
+SKEW_1 = SurfaceMap(1, 1, 1, 0)
+SKEW_2 = SurfaceMap(2, 1, 1, 0)
+SKEW_3 = SurfaceMap(0, 1, 1, 2)
+
+
+def skew_bundle(mid: str, k: int, exchange: SurfaceMap) -> DecoratedManifoldSpec:
+    return DecoratedManifoldSpec(
+        mid,
+        TRIVIAL_IBUNDLE,
+        (
+            BoundarySpec("F0", handle=T, decoration=push(A.power(k))),
+            BoundarySpec("F1", handle=T, decoration=push(exchange.inverse() @ A.power(k))),
+        ),
+        bundle_map=tmap(exchange),
+    )
+
+
+def skew_twisted_end() -> GluingGraph:
+    """Core p0, trivial bundle b, twisted end w; no map but the twisted
+    piece's exchange is an involution."""
+    dec = push(A.power(4))
+    cover = CoverData(dec, dec, tmap(IDENTITY), tmap(IDENTITY), tmap(REFLECTION))
+    tw = DecoratedManifoldSpec(
+        "W",
+        TWISTED_IBUNDLE,
+        (BoundarySpec("F0", handle=T, decoration=dec),),
+        bundle_map=tmap(REFLECTION),
+        cover=cover,
+    )
+    return GluingGraph(
+        manifolds=(core("M", MU), skew_bundle("B", 2, SKEW_2), tw),
+        pieces=(("p0", "M"), ("b", "B"), ("w", "W")),
+        identifications=(
+            Identification("p0", "E0", "b", "F0", tmap(SKEW_1)),
+            Identification("b", "F1", "w", "F0", tmap(SKEW_3)),
+        ),
+    ).validate()
+
+
+def test_collapse_skew_twisted_end_conjugates_the_fold():
+    for f in (SKEW_1, SKEW_2, SKEW_3):
+        assert f.det == -1 and not f.is_involution()
+    res = collapse_ibundles(skew_twisted_end(), 6, 1)
+    ident = res.stacks[0].new_identification
+    assert ident is not None and ident.slot_a == ident.slot_b == ("p0", "E0")
+    # p0:E0 data reaches the fold in w:F0 through SKEW_1 into b:F0, the
+    # inverse exchange across b, and SKEW_3 into w:F0; the new self-gluing
+    # folds there and comes back the same way
+    up = SKEW_3 @ SKEW_2.inverse() @ SKEW_1
+    assert ident.map.matrix == up.inverse() @ REFLECTION @ up
+    assert ident.map.matrix != up @ REFLECTION @ up.inverse()
+    assert [p for p, _ in res.collapsed.pieces] == ["p0"]
+
+
+def skew_fibered_chain() -> GluingGraph:
+    return GluingGraph(
+        manifolds=(skew_bundle("B0", 1, SKEW_2), skew_bundle("B1", 3, SKEW_3)),
+        pieces=(("b0", "B0"), ("b1", "B1")),
+        identifications=(Identification("b0", "F1", "b1", "F0", tmap(SKEW_1)),),
+    ).validate()
+
+
+def test_collapse_skew_fibered_chain_composes_the_exchange():
+    x = skew_fibered_chain()
+    res = collapse_ibundles(x, 6, 1)
+    assert res.fibered and "open bundle chain" in res.note
+    spec = res.collapsed.spec_of("b0+b1")
+    assert spec.id == "B[b0+b1]"
+    # the combined exchange pushes the far end's chart (b1:F1) onto the
+    # entry chart (b0:F0): across b1, back over the joint, across b0
+    total = SKEW_2 @ SKEW_1.inverse() @ SKEW_3
+    assert spec.bundle_map is not None
+    assert spec.bundle_map.matrix == total
+    assert spec.bundle_map.matrix != total.inverse()
+    assert spec.boundary("F0").decoration == x.decoration(("b0", "F0"))
+    assert spec.boundary("F1").decoration == x.decoration(("b1", "F1"))
+
+
+def test_collapse_builds_induced_markings_once(monkeypatch):
+    import glueforge.gluing
+    import glueforge.transforms
+
+    calls = []
+    real = glueforge.gluing.induced_markings
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(glueforge.gluing, "induced_markings", counted)
+    monkeypatch.setattr(glueforge.transforms, "induced_markings", counted)
+    res = collapse_ibundles(example_builders()["stack"](), 6, 1)
+    assert calls == [res.collapsed]
+    assert res.r_prime == measured_r_bound(res.collapsed)
+
+
 def test_measured_r_bound_frozen():
     x = core_stack_core([3], right_power=6)
     assert measured_r_bound(x) == 5
