@@ -5,6 +5,20 @@ a half-integer Fraction, and quasiconvexity constants come from the interval
 characterization (v lies on a geodesic from x to y iff d(x,v)+d(v,y)=d(x,y),
 since concatenating geodesics through such a v realizes the distance).
 
+The four-point constant is not an exhaustive scan.  It follows N. Cohen,
+D. Coudert and A. Lancin, "On computing the Gromov hyperbolicity" (ACM JEA
+2015), and is exact for three reasons:
+
+- a graph's constant is the largest over its biconnected blocks, each an
+  isometric subgraph, and a block of at most three vertices has 0;
+- moving an end of a pair to a neighbour farther from the other end raises
+  the largest pairing sum by one and the other two by at most one, so some
+  worst quadruple has both pairs of its largest sum far apart: no
+  neighbour of either end lies farther from the other end, in the block;
+- by the triangle inequality the gap of a quadruple is at most the shorter
+  pair of its largest sum, so pairs visited by decreasing distance can stop
+  at the first one no longer than the best gap found.
+
 The explicit geodesic enumerator is kept as a separate utility with a hard
 cap; above the cap it degrades to a uniform sample and says so.
 
@@ -12,14 +26,15 @@ Quasigeodesic constants are plain ratios: K' is the max over sub-intervals
 of (edge length)/(endpoint distance), so length <= K'*d holds exactly and
 the additive-slack-1 form length <= K'*d + 1 holds a fortiori.
 
-numpy is imported inside the functions that work on distance arrays, not
-at module level, so that torus-only runs never load it.
+Distance tables keep their rows as Python lists.  numpy is imported inside
+the functions that work on the table's array form, not at module level, so
+that only `hyplab` loads it: gluing commands, graph backends included, read
+rows and single distances.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -72,20 +87,29 @@ class FiniteGraph:
             if e in norm:
                 raise ValidationError(f"duplicate edge {e}")
             norm.add(e)
-        g = FiniteGraph(n, frozenset(norm))
-        adj = g.adjacency()
+        # O(m) whatever n is: a huge vertex count with few edges must fail
+        # fast, before anything of size n is allocated
+        nbrs: dict[int, list[int]] = {}
+        for u, v in norm:
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
         seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
+        stack = [0]
+        while stack:
+            for w in nbrs.get(stack.pop(), ()):
                 if w not in seen:
                     seen.add(w)
-                    queue.append(w)
+                    stack.append(w)
         if len(seen) != n:
-            missing = min(set(range(n)) - seen)
+            missing = next(v for v in range(n) if v not in seen)
             raise ValidationError(f"graph disconnected: no path from 0 to {missing}")
-        return g
+        return FiniteGraph(n, frozenset(norm))
+
+    def preserved_by(self, perm: Sequence[int]) -> bool:
+        """True iff the vertex bijection perm keeps every distance: it does
+        iff it maps edges onto edges, the pairs at distance 1."""
+        image = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in self.edges}
+        return image == self.edges
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
@@ -98,105 +122,219 @@ class FiniteGraph:
 
 
 class DistanceTable:
-    """All-pairs distances; the metric invariants are checkable on demand."""
+    """All-pairs distances, kept as one Python list per row.  The int64
+    array that the array functions read is built on the first as_array()
+    call; the metric invariants are checkable on demand."""
 
-    def __init__(self, matrix: np.ndarray):
-        import numpy as np
+    def __init__(self, matrix: np.ndarray | Sequence[Sequence[int]]):
+        rows = matrix.tolist() if hasattr(matrix, "tolist") else matrix
+        self._rows = [list(map(int, row)) for row in rows]
+        self._array: np.ndarray | None = None
 
-        self._m = np.asarray(matrix, dtype=np.int64)
+    @classmethod
+    def _of_rows(cls, rows: list[list[int]]) -> "DistanceTable":
+        """Wraps fresh rows of Python ints without copying them."""
+        table = cls.__new__(cls)
+        table._rows = rows
+        table._array = None
+        return table
 
     @property
     def n(self) -> int:
-        return self._m.shape[0]
+        return len(self._rows)
 
     def d(self, u: int, v: int) -> int:
-        return int(self._m[u, v])
+        return self._rows[u][v]
 
     def __call__(self, u: int, v: int) -> int:
-        return int(self._m[u, v])
+        return self._rows[u][v]
+
+    def row(self, u: int) -> list[int]:
+        """Distances from u to every vertex; the caller must not mutate it."""
+        return self._rows[u]
 
     def as_array(self) -> np.ndarray:
-        return self._m
+        """The table as a read-only n x n int64 array, built once."""
+        if self._array is None:
+            import numpy as np
+
+            n = self.n
+            self._array = np.array(self._rows, dtype=np.int64).reshape(n, n)
+            self._array.flags.writeable = False
+        return self._array
 
     def submatrix(self, vertices: Sequence[int]) -> "DistanceTable":
-        import numpy as np
-
         idx = list(vertices)
-        return DistanceTable(self._m[np.ix_(idx, idx)])
-
-    def preserved_by(self, perm: Sequence[int]) -> bool:
-        """True iff the vertex bijection perm keeps every distance."""
-        import numpy as np
-
-        return bool(np.array_equal(self.submatrix(perm)._m, self._m))
+        rows = self._rows
+        return DistanceTable._of_rows([[rows[u][v] for v in idx] for u in idx])
 
     def check(self) -> None:
         import numpy as np
 
-        m = self._m
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        n = self.n
+        if any(len(row) != n for row in self._rows):
             raise ValidationError("distance table not square")
+        m = self.as_array()
         if not np.array_equal(m, m.T):
             raise ValidationError("distance table not symmetric")
         if np.any(np.diag(m) != 0):
             raise ValidationError("distance table has nonzero diagonal")
         if np.any(m < 0):
             raise ValidationError("negative distance")
-        for k in range(self.n):
+        for k in range(n):
             via = m[:, k][:, None] + m[k, :][None, :]
             if np.any(m > via):
                 raise ValidationError("triangle inequality violated")
 
 
 def all_pairs_distances(g: FiniteGraph) -> DistanceTable:
-    """BFS from every vertex."""
-    import numpy as np
-
+    """Level-synchronous BFS from every vertex."""
     n = g.vertex_count
     adj = g.adjacency()
-    out = np.full((n, n), -1, dtype=np.int64)
+    rows = []
     for s in range(n):
-        out[s, s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if out[s, w] < 0:
-                    out[s, w] = out[s, u] + 1
-                    queue.append(w)
-    return DistanceTable(out)
+        row = [-1] * n
+        row[s] = 0
+        frontier = [s]
+        level = 0
+        while frontier:
+            level += 1
+            reached = []
+            for u in frontier:
+                for w in adj[u]:
+                    if row[w] < 0:
+                        row[w] = level
+                        reached.append(w)
+            frontier = reached
+        rows.append(row)
+    return DistanceTable._of_rows(rows)
 
 
 def four_point_delta(table: DistanceTable) -> Fraction:
     """Least delta such that for every vertex quadruple the two largest of
     the three pairing sums d(i,j)+d(k,l), d(i,k)+d(j,l), d(i,l)+d(j,k)
-    differ by at most 2*delta.  Exhaustive; quadruples with repeats
-    contribute gap 0, so scanning i<j against all (k,l) is complete."""
+    differ by at most 2*delta.
+
+    When the table is the metric of the graph its distance-1 pairs span,
+    the scan runs per biconnected block over the far-apart pairs only;
+    otherwise the table must be a metric, and the scan runs over all
+    pairs.  Both are exact: see the module docstring."""
     import numpy as np
 
     m = table.as_array()
-    n = table.n
-    worst = 0
-    for i in range(n):
-        mi = m[i][:, None]
-        for j in range(i + 1, n):
-            s1 = m[i, j] + m
-            s2 = mi + m[j][None, :]
-            s3 = s2.T
-            hi = np.maximum(s1, s2)
-            lo = np.minimum(s1, s2)
-            top = np.maximum(hi, s3)
-            mid = np.maximum(lo, np.minimum(hi, s3))
-            gap = int((top - mid).max())
-            if gap > worst:
-                worst = gap
-    return Fraction(worst, 2)
+    adj = _metric_graph(m)
+    if adj is None:
+        table.check()
+        a, b = np.triu_indices(table.n, 1)
+        return Fraction(_widest_gap(m, a, b, 0), 2)
+    best = 0
+    for block in _blocks(adj):
+        if len(block) >= 4:
+            mb = m[np.ix_(block, block)]
+            a, b = _far_apart_pairs(mb)
+            best = _widest_gap(mb, a, b, best)
+    return Fraction(best, 2)
+
+
+def _metric_graph(m: np.ndarray) -> list[list[int]] | None:
+    """Adjacency lists of the graph of distance-1 pairs when m is exactly
+    its metric: symmetric adjacency, zero diagonal, and every other entry
+    1 + the least entry over the row vertex's neighbours.  None otherwise."""
+    import numpy as np
+
+    one = m == 1
+    if not np.array_equal(one, one.T) or np.diagonal(m).any():
+        return None
+    adj = []
+    for u, nbrs in enumerate(one):
+        (nb,) = np.nonzero(nbrs)
+        if nb.size:
+            via = m[nb].min(axis=0) + 1
+            via[u] = 0
+            if not np.array_equal(via, m[u]):
+                return None
+        elif len(m) > 1:
+            return None
+        adj.append(nb.tolist())
+    return adj
+
+
+def _blocks(adj: list[list[int]]) -> list[list[int]]:
+    """Vertex lists of the biconnected blocks of a connected graph, by an
+    iterative Hopcroft-Tarjan depth-first search from vertex 0."""
+    if not adj:
+        return []
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    disc[0] = 0
+    clock = 1
+    path = [0]
+    work = [(0, iter(adj[0]))]
+    blocks = []
+    while work:
+        u, todo = work[-1]
+        for w in todo:
+            if disc[w] < 0:
+                disc[w] = low[w] = clock
+                clock += 1
+                path.append(w)
+                work.append((w, iter(adj[w])))
+                break
+            low[u] = min(low[u], disc[w])
+        else:
+            work.pop()
+            if work:
+                p = work[-1][0]
+                low[p] = min(low[p], low[u])
+                if low[u] >= disc[p]:
+                    # p separates u's subtree, the top of the path: together
+                    # they form a block
+                    block = [p]
+                    while block[-1] != u:
+                        block.append(path.pop())
+                    blocks.append(block)
+    return blocks
+
+
+def _far_apart_pairs(mb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (u, v), u < v, of a block's metric such that no neighbour of
+    u is farther from v and no neighbour of v is farther from u."""
+    import numpy as np
+
+    one = mb == 1
+    far = np.empty_like(one)
+    for u in range(len(mb)):
+        far[u] = mb[one[u]].max(axis=0) <= mb[u]
+    far &= far.T
+    return np.nonzero(np.triu(far, 1))
+
+
+def _widest_gap(m: np.ndarray, a: np.ndarray, b: np.ndarray, best: int) -> int:
+    """The larger of best and the widest gap, largest pairing sum minus the
+    next, over quadruples whose largest sum pairs (a[i], b[i]) with
+    (a[j], b[j]).  Pairs are visited by decreasing distance and each is
+    matched against those visited before it; a pair no longer than the
+    best gap so far bounds every remaining gap, so the scan stops there."""
+    import numpy as np
+
+    d = m[a, b]
+    order = np.argsort(-d, kind="stable")
+    a, b, d = a[order], b[order], d[order]
+    for i in range(1, len(d)):
+        dab = int(d[i])
+        if dab <= best:
+            break
+        ra, rb = m[a[i]], m[b[i]]
+        c, e = a[:i], b[:i]
+        gap = dab + d[:i] - np.maximum(ra[c] + rb[e], ra[e] + rb[c])
+        best = max(best, int(gap.max()))
+    return best
 
 
 def geodesic_interval(table: DistanceTable, x: int, y: int) -> list[int]:
     """Vertices lying on some geodesic from x to y."""
-    m = table.as_array()
-    return [v for v in range(table.n) if m[x, v] + m[v, y] == m[x, y]]
+    rx = table.row(x)
+    return [v for v in range(table.n) if rx[v] + table.d(v, y) == rx[y]]
 
 
 def quasiconvexity_constant(table: DistanceTable, subset: Sequence[int]) -> int:
@@ -228,24 +366,26 @@ class GeodesicFamily:
     sampled: bool
 
 
-def _geodesic_successors(m: np.ndarray, adj: list[list[int]], x: int, y: int, v: int) -> list[int]:
-    return [w for w in adj[v] if m[x, w] == m[x, v] + 1 and m[w, y] == m[v, y] - 1]
+def _geodesic_successors(
+    d: Callable[[int, int], int], adj: list[list[int]], x: int, y: int, v: int
+) -> list[int]:
+    return [w for w in adj[v] if d(x, w) == d(x, v) + 1 and d(w, y) == d(v, y) - 1]
 
 
 def count_geodesics(table: DistanceTable, g: FiniteGraph, x: int, y: int) -> int:
     """Number of geodesics from x to y, by dynamic programming over the
     predecessor DAG."""
     adj = g.adjacency()
-    m = table.as_array()
+    d = table.d
     if x == y:
         return 1
-    order = sorted(geodesic_interval(table, x, y), key=lambda v: m[x, v])
+    order = sorted(geodesic_interval(table, x, y), key=lambda v: d(x, v))
     ways = {x: 1}
     for v in order:
         if v == x:
             continue
         ways[v] = sum(
-            ways.get(u, 0) for u in adj[v] if m[x, u] + 1 == m[x, v] and m[u, y] == m[v, y] + 1
+            ways.get(u, 0) for u in adj[v] if d(x, u) + 1 == d(x, v) and d(u, y) == d(v, y) + 1
         )
     return ways.get(y, 0)
 
@@ -266,7 +406,7 @@ def enumerate_geodesics(
     the family is flagged sampled.
     """
     adj = g.adjacency()
-    m = table.as_array()
+    d = table.d
     total = count_geodesics(table, g, x, y)
     if total <= cap:
         out: list[tuple[int, ...]] = []
@@ -276,24 +416,24 @@ def enumerate_geodesics(
             if v == y:
                 out.append(tuple(prefix))
                 return
-            for w in _geodesic_successors(m, adj, x, y, v):
+            for w in _geodesic_successors(d, adj, x, y, v):
                 walk(prefix + [w])
 
         walk([x])
         return GeodesicFamily(tuple(out), total, sampled=False)
     ways_from = {y: 1}
-    order = sorted(geodesic_interval(table, x, y), key=lambda v: -m[x, v])
+    order = sorted(geodesic_interval(table, x, y), key=lambda v: -d(x, v))
     for v in order:
         if v == y:
             continue
-        ways_from[v] = sum(ways_from.get(w, 0) for w in _geodesic_successors(m, adj, x, y, v))
+        ways_from[v] = sum(ways_from.get(w, 0) for w in _geodesic_successors(d, adj, x, y, v))
     rng = random.Random(seed)
     sample = []
     for _ in range(sample_size):
         cur = x
         path = [x]
         while cur != y:
-            nexts = _geodesic_successors(m, adj, x, y, cur)
+            nexts = _geodesic_successors(d, adj, x, y, cur)
             cur = rng.choices(nexts, weights=[ways_from[w] for w in nexts])[0]
             path.append(cur)
         sample.append(tuple(path))

@@ -320,8 +320,8 @@ def curve_distances_from(handle: BackendHandle, a: object, targets: Sequence) ->
         if not isinstance(a, Slope) or not all(isinstance(t, Slope) for t in targets):
             raise ValidationError("torus curve vertices are slopes")
         return distances_from(a, targets)
-    row = handle.table().as_array()[a]
-    return [int(row[t]) for t in targets]
+    row = handle.table().row(a)
+    return [row[t] for t in targets]
 
 
 def marking_distance(m1: AbstractMarking, m2: AbstractMarking) -> int:
@@ -387,7 +387,9 @@ def disk_distance(m: AbstractMarking, disks: DiskSet) -> int:
 
 
 def _graph_permutation(handle: BackendHandle, descriptor: object) -> list[int]:
-    n = handle.table().n
+    graph = handle.graph
+    assert graph is not None
+    n = graph.vertex_count
     if isinstance(descriptor, Mapping):
         perm = [descriptor.get(v, -1) for v in range(n)]
     elif isinstance(descriptor, Sequence) and not isinstance(descriptor, (str, bytes)):
@@ -396,7 +398,7 @@ def _graph_permutation(handle: BackendHandle, descriptor: object) -> list[int]:
         raise ValidationError("graph map descriptor must be a permutation")
     if len(perm) != n or sorted(perm) != list(range(n)):
         raise ValidationError("graph map descriptor is not a vertex bijection")
-    if not handle.table().preserved_by(perm):
+    if not graph.preserved_by(perm):
         raise ValidationError("graph map descriptor is not distance preserving")
     return perm
 

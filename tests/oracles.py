@@ -110,6 +110,32 @@ def brute_force_delta(dist: list[list[int]]) -> Fraction:
     return Fraction(worst, 2)
 
 
+def exhaustive_delta(table) -> Fraction:
+    """Least delta such that for every vertex quadruple the two largest of
+    the three pairing sums d(i,j)+d(k,l), d(i,k)+d(j,l), d(i,l)+d(j,k)
+    differ by at most 2*delta.  Exhaustive; quadruples with repeats
+    contribute gap 0, so scanning i<j against all (k,l) is complete."""
+    import numpy as np
+
+    m = table.as_array()
+    n = table.n
+    worst = 0
+    for i in range(n):
+        mi = m[i][:, None]
+        for j in range(i + 1, n):
+            s1 = m[i, j] + m
+            s2 = mi + m[j][None, :]
+            s3 = s2.T
+            hi = np.maximum(s1, s2)
+            lo = np.minimum(s1, s2)
+            top = np.maximum(hi, s3)
+            mid = np.maximum(lo, np.minimum(hi, s3))
+            gap = int((top - mid).max())
+            if gap > worst:
+                worst = gap
+    return Fraction(worst, 2)
+
+
 def all_geodesics(adj: dict, dist, x, y) -> list[tuple]:
     """Every geodesic from x to y by DFS over the BFS predecessor structure."""
     if x == y:

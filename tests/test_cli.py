@@ -4,6 +4,7 @@ export paths, all through main(argv)."""
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -23,6 +24,7 @@ from glueforge.cli import (
 )
 from glueforge.gluing import (
     GENERIC,
+    TRIVIAL_IBUNDLE,
     BoundarySpec,
     DecoratedManifoldSpec,
     GluingGraph,
@@ -128,6 +130,32 @@ def files(tmp_path_factory):
         ),
     ).validate()
     out["graph_pair"] = save("graph_pair.json", graph_pair.canonical_json())
+
+    # a core, a trivial I-bundle and a core over C_12, glued by v -> -v
+    h12 = BackendHandle.finite_graph(cycle_graph(12))
+    flip = SlotMap(h12, perm=tuple(-v % 12 for v in range(12)))
+
+    def boundary(slot: str, *vertices: int) -> BoundarySpec:
+        return BoundarySpec(slot, handle=h12, decoration=AbstractMarking(h12, vertices))
+
+    graph_stack = GluingGraph(
+        manifolds=(
+            DecoratedManifoldSpec("ML", GENERIC, (boundary("E0", 0, 1),)),
+            DecoratedManifoldSpec(
+                "B0",
+                TRIVIAL_IBUNDLE,
+                (boundary("F0", 3, 4), boundary("F1", 9, 8)),
+                bundle_map=flip,
+            ),
+            DecoratedManifoldSpec("MR", GENERIC, (boundary("E0", 6, 7),)),
+        ),
+        pieces=(("p0", "ML"), ("p1", "B0"), ("p2", "MR")),
+        identifications=(
+            Identification("p0", "E0", "p1", "F0", flip),
+            Identification("p1", "F1", "p2", "E0", flip),
+        ),
+    ).validate()
+    out["graph_stack"] = save("graph_stack.json", graph_stack.canonical_json())
 
     out["bad"] = save("bad.json", '{"pieces": [')
     out["p4"] = save("p4.txt", P4)
@@ -455,12 +483,82 @@ def test_torus_commands_never_load_numpy(files, tmp_path, command, example):
     assert target.stat().st_size > 0
 
 
-@pytest.mark.parametrize("command, name", [("validate", "graph_pair"), ("hyplab", "c6")])
-def test_graph_commands_load_numpy(files, tmp_path, command, name):
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("validate", "graph_pair"),
+        ("validate", "graph_stack"),
+        ("report", "graph_stack"),
+        ("collapse", "graph_stack"),
+        ("decompose", "graph_stack"),
+        ("model", "graph_stack"),
+    ],
+)
+def test_graph_backend_commands_never_load_numpy(files, tmp_path, command, name):
     target = tmp_path / "out"
     out = numpy_probe([command, "--input", files[name], "--out", str(target)])
-    assert out == f"{EXIT_PASS} True\n"
+    assert out == f"{EXIT_PASS} False\n"
     assert json.loads(target.read_text())["command"] == command
+
+
+def test_hyplab_loads_numpy(files, tmp_path):
+    target = tmp_path / "out"
+    out = numpy_probe(["hyplab", "--input", files["c6"], "--out", str(target)])
+    assert out == f"{EXIT_PASS} True\n"
+    assert json.loads(target.read_text())["command"] == "hyplab"
+
+
+# ------------------------------------------------------- graphs at scale
+
+
+def cold_cli(argv: list[str]):
+    """Runs glueforge in a fresh interpreter; returns the process and its
+    wall time."""
+    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "glueforge.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    return proc, time.perf_counter() - start
+
+
+def test_huge_vertex_count_without_edges_fails_fast(tmp_path):
+    graph = tmp_path / "huge.txt"
+    graph.write_text("1000000000 0")
+    assert graph.stat().st_size == 12
+    proc, wall = cold_cli(["hyplab", "--input", str(graph)])
+    assert wall < 1.0
+    assert proc.returncode == EXIT_INVARIANT
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "invariant violation: graph disconnected: no path from 0 to 1"
+    ]
+
+
+def seeded_sparse_graph(seed: int, n: int, extra: int) -> str:
+    """Edge-list text of a random spanning tree plus `extra` chords."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))
+
+
+def test_hyplab_on_300_vertices_is_fast(tmp_path):
+    graph = tmp_path / "sparse300.txt"
+    graph.write_text(seeded_sparse_graph(300, 300, 50))
+    proc, wall = cold_cli(["hyplab", "--input", str(graph)])
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    assert wall < 2.0
+    result = json.loads(proc.stdout)["result"]
+    # frozen from the exhaustive O(n^4) scan, oracles.exhaustive_delta
+    assert result["delta"] == [9, 2]
+    assert result["diameter"] == 14
 
 
 # ----------------------------------------------------------- determinism

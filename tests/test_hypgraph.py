@@ -1,11 +1,12 @@
 """Graph-laboratory tests: frozen small cases plus oracle cross-checks.
 
-The four-point constant is checked against the exhaustive quadruple scan in
-oracles.brute_force_delta, quasiconvexity against explicit geodesic
-enumeration, and the stability scan against a direct triple-loop oracle
-written independently below.
+The four-point constant is checked against the exhaustive quadruple scans
+in oracles.brute_force_delta and oracles.exhaustive_delta, quasiconvexity
+against explicit geodesic enumeration, and the stability scan against a
+direct triple-loop oracle written independently below.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,8 @@ from glueforge.hypgraph import (
     DistanceTable,
     FiniteGraph,
     PathWitness,
+    _far_apart_pairs,
+    _widest_gap,
     all_pairs_distances,
     check_qconvex_stability,
     complete_graph,
@@ -101,6 +104,15 @@ def test_graph_validation_rejects_bad_edges():
 def test_graph_validation_names_unreachable_vertex():
     with pytest.raises(ValidationError, match="no path from 0 to 2"):
         FiniteGraph.from_edges(4, [(0, 1), (2, 3)])
+
+
+def test_graph_validation_is_linear_in_the_edges():
+    # a vertex count far beyond memory must not be allocated before the
+    # connectivity check
+    with pytest.raises(ValidationError, match="no path from 0 to 3"):
+        FiniteGraph.from_edges(10**9, [(0, 1), (2, 1)])
+    with pytest.raises(ValidationError, match="no path from 0 to 1"):
+        FiniteGraph.from_edges(10**9, [])
 
 
 def test_single_vertex_graph_is_fine():
@@ -188,6 +200,97 @@ def test_delta_of_induced_submetric_never_exceeds(g, data):
 @given(random_trees(max_n=40))
 def test_delta_random_trees_zero(g):
     assert four_point_delta(table_of(g)) == 0
+
+
+def cycle_edges(vertices: list[int]) -> list[tuple[int, int]]:
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
+
+
+def chorded_sparse_graph(rng: random.Random, n: int, chords: int) -> FiniteGraph:
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < min(n - 1 + chords, n * (n - 1) // 2):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return FiniteGraph.from_edges(n, edges)
+
+
+def differential_graphs() -> list:
+    rng = random.Random(20261018)
+    out = []
+    for n in (2, 5, 12, 24):
+        tree = FiniteGraph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+        out.append(pytest.param(tree, id=f"tree{n}"))
+    out += [pytest.param(cycle_graph(n), id=f"cycle{n}") for n in (3, 4, 5, 8, 11, 16)]
+    out += [pytest.param(complete_graph(n), id=f"complete{n}") for n in (4, 7)]
+    for n, chords in ((10, 2), (14, 4), (18, 3), (20, 10), (24, 6), (24, 40)):
+        g = chorded_sparse_graph(rng, n, chords)
+        out.append(pytest.param(g, id=f"sparse{n}+{chords}"))
+    # block sums: two cycles sharing a cut vertex, with pendant paths, so
+    # that the worst quadruple sits in one block
+    for p, q in ((6, 10), (9, 4), (12, 7)):
+        first = cycle_edges(list(range(p)))
+        second = cycle_edges([0] + list(range(p, p + q - 1)))
+        tails = [(3, p + q - 1), (p + q - 1, p + q)]
+        g = FiniteGraph.from_edges(p + q + 1, first + second + tails)
+        out.append(pytest.param(g, id=f"C{p}+C{q}"))
+    return out
+
+
+@pytest.mark.parametrize("g", differential_graphs())
+def test_delta_equals_exhaustive_oracles(g):
+    t = table_of(g)
+    expected = oracles.exhaustive_delta(t)
+    assert four_point_delta(t) == expected
+    if g.vertex_count <= 14:
+        assert oracles.brute_force_delta(t.as_array().tolist()) == expected
+    # a relabelling is the metric of the relabelled graph; a submatrix is
+    # mostly no graph metric at all, and takes the all-pairs path
+    rng = random.Random(g.vertex_count)
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    assert four_point_delta(t.submatrix(perm)) == expected
+    n = g.vertex_count
+    for size in sorted({1, min(4, n), n // 2, n - 1} - {0}):
+        sub = t.submatrix(rng.sample(range(n), size))
+        assert four_point_delta(sub) == oracles.exhaustive_delta(sub)
+
+
+def test_delta_of_block_sum_is_the_larger_block():
+    # C_6 (delta 1) and C_10 (delta 2) sharing vertex 0
+    first = cycle_edges(list(range(6)))
+    second = cycle_edges([0] + list(range(6, 15)))
+    t = table_of(FiniteGraph.from_edges(15, first + second))
+    assert four_point_delta(table_of(cycle_graph(6))) == 1
+    assert four_point_delta(table_of(cycle_graph(10))) == 2
+    assert four_point_delta(t) == 2 == oracles.exhaustive_delta(t)
+
+
+def test_far_apart_pairs_match_their_definition():
+    rng = random.Random(7)
+    for n, chords in ((8, 4), (12, 6), (16, 12)):
+        g = chorded_sparse_graph(rng, n, chords)
+        m = table_of(g).as_array()
+        adj = g.adjacency()
+        expected = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if all(m[w, v] <= m[u, v] for w in adj[u])
+            and all(m[u, w] <= m[u, v] for w in adj[v])
+        ]
+        a, b = _far_apart_pairs(m)
+        assert list(zip(a.tolist(), b.tolist())) == expected
+
+
+def test_pair_scan_stops_at_the_first_pair_within_the_best_gap():
+    # not a metric, so matching its two pairs reports gap 4, above the
+    # bound that holds in a metric: the scan must return the gap in hand
+    # once no pair is longer than it
+    m = np.array([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])
+    a, b = np.array([0, 2]), np.array([1, 3])
+    assert _widest_gap(m, a, b, 0) == 4
+    assert _widest_gap(m, a, b, 2) == 2
+    assert _widest_gap(m, a, b, 3) == 3
 
 
 def test_delta_large_seeded_tree_zero():
