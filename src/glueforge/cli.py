@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import GlueforgeError, ParseError, ValidationError
 from .gluing import check_bounded_combinatorics, validate_gluing
@@ -34,6 +36,11 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_FIBERED = 4
 EXIT_INTERNAL = 5
+
+# Largest input the CLI reads, in bytes.  The run time of every command is
+# bounded by the input size (slopes with many digits cost more), so this
+# bound, not the interpreter's int/str digit limit, caps the work.
+MAX_INPUT_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -137,9 +144,14 @@ def _config(args: argparse.Namespace) -> RunConfig:
 def _read_input(cfg: RunConfig) -> str:
     try:
         with open(cfg.input, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise ParseError(f"cannot read {cfg.input}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {cfg.input}: not UTF-8 text ({exc.reason})") from exc
+    if len(text) > MAX_INPUT_BYTES or len(text.encode("utf-8")) > MAX_INPUT_BYTES:
+        raise ParseError(f"input {cfg.input} is larger than {MAX_INPUT_BYTES} bytes")
+    return text
 
 
 def _emit(cfg: RunConfig, payload: bytes) -> None:
@@ -256,11 +268,30 @@ _COMMANDS = {
 }
 
 
+@contextmanager
+def _any_int_digits() -> Iterator[None]:
+    """Lift CPython's int/str digit limit (4,300 digits by default) while a
+    command runs: slopes may have any number of digits, and the input
+    bound caps the work.  The old limit comes back for an in-process
+    caller."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:  # interpreters without the limit
+        yield
+        return
+    saved = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        return _COMMANDS[cfg.command](cfg)
+        with _any_int_digits():
+            cfg = _config(args)
+            return _COMMANDS[cfg.command](cfg)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -32,3 +32,16 @@ class PrecisionLossError(ArithmeticError):
     Not a GlueforgeError: the input is fine and glueforge cannot represent
     the answer, so the CLI reports it as an internal fault (exit 5).
     """
+
+
+# Longest repr of an input value that an error message quotes in full.
+CLIP_CHARS = 60
+
+
+def clip(value: object) -> str:
+    """repr of an input value for an error message: past CLIP_CHARS, a
+    prefix and the full length, so a 10,000-digit slope costs one line."""
+    text = repr(value)
+    if len(text) <= CLIP_CHARS:
+        return text
+    return f"{text[:CLIP_CHARS]}... ({len(text)} chars)"

@@ -19,7 +19,7 @@ import json
 import os
 from typing import Mapping, Sequence
 
-from .errors import BackendMismatchError, ParseError, ValidationError
+from .errors import BackendMismatchError, ParseError, ValidationError, clip
 from .ioutil import canonical_dumps, sha256_of_text
 from .surface import (
     AbstractMarking,
@@ -132,7 +132,7 @@ class SlotMap:
         if handle.is_torus:
             return SlotMap(handle, matrix=SurfaceMap.from_json(obj))
         if not isinstance(obj, Mapping) or "perm" not in obj:
-            raise ParseError(f"graph slot map must declare a perm, got {obj!r}")
+            raise ParseError(f"graph slot map must declare a perm, got {clip(obj)}")
         try:
             perm = tuple(int(v) for v in obj["perm"])  # type: ignore[index]
         except (TypeError, ValueError) as exc:
@@ -232,7 +232,7 @@ class JSJPiece:
 
     def __post_init__(self) -> None:
         if self.type not in ("ibundle", "solidtorus", "acylindrical"):
-            raise ValidationError(f"unknown characteristic piece type {self.type!r}")
+            raise ValidationError(f"unknown characteristic piece type {clip(self.type)}")
 
     def to_json(self) -> dict:
         out: dict = {
@@ -416,7 +416,7 @@ class DecoratedManifoldSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValidationError(f"unknown manifold kind {self.kind!r}")
+            raise ValidationError(f"unknown manifold kind {clip(self.kind)}")
         ids = [b.id for b in self.boundaries]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"manifold {self.id} repeats a boundary id")
@@ -807,7 +807,7 @@ class GluingGraph:
             raise ParseError("lambda must be an object")
         for key, mjson in lam_obj.items():
             if ":" not in key:
-                raise ParseError(f"lambda key {key!r} is not piece:boundary")
+                raise ParseError(f"lambda key {clip(key)} is not piece:boundary")
             pid, bid = key.split(":", 1)
             handle = slot_handle(pid, bid)
             lam.append(((pid, bid), AbstractMarking.from_json(handle, mjson)))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, clip
 
 if TYPE_CHECKING:
     import numpy as np
@@ -540,7 +540,7 @@ class PathWitness:
         if not self.vertices:
             raise ValidationError("empty path")
         if self.claim not in _CLAIMS:
-            raise ValidationError(f"unknown path claim {self.claim!r}")
+            raise ValidationError(f"unknown path claim {clip(self.claim)}")
         if self.claim == "geodesic":
             if self.k is not None or self.window is not None:
                 raise ValidationError("geodesic claim takes no constants")
@@ -668,7 +668,7 @@ def read_graph(text: str) -> FiniteGraph:
         raise ParseError("empty graph file")
     head = lines[0].split()
     if len(head) != 2:
-        raise ParseError(f"header must be 'n m', got {lines[0]!r}")
+        raise ParseError(f"header must be 'n m', got {clip(lines[0])}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
@@ -680,11 +680,11 @@ def read_graph(text: str) -> FiniteGraph:
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
-            raise ParseError(f"edge line must be 'u v', got {ln!r}")
+            raise ParseError(f"edge line must be 'u v', got {clip(ln)}")
         try:
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
-            raise ParseError(f"bad edge line {ln!r}: {exc}") from exc
+            raise ParseError(f"bad edge line {clip(ln)}: {exc}") from exc
     return FiniteGraph.from_edges(n, pairs)
 
 

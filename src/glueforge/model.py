@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, clip
 from .gluing import GluingGraph, Slot, SlotMap, _slot_name
 from .surface import AbstractMarking, BackendHandle, as_torus_marking
 from .torus import (
@@ -63,7 +63,7 @@ def _point_from_json(obj: object) -> TeichPoint | None:
         x, y = obj  # type: ignore[misc]
         return TeichPoint(float(x), float(y))
     except (TypeError, ValueError, ValidationError) as exc:
-        raise ParseError(f"bad half-plane point {obj!r}") from exc
+        raise ParseError(f"bad half-plane point {clip(obj)}") from exc
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ class TubeBlock:
 
     def __post_init__(self) -> None:
         if self.kind not in ("internal", "quotient", "boundary"):
-            raise ValidationError(f"unknown tube kind {self.kind!r}")
+            raise ValidationError(f"unknown tube kind {clip(self.kind)}")
         if self.combinatorial:
             return
         if self.sigma_a is None or self.sigma_b is None:
@@ -246,7 +246,7 @@ class ModelSkeleton:
         if not isinstance(obj, Mapping):
             raise ParseError("skeleton must be a JSON object")
         if obj.get("schema") != SCHEMA:
-            raise ParseError(f"unsupported skeleton schema {obj.get('schema')!r}")
+            raise ParseError(f"unsupported skeleton schema {clip(obj.get('schema'))}")
         try:
             stats = obj["stats"]
             min_sys = stats["min_sampled_systole"]

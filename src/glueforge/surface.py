@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BackendMismatchError, ParseError, ValidationError
+from .errors import BackendMismatchError, ParseError, ValidationError, clip
 from .hypgraph import DistanceTable, FiniteGraph, all_pairs_distances
 from .torus import (
     AnnulusLabel,
@@ -82,7 +82,7 @@ class BackendHandle:
 
     def __post_init__(self) -> None:
         if self.kind not in (TORUS, GRAPH):
-            raise ValidationError(f"unknown backend kind {self.kind!r}")
+            raise ValidationError(f"unknown backend kind {clip(self.kind)}")
         if self.kind == TORUS:
             if self.graph is not None or self.markings or self.projections:
                 raise ValidationError("torus backend takes no graph data")
@@ -117,7 +117,7 @@ class BackendHandle:
         for key, payload in self.markings:
             if key == name:
                 return AbstractMarking(self, payload)
-        raise ValidationError(f"backend declares no marking named {name!r}")
+        raise ValidationError(f"backend declares no marking named {clip(name)}")
 
     def to_json(self) -> dict:
         if self.is_torus:
@@ -145,7 +145,7 @@ class BackendHandle:
         if kind == TORUS:
             return BackendHandle.torus()
         if kind != GRAPH:
-            raise ParseError(f"unknown backend kind {kind!r}")
+            raise ParseError(f"unknown backend kind {clip(kind)}")
         try:
             graph = FiniteGraph.from_edges(
                 int(obj["n"]), [(int(u), int(v)) for u, v in obj.get("edges", [])]
@@ -315,7 +315,8 @@ def curve_distance(handle: BackendHandle, a: object, b: object) -> int:
 
 def curve_distances_from(handle: BackendHandle, a: object, targets: Sequence) -> list[int]:
     """Curve-graph distances from a to each target: one chart on the torus,
-    one table row on a graph."""
+    where consecutive targets that are adjacent or equal cost O(1) each,
+    and one table row on a graph."""
     if handle.is_torus:
         if not isinstance(a, Slope) or not all(isinstance(t, Slope) for t in targets):
             raise ValidationError("torus curve vertices are slopes")

@@ -8,8 +8,19 @@ conventions match the curve-length formula len_z(p/q) = |p - q z| / sqrt(y).
 
 Farey distance costs O(length of the continued fraction): the kernel is
 one Euclid loop over the normalized target, with no recursion, so it stays
-exact and fast for slopes with thousands of digits.  A fixed-size memo keyed
-on the reduced image (p mod q, q) answers repeated questions.
+exact and fast for slopes with thousands of digits.  There is no memo.  A
+row of distances along a path of Farey neighbours, such as a geodesic,
+edits the previous target's expansion instead of starting over: it costs
+one expansion plus O(1) big-integer steps per vertex, so a row of a deep
+report costs the length of the path plus the length of one expansion, not
+their product.
+
+The annular-projection search visits, for each ordered pair of marking
+slopes, the convergents of one in the chart of the other.  Each pivot core
+costs O(1) big-integer sums and products or quotients with a partial
+quotient, read off the convergent recurrence, so the search costs the
+total length of those continued fractions; no step multiplies two big
+numbers.
 
 The shortest slope at x + iy costs O(log 1/y): Lagrange-Gauss reduction of
 the lattice Z + Zz runs exactly on the dyadic rationals x and y, and only
@@ -31,10 +42,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
-from .errors import EmptyProjectionError, ParseError, PrecisionLossError, ValidationError
+from .errors import EmptyProjectionError, ParseError, PrecisionLossError, ValidationError, clip
 
 __all__ = [
     "Slope",
@@ -99,6 +110,20 @@ class Slope:
         return (self.q, self.p)
 
 
+def _primitive_slope(p: int, q: int) -> Slope:
+    """Slope of a vector already known to be primitive, such as a unimodular
+    image or a convergent of a slope: the canonical sign, without the gcd."""
+    if q < 0:
+        p, q = -p, -q
+    elif q == 0:
+        p = 1
+    s = object.__new__(Slope)
+    fields = s.__dict__
+    fields["p"] = p
+    fields["q"] = q
+    return s
+
+
 INFINITY = Slope(1, 0)
 
 
@@ -113,7 +138,7 @@ def parse_slope(text: str) -> Slope:
             return Slope(int(num), int(den))
         return Slope(int(s), 1)
     except (ValueError, ValidationError) as exc:
-        raise ParseError(f"bad slope {text!r}") from exc
+        raise ParseError(f"bad slope {clip(text)}") from exc
 
 
 def intersection_number(a: Slope, b: Slope) -> int:
@@ -197,7 +222,7 @@ class SurfaceMap:
         return out
 
     def on_slope(self, s: Slope) -> Slope:
-        return Slope(self.a * s.p + self.b * s.q, self.c * s.p + self.d * s.q)
+        return _primitive_slope(self.a * s.p + self.b * s.q, self.c * s.p + self.d * s.q)
 
     def on_marking(self, m: "FareyMarking") -> "FareyMarking":
         return FareyMarking(self.on_slope(m.base), self.on_slope(m.transversal))
@@ -224,7 +249,7 @@ class SurfaceMap:
             (a, b), (c, d) = rows  # type: ignore[misc]
             return SurfaceMap(int(a), int(b), int(c), int(d))
         except (TypeError, ValueError, ValidationError) as exc:
-            raise ParseError(f"bad surface map {rows!r}") from exc
+            raise ParseError(f"bad surface map {clip(rows)}") from exc
 
 
 IDENTITY = SurfaceMap(1, 0, 0, 1)
@@ -302,26 +327,6 @@ def normalizer_to_infinity(w: Slope, neighbour: Slope | None = None) -> SurfaceM
     return SurfaceMap(s, -r, -q, p)
 
 
-@lru_cache(maxsize=4096)
-def _dist_from_infinity(r: int, q: int) -> int:
-    """Farey distance from infinity to r/q, for 0 <= r < q.
-
-    With r/q = [0; a1, ..., an], the distance is X_1, where
-    X_k = min(X_{k+1} + 1, X_{k+2} + a_k), X_{n+1} = 1 and X_{n+2} = inf
-    (so X_n = 2, and an integer, n = 0, is at distance 1).  The Euclid loop
-    produces a1, a2, ... in order, so X_1 is carried as a min-plus row
-    (u, v) with X_1 = min(u + X_k, v + X_{k+1}); after the last quotient
-    X_1 = u + 1.  v = 1 stands in for infinity at k = 1.
-    """
-    u, v = 0, 1
-    while r:
-        a, rem = divmod(q, r)
-        w = u + 1
-        u, v = (w if w < v else v), u + a
-        q, r = r, rem
-    return u + 1
-
-
 def _chart_image(m: SurfaceMap, b: Slope) -> tuple[int, int]:
     """Image of b under m as (numerator, denominator >= 0), already reduced
     because m is unimodular."""
@@ -337,26 +342,142 @@ def _chart_floor(m: SurfaceMap, b: Slope) -> int:
     return num // den
 
 
-def _chart_distance(m: SurfaceMap, b: Slope) -> int:
-    # distance is invariant under integer translation, so only the
-    # reduced image (p mod q, q) matters
-    num, den = _chart_image(m, b)
-    if den == 0:
-        return 0
-    return _dist_from_infinity(num % den, den)
-
-
 def farey_distance(a: Slope, b: Slope) -> int:
     """Exact distance in the Farey graph."""
-    if a == b:
-        return 0
-    return _chart_distance(normalizer_to_infinity(a), b)
+    return distances_from(a, (b,))[0]
 
 
 def distances_from(a: Slope, targets: Iterable[Slope]) -> list[int]:
-    """Farey distances from a to each target, normalizing a only once."""
+    """Farey distances from a to each target, in order.
+
+    In the chart sending a to infinity, a target [a_0; a_1, ..., a_n]
+    (canonical: a_n >= 2 when n >= 1) lies at distance X_1, where
+    X_j = min(X_{j+1} + 1, X_{j+2} + a_j), X_{n+1} = 1 and X_{n+2} = inf;
+    an integer (n = 0) lies at distance 1.  Read left to right, X_1 is a
+    min-plus row: (u_0, v_0) = (0, 1),
+    (u_j, v_j) = (min(u_{j-1} + 1, v_{j-1}), u_{j-1} + a_j), and
+    X_1 = u_n + 1.
+
+    The row is a ladder: it keeps the expansion of the last target with
+    its convergents h_j/k_j and, per term, the min-plus row.  The
+    neighbours of h_n/k_n are
+      (h_{n-1} + j h_n)/(k_{n-1} + j k_n) = [a_0; ..., a_n, j], j >= 0, and
+      (j h_n - h_{n-1})/(j k_n - k_{n-1}) = [a_0; ..., a_n - 1, 1, j - 1], j >= 1,
+    where j = 0 and j = 1 are the two parents and a trailing 1 merges into
+    the term before it.  So when consecutive targets are Farey neighbours
+    or equal, as along a geodesic, one division of denominators finds j
+    and the step edits at most the last three terms.  The chart image of
+    such a target needs no product of two big numbers either: after an
+    edge t' -> t, the next target s is a neighbour of t exactly when
+    s = +-t' + b t for an integer b, found by one division, and then its
+    image is +-(image of t') + b (image of t).
+
+    Any other target is expanded in full.  A row along a path therefore
+    costs one expansion plus O(1) big-integer operations per step, each a
+    sum or a product or quotient with a partial quotient, and a row over
+    unrelated targets one expansion per target.  Nothing is memoized, so
+    no answer depends on what the process computed before.
+    """
     m = normalizer_to_infinity(a)
-    return [_chart_distance(m, t) for t in targets]
+    ma, mb, mc, md = m.a, m.b, m.c, m.d
+    # levels (a_j, h_j, k_j, u_j, v_j) above the seeds h_{-2}/k_{-2} = 0/1
+    # and h_{-1}/k_{-1} = 1/0; (u_j, v_j) is the min-plus row after
+    # a_1, ..., a_j, and the distance is u_n + 1.  u_j does not depend on
+    # a_j, so changing a_j by one changes only v_j, by the same amount
+    # (v_0 = 1 may grow: only min(1, v_0) is ever read).
+    stack: list[tuple[int, int, int, int, int]] = [(0, 0, 1, 0, 0), (0, 1, 0, 0, 0)]
+    out: list[int] = []
+    # the last two distinct targets and their images, as raw vectors;
+    # edge: they are Farey neighbours
+    p1 = q1 = n1 = d1 = p2 = q2 = n2 = d2 = 0
+    edge = False
+    for t in targets:
+        tp, tq = t.p, t.q
+        if tp == p1 and tq == q1:
+            out.append(out[-1])
+            continue
+        num = None
+        if edge and q1:
+            # a geodesic continues by s = b t - t', so that sign comes first
+            b, r = divmod(tq + q2, q1)
+            if r == 0 and tp == b * p1 - p2:
+                num, den = b * n1 - n2, b * d1 - d2
+            else:
+                b, r = divmod(tq - q2, q1)
+                if r == 0 and tp == p2 + b * p1:
+                    num, den = n2 + b * n1, d2 + b * d1
+        if num is None:
+            num, den = ma * tp + mb * tq, mc * tp + md * tq
+        p2, q2, n2, d2 = p1, q1, n1, d1
+        p1, q1, n1, d1 = tp, tq, num, den
+        edge = False
+        if den < 0:
+            num, den = -num, -den
+        if den == 0:  # t is a
+            del stack[2:]
+            out.append(0)
+            continue
+        n = len(stack) - 3
+        if n >= 0:
+            an, hn, kn, un, vn = stack[-1]
+            _, hm, km, _, _ = stack[-2]
+            j, r = divmod(den, kn)
+            if r == km and num == hm + j * hn:
+                edge = True
+                if j >= 2:  # [..., a_n, j]
+                    u = un + 1
+                    stack.append((j, num, den, u if u < vn else vn, un + j))
+                elif j == 1:  # [..., a_n + 1]
+                    stack[-1] = (an + 1, num, den, un, vn + 1)
+                elif n >= 2 and stack[-2][0] == 1:  # [..., a_{n-2}, 1] = [..., a_{n-2} + 1]
+                    del stack[-2:]
+                    a2, _, _, u2, v2 = stack[-1]
+                    stack[-1] = (a2 + 1, num, den, u2, v2 + 1)
+                else:  # [..., a_{n-1}]
+                    del stack[-1]
+                out.append(stack[-1][3] + 1)
+                continue
+            if r + km == kn or not km:
+                j += bool(km)
+                if num == j * hn - hm:
+                    edge = True
+                    if n:  # with n = 0 the integer part drops: expand below
+                        if j == 1 and an == 2:  # [..., a_{n-1}, 1] = [..., a_{n-1} + 1]
+                            del stack[-1]
+                            a1, _, _, u1, v1 = stack[-1]
+                            stack[-1] = (a1 + 1, num, den, u1, v1 + 1)
+                        elif j == 1:  # [..., a_n - 1]
+                            stack[-1] = (an - 1, num, den, un, vn - 1)
+                        else:  # [..., a_n - 1, 2] or [..., a_n - 1, 1, j - 1]
+                            stack[-1] = (an - 1, hn - hm, kn - km, un, vn - 1)
+                            u = un + 1
+                            if vn - 1 < u:
+                                u = vn - 1
+                            if j == 2:
+                                stack.append((2, num, den, u, un + 2))
+                            else:
+                                stack.append((1, hn, kn, u, un + 1))
+                                w = u + 1
+                                stack.append((j - 1, num, den, w if w < un + 1 else un + 1, u + j - 1))
+                        out.append(stack[-1][3] + 1)
+                        continue
+        # a new integer part, or not an edge: expand in full
+        del stack[2:]
+        h2, k2, h1, k1 = 0, 1, 1, 0
+        u = v = 0
+        while den:
+            q, rem = divmod(num, den)
+            h1, h2 = q * h1 + h2, h1
+            k1, k2 = q * k1 + k2, k1
+            if len(stack) == 2:
+                u, v = 0, 1
+            else:
+                w = u + 1
+                u, v = (w if w < v else v), u + q
+            stack.append((q, h1, k1, u, v))
+            num, den = den, rem
+        out.append(u + 1)
+    return out
 
 
 def farey_geodesic(a: Slope, b: Slope) -> list[Slope]:
@@ -393,7 +514,9 @@ def farey_geodesic(a: Slope, b: Slope) -> list[Slope]:
     def dist(h: int, j: int) -> int:
         return 1 if is_integer(h, j) else min(tails[j + 1] + 1, tails[j + 2] + h)
 
-    chart = m.inverse()  # current chart coordinates -> slopes
+    # current chart coordinates -> slopes, as the matrix [[ca, cb], [cc, cd]]
+    chart = m.inverse()
+    ca, cb, cc, cd = chart.a, chart.b, chart.c, chart.d
     path = [a]
     n, h, j = cf[0], (quots[0] if quots else 1), 0
     while not is_integer(h, j):
@@ -407,13 +530,14 @@ def farey_geodesic(a: Slope, b: Slope) -> list[Slope]:
             ceil = (1 + quots[j + 1], 1, k)
         want = dist(h, j) - 1
         cands = [
-            (chart.on_slope(Slope(v, 1)), v, sign, state)
+            (_primitive_slope(ca * v + cb, cc * v + cd), v, sign, state)
             for v, sign, state in ((n, 1, floor), (n + 1, -1, ceil))
             if dist(state[1], state[2]) == want
         ]
         nxt, v, sign, (n, h, j) = min(cands, key=lambda c: c[0].sort_key())
         path.append(nxt)
-        chart = chart @ SurfaceMap(v, sign, 1, 0)
+        # the chart after the step is chart @ [[v, sign], [1, 0]]
+        ca, cb, cc, cd = ca * v + cb, ca * sign, cc * v + cd, cc * sign
     path.append(b)
     return path
 
@@ -431,16 +555,22 @@ def annular_projection_distance(w: AnnulusLabel, a: Slope, b: Slope) -> int:
     return abs(_chart_floor(m, a) - _chart_floor(m, b)) + 2
 
 
-def _marking_pair_projection(
-    core: Slope, chart: SurfaceMap, m1: FareyMarking, m2: FareyMarking
-) -> int | None:
-    """Max projection over slope pairs with both slopes off the core; None if no pair."""
-    # one chart for the core serves all four slope pairs
-    f1 = [_chart_floor(chart, x) for x in m1.slopes() if x != core]
-    f2 = [_chart_floor(chart, y) for y in m2.slopes() if y != core]
-    if not f1 or not f2:
-        return None
+def _spread(floors: list[int | None]) -> int:
+    """Max projection over slope pairs, from the floors of (m1.base,
+    m1.transversal, m2.base, m2.transversal) in one chart of the core;
+    None marks a slope equal to the core.  A marking's two slopes differ,
+    so each side keeps at least one floor."""
+    f1 = [f for f in floors[:2] if f is not None]
+    f2 = [f for f in floors[2:] if f is not None]
     return max(max(f1) - min(f2), max(f2) - min(f1)) + 2
+
+
+def _marking_pair_projection(core: Slope, m1: FareyMarking, m2: FareyMarking) -> int:
+    """Projection value at an arbitrary core, through its canonical chart."""
+    chart = normalizer_to_infinity(core)
+    return _spread(
+        [None if x == core else _chart_floor(chart, x) for x in (*m1.slopes(), *m2.slopes())]
+    )
 
 
 def _sweep_candidates(values: list[Fraction], denom_bound: int, pad: int = 2) -> list[Slope]:
@@ -453,49 +583,85 @@ def _sweep_candidates(values: list[Fraction], denom_bound: int, pad: int = 2) ->
         p_hi = math.floor(hi * q)
         for p in range(p_lo, p_hi + 1):
             if math.gcd(p, q) == 1:
-                out.append(Slope(p, q))
+                out.append(_primitive_slope(p, q))
     return out
 
 
-def _convergents(s: Slope) -> list[Slope]:
-    """Continued-fraction convergents of a finite slope, including itself."""
-    h_prev, k_prev = 0, 1
-    h, k = 1, 0
-    out: list[Slope] = []
-    for a in cf_expansion(s):
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-        out.append(Slope(h, k))
-    return out
+def _pivot_projections(m1: FareyMarking, m2: FareyMarking) -> Iterator[tuple[Slope, int]]:
+    """Every pivot core with its projection value; a core may come twice.
 
+    The cores are the four marking slopes and, for each ordered pair (x, y)
+    of distinct marking slopes, the convergents of y in a chart N sending x
+    to infinity, mapped back (Minsky's pivots).  The set does not depend on
+    the choice of N: another orientation-preserving chart shifts y, and
+    every convergent with it, by an integer.
 
-def _pivot_candidates(m1: FareyMarking, m2: FareyMarking) -> dict[Slope, Slope]:
-    """Annulus cores that can carry a large projection of the slope pairs,
-    each with a Farey neighbour, which gives its chart without a modular
-    inverse.
-
-    For each ordered pair of marking slopes, the convergents of the second
-    slope in the chart normalizing the first to infinity, mapped back.
-    The set is equivariant under orientation-preserving maps: the chart
-    changes only by an integer shift, which shifts every convergent.
-    A marking slope neighbours its partner; a convergent neighbours the
-    one before it.
+    Write N(y) = [a_0; a_1, ..., a_n] with convergents h_k/k_k.  The k-th
+    core is N^-1(h_k/k_k), and C_k = M_k^-1 N, with M_k the matrix
+    [[h_k, h_{k-1}], [k_k, k_{k-1}]], sends it to infinity.  Both follow
+    the recurrence of the convergents, so no step multiplies two big
+    numbers:
+      * the core vector is a_k c_{k-1} + c_{k-2}, seeded with N^-1 (1, 0)
+        and N^-1 (0, 1);
+      * a slope z with N(z) = P/Q lands at -e_{k-1}/e_k, where
+        e_j = h_j Q - k_j P obeys the same recurrence from e_{-2} = -P and
+        e_{-1} = Q.
+    The pair's own slopes need no image: C_k(x) = -k_{k-1}/k_k lies in
+    [-1, 0], and C_k(y) is the complete quotient [a_{k+1}; ..., a_n], whose
+    floor is a_{k+1}.  C_k has determinant (-1)^(k+1); for even k the
+    canonical chart is s - C_k for an integer s, and floor(s - w) is
+    s + floor(-w).  The integer s cancels in floor differences.
     """
-    out = {m.base: m.transversal for m in (m1, m2)}
-    out.update({m.transversal: m.base for m in (m1, m2)})
     slopes = (*m1.slopes(), *m2.slopes())
-    for x in slopes:
-        norm = normalizer_to_infinity(x, out[x])
+    for i, x in enumerate(slopes):
+        # the partner slope of the same marking is a Farey neighbour of x
+        norm = normalizer_to_infinity(x, slopes[i ^ 1])
+        images = [_chart_image(norm, z) for z in slopes]
+        yield x, _spread([num // den if den else None for num, den in images])
         back = norm.inverse()
-        for y in slopes:
+        for j, y in enumerate(slopes):
             if y == x:
                 continue
-            neighbour = x  # back of infinity, which neighbours the first convergent
-            for c in _convergents(norm.on_slope(y)):
-                core = back.on_slope(c)
-                out.setdefault(core, neighbour)
-                neighbour = core
-    return out
+            num, den = images[j]
+            quots = []
+            while den:
+                a, rem = divmod(num, den)
+                quots.append(a)
+                num, den = den, rem
+            # the last convergent is y itself, a core of its own
+            n = len(quots) - 1
+            o1, o2 = (o for o in range(4) if o != i and o != j)
+            p1, q1 = images[o1]
+            p2, q2 = images[o2]
+            e1, e1_prev = q1, -p1
+            e2, e2_prev = q2, -p2
+            cp, cp_prev = back.a, back.b
+            cq, cq_prev = back.c, back.d
+            f = [0, 0, 0, 0]
+            for k in range(n):
+                a = quots[k]
+                cp, cp_prev = a * cp + cp_prev, cp
+                cq, cq_prev = a * cq + cq_prev, cq
+                e1, e1_prev = a * e1 + e1_prev, e1
+                e2, e2_prev = a * e2 + e2_prev, e2
+                nxt = quots[k + 1]
+                if k & 1:
+                    f[i] = -1
+                    f[j] = nxt
+                    f[o1] = -e1_prev // e1 if e1 else None
+                    f[o2] = -e2_prev // e2 if e2 else None
+                else:
+                    f[i] = 0
+                    f[j] = -nxt if k + 1 == n else -nxt - 1
+                    f[o1] = e1_prev // e1 if e1 else None
+                    f[o2] = e2_prev // e2 if e2 else None
+                if not (e1 and e2):
+                    # a slope equal to the core drops out; its partner stays
+                    f = [g if g is not None else f[o ^ 1] for o, g in enumerate(f)]
+                f0, f1, f2, f3 = f
+                hi = max(f0, f1) - min(f2, f3)
+                lo = max(f2, f3) - min(f0, f1)
+                yield _primitive_slope(cp, cq), (hi if hi > lo else lo) + 2
 
 
 def max_subsurface_projection(
@@ -510,25 +676,20 @@ def max_subsurface_projection(
     result by a brute-force sweep over all slopes with that denominator
     bound inside the padded value window of the marking slopes.
     Ties go to the candidate with the smaller (q, p) key.
+
+    The pivot search costs O(length of the continued fractions) big-integer
+    additions and divisions by small quotients: see _pivot_projections.
     """
-    cands = _pivot_candidates(m1, m2)
-    extra: set[Slope] = set()
+    scored: Iterable[tuple[Slope, int]] = _pivot_projections(m1, m2)
     if denom_bound is not None:
         finite = [s.value() for s in (*m1.slopes(), *m2.slopes()) if not s.is_infinity]
-        if finite:
-            extra.update(_sweep_candidates(finite, denom_bound))
-        else:
-            extra.update(Slope(k, 1) for k in range(-2, 3))
-    best_label: AnnulusLabel | None = None
-    best_val = -1
-    for core in sorted(cands.keys() | extra, key=Slope.sort_key):
-        chart = normalizer_to_infinity(core, cands.get(core))
-        v = _marking_pair_projection(core, chart, m1, m2)
-        if v is not None and v > best_val:
-            best_val = v
-            best_label = AnnulusLabel(core)
-    assert best_label is not None
-    return best_label, best_val
+        sweep = _sweep_candidates(finite, denom_bound)
+        scored = chain(scored, ((c, _marking_pair_projection(c, m1, m2)) for c in sweep))
+    best_core, best_val = INFINITY, -1
+    for core, v in scored:
+        if v > best_val or (v == best_val and core.sort_key() < best_core.sort_key()):
+            best_core, best_val = core, v
+    return AnnulusLabel(best_core), best_val
 
 
 def sigma_matrix(m: FareyMarking) -> SurfaceMap:

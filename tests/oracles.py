@@ -3,7 +3,9 @@
 Everything here is deliberately written against plain integer tuples and
 brute-force definitions, so that it shares no code path with the package:
 the Farey oracle builds the mediant tessellation and runs BFS, while the
-production distance is a continued-fraction descent.
+production distance is a continued-fraction descent.  The exceptions are
+the reference kernels at the end, the package's former per-target row and
+pivot search, kept to test their depth-linear replacements against.
 """
 
 from __future__ import annotations
@@ -188,3 +190,106 @@ def scan_shortest_slope(x: float, y: float) -> tuple[int, int]:
         q += 1
     assert best is not None
     return best
+
+
+# --- former torus kernels, kept as differential references ---------------
+#
+# The package's own row and pivot code before their depth-linear rewrites.
+# Unlike the oracles above they run on glueforge.torus slopes and maps,
+# but they build every slope through the gcd-checking constructor and
+# every chart by full big-integer products.
+
+
+def reference_dist_from_infinity(r: int, q: int) -> int:
+    """Farey distance from infinity to r/q, 0 <= r < q: the min-plus row
+    over one full Euclid expansion, without a memo."""
+    u, v = 0, 1
+    while r:
+        a, rem = divmod(q, r)
+        w = u + 1
+        u, v = (w if w < v else v), u + a
+        q, r = r, rem
+    return u + 1
+
+
+def reference_row(a, targets) -> list[int]:
+    """Farey distances from a to each target, one full expansion per target."""
+    from glueforge.torus import normalizer_to_infinity
+
+    m = normalizer_to_infinity(a)
+    out = []
+    for t in targets:
+        num = m.a * t.p + m.b * t.q
+        den = m.c * t.p + m.d * t.q
+        if den < 0:
+            num, den = -num, -den
+        out.append(0 if den == 0 else reference_dist_from_infinity(num % den, den))
+    return out
+
+
+def _reference_convergents(s):
+    from glueforge.torus import Slope, cf_expansion
+
+    h_prev, k_prev = 0, 1
+    h, k = 1, 0
+    out = []
+    for a in cf_expansion(s):
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+        out.append(Slope(h, k))
+    return out
+
+
+def reference_pivot_candidates(m1, m2) -> dict:
+    """Pivot cores, each with a Farey neighbour: the four marking slopes and,
+    for each ordered pair (x, y) of marking slopes, the convergents of y in
+    the chart normalizing x to infinity, mapped back one by one."""
+    from glueforge.torus import Slope, normalizer_to_infinity
+
+    out = {m.base: m.transversal for m in (m1, m2)}
+    out.update({m.transversal: m.base for m in (m1, m2)})
+    slopes = (*m1.slopes(), *m2.slopes())
+    for x in slopes:
+        norm = normalizer_to_infinity(x, out[x])
+        back = norm.inverse()
+        for y in slopes:
+            if y == x:
+                continue
+            neighbour = x
+            img = Slope(norm.a * y.p + norm.b * y.q, norm.c * y.p + norm.d * y.q)
+            for c in _reference_convergents(img):
+                core = Slope(back.a * c.p + back.b * c.q, back.c * c.p + back.d * c.q)
+                out.setdefault(core, neighbour)
+                neighbour = core
+    return out
+
+
+def reference_core_projection(core, neighbour, m1, m2) -> int | None:
+    """Max of |floor(a') - floor(b')| + 2 over slope pairs off the core, in
+    the canonical chart of the core; None when no pair is left."""
+    from glueforge.torus import normalizer_to_infinity
+
+    chart = normalizer_to_infinity(core, neighbour)
+
+    def floor(s):
+        num = chart.a * s.p + chart.b * s.q
+        den = chart.c * s.p + chart.d * s.q
+        return num // den if den > 0 else (-num) // (-den)
+
+    f1 = [floor(x) for x in m1.slopes() if x != core]
+    f2 = [floor(y) for y in m2.slopes() if y != core]
+    if not f1 or not f2:
+        return None
+    return max(max(f1) - min(f2), max(f2) - min(f1)) + 2
+
+
+def reference_max_subsurface_projection(m1, m2):
+    """(core, value) of the largest pivot projection; ties go to the
+    smaller (q, p) key."""
+    cands = reference_pivot_candidates(m1, m2)
+    best, best_val = None, -1
+    for core in sorted(cands, key=lambda s: (s.q, s.p)):
+        v = reference_core_projection(core, cands[core], m1, m2)
+        if v is not None and v > best_val:
+            best, best_val = core, v
+    return best, best_val

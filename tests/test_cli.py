@@ -1,6 +1,8 @@
 """Front-end tests: exit codes, report envelopes, determinism, and the
 export paths, all through main(argv)."""
 
+import contextlib
+import hashlib
 import json
 import os
 import pathlib
@@ -34,7 +36,7 @@ from glueforge.gluing import (
 from glueforge.hypgraph import cycle_graph
 from glueforge.ioutil import sha256_of_text
 from glueforge.surface import AbstractMarking, BackendHandle
-from glueforge.torus import IDENTITY, REFLECTION
+from glueforge.torus import IDENTITY, REFLECTION, FareyMarking, Slope
 from test_transforms import (
     MU,
     axis_bundle,
@@ -50,6 +52,16 @@ from test_transforms import (
 T = BackendHandle.torus()
 P4 = "4 3\n0 1\n1 2\n2 3\n"
 C6 = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
+
+
+@contextlib.contextmanager
+def any_int_digits():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +123,18 @@ def files(tmp_path_factory):
     ).validate()
     out["inv1000"] = save("inv1000.json", inv1000.canonical_json())
     out["deep200"] = save("deep200.json", core_stack_core([200]).canonical_json())
+    out["deep1000"] = save("deep1000.json", core_stack_core([1000]).canonical_json())
+    # a 10,001-digit denominator: past the interpreter's default int/str
+    # limit, which only the CLI lifts
+    with any_int_digits():
+        huge = GluingGraph(
+            manifolds=(
+                core("c0", AbstractMarking(T, FareyMarking(Slope(1, 10**10000), Slope(0, 1)))),
+            ),
+            pieces=(("p0", "c0"),),
+            identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
+        ).validate()
+        out["huge"] = save("huge.json", huge.canonical_json())
     out["deep30"] = save("deep30.json", core_stack_core([30]).canonical_json())
 
     for name, build in example_builders().items():
@@ -414,6 +438,87 @@ def test_large_heights_finish_with_a_report(files, command, name):
     obj = envelope(proc.stdout)
     assert obj["command"] == command
     assert obj["input_sha256"] == sha256_of_text(open(files[name]).read())
+
+
+def cold_run(argv: list[str]) -> subprocess.CompletedProcess:
+    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "glueforge.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+# sha256 of the stdout of cold runs on core_stack_core([k]) with default
+# flags, recorded before the depth-linear torus kernels; any change is a
+# report change
+DEEP_STDOUT_SHA256 = {
+    ("report", "deep200"): "25874abaf69a8da1a7b64bbd006a526cba5759184508e7ea2b700aef053a1a2e",
+    ("collapse", "deep200"): "f7e7bddca8d06a01c15d472719c6ef144cda7cd2c345c47ca65211c0c3a39a13",
+    ("report", "deep1000"): "88ee54c08eb47a8fb976d9e19c79e8a312b1141a014b31bc81c99d0acbabd4f8",
+}
+
+
+@pytest.mark.parametrize("command, name", list(DEEP_STDOUT_SHA256))
+def test_deep_stack_report_bytes_pinned(files, command, name):
+    proc = cold_run([command, "--input", files[name]])
+    assert proc.returncode in (EXIT_PASS, EXIT_VERDICT), proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == DEEP_STDOUT_SHA256[command, name]
+
+
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_slopes_beyond_the_default_digit_limit(files, command):
+    proc = cold_run([command, "--input", files["huge"]])
+    assert proc.returncode in (EXIT_PASS, EXIT_VERDICT), proc.stderr
+    assert "Traceback" not in proc.stderr
+    with any_int_digits():
+        obj = envelope(proc.stdout)
+    assert obj["command"] == command
+    assert obj["input_sha256"] == sha256_of_text(open(files["huge"]).read())
+
+
+def test_main_restores_the_digit_limit(files, capsys):
+    saved = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, ["report", "--input", files["huge"]])
+    assert code in (EXIT_PASS, EXIT_VERDICT)
+    assert len(out) > 10000
+    assert sys.get_int_max_str_digits() == saved
+
+
+def test_long_bad_values_are_cut_in_parse_errors(files, capsys, tmp_path):
+    text = open(files["inv1000"]).read().replace('"1/1000"', '"1/' + "9" * 10000 + 'x"')
+    assert len(text) > 10000
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["validate", "--input", str(path)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: ") and "bad slope '1/999" in err
+    assert "... (10005 chars)" in err
+    assert len(err) < 200
+
+
+def test_oversized_input_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(" " * (cli.MAX_INPUT_BYTES + 1))
+    code, out, err = run(capsys, ["validate", "--input", str(path)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == f"parse error: input {path} is larger than {cli.MAX_INPUT_BYTES} bytes\n"
+    # a multi-byte character counts by its bytes
+    path.write_text("é" * (cli.MAX_INPUT_BYTES // 2 + 1))
+    assert run(capsys, ["validate", "--input", str(path)])[0] == EXIT_PARSE
+
+
+def test_input_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"pieces": "\xe9"}')
+    code, out, err = run(capsys, ["validate", "--input", str(path)])
+    assert code == EXIT_PARSE
+    assert err.startswith(f"parse error: cannot read {path}: not UTF-8 text")
 
 
 def test_balanced_points_beyond_double_precision_are_internal_faults(files):
