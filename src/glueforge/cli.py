@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import GlueforgeError, ParseError, ValidationError
@@ -28,6 +27,7 @@ from .hypgraph import (
 )
 from .ioutil import canonical_dumps, sha256_of_text
 from .model import build_skeleton, export_skeleton, verify_thickness
+from .record import Record
 from .transforms import collapse_ibundles, full_and_maximal_decomposition
 
 EXIT_PASS = 0
@@ -43,8 +43,7 @@ EXIT_INTERNAL = 5
 MAX_INPUT_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """One fully resolved invocation."""
 
     command: str

@@ -13,7 +13,6 @@ of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 import json
 import os
@@ -21,6 +20,7 @@ from typing import Mapping, Sequence
 
 from .errors import BackendMismatchError, ParseError, ValidationError, clip
 from .ioutil import canonical_dumps, sha256_of_text
+from .record import Record
 from .surface import (
     AbstractMarking,
     BackendHandle,
@@ -49,8 +49,15 @@ def _slot_name(slot: Slot) -> str:
     return f"{slot[0]}:{slot[1]}"
 
 
-@dataclass(frozen=True)
-class SlotMap:
+def _json_list(obj: Mapping, key: str) -> Sequence:
+    """The array under key, empty when absent; any other value is malformed."""
+    value = obj.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{key} must be a list, not {type(value).__name__}")
+    return value
+
+
+class SlotMap(Record):
     """Chart translation between boundary slots.
 
     Exact backend: an integer mapping class acting on slopes.  Graph
@@ -144,8 +151,7 @@ class SlotMap:
             raise ParseError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
+class BoundarySpec(Record):
     """One boundary component: identity, chart backend, decoration, flags.
 
     Toroidal components carry no marking data and can never be glued.  The
@@ -221,8 +227,7 @@ class BoundarySpec:
         )
 
 
-@dataclass(frozen=True)
-class JSJPiece:
+class JSJPiece(Record):
     """A declared characteristic piece with its boundary footprint."""
 
     id: str
@@ -259,8 +264,7 @@ class JSJPiece:
             raise ParseError(f"bad characteristic piece: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SubPiece:
+class SubPiece(Record):
     """Declared sub-piece of a core/compression-body splitting.
 
     boundaries maps parent boundary ids to the sub-piece's own boundary
@@ -295,8 +299,7 @@ class SubPiece:
             raise ParseError(f"sub-piece missing field {exc}") from exc
 
 
-@dataclass(frozen=True)
-class CoverData:
+class CoverData(Record):
     """Declared double cover of a twisted bundle: the product bundle's two
     decorations, the two boundary lifts, and the endpoint exchange."""
 
@@ -331,8 +334,7 @@ class CoverData:
             raise ParseError(f"cover data missing field {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Identification:
+class Identification(Record):
     """One boundary identification; the map pushes a-side data into the
     b-side chart.  Listed once; the inverse direction is synthesized."""
 
@@ -358,8 +360,7 @@ class Identification:
         }
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(Record):
     """Core/compression-body splitting of one spec: sub-pieces plus the
     internal identifications along the splitting surfaces."""
 
@@ -381,18 +382,20 @@ class Splitting:
     def from_json(obj: object) -> "Splitting":
         if not isinstance(obj, Mapping):
             raise ParseError("splitting must be an object")
-        pieces = tuple(SubPiece.from_json(p) for p in obj.get("pieces", []))
+        pieces = tuple(SubPiece.from_json(p) for p in _json_list(obj, "pieces"))
         idents = []
-        for rec in obj.get("identifications", []):
+        for rec in _json_list(obj, "identifications"):
             if not isinstance(rec, Mapping) or "a" not in rec or "b" not in rec:
                 raise ParseError("splitting identification needs slots a and b")
-            (pa, ba), (pb, bb) = rec["a"], rec["b"]
+            try:
+                (pa, ba), (pb, bb) = rec["a"], rec["b"]
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"bad splitting identification slots: {exc}") from exc
             idents.append((str(pa), str(ba), str(pb), str(bb), rec.get("map")))
         return Splitting(pieces, tuple(idents))
 
 
-@dataclass(frozen=True)
-class DecoratedManifoldSpec:
+class DecoratedManifoldSpec(Record):
     """A decorated manifold, as the boundary data the engine consumes.
 
     kind constrains the boundary pattern: a trivial interval bundle has
@@ -530,7 +533,7 @@ class DecoratedManifoldSpec:
     def from_json(obj: object) -> "DecoratedManifoldSpec":
         if not isinstance(obj, Mapping) or "id" not in obj or "kind" not in obj:
             raise ParseError("manifold spec must declare an id and a kind")
-        boundaries = tuple(BoundarySpec.from_json(b) for b in obj.get("boundaries", []))
+        boundaries = tuple(BoundarySpec.from_json(b) for b in _json_list(obj, "boundaries"))
         bundle_map = None
         cover = None
         chart = next((b.handle for b in boundaries if b.handle is not None), None)
@@ -548,16 +551,23 @@ class DecoratedManifoldSpec:
         splitting = None
         if "splitting" in obj:
             splitting = Splitting.from_json(obj["splitting"])
+
+        def records(key: str) -> tuple[tuple[str, ...], ...]:
+            try:
+                return tuple(tuple(str(b) for b in r) for r in _json_list(obj, key))
+            except TypeError as exc:
+                raise ParseError(f"{key} must be lists of boundary ids") from exc
+
         try:
             return DecoratedManifoldSpec(
                 str(obj["id"]),
                 str(obj["kind"]),
                 boundaries,
-                tuple(tuple(str(b) for b in r) for r in obj.get("disk_records", [])),
-                tuple(tuple(str(b) for b in r) for r in obj.get("annulus_records", [])),
-                tuple(JSJPiece.from_json(p) for p in obj.get("jsj", [])),
+                records("disk_records"),
+                records("annulus_records"),
+                tuple(JSJPiece.from_json(p) for p in _json_list(obj, "jsj")),
                 tuple(
-                    (str(bid), tuple(str(x) for x in lbls)) for bid, lbls in frames.items()
+                    (str(bid), tuple(str(x) for x in _json_list(frames, bid))) for bid in frames
                 ),
                 bundle_map,
                 cover,
@@ -567,8 +577,7 @@ class DecoratedManifoldSpec:
             raise ParseError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class GluingGraph:
+class GluingGraph(Record):
     """Pieces (copies of specs) plus boundary identifications and the
     optional marking on unburied slots.
 
@@ -770,12 +779,10 @@ class GluingGraph:
     def from_json(obj: object) -> "GluingGraph":
         if not isinstance(obj, Mapping):
             raise ParseError("gluing spec must be a JSON object")
-        manifolds = tuple(
-            DecoratedManifoldSpec.from_json(m) for m in obj.get("manifolds", [])
-        )
+        manifolds = tuple(DecoratedManifoldSpec.from_json(m) for m in _json_list(obj, "manifolds"))
         specs = {m.id: m for m in manifolds}
         pieces = []
-        for p in obj.get("pieces", []):
+        for p in _json_list(obj, "pieces"):
             if not isinstance(p, Mapping) or "id" not in p or "manifold" not in p:
                 raise ParseError("piece entry needs an id and a manifold")
             pieces.append((str(p["id"]), str(p["manifold"])))
@@ -791,7 +798,7 @@ class GluingGraph:
             raise ParseError(f"identification references unknown slot {pid}:{bid}")
 
         idents = []
-        for rec in obj.get("identifications", []):
+        for rec in _json_list(obj, "identifications"):
             if not isinstance(rec, Mapping) or "a" not in rec or "b" not in rec:
                 raise ParseError("identification needs slots a and b")
             try:
@@ -860,6 +867,8 @@ def validate_gluing(source: object) -> GluingGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed gluing spec: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("malformed gluing spec: arrays or objects nest too deeply") from exc
     return GluingGraph.from_json(obj).validate()
 
 
@@ -948,8 +957,7 @@ def heights(x: GluingGraph, table: InducedMarkingTable | None = None) -> HeightT
 # -- the certificate engine ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlotReport:
+class SlotReport(Record):
     """Per-slot certificate entry: height, projection maximum, and the
     pairwise and meridian clauses."""
 
@@ -982,8 +990,7 @@ class SlotReport:
         return out
 
 
-@dataclass(frozen=True)
-class BundleClauseReport:
+class BundleClauseReport(Record):
     """Geodesic clause for an interval bundle: distances of the two
     decorations from a curve-graph geodesic between the induced ends."""
 
@@ -1001,8 +1008,7 @@ class BundleClauseReport:
         }
 
 
-@dataclass(frozen=True)
-class PieceReport:
+class PieceReport(Record):
     """Per-piece certificate entry for the bundle, cover and record
     coverage clauses."""
 
@@ -1023,8 +1029,7 @@ class PieceReport:
         }
 
 
-@dataclass(frozen=True)
-class CombinatoricsCertificate:
+class CombinatoricsCertificate(Record):
     r_bound: int
     d_bound: int
     denom_bound: int | None

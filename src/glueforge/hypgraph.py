@@ -35,11 +35,11 @@ rows and single distances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import ParseError, ValidationError, clip
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,8 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteGraph:
+class FiniteGraph(Record):
     """Simple connected graph on vertices 0..n-1."""
 
     vertex_count: int
@@ -357,8 +356,7 @@ def quasiconvexity_constant(table: DistanceTable, subset: Sequence[int]) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class GeodesicFamily:
+class GeodesicFamily(Record):
     """Result of enumerate_geodesics: possibly a uniform sample."""
 
     paths: tuple[tuple[int, ...], ...]
@@ -440,8 +438,7 @@ def enumerate_geodesics(
     return GeodesicFamily(tuple(sample), total, sampled=True)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     """Witnessed (h0 -> r') table for the geodesic-stability scan.
 
     Row (h0, r') means: over all configurations (x, y, z) with y in the
@@ -524,8 +521,7 @@ def check_qconvex_stability(table: DistanceTable, subset: Sequence[int], r: int)
 _CLAIMS = ("geodesic", "local-quasigeodesic", "quasigeodesic")
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(Record):
     """Vertex path with a claimed quality, checkable against a distance
     oracle.  Quasigeodesic claims carry their constant k (and the window
     for local claims); a claimed k promises every sub-interval (within the
@@ -586,8 +582,7 @@ class PathWitness:
         return out
 
 
-@dataclass(frozen=True)
-class QuasigeodesicReport:
+class QuasigeodesicReport(Record):
     """Measured local and global quasigeodesic quality of a path."""
 
     window: int

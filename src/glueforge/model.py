@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .errors import ParseError, ValidationError, clip
 from .gluing import GluingGraph, Slot, SlotMap, _slot_name
+from .record import Record, replace
 from .surface import AbstractMarking, BackendHandle, as_torus_marking
 from .torus import (
     IDENTITY,
@@ -66,8 +66,7 @@ def _point_from_json(obj: object) -> TeichPoint | None:
         raise ParseError(f"bad half-plane point {clip(obj)}") from exc
 
 
-@dataclass(frozen=True)
-class TubeSample:
+class TubeSample(Record):
     """One fiber of a tube: parameter, modulus, and its shortest geometry."""
 
     t: float
@@ -98,8 +97,7 @@ class TubeSample:
             raise ParseError(f"bad tube sample: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class TubeBlock:
+class TubeBlock(Record):
     """Geodesic tube between two induced balanced points.
 
     kind is "internal" for a two-slot identification, "quotient" for a
@@ -187,8 +185,7 @@ class TubeBlock:
             raise ParseError(f"bad tube block: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class PieceBlock:
+class PieceBlock(Record):
     """Opaque interior of one piece, known only by its boundary anchors."""
 
     piece: str
@@ -216,8 +213,7 @@ class PieceBlock:
             raise ParseError(f"bad piece block: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ModelSkeleton:
+class ModelSkeleton(Record):
     """Piece blocks plus one tube per identification, with free-marking
     boundary tubes appended; incidence lists the tubes' slot pairs in the
     same order the tubes are stored."""
@@ -399,8 +395,7 @@ def build_skeleton(
     )
 
 
-@dataclass(frozen=True)
-class ThicknessRow:
+class ThicknessRow(Record):
     """Per-tube verdict with the combinatorial thinness indicator."""
 
     tube: str
@@ -417,8 +412,7 @@ class ThicknessRow:
         }
 
 
-@dataclass(frozen=True)
-class ThicknessReport:
+class ThicknessReport(Record):
     """Sampled thickness of every geometric tube of a skeleton.
 
     The correlation list pairs each tube's relative continued-fraction
@@ -517,4 +511,6 @@ def load_skeleton(data: bytes | str) -> ModelSkeleton:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"skeleton is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("skeleton is not valid JSON: arrays or objects nest too deeply") from exc
     return ModelSkeleton.from_json(obj)

@@ -13,12 +13,12 @@ are equal and raises BackendMismatchError otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BackendMismatchError, ParseError, ValidationError, clip
 from .hypgraph import DistanceTable, FiniteGraph, all_pairs_distances
+from .record import Record
 from .torus import (
     AnnulusLabel,
     FareyMarking,
@@ -53,8 +53,7 @@ TORUS = "torus"
 GRAPH = "graph"
 
 
-@dataclass(frozen=True)
-class GraphProjection:
+class GraphProjection(Record):
     """Declared subsurface-projection value for one unordered marking pair."""
 
     a: tuple[int, ...]
@@ -71,8 +70,7 @@ def _graph_table(graph: FiniteGraph) -> DistanceTable:
     return all_pairs_distances(graph)
 
 
-@dataclass(frozen=True)
-class BackendHandle:
+class BackendHandle(Record):
     """Curve-graph model for one boundary component."""
 
     kind: str
@@ -175,8 +173,7 @@ def _require_same(a: BackendHandle, b: BackendHandle) -> None:
         )
 
 
-@dataclass(frozen=True)
-class AbstractMarking:
+class AbstractMarking(Record):
     """Marking on a backend: a FareyMarking, or a small vertex set of
     curve-graph diameter at most 2."""
 
@@ -248,8 +245,7 @@ class AbstractMarking:
         return AbstractMarking(handle, verts)
 
 
-@dataclass(frozen=True)
-class DiskSet:
+class DiskSet(Record):
     """Declared meridian list for a compressible boundary; possibly empty.
     The owner string names the boundary in diagnostics."""
 
@@ -286,8 +282,7 @@ class DiskSet:
         return DiskSet(handle, tuple(int(v) for v in obj), owner)
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(Record):
     """Certified or best-effort subsurface-projection maximum."""
 
     label: object

@@ -40,12 +40,12 @@ Conventions fixed here and recorded in exported reports:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import EmptyProjectionError, ParseError, PrecisionLossError, ValidationError, clip
+from .record import Record
 
 __all__ = [
     "Slope",
@@ -76,8 +76,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(Record):
     """Primitive slope p/q in canonical form: q > 0, or (1, 0) for infinity."""
 
     p: int
@@ -167,8 +166,7 @@ def cf_expansion(a: Slope) -> list[int]:
         p, q = q, r
 
 
-@dataclass(frozen=True)
-class SurfaceMap:
+class SurfaceMap(Record):
     """Mapping class of the torus as an integer matrix with det = +-1.
 
     det +1 acts on the half plane by Moebius transformations, det -1 by
@@ -256,8 +254,7 @@ IDENTITY = SurfaceMap(1, 0, 0, 1)
 REFLECTION = SurfaceMap(1, 0, 0, -1)
 
 
-@dataclass(frozen=True)
-class TeichPoint:
+class TeichPoint(Record):
     """Point x + iy of the upper half plane, y > 0."""
 
     x: float
@@ -275,8 +272,7 @@ class TeichPoint:
         return abs(self.z - other.z) <= tol * max(1.0, abs(self.z), abs(other.z))
 
 
-@dataclass(frozen=True)
-class AnnulusLabel:
+class AnnulusLabel(Record):
     """Annular subsurface of the torus, named by its core slope."""
 
     core: Slope
@@ -285,8 +281,7 @@ class AnnulusLabel:
         return f"annulus({self.core})"
 
 
-@dataclass(frozen=True)
-class FareyMarking:
+class FareyMarking(Record):
     """Complete marking: base and transversal slopes with intersection one."""
 
     base: Slope

@@ -10,7 +10,6 @@ values and never mutate the input graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,6 +30,7 @@ from .gluing import (
     heights,
 )
 from .hypgraph import local_to_global_report
+from .record import Record
 from .surface import (
     AbstractMarking,
     curve_distance,
@@ -50,8 +50,7 @@ def _fraction_json(x: Fraction | None) -> list[int] | None:
 # --------------------------------------------------------------- stacks
 
 
-@dataclass(frozen=True)
-class _StackStep:
+class _StackStep(Record):
     """One resolved piece of an ordered bundle chain: the slot the walk
     enters through, the slot it leaves through (None on a terminal twisted
     piece), and the exchange map pulling exit data into the entry chart."""
@@ -153,8 +152,7 @@ def _resolve_stack(x: GluingGraph, piece_ids: Sequence[str]) -> list[_StackStep]
     return steps
 
 
-@dataclass(frozen=True)
-class StackCertificate:
+class StackCertificate(Record):
     """Exact verification record for one I-bundle chain.
 
     The nu sequence holds every decoration pushed into the frame of the
@@ -367,8 +365,7 @@ def combine_stack(
 # -------------------------------------------------------------- collapse
 
 
-@dataclass(frozen=True)
-class CollapsedStack:
+class CollapsedStack(Record):
     """Block correspondence for one removed chain: which pieces vanished,
     which surviving slots were rewired, and the measured re-verification
     numbers for the new tube."""
@@ -405,8 +402,7 @@ class CollapsedStack:
         }
 
 
-@dataclass(frozen=True)
-class CollapseResult:
+class CollapseResult(Record):
     collapsed: GluingGraph
     stacks: tuple[CollapsedStack, ...]
     fibered: bool
@@ -717,8 +713,7 @@ def collapse_ibundles(
 # ------------------------------------------------------------ compression
 
 
-@dataclass(frozen=True)
-class CompressionStep:
+class CompressionStep(Record):
     """Attach one compression body by its exterior boundary."""
 
     piece_id: str
@@ -779,8 +774,7 @@ def build_compression(
 # ---------------------------------------------------------- decomposition
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     pieces: tuple[str, ...]
     kind: str
     identifications: tuple[Identification, ...]
@@ -793,8 +787,7 @@ class Component:
         }
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record):
     full: GluingGraph
     components: tuple[Component, ...]
     cut: tuple[Identification, ...]
@@ -954,8 +947,7 @@ def full_and_maximal_decomposition(x: GluingGraph) -> DecompositionResult:
 # ------------------------------------------------------------ transparency
 
 
-@dataclass(frozen=True)
-class TransparencyReport:
+class TransparencyReport(Record):
     piece: str
     transparent: tuple[str, ...]
     adjusted: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]

@@ -252,6 +252,35 @@ def test_malformed_json_is_a_parse_error(files, capsys):
     assert err.startswith("parse error:")
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("manifolds", 1),
+        ("identifications", 5),
+        ("pieces", True),
+        ("manifolds.0.boundaries", None),
+        ("manifolds.0.boundaries", True),
+        ("manifolds.0.disk_records", [1]),
+        ("manifolds.0.jsj", None),
+        ("manifolds.0.window_frames", {"E0": 1}),
+        ("manifolds.0.splitting", {"identifications": [{"a": 1, "b": 2}]}),
+    ],
+)
+def test_wrong_typed_containers_are_parse_errors(files, capsys, tmp_path, path, value):
+    obj = json.loads(pathlib.Path(files["chain"]).read_text())
+    *parents, last = path.split(".")
+    target = obj
+    for key in parents:
+        target = target[int(key) if key.isdigit() else key]
+    target[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["validate", "--input", str(bad)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error:")
+
+
 def test_missing_file_is_a_parse_error(files, capsys):
     code, _, err = run(capsys, ["validate", "--input", str(files["dir"] / "nope.json")])
     assert code == EXIT_PARSE
@@ -613,6 +642,34 @@ def test_hyplab_loads_numpy(files, tmp_path):
     assert json.loads(target.read_text())["command"] == "hyplab"
 
 
+# importing dataclasses compiles its generated methods on every cold start,
+# and it loads inspect; records are built without either
+_IMPORT_PROBE = (
+    "import sys\n"
+    "from glueforge import cli\n"
+    "heavy = ('dataclasses', 'inspect')\n"
+    "print(*[m for m in heavy if m in sys.modules])\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, *[m for m in heavy if m in sys.modules])\n"
+)
+
+
+def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
+    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
+    target = tmp_path / "out"
+    argv = ["validate", "--input", files["example:chain"], "--out", str(target)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"\n{EXIT_PASS}\n"
+    assert json.loads(target.read_text())["result"]["valid"] is True
+
+
 # ------------------------------------------------------- graphs at scale
 
 
@@ -641,6 +698,17 @@ def test_huge_vertex_count_without_edges_fails_fast(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "invariant violation: graph disconnected: no path from 0 to 1"
+    ]
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    proc, _ = cold_cli(["validate", "--input", str(deep)])
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "parse error: malformed gluing spec: arrays or objects nest too deeply"
     ]
 
 

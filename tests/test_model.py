@@ -6,7 +6,6 @@ import pathlib
 import random
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +33,7 @@ from glueforge.model import (
     sample_tube,
     verify_thickness,
 )
+from glueforge.record import replace
 from glueforge.surface import AbstractMarking, BackendHandle, as_torus_marking
 from glueforge.torus import (
     REFLECTION,
@@ -517,6 +517,8 @@ def test_export_errors():
         export_skeleton(sk, "obj", fiber_resolution=2)
     with pytest.raises(ParseError, match="not valid JSON"):
         load_skeleton(b"{nope")
+    with pytest.raises(ParseError, match="nest too deeply"):
+        load_skeleton(b"[" * 100_000)
     with pytest.raises(ParseError, match="unsupported skeleton schema"):
         load_skeleton(b'{"schema": "skeleton/99"}')
 
