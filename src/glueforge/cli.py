@@ -234,9 +234,12 @@ def cmd_hyplab(cfg: RunConfig) -> int:
     graph = read_graph(text)
     table = all_pairs_distances(graph)
     delta = four_point_delta(table)
-    # the widest geodesic interval doubles as the stability test bed
-    m = table.as_array()
-    x, y = divmod(int(m.argmax()), table.n)
+    # the widest geodesic interval doubles as the stability test bed: the
+    # first diametral pair in row-major order
+    rows = table.rows()
+    diameter = max(map(max, rows))
+    x = next(u for u, row in enumerate(rows) if max(row) == diameter)
+    y = rows[x].index(diameter)
     interval = geodesic_interval(table, x, y)
     stability = check_qconvex_stability(table, interval, cfg.r_bound)
     _emit_report(
@@ -245,7 +248,7 @@ def cmd_hyplab(cfg: RunConfig) -> int:
         {
             "vertices": table.n,
             "delta": [delta.numerator, delta.denominator],
-            "diameter": int(m.max()),
+            "diameter": diameter,
             "interval": {
                 "endpoints": [x, y],
                 "vertices": interval,

@@ -85,8 +85,8 @@ class SlotMap(Record):
     def identity(handle: BackendHandle) -> "SlotMap":
         if handle.is_torus:
             return SlotMap(handle, matrix=SurfaceMap(1, 0, 0, 1))
-        n = handle.table().n
-        return SlotMap(handle, perm=tuple(range(n)), graph_reversing=False)
+        assert handle.graph is not None
+        return SlotMap(handle, perm=tuple(range(handle.graph.vertex_count)), graph_reversing=False)
 
     @property
     def reversing(self) -> bool:
@@ -360,20 +360,51 @@ class Identification(Record):
         }
 
 
+class _JsonObject(tuple):
+    """A JSON object frozen as a tuple of (key, value) items."""
+
+
+def _frozen_json(value: object) -> object:
+    """A JSON value that hashes: arrays become tuples and objects
+    _JsonObject item tuples, all the way down.  Frozen values stay as they
+    are."""
+    if isinstance(value, Mapping):
+        return _JsonObject((k, _frozen_json(v)) for k, v in value.items())
+    if isinstance(value, _JsonObject):
+        return value
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen_json(v) for v in value)
+    return value
+
+
+def _thawed_json(value: object) -> object:
+    """The plain JSON value of a frozen one: lists and dicts again."""
+    if isinstance(value, _JsonObject):
+        return {k: _thawed_json(v) for k, v in value}
+    if isinstance(value, tuple):
+        return [_thawed_json(v) for v in value]
+    return value
+
+
 class Splitting(Record):
     """Core/compression-body splitting of one spec: sub-pieces plus the
     internal identifications along the splitting surfaces."""
 
     pieces: tuple[SubPiece, ...]
     identifications: tuple[tuple[str, str, str, str, object], ...] = ()
-    # raw identification tuples (sub_a, bdry_a, sub_b, bdry_b, map json);
-    # maps resolve against sub-spec handles once the manifest is known
+    # identification tuples (sub_a, bdry_a, sub_b, bdry_b, map json), the
+    # map frozen; maps resolve against sub-spec handles once the manifest
+    # is known
+
+    def __post_init__(self) -> None:
+        frozen = tuple((*rec[:4], _frozen_json(rec[4])) for rec in self.identifications)
+        object.__setattr__(self, "identifications", frozen)
 
     def to_json(self) -> dict:
         return {
             "pieces": [p.to_json() for p in self.pieces],
             "identifications": [
-                {"a": [pa, ba], "b": [pb, bb], "map": m}
+                {"a": [pa, ba], "b": [pb, bb], "map": _thawed_json(m)}
                 for pa, ba, pb, bb, m in self.identifications
             ],
         }

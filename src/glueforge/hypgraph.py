@@ -10,7 +10,8 @@ D. Coudert and A. Lancin, "On computing the Gromov hyperbolicity" (ACM JEA
 2015), and is exact for three reasons:
 
 - a graph's constant is the largest over its biconnected blocks, each an
-  isometric subgraph, and a block of at most three vertices has 0;
+  isometric subgraph, and a block of at most three vertices, or a clique,
+  has 0;
 - moving an end of a pair to a neighbour farther from the other end raises
   the largest pairing sum by one and the other two by at most one, so some
   worst quadruple has both pairs of its largest sum far apart: no
@@ -26,23 +27,24 @@ Quasigeodesic constants are plain ratios: K' is the max over sub-intervals
 of (edge length)/(endpoint distance), so length <= K'*d holds exactly and
 the additive-slack-1 form length <= K'*d + 1 holds a fortiori.
 
-Distance tables keep their rows as Python lists.  numpy is imported inside
-the functions that work on the table's array form, not at module level, so
-that only `hyplab` loads it: gluing commands, graph backends included, read
-rows and single distances.
+Distance tables are Python lists, one row per vertex, and nothing here
+imports numpy.  A table over a graph computes a row's BFS when the row
+is first read: gluing commands on graph backends read a few rows of a
+large curve graph, while `hyplab` reads them all.  The quasiconvexity
+constant and the stability scan walk the BFS DAG of each subset point
+instead of testing every vertex pair, so they cost O(n + m) per point.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from itertools import compress
+from operator import and_, gt, itemgetter, le
+from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError, ValidationError, clip
 from .record import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "FiniteGraph",
@@ -121,92 +123,112 @@ class FiniteGraph(Record):
 
 
 class DistanceTable:
-    """All-pairs distances, kept as one Python list per row.  The int64
-    array that the array functions read is built on the first as_array()
-    call; the metric invariants are checkable on demand."""
+    """Distances of a finite metric, one Python list per row.
 
-    def __init__(self, matrix: np.ndarray | Sequence[Sequence[int]]):
-        rows = matrix.tolist() if hasattr(matrix, "tolist") else matrix
-        self._rows = [list(map(int, row)) for row in rows]
-        self._array: np.ndarray | None = None
+    A table over a FiniteGraph (`of_graph`) runs the BFS of a row the first
+    time `row(u)` or `d(u, v)` reads it; a graph metric is symmetric, so
+    `d(u, v)` answers from row v when only that row is held.  A table
+    built from explicit rows holds them all, and `d(u, v)` reads row u."""
+
+    def __init__(self, matrix: Sequence[Sequence[int]]):
+        self._rows: list = [list(map(int, row)) for row in matrix]
+        self._adj: list[list[int]] | None = None
 
     @classmethod
-    def _of_rows(cls, rows: list[list[int]]) -> "DistanceTable":
-        """Wraps fresh rows of Python ints without copying them."""
+    def of_graph(cls, g: FiniteGraph) -> "DistanceTable":
+        """The metric of g, with no row computed yet."""
         table = cls.__new__(cls)
-        table._rows = rows
-        table._array = None
+        table._adj = g.adjacency()
+        table._rows = [None] * g.vertex_count
         return table
 
     @property
     def n(self) -> int:
         return len(self._rows)
 
-    def d(self, u: int, v: int) -> int:
-        return self._rows[u][v]
+    @property
+    def rows_held(self) -> int:
+        """How many rows the table holds: given, or computed so far."""
+        return sum(row is not None for row in self._rows)
 
-    def __call__(self, u: int, v: int) -> int:
-        return self._rows[u][v]
+    def d(self, u: int, v: int) -> int:
+        row = self._rows[u]
+        if row is None:
+            other = self._rows[v]
+            if other is not None:
+                return other[u]
+            row = self.row(u)
+        return row[v]
+
+    __call__ = d
 
     def row(self, u: int) -> list[int]:
         """Distances from u to every vertex; the caller must not mutate it."""
-        return self._rows[u]
+        row = self._rows[u]
+        if row is None:
+            row = self._rows[u] = _bfs_row(self._adj, u)  # type: ignore[arg-type]
+        return row
 
-    def as_array(self) -> np.ndarray:
-        """The table as a read-only n x n int64 array, built once."""
-        if self._array is None:
-            import numpy as np
-
-            n = self.n
-            self._array = np.array(self._rows, dtype=np.int64).reshape(n, n)
-            self._array.flags.writeable = False
-        return self._array
+    def rows(self) -> list[list[int]]:
+        """Every row, computing those not held yet; the caller must not
+        mutate them."""
+        rows = self._rows
+        if None in rows:
+            for u, row in enumerate(rows):
+                if row is None:
+                    rows[u] = _bfs_row(self._adj, u)  # type: ignore[arg-type]
+        return rows
 
     def submatrix(self, vertices: Sequence[int]) -> "DistanceTable":
         idx = list(vertices)
-        rows = self._rows
-        return DistanceTable._of_rows([[rows[u][v] for v in idx] for u in idx])
+        return DistanceTable([[ru[v] for v in idx] for ru in map(self.row, idx)])
 
     def check(self) -> None:
-        import numpy as np
-
-        n = self.n
-        if any(len(row) != n for row in self._rows):
+        rows = self.rows()
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValidationError("distance table not square")
-        m = self.as_array()
-        if not np.array_equal(m, m.T):
+        if any(list(col) != row for row, col in zip(rows, zip(*rows))):
             raise ValidationError("distance table not symmetric")
-        if np.any(np.diag(m) != 0):
+        if any(row[u] for u, row in enumerate(rows)):
             raise ValidationError("distance table has nonzero diagonal")
-        if np.any(m < 0):
+        if any(min(row) < 0 for row in rows):
             raise ValidationError("negative distance")
-        for k in range(n):
-            via = m[:, k][:, None] + m[k, :][None, :]
-            if np.any(m > via):
-                raise ValidationError("triangle inequality violated")
+        for rk in rows:
+            for row, via in zip(rows, rk):
+                # row is u's, via = d(u, k) = d(k, u): d(u, v) <= d(u, k) + d(k, v)
+                if any(map(gt, row, map(via.__add__, rk))):
+                    raise ValidationError("triangle inequality violated")
+
+
+def _bfs_row(adj: list[list[int]], s: int) -> list[int]:
+    """Level-synchronous BFS from s."""
+    row = [-1] * len(adj)
+    row[s] = 0
+    frontier = [s]
+    level = 0
+    while frontier:
+        level += 1
+        reached = []
+        for u in frontier:
+            for w in adj[u]:
+                if row[w] < 0:
+                    row[w] = level
+                    reached.append(w)
+        frontier = reached
+    return row
 
 
 def all_pairs_distances(g: FiniteGraph) -> DistanceTable:
-    """Level-synchronous BFS from every vertex."""
-    n = g.vertex_count
-    adj = g.adjacency()
-    rows = []
-    for s in range(n):
-        row = [-1] * n
-        row[s] = 0
-        frontier = [s]
-        level = 0
-        while frontier:
-            level += 1
-            reached = []
-            for u in frontier:
-                for w in adj[u]:
-                    if row[w] < 0:
-                        row[w] = level
-                        reached.append(w)
-            frontier = reached
-        rows.append(row)
-    return DistanceTable._of_rows(rows)
+    """The metric of g with every row computed: a BFS from every vertex."""
+    table = DistanceTable.of_graph(g)
+    table.rows()
+    return table
+
+
+def _column_min(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Entrywise minimum of one or more equally long rows."""
+    return list(map(min, *rows)) if len(rows) > 1 else list(rows[0])
 
 
 def four_point_delta(table: DistanceTable) -> Fraction:
@@ -214,48 +236,64 @@ def four_point_delta(table: DistanceTable) -> Fraction:
     the three pairing sums d(i,j)+d(k,l), d(i,k)+d(j,l), d(i,l)+d(j,k)
     differ by at most 2*delta.
 
-    When the table is the metric of the graph its distance-1 pairs span,
-    the scan runs per biconnected block over the far-apart pairs only;
-    otherwise the table must be a metric, and the scan runs over all
-    pairs.  Both are exact: see the module docstring."""
-    import numpy as np
-
-    m = table.as_array()
-    adj = _metric_graph(m)
+    When the table is the metric of a graph (its own, or the graph its
+    distance-1 pairs span), the scan runs per biconnected block over the
+    far-apart pairs only; otherwise the table must be a metric, and the
+    scan runs over all pairs.  Both are exact: see the module docstring."""
+    rows = table.rows()
+    adj = _graph_adjacency(table)
     if adj is None:
         table.check()
-        a, b = np.triu_indices(table.n, 1)
-        return Fraction(_widest_gap(m, a, b, 0), 2)
+        n = table.n
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return Fraction(_widest_gap(rows, pairs, 0), 2)
     best = 0
     for block in _blocks(adj):
         if len(block) >= 4:
-            mb = m[np.ix_(block, block)]
-            a, b = _far_apart_pairs(mb)
-            best = _widest_gap(mb, a, b, best)
+            get = itemgetter(*block)
+            mb = [get(rows[u]) for u in block]
+            # a clique: every pairing sum is 2, so its gap is 0
+            if max(map(max, mb)) > 1:
+                best = _widest_gap(mb, _far_apart_pairs(mb), best)
     return Fraction(best, 2)
 
 
-def _metric_graph(m: np.ndarray) -> list[list[int]] | None:
-    """Adjacency lists of the graph of distance-1 pairs when m is exactly
-    its metric: symmetric adjacency, zero diagonal, and every other entry
-    1 + the least entry over the row vertex's neighbours.  None otherwise."""
-    import numpy as np
-
-    one = m == 1
-    if not np.array_equal(one, one.T) or np.diagonal(m).any():
+def _metric_graph(rows: list[list[int]]) -> list[list[int]] | None:
+    """Adjacency lists of the graph of distance-1 pairs when the square
+    table is exactly its metric: symmetric adjacency, zero diagonal, and
+    every other entry 1 + the least entry over the row vertex's
+    neighbours.  None otherwise."""
+    n = len(rows)
+    if any(len(row) != n or row[u] for u, row in enumerate(rows)):
         return None
-    adj = []
-    for u, nbrs in enumerate(one):
-        (nb,) = np.nonzero(nbrs)
-        if nb.size:
-            via = m[nb].min(axis=0) + 1
-            via[u] = 0
-            if not np.array_equal(via, m[u]):
-                return None
-        elif len(m) > 1:
+    adj = [list(compress(range(n), map((1).__eq__, row))) for row in rows]
+    for u, nb in enumerate(adj):
+        if any(rows[v][u] != 1 for v in nb):
             return None
-        adj.append(nb.tolist())
+        if nb:
+            via = list(map((1).__add__, _column_min([rows[w] for w in nb])))
+            via[u] = 0
+            if via != rows[u]:
+                return None
+        elif n > 1:
+            return None
     return adj
+
+
+def _graph_adjacency(table: DistanceTable) -> list[list[int]] | None:
+    """Adjacency lists of the graph whose metric the table is: the graph
+    it was built over, else the graph of its distance-1 pairs if the table
+    is exactly that graph's metric.  None when it is no graph's metric."""
+    return table._adj if table._adj is not None else _metric_graph(table.rows())
+
+
+def _graph_metric(table: DistanceTable) -> tuple[list[list[int]], list[list[int]]]:
+    """Rows and adjacency lists of a table that is the metric of a graph:
+    geodesics are paths of that graph."""
+    adj = _graph_adjacency(table)
+    if adj is None:
+        raise ValidationError("distance table is not the metric of a graph")
+    return table.rows(), adj
 
 
 def _blocks(adj: list[list[int]]) -> list[list[int]]:
@@ -295,65 +333,111 @@ def _blocks(adj: list[list[int]]) -> list[list[int]]:
     return blocks
 
 
-def _far_apart_pairs(mb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _far_apart_pairs(mb: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """Pairs (u, v), u < v, of a block's metric such that no neighbour of
     u is farther from v and no neighbour of v is farther from u."""
-    import numpy as np
+    k = len(mb)
+    # far[u][v]: no neighbour of u is farther from v than u is
+    far = []
+    for row in mb:
+        nb = [mb[w] for w in compress(range(k), map((1).__eq__, row))]
+        reach = map(max, *nb) if len(nb) > 1 else nb[0]
+        far.append(list(map(le, reach, row)))
+    pairs = []
+    for u, (fu, fu_t) in enumerate(zip(far, zip(*far))):
+        both = map(and_, fu[u + 1 :], fu_t[u + 1 :])
+        pairs.extend((u, v) for v in compress(range(u + 1, k), both))
+    return pairs
 
-    one = mb == 1
-    far = np.empty_like(one)
-    for u in range(len(mb)):
-        far[u] = mb[one[u]].max(axis=0) <= mb[u]
-    far &= far.T
-    return np.nonzero(np.triu(far, 1))
 
-
-def _widest_gap(m: np.ndarray, a: np.ndarray, b: np.ndarray, best: int) -> int:
+def _widest_gap(m: Sequence[Sequence[int]], pairs: Iterable[tuple[int, int]], best: int) -> int:
     """The larger of best and the widest gap, largest pairing sum minus the
-    next, over quadruples whose largest sum pairs (a[i], b[i]) with
-    (a[j], b[j]).  Pairs are visited by decreasing distance and each is
+    next, over quadruples of the metric m whose largest sum pairs two of
+    the given pairs.  Pairs are visited by decreasing distance and each is
     matched against those visited before it; a pair no longer than the
     best gap so far bounds every remaining gap, so the scan stops there."""
-    import numpy as np
-
-    d = m[a, b]
-    order = np.argsort(-d, kind="stable")
-    a, b, d = a[order], b[order], d[order]
-    for i in range(1, len(d)):
-        dab = int(d[i])
+    by_length: dict[int, list[tuple[int, int]]] = {}
+    for a, b in pairs:
+        by_length.setdefault(m[a][b], []).append((a, b))
+    # visited pairs (c, e) as c -> [(e, d(c, e))], so that each row entry
+    # of c is read once per group
+    seen: dict[int, list[tuple[int, int]]] = {}
+    for dab in sorted(by_length, reverse=True):
         if dab <= best:
             break
-        ra, rb = m[a[i]], m[b[i]]
-        c, e = a[:i], b[:i]
-        gap = dab + d[:i] - np.maximum(ra[c] + rb[e], ra[e] + rb[c])
-        best = max(best, int(gap.max()))
+        for a, b in by_length[dab]:
+            ra, rb = m[a], m[b]
+            # gap = dab + d(c,e) - max(d(a,c) + d(b,e), d(a,e) + d(b,c)),
+            # and it beats best iff d(c,e) - max(...) beats lim
+            lim = best - dab
+            for c, group in seen.items():
+                rac = ra[c]
+                rbc = rb[c]
+                # d(c,e) - max(...) <= -|d(a,c) - d(b,c)| for every e, by
+                # the triangle inequality
+                if rac - rbc <= lim or rbc - rac <= lim:
+                    continue
+                for e, dce in group:
+                    s = rac + rb[e]
+                    t = ra[e] + rbc
+                    if t > s:
+                        s = t
+                    if dce - s > lim:
+                        lim = dce - s
+            best = dab + lim
+            if best >= dab:
+                return best
+            seen.setdefault(a, []).append((b, dab))
     return best
 
 
 def geodesic_interval(table: DistanceTable, x: int, y: int) -> list[int]:
     """Vertices lying on some geodesic from x to y."""
-    rx = table.row(x)
-    return [v for v in range(table.n) if rx[v] + table.d(v, y) == rx[y]]
+    rx, ry = table.row(x), table.row(y)
+    dxy = rx[y]
+    return [v for v, (a, b) in enumerate(zip(rx, ry)) if a + b == dxy]
+
+
+def _levels(row: list[int]) -> list[list[int]]:
+    """The vertices by their distance from the row's source."""
+    levels: list[list[int]] = [[] for _ in range(max(row) + 1)]
+    for v, t in enumerate(row):
+        levels[t].append(v)
+    return levels
+
+
+def _on_geodesics_to(adj: list[list[int]], row: list[int], targets: Iterable[int]) -> bytearray:
+    """Flags of the vertices on some geodesic from the row's source to a
+    target: the targets' ancestors in the source's BFS DAG, walked down
+    level by level."""
+    on = bytearray(len(row))
+    for z in targets:
+        on[z] = 1
+    for level in reversed(_levels(row)):
+        for v in level:
+            if on[v]:
+                up = row[v] - 1
+                for p in adj[v]:
+                    if row[p] == up:
+                        on[p] = 1
+    return on
 
 
 def quasiconvexity_constant(table: DistanceTable, subset: Sequence[int]) -> int:
     """Exact minimal a such that every geodesic between subset points stays
     in the a-neighbourhood of the subset.  Uses the interval
     characterization, which covers the union of all geodesics without
-    enumerating them."""
-    import numpy as np
-
+    enumerating them: the geodesics from x to later subset points cover
+    the ancestors of those points in the BFS DAG of x.  The table must be
+    the metric of a graph."""
     sub = sorted(set(subset))
     if not sub:
         raise ValidationError("quasiconvexity needs a nonempty subset")
-    m = table.as_array()
-    to_sub = np.min(m[:, sub], axis=1)
-    best = 0
-    for i, x in enumerate(sub):
-        for y in sub[i:]:
-            on = m[x, :] + m[:, y] == m[x, y]
-            best = max(best, int(np.max(to_sub[on])))
-    return best
+    rows, adj = _graph_metric(table)
+    to_sub = _column_min([rows[s] for s in sub])
+    return max(
+        max(compress(to_sub, _on_geodesics_to(adj, rows[x], sub[i:]))) for i, x in enumerate(sub)
+    )
 
 
 class GeodesicFamily(Record):
@@ -364,26 +448,23 @@ class GeodesicFamily(Record):
     sampled: bool
 
 
-def _geodesic_successors(
-    d: Callable[[int, int], int], adj: list[list[int]], x: int, y: int, v: int
-) -> list[int]:
-    return [w for w in adj[v] if d(x, w) == d(x, v) + 1 and d(w, y) == d(v, y) - 1]
+def _geodesic_successors(adj: list[list[int]], rx: list[int], ry: list[int], v: int) -> list[int]:
+    return [w for w in adj[v] if rx[w] == rx[v] + 1 and ry[w] == ry[v] - 1]
 
 
 def count_geodesics(table: DistanceTable, g: FiniteGraph, x: int, y: int) -> int:
     """Number of geodesics from x to y, by dynamic programming over the
     predecessor DAG."""
-    adj = g.adjacency()
-    d = table.d
     if x == y:
         return 1
-    order = sorted(geodesic_interval(table, x, y), key=lambda v: d(x, v))
+    adj = g.adjacency()
+    rx, ry = table.row(x), table.row(y)
     ways = {x: 1}
-    for v in order:
+    for v in sorted(geodesic_interval(table, x, y), key=rx.__getitem__):
         if v == x:
             continue
         ways[v] = sum(
-            ways.get(u, 0) for u in adj[v] if d(x, u) + 1 == d(x, v) and d(u, y) == d(v, y) + 1
+            ways.get(u, 0) for u in adj[v] if rx[u] + 1 == rx[v] and ry[u] == ry[v] + 1
         )
     return ways.get(y, 0)
 
@@ -404,7 +485,7 @@ def enumerate_geodesics(
     the family is flagged sampled.
     """
     adj = g.adjacency()
-    d = table.d
+    rx, ry = table.row(x), table.row(y)
     total = count_geodesics(table, g, x, y)
     if total <= cap:
         out: list[tuple[int, ...]] = []
@@ -414,24 +495,23 @@ def enumerate_geodesics(
             if v == y:
                 out.append(tuple(prefix))
                 return
-            for w in _geodesic_successors(d, adj, x, y, v):
+            for w in _geodesic_successors(adj, rx, ry, v):
                 walk(prefix + [w])
 
         walk([x])
         return GeodesicFamily(tuple(out), total, sampled=False)
     ways_from = {y: 1}
-    order = sorted(geodesic_interval(table, x, y), key=lambda v: -d(x, v))
-    for v in order:
+    for v in sorted(geodesic_interval(table, x, y), key=lambda v: -rx[v]):
         if v == y:
             continue
-        ways_from[v] = sum(ways_from.get(w, 0) for w in _geodesic_successors(d, adj, x, y, v))
+        ways_from[v] = sum(ways_from.get(w, 0) for w in _geodesic_successors(adj, rx, ry, v))
     rng = random.Random(seed)
     sample = []
     for _ in range(sample_size):
         cur = x
         path = [x]
         while cur != y:
-            nexts = _geodesic_successors(d, adj, x, y, cur)
+            nexts = _geodesic_successors(adj, rx, ry, cur)
             cur = rng.choices(nexts, weights=[ways_from[w] for w in nexts])[0]
             path.append(cur)
         sample.append(tuple(path))
@@ -472,50 +552,77 @@ def check_qconvex_stability(table: DistanceTable, subset: Sequence[int], r: int)
     """Exhaustive scan over all configurations satisfying the hypotheses;
     for every threshold h0 the least sufficient r' is witnessed.  The
     extremal field is the configuration of largest excess (ties broken by
-    larger d(x,y), then lexicographically); None when every excess is 0."""
-    import numpy as np
+    larger d(x,y), then lexicographically); None when every excess is 0.
 
+    The table must be the metric of a graph.  For each y, x lies on a
+    geodesic [y,z] iff x is an ancestor of z in the BFS DAG of y, so one
+    walk down that DAG gives every z the set of levels d(x,y) of its
+    admissible ancestors x, as a bitmask: O(n + m) per subset point."""
     sub = sorted(set(subset))
     if not sub:
         raise ValidationError("stability scan needs a nonempty subset")
     if r < 0:
         raise ValidationError("r must be non-negative")
-    m = table.as_array()
-    hmax = int(m.max())
-    to_sub = np.min(m[:, sub], axis=1)
-    # worst_at[t] = max excess over configs with d(x,y) == t
-    worst_at = np.zeros(hmax + 2, dtype=np.int64)
-    best: tuple[int, int, tuple[int, int, int]] | None = None
+    rows, adj = _graph_metric(table)
+    hmax = max(map(max, rows))
+    to_sub = _column_min([rows[s] for s in sub])
+    # excess e -> union of the level masks of the z whose excess is e
+    masks_at: dict[int, int] = {}
+    # (excess, d(x,y), (x, y, z)) of the extremal configuration so far
+    best: tuple = (0, 0, None)
     for y in sub:
-        ok_x = m[:, y] <= to_sub + r
-        if not ok_x.any():
-            continue
-        on_geo = (m[y, :][:, None] + m) == m[y, :][None, :]  # indexed [x, z]
-        xs, zs = np.nonzero(on_geo & ok_x[:, None])
-        if xs.size == 0:
-            continue
-        t = m[xs, y]
-        e = m[zs, y] - to_sub[zs]
-        np.maximum.at(worst_at, t, e)
-        # configs with d(x,y) = 0 never pass any threshold; the extremal
-        # witness comes from those that feed the table
-        live = t >= 1
-        if not live.any():
-            continue
-        emax = int(e[live].max())
-        if emax > 0:
-            sel = live & (e == emax)
-            tmax = int(t[sel].max())
-            sel &= t == tmax
-            x_best, z_best = max(zip(xs[sel].tolist(), zs[sel].tolist()))
-            cand = (emax, tmax, (x_best, y, z_best))
-            if best is None or cand > best:
-                best = cand
+        ry = rows[y]
+        masks = _admissible_ancestor_levels(adj, ry, to_sub, r)
+        key = (0, 0)
+        for z, mask in enumerate(masks):
+            e = ry[z] - to_sub[z]
+            masks_at[e] = masks_at.get(e, 0) | mask
+            # bit 0 is y itself, an admissible ancestor of every z; the
+            # extremal configuration has d(x,y) >= 1
+            if mask > 1:
+                key = max(key, (e, mask.bit_length() - 1))
+        emax, tmax = key
+        if emax > 0 and key >= best[:2]:
+            # the largest admissible x at level tmax above some z of excess
+            # emax, then the largest such z below x
+            ends = [
+                z
+                for z, mask in enumerate(masks)
+                if ry[z] - to_sub[z] == emax and mask >> tmax & 1
+            ]
+            on = _on_geodesics_to(adj, ry, ends)
+            x = max(v for v, t in enumerate(ry) if t == tmax and on[v] and t <= to_sub[v] + r)
+            z = max(z for z in ends if rows[x][z] + tmax == ry[z])
+            best = max(best, (emax, tmax, (x, y, z)))
+    worst_at = [0] * (hmax + 2)
+    for e, mask in masks_at.items():
+        for t in range(mask.bit_length()):
+            if mask >> t & 1 and e > worst_at[t]:
+                worst_at[t] = e
     # r'(h0) covers configs with d(x,y) strictly above h0
-    suffix = np.maximum.accumulate(worst_at[::-1])[::-1]
-    rows = tuple((h0, int(suffix[h0 + 1])) for h0 in range(hmax + 1))
-    extremal = best[2] if best else None
-    return StabilityReport(tuple(sub), r, rows, extremal, all(rp == 0 for _, rp in rows))
+    for t in range(hmax, -1, -1):
+        worst_at[t] = max(worst_at[t], worst_at[t + 1])
+    table_rows = tuple((h0, worst_at[h0 + 1]) for h0 in range(hmax + 1))
+    return StabilityReport(
+        tuple(sub), r, table_rows, best[2], all(rp == 0 for _, rp in table_rows)
+    )
+
+
+def _admissible_ancestor_levels(
+    adj: list[list[int]], ry: list[int], to_sub: list[int], r: int
+) -> list[int]:
+    """For each z, the bitmask of the levels d(x,y) of the admissible x,
+    d(x,y) <= d(x,subset) + r, that lie on a geodesic from y to z."""
+    masks = [0] * len(ry)
+    for level in _levels(ry):
+        for v in level:
+            t = ry[v]
+            mask = 1 << t if t <= to_sub[v] + r else 0
+            for p in adj[v]:
+                if ry[p] < t:
+                    mask |= masks[p]
+            masks[v] = mask
+    return masks
 
 
 _CLAIMS = ("geodesic", "local-quasigeodesic", "quasigeodesic")

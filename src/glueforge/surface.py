@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BackendMismatchError, ParseError, ValidationError, clip
-from .hypgraph import DistanceTable, FiniteGraph, all_pairs_distances
+from .hypgraph import DistanceTable, FiniteGraph
 from .record import Record
 from .torus import (
     AnnulusLabel,
@@ -67,7 +67,8 @@ class GraphProjection(Record):
 
 @lru_cache(maxsize=None)
 def _graph_table(graph: FiniteGraph) -> DistanceTable:
-    return all_pairs_distances(graph)
+    # rows are computed as they are read: gluing commands read few of them
+    return DistanceTable.of_graph(graph)
 
 
 class BackendHandle(Record):
@@ -190,15 +191,16 @@ class AbstractMarking(Record):
         verts = self.payload
         if not verts:
             raise ValidationError("graph marking needs at least one vertex")
-        table = self.handle.table()
-        n = table.n
+        assert self.handle.graph is not None
+        n = self.handle.graph.vertex_count
         for v in verts:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise ValidationError(f"marking vertex {v} outside the graph")
         if len(set(verts)) != len(verts):
             raise ValidationError("graph marking repeats a vertex")
         object.__setattr__(self, "payload", tuple(sorted(verts)))
-        diam = max(table.d(u, v) for u in verts for v in verts)
+        d = self.handle.table().d
+        diam = max((d(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]), default=0)
         if diam > 2:
             raise ValidationError(f"marking diameter {diam} exceeds 2")
 
@@ -259,7 +261,8 @@ class DiskSet(Record):
                 if not isinstance(e, Slope):
                     raise ValidationError("torus disk set elements must be slopes")
         else:
-            n = self.handle.table().n
+            assert self.handle.graph is not None
+            n = self.handle.graph.vertex_count
             for e in self.elements:
                 if not isinstance(e, int) or not 0 <= e < n:
                     raise ValidationError(f"disk vertex {e} outside the graph")
@@ -415,10 +418,11 @@ def _graph_geodesic(table: DistanceTable, graph: FiniteGraph, a: int, b: int) ->
     # deterministic: at every step pick the smallest-index neighbour
     # that moves closer to the target
     adj = graph.adjacency()
+    rb = table.row(b)
     path = [a]
     cur = a
     while cur != b:
-        cur = min(w for w in adj[cur] if table.d(w, b) == table.d(cur, b) - 1)
+        cur = min(w for w in adj[cur] if rb[w] == rb[cur] - 1)
         path.append(cur)
     return path
 

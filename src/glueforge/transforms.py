@@ -26,6 +26,7 @@ from .gluing import (
     SlotMap,
     TRIVIAL_IBUNDLE,
     _slot_name,
+    _thawed_json,
     induced_markings,
     heights,
 )
@@ -878,7 +879,7 @@ def _expand_splittings(x: GluingGraph) -> GluingGraph:
                     bdry_a,
                     f"{pid}/{sub_b}",
                     bdry_b,
-                    SlotMap.from_json(handle, map_json),
+                    SlotMap.from_json(handle, _thawed_json(map_json)),
                 )
             )
     for ident in x.identifications:

@@ -119,7 +119,7 @@ def exhaustive_delta(table) -> Fraction:
     contribute gap 0, so scanning i<j against all (k,l) is complete."""
     import numpy as np
 
-    m = table.as_array()
+    m = table_array(table)
     n = table.n
     worst = 0
     for i in range(n):
@@ -293,3 +293,158 @@ def reference_max_subsurface_projection(m1, m2):
         if v is not None and v > best_val:
             best, best_val = core, v
     return best, best_val
+
+
+# The package's former numpy kernels of the graph laboratory, kept to test
+# their list replacements against.  They read a table through its array
+# form, the read-only int64 copy that DistanceTable.as_array() used to
+# build; the biconnected blocks come from the package.
+
+
+def table_array(table):
+    """The table as a read-only n x n int64 array."""
+    import numpy as np
+
+    n = table.n
+    m = np.array(table.rows(), dtype=np.int64).reshape(n, n)
+    m.flags.writeable = False
+    return m
+
+
+def array_check(m) -> None:
+    """The former DistanceTable.check on the array form."""
+    import numpy as np
+
+    from glueforge.errors import ValidationError
+
+    n = len(m)
+    if not np.array_equal(m, m.T):
+        raise ValidationError("distance table not symmetric")
+    if np.any(np.diag(m) != 0):
+        raise ValidationError("distance table has nonzero diagonal")
+    if np.any(m < 0):
+        raise ValidationError("negative distance")
+    for k in range(n):
+        via = m[:, k][:, None] + m[k, :][None, :]
+        if np.any(m > via):
+            raise ValidationError("triangle inequality violated")
+
+
+def array_four_point_delta(table) -> Fraction:
+    import numpy as np
+
+    from glueforge.hypgraph import _blocks
+
+    m = table_array(table)
+    adj = array_metric_graph(m)
+    if adj is None:
+        array_check(m)
+        a, b = np.triu_indices(table.n, 1)
+        return Fraction(array_widest_gap(m, a, b, 0), 2)
+    best = 0
+    for block in _blocks(adj):
+        if len(block) >= 4:
+            mb = m[np.ix_(block, block)]
+            a, b = array_far_apart_pairs(mb)
+            best = array_widest_gap(mb, a, b, best)
+    return Fraction(best, 2)
+
+
+def array_metric_graph(m) -> list[list[int]] | None:
+    import numpy as np
+
+    one = m == 1
+    if not np.array_equal(one, one.T) or np.diagonal(m).any():
+        return None
+    adj = []
+    for u, nbrs in enumerate(one):
+        (nb,) = np.nonzero(nbrs)
+        if nb.size:
+            via = m[nb].min(axis=0) + 1
+            via[u] = 0
+            if not np.array_equal(via, m[u]):
+                return None
+        elif len(m) > 1:
+            return None
+        adj.append(nb.tolist())
+    return adj
+
+
+def array_far_apart_pairs(mb):
+    import numpy as np
+
+    one = mb == 1
+    far = np.empty_like(one)
+    for u in range(len(mb)):
+        far[u] = mb[one[u]].max(axis=0) <= mb[u]
+    far &= far.T
+    return np.nonzero(np.triu(far, 1))
+
+
+def array_widest_gap(m, a, b, best: int) -> int:
+    import numpy as np
+
+    d = m[a, b]
+    order = np.argsort(-d, kind="stable")
+    a, b, d = a[order], b[order], d[order]
+    for i in range(1, len(d)):
+        dab = int(d[i])
+        if dab <= best:
+            break
+        ra, rb = m[a[i]], m[b[i]]
+        c, e = a[:i], b[:i]
+        gap = dab + d[:i] - np.maximum(ra[c] + rb[e], ra[e] + rb[c])
+        best = max(best, int(gap.max()))
+    return best
+
+
+def array_quasiconvexity_constant(table, subset) -> int:
+    import numpy as np
+
+    sub = sorted(set(subset))
+    m = table_array(table)
+    to_sub = np.min(m[:, sub], axis=1)
+    best = 0
+    for i, x in enumerate(sub):
+        for y in sub[i:]:
+            on = m[x, :] + m[:, y] == m[x, y]
+            best = max(best, int(np.max(to_sub[on])))
+    return best
+
+
+def array_stability(table, subset, r: int) -> tuple:
+    """(table rows, extremal) of the former check_qconvex_stability."""
+    import numpy as np
+
+    sub = sorted(set(subset))
+    m = table_array(table)
+    hmax = int(m.max())
+    to_sub = np.min(m[:, sub], axis=1)
+    worst_at = np.zeros(hmax + 2, dtype=np.int64)
+    best = None
+    for y in sub:
+        ok_x = m[:, y] <= to_sub + r
+        if not ok_x.any():
+            continue
+        on_geo = (m[y, :][:, None] + m) == m[y, :][None, :]  # indexed [x, z]
+        xs, zs = np.nonzero(on_geo & ok_x[:, None])
+        if xs.size == 0:
+            continue
+        t = m[xs, y]
+        e = m[zs, y] - to_sub[zs]
+        np.maximum.at(worst_at, t, e)
+        live = t >= 1
+        if not live.any():
+            continue
+        emax = int(e[live].max())
+        if emax > 0:
+            sel = live & (e == emax)
+            tmax = int(t[sel].max())
+            sel &= t == tmax
+            x_best, z_best = max(zip(xs[sel].tolist(), zs[sel].tolist()))
+            cand = (emax, tmax, (x_best, y, z_best))
+            if best is None or cand > best:
+                best = cand
+    suffix = np.maximum.accumulate(worst_at[::-1])[::-1]
+    rows = tuple((h0, int(suffix[h0 + 1])) for h0 in range(hmax + 1))
+    return rows, best[2] if best else None

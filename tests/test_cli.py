@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import time
 import pytest
 
 import glueforge
-from glueforge import cli
+from glueforge import cli, surface
 from glueforge.cli import (
     EXIT_FIBERED,
     EXIT_INTERNAL,
@@ -626,6 +627,7 @@ def test_torus_commands_never_load_numpy(files, tmp_path, command, example):
         ("collapse", "graph_stack"),
         ("decompose", "graph_stack"),
         ("model", "graph_stack"),
+        ("hyplab", "c6"),
     ],
 )
 def test_graph_backend_commands_never_load_numpy(files, tmp_path, command, name):
@@ -635,11 +637,11 @@ def test_graph_backend_commands_never_load_numpy(files, tmp_path, command, name)
     assert json.loads(target.read_text())["command"] == command
 
 
-def test_hyplab_loads_numpy(files, tmp_path):
-    target = tmp_path / "out"
-    out = numpy_probe(["hyplab", "--input", files["c6"], "--out", str(target)])
-    assert out == f"{EXIT_PASS} True\n"
-    assert json.loads(target.read_text())["command"] == "hyplab"
+def test_no_module_imports_numpy():
+    root = pathlib.Path(glueforge.__file__).resolve().parent
+    for path in sorted(root.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"^\s*(import|from)\s+numpy\b", text, re.M), path.name
 
 
 # importing dataclasses compiles its generated methods on every cold start,
@@ -732,6 +734,122 @@ def test_hyplab_on_300_vertices_is_fast(tmp_path):
     # frozen from the exhaustive O(n^4) scan, oracles.exhaustive_delta
     assert result["delta"] == [9, 2]
     assert result["diameter"] == 14
+
+
+def seeded_gnp_graph(seed: int, n: int, p: float) -> str:
+    """Edge-list text of a G(n, p) draw."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def complete_graph_text(n: int) -> str:
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def cycle_stack(n: int, ks: list[int]) -> GluingGraph:
+    """Cores and trivial I-bundles over C_n glued in a row by v -> -v,
+    bundle i carrying the edge {k, k+1} on F0 and its reflection on F1."""
+    h = BackendHandle.finite_graph(cycle_graph(n))
+    flip = SlotMap(h, perm=tuple(-v % n for v in range(n)))
+
+    def boundary(slot: str, *vertices: int) -> BoundarySpec:
+        marking = AbstractMarking(h, tuple(v % n for v in vertices))
+        return BoundarySpec(slot, handle=h, decoration=marking)
+
+    specs = [DecoratedManifoldSpec("ML", GENERIC, (boundary("E0", 0, 1),))]
+    for i, k in enumerate(ks):
+        ends = (boundary("F0", k, k + 1), boundary("F1", -k, -k - 1))
+        specs.append(DecoratedManifoldSpec(f"B{i}", TRIVIAL_IBUNDLE, ends, bundle_map=flip))
+    last = ks[-1] + 2
+    specs.append(DecoratedManifoldSpec("MR", GENERIC, (boundary("E0", -last, -last - 1),)))
+    m = len(ks)
+    idents = [
+        Identification(
+            f"p{i}", "E0" if i == 0 else "F1", f"p{i + 1}", "F0" if i < m else "E0", flip
+        )
+        for i in range(m + 1)
+    ]
+    return GluingGraph(
+        manifolds=tuple(specs),
+        pieces=tuple((f"p{i}", spec.id) for i, spec in enumerate(specs)),
+        identifications=tuple(idents),
+    ).validate()
+
+
+@pytest.fixture(scope="module")
+def large_graph_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("graphs")
+    texts = {
+        "c6.txt": C6,
+        "k7.txt": complete_graph_text(7),
+        "sparse300.txt": seeded_sparse_graph(300, 300, 50),
+        "sparse1000.txt": seeded_sparse_graph(1000, 1000, 166),
+        "gnp60.txt": seeded_gnp_graph(60, 60, 0.5),
+        "stack400.json": cycle_stack(400, [6, 14, 25]).canonical_json(),
+    }
+    out = {}
+    for name, text in texts.items():
+        (root / name).write_text(text)
+        out[name] = str(root / name)
+    return out
+
+
+# (exit code, sha256 of stdout) of cold runs, recorded while distance
+# tables still had an array form and graph backends built every row; any
+# change is a report change
+LARGE_GRAPH_STDOUT = {
+    ("hyplab", "c6.txt"): (
+        EXIT_PASS,
+        "7f61841b395a85b240d038c3d2a5735aaefd8103a19ed5b487ea99a4f0459938",
+    ),
+    ("hyplab", "k7.txt"): (
+        EXIT_PASS,
+        "0ce46a0c9dfe9008bd3a27519ff379474e67f710625fb60c16a5d7040bdd6d04",
+    ),
+    ("hyplab", "sparse300.txt"): (
+        EXIT_PASS,
+        "b9f8020e59e226eb002b044e9d4c342daf6f1fade853884b6ec0b584342395c2",
+    ),
+    ("hyplab", "sparse1000.txt"): (
+        EXIT_PASS,
+        "b4553771112609cbad1237aeb69989d7db1a6e8c759383522c58cbc8860a1f1f",
+    ),
+    ("hyplab", "gnp60.txt"): (
+        EXIT_PASS,
+        "06b3c001c288dc7083493adff33c8b5aa3d3e38f4b123aed6a2e57cfb5c38c63",
+    ),
+    ("validate", "stack400.json"): (
+        EXIT_PASS,
+        "6e7de117c32b8f25eb36e3a4fd3e08c2af340c69e60430105ce23e3130e609d2",
+    ),
+    ("report", "stack400.json"): (
+        EXIT_VERDICT,
+        "7c0cb5ac1fe4e8bfb5e5c505e8bab24896589911e20ff65469db96b0e20df8e8",
+    ),
+    ("collapse", "stack400.json"): (
+        EXIT_PASS,
+        "cf2239d30f4fe45591d173c7c8a6e0ae7ece9fd3a42b31328fa2db28b1257355",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, name", list(LARGE_GRAPH_STDOUT))
+def test_large_graph_report_bytes_pinned(large_graph_files, command, name):
+    proc = cold_run([command, "--input", large_graph_files[name]])
+    code, digest = LARGE_GRAPH_STDOUT[command, name]
+    assert proc.returncode == code, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_validate_computes_few_rows_of_a_large_curve_graph(large_graph_files, capsys):
+    surface._graph_table.cache_clear()
+    code, _, _ = run(capsys, ["validate", "--input", large_graph_files["stack400.json"]])
+    assert code == EXIT_PASS
+    table = surface._graph_table(cycle_graph(400))
+    assert table.n == 400
+    assert table.rows_held < 40
 
 
 # ----------------------------------------------------------- determinism

@@ -7,6 +7,7 @@ direct triple-loop oracle written independently below.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -148,8 +149,8 @@ def test_delta_frozen_small_graphs():
     assert four_point_delta(k4) == 0
     assert four_point_delta(c6) == 1
     # against the independent quadruple scan
-    assert oracles.brute_force_delta(k4.as_array().tolist()) == 0
-    assert oracles.brute_force_delta(c6.as_array().tolist()) == 1
+    assert oracles.brute_force_delta(k4.rows()) == 0
+    assert oracles.brute_force_delta(c6.rows()) == 1
 
 
 def test_delta_fixed_trees_are_zero():
@@ -163,14 +164,14 @@ def test_delta_matches_oracle_on_petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     t = table_of(FiniteGraph.from_edges(10, outer + inner + spokes))
-    assert four_point_delta(t) == oracles.brute_force_delta(t.as_array().tolist())
+    assert four_point_delta(t) == oracles.brute_force_delta(t.rows())
 
 
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(max_n=8))
 def test_delta_matches_oracle_on_random_graphs(g):
     t = table_of(g)
-    assert four_point_delta(t) == oracles.brute_force_delta(t.as_array().tolist())
+    assert four_point_delta(t) == oracles.brute_force_delta(t.rows())
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,7 +180,7 @@ def test_delta_invariant_under_vertex_permutation(g, rng):
     t = table_of(g)
     perm = list(range(g.vertex_count))
     rng.shuffle(perm)
-    permuted = DistanceTable(t.as_array()[np.ix_(perm, perm)])
+    permuted = DistanceTable(oracles.table_array(t)[np.ix_(perm, perm)])
     assert four_point_delta(permuted) == four_point_delta(t)
 
 
@@ -242,7 +243,7 @@ def test_delta_equals_exhaustive_oracles(g):
     expected = oracles.exhaustive_delta(t)
     assert four_point_delta(t) == expected
     if g.vertex_count <= 14:
-        assert oracles.brute_force_delta(t.as_array().tolist()) == expected
+        assert oracles.brute_force_delta(t.rows()) == expected
     # a relabelling is the metric of the relabelled graph; a submatrix is
     # mostly no graph metric at all, and takes the all-pairs path
     rng = random.Random(g.vertex_count)
@@ -269,28 +270,27 @@ def test_far_apart_pairs_match_their_definition():
     rng = random.Random(7)
     for n, chords in ((8, 4), (12, 6), (16, 12)):
         g = chorded_sparse_graph(rng, n, chords)
-        m = table_of(g).as_array()
+        m = table_of(g).rows()
         adj = g.adjacency()
         expected = [
             (u, v)
             for u in range(n)
             for v in range(u + 1, n)
-            if all(m[w, v] <= m[u, v] for w in adj[u])
-            and all(m[u, w] <= m[u, v] for w in adj[v])
+            if all(m[w][v] <= m[u][v] for w in adj[u])
+            and all(m[u][w] <= m[u][v] for w in adj[v])
         ]
-        a, b = _far_apart_pairs(m)
-        assert list(zip(a.tolist(), b.tolist())) == expected
+        assert _far_apart_pairs(m) == expected
 
 
 def test_pair_scan_stops_at_the_first_pair_within_the_best_gap():
     # not a metric, so matching its two pairs reports gap 4, above the
     # bound that holds in a metric: the scan must return the gap in hand
     # once no pair is longer than it
-    m = np.array([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])
-    a, b = np.array([0, 2]), np.array([1, 3])
-    assert _widest_gap(m, a, b, 0) == 4
-    assert _widest_gap(m, a, b, 2) == 2
-    assert _widest_gap(m, a, b, 3) == 3
+    m = [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
+    pairs = [(0, 1), (2, 3)]
+    assert _widest_gap(m, pairs, 0) == 4
+    assert _widest_gap(m, pairs, 2) == 2
+    assert _widest_gap(m, pairs, 3) == 3
 
 
 def test_delta_large_seeded_tree_zero():
@@ -300,6 +300,109 @@ def test_delta_large_seeded_tree_zero():
     edges = [(rng.randrange(v), v) for v in range(1, 200)]
     g = FiniteGraph.from_edges(200, edges)
     assert four_point_delta(table_of(g)) == 0
+
+
+def test_clique_blocks_skip_the_pair_scan():
+    # every pair of a clique is far apart and no scan stop fires before the
+    # last one, so a scan would match about 45,000 pairs against each other
+    t = table_of(complete_graph(300))
+    start = time.perf_counter()
+    assert four_point_delta(t) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def gnp_graph(rng: random.Random, n: int, p: float) -> FiniteGraph:
+    """A connected draw of G(n, p): draws are repeated until one is."""
+    while True:
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        try:
+            return FiniteGraph.from_edges(n, edges)
+        except ValidationError:
+            continue
+
+
+def split_graph(rng: random.Random, k: int, s: int) -> FiniteGraph:
+    """A clique on 0..k-1 plus s independent vertices, each joined to a
+    random nonempty part of the clique."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    for i in range(k, k + s):
+        nbrs = [u for u in range(k) if rng.random() < 0.5] or [rng.randrange(k)]
+        edges += [(u, i) for u in nbrs]
+    return FiniteGraph.from_edges(k + s, edges)
+
+
+def kernel_graphs() -> list:
+    rng = random.Random(909)
+    out = []
+    for n in (1, 2, 9, 30):
+        tree = FiniteGraph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+        out.append(pytest.param(tree, id=f"tree{n}"))
+    out += [pytest.param(cycle_graph(n), id=f"cycle{n}") for n in (3, 6, 11, 20)]
+    out += [pytest.param(complete_graph(n), id=f"complete{n}") for n in (2, 5, 12)]
+    for p, q in ((6, 10), (5, 8)):
+        first = cycle_edges(list(range(p)))
+        second = cycle_edges([0] + list(range(p, p + q - 1)))
+        g = FiniteGraph.from_edges(p + q, first + second + [(2, p + q - 1)])
+        out.append(pytest.param(g, id=f"C{p}+C{q}"))
+    for n, chords in ((20, 4), (40, 12), (60, 30)):
+        out.append(pytest.param(chorded_sparse_graph(rng, n, chords), id=f"sparse{n}+{chords}"))
+    for n, p in ((12, 0.3), (25, 0.5), (40, 0.15)):
+        out.append(pytest.param(gnp_graph(rng, n, p), id=f"G({n},{p})"))
+    for k, s in ((3, 4), (8, 10), (15, 20)):
+        out.append(pytest.param(split_graph(rng, k, s), id=f"split{k}+{s}"))
+    return out
+
+
+@pytest.mark.parametrize("g", kernel_graphs())
+def test_list_kernels_match_the_former_array_kernels(g):
+    t = table_of(g)
+    assert four_point_delta(t) == oracles.array_four_point_delta(t)
+    n = g.vertex_count
+    rng = random.Random(n * 31 + len(g.edges))
+    # the widest geodesic interval is the subset hyplab takes
+    rows = t.rows()
+    diameter = max(map(max, rows))
+    x = next(u for u, row in enumerate(rows) if max(row) == diameter)
+    subsets = [geodesic_interval(t, x, rows[x].index(diameter)), list(range(n))]
+    subsets += [rng.sample(range(n), rng.randint(1, min(n, 6))) for _ in range(6)]
+    for sub in subsets:
+        assert quasiconvexity_constant(t, sub) == oracles.array_quasiconvexity_constant(t, sub)
+        for r in (0, 1, rng.randint(2, 4)):
+            rep = check_qconvex_stability(t, sub, r)
+            assert (rep.table, rep.extremal) == oracles.array_stability(t, sub, r)
+
+
+def test_graph_table_computes_rows_as_they_are_read():
+    g = cycle_graph(10)
+    t = DistanceTable.of_graph(g)
+    assert t.n == 10 and t.rows_held == 0
+    assert t.d(0, 5) == 5 and t.rows_held == 1
+    # symmetric: d(3, 0) is read off row 0
+    assert t.d(3, 0) == 3 and t.rows_held == 1
+    assert t.row(7) == [3, 4, 5, 4, 3, 2, 1, 0, 1, 2] and t.rows_held == 2
+    assert t.d(7, 2) == 5 and t(2, 9) == 3 and t.rows_held == 3
+    assert t.rows() == all_pairs_distances(g).rows() and t.rows_held == 10
+
+
+def test_explicit_table_reads_row_u():
+    t = DistanceTable([[0, 1], [2, 0]])
+    assert t.rows_held == 2
+    assert t.d(0, 1) == 1 and t.d(1, 0) == 2
+    assert t.submatrix([1, 0]).rows() == [[0, 2], [1, 0]]
+    with pytest.raises(ValidationError, match="square"):
+        DistanceTable([[0, 1], [1]]).check()
+
+
+def test_geodesic_kernels_need_a_graph_metric():
+    # a metric, but no graph's: 0 and 2 are at distance 2 with nothing
+    # between them
+    t = DistanceTable([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    t.check()
+    assert four_point_delta(t) == 0
+    with pytest.raises(ValidationError, match="metric of a graph"):
+        quasiconvexity_constant(t, [0, 1])
+    with pytest.raises(ValidationError, match="metric of a graph"):
+        check_qconvex_stability(t, [0, 1], 1)
 
 
 # ---------------------------------------------------------------- geodesics
@@ -430,7 +533,7 @@ def test_stability_cycle_antipodal_frozen():
     assert rep.table == ((0, 3), (1, 3), (2, 0), (3, 0))
     assert not rep.degenerate
     assert rep.extremal == (5, 3, 0)
-    m = t.as_array().tolist()
+    m = t.rows()
     assert rep.table == stability_oracle(m, [0, 3], 1)
 
 
@@ -445,7 +548,7 @@ def test_stability_matches_oracle_more_cases():
     for g, sub, r in cases:
         t = table_of(g)
         rep = check_qconvex_stability(t, sub, r)
-        assert rep.table == stability_oracle(t.as_array().tolist(), sub, r)
+        assert rep.table == stability_oracle(t.rows(), sub, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,7 +560,7 @@ def test_stability_oracle_agreement_and_monotone(g, data):
     )
     r = data.draw(st.integers(0, 2))
     rep = check_qconvex_stability(t, sub, r)
-    assert rep.table == stability_oracle(t.as_array().tolist(), sorted(set(sub)), r)
+    assert rep.table == stability_oracle(t.rows(), sorted(set(sub)), r)
     values = [rp for _, rp in rep.table]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert rep.degenerate == (rep.extremal is None)

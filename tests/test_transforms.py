@@ -2,6 +2,7 @@
 compression assembly, decomposition, and transparency."""
 
 import importlib.util
+import json
 import pathlib
 import random
 from fractions import Fraction
@@ -948,6 +949,29 @@ def test_decomposition_splitting_errors():
     )
     with pytest.raises(ValidationError, match="leaves boundary E1 unplaced"):
         full_and_maximal_decomposition(y)
+
+
+def test_split_spec_records_hash_and_keep_their_bytes():
+    outer, inner_core, inner_body = split_spec()
+    assert hash(outer) == hash(split_spec()[0])
+    # the internal map is stored frozen and written back as the JSON it was
+    assert outer.splitting.identifications[0][4] == ((1, 0), (0, -1))
+    assert outer.splitting.to_json()["identifications"][0]["map"] == [[1, 0], [0, -1]]
+    text = canonical_dumps(outer.to_json())
+    again = DecoratedManifoldSpec.from_json(json.loads(text))
+    assert again == outer and hash(again) == hash(outer)
+    assert canonical_dumps(again.to_json()) == text
+    graph_map = {"perm": [0, 2, 1], "reverses_orientation": True}
+    split = Splitting(outer.splitting.pieces, (("core", "B1", "body", "E0", graph_map),))
+    assert hash(split) == hash(Splitting(split.pieces, split.identifications))
+    assert split.to_json()["identifications"][0]["map"] == graph_map
+    x = GluingGraph(
+        manifolds=(outer, inner_core, inner_body, core("N", push(REFLECTION))),
+        pieces=(("p0", "M"), ("p1", "N")),
+        identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
+        boundary_markings=((("p0", "E1"), mk("2/1", "3/1")),),
+    ).validate()
+    assert hash(x) == hash(GluingGraph.from_json(json.loads(x.canonical_json())))
 
 
 def test_decomposition_random_partition_exactness():
