@@ -15,20 +15,11 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator
 
+# Each command imports the layers it runs, so that a cold `hyplab` loads
+# no torus or gluing code and a cold `validate` no collapse or skeleton.
 from .errors import GlueforgeError, ParseError, ValidationError
-from .gluing import check_bounded_combinatorics, validate_gluing
-from .hypgraph import (
-    all_pairs_distances,
-    check_qconvex_stability,
-    four_point_delta,
-    geodesic_interval,
-    quasiconvexity_constant,
-    read_graph,
-)
 from .ioutil import canonical_dumps, sha256_of_text
-from .model import build_skeleton, export_skeleton, verify_thickness
 from .record import Record
-from .transforms import collapse_ibundles, full_and_maximal_decomposition
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -172,6 +163,8 @@ def _emit_report(cfg: RunConfig, text: str, result: dict) -> None:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
+    from .gluing import validate_gluing
+
     text = _read_input(cfg)
     x = validate_gluing(text)
     _emit_report(
@@ -188,6 +181,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
+    from .gluing import check_bounded_combinatorics, validate_gluing
+
     text = _read_input(cfg)
     x = validate_gluing(text)
     cert = check_bounded_combinatorics(x, cfg.r_bound, cfg.d_bound, cfg.denom_bound)
@@ -196,6 +191,9 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 def cmd_collapse(cfg: RunConfig) -> int:
+    from .gluing import validate_gluing
+    from .transforms import collapse_ibundles
+
     text = _read_input(cfg)
     x = validate_gluing(text)
     res = collapse_ibundles(x, cfg.r_bound, cfg.h_bound, cfg.denom_bound)
@@ -206,6 +204,9 @@ def cmd_collapse(cfg: RunConfig) -> int:
 
 
 def cmd_decompose(cfg: RunConfig) -> int:
+    from .gluing import validate_gluing
+    from .transforms import full_and_maximal_decomposition
+
     text = _read_input(cfg)
     x = validate_gluing(text)
     res = full_and_maximal_decomposition(x)
@@ -214,6 +215,9 @@ def cmd_decompose(cfg: RunConfig) -> int:
 
 
 def cmd_model(cfg: RunConfig) -> int:
+    from .gluing import validate_gluing
+    from .model import build_skeleton, export_skeleton, verify_thickness
+
     text = _read_input(cfg)
     x = validate_gluing(text)
     skeleton = build_skeleton(x, samples=cfg.samples)
@@ -230,6 +234,15 @@ def cmd_model(cfg: RunConfig) -> int:
 
 
 def cmd_hyplab(cfg: RunConfig) -> int:
+    from .hypgraph import (
+        all_pairs_distances,
+        check_qconvex_stability,
+        four_point_delta,
+        geodesic_interval,
+        quasiconvexity_constant,
+        read_graph,
+    )
+
     text = _read_input(cfg)
     graph = read_graph(text)
     table = all_pairs_distances(graph)

@@ -18,9 +18,10 @@ their product.
 The annular-projection search visits, for each ordered pair of marking
 slopes, the convergents of one in the chart of the other.  Each pivot core
 costs O(1) big-integer sums and products or quotients with a partial
-quotient, read off the convergent recurrence, so the search costs the
-total length of those continued fractions; no step multiplies two big
-numbers.
+quotient, read off the convergent recurrence; no step multiplies two big
+numbers.  The eight runs share all but a few cores at their ends, and
+the search runs one of them in full and of the others only the cores
+that differ, so it costs the length of one continued fraction.
 
 The shortest slope at x + iy costs O(log 1/y): Lagrange-Gauss reduction of
 the lattice Z + Zz runs exactly on the dyadic rationals x and y, and only
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import EmptyProjectionError, ParseError, PrecisionLossError, ValidationError, clip
 from .record import Record
@@ -371,9 +372,14 @@ def distances_from(a: Slope, targets: Iterable[Slope]) -> list[int]:
     costs one expansion plus O(1) big-integer operations per step, each a
     sum or a product or quotient with a partial quotient, and a row over
     unrelated targets one expansion per target.  Nothing is memoized, so
-    no answer depends on what the process computed before.
+    no answer depends on what the process computed before.  The chart of a
+    costs a modular inverse, quadratic in the digits of a, unless the
+    first target is a Farey neighbour of a.
     """
-    m = normalizer_to_infinity(a)
+    if not isinstance(targets, list):
+        targets = list(targets)
+    first = targets[0] if targets else a
+    m = normalizer_to_infinity(a, first if abs(a.p * first.q - a.q * first.p) == 1 else None)
     ma, mb, mc, md = m.a, m.b, m.c, m.d
     # levels (a_j, h_j, k_j, u_j, v_j) above the seeds h_{-2}/k_{-2} = 0/1
     # and h_{-1}/k_{-1} = 1/0; (u_j, v_j) is the min-plus row after
@@ -582,81 +588,211 @@ def _sweep_candidates(values: list[Fraction], denom_bound: int, pad: int = 2) ->
     return out
 
 
+def _det(p: int, q: int, s: Slope) -> int:
+    """Determinant of the vector (p, q) against the slope s."""
+    return p * s.q - q * s.p
+
+
+def _ladder(
+    slopes: tuple[Slope, ...],
+    i: int,
+    j: int,
+    u: tuple[int, int],
+    v: tuple[int, int],
+    num: int,
+    den: int,
+    stop: Callable[[Slope, Slope], bool] | None = None,
+) -> Iterator[tuple[Slope, int]]:
+    """Cores of the run from slopes[i] toward slopes[j] that follow the
+    pair (u, v), each with its projection value.
+
+    The run is the sequence of convergents of slopes[j] in a chart sending
+    slopes[i] to infinity, mapped back; (u, v) is one of its consecutive
+    pairs (previous core, current core) as signed vectors, and
+    num/den (den > 0) is the image of slopes[j] under [v | u]^-1: from a
+    seed, the target's chart image; at a later pair, its complete
+    quotient.  The run stops before slopes[j] itself, or before the first
+    core whose pair (previous core, core) stop accepts.
+
+    The next core is a v + u for the next partial quotient a, so no step
+    multiplies two big numbers:
+      * a slope z lands at -e'/e under [v | u]^-1, where e = det(v, z)
+        and e' = det(u, z) obey the same recurrence;
+      * slopes[i] lies in [-1, 0] in every chart of its own run, and the
+        target lands at its complete quotient, whose floor is the next
+        partial quotient;
+      * [v | u] has determinant +-1, alternating along the run; with
+        determinant -1 the canonical chart is s - [v | u]^-1 for an
+        integer s, and floor(s - w) is s + floor(-w).  The integer s
+        cancels in floor differences.
+    """
+    o1, o2 = (o for o in range(4) if o != i and o != j)
+    z1, z2 = slopes[o1], slopes[o2]
+    up, uq = u
+    vp, vq = v
+    pos = vp * uq - vq * up == 1
+    e1, e1_prev = _det(vp, vq, z1), _det(up, uq, z1)
+    e2, e2_prev = _det(vp, vq, z2), _det(up, uq, z2)
+    prev = _primitive_slope(vp, vq)
+    a, rem = divmod(num, den)
+    num, den = den, rem
+    f = [0, 0, 0, 0]
+    while den:
+        vp, up = a * vp + up, vp
+        vq, uq = a * vq + uq, vq
+        e1, e1_prev = a * e1 + e1_prev, e1
+        e2, e2_prev = a * e2 + e2_prev, e2
+        pos = not pos
+        core = _primitive_slope(vp, vq)
+        if stop is not None and stop(prev, core):
+            return
+        a, rem = divmod(num, den)
+        if pos:
+            f[i] = -1
+            f[j] = a
+            f[o1] = -e1_prev // e1 if e1 else None
+            f[o2] = -e2_prev // e2 if e2 else None
+        else:
+            f[i] = 0
+            f[j] = -a - 1 if rem else -a
+            f[o1] = e1_prev // e1 if e1 else None
+            f[o2] = e2_prev // e2 if e2 else None
+        if not (e1 and e2):
+            # a slope equal to the core drops out; its partner stays
+            f = [g if g is not None else f[o ^ 1] for o, g in enumerate(f)]
+        f0, f1, f2, f3 = f
+        hi = max(f0, f1) - min(f2, f3)
+        lo = max(f2, f3) - min(f0, f1)
+        yield core, (hi if hi > lo else lo) + 2
+        prev = core
+        num, den = den, rem
+
+
+# How many steps a run is checked for meeting a known ladder.  Runs meet
+# within a few steps; a run that has not met by then goes on alone, which
+# costs time and changes no value.
+_MEET = 6
+
+
+def _from_pair(
+    slopes: tuple[Slope, ...], i: int, j: int, a: Slope, b: Slope, pos: bool | None
+) -> Iterator[tuple[Slope, int]] | None:
+    """The run from slopes[i] toward slopes[j] after its pair (a, b), with
+    the signs of the pair's vectors made consistent: by the determinant
+    pos of the pair's chart when given, else by a positive complete
+    quotient of the target.  None when the target's image there is not a
+    complete quotient > 1 (pos given) or is infinite."""
+    up, uq, vp, vq = a.p, a.q, b.p, b.q
+    if pos is not None and (vp * uq - vq * up == 1) != pos:
+        up, uq = -up, -uq
+    target = slopes[j]
+    num, den = -_det(up, uq, target), _det(vp, vq, target)
+    if den < 0:
+        num, den = -num, -den
+    if pos is None and num < 0:
+        num, up, uq = -num, -up, -uq
+    if not den or num <= den:
+        return None
+    return _ladder(slopes, i, j, (up, uq), (vp, vq), num, den)
+
+
+def _meeting(pairs: list[tuple[int, Slope, Slope]]):
+    """A stop test that accepts, during a run's first _MEET steps, a pair
+    (previous core, core) listed in pairs, and the list that receives the
+    index listed with it."""
+    met: list[int] = []
+    steps = iter(range(_MEET))
+
+    def stop(prev: Slope, core: Slope) -> bool:
+        if next(steps, None) is None:
+            return False
+        for k, a, b in pairs:
+            if a == prev and b == core:
+                met.append(k)
+                return True
+        return False
+
+    return stop, met
+
+
 def _pivot_projections(m1: FareyMarking, m2: FareyMarking) -> Iterator[tuple[Slope, int]]:
-    """Every pivot core with its projection value; a core may come twice.
+    """Every pivot core with its projection value; a few cores come twice.
 
     The cores are the four marking slopes and, for each ordered pair (x, y)
-    of distinct marking slopes, the convergents of y in a chart N sending x
-    to infinity, mapped back (Minsky's pivots).  The set does not depend on
-    the choice of N: another orientation-preserving chart shifts y, and
-    every convergent with it, by an integer.
-
-    Write N(y) = [a_0; a_1, ..., a_n] with convergents h_k/k_k.  The k-th
-    core is N^-1(h_k/k_k), and C_k = M_k^-1 N, with M_k the matrix
-    [[h_k, h_{k-1}], [k_k, k_{k-1}]], sends it to infinity.  Both follow
-    the recurrence of the convergents, so no step multiplies two big
-    numbers:
-      * the core vector is a_k c_{k-1} + c_{k-2}, seeded with N^-1 (1, 0)
-        and N^-1 (0, 1);
-      * a slope z with N(z) = P/Q lands at -e_{k-1}/e_k, where
-        e_j = h_j Q - k_j P obeys the same recurrence from e_{-2} = -P and
-        e_{-1} = Q.
-    The pair's own slopes need no image: C_k(x) = -k_{k-1}/k_k lies in
-    [-1, 0], and C_k(y) is the complete quotient [a_{k+1}; ..., a_n], whose
-    floor is a_{k+1}.  C_k has determinant (-1)^(k+1); for even k the
-    canonical chart is s - C_k for an integer s, and floor(s - w) is
-    s + floor(-w).  The integer s cancels in floor differences.
+    of marking slopes from different markings, the convergents of y in a
+    chart sending x to infinity, mapped back (Minsky's pivots); the other
+    pairs are Farey neighbours and add no convergent.  The set does not
+    depend on the chart: another orientation-preserving chart shifts y,
+    and every convergent with it, by an integer.  A core's value depends
+    on the core alone, so the search values each core of the eight runs
+    once, up to a few at their ends, and runs only what it must (x' is
+    the partner of x in its marking, and y' that of y):
+      * x -> y runs in full; its cores, with x before them and y after,
+        form a ladder of consecutive pairs.
+      * x -> y' shares all but the last few partial quotients with it:
+        the run leaves the ladder at its last pair where y' has a
+        complete quotient > 1, and only its tail runs.
+      * x' -> y and x' -> y' run until they reach a pair of the ladder of
+        x -> y and x -> y' respectively.  For a fixed target the cores
+        after a pair depend on that pair alone, since the chart sending
+        its cores to 0 and infinity fixes the target's complete quotient.
+      * y -> x reverses the ladder of x -> y: in the chart of the pair
+        (c_{k+1}, c_k) the target x has complete quotient
+        a_{k+1} + q_{k-1}/q_k, whose floor is a_{k+1} for k >= 2, so the
+        next core is c_{k-1}.  Once the reverse run reaches a reversed
+        pair (c_{m+1}, c_m) with m >= 1 it passes (c_2, c_1), and it goes
+        on from there.  The same holds for the other three reverse runs
+        and the ladders of x -> y', x' -> y and x' -> y'.
+    A run never tests membership in a set of big-integer cores: it
+    compares its pairs with a few pairs at one end of a ladder.
     """
     slopes = (*m1.slopes(), *m2.slopes())
+    seeds = []
     for i, x in enumerate(slopes):
         # the partner slope of the same marking is a Farey neighbour of x
         norm = normalizer_to_infinity(x, slopes[i ^ 1])
         images = [_chart_image(norm, z) for z in slopes]
         yield x, _spread([num // den if den else None for num, den in images])
         back = norm.inverse()
-        for j, y in enumerate(slopes):
-            if y == x:
-                continue
-            num, den = images[j]
-            quots = []
-            while den:
-                a, rem = divmod(num, den)
-                quots.append(a)
-                num, den = den, rem
-            # the last convergent is y itself, a core of its own
-            n = len(quots) - 1
-            o1, o2 = (o for o in range(4) if o != i and o != j)
-            p1, q1 = images[o1]
-            p2, q2 = images[o2]
-            e1, e1_prev = q1, -p1
-            e2, e2_prev = q2, -p2
-            cp, cp_prev = back.a, back.b
-            cq, cq_prev = back.c, back.d
-            f = [0, 0, 0, 0]
-            for k in range(n):
-                a = quots[k]
-                cp, cp_prev = a * cp + cp_prev, cp
-                cq, cq_prev = a * cq + cq_prev, cq
-                e1, e1_prev = a * e1 + e1_prev, e1
-                e2, e2_prev = a * e2 + e2_prev, e2
-                nxt = quots[k + 1]
-                if k & 1:
-                    f[i] = -1
-                    f[j] = nxt
-                    f[o1] = -e1_prev // e1 if e1 else None
-                    f[o2] = -e2_prev // e2 if e2 else None
-                else:
-                    f[i] = 0
-                    f[j] = -nxt if k + 1 == n else -nxt - 1
-                    f[o1] = e1_prev // e1 if e1 else None
-                    f[o2] = e2_prev // e2 if e2 else None
-                if not (e1 and e2):
-                    # a slope equal to the core drops out; its partner stays
-                    f = [g if g is not None else f[o ^ 1] for o, g in enumerate(f)]
-                f0, f1, f2, f3 = f
-                hi = max(f0, f1) - min(f2, f3)
-                lo = max(f2, f3) - min(f0, f1)
-                yield _primitive_slope(cp, cq), (hi if hi > lo else lo) + 2
+        seeds.append(((back.b, back.d), (back.a, back.c), images))
+
+    def seeded(i: int, j: int, stop=None) -> Iterator[tuple[Slope, int]]:
+        u, v, images = seeds[i]
+        num, den = images[j]
+        return _ladder(slopes, i, j, u, v, num, den, stop)
+
+    # ladders[x, y]: slopes[x], the cores of the run x -> y, slopes[y]
+    ladders: dict[tuple[int, int], list[Slope]] = {}
+    for x, y in ((0, 2), (0, 3), (1, 2), (1, 3)):
+        if slopes[x] == slopes[y]:
+            continue
+        head, met = [slopes[x]], []
+        # 0 -> 3 branches off the ladder of 0 -> 2; 1 -> y merges into 0 -> y
+        ref = ladders.get((0, y) if x else (0, 2))
+        if ref is None:
+            run = seeded(x, y)
+        elif x:
+            stop, met = _meeting([(k, ref[k], ref[k + 1]) for k in range(min(len(ref) - 1, _MEET))])
+            run = seeded(x, y, stop)
+        else:
+            for k in range(len(ref) - 2, -1, -1):
+                tail = _from_pair(slopes, x, y, ref[k], ref[k + 1], k % 2 == 1)
+                if tail is not None:
+                    head, run = ref[: k + 2], tail
+                    break
+            else:
+                run = seeded(x, y)
+        cores = head[:]
+        for core, value in run:
+            cores.append(core)
+            yield core, value
+        ladders[x, y] = cores + (ref[met[0] + 1 :] if met else [slopes[y]])
+    for (x, y), ref in ladders.items():
+        low = max(2, len(ref) - 2 - _MEET)
+        stop, met = _meeting([(m, ref[m + 1], ref[m]) for m in range(len(ref) - 2, low - 1, -1)])
+        yield from seeded(y, x, stop)
+        if met:
+            yield from _from_pair(slopes, y, x, ref[3], ref[2], None)  # type: ignore[misc]
 
 
 def max_subsurface_projection(
@@ -672,7 +808,7 @@ def max_subsurface_projection(
     bound inside the padded value window of the marking slopes.
     Ties go to the candidate with the smaller (q, p) key.
 
-    The pivot search costs O(length of the continued fractions) big-integer
+    The pivot search costs O(length of one continued fraction) big-integer
     additions and divisions by small quotients: see _pivot_projections.
     """
     scored: Iterable[tuple[Slope, int]] = _pivot_projections(m1, m2)

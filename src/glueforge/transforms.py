@@ -30,10 +30,11 @@ from .gluing import (
     induced_markings,
     heights,
 )
-from .hypgraph import local_to_global_report
+from .hypgraph import QuasigeodesicReport, local_to_global_report
 from .record import Record
 from .surface import (
     AbstractMarking,
+    BackendHandle,
     curve_distance,
     curve_distances_from,
     disk_distance,
@@ -251,6 +252,85 @@ def _nu_sequence(
     return seq, transport, note
 
 
+def _stack_path(handle: BackendHandle, seq: Sequence[AbstractMarking]) -> tuple[list, list[int]]:
+    """The concatenated geodesic through the markings of seq, and for each
+    vertex i the last index of the last geodesic piece (a segment, or a
+    bridge between segments) that holds it: vertices i < j lie on one
+    piece exactly when j <= reach[i]."""
+    path: list = []
+    reach: list[int] = []
+
+    def attach(piece: list) -> None:
+        first = len(path) - 1 if path else 0
+        path.extend(piece[1:] if path else piece)
+        reach[first:] = [len(path) - 1] * (len(path) - first)
+
+    for a, b in zip(seq, seq[1:]):
+        seg = geodesic_between(a, b)
+        if path and path[-1] != seg[0]:
+            # closest-pair segments on a graph backend may land on a
+            # different representative of the junction marking
+            attach(
+                geodesic_between(
+                    AbstractMarking(handle, (path[-1],)), AbstractMarking(handle, (seg[0],))
+                )
+            )
+        attach(seg)
+    if not path:
+        attach(geodesic_between(seq[0], seq[0]))
+    return path, reach
+
+
+def _path_report(handle: BackendHandle, path: list, reach: list[int]) -> QuasigeodesicReport:
+    """The global quasigeodesic report of a stack path, over its indices.
+
+    Two vertices on one geodesic piece lie at their index difference: the
+    ratio is 1, never 0, and cannot beat the report's starting 1/1.  So
+    the rows measure only pairs on different pieces.  A measured row
+    starts at the next vertex, a neighbour, which spares the chart's
+    modular inverse on the torus."""
+
+    def dist(i: int, j: int) -> int:
+        if i > j:
+            i, j = j, i
+        return j - i if j <= reach[i] else curve_distance(handle, path[i], path[j])
+
+    def rows(i: int, js: Sequence[int]) -> list[int]:
+        if isinstance(js, range) and js.step == 1 and js.start == i + 1:
+            cut = max(js.start, min(reach[i] + 1, js.stop))
+            if cut == js.stop:
+                return list(range(1, cut - i))
+            far = curve_distances_from(handle, path[i], [path[i + 1], *path[cut : js.stop]])
+            return [*range(1, cut - i), *far[1:]]
+        return [dist(i, j) for j in js]
+
+    return local_to_global_report(dist, range(len(path)), window=len(path) - 1, rows=rows)
+
+
+def _fellow_traveling(handle: BackendHandle, path: list, direct: list) -> int:
+    """Largest distance from a path vertex to the direct geodesic.
+
+    Each vertex scans direct outward from its proportional index, in
+    chunks that double, and stops at the first distance no larger than
+    the running max, which that vertex can no longer raise; any other
+    vertex scans all of direct."""
+    best = 0
+    last = len(direct) - 1
+    for i, v in enumerate(path):
+        # a path neighbour leads each chunk, as in _path_report
+        lead = [path[i - 1 if i else 1]] if len(path) > 1 else []
+        lo = hi = i * last // max(len(path) - 1, 1)
+        near = curve_distances_from(handle, v, [*lead, direct[lo]])[-1]
+        step = 1
+        while near > best and (lo > 0 or hi < last):
+            new_lo, new_hi = max(lo - step, 0), min(hi + step, last)
+            chunk = [*lead, *direct[hi + 1 : new_hi + 1], *direct[new_lo:lo][::-1]]
+            near = min(near, *curve_distances_from(handle, v, chunk)[len(lead) :])
+            lo, hi, step = new_lo, new_hi, 2 * step
+        best = max(best, near)
+    return best
+
+
 def combine_stack(
     x: GluingGraph,
     piece_ids: Sequence[str],
@@ -294,28 +374,9 @@ def combine_stack(
         if witness:
             break
 
-    path: list = []
-    for a, b in zip(seq, seq[1:]):
-        seg = geodesic_between(a, b)
-        if path and path[-1] != seg[0]:
-            # closest-pair segments on a graph backend may land on a
-            # different representative of the junction marking
-            bridge = geodesic_between(
-                AbstractMarking(handle, (path[-1],)), AbstractMarking(handle, (seg[0],))
-            )
-            path.extend(bridge[1:])
-        path.extend(seg if not path else seg[1:])
-    if not path:
-        path = geodesic_between(seq[0], seq[0])
-
-    def dist(u: object, v: object) -> int:
-        return curve_distance(handle, u, v)
-
-    def rows(u: object, vs: Sequence) -> list[int]:
-        return curve_distances_from(handle, u, vs)
-
+    path, reach = _stack_path(handle, seq)
     if len(path) >= 2:
-        report = local_to_global_report(dist, path, window=len(path) - 1, rows=rows)
+        report = _path_report(handle, path, reach)
         k_prime = report.global_k if report.ok else None
     else:
         k_prime = Fraction(1)
@@ -328,8 +389,7 @@ def combine_stack(
         lower = Fraction(sum(hs), 1) / k_prime - k_prime
         lower_ok = Fraction(combined) >= lower
 
-    direct = geodesic_between(seq[0], seq[-1])
-    fellow = max(min(rows(v, direct)) for v in path)
+    fellow = _fellow_traveling(handle, path, geodesic_between(seq[0], seq[-1]))
 
     ok = (
         heights_ok

@@ -4,8 +4,8 @@ Everything here is deliberately written against plain integer tuples and
 brute-force definitions, so that it shares no code path with the package:
 the Farey oracle builds the mediant tessellation and runs BFS, while the
 production distance is a continued-fraction descent.  The exceptions are
-the reference kernels at the end, the package's former per-target row and
-pivot search, kept to test their depth-linear replacements against.
+the reference kernels at the end: the package's former per-target row and
+pivot searches, kept to test their replacements against.
 """
 
 from __future__ import annotations
@@ -293,6 +293,88 @@ def reference_max_subsurface_projection(m1, m2):
         if v is not None and v > best_val:
             best, best_val = core, v
     return best, best_val
+
+
+def enumerated_pivot_projections(m1, m2):
+    """The package's former pivot search: (core, value) for the four
+    marking slopes and every core of each of the twelve ordered slope
+    pairs, each run through its convergent recurrence in full.  A core
+    comes once per run that reaches it."""
+    from glueforge.torus import _chart_image, _primitive_slope, normalizer_to_infinity
+
+    def spread(f1, f2):
+        return max(max(f1) - min(f2), max(f2) - min(f1)) + 2
+
+    slopes = (*m1.slopes(), *m2.slopes())
+    for i, x in enumerate(slopes):
+        norm = normalizer_to_infinity(x, slopes[i ^ 1])
+        images = [_chart_image(norm, z) for z in slopes]
+        floors = [num // den if den else None for num, den in images]
+        yield x, spread(
+            [f for f in floors[:2] if f is not None], [f for f in floors[2:] if f is not None]
+        )
+        back = norm.inverse()
+        for j, y in enumerate(slopes):
+            if y == x:
+                continue
+            num, den = images[j]
+            quots = []
+            while den:
+                a, rem = divmod(num, den)
+                quots.append(a)
+                num, den = den, rem
+            # the last convergent is y itself, a core of its own
+            n = len(quots) - 1
+            o1, o2 = (o for o in range(4) if o != i and o != j)
+            p1, q1 = images[o1]
+            p2, q2 = images[o2]
+            e1, e1_prev = q1, -p1
+            e2, e2_prev = q2, -p2
+            cp, cp_prev = back.a, back.b
+            cq, cq_prev = back.c, back.d
+            f = [0, 0, 0, 0]
+            for k in range(n):
+                a = quots[k]
+                cp, cp_prev = a * cp + cp_prev, cp
+                cq, cq_prev = a * cq + cq_prev, cq
+                e1, e1_prev = a * e1 + e1_prev, e1
+                e2, e2_prev = a * e2 + e2_prev, e2
+                nxt = quots[k + 1]
+                if k & 1:
+                    f[i] = -1
+                    f[j] = nxt
+                    f[o1] = -e1_prev // e1 if e1 else None
+                    f[o2] = -e2_prev // e2 if e2 else None
+                else:
+                    f[i] = 0
+                    f[j] = -nxt if k + 1 == n else -nxt - 1
+                    f[o1] = e1_prev // e1 if e1 else None
+                    f[o2] = e2_prev // e2 if e2 else None
+                if not (e1 and e2):
+                    f = [g if g is not None else f[o ^ 1] for o, g in enumerate(f)]
+                yield _primitive_slope(cp, cq), spread(f[:2], f[2:])
+
+
+def all_pairs_path_report(handle, path):
+    """The former stack certificate's report: the global quasigeodesic
+    report of a stack path with every pair of its vertices measured."""
+    from glueforge.hypgraph import local_to_global_report
+    from glueforge.surface import curve_distance, curve_distances_from
+
+    return local_to_global_report(
+        lambda u, v: curve_distance(handle, u, v),
+        path,
+        window=len(path) - 1,
+        rows=lambda u, vs: curve_distances_from(handle, u, vs),
+    )
+
+
+def full_fellow_traveling(handle, path, direct) -> int:
+    """The former fellow-traveling scan: every path vertex against every
+    vertex of the direct geodesic."""
+    from glueforge.surface import curve_distances_from
+
+    return max(min(curve_distances_from(handle, v, direct)) for v in path)
 
 
 # The package's former numpy kernels of the graph laboratory, kept to test

@@ -125,6 +125,8 @@ def files(tmp_path_factory):
     out["inv1000"] = save("inv1000.json", inv1000.canonical_json())
     out["deep200"] = save("deep200.json", core_stack_core([200]).canonical_json())
     out["deep1000"] = save("deep1000.json", core_stack_core([1000]).canonical_json())
+    for name, ks in STACKS.items():
+        out[name] = save(f"{name}.json", core_stack_core(ks).canonical_json())
     # a 10,001-digit denominator: past the interpreter's default int/str
     # limit, which only the CLI lifts
     with any_int_digits():
@@ -491,12 +493,63 @@ DEEP_STDOUT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("command, name", list(DEEP_STDOUT_SHA256))
+# Stacks of two and six axis bundles with large height gaps; the sha256 of
+# the stdout of cold runs with default flags was recorded while the stack
+# certificate still measured every pair of path vertices
+STACKS = {
+    "stack100_600": [100, 600],
+    "stack100_1100": [100, 1100],
+    "stack50_300": [50, 100, 150, 200, 250, 300],
+}
+STACK_STDOUT_SHA256 = {
+    ("report", "stack100_600"): "210be08207f5f246cb404aa53ffa701ccd29c7108c493b9c1628d3da6a48360e",
+    ("collapse", "stack100_600"): "583c1dca6868f205808196c5dd55b2f39216af3b0e3659db698846c9a49d71e8",
+    ("report", "stack100_1100"): "2641a03db0ebc364f96b9482106ec7bc9d4206b5001b09f0f6596a0c55f61476",
+    ("collapse", "stack100_1100"): "1c5bc6bc6acc77697030ada86c1e33444e1adde88847aea405430868b936cf70",
+    ("report", "stack50_300"): "87d46243ca393383164ea56df4c802bbb01616e4ad2c470ae9ceb55ab8f363b2",
+    ("collapse", "stack50_300"): "25a99ec7fc028394e2f479fae4ae1898530bc7db4ed5f061ec696e6808e04dbb",
+}
+
+
+@pytest.mark.parametrize(
+    "command, name", list(DEEP_STDOUT_SHA256) + list(STACK_STDOUT_SHA256)
+)
 def test_deep_stack_report_bytes_pinned(files, command, name):
     proc = cold_run([command, "--input", files[name]])
     assert proc.returncode in (EXIT_PASS, EXIT_VERDICT), proc.stderr
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-    assert digest == DEEP_STDOUT_SHA256[command, name]
+    assert digest == {**DEEP_STDOUT_SHA256, **STACK_STDOUT_SHA256}[command, name]
+
+
+def loaded_modules(argv: list[str]) -> set[str]:
+    """The glueforge modules a cold process has loaded after one command."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from glueforge import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(sys.argv[1:])\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('glueforge.')))\n"
+    )
+    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_commands_load_only_the_layers_they_run(files):
+    hyplab = loaded_modules(["hyplab", "--input", files["c6"]])
+    assert "glueforge.hypgraph" in hyplab
+    for layer in ("gluing", "surface", "torus", "transforms", "model"):
+        assert f"glueforge.{layer}" not in hyplab
+    validate = loaded_modules(["validate", "--input", files["chain"]])
+    assert "glueforge.gluing" in validate
+    assert not {"glueforge.transforms", "glueforge.model"} & validate
 
 
 @pytest.mark.parametrize("command", ["validate", "report"])

@@ -1,12 +1,13 @@
 """Depth-linear torus kernels against their references.
 
 The ladder row and the recurrence pivot search replaced a per-target row
-and a pivot search that mapped every convergent back by a full product.
-Both former kernels live on in tests/oracles.py; here the new ones must
+and a pivot search that mapped every convergent back by a full product;
+the pivot search then stopped running the twelve slope pairs in full.
+The former kernels live on in tests/oracles.py; here the new ones must
 agree with them, and with the BFS oracle where it reaches, on seeded
 inputs that exercise every step kind: repeated vertices, steps that are
 not edges, the source itself on the path, infinity among the slopes, and
-continued fractions of up to 2,000 terms.
+continued fractions of up to 6,000 terms.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from glueforge.torus import (
 
 from oracles import (
     FareyOracle,
+    enumerated_pivot_projections,
     reference_core_projection,
     reference_max_subsurface_projection,
     reference_pivot_candidates,
@@ -203,10 +205,16 @@ def long_cf_map(rng: random.Random, terms: int) -> SurfaceMap:
     return g
 
 
-def assert_pivots_match(m1: FareyMarking, m2: FareyMarking) -> None:
+def scored_cores(pairs) -> dict[Slope, int]:
     scored: dict[Slope, int] = {}
-    for core, value in _pivot_projections(m1, m2):
+    for core, value in pairs:
         assert scored.setdefault(core, value) == value, core
+    return scored
+
+
+def assert_pivots_match(m1: FareyMarking, m2: FareyMarking) -> None:
+    scored = scored_cores(_pivot_projections(m1, m2))
+    assert scored == scored_cores(enumerated_pivot_projections(m1, m2))
     ref = reference_pivot_candidates(m1, m2)
     assert scored.keys() == ref.keys()
     for core, neighbour in ref.items():
@@ -255,3 +263,50 @@ def test_pivot_search_matches_reference_on_long_continued_fractions(terms):
     h = long_cf_map(rng, terms // 3)
     assert_pivots_match(marking_from(g @ REFLECTION, True), marking_from(h, False))
     assert_pivots_match(marking_from(h, True), marking_from(g, False))
+
+
+def fibonacci_marking(n: int) -> FareyMarking:
+    """(F(n+1)/F(n), F(n)/F(n-1)): Farey neighbours whose continued
+    fractions are n ones."""
+    a, b = 1, 1
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return FareyMarking(Slope(a + b, b), Slope(b, a))
+
+
+GOLDEN = SurfaceMap(2, 1, 1, 1)
+ORIGIN = FareyMarking(Slope(0, 1), INFINITY)
+
+
+def assert_search_matches_enumeration(m1: FareyMarking, m2: FareyMarking) -> None:
+    """The search against the twelve-pair enumeration alone, for inputs
+    too deep for the slope-by-slope reference."""
+    enumerated = list(enumerated_pivot_projections(m1, m2))
+    assert scored_cores(_pivot_projections(m1, m2)) == scored_cores(enumerated)
+    best = min(enumerated, key=lambda cv: (-cv[1], cv[0].sort_key()))
+    label, value = max_subsurface_projection(m1, m2)
+    assert (label.core, value) == best
+
+
+@pytest.mark.parametrize("k", [500, 3000])
+def test_pivot_search_matches_enumeration_on_golden_stacks(k):
+    far = GOLDEN.power(k).on_marking(ORIGIN)
+    assert_search_matches_enumeration(ORIGIN, far)
+    assert_search_matches_enumeration(far, ORIGIN)
+
+
+def test_pivot_search_matches_enumeration_on_fibonacci_markings():
+    fib = fibonacci_marking(1000)
+    for other in (ORIGIN, REFLECTION.on_marking(fib), fibonacci_marking(997)):
+        assert_search_matches_enumeration(fib, other)
+        assert_search_matches_enumeration(other, fib)
+
+
+def test_pivot_search_values_each_golden_core_about_once():
+    # the enumeration runs all eight cross pairs in full: 7,984 cores, of
+    # which 1,002 distinct; the search values 1,010
+    far = GOLDEN.power(500).on_marking(ORIGIN)
+    enumerated = list(enumerated_pivot_projections(ORIGIN, far))
+    assert len(enumerated) == 7984
+    assert len({core for core, _ in enumerated}) == 1002
+    assert sum(1 for _ in _pivot_projections(ORIGIN, far)) == 1010

@@ -47,6 +47,8 @@ from glueforge.torus import (
     parse_slope,
 )
 from glueforge.transforms import (
+    _path_report,
+    _stack_path,
     CompressionStep,
     build_compression,
     collapse_ibundles,
@@ -55,6 +57,8 @@ from glueforge.transforms import (
     measured_r_bound,
     transparency_and_induced_charsub,
 )
+
+from oracles import all_pairs_path_report, full_fellow_traveling
 
 T = BackendHandle.torus()
 A = SurfaceMap(2, 1, 1, 1)
@@ -273,6 +277,113 @@ def test_combine_stack_backend_mismatch():
     ).validate()
     with pytest.raises(BackendMismatchError, match="different backends"):
         combine_stack(x, ["p0", "p2"], 1, 6)
+
+
+def assert_stack_certificate_matches_oracles(x: GluingGraph, pieces: list[str]):
+    """k', the offending pair and the fellow-traveling constant against
+    the all-pairs report and the full scan; returns the certificate and
+    whether the path holds a bridge."""
+    cert = combine_stack(x, pieces, 1, 6)
+    handle = cert.nu[0].handle
+    path, reach = _stack_path(handle, cert.nu)
+    if len(path) >= 2:
+        report = _path_report(handle, path, reach)
+        assert report == all_pairs_path_report(handle, path)
+        assert cert.k_prime == (report.global_k if report.ok else None)
+    direct = geodesic_between(cert.nu[0], cert.nu[-1])
+    assert cert.fellow_traveling == full_fellow_traveling(handle, path, direct)
+    segments = sum(len(geodesic_between(a, b)) - 1 for a, b in zip(cert.nu, cert.nu[1:]))
+    return cert, len(path) - 1 > segments
+
+
+def random_torus_stack(rng: random.Random, k: int) -> GluingGraph:
+    """k bundles whose decorations are pushed by seeded words, so that
+    the stack path zigzags and often revisits a vertex."""
+    from test_torus_kernels import random_map
+
+    bundles = []
+    for i in range(k):
+        g = random_map(rng, rng.randrange(0, 8))
+        twist = random_map(rng, rng.randrange(0, 3))
+        bundles.append(bundle(f"B{i}", push(g), push(REFLECTION @ g @ twist)))
+    return chain(core("ML", MU), *bundles, core("MR", push(random_map(rng, 5))))
+
+
+def random_cycle_stack(rng: random.Random, n: int, k: int) -> GluingGraph:
+    """k bundles over C_n glued by v -> -v, each decoration one to three
+    vertices within distance 2, so that closest pairs of consecutive
+    segments often land on different vertices of a marking."""
+    from glueforge.hypgraph import cycle_graph
+
+    h = BackendHandle.finite_graph(cycle_graph(n))
+    flip = SlotMap(h, perm=tuple(-v % n for v in range(n)))
+
+    def end(slot: str) -> BoundarySpec:
+        v = rng.randrange(n)
+        vertices = {(v + d) % n for d in rng.sample(range(3), rng.randrange(1, 4))}
+        return BoundarySpec(slot, handle=h, decoration=AbstractMarking(h, tuple(sorted(vertices))))
+
+    specs = [DecoratedManifoldSpec("ML", GENERIC, (end("E0"),))]
+    for i in range(k):
+        specs.append(
+            DecoratedManifoldSpec(f"B{i}", TRIVIAL_IBUNDLE, (end("F0"), end("F1")), bundle_map=flip)
+        )
+    specs.append(DecoratedManifoldSpec("MR", GENERIC, (end("E0"),)))
+    idents = [
+        Identification(f"p{i}", "E0" if i == 0 else "F1", f"p{i + 1}", "F0" if i < k else "E0", flip)
+        for i in range(k + 1)
+    ]
+    return GluingGraph(
+        manifolds=tuple(specs),
+        pieces=tuple((f"p{i}", spec.id) for i, spec in enumerate(specs)),
+        identifications=tuple(idents),
+    ).validate()
+
+
+def test_stack_certificate_matches_all_pairs_oracles_on_torus_stacks():
+    rng = random.Random(2718)
+    seen = {"fellow": 0, "revisit": 0}
+    for k in list(range(1, 7)) * 8:
+        cert, _ = assert_stack_certificate_matches_oracles(
+            random_torus_stack(rng, k), [f"p{i + 1}" for i in range(k)]
+        )
+        seen["fellow"] += cert.fellow_traveling > 0
+        seen["revisit"] += cert.k_prime is None
+    # axis stacks: one geodesic, fellow 0
+    for ks in ([3], [2, 7, 13], [5, 9, 12, 30, 31, 40]):
+        x = core_stack_core(ks, right_power=ks[-1] + 4)
+        assert_stack_certificate_matches_oracles(x, [f"p{i + 1}" for i in range(len(ks))])
+    assert seen["fellow"] >= 10 and seen["revisit"] >= 10
+
+
+def test_stack_certificate_matches_all_pairs_oracles_on_graph_stacks():
+    rng = random.Random(1618)
+    bridged = 0
+    for _ in range(80):
+        k = rng.randrange(1, 5)
+        x = random_cycle_stack(rng, rng.randrange(5, 40), k)
+        bridged += assert_stack_certificate_matches_oracles(x, [f"p{i + 1}" for i in range(k)])[1]
+    assert bridged >= 10
+
+
+def test_collapse_measures_few_distance_targets(monkeypatch):
+    # every geodesic piece of the path is known by its indices: the former
+    # all-pairs rows sent 1,502,517 targets to the torus row here
+    from glueforge import surface
+
+    count = 0
+    real = surface.distances_from
+
+    def counting(a, targets):
+        nonlocal count
+        targets = list(targets)
+        count += len(targets)
+        return real(a, targets)
+
+    monkeypatch.setattr(surface, "distances_from", counting)
+    res = collapse_ibundles(core_stack_core([100, 1100]), 6, 1)
+    assert res.ok
+    assert count <= 4000
 
 
 # --------------------------------------------------------------- collapse
