@@ -11,9 +11,11 @@ other exception, reported on one stderr line as a fault of glueforge).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+import warnings
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Sequence
 
 # Each command imports the layers it runs, so that a cold `hyplab` loads
 # no torus or gluing code and a cold `validate` no collapse or skeleton.
@@ -79,7 +81,13 @@ class RunConfig(Record):
         }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser, for argv when given.  Every command gets its subparser,
+    for the top-level help and the list of choices, but with argv only the
+    command that argv names gets its arguments: the top level takes no
+    option with a value, so that command is the first argument not
+    starting with '-'."""
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
     parser = argparse.ArgumentParser(
         prog="glueforge",
         description="exact decorated-gluing toolkit: validation, certificates,"
@@ -95,6 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("hyplab", "measure hyperbolicity and stability on a finite graph"),
     ):
         cmd = sub.add_parser(name, help=blurb)
+        if named is not None and name != named:
+            continue
         cmd.add_argument("--input", required=True, help="input file path")
         cmd.add_argument("--R", type=int, default=6, dest="r_bound")
         cmd.add_argument("--D", type=int, default=1, dest="d_bound")
@@ -301,10 +311,19 @@ def _any_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(saved)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """One line per warning, without the source line that the default
+    format reads from the caller's file."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
-        with _any_int_digits():
+        with _any_int_digits(), warnings.catch_warnings():
+            warnings.showwarning = _show_warning
             cfg = _config(args)
             return _COMMANDS[cfg.command](cfg)
     except ParseError as exc:
@@ -318,5 +337,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+def entry() -> int:
+    """Process entry of `python -m glueforge.cli` and of the `glueforge`
+    script: main() on the command line, then gc.freeze().  At exit the
+    interpreter runs a full collection over every tracked object, most of
+    them loaded at start-up, only to let the process end; frozen objects
+    are left out of it.  main() leaves the collector alone, so in-process
+    callers keep theirs as it was."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

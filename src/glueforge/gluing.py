@@ -205,7 +205,7 @@ class BoundarySpec(Record):
         return out
 
     @staticmethod
-    def from_json(obj: object) -> "BoundarySpec":
+    def from_json(obj: object, graphs: dict | None = None) -> "BoundarySpec":
         if not isinstance(obj, Mapping) or "id" not in obj:
             raise ParseError("boundary spec must be an object with an id")
         bid = str(obj["id"])
@@ -213,7 +213,7 @@ class BoundarySpec(Record):
             return BoundarySpec(bid, toroidal=True)
         if "backend" not in obj or "decoration" not in obj:
             raise ParseError(f"boundary {bid} needs backend and decoration")
-        handle = BackendHandle.from_json(obj["backend"])
+        handle = BackendHandle.from_json(obj["backend"], graphs)
         decoration = AbstractMarking.from_json(handle, obj["decoration"])
         disks = DiskSet.from_json(handle, obj.get("disks", []), owner=bid)
         # semantic rules (such as the compressible/disk-set pairing) keep
@@ -561,10 +561,12 @@ class DecoratedManifoldSpec(Record):
         return out
 
     @staticmethod
-    def from_json(obj: object) -> "DecoratedManifoldSpec":
+    def from_json(obj: object, graphs: dict | None = None) -> "DecoratedManifoldSpec":
         if not isinstance(obj, Mapping) or "id" not in obj or "kind" not in obj:
             raise ParseError("manifold spec must declare an id and a kind")
-        boundaries = tuple(BoundarySpec.from_json(b) for b in _json_list(obj, "boundaries"))
+        boundaries = tuple(
+            BoundarySpec.from_json(b, graphs) for b in _json_list(obj, "boundaries")
+        )
         bundle_map = None
         cover = None
         chart = next((b.handle for b in boundaries if b.handle is not None), None)
@@ -810,7 +812,11 @@ class GluingGraph(Record):
     def from_json(obj: object) -> "GluingGraph":
         if not isinstance(obj, Mapping):
             raise ParseError("gluing spec must be a JSON object")
-        manifolds = tuple(DecoratedManifoldSpec.from_json(m) for m in _json_list(obj, "manifolds"))
+        # each distinct graph backend declaration is parsed once per file
+        graphs: dict = {}
+        manifolds = tuple(
+            DecoratedManifoldSpec.from_json(m, graphs) for m in _json_list(obj, "manifolds")
+        )
         specs = {m.id: m for m in manifolds}
         pieces = []
         for p in _json_list(obj, "pieces"):

@@ -38,13 +38,15 @@ instead of testing every vertex pair, so they cost O(n + m) per point.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import compress
 from operator import and_, gt, itemgetter, le
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import ParseError, ValidationError, clip
 from .record import Record
+
+if TYPE_CHECKING:  # fractions loads decimal: each function that builds one imports it
+    from fractions import Fraction
 
 __all__ = [
     "FiniteGraph",
@@ -240,6 +242,8 @@ def four_point_delta(table: DistanceTable) -> Fraction:
     distance-1 pairs span), the scan runs per biconnected block over the
     far-apart pairs only; otherwise the table must be a metric, and the
     scan runs over all pairs.  Both are exact: see the module docstring."""
+    from fractions import Fraction
+
     rows = table.rows()
     adj = _graph_adjacency(table)
     if adj is None:
@@ -675,7 +679,7 @@ class PathWitness(Record):
                 d = dist(vs[i], vs[j])
                 if d == 0:
                     raise ValidationError(f"revisited vertex over interval ({i}, {j})")
-                if Fraction(j - i, d) > self.k:
+                if j - i > self.k * d:
                     raise ValidationError(
                         f"claimed constant {self.k} violated on interval ({i}, {j})"
                     )
@@ -731,6 +735,8 @@ def local_to_global_report(
     quasigeodesic at any constant; the report flags the offending interval
     and carries no ratios.  rows(u, vs), when given, must return
     [dist(u, v) for v in vs]; it lets an oracle share work along a row."""
+    from fractions import Fraction
+
     d = _as_dist(dist)
     if window < 1:
         raise ValidationError("window must be at least 1")

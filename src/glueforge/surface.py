@@ -137,7 +137,11 @@ class BackendHandle(Record):
         return out
 
     @staticmethod
-    def from_json(obj: object) -> "BackendHandle":
+    def from_json(obj: object, graphs: dict | None = None) -> "BackendHandle":
+        """Parse a backend declaration.  graphs, shared across the
+        declarations of one file, maps (n, edges) to the graph parsed for
+        it, so that equal declarations share one FiniteGraph and its
+        distance table."""
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ParseError("backend declaration must be an object with a kind")
         kind = obj["kind"]
@@ -146,9 +150,12 @@ class BackendHandle(Record):
         if kind != GRAPH:
             raise ParseError(f"unknown backend kind {clip(kind)}")
         try:
-            graph = FiniteGraph.from_edges(
-                int(obj["n"]), [(int(u), int(v)) for u, v in obj.get("edges", [])]
-            )
+            key = (int(obj["n"]), tuple((int(u), int(v)) for u, v in obj.get("edges", [])))
+            if graphs is None:
+                graphs = {}
+            if key not in graphs:
+                graphs[key] = FiniteGraph.from_edges(*key)
+            graph = graphs[key]
             markings = {
                 str(name): [int(v) for v in vs]
                 for name, vs in obj.get("markings", {}).items()
@@ -323,11 +330,25 @@ def curve_distances_from(handle: BackendHandle, a: object, targets: Sequence) ->
     return [row[t] for t in targets]
 
 
+def _min_distance(m: AbstractMarking, targets: Sequence) -> int:
+    """Min curve-graph distance from any marking element to any target.  On
+    the torus the other slope of the marking is a Farey neighbour of each,
+    which spares each row's chart its modular inverse."""
+    if not m.handle.is_torus:
+        return min(min(curve_distances_from(m.handle, x, targets)) for x in m.elements())
+    if not all(isinstance(t, Slope) for t in targets):
+        raise ValidationError("torus curve vertices are slopes")
+    base, transversal = m.elements()
+    return min(
+        min(distances_from(base, targets, transversal)),
+        min(distances_from(transversal, targets, base)),
+    )
+
+
 def marking_distance(m1: AbstractMarking, m2: AbstractMarking) -> int:
     """Min over element pairs of the curve-graph distance."""
     _require_same(m1.handle, m2.handle)
-    ys = m2.elements()
-    return min(min(curve_distances_from(m1.handle, x, ys)) for x in m1.elements())
+    return _min_distance(m1, m2.elements())
 
 
 def marking_diameter(*markings: AbstractMarking) -> int:
@@ -380,9 +401,7 @@ def disk_distance(m: AbstractMarking, disks: DiskSet) -> int:
     if disks.is_empty:
         name = disks.owner or "<unnamed>"
         raise ValidationError(f"empty disk set on boundary {name}")
-    return min(
-        min(curve_distances_from(m.handle, x, disks.elements)) for x in m.elements()
-    )
+    return _min_distance(m, disks.elements)
 
 
 def _graph_permutation(handle: BackendHandle, descriptor: object) -> list[int]:
@@ -447,7 +466,7 @@ def marking_to_path_distance(m: AbstractMarking, path: Sequence) -> int:
     """Min curve-graph distance from any marking element to any path vertex."""
     if not path:
         raise ValidationError("empty path")
-    return min(min(curve_distances_from(m.handle, x, path)) for x in m.elements())
+    return _min_distance(m, path)
 
 
 def as_torus_marking(m: AbstractMarking) -> FareyMarking:

@@ -41,12 +41,14 @@ Conventions fixed here and recorded in exported reports:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import EmptyProjectionError, ParseError, PrecisionLossError, ValidationError, clip
 from .record import Record
+
+if TYPE_CHECKING:  # fractions loads decimal: Slope.value imports it when called
+    from fractions import Fraction
 
 __all__ = [
     "Slope",
@@ -101,6 +103,8 @@ class Slope(Record):
         return self.q == 0
 
     def value(self) -> Fraction | None:
+        from fractions import Fraction
+
         return None if self.q == 0 else Fraction(self.p, self.q)
 
     def __str__(self) -> str:
@@ -343,7 +347,9 @@ def farey_distance(a: Slope, b: Slope) -> int:
     return distances_from(a, (b,))[0]
 
 
-def distances_from(a: Slope, targets: Iterable[Slope]) -> list[int]:
+def distances_from(
+    a: Slope, targets: Iterable[Slope], neighbour: Slope | None = None
+) -> list[int]:
     """Farey distances from a to each target, in order.
 
     In the chart sending a to infinity, a target [a_0; a_1, ..., a_n]
@@ -373,13 +379,14 @@ def distances_from(a: Slope, targets: Iterable[Slope]) -> list[int]:
     sum or a product or quotient with a partial quotient, and a row over
     unrelated targets one expansion per target.  Nothing is memoized, so
     no answer depends on what the process computed before.  The chart of a
-    costs a modular inverse, quadratic in the digits of a, unless the
-    first target is a Farey neighbour of a.
+    costs a modular inverse, quadratic in the digits of a, unless a Farey
+    neighbour of a is at hand: the neighbour passed in, such as the other
+    slope of a marking, or else the first target.
     """
     if not isinstance(targets, list):
         targets = list(targets)
-    first = targets[0] if targets else a
-    m = normalizer_to_infinity(a, first if abs(a.p * first.q - a.q * first.p) == 1 else None)
+    hint = neighbour if neighbour is not None else targets[0] if targets else a
+    m = normalizer_to_infinity(a, hint if abs(a.p * hint.q - a.q * hint.p) == 1 else None)
     ma, mb, mc, md = m.a, m.b, m.c, m.d
     # levels (a_j, h_j, k_j, u_j, v_j) above the seeds h_{-2}/k_{-2} = 0/1
     # and h_{-1}/k_{-1} = 1/0; (u_j, v_j) is the min-plus row after
@@ -832,11 +839,11 @@ def sigma_matrix(m: FareyMarking) -> SurfaceMap:
     return cand
 
 
-# Largest cosh d - 1 (d the half-plane distance) accepted between a float
-# balanced point and the exact one.  The float image of i cancels its
-# imaginary part away as axis powers grow: the error stays below 1e-5 in
-# distance up to power 14 and reaches 0.03 at power 18.
-SIGMA_COSH_TOL = Fraction(1, 10**6)
+# cosh d - 1 (d the half-plane distance) between a float balanced point
+# and the exact one is accepted up to 1/SIGMA_COSH_INV_TOL.  The float image
+# of i cancels its imaginary part away as axis powers grow: the error stays
+# below 1e-5 in distance up to power 14 and reaches 0.03 at power 18.
+SIGMA_COSH_INV_TOL = 10**6
 
 
 def sigma_of_marking(m: FareyMarking) -> TeichPoint:
@@ -852,9 +859,8 @@ def sigma_of_marking(m: FareyMarking) -> TeichPoint:
         w = (g.a * 1j + g.b) / (g.c * 1j + g.d)
     except OverflowError:  # entries beyond the range of a double
         w = complex(math.nan, math.nan)
-    exact = (Fraction(g.a * g.c + g.b * g.d, s), Fraction(1, s))
-    if not (math.isfinite(w.real) and 0.0 < w.imag < math.inf) or (
-        _cosh_gap(w, *exact) > SIGMA_COSH_TOL
+    if not (math.isfinite(w.real) and 0.0 < w.imag < math.inf) or _cosh_gap_exceeds(
+        w, g.a * g.c + g.b * g.d, s
     ):
         raise PrecisionLossError(
             f"balanced point with c^2 + d^2 of {s.bit_length()} bits"
@@ -863,11 +869,15 @@ def sigma_of_marking(m: FareyMarking) -> TeichPoint:
     return TeichPoint(w.real, w.imag)
 
 
-def _cosh_gap(w: complex, x: Fraction, y: Fraction) -> Fraction:
-    """cosh d - 1 = |w - z|^2 / (2 Im w Im z) between w and z = x + iy, exactly."""
-    dx = Fraction(w.real) - x
-    dy = Fraction(w.imag) - y
-    return (dx * dx + dy * dy) / (2 * Fraction(w.imag) * y)
+def _cosh_gap_exceeds(w: complex, x: int, s: int) -> bool:
+    """Whether cosh d - 1 = |w - z|^2 / (2 Im w Im z) between w and
+    z = (x + i)/s exceeds 1/SIGMA_COSH_INV_TOL, in integers: with the
+    floats Re w = a/b and Im w = c/e, the gap times 2 b^2 e^2 s^2 Im w Im z
+    is (a s - x b)^2 e^2 + (c s - e)^2 b^2."""
+    a, b = w.real.as_integer_ratio()
+    c, e = w.imag.as_integer_ratio()
+    scaled = (a * s - x * b) ** 2 * e * e + (c * s - e) ** 2 * b * b
+    return scaled * SIGMA_COSH_INV_TOL > 2 * c * e * s * b * b
 
 
 def curve_length(z: TeichPoint, a: Slope) -> float:

@@ -2,6 +2,7 @@
 export paths, all through main(argv)."""
 
 import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -698,11 +699,12 @@ def test_no_module_imports_numpy():
 
 
 # importing dataclasses compiles its generated methods on every cold start,
-# and it loads inspect; records are built without either
+# and it loads inspect; records are built without either.  fractions loads
+# decimal and numbers; only the delta, path and collapse reports build one
 _IMPORT_PROBE = (
     "import sys\n"
     "from glueforge import cli\n"
-    "heavy = ('dataclasses', 'inspect')\n"
+    "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
     "print(*[m for m in heavy if m in sys.modules])\n"
     "code = cli.main(sys.argv[1:])\n"
     "print(code, *[m for m in heavy if m in sys.modules])\n"
@@ -712,17 +714,133 @@ _IMPORT_PROBE = (
 def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
     src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
     target = tmp_path / "out"
-    argv = ["validate", "--input", files["example:chain"], "--out", str(target)]
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+    for command in ("validate", "report", "model"):
+        argv = [command, "--input", files["example:chain"], "--out", str(target)]
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"\n{EXIT_PASS}\n", command
+        report = json.loads(target.read_text())
+        assert report["command"] == command
+        if command == "validate":
+            assert report["result"]["valid"] is True
+
+
+# ------------------------------------------------------- process entry
+
+
+def cold_bytes(argv: list[str]) -> subprocess.CompletedProcess:
+    """`python -m glueforge.cli argv...` in a fresh interpreter, stdout as bytes."""
+    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "glueforge.cli", *argv],
         capture_output=True,
-        text=True,
         timeout=120,
         env=dict(os.environ, PYTHONPATH=src),
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"\n{EXIT_PASS}\n"
-    assert json.loads(target.read_text())["result"]["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "command, example",
+    [
+        ("validate", "example:twisted"),
+        ("report", "example:chain"),
+        ("collapse --emit-correspondence", "example:stack"),
+        ("collapse", "example:fibered"),
+        ("decompose", "example:compression"),
+        ("model", "example:compression"),
+        ("model --eps0 0.3", "example:thin"),
+        ("model --format obj", "example:chain"),
+        ("hyplab", "c6"),
+    ],
+)
+def test_process_entry_matches_in_process_main(files, capsys, command, example):
+    argv = [*command.split(), "--input", files[example]]
+    proc = cold_bytes(argv)
+    code, out, err = run(capsys, argv)
+    assert proc.returncode == code
+    assert proc.stdout == out.encode()
+    assert proc.stderr.decode() == err
+
+
+def test_warnings_print_one_line_each(files, capsys):
+    argv = ["model", "--input", files["example:compression"]]
+    expected = ["warning: unburied slot p1:E1 has no free marking; boundary tube omitted"]
+    assert cold_bytes(argv).stderr.decode().splitlines() == expected
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_PASS
+    assert err.splitlines() == expected
+
+
+def full_parser_output(capsys, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of argparse on the parser with every
+    command's arguments, as it was built before parsers were trimmed to
+    the command named on the command line."""
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["report", "--help"],
+        ["collapse", "--help"],
+        ["bogus"],
+        [],
+        ["report"],
+        ["report", "--input", "x.json", "--bogus"],
+        ["model", "--input", "x.json", "--samples", "many"],
+        ["hyplab", "--input", "x.txt", "--emit-correspondence"],
+        ["--R", "3", "report", "--input", "x.json"],
+    ],
+)
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    proc = cold_bytes(argv)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == full_parser_output(
+        capsys, argv
+    )
+
+
+def test_help_names_every_command_and_flag(capsys):
+    proc = cold_bytes(["--help"])
+    assert proc.returncode == EXIT_PASS
+    for name in ("validate", "report", "collapse", "decompose", "model", "hyplab"):
+        assert name in proc.stdout.decode()
+    proc = cold_bytes(["report", "--help"])
+    flags = "--input --R --D --h --eps0 --samples --denom-bound --out --format --seed"
+    assert all(flag in proc.stdout.decode() for flag in flags.split())
+    assert "--emit-correspondence" not in proc.stdout.decode()
+    proc = cold_bytes(["bogus"])
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stderr.decode().splitlines()[-1].startswith(
+        "glueforge: error: argument command: invalid choice: 'bogus'"
+    )
+
+
+def test_main_leaves_the_collector_alone_and_entry_freezes(files, capsys, monkeypatch):
+    before = gc.get_freeze_count()
+    assert run(capsys, ["validate", "--input", files["example:chain"]])[0] == EXIT_PASS
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(sys, "argv", ["glueforge", "validate", "--input", files["example:chain"]])
+    try:
+        assert cli.entry() == EXIT_PASS
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+
+
+def test_console_script_is_the_process_entry():
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert re.search(r'^glueforge = "glueforge\.cli:entry"$', pyproject.read_text(), re.M)
 
 
 # ------------------------------------------------------- graphs at scale

@@ -26,7 +26,7 @@ from glueforge.gluing import (
     relabel,
     validate_gluing,
 )
-from glueforge.hypgraph import cycle_graph, path_graph
+from glueforge.hypgraph import FiniteGraph, cycle_graph, path_graph
 from glueforge.surface import (
     AbstractMarking,
     BackendHandle,
@@ -644,6 +644,45 @@ def test_graph_backend_gluing_and_unmodeled_caveat():
     entry = cert.slot("p1", "E0")
     assert entry.projection.unmodeled and entry.projection.value == 0
     assert any("projection table" in c for c in cert.caveats)
+
+
+def test_equal_graph_backends_are_parsed_once(monkeypatch):
+    c6 = BackendHandle.finite_graph(cycle_graph(6))
+    c8 = BackendHandle.finite_graph(cycle_graph(8))
+
+    def spec(mid: str, *handles: BackendHandle) -> DecoratedManifoldSpec:
+        return DecoratedManifoldSpec(
+            mid,
+            GENERIC,
+            tuple(
+                BoundarySpec(f"E{i}", handle=h, decoration=AbstractMarking(h, (0, 1)))
+                for i, h in enumerate(handles)
+            ),
+        )
+
+    text = GluingGraph(
+        manifolds=(spec("G0", c6), spec("G1", c6, c8), spec("H", c8)),
+        pieces=(("p0", "G0"), ("p1", "G1"), ("p2", "H")),
+        identifications=(
+            Identification("p0", "E0", "p1", "E0", SlotMap(c6, perm=(0, 5, 4, 3, 2, 1))),
+            Identification("p1", "E1", "p2", "E0", SlotMap(c8, perm=(1, 0, 7, 6, 5, 4, 3, 2))),
+        ),
+    ).canonical_json()
+    parsed = []
+    real = FiniteGraph.from_edges
+
+    def counting(n, pairs):
+        parsed.append(n)
+        return real(n, pairs)
+
+    monkeypatch.setattr(FiniteGraph, "from_edges", staticmethod(counting))
+    x = validate_gluing(text)
+    assert sorted(parsed) == [6, 8]
+    graphs = {(m.id, b.id): b.handle.graph for m in x.manifolds for b in m.boundaries}
+    assert graphs["G0", "E0"] is graphs["G1", "E0"] and graphs["G1", "E1"] is graphs["H", "E0"]
+    assert graphs["G0", "E0"] == c6.graph and graphs["H", "E0"] == c8.graph
+    # each file gets its own graphs
+    assert validate_gluing(text) == x and sorted(parsed) == [6, 6, 8, 8]
 
 
 def test_relabel_naturality():

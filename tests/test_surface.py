@@ -406,6 +406,37 @@ def test_marking_to_path_distance():
         marking_to_path_distance(m, [])
 
 
+def test_marking_rows_chart_through_the_partner_slope(monkeypatch):
+    # the other slope of a marking is a Farey neighbour of each, so no
+    # row from a marking slope pays the modular inverse of its chart
+    from glueforge import torus
+
+    neighbours = []
+    real = torus.normalizer_to_infinity
+
+    def recording(w, neighbour=None):
+        neighbours.append(neighbour)
+        return real(w, neighbour)
+
+    monkeypatch.setattr(torus, "normalizer_to_infinity", recording)
+    rng = random.Random(11)
+    t = BackendHandle.torus()
+    for _ in range(30):
+        m, other = rand_torus_marking(rng, 40), rand_torus_marking(rng, 40)
+        path = geodesic_between(other, rand_torus_marking(rng, 40))
+        disks = DiskSet(t, (other.payload.base, rand_torus_marking(rng, 40).payload.base))
+
+        expected = [
+            min(farey_distance(x, y) for x in m.elements() for y in targets)
+            for targets in (other.elements(), path, disks.elements)
+        ]
+        neighbours.clear()
+        assert marking_distance(m, other) == expected[0]
+        assert marking_to_path_distance(m, path) == expected[1]
+        assert disk_distance(m, disks) == expected[2]
+        assert len(neighbours) == 6 and None not in neighbours
+
+
 def test_as_torus_marking():
     m = torus_marking(Slope(0, 1), INFINITY)
     assert as_torus_marking(m) == FareyMarking(Slope(0, 1), INFINITY)

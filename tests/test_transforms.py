@@ -374,11 +374,11 @@ def test_collapse_measures_few_distance_targets(monkeypatch):
     count = 0
     real = surface.distances_from
 
-    def counting(a, targets):
+    def counting(a, targets, *neighbour):
         nonlocal count
         targets = list(targets)
         count += len(targets)
-        return real(a, targets)
+        return real(a, targets, *neighbour)
 
     monkeypatch.setattr(surface, "distances_from", counting)
     res = collapse_ibundles(core_stack_core([100, 1100]), 6, 1)
