@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 import json
 import os
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import BackendMismatchError, ParseError, ValidationError, clip
 from .ioutil import canonical_dumps, sha256_of_text
@@ -34,7 +34,9 @@ from .surface import (
     pushforward,
     sup_projection,
 )
-from .torus import SurfaceMap
+
+if TYPE_CHECKING:  # only the torus branches of SlotMap load the torus layer
+    from .torus import SurfaceMap
 
 GENERIC = "generic"
 TRIVIAL_IBUNDLE = "trivial-I-bundle"
@@ -78,12 +80,13 @@ class SlotMap(Record):
         else:
             if self.perm is None or self.matrix is not None:
                 raise ValidationError("graph slot map needs a permutation and no matrix")
-            checked = _graph_permutation(self.handle, list(self.perm))
-            object.__setattr__(self, "perm", tuple(checked))
+            object.__setattr__(self, "perm", _graph_permutation(self.handle, list(self.perm)))
 
     @staticmethod
     def identity(handle: BackendHandle) -> "SlotMap":
         if handle.is_torus:
+            from .torus import SurfaceMap
+
             return SlotMap(handle, matrix=SurfaceMap(1, 0, 0, 1))
         assert handle.graph is not None
         return SlotMap(handle, perm=tuple(range(handle.graph.vertex_count)), graph_reversing=False)
@@ -98,8 +101,11 @@ class SlotMap(Record):
     def apply(self, m: AbstractMarking) -> AbstractMarking:
         if m.handle != self.handle:
             raise BackendMismatchError("marking does not live on this map's backend")
-        descriptor: object = self.matrix if self.matrix is not None else list(self.perm or ())
-        return pushforward(descriptor, m)
+        if self.matrix is not None:
+            return pushforward(self.matrix, m)
+        # the constructor checked the permutation
+        assert self.perm is not None
+        return AbstractMarking(m.handle, tuple(self.perm[v] for v in m.payload))
 
     def inverse(self) -> "SlotMap":
         if self.matrix is not None:
@@ -137,6 +143,8 @@ class SlotMap(Record):
     @staticmethod
     def from_json(handle: BackendHandle, obj: object) -> "SlotMap":
         if handle.is_torus:
+            from .torus import SurfaceMap
+
             return SlotMap(handle, matrix=SurfaceMap.from_json(obj))
         if not isinstance(obj, Mapping) or "perm" not in obj:
             raise ParseError(f"graph slot map must declare a perm, got {clip(obj)}")

@@ -20,9 +20,6 @@ D. Coudert and A. Lancin, "On computing the Gromov hyperbolicity" (ACM JEA
   pair of its largest sum, so pairs visited by decreasing distance can stop
   at the first one no longer than the best gap found.
 
-The explicit geodesic enumerator is kept as a separate utility with a hard
-cap; above the cap it degrades to a uniform sample and says so.
-
 Quasigeodesic constants are plain ratios: K' is the max over sub-intervals
 of (edge length)/(endpoint distance), so length <= K'*d holds exactly and
 the additive-slack-1 form length <= K'*d + 1 holds a fortiori.
@@ -37,7 +34,6 @@ instead of testing every vertex pair, so they cost O(n + m) per point.
 
 from __future__ import annotations
 
-import random
 from itertools import compress
 from operator import and_, gt, itemgetter, le
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -54,13 +50,10 @@ __all__ = [
     "PathWitness",
     "StabilityReport",
     "QuasigeodesicReport",
-    "GeodesicFamily",
     "all_pairs_distances",
     "four_point_delta",
     "geodesic_interval",
     "quasiconvexity_constant",
-    "count_geodesics",
-    "enumerate_geodesics",
     "check_qconvex_stability",
     "local_to_global_report",
     "read_graph",
@@ -442,84 +435,6 @@ def quasiconvexity_constant(table: DistanceTable, subset: Sequence[int]) -> int:
     return max(
         max(compress(to_sub, _on_geodesics_to(adj, rows[x], sub[i:]))) for i, x in enumerate(sub)
     )
-
-
-class GeodesicFamily(Record):
-    """Result of enumerate_geodesics: possibly a uniform sample."""
-
-    paths: tuple[tuple[int, ...], ...]
-    count: int
-    sampled: bool
-
-
-def _geodesic_successors(adj: list[list[int]], rx: list[int], ry: list[int], v: int) -> list[int]:
-    return [w for w in adj[v] if rx[w] == rx[v] + 1 and ry[w] == ry[v] - 1]
-
-
-def count_geodesics(table: DistanceTable, g: FiniteGraph, x: int, y: int) -> int:
-    """Number of geodesics from x to y, by dynamic programming over the
-    predecessor DAG."""
-    if x == y:
-        return 1
-    adj = g.adjacency()
-    rx, ry = table.row(x), table.row(y)
-    ways = {x: 1}
-    for v in sorted(geodesic_interval(table, x, y), key=rx.__getitem__):
-        if v == x:
-            continue
-        ways[v] = sum(
-            ways.get(u, 0) for u in adj[v] if rx[u] + 1 == rx[v] and ry[u] == ry[v] + 1
-        )
-    return ways.get(y, 0)
-
-
-def enumerate_geodesics(
-    g: FiniteGraph,
-    table: DistanceTable,
-    x: int,
-    y: int,
-    cap: int = 10**6,
-    sample_size: int = 1000,
-    seed: int = 0,
-) -> GeodesicFamily:
-    """All geodesics from x to y via the predecessor DAG.
-
-    When their number exceeds the cap, a sample (weighted by completion
-    counts, so each geodesic is equally likely) is returned instead and
-    the family is flagged sampled.
-    """
-    adj = g.adjacency()
-    rx, ry = table.row(x), table.row(y)
-    total = count_geodesics(table, g, x, y)
-    if total <= cap:
-        out: list[tuple[int, ...]] = []
-
-        def walk(prefix: list[int]) -> None:
-            v = prefix[-1]
-            if v == y:
-                out.append(tuple(prefix))
-                return
-            for w in _geodesic_successors(adj, rx, ry, v):
-                walk(prefix + [w])
-
-        walk([x])
-        return GeodesicFamily(tuple(out), total, sampled=False)
-    ways_from = {y: 1}
-    for v in sorted(geodesic_interval(table, x, y), key=lambda v: -rx[v]):
-        if v == y:
-            continue
-        ways_from[v] = sum(ways_from.get(w, 0) for w in _geodesic_successors(adj, rx, ry, v))
-    rng = random.Random(seed)
-    sample = []
-    for _ in range(sample_size):
-        cur = x
-        path = [x]
-        while cur != y:
-            nexts = _geodesic_successors(adj, rx, ry, cur)
-            cur = rng.choices(nexts, weights=[ways_from[w] for w in nexts])[0]
-            path.append(cur)
-        sample.append(tuple(path))
-    return GeodesicFamily(tuple(sample), total, sampled=True)
 
 
 class StabilityReport(Record):

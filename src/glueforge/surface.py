@@ -7,6 +7,10 @@ supplied, a table of subsurface-projection values).  Graph backends carry
 no Teichmuller structure, so geometric consumers must check the kind and
 degrade honestly.
 
+Each backend branch imports its layer (`torus` or `hypgraph`) where it
+runs, so a gluing on graph backends loads no torus code and a torus
+gluing no graph code.
+
 Operations never mix backends: every binary operation insists the handles
 are equal and raises BackendMismatchError otherwise.
 """
@@ -14,22 +18,14 @@ are equal and raises BackendMismatchError otherwise.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import BackendMismatchError, ParseError, ValidationError, clip
-from .hypgraph import DistanceTable, FiniteGraph
 from .record import Record
-from .torus import (
-    AnnulusLabel,
-    FareyMarking,
-    Slope,
-    SurfaceMap,
-    distances_from,
-    farey_distance,
-    farey_geodesic,
-    parse_slope,
-)
-from . import torus as _torus
+
+if TYPE_CHECKING:  # each backend branch imports the layer it runs
+    from .hypgraph import DistanceTable, FiniteGraph
+    from .torus import FareyMarking, Slope
 
 __all__ = [
     "BackendHandle",
@@ -68,7 +64,20 @@ class GraphProjection(Record):
 @lru_cache(maxsize=None)
 def _graph_table(graph: FiniteGraph) -> DistanceTable:
     # rows are computed as they are read: gluing commands read few of them
+    from .hypgraph import DistanceTable
+
     return DistanceTable.of_graph(graph)
+
+
+@lru_cache(maxsize=None)
+def _check_permutation(graph: FiniteGraph, perm: tuple[int, ...]) -> None:
+    """Raise unless perm is a distance-preserving vertex bijection of
+    graph; each distinct pair is checked once."""
+    n = graph.vertex_count
+    if len(perm) != n or sorted(perm) != list(range(n)):
+        raise ValidationError("graph map descriptor is not a vertex bijection")
+    if not graph.preserved_by(perm):
+        raise ValidationError("graph map descriptor is not distance preserving")
 
 
 class BackendHandle(Record):
@@ -154,6 +163,8 @@ class BackendHandle(Record):
             if graphs is None:
                 graphs = {}
             if key not in graphs:
+                from .hypgraph import FiniteGraph
+
                 graphs[key] = FiniteGraph.from_edges(*key)
             graph = graphs[key]
             markings = {
@@ -190,10 +201,12 @@ class AbstractMarking(Record):
 
     def __post_init__(self) -> None:
         if self.handle.is_torus:
+            from .torus import FareyMarking
+
             if not isinstance(self.payload, FareyMarking):
                 raise ValidationError("torus marking payload must be a FareyMarking")
             return
-        if isinstance(self.payload, FareyMarking) or not isinstance(self.payload, tuple):
+        if not isinstance(self.payload, tuple):
             raise ValidationError("graph marking payload must be a vertex tuple")
         verts = self.payload
         if not verts:
@@ -212,17 +225,17 @@ class AbstractMarking(Record):
             raise ValidationError(f"marking diameter {diam} exceeds 2")
 
     def elements(self) -> tuple:
-        if isinstance(self.payload, FareyMarking):
+        if self.handle.is_torus:
             return self.payload.slopes()
         return self.payload
 
     def __str__(self) -> str:
-        if isinstance(self.payload, FareyMarking):
+        if self.handle.is_torus:
             return str(self.payload)
         return "{" + ",".join(str(v) for v in self.payload) + "}"
 
     def to_json(self) -> dict:
-        if isinstance(self.payload, FareyMarking):
+        if self.handle.is_torus:
             return {
                 "base": str(self.payload.base),
                 "transversal": str(self.payload.transversal),
@@ -234,6 +247,8 @@ class AbstractMarking(Record):
         if not isinstance(obj, dict):
             raise ParseError("marking must be an object")
         if handle.is_torus:
+            from .torus import FareyMarking, parse_slope
+
             if "base" not in obj or "transversal" not in obj:
                 raise ParseError("torus marking needs base and transversal")
             try:
@@ -264,6 +279,8 @@ class DiskSet(Record):
 
     def __post_init__(self) -> None:
         if self.handle.is_torus:
+            from .torus import Slope
+
             for e in self.elements:
                 if not isinstance(e, Slope):
                     raise ValidationError("torus disk set elements must be slopes")
@@ -288,6 +305,8 @@ class DiskSet(Record):
         if not isinstance(obj, list):
             raise ParseError("disk set must be a list")
         if handle.is_torus:
+            from .torus import parse_slope
+
             return DiskSet(handle, tuple(parse_slope(str(s)) for s in obj), owner)
         return DiskSet(handle, tuple(int(v) for v in obj), owner)
 
@@ -312,6 +331,8 @@ class ProjectionResult(Record):
 def curve_distance(handle: BackendHandle, a: object, b: object) -> int:
     """Curve-graph distance between two vertices of the backend."""
     if handle.is_torus:
+        from .torus import Slope, farey_distance
+
         if not isinstance(a, Slope) or not isinstance(b, Slope):
             raise ValidationError("torus curve vertices are slopes")
         return farey_distance(a, b)
@@ -323,6 +344,8 @@ def curve_distances_from(handle: BackendHandle, a: object, targets: Sequence) ->
     where consecutive targets that are adjacent or equal cost O(1) each,
     and one table row on a graph."""
     if handle.is_torus:
+        from .torus import Slope, distances_from
+
         if not isinstance(a, Slope) or not all(isinstance(t, Slope) for t in targets):
             raise ValidationError("torus curve vertices are slopes")
         return distances_from(a, targets)
@@ -336,6 +359,8 @@ def _min_distance(m: AbstractMarking, targets: Sequence) -> int:
     which spares each row's chart its modular inverse."""
     if not m.handle.is_torus:
         return min(min(curve_distances_from(m.handle, x, targets)) for x in m.elements())
+    from .torus import Slope, distances_from
+
     if not all(isinstance(t, Slope) for t in targets):
         raise ValidationError("torus curve vertices are slopes")
     base, transversal = m.elements()
@@ -382,10 +407,9 @@ def sup_projection(
     """
     _require_same(m1.handle, m2.handle)
     if m1.handle.is_torus:
-        assert isinstance(m1.payload, FareyMarking) and isinstance(m2.payload, FareyMarking)
-        label, value = _torus.max_subsurface_projection(
-            m1.payload, m2.payload, denom_bound=denom_bound
-        )
+        from .torus import max_subsurface_projection
+
+        label, value = max_subsurface_projection(m1.payload, m2.payload, denom_bound=denom_bound)
         return ProjectionResult(label, value, certified=denom_bound is not None)
     a, b = m1.payload, m2.payload
     hits = [e for e in m1.handle.projections if e.matches(a, b)]  # type: ignore[arg-type]
@@ -404,20 +428,16 @@ def disk_distance(m: AbstractMarking, disks: DiskSet) -> int:
     return _min_distance(m, disks.elements)
 
 
-def _graph_permutation(handle: BackendHandle, descriptor: object) -> list[int]:
+def _graph_permutation(handle: BackendHandle, descriptor: object) -> tuple[int, ...]:
     graph = handle.graph
     assert graph is not None
-    n = graph.vertex_count
     if isinstance(descriptor, Mapping):
-        perm = [descriptor.get(v, -1) for v in range(n)]
+        perm = tuple(descriptor.get(v, -1) for v in range(graph.vertex_count))
     elif isinstance(descriptor, Sequence) and not isinstance(descriptor, (str, bytes)):
-        perm = [int(v) for v in descriptor]
+        perm = tuple(int(v) for v in descriptor)
     else:
         raise ValidationError("graph map descriptor must be a permutation")
-    if len(perm) != n or sorted(perm) != list(range(n)):
-        raise ValidationError("graph map descriptor is not a vertex bijection")
-    if not graph.preserved_by(perm):
-        raise ValidationError("graph map descriptor is not distance preserving")
+    _check_permutation(graph, perm)
     return perm
 
 
@@ -425,9 +445,10 @@ def pushforward(descriptor: object, m: AbstractMarking) -> AbstractMarking:
     """Image marking under a backend map: a SurfaceMap on the torus, a
     distance-preserving vertex bijection on a graph."""
     if m.handle.is_torus:
+        from .torus import SurfaceMap
+
         if not isinstance(descriptor, SurfaceMap):
             raise ValidationError("torus pushforward needs a SurfaceMap")
-        assert isinstance(m.payload, FareyMarking)
         return AbstractMarking(m.handle, descriptor.on_marking(m.payload))
     perm = _graph_permutation(m.handle, descriptor)
     return AbstractMarking(m.handle, tuple(perm[v] for v in m.payload))
@@ -451,7 +472,8 @@ def geodesic_between(m1: AbstractMarking, m2: AbstractMarking) -> list:
     two markings: base-to-base on the torus, closest-pair on a graph."""
     _require_same(m1.handle, m2.handle)
     if m1.handle.is_torus:
-        assert isinstance(m1.payload, FareyMarking) and isinstance(m2.payload, FareyMarking)
+        from .torus import farey_geodesic
+
         return farey_geodesic(m1.payload.base, m2.payload.base)
     table = m1.handle.table()
     best = min(
@@ -471,6 +493,6 @@ def marking_to_path_distance(m: AbstractMarking, path: Sequence) -> int:
 
 def as_torus_marking(m: AbstractMarking) -> FareyMarking:
     """Unwrap the exact payload; graph backends have none."""
-    if not isinstance(m.payload, FareyMarking):
+    if not m.handle.is_torus:
         raise BackendMismatchError("operation needs the torus backend")
     return m.payload

@@ -11,7 +11,7 @@ values and never mutate the input graph.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import BackendMismatchError, ValidationError
 from .gluing import (
@@ -30,7 +30,6 @@ from .gluing import (
     induced_markings,
     heights,
 )
-from .hypgraph import QuasigeodesicReport, local_to_global_report
 from .record import Record
 from .surface import (
     AbstractMarking,
@@ -43,6 +42,9 @@ from .surface import (
     marking_to_path_distance,
     sup_projection,
 )
+
+if TYPE_CHECKING:  # only _path_report loads the graph layer
+    from .hypgraph import QuasigeodesicReport
 
 
 def _fraction_json(x: Fraction | None) -> list[int] | None:
@@ -289,6 +291,7 @@ def _path_report(handle: BackendHandle, path: list, reach: list[int]) -> Quasige
     the rows measure only pairs on different pieces.  A measured row
     starts at the next vertex, a neighbour, which spares the chart's
     modular inverse on the torus."""
+    from .hypgraph import local_to_global_report
 
     def dist(i: int, j: int) -> int:
         if i > j:

@@ -5,14 +5,17 @@ brute-force definitions, so that it shares no code path with the package:
 the Farey oracle builds the mediant tessellation and runs BFS, while the
 production distance is a continued-fraction descent.  The exceptions are
 the reference kernels at the end: the package's former per-target row and
-pivot searches, kept to test their replacements against.
+pivot searches, kept to test their replacements against, and the geodesic
+enumerator that no command uses.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from fractions import Fraction
+from typing import NamedTuple
 
 INF = (1, 0)
 
@@ -530,3 +533,92 @@ def array_stability(table, subset, r: int) -> tuple:
     suffix = np.maximum.accumulate(worst_at[::-1])[::-1]
     rows = tuple((h0, int(suffix[h0 + 1])) for h0 in range(hmax + 1))
     return rows, best[2] if best else None
+
+
+# --- geodesic enumeration ---------------------------------------------------
+
+# Geodesic count and enumeration over the predecessor DAG, with a uniform
+# sampler above a cap.  No command needs them, so they live with the tests;
+# they read the package's distance rows and geodesic intervals.
+
+
+class GeodesicFamily(NamedTuple):
+    """Result of enumerate_geodesics: possibly a uniform sample."""
+
+    paths: tuple[tuple[int, ...], ...]
+    count: int
+    sampled: bool
+
+
+def _geodesic_successors(adj: list[list[int]], rx: list[int], ry: list[int], v: int) -> list[int]:
+    return [w for w in adj[v] if rx[w] == rx[v] + 1 and ry[w] == ry[v] - 1]
+
+
+def count_geodesics(table, g, x: int, y: int) -> int:
+    """Number of geodesics from x to y, by dynamic programming over the
+    predecessor DAG."""
+    from glueforge.hypgraph import geodesic_interval
+
+    if x == y:
+        return 1
+    adj = g.adjacency()
+    rx, ry = table.row(x), table.row(y)
+    ways = {x: 1}
+    for v in sorted(geodesic_interval(table, x, y), key=rx.__getitem__):
+        if v == x:
+            continue
+        ways[v] = sum(
+            ways.get(u, 0) for u in adj[v] if rx[u] + 1 == rx[v] and ry[u] == ry[v] + 1
+        )
+    return ways.get(y, 0)
+
+
+def enumerate_geodesics(
+    g,
+    table,
+    x: int,
+    y: int,
+    cap: int = 10**6,
+    sample_size: int = 1000,
+    seed: int = 0,
+) -> GeodesicFamily:
+    """All geodesics from x to y via the predecessor DAG.
+
+    When their number exceeds the cap, a sample (weighted by completion
+    counts, so each geodesic is equally likely) is returned instead and
+    the family is flagged sampled.
+    """
+    from glueforge.hypgraph import geodesic_interval
+
+    adj = g.adjacency()
+    rx, ry = table.row(x), table.row(y)
+    total = count_geodesics(table, g, x, y)
+    if total <= cap:
+        out: list[tuple[int, ...]] = []
+
+        def walk(prefix: list[int]) -> None:
+            v = prefix[-1]
+            if v == y:
+                out.append(tuple(prefix))
+                return
+            for w in _geodesic_successors(adj, rx, ry, v):
+                walk(prefix + [w])
+
+        walk([x])
+        return GeodesicFamily(tuple(out), total, sampled=False)
+    ways_from = {y: 1}
+    for v in sorted(geodesic_interval(table, x, y), key=lambda v: -rx[v]):
+        if v == y:
+            continue
+        ways_from[v] = sum(ways_from.get(w, 0) for w in _geodesic_successors(adj, rx, ry, v))
+    rng = random.Random(seed)
+    sample = []
+    for _ in range(sample_size):
+        cur = x
+        path = [x]
+        while cur != y:
+            nexts = _geodesic_successors(adj, rx, ry, cur)
+            cur = rng.choices(nexts, weights=[ways_from[w] for w in nexts])[0]
+            path.append(cur)
+        sample.append(tuple(path))
+    return GeodesicFamily(tuple(sample), total, sampled=True)

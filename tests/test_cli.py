@@ -159,6 +159,22 @@ def files(tmp_path_factory):
     ).validate()
     out["graph_pair"] = save("graph_pair.json", graph_pair.canonical_json())
 
+    # one spec with a torus and a graph boundary, glued along the torus
+    mixed_spec = DecoratedManifoldSpec(
+        "m",
+        GENERIC,
+        (
+            BoundarySpec("E0", handle=T, decoration=MU),
+            BoundarySpec("E1", handle=h, decoration=AbstractMarking(h, (0, 1))),
+        ),
+    )
+    mixed = GluingGraph(
+        manifolds=(mixed_spec,),
+        pieces=(("p0", "m"), ("p1", "m")),
+        identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
+    ).validate()
+    out["mixed"] = save("mixed.json", mixed.canonical_json())
+
     # a core, a trivial I-bundle and a core over C_12, glued by v -> -v
     h12 = BackendHandle.finite_graph(cycle_graph(12))
     flip = SlotMap(h12, perm=tuple(-v % 12 for v in range(12)))
@@ -551,6 +567,17 @@ def test_commands_load_only_the_layers_they_run(files):
     validate = loaded_modules(["validate", "--input", files["chain"]])
     assert "glueforge.gluing" in validate
     assert not {"glueforge.transforms", "glueforge.model"} & validate
+    # a gluing command loads the backend layer its input lives on
+    for command in ("validate", "report", "collapse", "decompose"):
+        graph = loaded_modules([command, "--input", files["graph_stack"]])
+        assert "glueforge.hypgraph" in graph and "glueforge.torus" not in graph, command
+    for command in ("validate", "report", "decompose", "model"):
+        torus = loaded_modules([command, "--input", files["chain"]])
+        assert "glueforge.torus" in torus and "glueforge.hypgraph" not in torus, command
+    # the certificate of a stack of several bundles runs local_to_global_report
+    assert "glueforge.hypgraph" in loaded_modules(["collapse", "--input", files["example:stack"]])
+    both = loaded_modules(["report", "--input", files["mixed"]])
+    assert {"glueforge.torus", "glueforge.hypgraph"} <= both
 
 
 @pytest.mark.parametrize("command", ["validate", "report"])

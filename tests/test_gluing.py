@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from glueforge import surface
 from glueforge.errors import BackendMismatchError, ParseError, ValidationError
 from glueforge.gluing import (
     COMPRESSION_BODY,
@@ -43,6 +44,7 @@ from glueforge.torus import (
     farey_distance,
     parse_slope,
 )
+from glueforge.transforms import collapse_ibundles
 
 T = BackendHandle.torus()
 T_MAP = SurfaceMap(1, 1, 0, 1)
@@ -683,6 +685,57 @@ def test_equal_graph_backends_are_parsed_once(monkeypatch):
     assert graphs["G0", "E0"] == c6.graph and graphs["H", "E0"] == c8.graph
     # each file gets its own graphs
     assert validate_gluing(text) == x and sorted(parsed) == [6, 6, 8, 8]
+
+
+def test_each_graph_map_is_checked_once(monkeypatch):
+    # a core, a trivial bundle and a core over C_12, every map v -> -v
+    h = BackendHandle.finite_graph(cycle_graph(12))
+    flip = SlotMap(h, perm=tuple(-v % 12 for v in range(12)))
+
+    def boundary(bid: str, *vertices: int) -> BoundarySpec:
+        return BoundarySpec(bid, handle=h, decoration=AbstractMarking(h, vertices))
+
+    text = GluingGraph(
+        manifolds=(
+            DecoratedManifoldSpec("ML", GENERIC, (boundary("E0", 0, 1),)),
+            DecoratedManifoldSpec(
+                "B0",
+                TRIVIAL_IBUNDLE,
+                (boundary("F0", 3, 4), boundary("F1", 9, 8)),
+                bundle_map=flip,
+            ),
+            DecoratedManifoldSpec("MR", GENERIC, (boundary("E0", 6, 7),)),
+        ),
+        pieces=(("p0", "ML"), ("p1", "B0"), ("p2", "MR")),
+        identifications=(
+            Identification("p0", "E0", "p1", "F0", flip),
+            Identification("p1", "F1", "p2", "E0", flip),
+        ),
+    ).canonical_json()
+    checked = []
+    real = FiniteGraph.preserved_by
+
+    def counting(graph, perm):
+        checked.append(tuple(perm))
+        return real(graph, perm)
+
+    monkeypatch.setattr(FiniteGraph, "preserved_by", counting)
+    surface._check_permutation.cache_clear()
+    x = validate_gluing(text)
+    check_bounded_combinatorics(x, 2, 0)
+    collapse_ibundles(x, 2, 0)
+    # the flip is an involution: it and the identity are the only maps
+    assert sorted(checked) == [tuple(range(12)), flip.perm]
+    # applying a map does not check it again
+    m = x.decoration(("p0", "E0"))
+    assert flip.apply(flip.apply(m)) == m and len(checked) == 2
+    # a rejected map is rejected every time
+    rotation = (*range(1, 12), 0)
+    bad = tuple(reversed(rotation[:6])) + rotation[6:]
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not distance preserving"):
+            SlotMap(h, perm=bad)
+    assert checked[2:] == [bad, bad]
 
 
 def test_relabel_naturality():

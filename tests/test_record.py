@@ -18,7 +18,6 @@ from glueforge.hypgraph import (
     all_pairs_distances,
     check_qconvex_stability,
     cycle_graph,
-    enumerate_geodesics,
     local_to_global_report,
 )
 from glueforge.model import build_skeleton, verify_thickness
@@ -126,7 +125,6 @@ def samples() -> dict:
     witness = PathWitness((0, 1, 2, 3))
     roots.extend(
         (
-            enumerate_geodesics(g, table, 0, 4),
             check_qconvex_stability(table, [0, 1, 2], 1),
             g,
             witness,

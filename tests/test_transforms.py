@@ -369,10 +369,10 @@ def test_stack_certificate_matches_all_pairs_oracles_on_graph_stacks():
 def test_collapse_measures_few_distance_targets(monkeypatch):
     # every geodesic piece of the path is known by its indices: the former
     # all-pairs rows sent 1,502,517 targets to the torus row here
-    from glueforge import surface
+    from glueforge import torus
 
     count = 0
-    real = surface.distances_from
+    real = torus.distances_from
 
     def counting(a, targets, *neighbour):
         nonlocal count
@@ -380,7 +380,7 @@ def test_collapse_measures_few_distance_targets(monkeypatch):
         count += len(targets)
         return real(a, targets, *neighbour)
 
-    monkeypatch.setattr(surface, "distances_from", counting)
+    monkeypatch.setattr(torus, "distances_from", counting)
     res = collapse_ibundles(core_stack_core([100, 1100]), 6, 1)
     assert res.ok
     assert count <= 4000
