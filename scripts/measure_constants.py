@@ -20,6 +20,7 @@ import argparse
 import math
 import random
 
+from glueforge.farey import AnnulusLabel, annular_projection_distance, farey_geodesic
 from glueforge.gluing import (
     GENERIC,
     BoundarySpec,
@@ -32,12 +33,9 @@ from glueforge.model import build_skeleton
 from glueforge.surface import AbstractMarking, BackendHandle, marking_distance, sup_projection
 from glueforge.torus import (
     REFLECTION,
-    AnnulusLabel,
     FareyMarking,
     Slope,
     SurfaceMap,
-    annular_projection_distance,
-    farey_geodesic,
     is_adjacent,
     parse_slope,
     shortest_marking,

@@ -191,7 +191,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    from .gluing import check_bounded_combinatorics, validate_gluing
+    from .certify import check_bounded_combinatorics
+    from .gluing import validate_gluing
 
     text = _read_input(cfg)
     x = validate_gluing(text)
@@ -214,8 +215,8 @@ def cmd_collapse(cfg: RunConfig) -> int:
 
 
 def cmd_decompose(cfg: RunConfig) -> int:
+    from .decompose import full_and_maximal_decomposition
     from .gluing import validate_gluing
-    from .transforms import full_and_maximal_decomposition
 
     text = _read_input(cfg)
     x = validate_gluing(text)
@@ -244,11 +245,10 @@ def cmd_model(cfg: RunConfig) -> int:
 
 
 def cmd_hyplab(cfg: RunConfig) -> int:
-    from .hypgraph import (
-        all_pairs_distances,
+    from .hypgraph import all_pairs_distances, geodesic_interval
+    from .hyplab import (
         check_qconvex_stability,
         four_point_delta,
-        geodesic_interval,
         quasiconvexity_constant,
         read_graph,
     )

@@ -5,7 +5,9 @@ an opaque interior whose boundary restrictions are the balanced points of
 its decorations, and every identification contributes a tube swept along
 the half-plane geodesic between the two induced balanced points.  On the
 torus backend the fiber geometry is computed exactly from the modulus;
-finite-graph slots have no geometry and their tubes stay combinatorial.
+finite-graph slots have no geometry and their tubes stay combinatorial,
+so a gluing on graph backends alone loads no torus code: the torus layer is
+imported where a geometric tube or anchor is built.
 """
 
 from __future__ import annotations
@@ -13,34 +15,23 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .errors import ParseError, ValidationError, clip
+from .errors import ValidationError, clip
 from .gluing import GluingGraph, Slot, SlotMap, _slot_name
 from .record import Record, replace
-from .surface import AbstractMarking, BackendHandle, as_torus_marking
-from .torus import (
-    IDENTITY,
-    Slope,
-    SurfaceMap,
-    TeichPoint,
-    curve_length,
-    relative_cf_max_coeff,
-    shortest_marking,
-    shortest_slope,
-    sigma_matrix,
-    sigma_of_marking,
-    teich_distance,
-    teich_geodesic,
-)
+from .surface import AbstractMarking, as_torus_marking
+
+if TYPE_CHECKING:  # geometric tubes and anchors import the torus layer
+    from .torus import Slope, TeichPoint
 
 # the stabilizer of i: sigma(mu) and sigma(nu) balance at the same point
-# iff sigma(mu)^-1 sigma(nu) is one of these
+# iff sigma(mu)^-1 sigma(nu) has one of these entries
 _FIXERS_OF_I = (
-    IDENTITY,
-    SurfaceMap(-1, 0, 0, -1),
-    SurfaceMap(0, -1, 1, 0),
-    SurfaceMap(0, 1, -1, 0),
+    ((1, 0), (0, 1)),
+    ((-1, 0), (0, -1)),
+    ((0, -1), (1, 0)),
+    ((0, 1), (-1, 0)),
 )
 
 # the horizontal complement is a convention, not data: on the torus the
@@ -54,16 +45,6 @@ DEFAULT_SAMPLES = 9
 
 def _point_json(z: TeichPoint | None) -> list[float] | None:
     return None if z is None else [z.x, z.y]
-
-
-def _point_from_json(obj: object) -> TeichPoint | None:
-    if obj is None:
-        return None
-    try:
-        x, y = obj  # type: ignore[misc]
-        return TeichPoint(float(x), float(y))
-    except (TypeError, ValueError, ValidationError) as exc:
-        raise ParseError(f"bad half-plane point {clip(obj)}") from exc
 
 
 class TubeSample(Record):
@@ -81,21 +62,6 @@ class TubeSample(Record):
             "systole": self.systole,
             "shortest": [self.shortest.p, self.shortest.q],
         }
-
-    @staticmethod
-    def from_json(obj: object) -> "TubeSample":
-        if not isinstance(obj, Mapping):
-            raise ParseError("tube sample must be an object")
-        try:
-            p, q = obj["shortest"]
-            point = _point_from_json(obj["point"])
-            assert point is not None
-            return TubeSample(
-                float(obj["t"]), point, float(obj["systole"]), Slope(int(p), int(q))
-            )
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            raise ParseError(f"bad tube sample: {exc}") from exc
-
 
 class TubeBlock(Record):
     """Geodesic tube between two induced balanced points.
@@ -157,34 +123,6 @@ class TubeBlock(Record):
             }
         return out
 
-    @staticmethod
-    def from_json(obj: object) -> "TubeBlock":
-        if not isinstance(obj, Mapping):
-            raise ParseError("tube block must be an object")
-        try:
-            involution = None
-            if "involution" in obj:
-                blob = obj["involution"]
-                handle = BackendHandle.from_json(blob["backend"])
-                involution = SlotMap.from_json(handle, blob["map"])
-            pa, ba = obj["slot_a"]
-            pb, bb = obj["slot_b"]
-            return TubeBlock(
-                (str(pa), str(ba)),
-                (str(pb), str(bb)),
-                str(obj["kind"]),
-                combinatorial=bool(obj["combinatorial"]),
-                sigma_a=_point_from_json(obj["sigma_a"]),
-                sigma_b=_point_from_json(obj["sigma_b"]),
-                length=float(obj["length"]),
-                degenerate=bool(obj["degenerate"]),
-                involution=involution,
-                samples=tuple(TubeSample.from_json(s) for s in obj["samples"]),
-            )
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            raise ParseError(f"bad tube block: {exc}") from exc
-
-
 class PieceBlock(Record):
     """Opaque interior of one piece, known only by its boundary anchors."""
 
@@ -198,20 +136,6 @@ class PieceBlock(Record):
             "anchors": {bid: _point_json(z) for bid, z in self.anchors},
             "volume_tag": self.volume_tag,
         }
-
-    @staticmethod
-    def from_json(obj: object) -> "PieceBlock":
-        if not isinstance(obj, Mapping):
-            raise ParseError("piece block must be an object")
-        try:
-            anchors = tuple(
-                (str(bid), _point_from_json(z))
-                for bid, z in sorted(dict(obj["anchors"]).items())
-            )
-            return PieceBlock(str(obj["piece"]), anchors, str(obj["volume_tag"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad piece block: {exc}") from exc
-
 
 class ModelSkeleton(Record):
     """Piece blocks plus one tube per identification, with free-marking
@@ -237,27 +161,9 @@ class ModelSkeleton(Record):
             },
         }
 
-    @staticmethod
-    def from_json(obj: object) -> "ModelSkeleton":
-        if not isinstance(obj, Mapping):
-            raise ParseError("skeleton must be a JSON object")
-        if obj.get("schema") != SCHEMA:
-            raise ParseError(f"unsupported skeleton schema {clip(obj.get('schema'))}")
-        try:
-            stats = obj["stats"]
-            min_sys = stats["min_sampled_systole"]
-            return ModelSkeleton(
-                pieces=tuple(PieceBlock.from_json(p) for p in obj["pieces"]),
-                tubes=tuple(TubeBlock.from_json(t) for t in obj["tubes"]),
-                incidence=tuple((str(a), str(b)) for a, b in obj["incidence"]),
-                total_tube_length=float(stats["total_tube_length"]),
-                min_sampled_systole=None if min_sys is None else float(min_sys),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad skeleton: {exc}") from exc
-
-
 def _sigma(m: AbstractMarking) -> TeichPoint:
+    from .torus import sigma_of_marking
+
     return sigma_of_marking(as_torus_marking(m))
 
 
@@ -271,6 +177,8 @@ def sample_tube(tube: TubeBlock, n: int) -> tuple[TubeSample, ...]:
         raise ValidationError(f"combinatorial tube {tube.name} carries no geometry")
     if n < 2:
         raise ValidationError("tube sampling needs at least 2 samples")
+    from .torus import teich_geodesic
+
     assert tube.sigma_a is not None and tube.sigma_b is not None
     if tube.degenerate:
         fixed = _sample(0.0, tube.sigma_a)
@@ -283,6 +191,8 @@ def sample_tube(tube: TubeBlock, n: int) -> tuple[TubeSample, ...]:
 
 
 def _sample(t: float, z: TeichPoint) -> TubeSample:
+    from .torus import curve_length, shortest_slope
+
     # curve_length of the shortest slope is exactly what systole returns
     shortest = shortest_slope(z)
     return TubeSample(t, z, curve_length(z, shortest), shortest)
@@ -297,10 +207,12 @@ def _geometry(
     samples: int,
     involution: SlotMap | None = None,
 ) -> TubeBlock:
+    from .torus import sigma_matrix, teich_distance
+
     sigma_a = _sigma(mu)
     sigma_b = _sigma(nu)
     relative = sigma_matrix(as_torus_marking(mu)).inverse() @ sigma_matrix(as_torus_marking(nu))
-    degenerate = relative in _FIXERS_OF_I
+    degenerate = relative.entries in _FIXERS_OF_I
     tube = TubeBlock(
         slot_a,
         slot_b,
@@ -444,11 +356,7 @@ def verify_thickness(s: ModelSkeleton, eps0: float) -> ThicknessReport:
         if tube.combinatorial or not tube.samples:
             continue
         low = min(smp.systole for smp in tube.samples)
-        assert tube.sigma_a is not None and tube.sigma_b is not None
-        coeff = relative_cf_max_coeff(
-            shortest_marking(tube.sigma_a), shortest_marking(tube.sigma_b)
-        )
-        rows.append(ThicknessRow(tube.name, low, low >= eps0, coeff))
+        rows.append(ThicknessRow(tube.name, low, low >= eps0, _cf_coefficient(tube)))
     return ThicknessReport(
         eps0=eps0,
         rows=tuple(rows),
@@ -458,6 +366,15 @@ def verify_thickness(s: ModelSkeleton, eps0: float) -> ThicknessReport:
             for r in sorted(rows, key=lambda r: (-r.cf_coefficient, r.tube))
         ),
     )
+
+
+def _cf_coefficient(tube: TubeBlock) -> int:
+    """The relative continued-fraction coefficient between the shortest
+    markings at the two ends of a geometric tube."""
+    from .torus import relative_cf_max_coeff, shortest_marking
+
+    assert tube.sigma_a is not None and tube.sigma_b is not None
+    return relative_cf_max_coeff(shortest_marking(tube.sigma_a), shortest_marking(tube.sigma_b))
 
 
 def _obj_bytes(s: ModelSkeleton, fiber_resolution: int) -> bytes:
@@ -503,14 +420,3 @@ def export_skeleton(
     if format == "obj":
         return _obj_bytes(s, fiber_resolution)
     raise ValidationError(f"unknown export format {format!r}")
-
-
-def load_skeleton(data: bytes | str) -> ModelSkeleton:
-    """Inverse of the JSON export; round trips are byte identical."""
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"skeleton is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError("skeleton is not valid JSON: arrays or objects nest too deeply") from exc
-    return ModelSkeleton.from_json(obj)

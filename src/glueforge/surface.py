@@ -1,15 +1,15 @@
 """Marked-surface backend contract: exact torus or declared finite graph.
 
 A BackendHandle names the curve-graph model a boundary component lives on.
-The torus backend delegates to the exact Farey machinery; the finite-graph
-backend runs on BFS tables plus declared data (named markings and, when
-supplied, a table of subsurface-projection values).  Graph backends carry
+The torus backend delegates to the exact Farey machinery (`farey`); the
+finite-graph backend runs on BFS tables plus declared data (named markings
+and, when supplied, a table of subsurface-projection values).  Graph backends carry
 no Teichmuller structure, so geometric consumers must check the kind and
 degrade honestly.
 
-Each backend branch imports its layer (`torus` or `hypgraph`) where it
-runs, so a gluing on graph backends loads no torus code and a torus
-gluing no graph code.
+Each backend branch imports its layer (`torus` and `farey`, or `hypgraph`)
+where it runs, so a gluing on graph backends loads no torus code and a
+torus gluing no graph code.
 
 Operations never mix backends: every binary operation insists the handles
 are equal and raises BackendMismatchError otherwise.
@@ -34,7 +34,6 @@ __all__ = [
     "GraphProjection",
     "ProjectionResult",
     "marking_distance",
-    "marking_diameter",
     "sup_projection",
     "disk_distance",
     "pushforward",
@@ -331,7 +330,8 @@ class ProjectionResult(Record):
 def curve_distance(handle: BackendHandle, a: object, b: object) -> int:
     """Curve-graph distance between two vertices of the backend."""
     if handle.is_torus:
-        from .torus import Slope, farey_distance
+        from .farey import farey_distance
+        from .torus import Slope
 
         if not isinstance(a, Slope) or not isinstance(b, Slope):
             raise ValidationError("torus curve vertices are slopes")
@@ -344,7 +344,8 @@ def curve_distances_from(handle: BackendHandle, a: object, targets: Sequence) ->
     where consecutive targets that are adjacent or equal cost O(1) each,
     and one table row on a graph."""
     if handle.is_torus:
-        from .torus import Slope, distances_from
+        from .farey import distances_from
+        from .torus import Slope
 
         if not isinstance(a, Slope) or not all(isinstance(t, Slope) for t in targets):
             raise ValidationError("torus curve vertices are slopes")
@@ -359,7 +360,8 @@ def _min_distance(m: AbstractMarking, targets: Sequence) -> int:
     which spares each row's chart its modular inverse."""
     if not m.handle.is_torus:
         return min(min(curve_distances_from(m.handle, x, targets)) for x in m.elements())
-    from .torus import Slope, distances_from
+    from .farey import distances_from
+    from .torus import Slope
 
     if not all(isinstance(t, Slope) for t in targets):
         raise ValidationError("torus curve vertices are slopes")
@@ -376,24 +378,6 @@ def marking_distance(m1: AbstractMarking, m2: AbstractMarking) -> int:
     return _min_distance(m1, m2.elements())
 
 
-def marking_diameter(*markings: AbstractMarking) -> int:
-    """Max pairwise curve-graph distance over all elements."""
-    if not markings:
-        raise ValidationError("diameter of nothing")
-    handle = markings[0].handle
-    elems: list = []
-    for m in markings:
-        _require_same(handle, m.handle)
-        elems.extend(m.elements())
-    return max(
-        (
-            max(curve_distances_from(handle, elems[i], elems[i + 1 :]))
-            for i in range(len(elems) - 1)
-        ),
-        default=0,
-    )
-
-
 def sup_projection(
     m1: AbstractMarking,
     m2: AbstractMarking,
@@ -407,7 +391,7 @@ def sup_projection(
     """
     _require_same(m1.handle, m2.handle)
     if m1.handle.is_torus:
-        from .torus import max_subsurface_projection
+        from .farey import max_subsurface_projection
 
         label, value = max_subsurface_projection(m1.payload, m2.payload, denom_bound=denom_bound)
         return ProjectionResult(label, value, certified=denom_bound is not None)
@@ -472,7 +456,7 @@ def geodesic_between(m1: AbstractMarking, m2: AbstractMarking) -> list:
     two markings: base-to-base on the torus, closest-pair on a graph."""
     _require_same(m1.handle, m2.handle)
     if m1.handle.is_torus:
-        from .torus import farey_geodesic
+        from .farey import farey_geodesic
 
         return farey_geodesic(m1.payload.base, m2.payload.base)
     table = m1.handle.table()

@@ -1,21 +1,24 @@
-"""Gluing transformations.
+"""Stack combination and I-bundle collapse.
 
 Stack combination pushes every decoration of an I-bundle chain into one
 boundary frame and certifies the chain conditions; collapse removes the
-bundle pieces and rewires their neighbors with composed chart maps;
-compression assembly, decompositions, and transparency reports cover the
-remaining graph rewrites.  All transformations are pure: they return new
-values and never mutate the input graph.
+bundle pieces and rewires their neighbors with composed chart maps.  Both
+are pure: they return new values and never mutate the input graph.
+
+The certificate measures how far the concatenated geodesic of a stack is
+from a geodesic.  Quasigeodesic constants are plain ratios: K' is the max
+over sub-intervals of (edge length)/(endpoint distance), so length <= K'*d
+holds exactly and the additive-slack-1 form length <= K'*d + 1 holds a
+fortiori.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Callable, Sequence
 
 from .errors import BackendMismatchError, ValidationError
 from .gluing import (
-    COMPRESSION_BODY,
     BoundarySpec,
     DecoratedManifoldSpec,
     GluingGraph,
@@ -26,7 +29,6 @@ from .gluing import (
     SlotMap,
     TRIVIAL_IBUNDLE,
     _slot_name,
-    _thawed_json,
     induced_markings,
     heights,
 )
@@ -42,9 +44,6 @@ from .surface import (
     marking_to_path_distance,
     sup_projection,
 )
-
-if TYPE_CHECKING:  # only _path_report loads the graph layer
-    from .hypgraph import QuasigeodesicReport
 
 
 def _fraction_json(x: Fraction | None) -> list[int] | None:
@@ -283,15 +282,82 @@ def _stack_path(handle: BackendHandle, seq: Sequence[AbstractMarking]) -> tuple[
     return path, reach
 
 
+class QuasigeodesicReport(Record):
+    """Measured local and global quasigeodesic quality of a path."""
+
+    window: int
+    local_k: Fraction | None
+    global_k: Fraction | None
+    ok: bool
+    offending: tuple[int, int] | None
+
+    def to_dict(self) -> dict:
+        def enc(x: Fraction | None) -> list[int] | None:
+            return None if x is None else [x.numerator, x.denominator]
+
+        return {
+            "window": self.window,
+            "local_k": enc(self.local_k),
+            "global_k": enc(self.global_k),
+            "ok": self.ok,
+            "offending": list(self.offending) if self.offending else None,
+        }
+
+
+def local_to_global_report(
+    dist: Callable[[object, object], int],
+    path: Sequence,
+    window: int,
+    rows: Callable[[object, Sequence], Sequence[int]] | None = None,
+) -> QuasigeodesicReport:
+    """Worst (edge length)/(endpoint distance) ratio over sub-intervals of
+    length at most the window (local) and over all sub-intervals (global).
+    A sub-interval of positive length with coinciding endpoints is not a
+    quasigeodesic at any constant; the report flags the offending interval
+    and carries no ratios.  dist may be a DistanceTable.  rows(u, vs), when
+    given, must return [dist(u, v) for v in vs]; it lets an oracle share
+    work along a row."""
+    if window < 1:
+        raise ValidationError("window must be at least 1")
+    if rows is None:
+
+        def rows(u: object, vs: Sequence) -> list[int]:
+            return [dist(u, v) for v in vs]
+
+    n = len(path)
+    # ratios as integer pairs (num, den), compared by cross-multiplication
+    local_n, local_d = 1, 1
+    global_n, global_d = 1, 1
+    for i in range(n - 1):
+        for j, dist_ij in enumerate(rows(path[i], path[i + 1 :]), start=i + 1):
+            if dist_ij == 0:
+                return QuasigeodesicReport(window, None, None, False, (i, j))
+            span = j - i
+            if span * global_d > global_n * dist_ij:
+                global_n, global_d = span, dist_ij
+            if span <= window and span * local_d > local_n * dist_ij:
+                local_n, local_d = span, dist_ij
+    return QuasigeodesicReport(
+        window, Fraction(local_n, local_d), Fraction(global_n, global_d), True, None
+    )
+
+
 def _path_report(handle: BackendHandle, path: list, reach: list[int]) -> QuasigeodesicReport:
     """The global quasigeodesic report of a stack path, over its indices.
 
-    Two vertices on one geodesic piece lie at their index difference: the
-    ratio is 1, never 0, and cannot beat the report's starting 1/1.  So
-    the rows measure only pairs on different pieces.  A measured row
-    starts at the next vertex, a neighbour, which spares the chart's
-    modular inverse on the torus."""
-    from .hypgraph import local_to_global_report
+    Every step of the path is an edge.  So when its ends lie at its length
+    apart, the path is a geodesic, and so is every sub-interval: every
+    ratio is 1 and no two vertices coincide, which is what the pair scan
+    would report.  One row decides it.
+
+    Otherwise the pairs are scanned.  Two vertices on one geodesic piece
+    lie at their index difference: the ratio is 1, never 0, and cannot
+    beat the report's starting 1/1.  So the rows measure only pairs on
+    different pieces.  A measured row starts at the next vertex, a
+    neighbour, which spares the chart's modular inverse on the torus."""
+    last = len(path) - 1
+    if curve_distances_from(handle, path[0], [path[1], path[last]])[1] == last:
+        return QuasigeodesicReport(last, Fraction(1), Fraction(1), True, None)
 
     def dist(i: int, j: int) -> int:
         if i > j:
@@ -307,7 +373,7 @@ def _path_report(handle: BackendHandle, path: list, reach: list[int]) -> Quasige
             return [*range(1, cut - i), *far[1:]]
         return [dist(i, j) for j in js]
 
-    return local_to_global_report(dist, range(len(path)), window=len(path) - 1, rows=rows)
+    return local_to_global_report(dist, range(len(path)), window=last, rows=rows)
 
 
 def _fellow_traveling(handle: BackendHandle, path: list, direct: list) -> int:
@@ -771,316 +837,4 @@ def collapse_ibundles(
         fibered=fibered,
         r_prime=_r_bound(collapsed, table, hts, denom_bound),
         note=note,
-    )
-
-
-# ------------------------------------------------------------ compression
-
-
-class CompressionStep(Record):
-    """Attach one compression body by its exterior boundary."""
-
-    piece_id: str
-    body: DecoratedManifoldSpec
-    target: Slot
-    attach: SlotMap
-
-    def __post_init__(self) -> None:
-        if self.body.kind != COMPRESSION_BODY:
-            raise ValidationError(f"step piece {self.piece_id} is not a compression body")
-
-
-def build_compression(
-    base: DecoratedManifoldSpec,
-    steps: Sequence[CompressionStep],
-    budget: int | None = None,
-    base_piece: str = "p0",
-) -> GluingGraph:
-    """Inductively glue compression bodies onto free slots of a growing
-    gluing, starting from the bare piece.  The budget caps the total piece
-    count; by default one base piece plus two bodies per base boundary."""
-    if budget is None:
-        budget = 1 + 2 * len(base.nontoroidal())
-    manifolds: dict[str, DecoratedManifoldSpec] = {base.id: base}
-    pieces: list[tuple[str, str]] = [(base_piece, base.id)]
-    idents: list[Identification] = []
-    buried: set[Slot] = set()
-    known: set[Slot] = {(base_piece, b.id) for b in base.nontoroidal()}
-
-    for step in steps:
-        if len(pieces) + 1 > budget:
-            raise ValidationError(f"compression budget exceeded: {budget} pieces")
-        if step.target not in known:
-            raise ValidationError(f"unknown attachment slot {_slot_name(step.target)}")
-        if step.target in buried:
-            raise ValidationError(f"attachment to buried slot {_slot_name(step.target)}")
-        if any(pid == step.piece_id for pid, _ in pieces):
-            raise ValidationError(f"piece id {step.piece_id} reused")
-        existing = manifolds.get(step.body.id)
-        if existing is not None and existing != step.body:
-            raise ValidationError(f"conflicting manifold spec {step.body.id}")
-        manifolds[step.body.id] = step.body
-        pieces.append((step.piece_id, step.body.id))
-        exterior = step.body.exterior_boundary().id
-        source = (step.piece_id, exterior)
-        idents.append(Identification(*source, *step.target, map=step.attach))
-        buried.add(step.target)
-        buried.add(source)
-        known |= {(step.piece_id, b.id) for b in step.body.nontoroidal()}
-
-    return GluingGraph(
-        manifolds=tuple(manifolds.values()),
-        pieces=tuple(pieces),
-        identifications=tuple(idents),
-    ).validate()
-
-
-# ---------------------------------------------------------- decomposition
-
-
-class Component(Record):
-    pieces: tuple[str, ...]
-    kind: str
-    identifications: tuple[Identification, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "pieces": list(self.pieces),
-            "kind": self.kind,
-            "identifications": [i.to_json() for i in self.identifications],
-        }
-
-
-class DecompositionResult(Record):
-    full: GluingGraph
-    components: tuple[Component, ...]
-    cut: tuple[Identification, ...]
-
-    def cut_slots(self) -> tuple[tuple[Slot, Slot], ...]:
-        return tuple((i.slot_a, i.slot_b) for i in self.cut)
-
-    def reglue(self) -> GluingGraph:
-        """Reassemble the full decomposition from the partition; the kept
-        and cut identifications must tile the original list exactly."""
-        kept = {id(i) for c in self.components for i in c.identifications}
-        kept |= {id(i) for i in self.cut}
-        if len(kept) != len(self.full.identifications):
-            raise ValidationError("decomposition does not partition the identifications")
-        return GluingGraph(
-            manifolds=self.full.manifolds,
-            pieces=self.full.pieces,
-            identifications=self.full.identifications,
-            boundary_markings=self.full.boundary_markings,
-        ).validate()
-
-    def to_json(self) -> dict:
-        return {
-            "full": self.full.to_json(),
-            "components": [c.to_json() for c in self.components],
-            "cut": [i.to_json() for i in self.cut],
-        }
-
-
-def _expand_splittings(x: GluingGraph) -> GluingGraph:
-    """Replace each piece by its declared core/compression-body splitting;
-    pieces without metadata stand for themselves."""
-    spec_by_id = {m.id: m for m in x.manifolds}
-    pieces: list[tuple[str, str]] = []
-    idents: list[Identification] = []
-    # per original piece: boundary id -> (new piece, new boundary)
-    slot_map: dict[Slot, Slot] = {}
-    for pid, mid in x.pieces:
-        spec = x.spec_of(pid)
-        split = spec.splitting
-        if split is None:
-            pieces.append((pid, mid))
-            for b in spec.boundaries:
-                slot_map[(pid, b.id)] = (pid, b.id)
-            continue
-        covered: dict[str, Slot] = {}
-        for sub in split.pieces:
-            sub_spec = spec_by_id.get(sub.manifold)
-            if sub_spec is None:
-                raise ValidationError(
-                    f"piece {pid}: splitting references unknown manifold {sub.manifold}"
-                )
-            sub_pid = f"{pid}/{sub.id}"
-            pieces.append((sub_pid, sub.manifold))
-            for parent_bdry, sub_bdry in sub.boundaries:
-                if not spec.has_boundary(parent_bdry):
-                    raise ValidationError(
-                        f"piece {pid}: splitting maps unknown boundary {parent_bdry}"
-                    )
-                if not sub_spec.has_boundary(sub_bdry):
-                    raise ValidationError(
-                        f"piece {pid}: splitting targets unknown boundary "
-                        f"{sub.manifold}:{sub_bdry}"
-                    )
-                if parent_bdry in covered:
-                    raise ValidationError(
-                        f"piece {pid}: boundary {parent_bdry} split twice"
-                    )
-                covered[parent_bdry] = (sub_pid, sub_bdry)
-        for b in spec.nontoroidal():
-            if b.id not in covered:
-                raise ValidationError(
-                    f"piece {pid}: splitting leaves boundary {b.id} unplaced"
-                )
-            slot_map[(pid, b.id)] = covered[b.id]
-        for sub_a, bdry_a, sub_b, bdry_b, map_json in split.identifications:
-            owners = [s.manifold for s in split.pieces if s.id == sub_a]
-            if not owners:
-                raise ValidationError(
-                    f"piece {pid}: splitting identification names unknown part {sub_a}"
-                )
-            spec_a = spec_by_id[owners[0]]
-            handle = spec_a.boundary(bdry_a).handle
-            assert handle is not None
-            idents.append(
-                Identification(
-                    f"{pid}/{sub_a}",
-                    bdry_a,
-                    f"{pid}/{sub_b}",
-                    bdry_b,
-                    SlotMap.from_json(handle, _thawed_json(map_json)),
-                )
-            )
-    for ident in x.identifications:
-        a = slot_map[ident.slot_a]
-        b = slot_map[ident.slot_b]
-        idents.append(Identification(a[0], a[1], b[0], b[1], ident.map))
-    lam = tuple((slot_map[slot], m) for slot, m in x.boundary_markings)
-    return GluingGraph(
-        manifolds=x.manifolds,
-        pieces=tuple(pieces),
-        identifications=tuple(idents),
-        boundary_markings=lam,
-    ).validate()
-
-
-def _is_exterior_side(x: GluingGraph, slot: Slot) -> bool:
-    spec = x.spec_of(slot[0])
-    return (
-        spec.kind == COMPRESSION_BODY and spec.exterior_boundary().id == slot[1]
-    )
-
-
-def full_and_maximal_decomposition(x: GluingGraph) -> DecompositionResult:
-    """Expand every declared splitting, then keep exactly the
-    identifications meeting a compression body's exterior boundary; the
-    connected groups under the kept identifications are the components."""
-    full = _expand_splittings(x)
-    kept: list[Identification] = []
-    cut: list[Identification] = []
-    for ident in full.identifications:
-        if _is_exterior_side(full, ident.slot_a) or _is_exterior_side(full, ident.slot_b):
-            kept.append(ident)
-        else:
-            cut.append(ident)
-
-    parent: dict[str, str] = {pid: pid for pid, _ in full.pieces}
-
-    def find(p: str) -> str:
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    for ident in kept:
-        ra, rb = find(ident.piece_a), find(ident.piece_b)
-        if ra != rb:
-            parent[ra] = rb
-
-    groups: dict[str, list[str]] = {}
-    for pid, _ in full.pieces:
-        groups.setdefault(find(pid), []).append(pid)
-    by_ident: dict[str, list[Identification]] = {root: [] for root in groups}
-    for ident in kept:
-        by_ident[find(ident.piece_a)].append(ident)
-
-    components = []
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        members = tuple(sorted(groups[root]))
-        cores = [p for p in members if full.spec_of(p).kind != COMPRESSION_BODY]
-        assert len(cores) <= 1, "kept identifications cannot join two cores"
-        kind = "compression-of-core" if cores else "compression-body-chain"
-        components.append(Component(members, kind, tuple(by_ident[root])))
-    return DecompositionResult(full=full, components=tuple(components), cut=tuple(cut))
-
-
-# ------------------------------------------------------------ transparency
-
-
-class TransparencyReport(Record):
-    piece: str
-    transparent: tuple[str, ...]
-    adjusted: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
-    removed: tuple[str, ...]
-    induced: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "piece": self.piece,
-            "transparent": list(self.transparent),
-            "adjusted": {
-                tid: [list(e) for e in fp] for tid, fp in self.adjusted
-            },
-            "removed": list(self.removed),
-            "induced": list(self.induced),
-        }
-
-
-def transparency_and_induced_charsub(x: GluingGraph, piece_id: str) -> TransparencyReport:
-    """Classify the piece's declared JSJ windows: an I-bundle is
-    transparent when its whole footprint sits on unburied boundaries, a
-    solid torus when at least two footprint annuli do (keeping only those
-    annuli); declared-parallel tori with equal adjusted footprints
-    collapse to one representative."""
-    spec = x.spec_of(piece_id)
-    if not spec.jsj:
-        raise ValidationError(f"piece {piece_id} carries no JSJ metadata")
-    for piece in spec.jsj:
-        for bdry, _ in piece.footprint:
-            if not spec.has_boundary(bdry):
-                raise ValidationError(
-                    f"JSJ footprint references unknown boundary {bdry}"
-                )
-
-    def unburied(bdry: str) -> bool:
-        return not x.is_buried((piece_id, bdry))
-
-    transparent: list[str] = []
-    adjusted: list[tuple[str, tuple[tuple[str, str], ...]]] = []
-    tori: list[tuple[str, tuple[tuple[str, str], ...], str]] = []
-    for piece in spec.jsj:
-        if piece.type == "ibundle":
-            if all(unburied(b) for b, _ in piece.footprint):
-                transparent.append(piece.id)
-        elif piece.type == "solidtorus":
-            free = tuple(e for e in piece.footprint if unburied(e[0]))
-            if len(free) >= 2:
-                transparent.append(piece.id)
-                adjusted.append((piece.id, free))
-                tori.append((piece.id, free, piece.parallel_class))
-
-    removed: list[str] = []
-    kept_tori: list[str] = []
-    seen: dict[tuple[str, tuple], str] = {}
-    for tid, footprint, parallel in sorted(tori):
-        if parallel and (parallel, footprint) in seen:
-            removed.append(tid)
-            continue
-        if parallel:
-            seen[(parallel, footprint)] = tid
-        kept_tori.append(tid)
-
-    windows = [
-        p.id for p in spec.jsj if p.type == "ibundle" and p.id in transparent
-    ]
-    return TransparencyReport(
-        piece=piece_id,
-        transparent=tuple(sorted(transparent)),
-        adjusted=tuple(adjusted),
-        removed=tuple(sorted(removed)),
-        induced=tuple(sorted(windows + kept_tori)),
     )

@@ -6,16 +6,34 @@ the Farey oracle builds the mediant tessellation and runs BFS, while the
 production distance is a continued-fraction descent.  The exceptions are
 the reference kernels at the end: the package's former per-target row and
 pivot searches, kept to test their replacements against, and the geodesic
-enumerator that no command uses.
+enumerator that no command uses.  The last section holds the former
+library functions that no command reaches: builders, a reader and
+checkers that the tests use on package values.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import deque
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
+
+from glueforge.errors import ParseError, ValidationError, clip
+from glueforge.gluing import (
+    COMPRESSION_BODY,
+    DecoratedManifoldSpec,
+    GluingGraph,
+    Identification,
+    Slot,
+    SlotMap,
+    _slot_name,
+)
+from glueforge.model import SCHEMA, ModelSkeleton, PieceBlock, TubeBlock, TubeSample
+from glueforge.record import Record
+from glueforge.surface import AbstractMarking, BackendHandle, _require_same, curve_distances_from
+from glueforge.torus import Slope, TeichPoint, curve_length, shortest_slope
 
 INF = (1, 0)
 
@@ -303,7 +321,8 @@ def enumerated_pivot_projections(m1, m2):
     marking slopes and every core of each of the twelve ordered slope
     pairs, each run through its convergent recurrence in full.  A core
     comes once per run that reaches it."""
-    from glueforge.torus import _chart_image, _primitive_slope, normalizer_to_infinity
+    from glueforge.farey import _chart_image
+    from glueforge.torus import _primitive_slope, normalizer_to_infinity
 
     def spread(f1, f2):
         return max(max(f1) - min(f2), max(f2) - min(f1)) + 2
@@ -361,8 +380,8 @@ def enumerated_pivot_projections(m1, m2):
 def all_pairs_path_report(handle, path):
     """The former stack certificate's report: the global quasigeodesic
     report of a stack path with every pair of its vertices measured."""
-    from glueforge.hypgraph import local_to_global_report
-    from glueforge.surface import curve_distance, curve_distances_from
+    from glueforge.surface import curve_distance
+    from glueforge.transforms import local_to_global_report
 
     return local_to_global_report(
         lambda u, v: curve_distance(handle, u, v),
@@ -375,8 +394,6 @@ def all_pairs_path_report(handle, path):
 def full_fellow_traveling(handle, path, direct) -> int:
     """The former fellow-traveling scan: every path vertex against every
     vertex of the direct geodesic."""
-    from glueforge.surface import curve_distances_from
-
     return max(min(curve_distances_from(handle, v, direct)) for v in path)
 
 
@@ -418,7 +435,7 @@ def array_check(m) -> None:
 def array_four_point_delta(table) -> Fraction:
     import numpy as np
 
-    from glueforge.hypgraph import _blocks
+    from glueforge.hyplab import _blocks
 
     m = table_array(table)
     adj = array_metric_graph(m)
@@ -622,3 +639,345 @@ def enumerate_geodesics(
             path.append(cur)
         sample.append(tuple(path))
     return GeodesicFamily(tuple(sample), total, sampled=True)
+
+
+# Former library functions that no command reaches.  The tests build
+# gluings with them (compression assembly, relabeling), read skeletons back
+# (the JSON reader), and check package values against them (systole,
+# marking diameter, path witnesses, transparent windows).
+
+
+def systole(z: TeichPoint) -> float:
+    """Length of the shortest slope at z."""
+    return curve_length(z, shortest_slope(z))
+
+
+def relabel(x: GluingGraph, mapping: Mapping[str, str]) -> GluingGraph:
+    """Rename pieces through a bijection; all slot references follow."""
+    pids = [pid for pid, _ in x.pieces]
+    images = [mapping.get(pid, pid) for pid in pids]
+    if len(set(images)) != len(images):
+        raise ValidationError("piece relabeling is not a bijection")
+
+    def ren(pid: str) -> str:
+        return mapping.get(pid, pid)
+
+    return GluingGraph(
+        x.manifolds,
+        tuple((ren(pid), mid) for pid, mid in x.pieces),
+        tuple(
+            Identification(ren(i.piece_a), i.bdry_a, ren(i.piece_b), i.bdry_b, i.map)
+            for i in x.identifications
+        ),
+        tuple(((ren(pid), bid), m) for (pid, bid), m in x.boundary_markings),
+    )
+
+
+def marking_diameter(*markings: AbstractMarking) -> int:
+    """Max pairwise curve-graph distance over all elements."""
+    if not markings:
+        raise ValidationError("diameter of nothing")
+    handle = markings[0].handle
+    elems: list = []
+    for m in markings:
+        _require_same(handle, m.handle)
+        elems.extend(m.elements())
+    return max(
+        (
+            max(curve_distances_from(handle, elems[i], elems[i + 1 :]))
+            for i in range(len(elems) - 1)
+        ),
+        default=0,
+    )
+
+
+def _point_from_json(obj: object) -> TeichPoint | None:
+    if obj is None:
+        return None
+    try:
+        x, y = obj  # type: ignore[misc]
+        return TeichPoint(float(x), float(y))
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise ParseError(f"bad half-plane point {clip(obj)}") from exc
+
+
+def _tube_sample_from_json(obj: object) -> TubeSample:
+    if not isinstance(obj, Mapping):
+        raise ParseError("tube sample must be an object")
+    try:
+        p, q = obj["shortest"]
+        point = _point_from_json(obj["point"])
+        assert point is not None
+        return TubeSample(
+            float(obj["t"]), point, float(obj["systole"]), Slope(int(p), int(q))
+        )
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise ParseError(f"bad tube sample: {exc}") from exc
+
+
+def _tube_block_from_json(obj: object) -> TubeBlock:
+    if not isinstance(obj, Mapping):
+        raise ParseError("tube block must be an object")
+    try:
+        involution = None
+        if "involution" in obj:
+            blob = obj["involution"]
+            handle = BackendHandle.from_json(blob["backend"])
+            involution = SlotMap.from_json(handle, blob["map"])
+        pa, ba = obj["slot_a"]
+        pb, bb = obj["slot_b"]
+        return TubeBlock(
+            (str(pa), str(ba)),
+            (str(pb), str(bb)),
+            str(obj["kind"]),
+            combinatorial=bool(obj["combinatorial"]),
+            sigma_a=_point_from_json(obj["sigma_a"]),
+            sigma_b=_point_from_json(obj["sigma_b"]),
+            length=float(obj["length"]),
+            degenerate=bool(obj["degenerate"]),
+            involution=involution,
+            samples=tuple(_tube_sample_from_json(s) for s in obj["samples"]),
+        )
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise ParseError(f"bad tube block: {exc}") from exc
+
+
+def _piece_block_from_json(obj: object) -> PieceBlock:
+    if not isinstance(obj, Mapping):
+        raise ParseError("piece block must be an object")
+    try:
+        anchors = tuple(
+            (str(bid), _point_from_json(z))
+            for bid, z in sorted(dict(obj["anchors"]).items())
+        )
+        return PieceBlock(str(obj["piece"]), anchors, str(obj["volume_tag"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad piece block: {exc}") from exc
+
+
+def _skeleton_from_json(obj: object) -> ModelSkeleton:
+    if not isinstance(obj, Mapping):
+        raise ParseError("skeleton must be a JSON object")
+    if obj.get("schema") != SCHEMA:
+        raise ParseError(f"unsupported skeleton schema {clip(obj.get('schema'))}")
+    try:
+        stats = obj["stats"]
+        min_sys = stats["min_sampled_systole"]
+        return ModelSkeleton(
+            pieces=tuple(_piece_block_from_json(p) for p in obj["pieces"]),
+            tubes=tuple(_tube_block_from_json(t) for t in obj["tubes"]),
+            incidence=tuple((str(a), str(b)) for a, b in obj["incidence"]),
+            total_tube_length=float(stats["total_tube_length"]),
+            min_sampled_systole=None if min_sys is None else float(min_sys),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad skeleton: {exc}") from exc
+
+
+def load_skeleton(data: bytes | str) -> ModelSkeleton:
+    """Inverse of the JSON export of glueforge.model; round trips are byte
+    identical."""
+    try:
+        obj = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"skeleton is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("skeleton is not valid JSON: arrays or objects nest too deeply") from exc
+    return _skeleton_from_json(obj)
+
+
+_CLAIMS = ("geodesic", "local-quasigeodesic", "quasigeodesic")
+
+
+class PathWitness(Record):
+    """Vertex path with a claimed quality, checkable against a distance
+    oracle.  Quasigeodesic claims carry their constant k (and the window
+    for local claims); a claimed k promises every sub-interval (within the
+    window, for local claims) has edge length <= k * endpoint distance."""
+
+    vertices: tuple
+    claim: str = "geodesic"
+    k: Fraction | None = None
+    window: int | None = None
+
+    def __post_init__(self) -> None:
+        if not self.vertices:
+            raise ValidationError("empty path")
+        if self.claim not in _CLAIMS:
+            raise ValidationError(f"unknown path claim {clip(self.claim)}")
+        if self.claim == "geodesic":
+            if self.k is not None or self.window is not None:
+                raise ValidationError("geodesic claim takes no constants")
+        else:
+            if self.k is None or self.k < 1:
+                raise ValidationError("quasigeodesic claim needs k >= 1")
+            if self.claim == "local-quasigeodesic" and (self.window is None or self.window < 1):
+                raise ValidationError("local claim needs a window >= 1")
+            if self.claim == "quasigeodesic" and self.window is not None:
+                raise ValidationError("global claim takes no window")
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def validate(self, dist: Callable[[object, object], int]) -> None:
+        vs = self.vertices
+        for u, v in zip(vs, vs[1:]):
+            if dist(u, v) != 1:
+                raise ValidationError(f"consecutive vertices not adjacent: {u}, {v}")
+        if len(vs) < 2:
+            return
+        if self.claim == "geodesic":
+            if dist(vs[0], vs[-1]) != len(vs) - 1:
+                raise ValidationError("path is not a geodesic")
+            return
+        limit = self.window if self.claim == "local-quasigeodesic" else len(vs) - 1
+        for i in range(len(vs)):
+            for j in range(i + 1, min(i + limit, len(vs) - 1) + 1):
+                d = dist(vs[i], vs[j])
+                if d == 0:
+                    raise ValidationError(f"revisited vertex over interval ({i}, {j})")
+                if j - i > self.k * d:
+                    raise ValidationError(
+                        f"claimed constant {self.k} violated on interval ({i}, {j})"
+                    )
+
+    def to_dict(self) -> dict:
+        out: dict = {"vertices": [str(v) for v in self.vertices], "claim": self.claim}
+        if self.k is not None:
+            out["k"] = [self.k.numerator, self.k.denominator]
+        if self.window is not None:
+            out["window"] = self.window
+        return out
+
+
+class CompressionStep(Record):
+    """Attach one compression body by its exterior boundary."""
+
+    piece_id: str
+    body: DecoratedManifoldSpec
+    target: Slot
+    attach: SlotMap
+
+    def __post_init__(self) -> None:
+        if self.body.kind != COMPRESSION_BODY:
+            raise ValidationError(f"step piece {self.piece_id} is not a compression body")
+
+
+def build_compression(
+    base: DecoratedManifoldSpec,
+    steps: Sequence[CompressionStep],
+    budget: int | None = None,
+    base_piece: str = "p0",
+) -> GluingGraph:
+    """Inductively glue compression bodies onto free slots of a growing
+    gluing, starting from the bare piece.  The budget caps the total piece
+    count; by default one base piece plus two bodies per base boundary."""
+    if budget is None:
+        budget = 1 + 2 * len(base.nontoroidal())
+    manifolds: dict[str, DecoratedManifoldSpec] = {base.id: base}
+    pieces: list[tuple[str, str]] = [(base_piece, base.id)]
+    idents: list[Identification] = []
+    buried: set[Slot] = set()
+    known: set[Slot] = {(base_piece, b.id) for b in base.nontoroidal()}
+
+    for step in steps:
+        if len(pieces) + 1 > budget:
+            raise ValidationError(f"compression budget exceeded: {budget} pieces")
+        if step.target not in known:
+            raise ValidationError(f"unknown attachment slot {_slot_name(step.target)}")
+        if step.target in buried:
+            raise ValidationError(f"attachment to buried slot {_slot_name(step.target)}")
+        if any(pid == step.piece_id for pid, _ in pieces):
+            raise ValidationError(f"piece id {step.piece_id} reused")
+        existing = manifolds.get(step.body.id)
+        if existing is not None and existing != step.body:
+            raise ValidationError(f"conflicting manifold spec {step.body.id}")
+        manifolds[step.body.id] = step.body
+        pieces.append((step.piece_id, step.body.id))
+        exterior = step.body.exterior_boundary().id
+        source = (step.piece_id, exterior)
+        idents.append(Identification(*source, *step.target, map=step.attach))
+        buried.add(step.target)
+        buried.add(source)
+        known |= {(step.piece_id, b.id) for b in step.body.nontoroidal()}
+
+    return GluingGraph(
+        manifolds=tuple(manifolds.values()),
+        pieces=tuple(pieces),
+        identifications=tuple(idents),
+    ).validate()
+
+
+class TransparencyReport(Record):
+    piece: str
+    transparent: tuple[str, ...]
+    adjusted: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
+    removed: tuple[str, ...]
+    induced: tuple[str, ...]
+
+    def to_json(self) -> dict:
+        return {
+            "piece": self.piece,
+            "transparent": list(self.transparent),
+            "adjusted": {
+                tid: [list(e) for e in fp] for tid, fp in self.adjusted
+            },
+            "removed": list(self.removed),
+            "induced": list(self.induced),
+        }
+
+
+def transparency_and_induced_charsub(x: GluingGraph, piece_id: str) -> TransparencyReport:
+    """Classify the piece's declared JSJ windows: an I-bundle is
+    transparent when its whole footprint sits on unburied boundaries, a
+    solid torus when at least two footprint annuli do (keeping only those
+    annuli); declared-parallel tori with equal adjusted footprints
+    collapse to one representative."""
+    spec = x.spec_of(piece_id)
+    if not spec.jsj:
+        raise ValidationError(f"piece {piece_id} carries no JSJ metadata")
+    for piece in spec.jsj:
+        for bdry, _ in piece.footprint:
+            if not spec.has_boundary(bdry):
+                raise ValidationError(
+                    f"JSJ footprint references unknown boundary {bdry}"
+                )
+
+    def unburied(bdry: str) -> bool:
+        return not x.is_buried((piece_id, bdry))
+
+    transparent: list[str] = []
+    adjusted: list[tuple[str, tuple[tuple[str, str], ...]]] = []
+    tori: list[tuple[str, tuple[tuple[str, str], ...], str]] = []
+    for piece in spec.jsj:
+        if piece.type == "ibundle":
+            if all(unburied(b) for b, _ in piece.footprint):
+                transparent.append(piece.id)
+        elif piece.type == "solidtorus":
+            free = tuple(e for e in piece.footprint if unburied(e[0]))
+            if len(free) >= 2:
+                transparent.append(piece.id)
+                adjusted.append((piece.id, free))
+                tori.append((piece.id, free, piece.parallel_class))
+
+    removed: list[str] = []
+    kept_tori: list[str] = []
+    seen: dict[tuple[str, tuple], str] = {}
+    for tid, footprint, parallel in sorted(tori):
+        if parallel and (parallel, footprint) in seen:
+            removed.append(tid)
+            continue
+        if parallel:
+            seen[(parallel, footprint)] = tid
+        kept_tori.append(tid)
+
+    windows = [
+        p.id for p in spec.jsj if p.type == "ibundle" and p.id in transparent
+    ]
+    return TransparencyReport(
+        piece=piece_id,
+        transparent=tuple(sorted(transparent)),
+        adjusted=tuple(adjusted),
+        removed=tuple(sorted(removed)),
+        induced=tuple(sorted(windows + kept_tori)),
+    )

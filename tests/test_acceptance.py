@@ -16,7 +16,15 @@ import random
 import time
 from fractions import Fraction
 
+from glueforge.certify import check_bounded_combinatorics
 from glueforge.cli import main as cli_main
+from glueforge.decompose import full_and_maximal_decomposition
+from glueforge.farey import (
+    AnnulusLabel,
+    annular_projection_distance,
+    farey_distance,
+    farey_geodesic,
+)
 from glueforge.gluing import (
     GENERIC,
     TRIVIAL_IBUNDLE,
@@ -24,40 +32,31 @@ from glueforge.gluing import (
     DecoratedManifoldSpec,
     GluingGraph,
     Identification,
-    check_bounded_combinatorics,
     heights,
     validate_gluing,
 )
-from glueforge.hypgraph import FiniteGraph, all_pairs_distances, check_qconvex_stability
-from glueforge.model import build_skeleton, export_skeleton, load_skeleton
-from glueforge.surface import (
-    AbstractMarking,
-    geodesic_between,
-    marking_diameter,
-    marking_distance,
-    sup_projection,
-)
+from glueforge.hypgraph import FiniteGraph, all_pairs_distances
+from glueforge.hyplab import check_qconvex_stability
+from glueforge.model import build_skeleton, export_skeleton
+from glueforge.surface import AbstractMarking, geodesic_between, marking_distance, sup_projection
 from glueforge.torus import (
     REFLECTION,
-    AnnulusLabel,
     Slope,
     SurfaceMap,
-    annular_projection_distance,
-    farey_distance,
-    farey_geodesic,
     is_adjacent,
     shortest_marking,
     sigma_of_marking,
     teich_distance,
 )
-from glueforge.transforms import (
+from glueforge.transforms import collapse_ibundles, combine_stack
+from oracles import (
     CompressionStep,
+    FareyOracle,
     build_compression,
-    collapse_ibundles,
-    combine_stack,
-    full_and_maximal_decomposition,
+    load_skeleton,
+    marking_diameter,
+    unit_interval_slopes,
 )
-from oracles import FareyOracle, unit_interval_slopes
 from test_transforms import (
     A,
     MU,

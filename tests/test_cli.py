@@ -40,8 +40,10 @@ from glueforge.ioutil import sha256_of_text
 from glueforge.surface import AbstractMarking, BackendHandle
 from glueforge.torus import IDENTITY, REFLECTION, FareyMarking, Slope
 from test_transforms import (
+    A,
     MU,
     axis_bundle,
+    bundle,
     chain,
     core,
     core_stack_core,
@@ -200,6 +202,13 @@ def files(tmp_path_factory):
         ),
     ).validate()
     out["graph_stack"] = save("graph_stack.json", graph_stack.canonical_json())
+
+    # a torus stack whose path backtracks along the axis: not a geodesic,
+    # so its certificate scans the pairs of the path
+    m0 = bundle("B0", MU, push(REFLECTION @ A.power(6)))
+    m1 = bundle("B1", push(A.power(3)), push(REFLECTION @ A.power(9)))
+    backtrack = chain(core("ML", MU), m0, m1, core("MR", push(A.power(9) @ REFLECTION)))
+    out["backtrack"] = save("backtrack.json", backtrack.canonical_json())
 
     out["bad"] = save("bad.json", '{"pieces": [')
     out["p4"] = save("p4.txt", P4)
@@ -510,13 +519,16 @@ DEEP_STDOUT_SHA256 = {
 }
 
 
-# Stacks of two and six axis bundles with large height gaps; the sha256 of
-# the stdout of cold runs with default flags was recorded while the stack
-# certificate still measured every pair of path vertices
+# Stacks of two to thirty axis bundles with large height gaps; the sha256
+# of the stdout of cold runs with default flags was recorded while the
+# stack certificate still scanned the pairs of every stack path (the 15-
+# and 30-bundle stacks before geodesic paths skipped the scan)
 STACKS = {
     "stack100_600": [100, 600],
     "stack100_1100": [100, 1100],
     "stack50_300": [50, 100, 150, 200, 250, 300],
+    "stack50_750": list(range(50, 800, 50)),
+    "stack50_1500": list(range(50, 1550, 50)),
 }
 STACK_STDOUT_SHA256 = {
     ("report", "stack100_600"): "210be08207f5f246cb404aa53ffa701ccd29c7108c493b9c1628d3da6a48360e",
@@ -525,6 +537,10 @@ STACK_STDOUT_SHA256 = {
     ("collapse", "stack100_1100"): "1c5bc6bc6acc77697030ada86c1e33444e1adde88847aea405430868b936cf70",
     ("report", "stack50_300"): "87d46243ca393383164ea56df4c802bbb01616e4ad2c470ae9ceb55ab8f363b2",
     ("collapse", "stack50_300"): "25a99ec7fc028394e2f479fae4ae1898530bc7db4ed5f061ec696e6808e04dbb",
+    ("report", "stack50_750"): "f58a5ddbce9796b8ceb59e4c0b30f80c1f1826c32fdfd4e888a5f43aa26b6abe",
+    ("collapse", "stack50_750"): "6f5c093142c689ece3fe51a3b4db7f80850ddc345d5c6c70a1377c7444b4407a",
+    ("report", "stack50_1500"): "4f1d17368eafddef88729df6249fbc8f51714a0b73ee5ab8dcb6cf36ddaca6a5",
+    ("collapse", "stack50_1500"): "5417d98886ceda68e4cd3515b8c4ac5794f5a7e745d0a18bc2e5f342cb1155d5",
 }
 
 
@@ -559,25 +575,42 @@ def loaded_modules(argv: list[str]) -> set[str]:
     return set(proc.stdout.split())
 
 
+# The glueforge modules a cold command loads besides cli, errors, ioutil
+# and record, per backend of its input: the table of the README.
+LAYERS_LOADED = {
+    ("hyplab", None): {"hypgraph", "hyplab"},
+    ("validate", "torus"): {"gluing", "surface", "torus"},
+    ("report", "torus"): {"gluing", "surface", "torus", "farey", "certify"},
+    ("collapse", "torus"): {"gluing", "surface", "torus", "farey", "transforms"},
+    ("decompose", "torus"): {"gluing", "surface", "torus", "decompose"},
+    ("model", "torus"): {"gluing", "surface", "torus", "model"},
+    ("validate", "graph"): {"gluing", "surface", "hypgraph"},
+    ("report", "graph"): {"gluing", "surface", "hypgraph", "certify"},
+    ("collapse", "graph"): {"gluing", "surface", "hypgraph", "transforms"},
+    ("decompose", "graph"): {"gluing", "surface", "hypgraph", "decompose"},
+    ("model", "graph"): {"gluing", "surface", "hypgraph", "model"},
+}
+INPUT_OF_BACKEND = {None: "c6", "torus": "chain", "graph": "graph_stack"}
+
+
 def test_commands_load_only_the_layers_they_run(files):
-    hyplab = loaded_modules(["hyplab", "--input", files["c6"]])
-    assert "glueforge.hypgraph" in hyplab
-    for layer in ("gluing", "surface", "torus", "transforms", "model"):
-        assert f"glueforge.{layer}" not in hyplab
-    validate = loaded_modules(["validate", "--input", files["chain"]])
-    assert "glueforge.gluing" in validate
-    assert not {"glueforge.transforms", "glueforge.model"} & validate
-    # a gluing command loads the backend layer its input lives on
-    for command in ("validate", "report", "collapse", "decompose"):
-        graph = loaded_modules([command, "--input", files["graph_stack"]])
-        assert "glueforge.hypgraph" in graph and "glueforge.torus" not in graph, command
-    for command in ("validate", "report", "decompose", "model"):
-        torus = loaded_modules([command, "--input", files["chain"]])
-        assert "glueforge.torus" in torus and "glueforge.hypgraph" not in torus, command
-    # the certificate of a stack of several bundles runs local_to_global_report
-    assert "glueforge.hypgraph" in loaded_modules(["collapse", "--input", files["example:stack"]])
+    for (command, backend), layers in LAYERS_LOADED.items():
+        loaded = loaded_modules([command, "--input", files[INPUT_OF_BACKEND[backend]]])
+        expected = {"cli", "errors", "ioutil", "record"} | layers
+        assert loaded == {f"glueforge.{m}" for m in expected}, (command, backend)
+
+
+def test_stack_certificates_and_mixed_gluings_load_their_layers(files, capsys):
+    # a stack path that is not a geodesic runs the pair scan, which needs
+    # no more layers than the one-row test of a geodesic path
+    argv = ["collapse", "--input", files["backtrack"]]
+    assert loaded_modules(argv) == loaded_modules(["collapse", "--input", files["chain"]])
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_VERDICT
+    assert envelope(out)["result"]["stacks"][0]["certificate"]["k_prime"] is None
+    # a gluing with boundaries on both backends loads both layers
     both = loaded_modules(["report", "--input", files["mixed"]])
-    assert {"glueforge.torus", "glueforge.hypgraph"} <= both
+    assert {"glueforge.torus", "glueforge.farey", "glueforge.hypgraph"} <= both
 
 
 @pytest.mark.parametrize("command", ["validate", "report"])
@@ -727,7 +760,7 @@ def test_no_module_imports_numpy():
 
 # importing dataclasses compiles its generated methods on every cold start,
 # and it loads inspect; records are built without either.  fractions loads
-# decimal and numbers; only the delta, path and collapse reports build one
+# decimal and numbers; only the delta and collapse reports build one
 _IMPORT_PROBE = (
     "import sys\n"
     "from glueforge import cli\n"
@@ -741,7 +774,7 @@ _IMPORT_PROBE = (
 def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
     src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
     target = tmp_path / "out"
-    for command in ("validate", "report", "model"):
+    for command in ("validate", "report", "model", "decompose"):
         argv = [command, "--input", files["example:chain"], "--out", str(target)]
         proc = subprocess.run(
             [sys.executable, "-c", _IMPORT_PROBE, *argv],

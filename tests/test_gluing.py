@@ -6,14 +6,15 @@ import random
 import pytest
 
 from glueforge import surface
+from glueforge.certify import CombinatoricsCertificate, check_bounded_combinatorics
 from glueforge.errors import BackendMismatchError, ParseError, ValidationError
+from glueforge.farey import farey_distance
 from glueforge.gluing import (
     COMPRESSION_BODY,
     GENERIC,
     TRIVIAL_IBUNDLE,
     TWISTED_IBUNDLE,
     BoundarySpec,
-    CombinatoricsCertificate,
     CoverData,
     DecoratedManifoldSpec,
     GluingGraph,
@@ -21,10 +22,8 @@ from glueforge.gluing import (
     InducedMarkingTable,
     JSJPiece,
     SlotMap,
-    check_bounded_combinatorics,
     heights,
     induced_markings,
-    relabel,
     validate_gluing,
 )
 from glueforge.hypgraph import FiniteGraph, cycle_graph, path_graph
@@ -41,10 +40,10 @@ from glueforge.torus import (
     FareyMarking,
     Slope,
     SurfaceMap,
-    farey_distance,
     parse_slope,
 )
 from glueforge.transforms import collapse_ibundles
+from oracles import relabel
 
 T = BackendHandle.torus()
 T_MAP = SurfaceMap(1, 1, 0, 1)

@@ -20,20 +20,22 @@ from glueforge.errors import ParseError, ValidationError
 from glueforge.hypgraph import (
     DistanceTable,
     FiniteGraph,
-    PathWitness,
-    _far_apart_pairs,
-    _widest_gap,
     all_pairs_distances,
-    check_qconvex_stability,
     complete_graph,
     cycle_graph,
-    four_point_delta,
     geodesic_interval,
-    local_to_global_report,
     path_graph,
+)
+from glueforge.hyplab import (
+    _far_apart_pairs,
+    _widest_gap,
+    check_qconvex_stability,
+    four_point_delta,
     quasiconvexity_constant,
     read_graph,
 )
+from glueforge.transforms import local_to_global_report
+from oracles import PathWitness
 
 
 def table_of(g: FiniteGraph) -> DistanceTable:
@@ -646,10 +648,11 @@ def test_report_concatenated_geodesics_frozen():
 def test_report_accepts_path_witness_and_validates():
     t = table_of(cycle_graph(6))
     w = PathWitness((0, 1, 2, 3, 4), claim="quasigeodesic", k=Fraction(2))
-    rep = local_to_global_report(t, w, 2)
+    w.validate(t)
+    rep = local_to_global_report(t, w.vertices, 2)
     assert rep.global_k == 2
     with pytest.raises(ValidationError):
-        local_to_global_report(t, PathWitness((0, 2, 4), claim="quasigeodesic", k=Fraction(9)), 2)
+        PathWitness((0, 2, 4), claim="quasigeodesic", k=Fraction(9)).validate(t)
     with pytest.raises(ValidationError, match="window"):
         local_to_global_report(t, [0, 1], 0)
 

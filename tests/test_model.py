@@ -29,7 +29,6 @@ from glueforge.model import (
     TubeBlock,
     build_skeleton,
     export_skeleton,
-    load_skeleton,
     sample_tube,
     verify_thickness,
 )
@@ -43,10 +42,10 @@ from glueforge.torus import (
     TeichPoint,
     parse_slope,
     sigma_of_marking,
-    systole,
     teich_distance,
 )
 from glueforge.transforms import collapse_ibundles
+from oracles import load_skeleton, systole
 from test_transforms import core_stack_core
 
 T = BackendHandle.torus()

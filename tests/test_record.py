@@ -1,6 +1,6 @@
-"""Record contract: every glueforge record class behaves as its stdlib
-`dataclass(frozen=True)` twin, built here from the same annotations,
-defaults and methods."""
+"""Record contract: every glueforge record class, and every record class of
+tests/oracles.py, behaves as its stdlib `dataclass(frozen=True)` twin,
+built here from the same annotations, defaults and methods."""
 
 import dataclasses
 import importlib
@@ -11,25 +11,20 @@ import pytest
 
 import glueforge
 from glueforge import cli
+from glueforge.certify import check_bounded_combinatorics
+from glueforge.decompose import full_and_maximal_decomposition
 from glueforge.errors import GlueforgeError, PrecisionLossError, ValidationError
-from glueforge.gluing import check_bounded_combinatorics
-from glueforge.hypgraph import (
-    PathWitness,
-    all_pairs_distances,
-    check_qconvex_stability,
-    cycle_graph,
-    local_to_global_report,
-)
+from glueforge.hypgraph import all_pairs_distances, cycle_graph
+from glueforge.hyplab import check_qconvex_stability
 from glueforge.model import build_skeleton, verify_thickness
 from glueforge.record import FrozenRecordError, Record, replace
 from glueforge.surface import BackendHandle, GraphProjection
 from glueforge.torus import REFLECTION, FareyMarking, Slope, SurfaceMap, TeichPoint
-from glueforge.transforms import (
+from glueforge.transforms import _resolve_stack, collapse_ibundles, local_to_global_report
+from oracles import (
     CompressionStep,
-    _resolve_stack,
+    PathWitness,
     build_compression,
-    collapse_ibundles,
-    full_and_maximal_decomposition,
     transparency_and_induced_charsub,
 )
 from test_gluing import full_featured_gluing
@@ -42,7 +37,7 @@ for _info in pkgutil.iter_modules(glueforge.__path__):
 def _record_classes(base: type) -> list[type]:
     out = []
     for sub in base.__subclasses__():
-        if sub.__module__.startswith("glueforge."):
+        if sub.__module__.startswith("glueforge.") or sub.__module__ == "oracles":
             out.append(sub)
         out.extend(_record_classes(sub))
     return out
@@ -128,7 +123,7 @@ def samples() -> dict:
             check_qconvex_stability(table, [0, 1, 2], 1),
             g,
             witness,
-            local_to_global_report(table, witness, 2),
+            local_to_global_report(table, witness.vertices, 2),
             GraphProjection((0, 1), (3,), "W0", 7),
             cli._config(cli._build_parser().parse_args(["report", "--input", "x.json"])),
             cli._config(cli._build_parser().parse_args(["collapse", "--input", "y", "--R", "3"])),

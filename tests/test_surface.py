@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glueforge.errors import BackendMismatchError, ParseError, ValidationError
+from glueforge.farey import farey_distance, max_subsurface_projection
 from glueforge.hypgraph import FiniteGraph, cycle_graph, path_graph
 from glueforge.surface import (
     AbstractMarking,
@@ -19,22 +20,13 @@ from glueforge.surface import (
     curve_distances_from,
     disk_distance,
     geodesic_between,
-    marking_diameter,
     marking_distance,
     marking_to_path_distance,
     pushforward,
     sup_projection,
 )
-from glueforge.torus import (
-    INFINITY,
-    IDENTITY,
-    REFLECTION,
-    FareyMarking,
-    Slope,
-    SurfaceMap,
-    farey_distance,
-    max_subsurface_projection,
-)
+from glueforge.torus import IDENTITY, INFINITY, REFLECTION, FareyMarking, Slope, SurfaceMap
+from oracles import marking_diameter
 
 T_MAP = SurfaceMap(1, 1, 0, 1)
 L_MAP = SurfaceMap(1, 0, 1, 1)
@@ -409,16 +401,16 @@ def test_marking_to_path_distance():
 def test_marking_rows_chart_through_the_partner_slope(monkeypatch):
     # the other slope of a marking is a Farey neighbour of each, so no
     # row from a marking slope pays the modular inverse of its chart
-    from glueforge import torus
+    from glueforge import farey
 
     neighbours = []
-    real = torus.normalizer_to_infinity
+    real = farey.normalizer_to_infinity
 
     def recording(w, neighbour=None):
         neighbours.append(neighbour)
         return real(w, neighbour)
 
-    monkeypatch.setattr(torus, "normalizer_to_infinity", recording)
+    monkeypatch.setattr(farey, "normalizer_to_infinity", recording)
     rng = random.Random(11)
     t = BackendHandle.torus()
     for _ in range(30):

@@ -21,37 +21,38 @@ from glueforge.errors import (
     PrecisionLossError,
     ValidationError,
 )
-from glueforge.torus import (
-    INFINITY,
-    IDENTITY,
-    REFLECTION,
+from glueforge.farey import (
     AnnulusLabel,
+    annular_projection_distance,
+    distances_from,
+    farey_distance,
+    farey_geodesic,
+    max_subsurface_projection,
+)
+from glueforge.torus import (
+    IDENTITY,
+    INFINITY,
+    REFLECTION,
     FareyMarking,
     Slope,
     SurfaceMap,
     TeichPoint,
-    annular_projection_distance,
     cf_expansion,
     curve_length,
-    distances_from,
-    farey_distance,
-    farey_geodesic,
     intersection_number,
     is_adjacent,
-    max_subsurface_projection,
     parse_slope,
     relative_cf_max_coeff,
     shortest_marking,
     shortest_slope,
     sigma_matrix,
     sigma_of_marking,
-    systole,
     teich_distance,
     teich_geodesic,
 )
 
 import glueforge
-from oracles import FareyOracle, canon, scan_shortest_slope
+from oracles import FareyOracle, canon, scan_shortest_slope, systole
 
 A_GOLD = SurfaceMap(2, 1, 1, 1)
 
@@ -235,7 +236,8 @@ def test_one_over_q_in_a_fresh_process(q):
     # a fresh interpreter has nothing memoized, so the answer cannot lean
     # on earlier, smaller questions
     code = (
-        "from glueforge.torus import INFINITY, Slope, farey_distance, farey_geodesic\n"
+        "from glueforge.farey import farey_distance, farey_geodesic\n"
+        "from glueforge.torus import INFINITY, Slope\n"
         f"s = Slope(1, {q})\n"
         "print(farey_distance(INFINITY, s), farey_distance(s, INFINITY))\n"
         "print(*farey_geodesic(INFINITY, s))\n"

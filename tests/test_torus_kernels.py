@@ -18,19 +18,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glueforge.farey import (
+    _pivot_projections,
+    distances_from,
+    farey_geodesic,
+    max_subsurface_projection,
+)
 from glueforge.torus import (
-    INFINITY,
     IDENTITY,
+    INFINITY,
     REFLECTION,
     FareyMarking,
     Slope,
     SurfaceMap,
-    _pivot_projections,
     _primitive_slope,
     cf_expansion,
-    farey_geodesic,
-    distances_from,
-    max_subsurface_projection,
     normalizer_to_infinity,
 )
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from glueforge.decompose import full_and_maximal_decomposition
 from glueforge.errors import BackendMismatchError, ValidationError
 from glueforge.gluing import (
     COMPRESSION_BODY,
@@ -33,7 +34,6 @@ from glueforge.surface import (
     BackendHandle,
     DiskSet,
     geodesic_between,
-    marking_diameter,
     marking_distance,
     marking_to_path_distance,
     sup_projection,
@@ -49,16 +49,19 @@ from glueforge.torus import (
 from glueforge.transforms import (
     _path_report,
     _stack_path,
-    CompressionStep,
-    build_compression,
     collapse_ibundles,
     combine_stack,
-    full_and_maximal_decomposition,
     measured_r_bound,
-    transparency_and_induced_charsub,
 )
 
-from oracles import all_pairs_path_report, full_fellow_traveling
+from oracles import (
+    CompressionStep,
+    all_pairs_path_report,
+    build_compression,
+    full_fellow_traveling,
+    marking_diameter,
+    transparency_and_induced_charsub,
+)
 
 T = BackendHandle.torus()
 A = SurfaceMap(2, 1, 1, 1)
@@ -281,19 +284,25 @@ def test_combine_stack_backend_mismatch():
 
 def assert_stack_certificate_matches_oracles(x: GluingGraph, pieces: list[str]):
     """k', the offending pair and the fellow-traveling constant against
-    the all-pairs report and the full scan; returns the certificate and
-    whether the path holds a bridge."""
+    the all-pairs report and the full scan; returns the certificate,
+    whether the path holds a bridge, and the kind of path: "geodesic",
+    "revisit", or "detour" (neither)."""
     cert = combine_stack(x, pieces, 1, 6)
     handle = cert.nu[0].handle
     path, reach = _stack_path(handle, cert.nu)
+    kind = "geodesic"
     if len(path) >= 2:
         report = _path_report(handle, path, reach)
         assert report == all_pairs_path_report(handle, path)
         assert cert.k_prime == (report.global_k if report.ok else None)
+        if not report.ok:
+            kind = "revisit"
+        elif report.global_k > 1:
+            kind = "detour"
     direct = geodesic_between(cert.nu[0], cert.nu[-1])
     assert cert.fellow_traveling == full_fellow_traveling(handle, path, direct)
     segments = sum(len(geodesic_between(a, b)) - 1 for a, b in zip(cert.nu, cert.nu[1:]))
-    return cert, len(path) - 1 > segments
+    return cert, len(path) - 1 > segments, kind
 
 
 def random_torus_stack(rng: random.Random, k: int) -> GluingGraph:
@@ -342,37 +351,49 @@ def random_cycle_stack(rng: random.Random, n: int, k: int) -> GluingGraph:
 
 def test_stack_certificate_matches_all_pairs_oracles_on_torus_stacks():
     rng = random.Random(2718)
-    seen = {"fellow": 0, "revisit": 0}
+    seen = {"fellow": 0, "geodesic": 0, "revisit": 0, "detour": 0}
     for k in list(range(1, 7)) * 8:
-        cert, _ = assert_stack_certificate_matches_oracles(
+        cert, _, kind = assert_stack_certificate_matches_oracles(
             random_torus_stack(rng, k), [f"p{i + 1}" for i in range(k)]
         )
         seen["fellow"] += cert.fellow_traveling > 0
-        seen["revisit"] += cert.k_prime is None
+        seen[kind] += 1
+        assert (kind == "revisit") == (cert.k_prime is None)
     # axis stacks: one geodesic, fellow 0
     for ks in ([3], [2, 7, 13], [5, 9, 12, 30, 31, 40]):
         x = core_stack_core(ks, right_power=ks[-1] + 4)
-        assert_stack_certificate_matches_oracles(x, [f"p{i + 1}" for i in range(len(ks))])
-    assert seen["fellow"] >= 10 and seen["revisit"] >= 10
+        _, _, kind = assert_stack_certificate_matches_oracles(
+            x, [f"p{i + 1}" for i in range(len(ks))]
+        )
+        assert kind == "geodesic"
+    # the one-row test of a geodesic path and the pair scan both run
+    assert seen["fellow"] >= 10 and seen["revisit"] >= 10, seen
+    assert seen["geodesic"] >= 10 and seen["detour"] >= 1, seen
 
 
 def test_stack_certificate_matches_all_pairs_oracles_on_graph_stacks():
     rng = random.Random(1618)
     bridged = 0
+    kinds = {"geodesic": 0, "revisit": 0, "detour": 0}
     for _ in range(80):
         k = rng.randrange(1, 5)
         x = random_cycle_stack(rng, rng.randrange(5, 40), k)
-        bridged += assert_stack_certificate_matches_oracles(x, [f"p{i + 1}" for i in range(k)])[1]
+        _, bridge, kind = assert_stack_certificate_matches_oracles(
+            x, [f"p{i + 1}" for i in range(k)]
+        )
+        bridged += bridge
+        kinds[kind] += 1
     assert bridged >= 10
+    assert kinds["geodesic"] >= 10 and kinds["revisit"] >= 10 and kinds["detour"] >= 1, kinds
 
 
 def test_collapse_measures_few_distance_targets(monkeypatch):
     # every geodesic piece of the path is known by its indices: the former
     # all-pairs rows sent 1,502,517 targets to the torus row here
-    from glueforge import torus
+    from glueforge import farey
 
     count = 0
-    real = torus.distances_from
+    real = farey.distances_from
 
     def counting(a, targets, *neighbour):
         nonlocal count
@@ -380,7 +401,7 @@ def test_collapse_measures_few_distance_targets(monkeypatch):
         count += len(targets)
         return real(a, targets, *neighbour)
 
-    monkeypatch.setattr(torus, "distances_from", counting)
+    monkeypatch.setattr(farey, "distances_from", counting)
     res = collapse_ibundles(core_stack_core([100, 1100]), 6, 1)
     assert res.ok
     assert count <= 4000
