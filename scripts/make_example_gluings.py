@@ -76,14 +76,25 @@ def chain_example() -> GluingGraph:
     )
 
 
-def stack_example() -> GluingGraph:
-    specs = [core("ML", MU)] + [axis_bundle(f"B{i}", k) for i, k in enumerate([2, 7, 13])]
-    specs.append(core("MR", push(A.power(20) @ REFLECTION)))
+def core_stack_core(ks: list[int], right_power: int | None = None) -> GluingGraph:
+    """Left core at the axis origin, axis bundles at the given powers, and
+    a right core one reflection beyond the last bundle."""
+    right_power = 2 * ks[-1] if right_power is None else right_power
+    specs = [core("ML", MU)]
+    specs += [axis_bundle(f"B{i}", k) for i, k in enumerate(ks)]
+    specs.append(core("MR", push(A.power(right_power) @ REFLECTION)))
+    n = len(ks)
     idents = [
-        Identification(f"p{i}", "E0" if i == 0 else "F1", f"p{i+1}", "F0" if i < 3 else "E0", rmap())
-        for i in range(4)
+        Identification(
+            f"p{i}", "E0" if i == 0 else "F1", f"p{i + 1}", "F0" if i < n else "E0", rmap()
+        )
+        for i in range(n + 1)
     ]
     return row(specs, idents)
+
+
+def stack_example() -> GluingGraph:
+    return core_stack_core([2, 7, 13], right_power=20)
 
 
 def twisted_example() -> GluingGraph:

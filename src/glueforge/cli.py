@@ -233,7 +233,7 @@ def cmd_model(cfg: RunConfig) -> int:
     x = validate_gluing(text)
     skeleton = build_skeleton(x, samples=cfg.samples)
     if cfg.format == "obj":
-        _emit(cfg, export_skeleton(skeleton, "obj"))
+        _emit(cfg, export_skeleton(skeleton))
         return EXIT_PASS
     report = verify_thickness(skeleton, cfg.eps0)
     _emit_report(

@@ -14,20 +14,12 @@ from __future__ import annotations
 
 from functools import cached_property
 import json
-import os
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import BackendMismatchError, ParseError, ValidationError, clip
 from .ioutil import canonical_dumps, sha256_of_text
 from .record import Record
-from .surface import (
-    AbstractMarking,
-    BackendHandle,
-    DiskSet,
-    _graph_permutation,
-    marking_distance,
-    pushforward,
-)
+from .surface import AbstractMarking, BackendHandle, DiskSet, _check_permutation, marking_distance
 
 if TYPE_CHECKING:  # only the torus branches of SlotMap load the torus layer
     from .torus import SurfaceMap
@@ -74,7 +66,9 @@ class SlotMap(Record):
         else:
             if self.perm is None or self.matrix is not None:
                 raise ValidationError("graph slot map needs a permutation and no matrix")
-            object.__setattr__(self, "perm", _graph_permutation(self.handle, list(self.perm)))
+            perm = tuple(map(int, self.perm))
+            _check_permutation(self.handle.graph, perm)
+            object.__setattr__(self, "perm", perm)
 
     @staticmethod
     def identity(handle: BackendHandle) -> "SlotMap":
@@ -96,7 +90,7 @@ class SlotMap(Record):
         if m.handle != self.handle:
             raise BackendMismatchError("marking does not live on this map's backend")
         if self.matrix is not None:
-            return pushforward(self.matrix, m)
+            return AbstractMarking(m.handle, self.matrix.on_marking(m.payload))
         # the constructor checked the permutation
         assert self.perm is not None
         return AbstractMarking(m.handle, tuple(self.perm[v] for v in m.payload))
@@ -866,23 +860,16 @@ class GluingGraph(Record):
         return sha256_of_text(self.canonical_json())
 
 
-def validate_gluing(source: object) -> GluingGraph:
-    """Parse a gluing spec (dict, JSON text, or file path) and check every
-    structural invariant; returns the canonical in-memory graph."""
+def validate_gluing(source: str | Mapping) -> GluingGraph:
+    """Parse a gluing spec, given as JSON text or as its decoded mapping,
+    and check every structural invariant; returns the canonical in-memory
+    graph."""
     if isinstance(source, Mapping):
         return GluingGraph.from_json(source).validate()
-    text: str
-    if isinstance(source, (str, os.PathLike)):
-        path = os.fspath(source)
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = str(source)
-    else:
+    if not isinstance(source, str):
         raise ParseError(f"cannot read a gluing spec from {type(source).__name__}")
     try:
-        obj = json.loads(text)
+        obj = json.loads(source)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed gluing spec: {exc}") from exc
     except RecursionError as exc:

@@ -1,16 +1,16 @@
 """Finite graphs as curve-graph backends: distance tables and intervals.
 
-Distances are BFS integers.  Distance tables are Python lists, one row per
-vertex, and nothing here imports numpy.  A table over a graph computes a
-row's BFS when the row is first read: gluing commands on graph backends
-read a few rows of a large curve graph, while `hyplab` reads them all.
+Distances are BFS integers.  A distance table is the metric of a finite
+graph, held as Python lists, one row per vertex, and nothing here imports
+numpy.  A table computes a row's BFS when the row is first read: gluing
+commands on graph backends read a few rows of a large curve graph, while
+`hyplab` reads them all.
 A vertex v lies on a geodesic from x to y iff d(x,v)+d(v,y)=d(x,y), since
 concatenating geodesics through such a v realizes the distance.
 """
 
 from __future__ import annotations
 
-from operator import gt
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -82,24 +82,16 @@ class FiniteGraph(Record):
 
 
 class DistanceTable:
-    """Distances of a finite metric, one Python list per row.
+    """The metric of a FiniteGraph, one Python list per row.
 
-    A table over a FiniteGraph (`of_graph`) runs the BFS of a row the first
-    time `row(u)` or `d(u, v)` reads it; a graph metric is symmetric, so
-    `d(u, v)` answers from row v when only that row is held.  A table
-    built from explicit rows holds them all, and `d(u, v)` reads row u."""
+    The table runs the BFS of a row the first time `row(u)` or `d(u, v)`
+    reads it; the metric is symmetric, so `d(u, v)` answers from row v
+    when only that row is held.  `adjacency` holds the graph's sorted
+    adjacency lists, whose paths are the geodesics."""
 
-    def __init__(self, matrix: Sequence[Sequence[int]]):
-        self._rows: list = [list(map(int, row)) for row in matrix]
-        self._adj: list[list[int]] | None = None
-
-    @classmethod
-    def of_graph(cls, g: FiniteGraph) -> "DistanceTable":
-        """The metric of g, with no row computed yet."""
-        table = cls.__new__(cls)
-        table._adj = g.adjacency()
-        table._rows = [None] * g.vertex_count
-        return table
+    def __init__(self, g: FiniteGraph):
+        self.adjacency = g.adjacency()
+        self._rows: list = [None] * g.vertex_count
 
     @property
     def n(self) -> int:
@@ -107,7 +99,7 @@ class DistanceTable:
 
     @property
     def rows_held(self) -> int:
-        """How many rows the table holds: given, or computed so far."""
+        """How many rows the table has computed so far."""
         return sum(row is not None for row in self._rows)
 
     def d(self, u: int, v: int) -> int:
@@ -125,7 +117,7 @@ class DistanceTable:
         """Distances from u to every vertex; the caller must not mutate it."""
         row = self._rows[u]
         if row is None:
-            row = self._rows[u] = _bfs_row(self._adj, u)  # type: ignore[arg-type]
+            row = self._rows[u] = _bfs_row(self.adjacency, u)
         return row
 
     def rows(self) -> list[list[int]]:
@@ -135,29 +127,8 @@ class DistanceTable:
         if None in rows:
             for u, row in enumerate(rows):
                 if row is None:
-                    rows[u] = _bfs_row(self._adj, u)  # type: ignore[arg-type]
+                    rows[u] = _bfs_row(self.adjacency, u)
         return rows
-
-    def submatrix(self, vertices: Sequence[int]) -> "DistanceTable":
-        idx = list(vertices)
-        return DistanceTable([[ru[v] for v in idx] for ru in map(self.row, idx)])
-
-    def check(self) -> None:
-        rows = self.rows()
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValidationError("distance table not square")
-        if any(list(col) != row for row, col in zip(rows, zip(*rows))):
-            raise ValidationError("distance table not symmetric")
-        if any(row[u] for u, row in enumerate(rows)):
-            raise ValidationError("distance table has nonzero diagonal")
-        if any(min(row) < 0 for row in rows):
-            raise ValidationError("negative distance")
-        for rk in rows:
-            for row, via in zip(rows, rk):
-                # row is u's, via = d(u, k) = d(k, u): d(u, v) <= d(u, k) + d(k, v)
-                if any(map(gt, row, map(via.__add__, rk))):
-                    raise ValidationError("triangle inequality violated")
 
 
 def _bfs_row(adj: list[list[int]], s: int) -> list[int]:
@@ -180,7 +151,7 @@ def _bfs_row(adj: list[list[int]], s: int) -> list[int]:
 
 def all_pairs_distances(g: FiniteGraph) -> DistanceTable:
     """The metric of g with every row computed: a BFS from every vertex."""
-    table = DistanceTable.of_graph(g)
+    table = DistanceTable(g)
     table.rows()
     return table
 

@@ -1,8 +1,10 @@
 """The hyperbolic-graph laboratory behind `glueforge hyplab`.
 
-Everything is exact: distances are BFS integers, the four-point constant is
-a half-integer Fraction, and quasiconvexity constants come from the interval
-characterization of `hypgraph.geodesic_interval`.
+Every table is the metric of a finite graph (`hypgraph.DistanceTable`),
+and the kernels walk that graph.  Everything is exact: distances are BFS
+integers, the four-point constant is a half-integer Fraction, and
+quasiconvexity constants come from the interval characterization of
+`hypgraph.geodesic_interval`.
 
 The four-point constant is not an exhaustive scan.  It follows N. Cohen,
 D. Coudert and A. Lancin, "On computing the Gromov hyperbolicity" (ACM JEA
@@ -56,21 +58,13 @@ def four_point_delta(table: DistanceTable) -> Fraction:
     the three pairing sums d(i,j)+d(k,l), d(i,k)+d(j,l), d(i,l)+d(j,k)
     differ by at most 2*delta.
 
-    When the table is the metric of a graph (its own, or the graph its
-    distance-1 pairs span), the scan runs per biconnected block over the
-    far-apart pairs only; otherwise the table must be a metric, and the
-    scan runs over all pairs.  Both are exact: see the module docstring."""
+    The scan runs per biconnected block of the table's graph over the
+    far-apart pairs only, and is exact: see the module docstring."""
     from fractions import Fraction
 
     rows = table.rows()
-    adj = _graph_adjacency(table)
-    if adj is None:
-        table.check()
-        n = table.n
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        return Fraction(_widest_gap(rows, pairs, 0), 2)
     best = 0
-    for block in _blocks(adj):
+    for block in _blocks(table.adjacency):
         if len(block) >= 4:
             get = itemgetter(*block)
             mb = [get(rows[u]) for u in block]
@@ -78,44 +72,6 @@ def four_point_delta(table: DistanceTable) -> Fraction:
             if max(map(max, mb)) > 1:
                 best = _widest_gap(mb, _far_apart_pairs(mb), best)
     return Fraction(best, 2)
-
-
-def _metric_graph(rows: list[list[int]]) -> list[list[int]] | None:
-    """Adjacency lists of the graph of distance-1 pairs when the square
-    table is exactly its metric: symmetric adjacency, zero diagonal, and
-    every other entry 1 + the least entry over the row vertex's
-    neighbours.  None otherwise."""
-    n = len(rows)
-    if any(len(row) != n or row[u] for u, row in enumerate(rows)):
-        return None
-    adj = [list(compress(range(n), map((1).__eq__, row))) for row in rows]
-    for u, nb in enumerate(adj):
-        if any(rows[v][u] != 1 for v in nb):
-            return None
-        if nb:
-            via = list(map((1).__add__, _column_min([rows[w] for w in nb])))
-            via[u] = 0
-            if via != rows[u]:
-                return None
-        elif n > 1:
-            return None
-    return adj
-
-
-def _graph_adjacency(table: DistanceTable) -> list[list[int]] | None:
-    """Adjacency lists of the graph whose metric the table is: the graph
-    it was built over, else the graph of its distance-1 pairs if the table
-    is exactly that graph's metric.  None when it is no graph's metric."""
-    return table._adj if table._adj is not None else _metric_graph(table.rows())
-
-
-def _graph_metric(table: DistanceTable) -> tuple[list[list[int]], list[list[int]]]:
-    """Rows and adjacency lists of a table that is the metric of a graph:
-    geodesics are paths of that graph."""
-    adj = _graph_adjacency(table)
-    if adj is None:
-        raise ValidationError("distance table is not the metric of a graph")
-    return table.rows(), adj
 
 
 def _blocks(adj: list[list[int]]) -> list[list[int]]:
@@ -243,12 +199,11 @@ def quasiconvexity_constant(table: DistanceTable, subset: Sequence[int]) -> int:
     in the a-neighbourhood of the subset.  Uses the interval
     characterization, which covers the union of all geodesics without
     enumerating them: the geodesics from x to later subset points cover
-    the ancestors of those points in the BFS DAG of x.  The table must be
-    the metric of a graph."""
+    the ancestors of those points in the BFS DAG of x."""
     sub = sorted(set(subset))
     if not sub:
         raise ValidationError("quasiconvexity needs a nonempty subset")
-    rows, adj = _graph_metric(table)
+    rows, adj = table.rows(), table.adjacency
     to_sub = _column_min([rows[s] for s in sub])
     return max(
         max(compress(to_sub, _on_geodesics_to(adj, rows[x], sub[i:]))) for i, x in enumerate(sub)
@@ -291,16 +246,16 @@ def check_qconvex_stability(table: DistanceTable, subset: Sequence[int], r: int)
     extremal field is the configuration of largest excess (ties broken by
     larger d(x,y), then lexicographically); None when every excess is 0.
 
-    The table must be the metric of a graph.  For each y, x lies on a
-    geodesic [y,z] iff x is an ancestor of z in the BFS DAG of y, so one
-    walk down that DAG gives every z the set of levels d(x,y) of its
-    admissible ancestors x, as a bitmask: O(n + m) per subset point."""
+    For each y, x lies on a geodesic [y,z] iff x is an ancestor of z in
+    the BFS DAG of y, so one walk down that DAG gives every z the set of
+    levels d(x,y) of its admissible ancestors x, as a bitmask: O(n + m)
+    per subset point."""
     sub = sorted(set(subset))
     if not sub:
         raise ValidationError("stability scan needs a nonempty subset")
     if r < 0:
         raise ValidationError("r must be non-negative")
-    rows, adj = _graph_metric(table)
+    rows, adj = table.rows(), table.adjacency
     hmax = max(map(max, rows))
     to_sub = _column_min([rows[s] for s in sub])
     # excess e -> union of the level masks of the z whose excess is e

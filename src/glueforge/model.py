@@ -8,11 +8,14 @@ torus backend the fiber geometry is computed exactly from the modulus;
 finite-graph slots have no geometry and their tubes stay combinatorial,
 so a gluing on graph backends alone loads no torus code: the torus layer is
 imported where a geometric tube or anchor is built.
+
+A skeleton has two serializations: `ModelSkeleton.to_json` is the skeleton
+JSON that `glueforge model` prints inside its report envelope, and
+`export_skeleton` writes the OBJ surface sweep of `model --format obj`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from typing import TYPE_CHECKING, Mapping
@@ -41,6 +44,9 @@ HORIZONTAL_SPLIT = "zero-connection-product"
 SCHEMA = "skeleton/1"
 
 DEFAULT_SAMPLES = 9
+
+# vertices per fiber ring of the OBJ sweep
+FIBER_RESOLUTION = 16
 
 
 def _point_json(z: TeichPoint | None) -> list[float] | None:
@@ -377,9 +383,10 @@ def _cf_coefficient(tube: TubeBlock) -> int:
     return relative_cf_max_coeff(shortest_marking(tube.sigma_a), shortest_marking(tube.sigma_b))
 
 
-def _obj_bytes(s: ModelSkeleton, fiber_resolution: int) -> bytes:
-    if fiber_resolution < 3:
-        raise ValidationError("fiber resolution must be at least 3")
+def export_skeleton(s: ModelSkeleton) -> bytes:
+    """The OBJ surface sweep of a skeleton: each geometric tube becomes a
+    ring of FIBER_RESOLUTION vertices per sample, of radius systole / 2 pi,
+    joined to the next ring by triangles."""
     lines = [f"# {SCHEMA} sweep, horizontal split {HORIZONTAL_SPLIT}"]
     base = 0
     for index, tube in enumerate(s.tubes):
@@ -392,31 +399,19 @@ def _obj_bytes(s: ModelSkeleton, fiber_resolution: int) -> bytes:
         for smp in tube.samples:
             radius = smp.systole / (2.0 * math.pi)
             cx = smp.t * span
-            for j in range(fiber_resolution):
-                angle = 2.0 * math.pi * j / fiber_resolution
+            for j in range(FIBER_RESOLUTION):
+                angle = 2.0 * math.pi * j / FIBER_RESOLUTION
                 y = radius * math.cos(angle)
                 z = offset + radius * math.sin(angle)
                 lines.append(f"v {cx:.9f} {y:.9f} {z:.9f}")
         for k in range(rings - 1):
-            for j in range(fiber_resolution):
-                a = base + k * fiber_resolution + j + 1
-                b = base + k * fiber_resolution + (j + 1) % fiber_resolution + 1
-                c = a + fiber_resolution
-                d = b + fiber_resolution
+            for j in range(FIBER_RESOLUTION):
+                a = base + k * FIBER_RESOLUTION + j + 1
+                b = base + k * FIBER_RESOLUTION + (j + 1) % FIBER_RESOLUTION + 1
+                c = a + FIBER_RESOLUTION
+                d = b + FIBER_RESOLUTION
                 lines.append(f"f {a} {b} {d}")
                 lines.append(f"f {a} {d} {c}")
-        base += rings * fiber_resolution
+        base += rings * FIBER_RESOLUTION
     lines.append("")
     return "\n".join(lines).encode()
-
-
-def export_skeleton(
-    s: ModelSkeleton, format: str = "json", fiber_resolution: int = 16
-) -> bytes:
-    """Serialize a skeleton: canonical JSON or a per-tube surface sweep."""
-    if format == "json":
-        text = json.dumps(s.to_json(), sort_keys=True, indent=2)
-        return (text + "\n").encode()
-    if format == "obj":
-        return _obj_bytes(s, fiber_resolution)
-    raise ValidationError(f"unknown export format {format!r}")

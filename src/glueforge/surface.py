@@ -12,7 +12,9 @@ where it runs, so a gluing on graph backends loads no torus code and a
 torus gluing no graph code.
 
 Operations never mix backends: every binary operation insists the handles
-are equal and raises BackendMismatchError otherwise.
+are equal and raises BackendMismatchError otherwise.  Markings move between
+charts only through `gluing.SlotMap.apply`, by a mapping class on the torus
+or by a vertex bijection of a graph that `_check_permutation` has checked.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "marking_distance",
     "sup_projection",
     "disk_distance",
-    "pushforward",
     "curve_distance",
     "curve_distances_from",
     "geodesic_between",
@@ -65,7 +66,7 @@ def _graph_table(graph: FiniteGraph) -> DistanceTable:
     # rows are computed as they are read: gluing commands read few of them
     from .hypgraph import DistanceTable
 
-    return DistanceTable.of_graph(graph)
+    return DistanceTable(graph)
 
 
 @lru_cache(maxsize=None)
@@ -412,36 +413,10 @@ def disk_distance(m: AbstractMarking, disks: DiskSet) -> int:
     return _min_distance(m, disks.elements)
 
 
-def _graph_permutation(handle: BackendHandle, descriptor: object) -> tuple[int, ...]:
-    graph = handle.graph
-    assert graph is not None
-    if isinstance(descriptor, Mapping):
-        perm = tuple(descriptor.get(v, -1) for v in range(graph.vertex_count))
-    elif isinstance(descriptor, Sequence) and not isinstance(descriptor, (str, bytes)):
-        perm = tuple(int(v) for v in descriptor)
-    else:
-        raise ValidationError("graph map descriptor must be a permutation")
-    _check_permutation(graph, perm)
-    return perm
-
-
-def pushforward(descriptor: object, m: AbstractMarking) -> AbstractMarking:
-    """Image marking under a backend map: a SurfaceMap on the torus, a
-    distance-preserving vertex bijection on a graph."""
-    if m.handle.is_torus:
-        from .torus import SurfaceMap
-
-        if not isinstance(descriptor, SurfaceMap):
-            raise ValidationError("torus pushforward needs a SurfaceMap")
-        return AbstractMarking(m.handle, descriptor.on_marking(m.payload))
-    perm = _graph_permutation(m.handle, descriptor)
-    return AbstractMarking(m.handle, tuple(perm[v] for v in m.payload))
-
-
-def _graph_geodesic(table: DistanceTable, graph: FiniteGraph, a: int, b: int) -> list[int]:
+def _graph_geodesic(table: DistanceTable, a: int, b: int) -> list[int]:
     # deterministic: at every step pick the smallest-index neighbour
     # that moves closer to the target
-    adj = graph.adjacency()
+    adj = table.adjacency
     rb = table.row(b)
     path = [a]
     cur = a
@@ -464,8 +439,7 @@ def geodesic_between(m1: AbstractMarking, m2: AbstractMarking) -> list:
         ((table.d(x, y), x, y) for x in m1.payload for y in m2.payload),
     )
     _, x, y = best
-    assert m1.handle.graph is not None
-    return _graph_geodesic(table, m1.handle.graph, x, y)
+    return _graph_geodesic(table, x, y)
 
 
 def marking_to_path_distance(m: AbstractMarking, path: Sequence) -> int:

@@ -775,8 +775,8 @@ def _skeleton_from_json(obj: object) -> ModelSkeleton:
 
 
 def load_skeleton(data: bytes | str) -> ModelSkeleton:
-    """Inverse of the JSON export of glueforge.model; round trips are byte
-    identical."""
+    """Inverse of ModelSkeleton.to_json, the skeleton JSON of `glueforge
+    model`: canonical_dumps of the two round trips byte identically."""
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:

@@ -37,7 +37,8 @@ from glueforge.gluing import (
 )
 from glueforge.hypgraph import FiniteGraph, all_pairs_distances
 from glueforge.hyplab import check_qconvex_stability
-from glueforge.model import build_skeleton, export_skeleton
+from glueforge.ioutil import canonical_dumps
+from glueforge.model import build_skeleton
 from glueforge.surface import AbstractMarking, geodesic_between, marking_distance, sup_projection
 from glueforge.torus import (
     REFLECTION,
@@ -400,8 +401,8 @@ def test_criterion_09_round_trips_and_determinism(tmp_path, capsys):
         text = x.canonical_json()
         assert validate_gluing(text).canonical_json() == text
 
-    skeleton_bytes = export_skeleton(build_skeleton(core_stack_core([3])))
-    assert export_skeleton(load_skeleton(skeleton_bytes)) == skeleton_bytes
+    skeleton_text = canonical_dumps(build_skeleton(core_stack_core([3])).to_json())
+    assert canonical_dumps(load_skeleton(skeleton_text).to_json()) == skeleton_text
 
     path = tmp_path / "chain.json"
     path.write_text(core_stack_core([3]).canonical_json())

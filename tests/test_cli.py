@@ -50,7 +50,9 @@ from test_transforms import (
     example_builders,
     mk,
     push,
+    split_gluing,
     tmap,
+    twisted_end,
 )
 
 T = BackendHandle.torus()
@@ -145,6 +147,8 @@ def files(tmp_path_factory):
 
     for name, build in example_builders().items():
         out[f"example:{name}"] = save(f"example-{name}.json", build().canonical_json())
+    out["twisted-end"] = save("twisted-end.json", twisted_end().canonical_json())
+    out["split"] = save("split.json", split_gluing().canonical_json())
 
     h = BackendHandle.finite_graph(cycle_graph(6))
 
@@ -308,6 +312,18 @@ def test_wrong_typed_containers_are_parse_errors(files, capsys, tmp_path, path, 
     assert code == EXIT_PARSE
     assert out == ""
     assert err.startswith("parse error:")
+
+
+def test_input_text_naming_a_file_is_not_followed(files, capsys, tmp_path):
+    # the input's own text is the gluing: a path written in it is JSON
+    # that does not parse, and the size and UTF-8 checks cover every byte
+    # the command reads
+    pathy = tmp_path / "pathy.json"
+    pathy.write_text(files["example:chain"])
+    code, out, err = run(capsys, ["report", "--input", str(pathy)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: malformed gluing spec")
 
 
 def test_missing_file_is_a_parse_error(files, capsys):
@@ -552,6 +568,63 @@ def test_deep_stack_report_bytes_pinned(files, command, name):
     assert proc.returncode in (EXIT_PASS, EXIT_VERDICT), proc.stderr
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
     assert digest == {**DEEP_STDOUT_SHA256, **STACK_STDOUT_SHA256}[command, name]
+
+
+# exit code and sha256 of the stdout of cold runs with default flags: every
+# example command line, and the twisted-end and splitting branches that no
+# example reaches.  Recorded while the graph metric, the pushforward, the
+# skeleton JSON and the gluing source each still had a second, test-only
+# path; any change is a report change.
+COLD_STDOUT_PINS = {
+    ("validate", "example:chain"): (0, "e9f916e0f1b4cf2d85841f9e775a783e665f19f5a2d8f900310e99774fd70ef8"),
+    ("report", "example:chain"): (0, "0aadbbf94c88ca3b2748359456fc426dadc480addc73a94276790c58f7dc76af"),
+    ("collapse --emit-correspondence", "example:chain"): (0, "dcf00224752e94a101bf14b785aa2e1483d30274e79d78c5fb9ce45801525be9"),
+    ("decompose", "example:chain"): (0, "b2c627dbe764cae7361572b729865100aa9b0cdf4da28a2d81e3619e605da5c9"),
+    ("model", "example:chain"): (0, "f75516596b2c4fb4cbecd13c845b4c3cd19688f1b71602dfefd2a3c6d77eec30"),
+    ("model --format obj", "example:chain"): (0, "9446c140590e661cd0a522e7c2bdc042afebc43cdfc54980645932c3c4afa9f6"),
+    ("validate", "example:stack"): (0, "7e5d431a320bd5669e79ab101036db42a240f298e3fe5fea3b8060a62b259ecb"),
+    ("report", "example:stack"): (0, "012e7e84d1706873f88cdcad3ce8710a7fb5730bc1211d0e02e0f85948f55147"),
+    ("collapse --emit-correspondence", "example:stack"): (0, "3560327b6dfe8b344d835a91d8cd58ac2c1575ca345c6fa92e97cad91cea19ee"),
+    ("decompose", "example:stack"): (0, "3a2ae88549860f68f278c434d2eb80edec7fdb6b80904f61504cde50af0bcfb3"),
+    ("model", "example:stack"): (5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("model --format obj", "example:stack"): (5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("validate", "example:twisted"): (0, "3f860a6f68f270e86d079ae9d8d3fde99fda28e9935f2997dac6baf781e5f42f"),
+    ("report", "example:twisted"): (1, "6e3d06ef6d3023c0bc94e6f17ec67094c178dc3dc00583faffff4c827c6c3d83"),
+    ("collapse --emit-correspondence", "example:twisted"): (0, "1e8b594e417ac619852b0da4aac85f7e57b469e35ecd618c74000f96df5c32e6"),
+    ("decompose", "example:twisted"): (0, "5d134f732a471ac8897bd23795fa2424ca28ad5311518281baf53f9d749427c3"),
+    ("model", "example:twisted"): (0, "f7c11ad460b7fafc601aca39b770dabef4eee98e103c56fabf01addca830a706"),
+    ("model --format obj", "example:twisted"): (0, "bf88759627fe918823e3aaddd4eff8b9bb4a4d337d975dc75de09834f5a0d70d"),
+    ("validate", "example:compression"): (0, "9ff401c6584ae9b34939484ef3ca23d851d9f82075cc82a9892189ef29886b9f"),
+    ("report", "example:compression"): (1, "1a97faccf6b6be402cd0c24b30cb0de411ceac4a879db5c3aa50e86d64674325"),
+    ("collapse --emit-correspondence", "example:compression"): (0, "b57224690c1eeace0b94bef4be13079d78d1862a7e878fa868a297f87a50e6ba"),
+    ("decompose", "example:compression"): (0, "d7669add274623d433296e0fad6b709f4b7408e04078344074d3aadb7429729f"),
+    ("model", "example:compression"): (0, "516073e8dbda2d3de5167eec485fd4405777dff4b0df21b04b5f25088d3b27a3"),
+    ("model --format obj", "example:compression"): (0, "17beb101eadb38419211d61e0cc2efd5fd48812fd51d69d7c128f967733a01ed"),
+    ("validate", "example:thin"): (0, "95e5db3ff4633ed610ccddbe955e8e0bb04dd9798fab3eb4faf7cd78243d8d7c"),
+    ("report", "example:thin"): (1, "a1d548ab4bb1e90bc8542d606f6a109a04509cecf887eab1eb992de33307b2d1"),
+    ("collapse --emit-correspondence", "example:thin"): (0, "6e61ba0e53a3a721b31fd84db36a2b940749f2d0861862790ec78b7f7a6afd7c"),
+    ("decompose", "example:thin"): (0, "be54962b60003756fba25b438d026438faf64a2a670d539e2913398cb923c75d"),
+    ("model", "example:thin"): (0, "5c95f89dac533e9d263a6ddf891d144e6aba15cc118da0d9416e4fe0846ddc96"),
+    ("model --format obj", "example:thin"): (0, "6a0b7c7a0628a07ef398da4379e90d464bc59d867c8eebdcd625f8c36be1271f"),
+    ("validate", "example:fibered"): (0, "3b4a224981f56b06aad955c0fd0fe9e51f07fc197bebca29d240996627ddf65b"),
+    ("report", "example:fibered"): (1, "721d5274f954d3832545316639159e8c01ad6d33695d3bf34cc998aa4055a7a1"),
+    ("collapse --emit-correspondence", "example:fibered"): (4, "1a2cdeacc447c582698d73b142d0d12cac5d178feb6b36438d1bfbe5ac573a19"),
+    ("decompose", "example:fibered"): (0, "c0647ee3b2b6b8c2598e9983609ce8ffe0ab37d60fccee17b620438eed6573f6"),
+    ("model", "example:fibered"): (0, "418a00c3ba99788521730d2ce6e02a649f024e761cf971ba03bd751a7705dc89"),
+    ("model --format obj", "example:fibered"): (0, "a996974b5de3f8366f6cca908008bdf251bab19e6ada3b1b4153917e816cb779"),
+    ("report", "twisted-end"): (0, "b7acd2c0523991f1ceae0d340c9a83e2fda93bddc27a0461635d04d2ffbfa2f4"),
+    ("collapse", "twisted-end"): (0, "8fd7d67af68ef8da2af2e975ecad15639b54f34b599842a92b9a71679e930ae2"),
+    ("decompose", "split"): (0, "07549f736ec17990bcf882c04653daadc84fe6cd16cc7535bb18773171b7aa5b"),
+    ("collapse", "split"): (0, "80c7744e8d94bb01e9ebe043187e75e22a5944945778d3ce13de88ed5793a4af"),
+}
+
+
+@pytest.mark.parametrize("command, name", list(COLD_STDOUT_PINS))
+def test_cold_command_bytes_pinned(files, command, name):
+    proc = cold_run([*command.split(), "--input", files[name]])
+    code, digest = COLD_STDOUT_PINS[command, name]
+    assert proc.returncode == code, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def loaded_modules(argv: list[str]) -> set[str]:

@@ -922,16 +922,19 @@ def test_gluing_json_round_trip():
 
 def test_validate_gluing_sources(tmp_path):
     x = full_featured_gluing()
-    path = tmp_path / "gluing.json"
-    path.write_text(x.canonical_json(), encoding="utf-8")
-    assert validate_gluing(str(path)) == x
+    assert validate_gluing(x.canonical_json()) == x
     assert validate_gluing(x.to_json()) == x
     with pytest.raises(ParseError, match="malformed"):
         validate_gluing("{not json")
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"manifolds": [{"id": "M"}]}', encoding="utf-8")
     with pytest.raises(ParseError):
-        validate_gluing(str(bad))
+        validate_gluing('{"manifolds": [{"id": "M"}]}')
+    # a path is no source: a string is JSON text, and a path object is refused
+    path = tmp_path / "gluing.json"
+    path.write_text(x.canonical_json(), encoding="utf-8")
+    with pytest.raises(ParseError, match="malformed"):
+        validate_gluing(str(path))
+    with pytest.raises(ParseError, match="cannot read a gluing spec"):
+        validate_gluing(path)
 
 
 def test_certificate_reproducibility_bit_identical():

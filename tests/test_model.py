@@ -23,8 +23,10 @@ from glueforge.gluing import (
     SlotMap,
 )
 from glueforge.hypgraph import cycle_graph
+from glueforge.ioutil import canonical_dumps
 from glueforge.model import (
     DEFAULT_SAMPLES,
+    FIBER_RESOLUTION,
     ModelSkeleton,
     TubeBlock,
     build_skeleton,
@@ -465,55 +467,46 @@ def test_skeleton_naturality_under_relabeling():
 
 def test_export_json_round_trip_byte_identical():
     sk = build_skeleton(core_bundle_core(3), samples=9)
-    blob = export_skeleton(sk)
+    blob = canonical_dumps(sk.to_json())
     again = load_skeleton(blob)
-    assert export_skeleton(again) == blob
+    assert canonical_dumps(again.to_json()) == blob
     assert again.total_tube_length == sk.total_tube_length
     assert again.incidence == sk.incidence
 
 
 def test_export_json_schema_and_split_recorded():
-    import json
-
     sk = build_skeleton(single_free(MU, MU), samples=5)
-    obj = json.loads(export_skeleton(sk))
+    obj = sk.to_json()
     assert obj["schema"] == "skeleton/1"
     assert obj["horizontal_split"] == "zero-connection-product"
     assert len(obj["pieces"]) == 1 and len(obj["tubes"]) == 1
 
 
 def test_export_piece_without_tubes():
-    import json
-
     with pytest.warns(RuntimeWarning):
         sk = build_skeleton(single_free(MU, None))
-    obj = json.loads(export_skeleton(sk))
+    obj = sk.to_json()
     assert len(obj["pieces"]) == 1
     assert obj["tubes"] == []
 
 
 def test_export_obj_vertex_count():
     sk = build_skeleton(core_bundle_core(2), samples=5)
-    text = export_skeleton(sk, "obj", fiber_resolution=12).decode()
+    text = export_skeleton(sk).decode()
     verts = [line for line in text.splitlines() if line.startswith("v ")]
     faces = [line for line in text.splitlines() if line.startswith("f ")]
     names = [line for line in text.splitlines() if line.startswith("o ")]
-    assert len(verts) == 2 * 5 * 12
-    assert len(faces) == 2 * (5 - 1) * 12 * 2
+    assert len(verts) == 2 * 5 * FIBER_RESOLUTION
+    assert len(faces) == 2 * (5 - 1) * FIBER_RESOLUTION * 2
     assert names == ["o p0:E0--p1:F0", "o p1:F1--p2:E0"]
 
 
 def test_export_obj_deterministic():
     sk = build_skeleton(core_bundle_core(2), samples=5)
-    assert export_skeleton(sk, "obj") == export_skeleton(sk, "obj")
+    assert export_skeleton(sk) == export_skeleton(sk)
 
 
 def test_export_errors():
-    sk = build_skeleton(single_free(MU, MU), samples=5)
-    with pytest.raises(ValidationError, match="unknown export format"):
-        export_skeleton(sk, "stl")
-    with pytest.raises(ValidationError, match="fiber resolution"):
-        export_skeleton(sk, "obj", fiber_resolution=2)
     with pytest.raises(ParseError, match="not valid JSON"):
         load_skeleton(b"{nope")
     with pytest.raises(ParseError, match="nest too deeply"):

@@ -1,5 +1,5 @@
 """Backend-contract tests: delegation identities, mismatch errors, and the
-pushforward isometry/equivariance invariants."""
+isometry/equivariance invariants of the pushforward SlotMap.apply."""
 
 import random
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from glueforge.errors import BackendMismatchError, ParseError, ValidationError
 from glueforge.farey import farey_distance, max_subsurface_projection
+from glueforge.gluing import SlotMap
 from glueforge.hypgraph import FiniteGraph, cycle_graph, path_graph
 from glueforge.surface import (
     AbstractMarking,
@@ -22,7 +23,6 @@ from glueforge.surface import (
     geodesic_between,
     marking_distance,
     marking_to_path_distance,
-    pushforward,
     sup_projection,
 )
 from glueforge.torus import IDENTITY, INFINITY, REFLECTION, FareyMarking, Slope, SurfaceMap
@@ -301,35 +301,37 @@ def test_disk_triangle_graph_exhaustive():
 # ------------------------------------------------------------- pushforward
 
 
+def push(m: SurfaceMap, marking: AbstractMarking) -> AbstractMarking:
+    return SlotMap(marking.handle, matrix=m).apply(marking)
+
+
 def test_pushforward_frozen_examples():
     m = torus_marking(Slope(0, 1), INFINITY)
-    assert pushforward(IDENTITY, m) == m
-    assert pushforward(REFLECTION, m) == m
+    assert push(IDENTITY, m) == m
+    assert push(REFLECTION, m) == m
     psi = SurfaceMap(13, 8, 8, 5) @ REFLECTION
     assert psi.det == -1
-    image = pushforward(psi, m)
+    image = push(psi, m)
     assert image.payload == FareyMarking(Slope(8, 5), Slope(13, 8))
 
 
 def test_pushforward_graph_rotation():
     h = BackendHandle.finite_graph(cycle_graph(6))
     m = AbstractMarking(h, (0, 1))
-    rot = [(v + 1) % 6 for v in range(6)]
-    assert pushforward(rot, m).payload == (1, 2)
-    assert pushforward({v: (v + 2) % 6 for v in range(6)}, m).payload == (2, 3)
+    assert SlotMap(h, perm=[(v + 1) % 6 for v in range(6)]).apply(m).payload == (1, 2)
+    assert SlotMap(h, perm=tuple((v + 2) % 6 for v in range(6))).apply(m).payload == (2, 3)
 
 
 def test_pushforward_graph_rejects_bad_maps():
     h = BackendHandle.finite_graph(path_graph(4))
-    m = AbstractMarking(h, (0,))
     with pytest.raises(ValidationError, match="bijection"):
-        pushforward([0, 0, 1, 2], m)
+        SlotMap(h, perm=[0, 0, 1, 2])
     with pytest.raises(ValidationError, match="distance preserving"):
-        pushforward([1, 0, 2, 3], m)
-    with pytest.raises(ValidationError, match="descriptor"):
-        pushforward("abc", m)
-    with pytest.raises(ValidationError, match="SurfaceMap"):
-        pushforward([0, 1], torus_marking(Slope(0, 1), INFINITY))
+        SlotMap(h, perm=[1, 0, 2, 3])
+    flip = SlotMap(h, perm=[3, 2, 1, 0])
+    assert flip.apply(AbstractMarking(h, (0,))).payload == (3,)
+    with pytest.raises(BackendMismatchError):
+        flip.apply(torus_marking(Slope(0, 1), INFINITY))
 
 
 def test_pushforward_isometry_random_maps():
@@ -338,9 +340,7 @@ def test_pushforward_isometry_random_maps():
         m1 = rand_torus_marking(rng)
         m2 = rand_torus_marking(rng)
         word = rand_word(rng, 6, orientation_preserving=False)
-        assert marking_distance(pushforward(word, m1), pushforward(word, m2)) == (
-            marking_distance(m1, m2)
-        )
+        assert marking_distance(push(word, m1), push(word, m2)) == marking_distance(m1, m2)
 
 
 def test_sup_projection_equivariance_orientation_preserving():
@@ -353,20 +353,18 @@ def test_sup_projection_equivariance_orientation_preserving():
         word = rand_word(rng, 6)
         assert word.det == 1
         before = sup_projection(m1, m2).value
-        after = sup_projection(pushforward(word, m1), pushforward(word, m2)).value
+        after = sup_projection(push(word, m1), push(word, m2)).value
         assert before == after
 
 
 def test_pushforward_graph_isometry_exhaustive():
     h = BackendHandle.finite_graph(cycle_graph(6))
-    rot = [(v + 1) % 6 for v in range(6)]
+    rot = SlotMap(h, perm=[(v + 1) % 6 for v in range(6)])
     for u in range(6):
         for v in range(6):
             m1 = AbstractMarking(h, (u,))
             m2 = AbstractMarking(h, (v,))
-            assert marking_distance(pushforward(rot, m1), pushforward(rot, m2)) == (
-                marking_distance(m1, m2)
-            )
+            assert marking_distance(rot.apply(m1), rot.apply(m2)) == marking_distance(m1, m2)
 
 
 # ------------------------------------------------------------- geodesics

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -145,14 +146,35 @@ def chain(
     ).validate()
 
 
-def core_stack_core(ks: list[int], right_power: int | None = None) -> GluingGraph:
-    """Left core at the axis origin, bundles at the given axis powers, and
-    a right core placed one reflection beyond the last bundle."""
-    right_power = 2 * ks[-1] if right_power is None else right_power
-    bundles = [axis_bundle(f"B{i}", k) for i, k in enumerate(ks)]
-    left = core("ML", MU)
-    right = core("MR", push(A.power(right_power) @ REFLECTION))
-    return chain(left, *bundles, right)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_module(relpath: str, name: str):
+    """The module at ROOT / relpath, loaded under the given name; sys.path
+    is restored after it ran."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / relpath)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.path[:]
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+EXAMPLE_GLUINGS = load_module("scripts/make_example_gluings.py", "make_example_gluings")
+# left core at the axis origin, axis bundles at the given powers, and a
+# right core one reflection beyond the last bundle
+core_stack_core = EXAMPLE_GLUINGS.core_stack_core
+
+
+def test_core_stack_core_matches_the_benchmark_builder():
+    # the byte pins of the tests and the reference digests of the benchmark
+    # hold the same stacks only while the two builders agree
+    bench = load_module("perfbench/inputs.py", "perfbench_inputs")
+    for ks in ([3], [8], [100, 1100], [2, 7, 13], list(range(50, 800, 50))):
+        assert core_stack_core(ks).canonical_json() == bench.core_stack_core(ks).canonical_json()
 
 
 # ----------------------------------------------------------- combine_stack
@@ -827,12 +849,7 @@ def test_measured_r_bound_frozen():
 
 def example_builders() -> dict:
     """The builders of scripts/make_example_gluings.py, by example name."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "make_example_gluings.py"
-    spec = importlib.util.spec_from_file_location("make_example_gluings", path)
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return {name: build for name, build, _, _ in module.EXAMPLES}
+    return {name: build for name, build, _, _ in EXAMPLE_GLUINGS.EXAMPLES}
 
 
 # sha256 of the canonical collapse report (CLI defaults R = 6, h = 1, with
@@ -1024,15 +1041,20 @@ def split_spec() -> tuple[DecoratedManifoldSpec, ...]:
     return outer, inner_core, inner_body
 
 
-def test_decomposition_expands_declared_splitting():
+def split_gluing() -> GluingGraph:
+    """The split piece of split_spec glued to a core along E0, with a free
+    marking on E1."""
     outer, inner_core, inner_body = split_spec()
-    partner = core("N", push(REFLECTION))
-    x = GluingGraph(
-        manifolds=(outer, inner_core, inner_body, partner),
+    return GluingGraph(
+        manifolds=(outer, inner_core, inner_body, core("N", push(REFLECTION))),
         pieces=(("p0", "M"), ("p1", "N")),
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
         boundary_markings=((("p0", "E1"), mk("2/1", "3/1")),),
     ).validate()
+
+
+def test_decomposition_expands_declared_splitting():
+    x = split_gluing()
     res = full_and_maximal_decomposition(x)
     assert [p for p, _ in res.full.pieces] == ["p0/core", "p0/body", "p1"]
     # the internal identification glues the body's exterior: kept
@@ -1084,7 +1106,7 @@ def test_decomposition_splitting_errors():
 
 
 def test_split_spec_records_hash_and_keep_their_bytes():
-    outer, inner_core, inner_body = split_spec()
+    outer = split_spec()[0]
     assert hash(outer) == hash(split_spec()[0])
     # the internal map is stored frozen and written back as the JSON it was
     assert outer.splitting.identifications[0][4] == ((1, 0), (0, -1))
@@ -1097,12 +1119,7 @@ def test_split_spec_records_hash_and_keep_their_bytes():
     split = Splitting(outer.splitting.pieces, (("core", "B1", "body", "E0", graph_map),))
     assert hash(split) == hash(Splitting(split.pieces, split.identifications))
     assert split.to_json()["identifications"][0]["map"] == graph_map
-    x = GluingGraph(
-        manifolds=(outer, inner_core, inner_body, core("N", push(REFLECTION))),
-        pieces=(("p0", "M"), ("p1", "N")),
-        identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
-        boundary_markings=((("p0", "E1"), mk("2/1", "3/1")),),
-    ).validate()
+    x = split_gluing()
     assert hash(x) == hash(GluingGraph.from_json(json.loads(x.canonical_json())))
 
 
