@@ -29,6 +29,7 @@ from glueforge.gluing import (
     Identification,
     SlotMap,
 )
+from glueforge.halfplane import shortest_marking, sigma_of_marking, teich_distance
 from glueforge.model import build_skeleton
 from glueforge.surface import AbstractMarking, BackendHandle, marking_distance, sup_projection
 from glueforge.torus import (
@@ -38,9 +39,6 @@ from glueforge.torus import (
     SurfaceMap,
     is_adjacent,
     parse_slope,
-    shortest_marking,
-    sigma_of_marking,
-    teich_distance,
 )
 
 T = BackendHandle.torus()

@@ -339,15 +339,22 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> int:
     """Process entry of `python -m glueforge.cli` and of the `glueforge`
-    script: main() on the command line, then gc.freeze().  At exit the
+    script: main() on the command line with the cyclic collector off, then
+    gc.freeze().  A command makes few reference cycles, so the collections
+    that allocation triggers reclaim almost nothing.  At exit the
     interpreter runs a full collection over every tracked object, most of
     them loaded at start-up, only to let the process end; frozen objects
-    are left out of it.  main() leaves the collector alone, so in-process
-    callers keep theirs as it was."""
+    are left out of it.  main() leaves the collector alone, and entry()
+    turns it back on after main() if it was on, so in-process callers keep
+    theirs as it was."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return main()
     finally:
         gc.freeze()
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

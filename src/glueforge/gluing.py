@@ -45,6 +45,15 @@ def _json_list(obj: Mapping, key: str) -> Sequence:
     return value
 
 
+def _json_bool(obj: Mapping, key: str, default: bool) -> bool:
+    """The JSON true or false under key, default when absent; any other
+    value, such as the string "false", is malformed."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ParseError(f"{key} must be true or false, not {clip(value)}")
+    return value
+
+
 class SlotMap(Record):
     """Chart translation between boundary slots.
 
@@ -140,7 +149,7 @@ class SlotMap(Record):
             perm = tuple(int(v) for v in obj["perm"])  # type: ignore[index]
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad permutation in slot map: {exc}") from exc
-        reversing = bool(obj.get("reverses_orientation", True))
+        reversing = _json_bool(obj, "reverses_orientation", True)
         try:
             return SlotMap(handle, perm=perm, graph_reversing=reversing)
         except ValidationError as exc:
@@ -205,7 +214,7 @@ class BoundarySpec(Record):
         if not isinstance(obj, Mapping) or "id" not in obj:
             raise ParseError("boundary spec must be an object with an id")
         bid = str(obj["id"])
-        if obj.get("toroidal", False):
+        if _json_bool(obj, "toroidal", False):
             return BoundarySpec(bid, toroidal=True)
         if "backend" not in obj or "decoration" not in obj:
             raise ParseError(f"boundary {bid} needs backend and decoration")
@@ -218,7 +227,7 @@ class BoundarySpec(Record):
             bid,
             handle=handle,
             decoration=decoration,
-            compressible=bool(obj.get("compressible", False)),
+            compressible=_json_bool(obj, "compressible", False),
             disks=disks,
         )
 

@@ -7,7 +7,6 @@ files and stable content hashes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 
@@ -21,4 +20,8 @@ def canonical_dumps(obj: object) -> str:
 
 
 def sha256_of_text(text: str) -> str:
+    # hashlib loads OpenSSL, the largest import of a cold run; `model
+    # --format obj` hashes nothing and so never pays for it
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -6,8 +6,9 @@ its decorations, and every identification contributes a tube swept along
 the half-plane geodesic between the two induced balanced points.  On the
 torus backend the fiber geometry is computed exactly from the modulus;
 finite-graph slots have no geometry and their tubes stay combinatorial,
-so a gluing on graph backends alone loads no torus code: the torus layer is
-imported where a geometric tube or anchor is built.
+so a gluing on graph backends alone loads no torus code: the half-plane
+geometry (`halfplane`) is imported where a geometric tube or anchor is
+built.
 
 A skeleton has two serializations: `ModelSkeleton.to_json` is the skeleton
 JSON that `glueforge model` prints inside its report envelope, and
@@ -25,8 +26,9 @@ from .gluing import GluingGraph, Slot, SlotMap, _slot_name
 from .record import Record, replace
 from .surface import AbstractMarking, as_torus_marking
 
-if TYPE_CHECKING:  # geometric tubes and anchors import the torus layer
-    from .torus import Slope, TeichPoint
+if TYPE_CHECKING:  # geometric tubes and anchors import the half-plane layer
+    from .halfplane import TeichPoint
+    from .torus import Slope
 
 # the stabilizer of i: sigma(mu) and sigma(nu) balance at the same point
 # iff sigma(mu)^-1 sigma(nu) has one of these entries
@@ -168,7 +170,7 @@ class ModelSkeleton(Record):
         }
 
 def _sigma(m: AbstractMarking) -> TeichPoint:
-    from .torus import sigma_of_marking
+    from .halfplane import sigma_of_marking
 
     return sigma_of_marking(as_torus_marking(m))
 
@@ -183,7 +185,7 @@ def sample_tube(tube: TubeBlock, n: int) -> tuple[TubeSample, ...]:
         raise ValidationError(f"combinatorial tube {tube.name} carries no geometry")
     if n < 2:
         raise ValidationError("tube sampling needs at least 2 samples")
-    from .torus import teich_geodesic
+    from .halfplane import teich_geodesic
 
     assert tube.sigma_a is not None and tube.sigma_b is not None
     if tube.degenerate:
@@ -197,7 +199,7 @@ def sample_tube(tube: TubeBlock, n: int) -> tuple[TubeSample, ...]:
 
 
 def _sample(t: float, z: TeichPoint) -> TubeSample:
-    from .torus import curve_length, shortest_slope
+    from .halfplane import curve_length, shortest_slope
 
     # curve_length of the shortest slope is exactly what systole returns
     shortest = shortest_slope(z)
@@ -213,7 +215,7 @@ def _geometry(
     samples: int,
     involution: SlotMap | None = None,
 ) -> TubeBlock:
-    from .torus import sigma_matrix, teich_distance
+    from .halfplane import sigma_matrix, teich_distance
 
     sigma_a = _sigma(mu)
     sigma_b = _sigma(nu)
@@ -377,7 +379,7 @@ def verify_thickness(s: ModelSkeleton, eps0: float) -> ThicknessReport:
 def _cf_coefficient(tube: TubeBlock) -> int:
     """The relative continued-fraction coefficient between the shortest
     markings at the two ends of a geometric tube."""
-    from .torus import relative_cf_max_coeff, shortest_marking
+    from .halfplane import relative_cf_max_coeff, shortest_marking
 
     assert tube.sigma_a is not None and tube.sigma_b is not None
     return relative_cf_max_coeff(shortest_marking(tube.sigma_a), shortest_marking(tube.sigma_b))

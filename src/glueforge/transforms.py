@@ -14,8 +14,7 @@ fortiori.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import BackendMismatchError, ValidationError
 from .gluing import (
@@ -45,8 +44,11 @@ from .surface import (
     sup_projection,
 )
 
+if TYPE_CHECKING:  # ratios are ints, or Fractions where the pair scan builds them
+    from numbers import Rational
 
-def _fraction_json(x: Fraction | None) -> list[int] | None:
+
+def _fraction_json(x: Rational | None) -> list[int] | None:
     return None if x is None else [x.numerator, x.denominator]
 
 
@@ -182,9 +184,9 @@ class StackCertificate(Record):
     geodesic_values: tuple[int, ...]
     geodesics_ok: bool
     witness: tuple[str, int] | None
-    k_prime: Fraction | None
+    k_prime: Rational | None
     combined_height: int
-    lower_bound: Fraction | None
+    lower_bound: Rational | None
     lower_bound_ok: bool | None
     fellow_traveling: int
     twisted_note: str
@@ -286,19 +288,16 @@ class QuasigeodesicReport(Record):
     """Measured local and global quasigeodesic quality of a path."""
 
     window: int
-    local_k: Fraction | None
-    global_k: Fraction | None
+    local_k: Rational | None
+    global_k: Rational | None
     ok: bool
     offending: tuple[int, int] | None
 
     def to_dict(self) -> dict:
-        def enc(x: Fraction | None) -> list[int] | None:
-            return None if x is None else [x.numerator, x.denominator]
-
         return {
             "window": self.window,
-            "local_k": enc(self.local_k),
-            "global_k": enc(self.global_k),
+            "local_k": _fraction_json(self.local_k),
+            "global_k": _fraction_json(self.global_k),
             "ok": self.ok,
             "offending": list(self.offending) if self.offending else None,
         }
@@ -337,6 +336,8 @@ def local_to_global_report(
                 global_n, global_d = span, dist_ij
             if span <= window and span * local_d > local_n * dist_ij:
                 local_n, local_d = span, dist_ij
+    from fractions import Fraction  # loads decimal: imported only here
+
     return QuasigeodesicReport(
         window, Fraction(local_n, local_d), Fraction(global_n, global_d), True, None
     )
@@ -348,7 +349,7 @@ def _path_report(handle: BackendHandle, path: list, reach: list[int]) -> Quasige
     Every step of the path is an edge.  So when its ends lie at its length
     apart, the path is a geodesic, and so is every sub-interval: every
     ratio is 1 and no two vertices coincide, which is what the pair scan
-    would report.  One row decides it.
+    would report.  One row decides it, and the ratios are the int 1.
 
     Otherwise the pairs are scanned.  Two vertices on one geodesic piece
     lie at their index difference: the ratio is 1, never 0, and cannot
@@ -357,7 +358,7 @@ def _path_report(handle: BackendHandle, path: list, reach: list[int]) -> Quasige
     neighbour, which spares the chart's modular inverse on the torus."""
     last = len(path) - 1
     if curve_distances_from(handle, path[0], [path[1], path[last]])[1] == last:
-        return QuasigeodesicReport(last, Fraction(1), Fraction(1), True, None)
+        return QuasigeodesicReport(last, 1, 1, True, None)
 
     def dist(i: int, j: int) -> int:
         if i > j:
@@ -448,15 +449,16 @@ def combine_stack(
         report = _path_report(handle, path, reach)
         k_prime = report.global_k if report.ok else None
     else:
-        k_prime = Fraction(1)
+        k_prime = 1
 
     combined = marking_distance(seq[0], seq[-1])
     if k_prime is None:
-        lower: Fraction | None = None
+        lower: Rational | None = None
         lower_ok: bool | None = None
     else:
-        lower = Fraction(sum(hs), 1) / k_prime - k_prime
-        lower_ok = Fraction(combined) >= lower
+        # exact: an int K' = 1 keeps the bound an int, a Fraction K' makes it one
+        lower = sum(hs) - 1 if k_prime == 1 else sum(hs) / k_prime - k_prime
+        lower_ok = combined >= lower
 
     fellow = _fellow_traveling(handle, path, geodesic_between(seq[0], seq[-1]))
 

@@ -30,10 +30,11 @@ from glueforge.gluing import (
     SlotMap,
     _slot_name,
 )
+from glueforge.halfplane import TeichPoint, curve_length, shortest_slope
 from glueforge.model import SCHEMA, ModelSkeleton, PieceBlock, TubeBlock, TubeSample
 from glueforge.record import Record
 from glueforge.surface import AbstractMarking, BackendHandle, _require_same, curve_distances_from
-from glueforge.torus import Slope, TeichPoint, curve_length, shortest_slope
+from glueforge.torus import Slope
 
 INF = (1, 0)
 

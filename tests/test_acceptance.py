@@ -35,20 +35,13 @@ from glueforge.gluing import (
     heights,
     validate_gluing,
 )
+from glueforge.halfplane import shortest_marking, sigma_of_marking, teich_distance
 from glueforge.hypgraph import FiniteGraph, all_pairs_distances
 from glueforge.hyplab import check_qconvex_stability
 from glueforge.ioutil import canonical_dumps
 from glueforge.model import build_skeleton
 from glueforge.surface import AbstractMarking, geodesic_between, marking_distance, sup_projection
-from glueforge.torus import (
-    REFLECTION,
-    Slope,
-    SurfaceMap,
-    is_adjacent,
-    shortest_marking,
-    sigma_of_marking,
-    teich_distance,
-)
+from glueforge.torus import REFLECTION, Slope, SurfaceMap, is_adjacent
 from glueforge.transforms import collapse_ibundles, combine_stack
 from oracles import (
     CompressionStep,

@@ -300,18 +300,51 @@ def test_malformed_json_is_a_parse_error(files, capsys):
     ],
 )
 def test_wrong_typed_containers_are_parse_errors(files, capsys, tmp_path, path, value):
-    obj = json.loads(pathlib.Path(files["chain"]).read_text())
+    bad = edited_input(files["chain"], path, value, tmp_path)
+    code, out, err = run(capsys, ["validate", "--input", bad])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error:")
+
+
+def edited_input(src: str, path: str, value: object, tmp_path: pathlib.Path) -> str:
+    """A copy of the JSON file src with the field at the dotted path set to
+    value; returns the copy's path."""
+    obj = json.loads(pathlib.Path(src).read_text())
     *parents, last = path.split(".")
     target = obj
     for key in parents:
         target = target[int(key) if key.isdigit() else key]
     target[last] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
-    code, out, err = run(capsys, ["validate", "--input", str(bad)])
-    assert code == EXIT_PARSE
-    assert out == ""
-    assert err.startswith("parse error:")
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(obj))
+    return str(out)
+
+
+FLAG_FIELDS = {
+    "identifications.0.map.reverses_orientation": True,
+    "manifolds.0.boundaries.0.toroidal": False,
+    "manifolds.0.boundaries.0.compressible": False,
+}
+
+
+@pytest.mark.parametrize("path", list(FLAG_FIELDS))
+def test_flags_accept_only_json_booleans(files, capsys, tmp_path, path):
+    # a string such as "false" is truthy: read as a flag it would flip it
+    for value in ("false", "true", "no", 0, 1, None):
+        bad = edited_input(files["graph_stack"], path, value, tmp_path)
+        code, out, err = run(capsys, ["validate", "--input", bad])
+        assert (code, out) == (EXIT_PARSE, ""), value
+        assert err.startswith(f"parse error: {path.rsplit('.', 1)[1]} must be true or false")
+    # the JSON booleans are read: the default passes, and the other value
+    # breaks another rule of this input
+    default = FLAG_FIELDS[path]
+    ok = edited_input(files["graph_stack"], path, default, tmp_path)
+    assert run(capsys, ["validate", "--input", ok])[0] == EXIT_PASS
+    flipped = edited_input(files["graph_stack"], path, not default, tmp_path)
+    code, _, err = run(capsys, ["validate", "--input", flipped])
+    assert code in (EXIT_PARSE, EXIT_INVARIANT)
+    assert "must be true or false" not in err
 
 
 def test_input_text_naming_a_file_is_not_followed(files, capsys, tmp_path):
@@ -656,7 +689,7 @@ LAYERS_LOADED = {
     ("report", "torus"): {"gluing", "surface", "torus", "farey", "certify"},
     ("collapse", "torus"): {"gluing", "surface", "torus", "farey", "transforms"},
     ("decompose", "torus"): {"gluing", "surface", "torus", "decompose"},
-    ("model", "torus"): {"gluing", "surface", "torus", "model"},
+    ("model", "torus"): {"gluing", "surface", "torus", "halfplane", "model"},
     ("validate", "graph"): {"gluing", "surface", "hypgraph"},
     ("report", "graph"): {"gluing", "surface", "hypgraph", "certify"},
     ("collapse", "graph"): {"gluing", "surface", "hypgraph", "transforms"},
@@ -833,11 +866,13 @@ def test_no_module_imports_numpy():
 
 # importing dataclasses compiles its generated methods on every cold start,
 # and it loads inspect; records are built without either.  fractions loads
-# decimal and numbers; only the delta and collapse reports build one
+# decimal and numbers; only the delta, the --denom-bound sweep and the pair
+# scan of a stack path that is not a geodesic build one.  hashlib loads
+# OpenSSL (_hashlib); only the commands that print an input hash import it
 _IMPORT_PROBE = (
     "import sys\n"
     "from glueforge import cli\n"
-    "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+    "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal', 'hashlib', '_hashlib')\n"
     "print(*[m for m in heavy if m in sys.modules])\n"
     "code = cli.main(sys.argv[1:])\n"
     "print(code, *[m for m in heavy if m in sys.modules])\n"
@@ -847,8 +882,15 @@ _IMPORT_PROBE = (
 def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
     src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
     target = tmp_path / "out"
-    for command in ("validate", "report", "model", "decompose"):
-        argv = [command, "--input", files["example:chain"], "--out", str(target)]
+    for command, example in (
+        ("validate", "example:chain"),
+        ("report", "example:chain"),
+        ("model", "example:chain"),
+        ("decompose", "example:chain"),
+        ("collapse", "example:stack"),
+        ("model --format obj", "example:chain"),
+    ):
+        argv = [*command.split(), "--input", files[example], "--out", str(target)]
         proc = subprocess.run(
             [sys.executable, "-c", _IMPORT_PROBE, *argv],
             capture_output=True,
@@ -857,7 +899,10 @@ def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"\n{EXIT_PASS}\n", command
+        obj = "obj" in command
+        assert proc.stdout == f"\n{EXIT_PASS}{'' if obj else ' hashlib _hashlib'}\n", command
+        if obj:
+            continue
         report = json.loads(target.read_text())
         assert report["command"] == command
         if command == "validate":
@@ -962,12 +1007,19 @@ def test_main_leaves_the_collector_alone_and_entry_freezes(files, capsys, monkey
     before = gc.get_freeze_count()
     assert run(capsys, ["validate", "--input", files["example:chain"]])[0] == EXIT_PASS
     assert gc.get_freeze_count() == before
+    assert gc.isenabled()
     monkeypatch.setattr(sys, "argv", ["glueforge", "validate", "--input", files["example:chain"]])
+    # entry runs main with the cyclic collector off and restores it after
+    collecting = []
+    real_main = cli.main
+    monkeypatch.setattr(cli, "main", lambda: collecting.append(gc.isenabled()) or real_main())
     try:
         assert cli.entry() == EXIT_PASS
         assert gc.get_freeze_count() > before
     finally:
         gc.unfreeze()
+    assert collecting == [False]
+    assert gc.isenabled()
     capsys.readouterr()
 
 

@@ -22,6 +22,7 @@ from glueforge.gluing import (
     Identification,
     SlotMap,
 )
+from glueforge.halfplane import TeichPoint, sigma_of_marking, teich_distance
 from glueforge.hypgraph import cycle_graph
 from glueforge.ioutil import canonical_dumps
 from glueforge.model import (
@@ -36,16 +37,7 @@ from glueforge.model import (
 )
 from glueforge.record import replace
 from glueforge.surface import AbstractMarking, BackendHandle, as_torus_marking
-from glueforge.torus import (
-    REFLECTION,
-    FareyMarking,
-    Slope,
-    SurfaceMap,
-    TeichPoint,
-    parse_slope,
-    sigma_of_marking,
-    teich_distance,
-)
+from glueforge.torus import REFLECTION, FareyMarking, Slope, SurfaceMap, parse_slope
 from glueforge.transforms import collapse_ibundles
 from oracles import load_skeleton, systole
 from test_transforms import core_stack_core

@@ -14,12 +14,13 @@ from glueforge import cli
 from glueforge.certify import check_bounded_combinatorics
 from glueforge.decompose import full_and_maximal_decomposition
 from glueforge.errors import GlueforgeError, PrecisionLossError, ValidationError
+from glueforge.halfplane import TeichPoint
 from glueforge.hypgraph import all_pairs_distances, cycle_graph
 from glueforge.hyplab import check_qconvex_stability
 from glueforge.model import build_skeleton, verify_thickness
 from glueforge.record import FrozenRecordError, Record, replace
 from glueforge.surface import BackendHandle, GraphProjection
-from glueforge.torus import REFLECTION, FareyMarking, Slope, SurfaceMap, TeichPoint
+from glueforge.torus import REFLECTION, FareyMarking, Slope, SurfaceMap
 from glueforge.transforms import _resolve_stack, collapse_ibundles, local_to_global_report
 from oracles import (
     CompressionStep,

@@ -29,19 +29,10 @@ from glueforge.farey import (
     farey_geodesic,
     max_subsurface_projection,
 )
-from glueforge.torus import (
-    IDENTITY,
-    INFINITY,
-    REFLECTION,
-    FareyMarking,
-    Slope,
-    SurfaceMap,
+from glueforge.halfplane import (
     TeichPoint,
-    cf_expansion,
     curve_length,
-    intersection_number,
-    is_adjacent,
-    parse_slope,
+    on_point,
     relative_cf_max_coeff,
     shortest_marking,
     shortest_slope,
@@ -49,6 +40,18 @@ from glueforge.torus import (
     sigma_of_marking,
     teich_distance,
     teich_geodesic,
+)
+from glueforge.torus import (
+    IDENTITY,
+    INFINITY,
+    REFLECTION,
+    FareyMarking,
+    Slope,
+    SurfaceMap,
+    cf_expansion,
+    intersection_number,
+    is_adjacent,
+    parse_slope,
 )
 
 import glueforge
@@ -147,7 +150,7 @@ def test_map_actions_on_slopes():
 
 def test_reflection_fixes_imaginary_axis():
     z = TeichPoint(0.0, 2.5)
-    img = REFLECTION.on_point(z)
+    img = on_point(REFLECTION, z)
     assert img.close_to(z)
 
 
@@ -158,7 +161,7 @@ def test_map_action_is_functorial(i, j, k):
     s = Slope(2, 5)
     assert (m1 @ m2).on_slope(s) == m1.on_slope(m2.on_slope(s))
     z = TeichPoint(0.3, 0.7)
-    assert (m1 @ m2).on_point(z).close_to(m1.on_point(m2.on_point(z)))
+    assert on_point(m1 @ m2, z).close_to(on_point(m1, on_point(m2, z)))
 
 
 @given(st.integers(-4, 4), st.booleans(), st.integers(-200, 200), st.integers(0, 60))
@@ -467,7 +470,7 @@ def test_sigma_equivariance(k, refl, j):
     if refl:
         g = g @ REFLECTION
     lhs = sigma_of_marking(g.on_marking(m))
-    rhs = g.on_point(sigma_of_marking(m))
+    rhs = on_point(g, sigma_of_marking(m))
     assert lhs.close_to(rhs)
 
 
@@ -490,7 +493,7 @@ def test_curve_length_invariance(k, refl, p, q):
         g = g @ REFLECTION
     z = TeichPoint(0.37, 1.21)
     s = Slope(p, q)
-    assert curve_length(g.on_point(z), g.on_slope(s)) == pytest.approx(
+    assert curve_length(on_point(g, z), g.on_slope(s)) == pytest.approx(
         curve_length(z, s), rel=1e-9
     )
 
@@ -590,7 +593,7 @@ def test_sigma_of_marking_bits_up_to_axis_power_14():
             g.on_marking(FareyMarking(Slope(1, 2), Slope(1, 1))),
             (g @ REFLECTION).on_marking(FareyMarking(Slope(1, 1), INFINITY)),
         ):
-            assert sigma_of_marking(m) == sigma_matrix(m).on_point(TeichPoint(0.0, 1.0))
+            assert sigma_of_marking(m) == on_point(sigma_matrix(m), TeichPoint(0.0, 1.0))
 
 
 @pytest.mark.parametrize("k", [18, 24, 30, 800])
@@ -670,7 +673,7 @@ def test_map_action_on_points_is_isometric():
             g = g @ REFLECTION
         z = TeichPoint(rng.uniform(-2, 2), rng.uniform(0.2, 3))
         w = TeichPoint(rng.uniform(-2, 2), rng.uniform(0.2, 3))
-        assert teich_distance(g.on_point(z), g.on_point(w)) == pytest.approx(
+        assert teich_distance(on_point(g, z), on_point(g, w)) == pytest.approx(
             teich_distance(z, w), rel=1e-9
         )
 
