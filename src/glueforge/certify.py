@@ -18,7 +18,7 @@ from .gluing import (
     TWISTED_IBUNDLE,
     DecoratedManifoldSpec,
     GluingGraph,
-    InducedMarkingTable,
+    Slot,
     heights,
     induced_markings,
 )
@@ -169,12 +169,12 @@ def _clause_c(
     x: GluingGraph,
     pid: str,
     spec: DecoratedManifoldSpec,
-    table: InducedMarkingTable,
+    induced: dict[Slot, AbstractMarking | None],
     r_bound: int,
 ) -> BundleClauseReport:
     e0, e1 = spec.nontoroidal()
-    nu0 = table.nu(pid, e0.id)
-    nu1 = table.nu(pid, e1.id)
+    nu0 = induced[(pid, e0.id)]
+    nu1 = induced[(pid, e1.id)]
     if nu0 is None or nu1 is None:
         empty = e0.id if nu0 is None else e1.id
         return BundleClauseReport(False, detail=f"missing induced marking on {empty}")
@@ -189,13 +189,13 @@ def _clause_d(
     x: GluingGraph,
     pid: str,
     spec: DecoratedManifoldSpec,
-    table: InducedMarkingTable,
+    induced: dict[Slot, AbstractMarking | None],
     r_bound: int,
 ) -> BundleClauseReport:
     (e0,) = spec.nontoroidal()
     if spec.cover is None:
         return BundleClauseReport(False, detail="cover data missing")
-    nu = table.nu(pid, e0.id)
+    nu = induced[(pid, e0.id)]
     if nu is None:
         return BundleClauseReport(False, detail=f"missing induced marking on {e0.id}")
     cover = spec.cover
@@ -213,13 +213,13 @@ def _clause_e(
     x: GluingGraph,
     pid: str,
     spec: DecoratedManifoldSpec,
-    table: InducedMarkingTable,
+    induced: dict[Slot, AbstractMarking | None],
 ) -> tuple[bool, str]:
     failing = []
     for kind, records in (("disk", spec.disk_records), ("annulus", spec.annulus_records)):
         for record in records:
             covered = any(
-                not spec.boundary(bid).toroidal and table.nu(pid, bid) is not None
+                not spec.boundary(bid).toroidal and induced[(pid, bid)] is not None
                 for bid in record
             )
             if not covered:
@@ -248,8 +248,8 @@ def check_bounded_combinatorics(
         raise ValidationError("R must be a positive integer")
     if not isinstance(d_bound, int) or d_bound < 0:
         raise ValidationError("D must be a non-negative integer")
-    table = induced_markings(x)
-    height_table = heights(x, table)
+    induced = induced_markings(x)
+    height_of = heights(x, induced)
     slot_reports: list[SlotReport] = []
     failures = 0
     uncertified = False
@@ -257,15 +257,14 @@ def check_bounded_combinatorics(
     for slot in x.slots():
         pid, bid = slot
         boundary = x.boundary_of(slot)
-        nu = table.nu(pid, bid)
-        source = table.source(pid, bid)
+        nu = induced[slot]
+        buried = x.is_buried(slot)
+        source = "psi" if buried else "empty" if nu is None else "lambda"
         if nu is None:
-            slot_reports.append(
-                SlotReport(pid, bid, x.is_buried(slot), source, None, None, None, None, None)
-            )
+            slot_reports.append(SlotReport(pid, bid, buried, source, None, None, None, None, None))
             continue
         mu = x.decoration(slot)
-        height = height_table.height(pid, bid)
+        height = height_of[slot]
         assert height is not None
         projection = sup_projection(mu, nu, denom_bound=denom_bound)
         if not projection.certified:
@@ -285,7 +284,7 @@ def check_bounded_combinatorics(
             SlotReport(
                 pid,
                 bid,
-                x.is_buried(slot),
+                buried,
                 source,
                 height,
                 projection,
@@ -299,12 +298,12 @@ def check_bounded_combinatorics(
         spec = x.spec_of(pid)
         clause_c = clause_d = None
         if spec.kind == TRIVIAL_IBUNDLE:
-            clause_c = _clause_c(x, pid, spec, table, r_bound)
+            clause_c = _clause_c(x, pid, spec, induced, r_bound)
             failures += not clause_c.ok
         elif spec.kind == TWISTED_IBUNDLE:
-            clause_d = _clause_d(x, pid, spec, table, r_bound)
+            clause_d = _clause_d(x, pid, spec, induced, r_bound)
             failures += not clause_d.ok
-        e_ok, e_detail = _clause_e(x, pid, spec, table)
+        e_ok, e_detail = _clause_e(x, pid, spec, induced)
         failures += not e_ok
         piece_reports.append(PieceReport(pid, spec.kind, clause_c, clause_d, e_ok, e_detail))
     caveats = ["meridian inequalities are relative to the declared finite disk sets"]

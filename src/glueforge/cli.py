@@ -158,8 +158,11 @@ def _emit(cfg: RunConfig, payload: bytes) -> None:
     if cfg.out is None:
         sys.stdout.write(payload.decode())
         return
-    with open(cfg.out, "wb") as fh:
-        fh.write(payload)
+    try:
+        with open(cfg.out, "wb") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {cfg.out}: {exc.strerror}") from exc
 
 
 def _emit_report(cfg: RunConfig, text: str, result: dict) -> None:

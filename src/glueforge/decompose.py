@@ -10,6 +10,8 @@ mutate the input graph.
 
 from __future__ import annotations
 
+import json
+
 from .errors import ValidationError
 from .gluing import (
     COMPRESSION_BODY,
@@ -17,7 +19,6 @@ from .gluing import (
     Identification,
     Slot,
     SlotMap,
-    _thawed_json,
 )
 from .record import Record
 
@@ -119,14 +120,18 @@ def _expand_splittings(x: GluingGraph) -> GluingGraph:
                 )
             spec_a = spec_by_id[owners[0]]
             handle = spec_a.boundary(bdry_a).handle
-            assert handle is not None
+            if handle is None:
+                raise ValidationError(
+                    f"piece {pid}: splitting identification on toroidal boundary "
+                    f"{sub_a}:{bdry_a}"
+                )
             idents.append(
                 Identification(
                     f"{pid}/{sub_a}",
                     bdry_a,
                     f"{pid}/{sub_b}",
                     bdry_b,
-                    SlotMap.from_json(handle, _thawed_json(map_json)),
+                    SlotMap.from_json(handle, json.loads(map_json)),
                 )
             )
     for ident in x.identifications:

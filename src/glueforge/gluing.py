@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import cached_property
 import json
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NoReturn, Sequence
 
 from .errors import BackendMismatchError, ParseError, ValidationError, clip
 from .ioutil import canonical_dumps, sha256_of_text
@@ -232,43 +232,6 @@ class BoundarySpec(Record):
         )
 
 
-class JSJPiece(Record):
-    """A declared characteristic piece with its boundary footprint."""
-
-    id: str
-    type: str
-    footprint: tuple[tuple[str, str], ...]
-    parallel_class: str = ""
-
-    def __post_init__(self) -> None:
-        if self.type not in ("ibundle", "solidtorus", "acylindrical"):
-            raise ValidationError(f"unknown characteristic piece type {clip(self.type)}")
-
-    def to_json(self) -> dict:
-        out: dict = {
-            "id": self.id,
-            "type": self.type,
-            "footprint": [[b, lbl] for b, lbl in self.footprint],
-        }
-        if self.parallel_class:
-            out["parallel_class"] = self.parallel_class
-        return out
-
-    @staticmethod
-    def from_json(obj: object) -> "JSJPiece":
-        if not isinstance(obj, Mapping):
-            raise ParseError("characteristic piece must be an object")
-        try:
-            return JSJPiece(
-                str(obj["id"]),
-                str(obj["type"]),
-                tuple((str(b), str(lbl)) for b, lbl in obj.get("footprint", [])),
-                str(obj.get("parallel_class", "")),
-            )
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            raise ParseError(f"bad characteristic piece: {exc}") from exc
-
-
 class SubPiece(Record):
     """Declared sub-piece of a core/compression-body splitting.
 
@@ -365,51 +328,21 @@ class Identification(Record):
         }
 
 
-class _JsonObject(tuple):
-    """A JSON object frozen as a tuple of (key, value) items."""
-
-
-def _frozen_json(value: object) -> object:
-    """A JSON value that hashes: arrays become tuples and objects
-    _JsonObject item tuples, all the way down.  Frozen values stay as they
-    are."""
-    if isinstance(value, Mapping):
-        return _JsonObject((k, _frozen_json(v)) for k, v in value.items())
-    if isinstance(value, _JsonObject):
-        return value
-    if isinstance(value, (list, tuple)):
-        return tuple(_frozen_json(v) for v in value)
-    return value
-
-
-def _thawed_json(value: object) -> object:
-    """The plain JSON value of a frozen one: lists and dicts again."""
-    if isinstance(value, _JsonObject):
-        return {k: _thawed_json(v) for k, v in value}
-    if isinstance(value, tuple):
-        return [_thawed_json(v) for v in value]
-    return value
-
-
 class Splitting(Record):
     """Core/compression-body splitting of one spec: sub-pieces plus the
     internal identifications along the splitting surfaces."""
 
     pieces: tuple[SubPiece, ...]
-    identifications: tuple[tuple[str, str, str, str, object], ...] = ()
-    # identification tuples (sub_a, bdry_a, sub_b, bdry_b, map json), the
-    # map frozen; maps resolve against sub-spec handles once the manifest
-    # is known
-
-    def __post_init__(self) -> None:
-        frozen = tuple((*rec[:4], _frozen_json(rec[4])) for rec in self.identifications)
-        object.__setattr__(self, "identifications", frozen)
+    identifications: tuple[tuple[str, str, str, str, str], ...] = ()
+    # identification tuples (sub_a, bdry_a, sub_b, bdry_b, map JSON text);
+    # `decompose` parses a map against its sub-spec handle once the
+    # manifest is known
 
     def to_json(self) -> dict:
         return {
             "pieces": [p.to_json() for p in self.pieces],
             "identifications": [
-                {"a": [pa, ba], "b": [pb, bb], "map": _thawed_json(m)}
+                {"a": [pa, ba], "b": [pb, bb], "map": json.loads(m)}
                 for pa, ba, pb, bb, m in self.identifications
             ],
         }
@@ -427,7 +360,7 @@ class Splitting(Record):
                 (pa, ba), (pb, bb) = rec["a"], rec["b"]
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bad splitting identification slots: {exc}") from exc
-            idents.append((str(pa), str(ba), str(pb), str(bb), rec.get("map")))
+            idents.append((str(pa), str(ba), str(pb), str(bb), json.dumps(rec.get("map"))))
         return Splitting(pieces, tuple(idents))
 
 
@@ -447,8 +380,6 @@ class DecoratedManifoldSpec(Record):
     boundaries: tuple[BoundarySpec, ...]
     disk_records: tuple[tuple[str, ...], ...] = ()
     annulus_records: tuple[tuple[str, ...], ...] = ()
-    jsj: tuple[JSJPiece, ...] = ()
-    window_frames: tuple[tuple[str, tuple[str, ...]], ...] = ()
     bundle_map: SlotMap | None = None
     cover: CoverData | None = None
     splitting: Splitting | None = None
@@ -468,11 +399,6 @@ class DecoratedManifoldSpec(Record):
                     raise ValidationError(
                         f"manifold {self.id}: record references unknown boundary {bid}"
                     )
-        for bid, _ in self.window_frames:
-            if bid not in ids:
-                raise ValidationError(
-                    f"manifold {self.id}: window frame on unknown boundary {bid}"
-                )
         if self.kind == TRIVIAL_IBUNDLE:
             self._check_trivial_bundle(nontoroidal)
         elif self.kind == TWISTED_IBUNDLE:
@@ -553,10 +479,6 @@ class DecoratedManifoldSpec(Record):
             out["disk_records"] = [list(r) for r in self.disk_records]
         if self.annulus_records:
             out["annulus_records"] = [list(r) for r in self.annulus_records]
-        if self.jsj:
-            out["jsj"] = [p.to_json() for p in self.jsj]
-        if self.window_frames:
-            out["window_frames"] = {bid: list(lbls) for bid, lbls in self.window_frames}
         if self.bundle_map is not None:
             out["bundle_map"] = self.bundle_map.to_json()
         if self.cover is not None:
@@ -583,9 +505,6 @@ class DecoratedManifoldSpec(Record):
             if chart is None:
                 raise ParseError("cover data without a charted boundary")
             cover = CoverData.from_json(chart, obj["cover"])
-        frames = obj.get("window_frames", {})
-        if not isinstance(frames, Mapping):
-            raise ParseError("window_frames must be an object")
         splitting = None
         if "splitting" in obj:
             splitting = Splitting.from_json(obj["splitting"])
@@ -603,10 +522,6 @@ class DecoratedManifoldSpec(Record):
                 boundaries,
                 records("disk_records"),
                 records("annulus_records"),
-                tuple(JSJPiece.from_json(p) for p in _json_list(obj, "jsj")),
-                tuple(
-                    (str(bid), tuple(str(x) for x in _json_list(frames, bid))) for bid in frames
-                ),
                 bundle_map,
                 cover,
                 splitting,
@@ -841,8 +756,8 @@ class GluingGraph(Record):
 
         idents = []
         for rec in _json_list(obj, "identifications"):
-            if not isinstance(rec, Mapping) or "a" not in rec or "b" not in rec:
-                raise ParseError("identification needs slots a and b")
+            if not isinstance(rec, Mapping) or not {"a", "b", "map"} <= rec.keys():
+                raise ParseError("identification needs slots a and b and a map")
             try:
                 pa, ba = (str(x) for x in rec["a"])
                 pb, bb = (str(x) for x in rec["b"])
@@ -869,6 +784,20 @@ class GluingGraph(Record):
         return sha256_of_text(self.canonical_json())
 
 
+# No field of the schema is a float, but int() of a number past double
+# range, or of Infinity, would raise OverflowError: such numbers are
+# refused while the text is decoded.
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if value in (float("inf"), float("-inf")):
+        raise ParseError(f"malformed gluing spec: number {clip(text)} is out of range")
+    return value
+
+
+def _no_constant(text: str) -> NoReturn:
+    raise ParseError(f"malformed gluing spec: {text} is not a number")
+
+
 def validate_gluing(source: str | Mapping) -> GluingGraph:
     """Parse a gluing spec, given as JSON text or as its decoded mapping,
     and check every structural invariant; returns the canonical in-memory
@@ -878,7 +807,7 @@ def validate_gluing(source: str | Mapping) -> GluingGraph:
     if not isinstance(source, str):
         raise ParseError(f"cannot read a gluing spec from {type(source).__name__}")
     try:
-        obj = json.loads(source)
+        obj = json.loads(source, parse_float=_finite_float, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed gluing spec: {exc}") from exc
     except RecursionError as exc:
@@ -889,80 +818,27 @@ def validate_gluing(source: str | Mapping) -> GluingGraph:
 # -- induced markings and heights ---------------------------------------
 
 
-class InducedMarkingTable:
+def induced_markings(x: GluingGraph) -> dict[Slot, AbstractMarking | None]:
     """nu per slot: the pushed decoration of the paired slot on buried
-    slots, the supplied boundary marking on unburied ones, else empty."""
-
-    def __init__(self, entries: Sequence[tuple[Slot, AbstractMarking | None, str]]):
-        self.entries = tuple(entries)
-        self._by_slot = {slot: (m, src) for slot, m, src in self.entries}
-
-    def nu(self, piece: str, bdry: str) -> AbstractMarking | None:
-        return self._by_slot[(piece, bdry)][0]
-
-    def source(self, piece: str, bdry: str) -> str:
-        return self._by_slot[(piece, bdry)][1]
-
-    def missing(self) -> tuple[Slot, ...]:
-        """Unburied slots without a supplied boundary marking."""
-        return tuple(slot for slot, m, src in self.entries if src == "empty")
-
-    def to_json(self) -> dict:
-        return {
-            _slot_name(slot): {
-                "nu": None if m is None else m.to_json(),
-                "source": src,
-            }
-            for slot, m, src in self.entries
-        }
-
-
-def induced_markings(x: GluingGraph) -> InducedMarkingTable:
-    entries: list[tuple[Slot, AbstractMarking | None, str]] = []
+    slots, the supplied boundary marking on unburied ones, else None."""
+    nu: dict[Slot, AbstractMarking | None] = {}
     for slot in x.slots():
         if x.is_buried(slot):
             other, chart = x.psi(slot)
-            entries.append((slot, chart.apply(x.decoration(other)), "psi"))
+            nu[slot] = chart.apply(x.decoration(other))
         else:
-            lam = x.lam(slot)
-            if lam is None:
-                entries.append((slot, None, "empty"))
-            else:
-                entries.append((slot, lam, "lambda"))
-    return InducedMarkingTable(entries)
+            nu[slot] = x.lam(slot)
+    return nu
 
 
-class HeightTable:
-    """Per-slot height d(mu, nu); None where nu is empty."""
-
-    def __init__(self, entries: Sequence[tuple[Slot, int | None]]):
-        self.entries = tuple(entries)
-        self._by_slot = dict(self.entries)
-
-    def height(self, piece: str, bdry: str) -> int | None:
-        return self._by_slot[(piece, bdry)]
-
-    def defined(self) -> tuple[tuple[Slot, int], ...]:
-        return tuple((slot, h) for slot, h in self.entries if h is not None)
-
-    def min_defined(self) -> int | None:
-        values = [h for _, h in self.defined()]
-        return min(values) if values else None
-
-    def to_json(self) -> dict:
-        return {_slot_name(slot): h for slot, h in self.entries}
-
-
-def heights(x: GluingGraph, table: InducedMarkingTable | None = None) -> HeightTable:
-    """Heights of the induced marking on every slot, both directions of
-    each identification reported through its two slots."""
-    if table is None:
-        table = induced_markings(x)
-    entries: list[tuple[Slot, int | None]] = []
-    for slot in x.slots():
-        nu = table.nu(*slot)
-        if nu is None:
-            entries.append((slot, None))
-        else:
-            entries.append((slot, marking_distance(x.decoration(slot), nu)))
-    return HeightTable(entries)
+def heights(
+    x: GluingGraph, nu: dict[Slot, AbstractMarking | None] | None = None
+) -> dict[Slot, int | None]:
+    """Per-slot height d(mu, nu), None where nu is; both directions of each
+    identification are reported through its two slots."""
+    if nu is None:
+        nu = induced_markings(x)
+    return {
+        slot: None if m is None else marking_distance(x.decoration(slot), m)
+        for slot, m in nu.items()
+    }

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError, clip
 from .gluing import GluingGraph, Slot, SlotMap, _slot_name
@@ -246,7 +246,6 @@ def _quotient_tube(
 
 def build_skeleton(
     x: GluingGraph,
-    lam: Mapping[Slot, AbstractMarking] | None = None,
     samples: int = DEFAULT_SAMPLES,
 ) -> ModelSkeleton:
     """Assemble the skeleton of a valid gluing.
@@ -255,8 +254,7 @@ def build_skeleton(
     balanced points of its two sides (a self-identification produces the
     quotient tube with the involution recorded).  Unburied slots holding a
     free marking get a boundary tube; without one the tube is omitted with
-    a warning.  The free markings default to the gluing's own but can be
-    supplied explicitly.
+    a warning.
     """
     x.validate()
     blocks = []
@@ -287,7 +285,7 @@ def build_skeleton(
     for slot in x.slots():
         if x.is_buried(slot):
             continue
-        free = x.lam(slot) if lam is None else lam.get(slot)
+        free = x.lam(slot)
         if free is None:
             warnings.warn(
                 f"unburied slot {_slot_name(slot)} has no free marking;"

@@ -158,6 +158,8 @@ class BackendHandle(Record):
             return BackendHandle.torus()
         if kind != GRAPH:
             raise ParseError(f"unknown backend kind {clip(kind)}")
+        if not isinstance(obj.get("markings", {}), dict):
+            raise ParseError("graph backend markings must be an object")
         try:
             key = (int(obj["n"]), tuple((int(u), int(v)) for u, v in obj.get("edges", [])))
             if graphs is None:

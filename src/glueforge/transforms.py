@@ -21,9 +21,7 @@ from .gluing import (
     BoundarySpec,
     DecoratedManifoldSpec,
     GluingGraph,
-    HeightTable,
     Identification,
-    InducedMarkingTable,
     Slot,
     SlotMap,
     TRIVIAL_IBUNDLE,
@@ -570,24 +568,26 @@ class CollapseResult(Record):
 def measured_r_bound(x: GluingGraph, denom_bound: int | None = None) -> int:
     """Smallest bound at which every decorated slot clears the projection
     clause and every compressible slot clears the meridian clause."""
-    table = induced_markings(x)
-    return _r_bound(x, table, heights(x, table), denom_bound)
+    induced = induced_markings(x)
+    return _r_bound(x, induced, heights(x, induced), denom_bound)
 
 
 def _r_bound(
-    x: GluingGraph, table: InducedMarkingTable, hts: HeightTable, denom_bound: int | None
+    x: GluingGraph,
+    induced: dict[Slot, AbstractMarking | None],
+    hts: dict[Slot, int | None],
+    denom_bound: int | None,
 ) -> int:
     """measured_r_bound over the induced markings and heights of x."""
     best = 0
-    for slot in x.slots():
-        nu = table.nu(*slot)
+    for slot, nu in induced.items():
         if nu is None:
             continue
         best = max(best, sup_projection(x.decoration(slot), nu, denom_bound).value)
         boundary = x.boundary_of(slot)
         if boundary.compressible:
             assert boundary.disks is not None
-            h = hts.height(*slot)
+            h = hts[slot]
             assert h is not None
             best = max(best, h - disk_distance(nu, boundary.disks))
     return best
@@ -798,23 +798,23 @@ def collapse_ibundles(
         wiring = [(None, None, ident, None)]
     else:
         collapsed, wiring = _rewired_graph(x, certs)
-    table = induced_markings(collapsed)
-    hts = heights(collapsed, table)
+    induced = induced_markings(collapsed)
+    hts = heights(collapsed, induced)
 
     records = []
     for cert, (left, right, ident, pushed) in zip(certs, wiring):
         new_height = None
         excesses: list[tuple[str, int]] = []
         if ident is not None:
-            new_height = hts.height(*ident.slot_a)
+            new_height = hts[ident.slot_a]
             sides = {ident.slot_a, ident.slot_b}
             for slot in sorted(sides):
                 boundary = collapsed.boundary_of(slot)
                 if not boundary.compressible:
                     continue
                 assert boundary.disks is not None
-                nu = table.nu(*slot)
-                h = hts.height(*slot)
+                nu = induced[slot]
+                h = hts[slot]
                 assert nu is not None and h is not None
                 excesses.append((_slot_name(slot), h - disk_distance(nu, boundary.disks)))
         sup = sup_projection(cert.nu[0], cert.nu[-1], denom_bound).value
@@ -837,6 +837,6 @@ def collapse_ibundles(
         collapsed=collapsed,
         stacks=tuple(records),
         fibered=fibered,
-        r_prime=_r_bound(collapsed, table, hts, denom_bound),
+        r_prime=_r_bound(collapsed, induced, hts, denom_bound),
         note=note,
     )

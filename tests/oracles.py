@@ -907,78 +907,3 @@ def build_compression(
         pieces=tuple(pieces),
         identifications=tuple(idents),
     ).validate()
-
-
-class TransparencyReport(Record):
-    piece: str
-    transparent: tuple[str, ...]
-    adjusted: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
-    removed: tuple[str, ...]
-    induced: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "piece": self.piece,
-            "transparent": list(self.transparent),
-            "adjusted": {
-                tid: [list(e) for e in fp] for tid, fp in self.adjusted
-            },
-            "removed": list(self.removed),
-            "induced": list(self.induced),
-        }
-
-
-def transparency_and_induced_charsub(x: GluingGraph, piece_id: str) -> TransparencyReport:
-    """Classify the piece's declared JSJ windows: an I-bundle is
-    transparent when its whole footprint sits on unburied boundaries, a
-    solid torus when at least two footprint annuli do (keeping only those
-    annuli); declared-parallel tori with equal adjusted footprints
-    collapse to one representative."""
-    spec = x.spec_of(piece_id)
-    if not spec.jsj:
-        raise ValidationError(f"piece {piece_id} carries no JSJ metadata")
-    for piece in spec.jsj:
-        for bdry, _ in piece.footprint:
-            if not spec.has_boundary(bdry):
-                raise ValidationError(
-                    f"JSJ footprint references unknown boundary {bdry}"
-                )
-
-    def unburied(bdry: str) -> bool:
-        return not x.is_buried((piece_id, bdry))
-
-    transparent: list[str] = []
-    adjusted: list[tuple[str, tuple[tuple[str, str], ...]]] = []
-    tori: list[tuple[str, tuple[tuple[str, str], ...], str]] = []
-    for piece in spec.jsj:
-        if piece.type == "ibundle":
-            if all(unburied(b) for b, _ in piece.footprint):
-                transparent.append(piece.id)
-        elif piece.type == "solidtorus":
-            free = tuple(e for e in piece.footprint if unburied(e[0]))
-            if len(free) >= 2:
-                transparent.append(piece.id)
-                adjusted.append((piece.id, free))
-                tori.append((piece.id, free, piece.parallel_class))
-
-    removed: list[str] = []
-    kept_tori: list[str] = []
-    seen: dict[tuple[str, tuple], str] = {}
-    for tid, footprint, parallel in sorted(tori):
-        if parallel and (parallel, footprint) in seen:
-            removed.append(tid)
-            continue
-        if parallel:
-            seen[(parallel, footprint)] = tid
-        kept_tori.append(tid)
-
-    windows = [
-        p.id for p in spec.jsj if p.type == "ibundle" and p.id in transparent
-    ]
-    return TransparencyReport(
-        piece=piece_id,
-        transparent=tuple(sorted(transparent)),
-        adjusted=tuple(adjusted),
-        removed=tuple(sorted(removed)),
-        induced=tuple(sorted(windows + kept_tori)),
-    )

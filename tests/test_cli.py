@@ -294,9 +294,10 @@ def test_malformed_json_is_a_parse_error(files, capsys):
         ("manifolds.0.boundaries", None),
         ("manifolds.0.boundaries", True),
         ("manifolds.0.disk_records", [1]),
-        ("manifolds.0.jsj", None),
-        ("manifolds.0.window_frames", {"E0": 1}),
+        ("identifications.0", {"a": ["p0", "E0"], "b": ["p1", "F0"]}),
+        ("identifications.0.map", [[float("-inf"), 0], [0, 1]]),
         ("manifolds.0.splitting", {"identifications": [{"a": 1, "b": 2}]}),
+        ("manifolds.0.boundaries.0.backend", {"kind": "graph", "n": 4, "markings": [1]}),
     ],
 )
 def test_wrong_typed_containers_are_parse_errors(files, capsys, tmp_path, path, value):
@@ -305,16 +306,56 @@ def test_wrong_typed_containers_are_parse_errors(files, capsys, tmp_path, path, 
     assert code == EXIT_PARSE
     assert out == ""
     assert err.startswith("parse error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("number", ["1e400", "-1e400"])
+def test_non_finite_numbers_are_parse_errors(files, capsys, tmp_path, number):
+    # no field is a float: a number past double range would reach int() as
+    # an infinity
+    text = pathlib.Path(files["graph_stack"]).read_text()
+    bad = tmp_path / "big.json"
+    bad.write_text(re.sub(r'"n": \d+', f'"n": {number}', text, count=1))
+    assert bad.read_text() != text
+    code, out, err = run(capsys, ["validate", "--input", str(bad)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: malformed gluing spec:")
+    assert err.count("\n") == 1
+
+
+def test_splitting_identification_on_a_toroidal_boundary(capsys, tmp_path):
+    obj = json.loads(split_gluing().canonical_json())
+    kc = next(m for m in obj["manifolds"] if m["id"] == "KC")
+    kc["boundaries"].append({"id": "T0", "toroidal": True})
+    outer = next(m for m in obj["manifolds"] if m["id"] == "M")
+    outer["splitting"]["identifications"][0]["a"] = ["core", "T0"]
+    bad = tmp_path / "split.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["decompose", "--input", str(bad)])
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err == (
+        "invariant violation: piece p0: splitting identification on toroidal"
+        " boundary core:T0\n"
+    )
+
+
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_out_is_an_invariant_violation(files, capsys, tmp_path, where):
+    target = tmp_path / where
+    code, out, err = run(capsys, ["report", "--input", files["chain"], "--out", str(target)])
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err.startswith(f"invariant violation: cannot write {target}: ")
+    assert err.count("\n") == 1
 
 
 def edited_input(src: str, path: str, value: object, tmp_path: pathlib.Path) -> str:
     """A copy of the JSON file src with the field at the dotted path set to
     value; returns the copy's path."""
     obj = json.loads(pathlib.Path(src).read_text())
-    *parents, last = path.split(".")
+    *parents, last = (int(key) if key.isdigit() else key for key in path.split("."))
     target = obj
     for key in parents:
-        target = target[int(key) if key.isdigit() else key]
+        target = target[key]
     target[last] = value
     out = tmp_path / "edited.json"
     out.write_text(json.dumps(obj))

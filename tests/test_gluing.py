@@ -19,8 +19,6 @@ from glueforge.gluing import (
     DecoratedManifoldSpec,
     GluingGraph,
     Identification,
-    InducedMarkingTable,
-    JSJPiece,
     SlotMap,
     heights,
     induced_markings,
@@ -378,16 +376,16 @@ def test_lambda_validation():
 def test_induced_reflection_fixes_base_marking():
     x = two_piece_gluing(REFLECTION)
     table = induced_markings(x)
-    assert table.nu("p1", "E0") == M_BASE
-    assert table.nu("p0", "E0") == M_BASE
-    assert table.source("p0", "E0") == "psi"
+    assert table[("p1", "E0")] == M_BASE
+    assert table[("p0", "E0")] == M_BASE
+    assert check_bounded_combinatorics(x, 6, 0).slot("p0", "E0").nu_source == "psi"
 
 
 def test_induced_composite_map_example():
     # [[13,8],[8,5]] after the reflection carries (0/1, 1/0) to (8/5, 13/8)
     x = two_piece_gluing(SurfaceMap(13, 8, 8, 5) @ REFLECTION)
     table = induced_markings(x)
-    assert table.nu("p1", "E0") == mk("8/5", "13/8")
+    assert table[("p1", "E0")] == mk("8/5", "13/8")
 
 
 def test_unburied_slots_take_lambda_or_are_empty():
@@ -400,10 +398,11 @@ def test_unburied_slots_take_lambda_or_are_empty():
         boundary_markings=((("p0", "E1"), lam),),
     ).validate()
     table = induced_markings(x)
-    assert table.nu("p0", "E1") == lam
-    assert table.source("p0", "E1") == "lambda"
-    assert table.nu("p1", "E1") is None
-    assert table.missing() == (("p1", "E1"),)
+    assert table[("p0", "E1")] == lam
+    assert [slot for slot, m in table.items() if m is None] == [("p1", "E1")]
+    cert = check_bounded_combinatorics(x, 6, 0)
+    assert cert.slot("p0", "E1").nu_source == "lambda"
+    assert cert.slot("p1", "E1").nu_source == "empty"
 
 
 def test_heights_frozen_values():
@@ -411,12 +410,12 @@ def test_heights_frozen_values():
     # sit at Farey distance 3
     x = two_piece_gluing(SurfaceMap(13, 8, 8, 5) @ REFLECTION)
     h = heights(x)
-    assert h.height("p0", "E0") == 3
-    assert h.height("p1", "E0") == 3
+    assert h[("p0", "E0")] == 3
+    assert h[("p1", "E0")] == 3
     # a shared slope forces height 0
     y = two_piece_gluing(REFLECTION, mu0=mk("5/1", "1/0"), mu1=M_BASE)
-    assert heights(y).height("p1", "E0") == 0
-    assert heights(y).height("p0", "E0") == 0
+    assert heights(y)[("p1", "E0")] == 0
+    assert heights(y)[("p0", "E0")] == 0
 
 
 def test_heights_empty_nu_is_none():
@@ -427,8 +426,8 @@ def test_heights_empty_nu_is_none():
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
     ).validate()
     h = heights(x)
-    assert h.height("p0", "E1") is None
-    assert h.min_defined() == 0
+    assert h[("p0", "E1")] is None
+    assert min(v for v in h.values() if v is not None) == 0
 
 
 # ----------------------------------------------------------- certificates
@@ -454,7 +453,7 @@ def test_certificate_self_gluing_reflection():
         pieces=(("p0", "M"),),
         identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
     ).validate()
-    assert heights(x).height("p0", "E0") == 0
+    assert heights(x)[("p0", "E0")] == 0
     cert = check_bounded_combinatorics(x, 6, 1)
     assert not cert.passed
     entry = cert.slot("p0", "E0")
@@ -475,9 +474,9 @@ def test_clause_b_meridian_inequality():
         identifications=(Identification("p1", "E0", "p0", "E0", tmap(REFLECTION)),),
     ).validate()
     table = induced_markings(x)
-    nu = table.nu("p0", "E0")
+    nu = table[("p0", "E0")]
     assert nu is not None and Slope(0, 1) in nu.elements()
-    height = heights(x).height("p0", "E0")
+    height = heights(x)[("p0", "E0")]
     assert height == 3
     cert2 = check_bounded_combinatorics(x, 2, 0)
     entry = cert2.slot("p0", "E0")
@@ -638,8 +637,8 @@ def test_graph_backend_gluing_and_unmodeled_caveat():
         identifications=(Identification("p0", "E0", "p1", "E0", flip),),
     ).validate()
     table = induced_markings(x)
-    assert table.nu("p1", "E0").payload == (0, 5)
-    assert heights(x).height("p1", "E0") == 0
+    assert table[("p1", "E0")].payload == (0, 5)
+    assert heights(x)[("p1", "E0")] == 0
     cert = check_bounded_combinatorics(x, 2, 0)
     assert cert.passed
     entry = cert.slot("p1", "E0")
@@ -743,8 +742,8 @@ def test_relabel_naturality():
     y.validate()
     tx = induced_markings(x)
     ty = induced_markings(y)
-    assert ty.nu("left", "E0") == tx.nu("p0", "E0")
-    assert ty.nu("right", "E0") == tx.nu("p1", "E0")
+    assert ty[("left", "E0")] == tx[("p0", "E0")]
+    assert ty[("right", "E0")] == tx[("p1", "E0")]
     cx = check_bounded_combinatorics(x, 6, 3)
     cy = check_bounded_combinatorics(y, 6, 3)
     assert cy.slot("left", "E0").height == cx.slot("p0", "E0").height
@@ -868,7 +867,7 @@ def test_height_and_certificate_action_invariance():
         y = conjugate_slot(x, pid, bid, g).validate()
         hx = heights(x)
         hy = heights(y)
-        assert hx.to_json() == hy.to_json()
+        assert hx == hy
         cx = check_bounded_combinatorics(x, 4, 1)
         cy = check_bounded_combinatorics(y, 4, 1)
         assert cx.verdict == cy.verdict
@@ -897,8 +896,6 @@ def full_featured_gluing() -> GluingGraph:
         ),
         disk_records=(("E0",),),
         annulus_records=(("E0", "E1"),),
-        jsj=(JSJPiece("st0", "solidtorus", (("E0", "a0"), ("E1", "a1")), "pc1"),),
-        window_frames=(("E0", ("0/1", "1/2")),),
     )
     partner = core("M", mk("8/5", "13/8"))
     return GluingGraph(
@@ -918,6 +915,17 @@ def test_gluing_json_round_trip():
     assert y == x
     assert y.canonical_json() == blob
     assert y.content_hash() == x.content_hash()
+
+
+def test_unread_manifold_keys_are_dropped():
+    # jsj and window_frames are unknown keys like any other: they validate
+    # and leave the canonical JSON
+    x = full_featured_gluing()
+    obj = x.to_json()
+    obj["manifolds"][0]["jsj"] = [{"id": "st0", "type": "solidtorus"}]
+    obj["manifolds"][0]["window_frames"] = {"E9": 1}
+    y = validate_gluing(obj)
+    assert y == x and y.canonical_json() == x.canonical_json()
 
 
 def test_validate_gluing_sources(tmp_path):

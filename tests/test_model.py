@@ -348,8 +348,8 @@ def test_skeleton_boundary_tube_and_missing_marking_warning():
 
 
 def test_skeleton_lambda_override_argument():
-    x = single_free(MU, None)
-    sk = build_skeleton(x, lam={("p0", "E0"): mk("1/1", "1/0")}, samples=5)
+    # the boundary tube ends at the gluing's own free marking
+    sk = build_skeleton(single_free(MU, mk("1/1", "1/0")), samples=5)
     assert sk.tubes[0].kind == "boundary"
     assert sk.tubes[0].sigma_b.close_to(TeichPoint(1.0, 1.0))
 

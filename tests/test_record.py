@@ -22,12 +22,7 @@ from glueforge.record import FrozenRecordError, Record, replace
 from glueforge.surface import BackendHandle, GraphProjection
 from glueforge.torus import REFLECTION, FareyMarking, Slope, SurfaceMap
 from glueforge.transforms import _resolve_stack, collapse_ibundles, local_to_global_report
-from oracles import (
-    CompressionStep,
-    PathWitness,
-    build_compression,
-    transparency_and_induced_charsub,
-)
+from oracles import CompressionStep, PathWitness, build_compression
 from test_gluing import full_featured_gluing
 from test_transforms import MU, body_spec, core, example_builders, split_spec, tmap, twisted_end
 
@@ -99,7 +94,6 @@ def samples() -> dict:
             lambda: collapse_ibundles(x, 6, 1),
             lambda: full_and_maximal_decomposition(x),
         ]
-        runs += [lambda pid=pid: transparency_and_induced_charsub(x, pid) for pid, _ in x.pieces]
         for run in runs:
             try:
                 roots.append(run())

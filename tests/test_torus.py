@@ -246,7 +246,7 @@ def test_one_over_q_in_a_fresh_process(q):
         "print(*farey_geodesic(INFINITY, s))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         capture_output=True,
         text=True,
         timeout=60,

@@ -1,5 +1,5 @@
 """Transformation tests: stack certificates, I-bundle collapse,
-compression assembly, decomposition, and transparency."""
+compression assembly and decomposition."""
 
 import importlib.util
 import json
@@ -22,7 +22,6 @@ from glueforge.gluing import (
     DecoratedManifoldSpec,
     GluingGraph,
     Identification,
-    JSJPiece,
     SlotMap,
     SubPiece,
     Splitting,
@@ -30,6 +29,7 @@ from glueforge.gluing import (
     induced_markings,
 )
 from glueforge.ioutil import canonical_dumps, sha256_of_text
+from glueforge.record import replace
 from glueforge.surface import (
     AbstractMarking,
     BackendHandle,
@@ -61,7 +61,6 @@ from oracles import (
     build_compression,
     full_fellow_traveling,
     marking_diameter,
-    transparency_and_induced_charsub,
 )
 
 T = BackendHandle.torus()
@@ -443,7 +442,7 @@ def test_collapse_no_bundles_is_identity():
 
 def test_collapse_single_bundle_frozen():
     x = core_stack_core([3], right_power=6)
-    assert set(heights(x).to_json().values()) == {3}
+    assert set(heights(x).values()) == {3}
     res = collapse_ibundles(x, 6, 1)
     assert not res.fibered and res.ok
     assert [p for p, _ in res.collapsed.pieces] == ["p0", "p2"]
@@ -657,7 +656,7 @@ def test_collapse_fibered_self_glued_bundle():
     assert len(res.collapsed.pieces) == 1
     ident = res.collapsed.identifications[0]
     assert ident.map.matrix == FIBERED_GLUE
-    assert res.stacks[0].new_height == heights(res.collapsed).height(*ident.slot_a)
+    assert res.stacks[0].new_height == heights(res.collapsed)[ident.slot_a]
 
 
 def fibered_cycle() -> GluingGraph:
@@ -1027,7 +1026,7 @@ def split_spec() -> tuple[DecoratedManifoldSpec, ...]:
             SubPiece("core", "KC", (("E0", "B0"),)),
             SubPiece("body", "KB", (("E1", "E1"),)),
         ),
-        identifications=(("core", "B1", "body", "E0", [[1, 0], [0, -1]]),),
+        identifications=(("core", "B1", "body", "E0", "[[1, 0], [0, -1]]"),),
     )
     outer = DecoratedManifoldSpec(
         "M",
@@ -1108,17 +1107,21 @@ def test_decomposition_splitting_errors():
 def test_split_spec_records_hash_and_keep_their_bytes():
     outer = split_spec()[0]
     assert hash(outer) == hash(split_spec()[0])
-    # the internal map is stored frozen and written back as the JSON it was
-    assert outer.splitting.identifications[0][4] == ((1, 0), (0, -1))
+    # the internal map is stored as JSON text and written back as the JSON it was
     assert outer.splitting.to_json()["identifications"][0]["map"] == [[1, 0], [0, -1]]
     text = canonical_dumps(outer.to_json())
     again = DecoratedManifoldSpec.from_json(json.loads(text))
     assert again == outer and hash(again) == hash(outer)
     assert canonical_dumps(again.to_json()) == text
     graph_map = {"perm": [0, 2, 1], "reverses_orientation": True}
-    split = Splitting(outer.splitting.pieces, (("core", "B1", "body", "E0", graph_map),))
-    assert hash(split) == hash(Splitting(split.pieces, split.identifications))
+    split = Splitting(outer.splitting.pieces, (("core", "B1", "body", "E0", json.dumps(graph_map)),))
+    assert replace(split) == split and hash(replace(split)) == hash(split)
     assert split.to_json()["identifications"][0]["map"] == graph_map
+    assert Splitting.from_json(split.to_json()) == split
+    # key order is part of the stored text, as it is of the input
+    record = split.to_json()
+    record["identifications"][0]["map"] = dict(reversed(graph_map.items()))
+    assert Splitting.from_json(record) != split
     x = split_gluing()
     assert hash(x) == hash(GluingGraph.from_json(json.loads(x.canonical_json())))
 
@@ -1146,114 +1149,6 @@ def test_decomposition_random_partition_exactness():
             p for p, _ in res.full.pieces
         )
         assert res.reglue() == res.full
-
-
-# ------------------------------------------------------------ transparency
-
-
-def jsj_piece(extra_annulus_buried: bool = False) -> DecoratedManifoldSpec:
-    return DecoratedManifoldSpec(
-        "J",
-        GENERIC,
-        (
-            BoundarySpec("E0", handle=T, decoration=MU),
-            BoundarySpec("E1", handle=T, decoration=mk("1/1", "1/0")),
-            BoundarySpec("E2", handle=T, decoration=mk("2/1", "1/1")),
-        ),
-        jsj=(
-            JSJPiece("w0", "ibundle", (("E0", "a"), ("E1", "b"))),
-            JSJPiece("t0", "solidtorus", (("E0", "a1"), ("E1", "a2"), ("E2", "a3")), "pc"),
-            JSJPiece("t1", "solidtorus", (("E0", "a1"), ("E1", "a2"), ("E2", "a3")), "pc"),
-            JSJPiece("acyl", "acylindrical", (("E2", "z"),)),
-        ),
-    )
-
-
-def test_transparency_all_unburied():
-    x = GluingGraph(
-        manifolds=(jsj_piece(),), pieces=(("p0", "J"),), identifications=()
-    ).validate()
-    report = transparency_and_induced_charsub(x, "p0")
-    assert report.transparent == ("t0", "t1", "w0")
-    # t1 duplicates t0 in the same parallel class with an equal footprint
-    assert report.removed == ("t1",)
-    assert report.induced == ("t0", "w0")
-    assert dict(report.adjusted)["t0"] == (("E0", "a1"), ("E1", "a2"), ("E2", "a3"))
-
-
-def test_transparency_buried_window_and_adjusted_torus():
-    x = GluingGraph(
-        manifolds=(jsj_piece(), core("N", push(REFLECTION))),
-        pieces=(("p0", "J"), ("p1", "N")),
-        identifications=(Identification("p0", "E1", "p1", "E0", tmap(REFLECTION)),),
-    ).validate()
-    report = transparency_and_induced_charsub(x, "p0")
-    # the window w0 has a footprint annulus on the buried E1
-    assert "w0" not in report.transparent
-    assert report.transparent == ("t0", "t1")
-    assert dict(report.adjusted)["t0"] == (("E0", "a1"), ("E2", "a3"))
-    assert report.removed == ("t1",)
-    assert report.induced == ("t0",)
-
-
-def test_transparency_solid_torus_needs_two_free_annuli():
-    piece = DecoratedManifoldSpec(
-        "J",
-        GENERIC,
-        (
-            BoundarySpec("E0", handle=T, decoration=MU),
-            BoundarySpec("E1", handle=T, decoration=mk("1/1", "1/0")),
-        ),
-        jsj=(JSJPiece("t0", "solidtorus", (("E0", "a1"), ("E1", "a2"))),),
-    )
-    x = GluingGraph(
-        manifolds=(piece, core("N", push(REFLECTION))),
-        pieces=(("p0", "J"), ("p1", "N")),
-        identifications=(Identification("p0", "E1", "p1", "E0", tmap(REFLECTION)),),
-    ).validate()
-    report = transparency_and_induced_charsub(x, "p0")
-    assert report.transparent == ()
-    assert report.induced == ()
-
-
-def test_transparency_distinct_parallel_classes_kept():
-    piece = DecoratedManifoldSpec(
-        "J",
-        GENERIC,
-        (
-            BoundarySpec("E0", handle=T, decoration=MU),
-            BoundarySpec("E1", handle=T, decoration=mk("1/1", "1/0")),
-        ),
-        jsj=(
-            JSJPiece("t0", "solidtorus", (("E0", "a"), ("E1", "b")), "pc1"),
-            JSJPiece("t1", "solidtorus", (("E0", "a"), ("E1", "b")), "pc2"),
-        ),
-    )
-    x = GluingGraph(
-        manifolds=(piece,), pieces=(("p0", "J"),), identifications=()
-    ).validate()
-    report = transparency_and_induced_charsub(x, "p0")
-    assert report.removed == ()
-    assert report.induced == ("t0", "t1")
-
-
-def test_transparency_errors():
-    x = GluingGraph(
-        manifolds=(core("M", MU),), pieces=(("p0", "M"),), identifications=()
-    ).validate()
-    with pytest.raises(ValidationError, match="no JSJ metadata"):
-        transparency_and_induced_charsub(x, "p0")
-    bad = DecoratedManifoldSpec(
-        "J",
-        GENERIC,
-        (BoundarySpec("E0", handle=T, decoration=MU),),
-        jsj=(JSJPiece("w", "ibundle", (("E9", "a"),)),),
-    )
-    y = GluingGraph(
-        manifolds=(bad,), pieces=(("p0", "J"),), identifications=()
-    ).validate()
-    with pytest.raises(ValidationError, match="unknown boundary E9"):
-        transparency_and_induced_charsub(y, "p0")
 
 
 # --------------------------------------------------- mini stack properties
