@@ -45,3 +45,12 @@ def clip(value: object) -> str:
     if len(text) <= CLIP_CHARS:
         return text
     return f"{text[:CLIP_CHARS]}... ({len(text)} chars)"
+
+
+def json_int(value: object) -> int:
+    """value when JSON decoded it as an integer.  A float, a numeric string
+    or true/false raises TypeError, which each parser reports as a
+    ParseError in its own words."""
+    if type(value) is not int:
+        raise TypeError(f"{clip(value)} is not an integer")
+    return value

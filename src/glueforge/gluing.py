@@ -16,7 +16,7 @@ from functools import cached_property
 import json
 from typing import TYPE_CHECKING, Mapping, NoReturn, Sequence
 
-from .errors import BackendMismatchError, ParseError, ValidationError, clip
+from .errors import BackendMismatchError, ParseError, ValidationError, clip, json_int
 from .ioutil import canonical_dumps, sha256_of_text
 from .record import Record
 from .surface import AbstractMarking, BackendHandle, DiskSet, _check_permutation, marking_distance
@@ -43,6 +43,19 @@ def _json_list(obj: Mapping, key: str) -> Sequence:
     if not isinstance(value, (list, tuple)):
         raise ParseError(f"{key} must be a list, not {type(value).__name__}")
     return value
+
+
+def _json_slot(rec: Mapping, key: str) -> Slot:
+    """The [piece, boundary] pair of strings under key; any other value is
+    malformed."""
+    value = rec[key]
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(type(v) is str for v in value)
+    ):
+        raise ParseError(f"slot {key} must be a [piece, boundary] pair, not {clip(value)}")
+    return value[0], value[1]
 
 
 def _json_bool(obj: Mapping, key: str, default: bool) -> bool:
@@ -146,8 +159,8 @@ class SlotMap(Record):
         if not isinstance(obj, Mapping) or "perm" not in obj:
             raise ParseError(f"graph slot map must declare a perm, got {clip(obj)}")
         try:
-            perm = tuple(int(v) for v in obj["perm"])  # type: ignore[index]
-        except (TypeError, ValueError) as exc:
+            perm = tuple(json_int(v) for v in obj["perm"])  # type: ignore[index]
+        except TypeError as exc:
             raise ParseError(f"bad permutation in slot map: {exc}") from exc
         reversing = _json_bool(obj, "reverses_orientation", True)
         try:
@@ -356,11 +369,8 @@ class Splitting(Record):
         for rec in _json_list(obj, "identifications"):
             if not isinstance(rec, Mapping) or "a" not in rec or "b" not in rec:
                 raise ParseError("splitting identification needs slots a and b")
-            try:
-                (pa, ba), (pb, bb) = rec["a"], rec["b"]
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad splitting identification slots: {exc}") from exc
-            idents.append((str(pa), str(ba), str(pb), str(bb), json.dumps(rec.get("map"))))
+            (pa, ba), (pb, bb) = _json_slot(rec, "a"), _json_slot(rec, "b")
+            idents.append((pa, ba, pb, bb, json.dumps(rec.get("map"))))
         return Splitting(pieces, tuple(idents))
 
 
@@ -758,11 +768,7 @@ class GluingGraph(Record):
         for rec in _json_list(obj, "identifications"):
             if not isinstance(rec, Mapping) or not {"a", "b", "map"} <= rec.keys():
                 raise ParseError("identification needs slots a and b and a map")
-            try:
-                pa, ba = (str(x) for x in rec["a"])
-                pb, bb = (str(x) for x in rec["b"])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad identification slots: {exc}") from exc
+            (pa, ba), (pb, bb) = _json_slot(rec, "a"), _json_slot(rec, "b")
             handle = slot_handle(pa, ba)
             idents.append(Identification(pa, ba, pb, bb, SlotMap.from_json(handle, rec["map"])))
         lam = []
@@ -784,14 +790,11 @@ class GluingGraph(Record):
         return sha256_of_text(self.canonical_json())
 
 
-# No field of the schema is a float, but int() of a number past double
-# range, or of Infinity, would raise OverflowError: such numbers are
-# refused while the text is decoded.
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if value in (float("inf"), float("-inf")):
-        raise ParseError(f"malformed gluing spec: number {clip(text)} is out of range")
-    return value
+# No field of the schema is a float: a number with a fraction or an
+# exponent is refused while the text is decoded, so no parser truncates it
+# or meets an infinity.
+def _no_float(text: str) -> NoReturn:
+    raise ParseError(f"malformed gluing spec: number {clip(text)} is not an integer")
 
 
 def _no_constant(text: str) -> NoReturn:
@@ -807,7 +810,7 @@ def validate_gluing(source: str | Mapping) -> GluingGraph:
     if not isinstance(source, str):
         raise ParseError(f"cannot read a gluing spec from {type(source).__name__}")
     try:
-        obj = json.loads(source, parse_float=_finite_float, parse_constant=_no_constant)
+        obj = json.loads(source, parse_float=_no_float, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed gluing spec: {exc}") from exc
     except RecursionError as exc:

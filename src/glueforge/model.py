@@ -234,16 +234,6 @@ def _geometry(
     return replace(tube, samples=sample_tube(tube, samples))
 
 
-def _quotient_tube(
-    x: GluingGraph, slot: Slot, ident_map: SlotMap, samples: int
-) -> TubeBlock:
-    mu = x.decoration(slot)
-    nu = ident_map.apply(mu)
-    if not ident_map.handle.is_torus:
-        return TubeBlock(slot, slot, "quotient", combinatorial=True, involution=ident_map)
-    return _geometry(slot, slot, "quotient", mu, nu, samples, involution=ident_map)
-
-
 def build_skeleton(
     x: GluingGraph,
     samples: int = DEFAULT_SAMPLES,
@@ -269,18 +259,17 @@ def build_skeleton(
 
     tubes: list[TubeBlock] = []
     for ident in x.identifications:
-        if ident.slot_a == ident.slot_b:
-            tubes.append(_quotient_tube(x, ident.slot_a, ident.map, samples))
-            continue
         slot = ident.slot_a
-        handle = x.boundary_of(slot).handle
-        assert handle is not None
-        if not handle.is_torus:
-            tubes.append(TubeBlock(slot, ident.slot_b, "internal", combinatorial=True))
-            continue
+        # a self-identification pairs the slot with itself through its map
         partner, push = x.psi(slot)
+        kind, involution = ("quotient", push) if partner == slot else ("internal", None)
+        if not push.handle.is_torus:
+            tubes.append(TubeBlock(slot, partner, kind, combinatorial=True, involution=involution))
+            continue
         nu = push.apply(x.decoration(partner))
-        tubes.append(_geometry(slot, partner, "internal", x.decoration(slot), nu, samples))
+        tubes.append(
+            _geometry(slot, partner, kind, x.decoration(slot), nu, samples, involution=involution)
+        )
 
     for slot in x.slots():
         if x.is_buried(slot):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import BackendMismatchError, ParseError, ValidationError, clip
+from .errors import BackendMismatchError, ParseError, ValidationError, clip, json_int
 from .record import Record
 
 if TYPE_CHECKING:  # each backend branch imports the layer it runs
@@ -38,7 +38,6 @@ __all__ = [
     "marking_distance",
     "sup_projection",
     "disk_distance",
-    "curve_distance",
     "curve_distances_from",
     "geodesic_between",
     "marking_to_path_distance",
@@ -161,7 +160,10 @@ class BackendHandle(Record):
         if not isinstance(obj.get("markings", {}), dict):
             raise ParseError("graph backend markings must be an object")
         try:
-            key = (int(obj["n"]), tuple((int(u), int(v)) for u, v in obj.get("edges", [])))
+            key = (
+                json_int(obj["n"]),
+                tuple((json_int(u), json_int(v)) for u, v in obj.get("edges", [])),
+            )
             if graphs is None:
                 graphs = {}
             if key not in graphs:
@@ -170,15 +172,15 @@ class BackendHandle(Record):
                 graphs[key] = FiniteGraph.from_edges(*key)
             graph = graphs[key]
             markings = {
-                str(name): [int(v) for v in vs]
+                str(name): [json_int(v) for v in vs]
                 for name, vs in obj.get("markings", {}).items()
             }
             projections = [
                 GraphProjection(
-                    tuple(int(v) for v in e["a"]),
-                    tuple(int(v) for v in e["b"]),
+                    tuple(json_int(v) for v in e["a"]),
+                    tuple(json_int(v) for v in e["b"]),
                     str(e["label"]),
-                    int(e["value"]),
+                    json_int(e["value"]),
                 )
                 for e in obj.get("projections", [])
             ]
@@ -265,8 +267,8 @@ class AbstractMarking(Record):
         if "vertices" not in obj:
             raise ParseError("graph marking needs vertices or a declared name")
         try:
-            verts = tuple(int(v) for v in obj["vertices"])
-        except (TypeError, ValueError) as exc:
+            verts = tuple(json_int(v) for v in obj["vertices"])
+        except TypeError as exc:
             raise ParseError(f"bad graph marking: {exc}") from exc
         return AbstractMarking(handle, verts)
 
@@ -310,7 +312,10 @@ class DiskSet(Record):
             from .torus import parse_slope
 
             return DiskSet(handle, tuple(parse_slope(str(s)) for s in obj), owner)
-        return DiskSet(handle, tuple(int(v) for v in obj), owner)
+        try:
+            return DiskSet(handle, tuple(json_int(v) for v in obj), owner)
+        except TypeError as exc:
+            raise ParseError(f"bad disk set: {exc}") from exc
 
 
 class ProjectionResult(Record):
@@ -328,18 +333,6 @@ class ProjectionResult(Record):
             "certified": self.certified,
             "unmodeled": self.unmodeled,
         }
-
-
-def curve_distance(handle: BackendHandle, a: object, b: object) -> int:
-    """Curve-graph distance between two vertices of the backend."""
-    if handle.is_torus:
-        from .farey import farey_distance
-        from .torus import Slope
-
-        if not isinstance(a, Slope) or not isinstance(b, Slope):
-            raise ValidationError("torus curve vertices are slopes")
-        return farey_distance(a, b)
-    return handle.table().d(a, b)  # type: ignore[arg-type]
 
 
 def curve_distances_from(handle: BackendHandle, a: object, targets: Sequence) -> list[int]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import ParseError, ValidationError, clip
+from .errors import ParseError, ValidationError, clip, json_int
 from .record import Record
 
 if TYPE_CHECKING:  # fractions loads decimal: Slope.value imports it when called
@@ -200,7 +200,7 @@ class SurfaceMap(Record):
     def from_json(rows: object) -> "SurfaceMap":
         try:
             (a, b), (c, d) = rows  # type: ignore[misc]
-            return SurfaceMap(int(a), int(b), int(c), int(d))
+            return SurfaceMap(json_int(a), json_int(b), json_int(c), json_int(d))
         except (TypeError, ValueError, ValidationError) as exc:
             raise ParseError(f"bad surface map {clip(rows)}") from exc
 

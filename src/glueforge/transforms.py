@@ -6,15 +6,15 @@ bundle pieces and rewires their neighbors with composed chart maps.  Both
 are pure: they return new values and never mutate the input graph.
 
 The certificate measures how far the concatenated geodesic of a stack is
-from a geodesic.  Quasigeodesic constants are plain ratios: K' is the max
-over sub-intervals of (edge length)/(endpoint distance), so length <= K'*d
-holds exactly and the additive-slack-1 form length <= K'*d + 1 holds a
-fortiori.
+from a geodesic, in one direct scan (`_k_prime`).  Quasigeodesic constants
+are plain ratios: K' is the max over sub-intervals of (edge length)/
+(endpoint distance), so length <= K'*d holds exactly and the
+additive-slack-1 form length <= K'*d + 1 holds a fortiori.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import BackendMismatchError, ValidationError
 from .gluing import (
@@ -33,7 +33,6 @@ from .record import Record
 from .surface import (
     AbstractMarking,
     BackendHandle,
-    curve_distance,
     curve_distances_from,
     disk_distance,
     geodesic_between,
@@ -282,97 +281,40 @@ def _stack_path(handle: BackendHandle, seq: Sequence[AbstractMarking]) -> tuple[
     return path, reach
 
 
-class QuasigeodesicReport(Record):
-    """Measured local and global quasigeodesic quality of a path."""
-
-    window: int
-    local_k: Rational | None
-    global_k: Rational | None
-    ok: bool
-    offending: tuple[int, int] | None
-
-    def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "local_k": _fraction_json(self.local_k),
-            "global_k": _fraction_json(self.global_k),
-            "ok": self.ok,
-            "offending": list(self.offending) if self.offending else None,
-        }
-
-
-def local_to_global_report(
-    dist: Callable[[object, object], int],
-    path: Sequence,
-    window: int,
-    rows: Callable[[object, Sequence], Sequence[int]] | None = None,
-) -> QuasigeodesicReport:
-    """Worst (edge length)/(endpoint distance) ratio over sub-intervals of
-    length at most the window (local) and over all sub-intervals (global).
-    A sub-interval of positive length with coinciding endpoints is not a
-    quasigeodesic at any constant; the report flags the offending interval
-    and carries no ratios.  dist may be a DistanceTable.  rows(u, vs), when
-    given, must return [dist(u, v) for v in vs]; it lets an oracle share
-    work along a row."""
-    if window < 1:
-        raise ValidationError("window must be at least 1")
-    if rows is None:
-
-        def rows(u: object, vs: Sequence) -> list[int]:
-            return [dist(u, v) for v in vs]
-
-    n = len(path)
-    # ratios as integer pairs (num, den), compared by cross-multiplication
-    local_n, local_d = 1, 1
-    global_n, global_d = 1, 1
-    for i in range(n - 1):
-        for j, dist_ij in enumerate(rows(path[i], path[i + 1 :]), start=i + 1):
-            if dist_ij == 0:
-                return QuasigeodesicReport(window, None, None, False, (i, j))
-            span = j - i
-            if span * global_d > global_n * dist_ij:
-                global_n, global_d = span, dist_ij
-            if span <= window and span * local_d > local_n * dist_ij:
-                local_n, local_d = span, dist_ij
-    from fractions import Fraction  # loads decimal: imported only here
-
-    return QuasigeodesicReport(
-        window, Fraction(local_n, local_d), Fraction(global_n, global_d), True, None
-    )
-
-
-def _path_report(handle: BackendHandle, path: list, reach: list[int]) -> QuasigeodesicReport:
-    """The global quasigeodesic report of a stack path, over its indices.
+def _k_prime(handle: BackendHandle, path: list, reach: list[int]) -> Rational | None:
+    """The global quasigeodesic constant K' of a stack path: the worst
+    (edge length)/(endpoint distance) ratio over its sub-intervals, or None
+    when a sub-interval of positive length has coinciding endpoints, which
+    no constant makes a quasigeodesic.
 
     Every step of the path is an edge.  So when its ends lie at its length
     apart, the path is a geodesic, and so is every sub-interval: every
     ratio is 1 and no two vertices coincide, which is what the pair scan
-    would report.  One row decides it, and the ratios are the int 1.
+    would find.  One row decides it, and K' is the int 1.
 
     Otherwise the pairs are scanned.  Two vertices on one geodesic piece
     lie at their index difference: the ratio is 1, never 0, and cannot
-    beat the report's starting 1/1.  So the rows measure only pairs on
+    beat the scan's starting 1/1.  So the rows measure only pairs on
     different pieces.  A measured row starts at the next vertex, a
     neighbour, which spares the chart's modular inverse on the torus."""
     last = len(path) - 1
-    if curve_distances_from(handle, path[0], [path[1], path[last]])[1] == last:
-        return QuasigeodesicReport(last, 1, 1, True, None)
+    if last < 1 or curve_distances_from(handle, path[0], [path[1], path[last]])[1] == last:
+        return 1
+    # the best ratio as an integer pair (num, den), compared by cross-multiplication
+    best_n, best_d = 1, 1
+    for i in range(last):
+        cut = reach[i] + 1
+        if cut > last:
+            continue
+        far = curve_distances_from(handle, path[i], [path[i + 1], *path[cut:]])
+        for span, d in enumerate(far[1:], start=cut - i):
+            if d == 0:
+                return None
+            if span * best_d > best_n * d:
+                best_n, best_d = span, d
+    from fractions import Fraction  # loads decimal: imported only here
 
-    def dist(i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return j - i if j <= reach[i] else curve_distance(handle, path[i], path[j])
-
-    def rows(i: int, js: Sequence[int]) -> list[int]:
-        if isinstance(js, range) and js.step == 1 and js.start == i + 1:
-            cut = max(js.start, min(reach[i] + 1, js.stop))
-            if cut == js.stop:
-                return list(range(1, cut - i))
-            far = curve_distances_from(handle, path[i], [path[i + 1], *path[cut : js.stop]])
-            return [*range(1, cut - i), *far[1:]]
-        return [dist(i, j) for j in js]
-
-    return local_to_global_report(dist, range(len(path)), window=last, rows=rows)
+    return Fraction(best_n, best_d)
 
 
 def _fellow_traveling(handle: BackendHandle, path: list, direct: list) -> int:
@@ -385,7 +327,7 @@ def _fellow_traveling(handle: BackendHandle, path: list, direct: list) -> int:
     best = 0
     last = len(direct) - 1
     for i, v in enumerate(path):
-        # a path neighbour leads each chunk, as in _path_report
+        # a path neighbour leads each chunk, as in _k_prime
         lead = [path[i - 1 if i else 1]] if len(path) > 1 else []
         lo = hi = i * last // max(len(path) - 1, 1)
         near = curve_distances_from(handle, v, [*lead, direct[lo]])[-1]
@@ -443,11 +385,7 @@ def combine_stack(
             break
 
     path, reach = _stack_path(handle, seq)
-    if len(path) >= 2:
-        report = _path_report(handle, path, reach)
-        k_prime = report.global_k if report.ok else None
-    else:
-        k_prime = 1
+    k_prime = _k_prime(handle, path, reach)
 
     combined = marking_distance(seq[0], seq[-1])
     if k_prime is None:

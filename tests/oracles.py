@@ -378,18 +378,17 @@ def enumerated_pivot_projections(m1, m2):
                 yield _primitive_slope(cp, cq), spread(f[:2], f[2:])
 
 
-def all_pairs_path_report(handle, path):
-    """The former stack certificate's report: the global quasigeodesic
-    report of a stack path with every pair of its vertices measured."""
-    from glueforge.surface import curve_distance
-    from glueforge.transforms import local_to_global_report
-
-    return local_to_global_report(
-        lambda u, v: curve_distance(handle, u, v),
-        path,
-        window=len(path) - 1,
-        rows=lambda u, vs: curve_distances_from(handle, u, vs),
-    )
+def all_pairs_k_prime(handle, path) -> Fraction | None:
+    """The global quasigeodesic constant of a stack path with every pair of
+    its vertices measured: the worst (index span)/(distance) ratio, or
+    None at the first pair of distinct indices on one vertex."""
+    best = Fraction(1)
+    for i, u in enumerate(path):
+        for span, d in enumerate(curve_distances_from(handle, u, path[i + 1 :]), start=1):
+            if d == 0:
+                return None
+            best = max(best, Fraction(span, d))
+    return best
 
 
 def full_fellow_traveling(handle, path, direct) -> int:

@@ -53,6 +53,7 @@ from test_transforms import (
     split_gluing,
     tmap,
     twisted_end,
+    wrap_cycle_stack,
 )
 
 T = BackendHandle.torus()
@@ -213,6 +214,9 @@ def files(tmp_path_factory):
     m1 = bundle("B1", push(A.power(3)), push(REFLECTION @ A.power(9)))
     backtrack = chain(core("ML", MU), m0, m1, core("MR", push(A.power(9) @ REFLECTION)))
     out["backtrack"] = save("backtrack.json", backtrack.canonical_json())
+    # twenty bundles whose path winds around C_86 without revisiting a
+    # vertex: a detour, K' = 39/4
+    out["wrap20"] = save("wrap20.json", wrap_cycle_stack(20).canonical_json())
 
     out["bad"] = save("bad.json", '{"pieces": [')
     out["p4"] = save("p4.txt", P4)
@@ -298,10 +302,20 @@ def test_malformed_json_is_a_parse_error(files, capsys):
         ("identifications.0.map", [[float("-inf"), 0], [0, 1]]),
         ("manifolds.0.splitting", {"identifications": [{"a": 1, "b": 2}]}),
         ("manifolds.0.boundaries.0.backend", {"kind": "graph", "n": 4, "markings": [1]}),
+        # numbers and slots of the wrong JSON type are never coerced
+        ("identifications.0.map", [[1.9, 0], [0, -1.2]]),
+        ("identifications.0.map", [[True, False], [False, -1]]),
+        ("identifications.0.map", [["1", "0"], ["0", "-1"]]),
+        ("identifications.0.a", {"p0": 0, "E0": 1}),
+        ("graph_stack:identifications.0.map.perm", [-v % 12 + 0.5 for v in range(12)]),
+        ("graph_stack:manifolds.0.boundaries.0.backend.n", "200"),
     ],
 )
 def test_wrong_typed_containers_are_parse_errors(files, capsys, tmp_path, path, value):
-    bad = edited_input(files["chain"], path, value, tmp_path)
+    # a path names a field of the chain example, or of another input
+    # given before a colon
+    name, _, path = path.rpartition(":")
+    bad = edited_input(files[name or "chain"], path, value, tmp_path)
     code, out, err = run(capsys, ["validate", "--input", bad])
     assert code == EXIT_PARSE
     assert out == ""
@@ -648,7 +662,9 @@ def test_deep_stack_report_bytes_pinned(files, command, name):
 # example command line, and the twisted-end and splitting branches that no
 # example reaches.  Recorded while the graph metric, the pushforward, the
 # skeleton JSON and the gluing source each still had a second, test-only
-# path; any change is a report change.
+# path; any change is a report change.  The two stack paths that are not
+# geodesics, a revisit (backtrack) and a detour (wrap20), were recorded
+# while K' still came from the windowed local-to-global report.
 COLD_STDOUT_PINS = {
     ("validate", "example:chain"): (0, "e9f916e0f1b4cf2d85841f9e775a783e665f19f5a2d8f900310e99774fd70ef8"),
     ("report", "example:chain"): (0, "0aadbbf94c88ca3b2748359456fc426dadc480addc73a94276790c58f7dc76af"),
@@ -690,6 +706,8 @@ COLD_STDOUT_PINS = {
     ("collapse", "twisted-end"): (0, "8fd7d67af68ef8da2af2e975ecad15639b54f34b599842a92b9a71679e930ae2"),
     ("decompose", "split"): (0, "07549f736ec17990bcf882c04653daadc84fe6cd16cc7535bb18773171b7aa5b"),
     ("collapse", "split"): (0, "80c7744e8d94bb01e9ebe043187e75e22a5944945778d3ce13de88ed5793a4af"),
+    ("collapse", "backtrack"): (1, "7ee9b66de8439d7a8496f8d435480021b9ac85f3c089b34de4f3e39e50fbcdcf"),
+    ("collapse", "wrap20"): (0, "bf05699f7bda14176a6439fa222e213288827f320c718904bbc348600b01be50"),
 }
 
 

@@ -1,6 +1,7 @@
 """Gluing data-model tests: validation diagnostics, induced markings,
 heights, and the clause-by-clause certificate engine."""
 
+import json
 import random
 
 import pytest
@@ -683,6 +684,54 @@ def test_equal_graph_backends_are_parsed_once(monkeypatch):
     assert graphs["G0", "E0"] == c6.graph and graphs["H", "E0"] == c8.graph
     # each file gets its own graphs
     assert validate_gluing(text) == x and sorted(parsed) == [6, 6, 8, 8]
+
+
+def test_decoded_mappings_take_only_integers():
+    # JSON text with a float fails while it is decoded; a decoded mapping
+    # can still carry floats, and no integer field coerces them, nor
+    # true/false, nor a numeric string
+    from glueforge.surface import GraphProjection
+
+    h = BackendHandle.finite_graph(
+        cycle_graph(6), {"W": [0, 1]}, [GraphProjection((0, 1), (3,), "W0", 7)]
+    )
+    boundary = BoundarySpec(
+        "E0",
+        handle=h,
+        decoration=AbstractMarking(h, (0, 1)),
+        compressible=True,
+        disks=DiskSet(h, (3,)),
+    )
+    spec = DecoratedManifoldSpec("G", GENERIC, (boundary,))
+    graph_text = GluingGraph(
+        manifolds=(spec,),
+        pieces=(("p0", "G"), ("p1", "G")),
+        identifications=(Identification("p0", "E0", "p1", "E0", SlotMap(h, perm=(0, 5, 4, 3, 2, 1))),),
+    ).canonical_json()
+    torus_text = two_piece_gluing(REFLECTION).canonical_json()
+    assert validate_gluing(json.loads(graph_text)) == validate_gluing(graph_text)
+    backend = ("manifolds", 0, "boundaries", 0, "backend")
+    edits = [
+        (torus_text, ("identifications", 0, "map", 0, 0), 1.0),
+        (torus_text, ("identifications", 0, "map", 1, 1), True),
+        (graph_text, ("identifications", 0, "map", "perm", 1), 5.0),
+        (graph_text, (*backend, "n"), 6.0),
+        (graph_text, (*backend, "edges", 0, 1), False),
+        (graph_text, (*backend, "markings", "W", 0), "0"),
+        (graph_text, (*backend, "projections", 0, "a", 0), 0.0),
+        (graph_text, (*backend, "projections", 0, "value"), 7.5),
+        (graph_text, ("manifolds", 0, "boundaries", 0, "decoration", "vertices", 0), 0.0),
+        (graph_text, ("manifolds", 0, "boundaries", 0, "disks", 0), 3.0),
+        (graph_text, ("identifications", 0, "b"), ["p1", 0]),
+    ]
+    for text, (*parents, last), value in edits:
+        obj = json.loads(text)
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ParseError):
+            validate_gluing(obj)
 
 
 def test_each_graph_map_is_checked_once(monkeypatch):

@@ -33,7 +33,6 @@ from glueforge.hyplab import (
     quasiconvexity_constant,
     read_graph,
 )
-from glueforge.transforms import local_to_global_report
 from oracles import PathWitness
 
 
@@ -565,65 +564,6 @@ def test_path_witness_validate_against_table():
         ).validate(t)
     with pytest.raises(ValidationError, match="revisited"):
         PathWitness((0, 1, 0), claim="quasigeodesic", k=Fraction(2)).validate(t)
-
-
-def test_report_geodesic_is_one():
-    t = table_of(cycle_graph(6))
-    for window in (1, 2, 5):
-        rep = local_to_global_report(t, [0, 1, 2, 3], window)
-        assert rep.ok and rep.local_k == 1 and rep.global_k == 1
-
-
-def test_report_revisit_flagged():
-    t = table_of(cycle_graph(6))
-    rep = local_to_global_report(t, [0, 1, 0], 2)
-    assert not rep.ok
-    assert rep.offending == (0, 2)
-    assert rep.local_k is None and rep.global_k is None
-    assert rep.to_dict()["offending"] == [0, 2]
-
-
-def test_report_concatenated_geodesics_frozen():
-    # [0,1,2,3] * [3,4] in the 6-cycle: endpoints at distance 2, length 4
-    t = table_of(cycle_graph(6))
-    rep = local_to_global_report(t, [0, 1, 2, 3, 4], 2)
-    assert rep.ok
-    assert rep.local_k == 1
-    assert rep.global_k == 2
-    wide = local_to_global_report(t, [0, 1, 2, 3, 4], 4)
-    assert wide.local_k == 2
-
-
-def test_report_accepts_path_witness_and_validates():
-    t = table_of(cycle_graph(6))
-    w = PathWitness((0, 1, 2, 3, 4), claim="quasigeodesic", k=Fraction(2))
-    w.validate(t)
-    rep = local_to_global_report(t, w.vertices, 2)
-    assert rep.global_k == 2
-    with pytest.raises(ValidationError):
-        PathWitness((0, 2, 4), claim="quasigeodesic", k=Fraction(9)).validate(t)
-    with pytest.raises(ValidationError, match="window"):
-        local_to_global_report(t, [0, 1], 0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(connected_graphs(max_n=8), st.data())
-def test_report_on_enumerated_geodesics_always_one(g, data):
-    t = table_of(g)
-    x = data.draw(st.integers(0, g.vertex_count - 1))
-    y = data.draw(st.integers(0, g.vertex_count - 1))
-    window = data.draw(st.integers(1, 6))
-    fam = oracles.enumerate_geodesics(g, t, x, y, cap=200)
-    paths = fam.paths if not fam.sampled else fam.paths[:5]
-    for path in paths:
-        rep = local_to_global_report(t, list(path), window)
-        assert rep.ok and rep.global_k == 1
-
-
-def test_report_with_callable_distance():
-    # the report is generic over the oracle, not tied to DistanceTable
-    rep = local_to_global_report(lambda u, v: abs(u - v), [0, 1, 2, 3], 2)
-    assert rep.global_k == 1
 
 
 # ---------------------------------------------------------------- parsing

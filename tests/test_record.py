@@ -21,7 +21,7 @@ from glueforge.model import build_skeleton, verify_thickness
 from glueforge.record import FrozenRecordError, Record, replace
 from glueforge.surface import BackendHandle, GraphProjection
 from glueforge.torus import REFLECTION, FareyMarking, Slope, SurfaceMap
-from glueforge.transforms import _resolve_stack, collapse_ibundles, local_to_global_report
+from glueforge.transforms import _resolve_stack, collapse_ibundles
 from oracles import CompressionStep, PathWitness, build_compression
 from test_gluing import full_featured_gluing
 from test_transforms import MU, body_spec, core, example_builders, split_spec, tmap, twisted_end
@@ -118,7 +118,6 @@ def samples() -> dict:
             check_qconvex_stability(table, [0, 1, 2], 1),
             g,
             witness,
-            local_to_global_report(table, witness.vertices, 2),
             GraphProjection((0, 1), (3,), "W0", 7),
             cli._config(cli._build_parser().parse_args(["report", "--input", "x.json"])),
             cli._config(cli._build_parser().parse_args(["collapse", "--input", "y", "--R", "3"])),

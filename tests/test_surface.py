@@ -17,7 +17,6 @@ from glueforge.surface import (
     DiskSet,
     GraphProjection,
     as_torus_marking,
-    curve_distance,
     curve_distances_from,
     disk_distance,
     geodesic_between,
@@ -162,10 +161,10 @@ def test_marking_distance_backend_mismatch():
 
 def test_curve_distance_and_diameter():
     h = BackendHandle.finite_graph(cycle_graph(6))
-    assert curve_distance(h, 0, 3) == 3
-    assert curve_distance(BackendHandle.torus(), Slope(0, 1), Slope(8, 5)) == 3
+    assert curve_distances_from(h, 0, [3]) == [3]
+    assert curve_distances_from(BackendHandle.torus(), Slope(0, 1), [Slope(8, 5)]) == [3]
     with pytest.raises(ValidationError):
-        curve_distance(BackendHandle.torus(), 0, 1)
+        curve_distances_from(BackendHandle.torus(), 0, [1])
     m1 = AbstractMarking(h, (0, 1))
     m2 = AbstractMarking(h, (2, 3))
     assert marking_diameter(m1, m2) == 3
@@ -175,12 +174,12 @@ def test_curve_distance_and_diameter():
 def test_curve_distances_from_is_a_row_of_curve_distance():
     g = BackendHandle.finite_graph(cycle_graph(7))
     row = [2, 0, 5, 6]
-    assert curve_distances_from(g, 2, row) == [curve_distance(g, 2, v) for v in row]
+    assert curve_distances_from(g, 2, row) == [g.table().d(2, v) for v in row]
     t = BackendHandle.torus()
     rng = random.Random(5)
     slopes = [rand_torus_marking(rng, 12).payload.base for _ in range(20)] + [INFINITY]
     for a in slopes[:5]:
-        assert curve_distances_from(t, a, slopes) == [curve_distance(t, a, b) for b in slopes]
+        assert curve_distances_from(t, a, slopes) == [farey_distance(a, b) for b in slopes]
     assert curve_distances_from(t, INFINITY, []) == []
     with pytest.raises(ValidationError):
         curve_distances_from(t, INFINITY, [Slope(0, 1), 1])
@@ -444,4 +443,4 @@ def test_graph_geodesic_is_geodesic(u, shift):
     path = geodesic_between(m1, m2)
     assert len(path) == marking_distance(m1, m2) + 1
     for a, b in zip(path, path[1:]):
-        assert curve_distance(h, a, b) == 1
+        assert h.table().d(a, b) == 1

@@ -48,7 +48,7 @@ from glueforge.torus import (
     parse_slope,
 )
 from glueforge.transforms import (
-    _path_report,
+    _k_prime,
     _stack_path,
     collapse_ibundles,
     combine_stack,
@@ -57,7 +57,7 @@ from glueforge.transforms import (
 
 from oracles import (
     CompressionStep,
-    all_pairs_path_report,
+    all_pairs_k_prime,
     build_compression,
     full_fellow_traveling,
     marking_diameter,
@@ -304,22 +304,17 @@ def test_combine_stack_backend_mismatch():
 
 
 def assert_stack_certificate_matches_oracles(x: GluingGraph, pieces: list[str]):
-    """k', the offending pair and the fellow-traveling constant against
-    the all-pairs report and the full scan; returns the certificate,
-    whether the path holds a bridge, and the kind of path: "geodesic",
-    "revisit", or "detour" (neither)."""
+    """k' and the fellow-traveling constant against the all-pairs scan and
+    the full scan; returns the certificate, whether the path holds a
+    bridge, and the kind of path: "geodesic", "revisit", or "detour"
+    (neither)."""
     cert = combine_stack(x, pieces, 1, 6)
     handle = cert.nu[0].handle
     path, reach = _stack_path(handle, cert.nu)
-    kind = "geodesic"
-    if len(path) >= 2:
-        report = _path_report(handle, path, reach)
-        assert report == all_pairs_path_report(handle, path)
-        assert cert.k_prime == (report.global_k if report.ok else None)
-        if not report.ok:
-            kind = "revisit"
-        elif report.global_k > 1:
-            kind = "detour"
+    k_prime = _k_prime(handle, path, reach)
+    assert k_prime == all_pairs_k_prime(handle, path)
+    assert cert.k_prime == k_prime
+    kind = "revisit" if k_prime is None else "detour" if k_prime > 1 else "geodesic"
     direct = geodesic_between(cert.nu[0], cert.nu[-1])
     assert cert.fellow_traveling == full_fellow_traveling(handle, path, direct)
     segments = sum(len(geodesic_between(a, b)) - 1 for a, b in zip(cert.nu, cert.nu[1:]))
@@ -370,6 +365,38 @@ def random_cycle_stack(rng: random.Random, n: int, k: int) -> GluingGraph:
     ).validate()
 
 
+def wrap_cycle_stack(k: int) -> GluingGraph:
+    """k bundles over C_(4k+6) glued by the identity, bundle i decorated at
+    4i and 4i + 2: the stack path winds 4k - 2 steps forward without
+    revisiting a vertex and ends 8 steps from its start, so K' = (4k - 2)/8."""
+    from glueforge.hypgraph import cycle_graph
+
+    n = 4 * k + 6
+    h = BackendHandle.finite_graph(cycle_graph(n))
+    same = SlotMap(h, perm=tuple(range(n)))
+
+    def end(slot: str, v: int) -> BoundarySpec:
+        return BoundarySpec(slot, handle=h, decoration=AbstractMarking(h, (v % n,)))
+
+    specs = [DecoratedManifoldSpec("ML", GENERIC, (end("E0", -2),))]
+    for i in range(k):
+        specs.append(
+            DecoratedManifoldSpec(
+                f"B{i}", TRIVIAL_IBUNDLE, (end("F0", 4 * i), end("F1", 4 * i + 2)), bundle_map=same
+            )
+        )
+    specs.append(DecoratedManifoldSpec("MR", GENERIC, (end("E0", 4 * k),)))
+    idents = [
+        Identification(f"p{i}", "E0" if i == 0 else "F1", f"p{i + 1}", "F0" if i < k else "E0", same)
+        for i in range(k + 1)
+    ]
+    return GluingGraph(
+        manifolds=tuple(specs),
+        pieces=tuple((f"p{i}", spec.id) for i, spec in enumerate(specs)),
+        identifications=tuple(idents),
+    ).validate()
+
+
 def test_stack_certificate_matches_all_pairs_oracles_on_torus_stacks():
     rng = random.Random(2718)
     seen = {"fellow": 0, "geodesic": 0, "revisit": 0, "detour": 0}
@@ -406,6 +433,38 @@ def test_stack_certificate_matches_all_pairs_oracles_on_graph_stacks():
         kinds[kind] += 1
     assert bridged >= 10
     assert kinds["geodesic"] >= 10 and kinds["revisit"] >= 10 and kinds["detour"] >= 1, kinds
+
+
+def test_stack_certificate_matches_all_pairs_oracles_on_deep_wrap_stacks():
+    # seeded words of 10 to 30 bundles only revisit; a wrap stack is a
+    # detour at every depth
+    for k in (10, 20, 30):
+        cert, _, kind = assert_stack_certificate_matches_oracles(
+            wrap_cycle_stack(k), [f"p{i + 1}" for i in range(k)]
+        )
+        assert kind == "detour"
+        assert cert.k_prime == Fraction(4 * k - 2, 8)
+
+
+def test_k_prime_of_concatenated_geodesics():
+    # [0,1,2,3] * [3,4] in the 6-cycle: endpoints at distance 2, length 4;
+    # every step is its own piece, so every pair is measured
+    from glueforge.hypgraph import cycle_graph
+
+    h = BackendHandle.finite_graph(cycle_graph(6))
+    assert _k_prime(h, [0, 1, 2, 3, 4], [1, 2, 3, 4, 4]) == 2
+    assert _k_prime(h, [0, 1, 2, 3, 4], [3, 3, 3, 4, 4]) == 2
+    geodesic = _k_prime(h, [0, 1, 2, 3], [1, 2, 3, 3])
+    assert geodesic == 1 and type(geodesic) is int
+    assert _k_prime(h, [5], [0]) == 1
+
+
+def test_k_prime_is_none_on_a_revisit():
+    from glueforge.hypgraph import cycle_graph
+
+    h = BackendHandle.finite_graph(cycle_graph(6))
+    assert _k_prime(h, [0, 1, 0], [1, 2, 2]) is None
+    assert _k_prime(h, [0, 1, 2, 1, 2, 3], [2, 2, 3, 5, 5, 5]) is None
 
 
 def test_collapse_measures_few_distance_targets(monkeypatch):
