@@ -27,10 +27,13 @@ class EmptyProjectionError(ValidationError):
 
 
 class PrecisionLossError(ArithmeticError):
-    """A float result beyond double precision.
+    """A result that no double can hold.
 
-    Not a GlueforgeError: the input is fine and glueforge cannot represent
-    the answer, so the CLI reports it as an internal fault (exit 5).
+    Raised for a balanced point whose y = 1/(c^2 + d^2) is below the
+    least double, 2^-1074, and if the decimal path of `halfplane` finds
+    no correctly rounded double.  Not a GlueforgeError: the input is fine
+    and glueforge cannot represent the answer, so the CLI reports it as
+    an internal fault (exit 5).
     """
 
 

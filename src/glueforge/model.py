@@ -8,7 +8,10 @@ torus backend the fiber geometry is computed exactly from the modulus;
 finite-graph slots have no geometry and their tubes stay combinatorial,
 so a gluing on graph backends alone loads no torus code: the half-plane
 geometry (`halfplane`) is imported where a geometric tube or anchor is
-built.
+built.  Each geometric tube keeps the sigma matrices of its ends, and their
+precision demand picks its arithmetic: within `halfplane.PRECISION_BITS`
+it is measured and sampled in doubles, beyond it on the decimal path,
+whose every number is correctly rounded.
 
 A skeleton has two serializations: `ModelSkeleton.to_json` is the skeleton
 JSON that `glueforge model` prints inside its report envelope, and
@@ -28,7 +31,7 @@ from .surface import AbstractMarking, as_torus_marking
 
 if TYPE_CHECKING:  # geometric tubes and anchors import the half-plane layer
     from .halfplane import TeichPoint
-    from .torus import Slope
+    from .torus import Slope, SurfaceMap
 
 # the stabilizer of i: sigma(mu) and sigma(nu) balance at the same point
 # iff sigma(mu)^-1 sigma(nu) has one of these entries
@@ -79,7 +82,9 @@ class TubeBlock(Record):
     "boundary" for a free slot joined to its share of the free marking.
     Equal endpoints force the degenerate flag: the block is then the
     product of the fiber with a unit interval.  Combinatorial tubes come
-    from finite-graph slots and carry no geometry at all.
+    from finite-graph slots and carry no geometry at all.  A tube built
+    from markings keeps ends, the sigma matrices of its two sides, which
+    pick and feed its arithmetic.
     """
 
     slot_a: Slot
@@ -92,6 +97,7 @@ class TubeBlock(Record):
     degenerate: bool = False
     involution: SlotMap | None = None
     samples: tuple[TubeSample, ...] = ()
+    ends: tuple[SurfaceMap, SurfaceMap] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("internal", "quotient", "boundary"):
@@ -175,8 +181,17 @@ def _sigma(m: AbstractMarking) -> TeichPoint:
     return sigma_of_marking(as_torus_marking(m))
 
 
+def _decimal(ends: tuple[SurfaceMap, SurfaceMap] | None) -> bool:
+    """Whether a tube with these ends needs more bits than a double holds,
+    and so runs on the decimal path."""
+    from .halfplane import PRECISION_BITS, precision_demand
+
+    return ends is not None and max(map(precision_demand, ends)) > PRECISION_BITS
+
+
 def sample_tube(tube: TubeBlock, n: int) -> tuple[TubeSample, ...]:
-    """Equally spaced fibers along the tube geodesic.
+    """Equally spaced fibers along the tube geodesic, on the decimal path
+    when the tube's ends need more bits than a double holds.
 
     A degenerate tube is the product of one fiber with an interval, so it
     always yields exactly two identical samples regardless of n.
@@ -185,6 +200,13 @@ def sample_tube(tube: TubeBlock, n: int) -> tuple[TubeSample, ...]:
         raise ValidationError(f"combinatorial tube {tube.name} carries no geometry")
     if n < 2:
         raise ValidationError("tube sampling needs at least 2 samples")
+    if _decimal(tube.ends):
+        from .halfplane import exact_tube_samples
+
+        assert tube.ends is not None
+        # the two ends of a degenerate tube are the same exact point
+        samples = exact_tube_samples(*tube.ends, 2 if tube.degenerate else n)
+        return tuple(TubeSample(*s) for s in samples)
     from .halfplane import teich_geodesic
 
     assert tube.sigma_a is not None and tube.sigma_b is not None
@@ -215,21 +237,30 @@ def _geometry(
     samples: int,
     involution: SlotMap | None = None,
 ) -> TubeBlock:
-    from .halfplane import sigma_matrix, teich_distance
+    from .halfplane import sigma_matrix
 
-    sigma_a = _sigma(mu)
-    sigma_b = _sigma(nu)
-    relative = sigma_matrix(as_torus_marking(mu)).inverse() @ sigma_matrix(as_torus_marking(nu))
-    degenerate = relative.entries in _FIXERS_OF_I
+    ends = (sigma_matrix(as_torus_marking(mu)), sigma_matrix(as_torus_marking(nu)))
+    degenerate = (ends[0].inverse() @ ends[1]).entries in _FIXERS_OF_I
+    if _decimal(ends):
+        from .halfplane import balanced_point, exact_tube_length
+
+        sigma_a, sigma_b = balanced_point(ends[0]), balanced_point(ends[1])
+        length = 0.0 if degenerate else exact_tube_length(*ends)
+    else:
+        from .halfplane import teich_distance
+
+        sigma_a, sigma_b = _sigma(mu), _sigma(nu)
+        length = 0.0 if degenerate else teich_distance(sigma_a, sigma_b)
     tube = TubeBlock(
         slot_a,
         slot_b,
         kind,
         sigma_a=sigma_a,
         sigma_b=sigma_b,
-        length=0.0 if degenerate else teich_distance(sigma_a, sigma_b),
+        length=length,
         degenerate=degenerate,
         involution=involution,
+        ends=ends,
     )
     return replace(tube, samples=sample_tube(tube, samples))
 
@@ -368,6 +399,11 @@ def _cf_coefficient(tube: TubeBlock) -> int:
     markings at the two ends of a geometric tube."""
     from .halfplane import relative_cf_max_coeff, shortest_marking
 
+    if _decimal(tube.ends):
+        from .halfplane import balanced_marking
+
+        assert tube.ends is not None
+        return relative_cf_max_coeff(*map(balanced_marking, tube.ends))
     assert tube.sigma_a is not None and tube.sigma_b is not None
     return relative_cf_max_coeff(shortest_marking(tube.sigma_a), shortest_marking(tube.sigma_b))
 

@@ -251,14 +251,12 @@ class AbstractMarking(Record):
         if not isinstance(obj, dict):
             raise ParseError("marking must be an object")
         if handle.is_torus:
-            from .torus import FareyMarking, parse_slope
+            from .torus import FareyMarking
 
             if "base" not in obj or "transversal" not in obj:
                 raise ParseError("torus marking needs base and transversal")
             try:
-                payload = FareyMarking(
-                    parse_slope(str(obj["base"])), parse_slope(str(obj["transversal"]))
-                )
+                payload = FareyMarking(_json_slope(obj["base"]), _json_slope(obj["transversal"]))
             except ValidationError as exc:
                 raise ParseError(f"bad torus marking: {exc}") from exc
             return AbstractMarking(handle, payload)
@@ -271,6 +269,16 @@ class AbstractMarking(Record):
         except TypeError as exc:
             raise ParseError(f"bad graph marking: {exc}") from exc
         return AbstractMarking(handle, verts)
+
+
+def _json_slope(value: object) -> Slope:
+    """A torus slope, which JSON writes as a string ('p/q', an integer or
+    'inf'); a number or any other type is a parse error."""
+    from .torus import parse_slope
+
+    if not isinstance(value, str):
+        raise ParseError(f"slope {clip(value)} is not a string")
+    return parse_slope(value)
 
 
 class DiskSet(Record):
@@ -309,9 +317,7 @@ class DiskSet(Record):
         if not isinstance(obj, list):
             raise ParseError("disk set must be a list")
         if handle.is_torus:
-            from .torus import parse_slope
-
-            return DiskSet(handle, tuple(parse_slope(str(s)) for s in obj), owner)
+            return DiskSet(handle, tuple(_json_slope(s) for s in obj), owner)
         try:
             return DiskSet(handle, tuple(json_int(v) for v in obj), owner)
         except TypeError as exc:

@@ -17,6 +17,7 @@ import json
 import math
 import random
 from collections import deque
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -212,6 +213,113 @@ def scan_shortest_slope(x: float, y: float) -> tuple[int, int]:
         q += 1
     assert best is not None
     return best
+
+
+# --- decimal-path reference ----------------------------------------------
+#
+# The tubes of halfplane's decimal path recomputed at a fixed precision far
+# above the working precision of every tube the tests give it, by other
+# formulas: the length from cosh d = 1 + |z - w|^2 / (2 y_z y_w) of the
+# rational ends, not from the trace of sigma(mu)^-1 sigma(nu); the samples
+# through the Moebius map that sends the geodesic to the imaginary axis,
+# not through tanh and sech; the shortest slope by reduction into the
+# fundamental domain, not by Lagrange-Gauss.
+
+REFERENCE_DIGITS = 600
+REFERENCE_TIE = Decimal("1e-9")
+
+
+def reference_tube(
+    sigma_a, sigma_b, n: int
+) -> tuple[float, list[tuple[float, float, float, tuple[int, int]]]]:
+    """Length and n samples (x, y, systole, shortest (p, q)) of the tube
+    from sigma_a i to sigma_b i, rounded to doubles from REFERENCE_DIGITS."""
+
+    def end(g) -> tuple[Fraction, Fraction]:
+        s = g.c * g.c + g.d * g.d
+        return Fraction(g.a * g.c + g.b * g.d, s), Fraction(1, s)
+
+    (xa, ya), (xb, yb) = end(sigma_a), end(sigma_b)
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        u = 1 + ((xa - xb) ** 2 + (ya - yb) ** 2) / (2 * ya * yb)
+        root = (_dec(u - 1) * _dec(u + 1)).sqrt()
+        length = float((_dec(u) + root).ln() / 2) if u != 1 else 0.0
+        points = []
+        if xa == xb:
+            la, lb = _dec(ya).ln(), _dec(yb).ln()
+            for k in range(n):
+                points.append((_dec(xa), (((n - 1 - k) * la + k * lb) / (n - 1)).exp()))
+        else:
+            c = (xb * xb + yb * yb - xa * xa - ya * ya) / (2 * (xb - xa))
+            r = _dec((xa - c) ** 2 + ya * ya).sqrt()
+            e1, e2 = _dec(c) - r, _dec(c) + r
+
+            def log_lam(x: Fraction, y: Fraction) -> Decimal:
+                # w = (z - e1)/(e2 - z) is i lam on the geodesic
+                dx, dy = _dec(x), _dec(y)
+                return (((dx - e1) ** 2 + dy * dy) / ((e2 - dx) ** 2 + dy * dy)).ln() / 2
+
+            ta, tb = log_lam(xa, ya), log_lam(xb, yb)
+            for k in range(n):
+                lam = (((n - 1 - k) * ta + k * tb) / (n - 1)).exp()
+                lam2 = lam * lam
+                points.append(((e1 + e2 * lam2) / (1 + lam2), 2 * r * lam / (1 + lam2)))
+        samples = []
+        for x, y in points:
+            (p, q), norm = _reference_shortest(x, y)
+            samples.append((float(x), float(y), float((norm / y).sqrt()), (p, q)))
+    return length, samples
+
+
+def _dec(v: Fraction) -> Decimal:
+    return Decimal(v.numerator) / v.denominator
+
+
+def _reference_shortest(x: Decimal, y: Decimal) -> tuple[tuple[int, int], Decimal]:
+    """Shortest slope at x + iy and its norm |p - q z|^2, under the tie rule
+    the package documents.  z moves into the fundamental domain
+    |Re w| <= 1/2, |w| >= 1 by w -> w - n and w -> -1/w; there 1/0 has norm 1
+    and only 0/1, 1/1 and -1/1 can come within twice it, and pulling the
+    four back gives the short slopes at z (lengths are invariant)."""
+    # g = [[a, b], [c, d]] with w = g z, as Moebius maps
+    a, b, c, d = 1, 0, 0, 1
+    wx, wy = x, y
+    while True:
+        m = int(wx.to_integral_value())
+        wx -= m
+        a, b = a - m * c, b - m * d
+        r2 = wx * wx + wy * wy
+        if r2 >= 1:
+            break
+        wx, wy = -wx / r2, wy / r2
+        a, b, c, d = -c, -d, a, b
+    # g^-1 = [[d, -b], [-c, a]] sends (p, q) to (d p - b q, -c p + a q)
+    cands = []
+    for p, q in ((1, 0), (0, 1), (1, 1), (-1, 1)):
+        pp, qq = d * p - b * q, -c * p + a * q
+        if qq < 0 or (qq == 0 and pp < 0):
+            pp, qq = -pp, -qq
+        cands.append((pp, qq))
+
+    def norm(s: tuple[int, int]) -> Decimal:
+        return (s[0] - s[1] * x) ** 2 + (s[1] * y) ** 2
+
+    least = min(map(norm, cands))
+    cands = sorted((s for s in cands if norm(s) <= 2 * least), key=lambda s: (s[1], s[0]))
+    best, best_n = cands[0], norm(cands[0])
+    for s in cands[1:]:
+        n = norm(s)
+        if n < best_n * (1 - REFERENCE_TIE):
+            best, best_n = s, n
+        elif n <= best_n * (1 + REFERENCE_TIE) and _tie_key(s) < _tie_key(best):
+            best, best_n = s, min(best_n, n)
+    return best, best_n
+
+
+def _tie_key(s: tuple[int, int]) -> tuple[int, int, int, int]:
+    p, q = s
+    return (1 if q == 0 else 0, q, abs(p), p)
 
 
 # --- former torus kernels, kept as differential references ---------------

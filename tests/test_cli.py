@@ -5,6 +5,7 @@ import contextlib
 import gc
 import hashlib
 import json
+import math
 import os
 import pathlib
 import random
@@ -145,6 +146,8 @@ def files(tmp_path_factory):
         ).validate()
         out["huge"] = save("huge.json", huge.canonical_json())
     out["deep30"] = save("deep30.json", core_stack_core([30]).canonical_json())
+    # 38 bits, the deepest double-path input of the benchmark
+    out["axis7"] = save("axis7.json", core_stack_core([7]).canonical_json())
 
     for name, build in example_builders().items():
         out[f"example:{name}"] = save(f"example-{name}.json", build().canonical_json())
@@ -309,6 +312,9 @@ def test_malformed_json_is_a_parse_error(files, capsys):
         ("identifications.0.a", {"p0": 0, "E0": 1}),
         ("graph_stack:identifications.0.map.perm", [-v % 12 + 0.5 for v in range(12)]),
         ("graph_stack:manifolds.0.boundaries.0.backend.n", "200"),
+        # torus slopes are strings
+        ("manifolds.0.boundaries.0.decoration.base", 0),
+        ("example:compression:manifolds.1.boundaries.0.disks", [0]),
     ],
 )
 def test_wrong_typed_containers_are_parse_errors(files, capsys, tmp_path, path, value):
@@ -435,12 +441,22 @@ def test_compressible_slot_without_disks_is_an_invariant_error(files, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--R", "0"], ["--eps0", "0"], ["--samples", "1"], ["--D", "-1"]],
+    [["--R", "0"], ["--eps0", "0"], ["--samples", "1"], ["--D", "-1"], ["--samples", "10001"]],
 )
 def test_bad_parameters_are_invariant_errors(files, capsys, flags):
     code, _, err = run(capsys, ["validate", "--input", files["chain"], *flags])
     assert code == EXIT_INVARIANT
     assert err.startswith("invariant violation:")
+    assert err.count("\n") == 1
+
+
+def test_sample_count_is_capped(files, capsys):
+    # the cap bounds the work of a model run; every command checks it
+    argv = ["validate", "--input", files["chain"], "--samples"]
+    assert run(capsys, [*argv, str(cli.MAX_SAMPLES)])[0] == EXIT_PASS
+    code, out, err = run(capsys, [*argv, str(cli.MAX_SAMPLES + 1)])
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err == f"invariant violation: sample count must be at most {cli.MAX_SAMPLES}\n"
 
 
 # ------------------------------------------------------------------ report
@@ -664,7 +680,9 @@ def test_deep_stack_report_bytes_pinned(files, command, name):
 # skeleton JSON and the gluing source each still had a second, test-only
 # path; any change is a report change.  The two stack paths that are not
 # geodesics, a revisit (backtrack) and a detour (wrap20), were recorded
-# while K' still came from the windowed local-to-global report.
+# while K' still came from the windowed local-to-global report.  The two
+# model pins of the stack example were recorded when its 55-bit tube moved
+# to the decimal path; before, both ended with exit 5 and no output.
 COLD_STDOUT_PINS = {
     ("validate", "example:chain"): (0, "e9f916e0f1b4cf2d85841f9e775a783e665f19f5a2d8f900310e99774fd70ef8"),
     ("report", "example:chain"): (0, "0aadbbf94c88ca3b2748359456fc426dadc480addc73a94276790c58f7dc76af"),
@@ -676,8 +694,8 @@ COLD_STDOUT_PINS = {
     ("report", "example:stack"): (0, "012e7e84d1706873f88cdcad3ce8710a7fb5730bc1211d0e02e0f85948f55147"),
     ("collapse --emit-correspondence", "example:stack"): (0, "3560327b6dfe8b344d835a91d8cd58ac2c1575ca345c6fa92e97cad91cea19ee"),
     ("decompose", "example:stack"): (0, "3a2ae88549860f68f278c434d2eb80edec7fdb6b80904f61504cde50af0bcfb3"),
-    ("model", "example:stack"): (5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("model --format obj", "example:stack"): (5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("model", "example:stack"): (0, "9cb62550329f0b1a1aff902175cf93b14ef210017a3c9adb14c40502be2a4416"),
+    ("model --format obj", "example:stack"): (0, "fecb985aa33df79286dda5df5090634f80f2935b4174262bc7376213c98a4f3d"),
     ("validate", "example:twisted"): (0, "3f860a6f68f270e86d079ae9d8d3fde99fda28e9935f2997dac6baf781e5f42f"),
     ("report", "example:twisted"): (1, "6e3d06ef6d3023c0bc94e6f17ec67094c178dc3dc00583faffff4c827c6c3d83"),
     ("collapse --emit-correspondence", "example:twisted"): (0, "1e8b594e417ac619852b0da4aac85f7e57b469e35ecd618c74000f96df5c32e6"),
@@ -831,13 +849,12 @@ def test_input_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
 
 
 def test_balanced_points_beyond_double_precision_are_internal_faults(files):
-    # axis power 30 puts balanced points near y = 1e-25, which a double
-    # computes as about 1e-16; the run stops at once instead of sampling
-    # a wrong tube
+    # axis power 200 puts balanced points below y = 2^-1074, the least
+    # double; the run stops at once with one internal-fault line
     src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "glueforge.cli", "model", "--input", files["deep30"]],
+        [sys.executable, "-m", "glueforge.cli", "model", "--input", files["deep200"]],
         capture_output=True,
         text=True,
         timeout=120,
@@ -850,6 +867,19 @@ def test_balanced_points_beyond_double_precision_are_internal_faults(files):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("internal error: PrecisionLossError: ")
+
+
+def test_deep_stack_model_answers_on_the_decimal_path(files):
+    # axis power 30 puts balanced points near y = 1e-50, beyond what a
+    # double resolves; both tubes are 30 log phi^2 long
+    start = time.perf_counter()
+    proc = cold_run(["model", "--input", files["deep30"]])
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    tubes = json.loads(proc.stdout)["result"]["skeleton"]["tubes"]
+    golden = 30 * 2 * math.log((1 + math.sqrt(5)) / 2)
+    assert len(tubes) == 2
+    assert all(t["length"] == pytest.approx(golden, rel=1e-12) for t in tubes)
 
 
 # ------------------------------------------------------- numpy stays cold
@@ -926,8 +956,10 @@ def test_no_module_imports_numpy():
 # importing dataclasses compiles its generated methods on every cold start,
 # and it loads inspect; records are built without either.  fractions loads
 # decimal and numbers; only the delta, the --denom-bound sweep and the pair
-# scan of a stack path that is not a geodesic build one.  hashlib loads
-# OpenSSL (_hashlib); only the commands that print an input hash import it
+# scan of a stack path that is not a geodesic build one.  A model within
+# 40 bits of precision demand runs in doubles and loads neither; the
+# decimal path of a deeper one (deep30) loads both.  hashlib loads OpenSSL
+# (_hashlib); only the commands that print an input hash import it
 _IMPORT_PROBE = (
     "import sys\n"
     "from glueforge import cli\n"
@@ -945,9 +977,12 @@ def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
         ("validate", "example:chain"),
         ("report", "example:chain"),
         ("model", "example:chain"),
+        ("model", "axis7"),
         ("decompose", "example:chain"),
         ("collapse", "example:stack"),
         ("model --format obj", "example:chain"),
+        ("model --format obj", "axis7"),
+        ("model", "deep30"),
     ):
         argv = [*command.split(), "--input", files[example], "--out", str(target)]
         proc = subprocess.run(
@@ -959,7 +994,9 @@ def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         obj = "obj" in command
-        assert proc.stdout == f"\n{EXIT_PASS}{'' if obj else ' hashlib _hashlib'}\n", command
+        exact = " fractions decimal" if example == "deep30" else ""
+        hashed = "" if obj else " hashlib _hashlib"
+        assert proc.stdout == f"\n{EXIT_PASS}{exact}{hashed}\n", command
         if obj:
             continue
         report = json.loads(target.read_text())

@@ -13,7 +13,7 @@ import glueforge
 from glueforge import cli
 from glueforge.certify import check_bounded_combinatorics
 from glueforge.decompose import full_and_maximal_decomposition
-from glueforge.errors import GlueforgeError, PrecisionLossError, ValidationError
+from glueforge.errors import GlueforgeError, ValidationError
 from glueforge.halfplane import TeichPoint
 from glueforge.hypgraph import all_pairs_distances, cycle_graph
 from glueforge.hyplab import check_qconvex_stability
@@ -99,12 +99,9 @@ def samples() -> dict:
                 roots.append(run())
             except GlueforgeError:
                 pass
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # free slots without lambda
-                skeleton = build_skeleton(x, samples=3)
-        except PrecisionLossError:  # the stack example's deep axis
-            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # free slots without lambda
+            skeleton = build_skeleton(x, samples=3)
         roots.extend((skeleton, verify_thickness(skeleton, 0.1)))
     stack = example_builders()["stack"]().validate()
     roots.extend((_resolve_stack(stack, ["p1", "p2", "p3"]), split_spec()))

@@ -30,9 +30,12 @@ from glueforge.farey import (
     max_subsurface_projection,
 )
 from glueforge.halfplane import (
+    PRECISION_BITS,
     TeichPoint,
+    balanced_marking,
     curve_length,
     on_point,
+    precision_demand,
     relative_cf_max_coeff,
     shortest_marking,
     shortest_slope,
@@ -585,7 +588,8 @@ def test_shortest_slope_at_a_very_thin_point():
 
 
 def test_sigma_of_marking_bits_up_to_axis_power_14():
-    # the precision guard returns the float Moebius image of i untouched
+    # within PRECISION_BITS the balanced point is the float Moebius image of
+    # i; past them (from (1/2, 1/1) at power 14) the rounded exact point
     for k in range(-14, 15):
         g = A_GOLD.power(k)
         for m in (
@@ -593,15 +597,35 @@ def test_sigma_of_marking_bits_up_to_axis_power_14():
             g.on_marking(FareyMarking(Slope(1, 2), Slope(1, 1))),
             (g @ REFLECTION).on_marking(FareyMarking(Slope(1, 1), INFINITY)),
         ):
-            assert sigma_of_marking(m) == on_point(sigma_matrix(m), TeichPoint(0.0, 1.0))
+            s = sigma_matrix(m)
+            if precision_demand(s) <= PRECISION_BITS:
+                expected = on_point(s, TeichPoint(0.0, 1.0))
+            else:
+                expected = exactly_rounded_balanced_point(s)
+            assert sigma_of_marking(m) == expected
 
 
-@pytest.mark.parametrize("k", [18, 24, 30, 800])
-def test_sigma_of_marking_beyond_double_precision(k):
-    # from power 24 the float y cancels to zero or below, from about 800
-    # the matrix entries overflow a double; all are internal faults
+def exactly_rounded_balanced_point(s: SurfaceMap) -> TeichPoint:
+    # Fraction -> float rounds correctly
+    n = s.c * s.c + s.d * s.d
+    return TeichPoint(float(Fraction(s.a * s.c + s.b * s.d, n)), float(Fraction(1, n)))
+
+
+@pytest.mark.parametrize("k", [18, 24, 30])
+def test_sigma_of_marking_past_40_bits_is_correctly_rounded(k):
+    # the float Moebius image cancels y away from about power 18; the
+    # exact point is the rational ((ac + bd) + i)/(c^2 + d^2)
     m = A_GOLD.power(k).on_marking(FareyMarking(Slope(0, 1), INFINITY))
-    with pytest.raises(PrecisionLossError, match="beyond double precision") as info:
+    s = sigma_matrix(m)
+    assert precision_demand(s) > PRECISION_BITS
+    assert sigma_of_marking(m) == exactly_rounded_balanced_point(s)
+
+
+@pytest.mark.parametrize("k", [400, 800])
+def test_sigma_of_marking_beyond_double_precision(k):
+    # from about power 390 y = 1/(c^2 + d^2) is below the least double
+    m = A_GOLD.power(k).on_marking(FareyMarking(Slope(0, 1), INFINITY))
+    with pytest.raises(PrecisionLossError, match="beyond the double exponent range") as info:
         sigma_of_marking(m)
     assert not isinstance(info.value, GlueforgeError)
 
@@ -622,6 +646,21 @@ def test_sigma_round_trip_small_denominators():
         rt = shortest_marking(sigma_of_marking(m))
         assert {rt.base, rt.transversal} == {m.base, m.transversal}
     assert seen >= 100
+
+
+def test_balanced_marking_is_the_shortest_marking_at_the_balanced_point():
+    # the decimal path's exact rule against the float one where doubles
+    # resolve the point well inside the tie margin (demand <= 20 bits)
+    rng = random.Random(20261019)
+    seen = 0
+    for _ in range(400):
+        m = _sl2z_word(rng, rng.randrange(0, 16)).on_marking(FareyMarking(Slope(0, 1), INFINITY))
+        s = sigma_matrix(m)
+        if precision_demand(s) > 20:
+            continue
+        assert balanced_marking(s) == shortest_marking(sigma_of_marking(m)), m
+        seen += 1
+    assert seen >= 200
 
 
 # --- half-plane geometry ---------------------------------------------------
