@@ -2,10 +2,12 @@
 
 Every command reads one input file, runs the corresponding pipeline, and
 emits a deterministic JSON report carrying the input's content hash and
-all parameters, so identical invocations are byte identical.  Exit codes
-are fixed for scripting: 0 pass, 1 verdict fail, 2 parse trouble, 3
-invariant violation, 4 the all-bundle fibered case, 5 internal error (any
-other exception, reported on one stderr line as a fault of glueforge).
+the flags the command reads (`COMMANDS`), so identical invocations are
+byte identical.  A command takes only its own flags: any other is a
+usage error.  Exit codes are fixed for scripting: 0 pass, 1 verdict
+fail, 2 parse trouble, 3 invariant violation, 4 the all-bundle fibered
+case, 5 internal error (any other exception, reported on one stderr line
+as a fault of glueforge, with the input's sha256).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import gc
 import sys
 import warnings
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 # Each command imports the layers it runs, so that a cold `hyplab` loads
 # no torus or gluing code and a cold `validate` no collapse or skeleton.
@@ -39,52 +41,63 @@ MAX_INPUT_BYTES = 1 << 20
 # on the decimal path 0.5 ms at axis power 30 and 5 ms at 180.
 MAX_SAMPLES = 10_000
 
+# Every flag some command reads, by its name in the report; the flag is
+# that name after '--', with '-' for '_'.  Each has its argparse settings
+# and the checks of its value, each with the message of the invariant
+# violation when the value fails it.
+FLAGS: dict[str, tuple[dict[str, Any], tuple]] = {
+    "R": ({"type": int, "default": 6}, ((lambda r: r >= 1, "R must be at least 1"),)),
+    "D": ({"type": int, "default": 1}, ((lambda d: d >= 0, "D must be non-negative"),)),
+    "h": ({"type": int, "default": 1}, ((lambda h: h >= 0, "h must be non-negative"),)),
+    "denom_bound": (
+        {"type": int, "default": None},
+        ((lambda b: b is None or b >= 1, "denominator bound must be at least 1"),),
+    ),
+    "eps0": (
+        {"type": float, "default": 0.1},
+        ((lambda e: e > 0, "eps0 must be positive"), (lambda e: e < float("inf"), "eps0 must be finite")),
+    ),
+    "samples": (
+        {"type": int, "default": 9},
+        (
+            (lambda n: n >= 2, "sample count must be at least 2"),
+            (lambda n: n <= MAX_SAMPLES, f"sample count must be at most {MAX_SAMPLES}"),
+        ),
+    ),
+    "format": ({"choices": ("json", "obj"), "default": "json"}, ()),
+}
+
+# Each command: its help line and the flags it reads, in the order its
+# report echoes them.  Every command also takes --input and --out, and
+# collapse --emit-correspondence, which its report does not echo.
+COMMANDS = {
+    "validate": ("parse a gluing file and check every structural invariant", ()),
+    "report": ("certify bounded combinatorics at (R, D)", ("R", "D", "denom_bound")),
+    "collapse": ("combine I-bundle stacks and rewire the gluing", ("R", "h", "denom_bound")),
+    "decompose": ("expand splittings and cut along maximal compressions", ()),
+    "model": ("assemble, verify and export the metric skeleton", ("eps0", "samples", "format")),
+    "hyplab": ("measure hyperbolicity and stability on a finite graph", ("R",)),
+}
+
 
 class RunConfig(Record):
-    """One fully resolved invocation."""
+    """One fully resolved invocation: the values of the flags its command
+    reads, as (name, value) pairs in the order of `COMMANDS`."""
 
     command: str
     input: str
-    r_bound: int
-    d_bound: int
-    h_bound: int
-    eps0: float
-    samples: int
-    denom_bound: int | None
     out: str | None
-    format: str
-    seed: int
+    params: tuple[tuple[str, Any], ...]
     emit_correspondence: bool
 
     def __post_init__(self) -> None:
-        if self.r_bound < 1:
-            raise ValidationError("R must be at least 1")
-        if self.d_bound < 0:
-            raise ValidationError("D must be non-negative")
-        if self.h_bound < 0:
-            raise ValidationError("h must be non-negative")
-        if not self.eps0 > 0:
-            raise ValidationError("eps0 must be positive")
-        if self.samples < 2:
-            raise ValidationError("sample count must be at least 2")
-        if self.samples > MAX_SAMPLES:
-            raise ValidationError(f"sample count must be at most {MAX_SAMPLES}")
-        if self.denom_bound is not None and self.denom_bound < 1:
-            raise ValidationError("denominator bound must be at least 1")
-        if self.format not in ("json", "obj"):
-            raise ValidationError(f"unknown output format {self.format!r}")
+        for name, value in self.params:
+            for test, message in FLAGS[name][1]:
+                if not test(value):
+                    raise ValidationError(message)
 
-    def params_json(self) -> dict:
-        return {
-            "R": self.r_bound,
-            "D": self.d_bound,
-            "h": self.h_bound,
-            "eps0": self.eps0,
-            "samples": self.samples,
-            "denom_bound": self.denom_bound,
-            "format": self.format,
-            "seed": self.seed,
-        }
+    def __getitem__(self, name: str) -> Any:
+        return dict(self.params)[name]
 
 
 def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
@@ -92,7 +105,9 @@ def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     for the top-level help and the list of choices, but with argv only the
     command that argv names gets its arguments: the top level takes no
     option with a value, so that command is the first argument not
-    starting with '-'."""
+    starting with '-'.  Subparsers take no abbreviated flags, so that a
+    flag a command does not read is a usage error even where it begins
+    another (--h and --help)."""
     named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
     parser = argparse.ArgumentParser(
         prog="glueforge",
@@ -100,33 +115,20 @@ def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         " collapse, decomposition, model skeletons, graph experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("validate", "parse a gluing file and check every structural invariant"),
-        ("report", "certify bounded combinatorics at (R, D)"),
-        ("collapse", "combine I-bundle stacks and rewire the gluing"),
-        ("decompose", "expand splittings and cut along maximal compressions"),
-        ("model", "assemble, verify and export the metric skeleton"),
-        ("hyplab", "measure hyperbolicity and stability on a finite graph"),
-    ):
-        cmd = sub.add_parser(name, help=blurb)
+    for name, (blurb, reads) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=blurb, allow_abbrev=False)
         if named is not None and name != named:
             continue
         cmd.add_argument("--input", required=True, help="input file path")
-        cmd.add_argument("--R", type=int, default=6, dest="r_bound")
-        cmd.add_argument("--D", type=int, default=1, dest="d_bound")
-        cmd.add_argument("--h", type=int, default=1, dest="h_bound")
-        cmd.add_argument("--eps0", type=float, default=0.1)
-        cmd.add_argument("--samples", type=int, default=9)
-        cmd.add_argument("--denom-bound", type=int, default=None)
-        cmd.add_argument("--out", default=None, help="write output here instead of stdout")
-        cmd.add_argument("--format", choices=("json", "obj"), default="json")
-        cmd.add_argument("--seed", type=int, default=0)
+        for flag in reads:
+            cmd.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag][0])
         if name == "collapse":
             cmd.add_argument(
                 "--emit-correspondence",
                 action="store_true",
                 help="include the stack-to-slot table in the report",
             )
+        cmd.add_argument("--out", default=None, help="write output here instead of stdout")
     return parser
 
 
@@ -134,29 +136,22 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
         input=args.input,
-        r_bound=args.r_bound,
-        d_bound=args.d_bound,
-        h_bound=args.h_bound,
-        eps0=args.eps0,
-        samples=args.samples,
-        denom_bound=args.denom_bound,
         out=args.out,
-        format=args.format,
-        seed=args.seed,
+        params=tuple((name, getattr(args, name)) for name in COMMANDS[args.command][1]),
         emit_correspondence=getattr(args, "emit_correspondence", False),
     )
 
 
-def _read_input(cfg: RunConfig) -> str:
+def _read_input(path: str) -> str:
     try:
-        with open(cfg.input, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
-        raise ParseError(f"cannot read {cfg.input}: {exc}") from exc
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"cannot read {cfg.input}: not UTF-8 text ({exc.reason})") from exc
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
     if len(text) > MAX_INPUT_BYTES or len(text.encode("utf-8")) > MAX_INPUT_BYTES:
-        raise ParseError(f"input {cfg.input} is larger than {MAX_INPUT_BYTES} bytes")
+        raise ParseError(f"input {path} is larger than {MAX_INPUT_BYTES} bytes")
     return text
 
 
@@ -175,16 +170,15 @@ def _emit_report(cfg: RunConfig, text: str, result: dict) -> None:
     envelope = {
         "command": cfg.command,
         "input_sha256": sha256_of_text(text),
-        "params": cfg.params_json(),
+        "params": dict(cfg.params),
         "result": result,
     }
     _emit(cfg, canonical_dumps(envelope).encode())
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig, text: str) -> int:
     from .gluing import validate_gluing
 
-    text = _read_input(cfg)
     x = validate_gluing(text)
     _emit_report(
         cfg,
@@ -199,52 +193,48 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(cfg: RunConfig, text: str) -> int:
     from .certify import check_bounded_combinatorics
     from .gluing import validate_gluing
 
-    text = _read_input(cfg)
     x = validate_gluing(text)
-    cert = check_bounded_combinatorics(x, cfg.r_bound, cfg.d_bound, cfg.denom_bound)
+    cert = check_bounded_combinatorics(x, cfg["R"], cfg["D"], cfg["denom_bound"])
     _emit_report(cfg, text, cert.to_json())
     return EXIT_PASS if cert.passed else EXIT_VERDICT
 
 
-def cmd_collapse(cfg: RunConfig) -> int:
+def cmd_collapse(cfg: RunConfig, text: str) -> int:
     from .gluing import validate_gluing
     from .transforms import collapse_ibundles
 
-    text = _read_input(cfg)
     x = validate_gluing(text)
-    res = collapse_ibundles(x, cfg.r_bound, cfg.h_bound, cfg.denom_bound)
+    res = collapse_ibundles(x, cfg["R"], cfg["h"], cfg["denom_bound"])
     _emit_report(cfg, text, res.to_json(emit_correspondence=cfg.emit_correspondence))
     if res.fibered:
         return EXIT_FIBERED
     return EXIT_PASS if res.ok else EXIT_VERDICT
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
+def cmd_decompose(cfg: RunConfig, text: str) -> int:
     from .decompose import full_and_maximal_decomposition
     from .gluing import validate_gluing
 
-    text = _read_input(cfg)
     x = validate_gluing(text)
     res = full_and_maximal_decomposition(x)
     _emit_report(cfg, text, res.to_json())
     return EXIT_PASS
 
 
-def cmd_model(cfg: RunConfig) -> int:
+def cmd_model(cfg: RunConfig, text: str) -> int:
     from .gluing import validate_gluing
     from .model import build_skeleton, export_skeleton, verify_thickness
 
-    text = _read_input(cfg)
     x = validate_gluing(text)
-    skeleton = build_skeleton(x, samples=cfg.samples)
-    if cfg.format == "obj":
+    skeleton = build_skeleton(x, samples=cfg["samples"])
+    if cfg["format"] == "obj":
         _emit(cfg, export_skeleton(skeleton))
         return EXIT_PASS
-    report = verify_thickness(skeleton, cfg.eps0)
+    report = verify_thickness(skeleton, cfg["eps0"])
     _emit_report(
         cfg,
         text,
@@ -253,7 +243,7 @@ def cmd_model(cfg: RunConfig) -> int:
     return EXIT_PASS if report.ok else EXIT_VERDICT
 
 
-def cmd_hyplab(cfg: RunConfig) -> int:
+def cmd_hyplab(cfg: RunConfig, text: str) -> int:
     from .hypgraph import all_pairs_distances, geodesic_interval
     from .hyplab import (
         check_qconvex_stability,
@@ -262,7 +252,6 @@ def cmd_hyplab(cfg: RunConfig) -> int:
         read_graph,
     )
 
-    text = _read_input(cfg)
     graph = read_graph(text)
     table = all_pairs_distances(graph)
     delta = four_point_delta(table)
@@ -273,7 +262,7 @@ def cmd_hyplab(cfg: RunConfig) -> int:
     x = next(u for u, row in enumerate(rows) if max(row) == diameter)
     y = rows[x].index(diameter)
     interval = geodesic_interval(table, x, y)
-    stability = check_qconvex_stability(table, interval, cfg.r_bound)
+    stability = check_qconvex_stability(table, interval, cfg["R"])
     _emit_report(
         cfg,
         text,
@@ -330,11 +319,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser(argv).parse_args(argv)
+    text = None
     try:
         with _any_int_digits(), warnings.catch_warnings():
             warnings.showwarning = _show_warning
             cfg = _config(args)
-            return _COMMANDS[cfg.command](cfg)
+            text = _read_input(cfg.input)
+            return _COMMANDS[cfg.command](cfg, text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -342,7 +333,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # the input's hash, so that a fault report names what it ran on
+        where = "" if text is None else f"; input sha256 {sha256_of_text(text)}"
+        print(f"internal error: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -263,26 +263,25 @@ def test_validate_lists_unburied_slots(files, capsys):
 
 
 def test_envelope_hashes_input_and_records_params(files, capsys):
+    # each command echoes the flags it reads, in the order of cli.COMMANDS
     text = open(files["chain"]).read()
-    code, out, _ = run(
-        capsys,
-        ["validate", "--input", files["chain"], "--R", "7", "--seed", "11"],
-    )
+    for argv, params in (
+        (["validate"], []),
+        (["report", "--denom-bound", "5", "--R", "7", "--D", "2"], [("R", 7), ("D", 2), ("denom_bound", 5)]),
+        (["collapse", "--h", "2", "--R", "7"], [("R", 7), ("h", 2), ("denom_bound", None)]),
+        (["decompose"], []),
+        (["model", "--samples", "5", "--eps0", "0.2"], [("eps0", 0.2), ("samples", 5), ("format", "json")]),
+    ):
+        code, out, _ = run(capsys, [*argv, "--input", files["chain"]])
+        assert code == EXIT_PASS, argv
+        obj = envelope(out)
+        assert obj["input_sha256"] == sha256_of_text(text)
+        assert list(obj["params"].items()) == params
+    code, out, _ = run(capsys, ["hyplab", "--input", files["c6"], "--R", "7"])
     assert code == EXIT_PASS
     obj = envelope(out)
-    assert obj["input_sha256"] == sha256_of_text(text)
-    assert obj["params"]["R"] == 7
-    assert obj["params"]["seed"] == 11
-    assert set(obj["params"]) == {
-        "R",
-        "D",
-        "h",
-        "eps0",
-        "samples",
-        "denom_bound",
-        "format",
-        "seed",
-    }
+    assert obj["input_sha256"] == sha256_of_text(C6)
+    assert list(obj["params"].items()) == [("R", 7)]
 
 
 def test_malformed_json_is_a_parse_error(files, capsys):
@@ -441,18 +440,28 @@ def test_compressible_slot_without_disks_is_an_invariant_error(files, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--R", "0"], ["--eps0", "0"], ["--samples", "1"], ["--D", "-1"], ["--samples", "10001"]],
+    [
+        ["report", "--R", "0"],
+        ["model", "--eps0", "0"],
+        ["model", "--samples", "1"],
+        ["report", "--D", "-1"],
+        ["model", "--samples", "10001"],
+        # an infinite eps0 would print as Infinity, which is not JSON
+        ["model", "--eps0", "inf"],
+        ["model", "--eps0", "1e400"],
+    ],
 )
 def test_bad_parameters_are_invariant_errors(files, capsys, flags):
-    code, _, err = run(capsys, ["validate", "--input", files["chain"], *flags])
-    assert code == EXIT_INVARIANT
+    # each value is checked by a command that reads it, before any work
+    code, out, err = run(capsys, [*flags, "--input", files["chain"]])
+    assert (code, out) == (EXIT_INVARIANT, "")
     assert err.startswith("invariant violation:")
     assert err.count("\n") == 1
 
 
 def test_sample_count_is_capped(files, capsys):
-    # the cap bounds the work of a model run; every command checks it
-    argv = ["validate", "--input", files["chain"], "--samples"]
+    # the cap bounds the work of a model run
+    argv = ["model", "--input", files["thin"], "--format", "obj", "--samples"]
     assert run(capsys, [*argv, str(cli.MAX_SAMPLES)])[0] == EXIT_PASS
     code, out, err = run(capsys, [*argv, str(cli.MAX_SAMPLES + 1)])
     assert (code, out) == (EXIT_INVARIANT, "")
@@ -585,14 +594,15 @@ def test_hyplab_cycle_graph(files, capsys):
 
 
 def test_internal_fault_has_its_own_exit_code(files, capsys, monkeypatch):
-    def broken(cfg):
+    def broken(cfg, text):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli._COMMANDS, "validate", broken)
     code, out, err = run(capsys, ["validate", "--input", files["chain"]])
     assert code == EXIT_INTERNAL
     assert out == ""
-    assert err == "internal error: RuntimeError: boom\n"
+    digest = sha256_of_text(open(files["chain"]).read())
+    assert err == f"internal error: RuntimeError: boom; input sha256 {digest}\n"
 
 
 # ------------------------------------------------------ large gluing heights
@@ -632,10 +642,12 @@ def cold_run(argv: list[str]) -> subprocess.CompletedProcess:
 # sha256 of the stdout of cold runs on core_stack_core([k]) with default
 # flags, recorded before the depth-linear torus kernels; any change is a
 # report change
+# Re-recorded when each report's params came to echo only the flags its
+# command reads; the result bytes stayed the same.
 DEEP_STDOUT_SHA256 = {
-    ("report", "deep200"): "25874abaf69a8da1a7b64bbd006a526cba5759184508e7ea2b700aef053a1a2e",
-    ("collapse", "deep200"): "f7e7bddca8d06a01c15d472719c6ef144cda7cd2c345c47ca65211c0c3a39a13",
-    ("report", "deep1000"): "88ee54c08eb47a8fb976d9e19c79e8a312b1141a014b31bc81c99d0acbabd4f8",
+    ("report", "deep200"): "16a7d39d4fab8d29f1bf9416d9faf8b80e71c5b15610ca9d8899d40e87d332b3",
+    ("collapse", "deep200"): "ef6366241faaec6345004bdc27f493ddcb624858b199929065c8b22f71bd3bdf",
+    ("report", "deep1000"): "63c1ab5922d1eb41f39b6c8c4553381b2d6928d70a6f0b4446a012b8385502f6",
 }
 
 
@@ -650,17 +662,19 @@ STACKS = {
     "stack50_750": list(range(50, 800, 50)),
     "stack50_1500": list(range(50, 1550, 50)),
 }
+# Re-recorded when each report's params came to echo only the flags its
+# command reads; the result bytes stayed the same.
 STACK_STDOUT_SHA256 = {
-    ("report", "stack100_600"): "210be08207f5f246cb404aa53ffa701ccd29c7108c493b9c1628d3da6a48360e",
-    ("collapse", "stack100_600"): "583c1dca6868f205808196c5dd55b2f39216af3b0e3659db698846c9a49d71e8",
-    ("report", "stack100_1100"): "2641a03db0ebc364f96b9482106ec7bc9d4206b5001b09f0f6596a0c55f61476",
-    ("collapse", "stack100_1100"): "1c5bc6bc6acc77697030ada86c1e33444e1adde88847aea405430868b936cf70",
-    ("report", "stack50_300"): "87d46243ca393383164ea56df4c802bbb01616e4ad2c470ae9ceb55ab8f363b2",
-    ("collapse", "stack50_300"): "25a99ec7fc028394e2f479fae4ae1898530bc7db4ed5f061ec696e6808e04dbb",
-    ("report", "stack50_750"): "f58a5ddbce9796b8ceb59e4c0b30f80c1f1826c32fdfd4e888a5f43aa26b6abe",
-    ("collapse", "stack50_750"): "6f5c093142c689ece3fe51a3b4db7f80850ddc345d5c6c70a1377c7444b4407a",
-    ("report", "stack50_1500"): "4f1d17368eafddef88729df6249fbc8f51714a0b73ee5ab8dcb6cf36ddaca6a5",
-    ("collapse", "stack50_1500"): "5417d98886ceda68e4cd3515b8c4ac5794f5a7e745d0a18bc2e5f342cb1155d5",
+    ("report", "stack100_600"): "5e2441364a330388b9ce3a56785c21718b24a0b4ebb660dfd833115b66b1e4dd",
+    ("collapse", "stack100_600"): "5351aee766897b50436b3fbec6bab6ab8df70178f5411a5fa1cced915d8cd752",
+    ("report", "stack100_1100"): "ac961079517e7dca5659c9c97fb08e19addc2fb2e27aa4bc1aa97c06ce0c58db",
+    ("collapse", "stack100_1100"): "98ac97f07ef5b5c5aed2b4a4aa0313c37116d28aa569fca62dec82383bde2f03",
+    ("report", "stack50_300"): "8e6895b8bc5a8a4d1a6267b90599b666ea75c4c9d997a30390ee0e04e62fa5ad",
+    ("collapse", "stack50_300"): "1ae1b5f1752ac23924b8081cabd3ec8bf4667d03cb82c808e50ca8884e38f76b",
+    ("report", "stack50_750"): "06e44a6af8f20d5ae57a2eb34a2ebe4404327e2c33f045015a91f55690a95dad",
+    ("collapse", "stack50_750"): "823d4fad5899745a3fc8bac99d4e15e345f7fabdad50f155bf2040442dde74ab",
+    ("report", "stack50_1500"): "e629b9e2bf0cef555c886a664edacc155e67d83c5d9b840f510c965213f60c87",
+    ("collapse", "stack50_1500"): "8bea6c09e251cae5ff1248646c82cac916713570a100a7df004845ea1541d2e3",
 }
 
 
@@ -683,49 +697,51 @@ def test_deep_stack_report_bytes_pinned(files, command, name):
 # while K' still came from the windowed local-to-global report.  The two
 # model pins of the stack example were recorded when its 55-bit tube moved
 # to the decimal path; before, both ended with exit 5 and no output.
+# The JSON pins were re-recorded when each report's params came to echo
+# only the flags its command reads; the result bytes stayed the same.
 COLD_STDOUT_PINS = {
-    ("validate", "example:chain"): (0, "e9f916e0f1b4cf2d85841f9e775a783e665f19f5a2d8f900310e99774fd70ef8"),
-    ("report", "example:chain"): (0, "0aadbbf94c88ca3b2748359456fc426dadc480addc73a94276790c58f7dc76af"),
-    ("collapse --emit-correspondence", "example:chain"): (0, "dcf00224752e94a101bf14b785aa2e1483d30274e79d78c5fb9ce45801525be9"),
-    ("decompose", "example:chain"): (0, "b2c627dbe764cae7361572b729865100aa9b0cdf4da28a2d81e3619e605da5c9"),
-    ("model", "example:chain"): (0, "f75516596b2c4fb4cbecd13c845b4c3cd19688f1b71602dfefd2a3c6d77eec30"),
+    ("validate", "example:chain"): (0, "a2a597e0eca2cfd4d0c53f1a1948c70f1a9d52807be4b7219f99e971552e0a73"),
+    ("report", "example:chain"): (0, "c41dc9a61f886de4e6c3bf1ccd81b99047fd12d9fca72eb2bed0b28a142962f4"),
+    ("collapse --emit-correspondence", "example:chain"): (0, "bb41db41d41b7a898e616e20b764b6cf1c0d84aa225d1ce6d17078f5b66bc3ba"),
+    ("decompose", "example:chain"): (0, "68643a53580505ac284e24804172bbc9faa3850ae4565f0432a0970a2c6705fa"),
+    ("model", "example:chain"): (0, "560b3c87476f699f247715e60a3bf75a750e34e61a4bd85a5816e4e997f7af56"),
     ("model --format obj", "example:chain"): (0, "9446c140590e661cd0a522e7c2bdc042afebc43cdfc54980645932c3c4afa9f6"),
-    ("validate", "example:stack"): (0, "7e5d431a320bd5669e79ab101036db42a240f298e3fe5fea3b8060a62b259ecb"),
-    ("report", "example:stack"): (0, "012e7e84d1706873f88cdcad3ce8710a7fb5730bc1211d0e02e0f85948f55147"),
-    ("collapse --emit-correspondence", "example:stack"): (0, "3560327b6dfe8b344d835a91d8cd58ac2c1575ca345c6fa92e97cad91cea19ee"),
-    ("decompose", "example:stack"): (0, "3a2ae88549860f68f278c434d2eb80edec7fdb6b80904f61504cde50af0bcfb3"),
-    ("model", "example:stack"): (0, "9cb62550329f0b1a1aff902175cf93b14ef210017a3c9adb14c40502be2a4416"),
+    ("validate", "example:stack"): (0, "ccc42c8157f4a65a83bbd74d15cdb2a667da0dcdd19575c35c4615d1211b87c8"),
+    ("report", "example:stack"): (0, "24dc0b1b111b183c1661110396a848a8143d51e5bfa19aee7e2991b58a0f6eaf"),
+    ("collapse --emit-correspondence", "example:stack"): (0, "7ace200e6c39a872997516d9032a81b48efacb3a49ed0016664b974910983973"),
+    ("decompose", "example:stack"): (0, "5b9ad24d1844feb26285dbacfac916652656179fd85ea887f2c034890b01dc0e"),
+    ("model", "example:stack"): (0, "dc1eea487f397dd092883125b3eac78b120922877d96fe81ca1b1b76ee3030e3"),
     ("model --format obj", "example:stack"): (0, "fecb985aa33df79286dda5df5090634f80f2935b4174262bc7376213c98a4f3d"),
-    ("validate", "example:twisted"): (0, "3f860a6f68f270e86d079ae9d8d3fde99fda28e9935f2997dac6baf781e5f42f"),
-    ("report", "example:twisted"): (1, "6e3d06ef6d3023c0bc94e6f17ec67094c178dc3dc00583faffff4c827c6c3d83"),
-    ("collapse --emit-correspondence", "example:twisted"): (0, "1e8b594e417ac619852b0da4aac85f7e57b469e35ecd618c74000f96df5c32e6"),
-    ("decompose", "example:twisted"): (0, "5d134f732a471ac8897bd23795fa2424ca28ad5311518281baf53f9d749427c3"),
-    ("model", "example:twisted"): (0, "f7c11ad460b7fafc601aca39b770dabef4eee98e103c56fabf01addca830a706"),
+    ("validate", "example:twisted"): (0, "f747b1c19d4d53a967a81759ff0ed3c8ba23d33f8aa9e1bad251b3a89d3d027f"),
+    ("report", "example:twisted"): (1, "a855110700edd6645908b7bd3c9ce264a93680a7b6cc3b16b58471bf3add9d86"),
+    ("collapse --emit-correspondence", "example:twisted"): (0, "1eafc1f369f13433927895f393f8f914b712eda63f3591bbce7545b4079cce6b"),
+    ("decompose", "example:twisted"): (0, "a03f3a6039065df1029f0bb30ee422acdcedcd31c445f51745ac98f1c5e7c399"),
+    ("model", "example:twisted"): (0, "fadec79ffac8d15e4bc7cb6086a0c3c439390e4f755b869d57335369b258530d"),
     ("model --format obj", "example:twisted"): (0, "bf88759627fe918823e3aaddd4eff8b9bb4a4d337d975dc75de09834f5a0d70d"),
-    ("validate", "example:compression"): (0, "9ff401c6584ae9b34939484ef3ca23d851d9f82075cc82a9892189ef29886b9f"),
-    ("report", "example:compression"): (1, "1a97faccf6b6be402cd0c24b30cb0de411ceac4a879db5c3aa50e86d64674325"),
-    ("collapse --emit-correspondence", "example:compression"): (0, "b57224690c1eeace0b94bef4be13079d78d1862a7e878fa868a297f87a50e6ba"),
-    ("decompose", "example:compression"): (0, "d7669add274623d433296e0fad6b709f4b7408e04078344074d3aadb7429729f"),
-    ("model", "example:compression"): (0, "516073e8dbda2d3de5167eec485fd4405777dff4b0df21b04b5f25088d3b27a3"),
+    ("validate", "example:compression"): (0, "10fb7380ebb35dfdb938b152da3a88cb6d3bb86a7a2bebf10b08f6825290b178"),
+    ("report", "example:compression"): (1, "a045713fe77090e9b78958d522d753e6c03178f0512d2d053cc666dd32ef9d44"),
+    ("collapse --emit-correspondence", "example:compression"): (0, "8688200adabba9ec528b55784d73cd7ebfe23e7b3e2ce612b34c35346df7c125"),
+    ("decompose", "example:compression"): (0, "7ea58d3883ecefd3e175bb04bd98c758b5b25d8dbb776fdd9a79e52230e9f56b"),
+    ("model", "example:compression"): (0, "f2ba7dbebccd1d5224f7fe3872fb76e49395848ad6e81e2422f30329f9fb92cf"),
     ("model --format obj", "example:compression"): (0, "17beb101eadb38419211d61e0cc2efd5fd48812fd51d69d7c128f967733a01ed"),
-    ("validate", "example:thin"): (0, "95e5db3ff4633ed610ccddbe955e8e0bb04dd9798fab3eb4faf7cd78243d8d7c"),
-    ("report", "example:thin"): (1, "a1d548ab4bb1e90bc8542d606f6a109a04509cecf887eab1eb992de33307b2d1"),
-    ("collapse --emit-correspondence", "example:thin"): (0, "6e61ba0e53a3a721b31fd84db36a2b940749f2d0861862790ec78b7f7a6afd7c"),
-    ("decompose", "example:thin"): (0, "be54962b60003756fba25b438d026438faf64a2a670d539e2913398cb923c75d"),
-    ("model", "example:thin"): (0, "5c95f89dac533e9d263a6ddf891d144e6aba15cc118da0d9416e4fe0846ddc96"),
+    ("validate", "example:thin"): (0, "cceb7206a6d8292cb8c3359ad92bea81596b1031e0db4e71907e96d73698e215"),
+    ("report", "example:thin"): (1, "cdbaff95e84a54840816c893b6742f90ef28693456f0b36b95ba9040480355d1"),
+    ("collapse --emit-correspondence", "example:thin"): (0, "a74519ee5f623a6bb07dde7bd5e2b7bf9278c595e329a62edf1e688cbdce4465"),
+    ("decompose", "example:thin"): (0, "6428c3e83326439e59747b558909996dbfc262ed6ffc3a474097e7e0b50a445c"),
+    ("model", "example:thin"): (0, "88fcddc8bbfc40a818b4598d3596e15119073a354939cc9dc3ac6843da6e6e6b"),
     ("model --format obj", "example:thin"): (0, "6a0b7c7a0628a07ef398da4379e90d464bc59d867c8eebdcd625f8c36be1271f"),
-    ("validate", "example:fibered"): (0, "3b4a224981f56b06aad955c0fd0fe9e51f07fc197bebca29d240996627ddf65b"),
-    ("report", "example:fibered"): (1, "721d5274f954d3832545316639159e8c01ad6d33695d3bf34cc998aa4055a7a1"),
-    ("collapse --emit-correspondence", "example:fibered"): (4, "1a2cdeacc447c582698d73b142d0d12cac5d178feb6b36438d1bfbe5ac573a19"),
-    ("decompose", "example:fibered"): (0, "c0647ee3b2b6b8c2598e9983609ce8ffe0ab37d60fccee17b620438eed6573f6"),
-    ("model", "example:fibered"): (0, "418a00c3ba99788521730d2ce6e02a649f024e761cf971ba03bd751a7705dc89"),
+    ("validate", "example:fibered"): (0, "13e49078282ce8bd9c7dbab2305f69f6cdb302dbc8e7f9c28ee23473da06c75b"),
+    ("report", "example:fibered"): (1, "92dc63f7b181aae69faa1f2a93944dfab31b7099c32ba2da184565e78ca96c25"),
+    ("collapse --emit-correspondence", "example:fibered"): (4, "c839b758a284dad3c1cbbfb2273734f920ee0cdf3132244eb9e995aa71e99746"),
+    ("decompose", "example:fibered"): (0, "7228488304352b6440f057be8f059bbedc8dfd478c32340efc2f3d1b7f9b89fa"),
+    ("model", "example:fibered"): (0, "0fbff450b920a7a38a669ee70783fdfd00fa050cdc821410cc28554cd1db0b14"),
     ("model --format obj", "example:fibered"): (0, "a996974b5de3f8366f6cca908008bdf251bab19e6ada3b1b4153917e816cb779"),
-    ("report", "twisted-end"): (0, "b7acd2c0523991f1ceae0d340c9a83e2fda93bddc27a0461635d04d2ffbfa2f4"),
-    ("collapse", "twisted-end"): (0, "8fd7d67af68ef8da2af2e975ecad15639b54f34b599842a92b9a71679e930ae2"),
-    ("decompose", "split"): (0, "07549f736ec17990bcf882c04653daadc84fe6cd16cc7535bb18773171b7aa5b"),
-    ("collapse", "split"): (0, "80c7744e8d94bb01e9ebe043187e75e22a5944945778d3ce13de88ed5793a4af"),
-    ("collapse", "backtrack"): (1, "7ee9b66de8439d7a8496f8d435480021b9ac85f3c089b34de4f3e39e50fbcdcf"),
-    ("collapse", "wrap20"): (0, "bf05699f7bda14176a6439fa222e213288827f320c718904bbc348600b01be50"),
+    ("report", "twisted-end"): (0, "ff49b88e5e06ed810daf1b4e15d065bba3e9982f5e645f1edf1feccccffc3506"),
+    ("collapse", "twisted-end"): (0, "53f9bd7b887ec00340e7346b27ae809684d22d5fc30c81cfd1d7c4180fe6dda9"),
+    ("decompose", "split"): (0, "8b7284b31d48f127c15efecc611b8cd5e35895bf97f1edaf9a00fe5166809ba6"),
+    ("collapse", "split"): (0, "868996f8dfd274ccbb962fb635e7fb3ddd9e6cf8e49585b36ec4f2a73a4b5b49"),
+    ("collapse", "backtrack"): (1, "69050b36845362c97a26e976b3acc3c587bb2efd7a136f15dbfe819f1730a77d"),
+    ("collapse", "wrap20"): (0, "98292565b1b3a4d24db6b16ad18141855cbb22dea0dfeec34b6c4e13e998d0d5"),
 }
 
 
@@ -1083,15 +1099,76 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
     )
 
 
+def help_flags(text: str) -> list[str]:
+    """The long flags besides --help that a help text names, in order of
+    first mention: the order of its usage line."""
+    flags = dict.fromkeys(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+    return [flag for flag in flags if flag != "--help"]
+
+
+# The params of each command's report with default flags: the flags it
+# reads, in the order it echoes them
+DEFAULT_PARAMS = {
+    "validate": {},
+    "report": {"R": 6, "D": 1, "denom_bound": None},
+    "collapse": {"R": 6, "h": 1, "denom_bound": None},
+    "decompose": {},
+    "model": {"eps0": 0.1, "samples": 9, "format": "json"},
+    "hyplab": {"R": 6},
+}
+# every optional flag of some command, and the deleted --seed, each with a
+# value that a command reading it would accept
+ALL_FLAGS = {
+    "--R": "3",
+    "--D": "1",
+    "--h": "1",
+    "--eps0": "0.3",
+    "--samples": "5",
+    "--denom-bound": "5",
+    "--format": "obj",
+    "--seed": "1",
+    "--emit-correspondence": None,
+}
+
+
+@pytest.mark.parametrize("command", list(DEFAULT_PARAMS))
+def test_each_command_takes_only_the_flags_it_reads(files, capsys, command):
+    source = files["c6" if command == "hyplab" else "chain"]
+    reads = ["--" + name.replace("_", "-") for name in DEFAULT_PARAMS[command]]
+    if command == "collapse":
+        reads.append("--emit-correspondence")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == EXIT_PASS
+    assert help_flags(capsys.readouterr().out) == ["--input", *reads, "--out"]
+    # any other flag is a usage error, as an unknown flag is, even one
+    # that begins a flag the command takes (--h and --help)
+    for flag, value in ALL_FLAGS.items():
+        if flag in reads:
+            continue
+        argv = [command, "--input", source, flag, *([] if value is None else [value])]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (EXIT_PARSE, ""), argv
+        assert err.splitlines()[-1].startswith("glueforge: error: unrecognized arguments: " + flag)
+    code, out, _ = run(capsys, [command, "--input", source])
+    assert code == EXIT_PASS
+    assert list(envelope(out)["params"].items()) == list(DEFAULT_PARAMS[command].items())
+
+
 def test_help_names_every_command_and_flag(capsys):
     proc = cold_bytes(["--help"])
     assert proc.returncode == EXIT_PASS
     for name in ("validate", "report", "collapse", "decompose", "model", "hyplab"):
         assert name in proc.stdout.decode()
-    proc = cold_bytes(["report", "--help"])
-    flags = "--input --R --D --h --eps0 --samples --denom-bound --out --format --seed"
-    assert all(flag in proc.stdout.decode() for flag in flags.split())
-    assert "--emit-correspondence" not in proc.stdout.decode()
+    for name, (_, reads) in cli.COMMANDS.items():
+        proc = cold_bytes([name, "--help"])
+        assert proc.returncode == EXIT_PASS
+        flags = ["--" + flag.replace("_", "-") for flag in reads]
+        if name == "collapse":
+            flags.append("--emit-correspondence")
+        assert help_flags(proc.stdout.decode()) == ["--input", *flags, "--out"], name
     proc = cold_bytes(["bogus"])
     assert proc.returncode == EXIT_PARSE
     assert proc.stderr.decode().splitlines()[-1].startswith(
@@ -1251,38 +1328,40 @@ def large_graph_files(tmp_path_factory):
 # (exit code, sha256 of stdout) of cold runs, recorded while distance
 # tables still had an array form and graph backends built every row; any
 # change is a report change
+# Re-recorded when each report's params came to echo only the flags its
+# command reads; the result bytes stayed the same.
 LARGE_GRAPH_STDOUT = {
     ("hyplab", "c6.txt"): (
         EXIT_PASS,
-        "7f61841b395a85b240d038c3d2a5735aaefd8103a19ed5b487ea99a4f0459938",
+        "fc87b52e26c4d3f1ced3d6bfb0ac911956a77e616a45eb3b41972eaa7798f18e",
     ),
     ("hyplab", "k7.txt"): (
         EXIT_PASS,
-        "0ce46a0c9dfe9008bd3a27519ff379474e67f710625fb60c16a5d7040bdd6d04",
+        "4fee95aa5a652e444361cbe39861c86bd6a8ca0ff4929dde7a211cd985d0e635",
     ),
     ("hyplab", "sparse300.txt"): (
         EXIT_PASS,
-        "b9f8020e59e226eb002b044e9d4c342daf6f1fade853884b6ec0b584342395c2",
+        "c2bdeb358a87259b119154054cb06c4aa5eea05b2d33a73144b08a5e4f30ce89",
     ),
     ("hyplab", "sparse1000.txt"): (
         EXIT_PASS,
-        "b4553771112609cbad1237aeb69989d7db1a6e8c759383522c58cbc8860a1f1f",
+        "33d7f9791750ade9af8b78fbde7bfb304a1392fb9ffd0204b8245ed9362048e6",
     ),
     ("hyplab", "gnp60.txt"): (
         EXIT_PASS,
-        "06b3c001c288dc7083493adff33c8b5aa3d3e38f4b123aed6a2e57cfb5c38c63",
+        "5113cb0c3b8facece6fb89b260471504c2003f9d1a0229aa7638a34dcbe609ae",
     ),
     ("validate", "stack400.json"): (
         EXIT_PASS,
-        "6e7de117c32b8f25eb36e3a4fd3e08c2af340c69e60430105ce23e3130e609d2",
+        "fa73d2b8d3348b7f74b1a5a6a58e1755eac1f18e87b9a7e9027308c364729890",
     ),
     ("report", "stack400.json"): (
         EXIT_VERDICT,
-        "7c0cb5ac1fe4e8bfb5e5c505e8bab24896589911e20ff65469db96b0e20df8e8",
+        "d2505c6ac103876123b87428ab1c25ab660985a2c48b580dd53c8eef351eebd1",
     ),
     ("collapse", "stack400.json"): (
         EXIT_PASS,
-        "cf2239d30f4fe45591d173c7c8a6e0ae7ece9fd3a42b31328fa2db28b1257355",
+        "0e23cdfeff31e46246d23a307b22e4bf44bce6f75c46b80674a8c9add63c7510",
     ),
 }
 
