@@ -21,7 +21,7 @@ from typing import Any, Iterator, Sequence
 
 # Each command imports the layers it runs, so that a cold `hyplab` loads
 # no torus or gluing code and a cold `validate` no collapse or skeleton.
-from .errors import GlueforgeError, ParseError, ValidationError
+from .errors import GlueforgeError, ParseError, ValidationError, ascii_int
 from .ioutil import canonical_dumps, sha256_of_text
 from .record import Record
 
@@ -46,11 +46,11 @@ MAX_SAMPLES = 10_000
 # and the checks of its value, each with the message of the invariant
 # violation when the value fails it.
 FLAGS: dict[str, tuple[dict[str, Any], tuple]] = {
-    "R": ({"type": int, "default": 6}, ((lambda r: r >= 1, "R must be at least 1"),)),
-    "D": ({"type": int, "default": 1}, ((lambda d: d >= 0, "D must be non-negative"),)),
-    "h": ({"type": int, "default": 1}, ((lambda h: h >= 0, "h must be non-negative"),)),
+    "R": ({"type": ascii_int, "default": 6}, ((lambda r: r >= 1, "R must be at least 1"),)),
+    "D": ({"type": ascii_int, "default": 1}, ((lambda d: d >= 0, "D must be non-negative"),)),
+    "h": ({"type": ascii_int, "default": 1}, ((lambda h: h >= 0, "h must be non-negative"),)),
     "denom_bound": (
-        {"type": int, "default": None},
+        {"type": ascii_int, "default": None},
         ((lambda b: b is None or b >= 1, "denominator bound must be at least 1"),),
     ),
     "eps0": (
@@ -58,7 +58,7 @@ FLAGS: dict[str, tuple[dict[str, Any], tuple]] = {
         ((lambda e: e > 0, "eps0 must be positive"), (lambda e: e < float("inf"), "eps0 must be finite")),
     ),
     "samples": (
-        {"type": int, "default": 9},
+        {"type": ascii_int, "default": 9},
         (
             (lambda n: n >= 2, "sample count must be at least 2"),
             (lambda n: n <= MAX_SAMPLES, f"sample count must be at most {MAX_SAMPLES}"),

@@ -50,6 +50,15 @@ def clip(value: object) -> str:
     return f"{text[:CLIP_CHARS]}... ({len(text)} chars)"
 
 
+def ascii_int(text: str) -> int:
+    """text as ASCII digits after an optional minus; any other spelling int()
+    takes ('+1', '1_0', ' 1', other scripts' digits) raises ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{clip(text)} is not an integer")
+    return int(text)
+
+
 def json_int(value: object) -> int:
     """value when JSON decoded it as an integer.  A float, a numeric string
     or true/false raises TypeError, which each parser reports as a

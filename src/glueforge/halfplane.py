@@ -4,18 +4,21 @@ Teichmueller space is the upper half plane with the distance halved, so
 that the translation length conventions match the curve-length formula
 len_z(p/q) = |p - q z| / sqrt(y).  Mapping classes act on points by
 Moebius transformations (det +1) or anti-Moebius ones (det -1, conjugate
-first).  Only the model skeleton runs this geometry; the certificates and
-the collapse are exact Farey-graph combinatorics (`torus`, `farey`).
+first).  Only the model skeleton runs this geometry (`tube`,
+`tube_samples`, `tube_cf_coefficient`, `sigma_of_marking`); the
+certificates and the collapse are exact Farey-graph combinatorics.
 
 The shortest slope at x + iy costs O(log 1/y): Lagrange-Gauss reduction of
 the lattice Z + Zz runs exactly on the rationals x and y, scaled to
 integers, and only the few short vectors of the reduced basis meet the
 tie rule.
 
-Two arithmetics, picked from integers before any float work.  The balanced
-point of sigma = [[a, b], [c, d]] is the rational point
+Two arithmetics, picked from integers before any float work (`_exact`).
+The balanced point of sigma = [[a, b], [c, d]] is the rational point
 ((ac + bd) + i)/(c^2 + d^2), and its precision demand (`precision_demand`)
 is the bit length of max(c^2 + d^2, |ac + bd|), that is of 1/y and |x|/y.
+`sigma_of_marking` picks for its one point, and the `tube` functions for
+both ends of a tube at once.
 
 * Up to PRECISION_BITS the double path runs: the balanced point is the
   float Moebius image of i, and tubes are measured and sampled in doubles
@@ -74,6 +77,9 @@ __all__ = [
     "exact_tube_length",
     "exact_tube_samples",
     "relative_cf_max_coeff",
+    "tube",
+    "tube_samples",
+    "tube_cf_coefficient",
 ]
 
 # the largest precision demand that the double path answers
@@ -96,6 +102,10 @@ class TeichPoint(Record):
 
     def close_to(self, other: "TeichPoint", tol: float = 1e-9) -> bool:
         return abs(self.z - other.z) <= tol * max(1.0, abs(self.z), abs(other.z))
+
+
+# i, the balanced point of the identity
+_I = TeichPoint(0.0, 1.0)
 
 
 def on_point(g: SurfaceMap, z: TeichPoint) -> TeichPoint:
@@ -122,6 +132,12 @@ def precision_demand(g: SurfaceMap) -> int:
     return max(g.c * g.c + g.d * g.d, abs(g.a * g.c + g.b * g.d)).bit_length()
 
 
+def _exact(*gs: SurfaceMap) -> bool:
+    """The arithmetic rule: the decimal path runs when one of these sigma
+    matrices demands more than PRECISION_BITS."""
+    return any(precision_demand(g) > PRECISION_BITS for g in gs)
+
+
 def sigma_of_marking(m: FareyMarking) -> TeichPoint:
     """Balanced point of the marking: the sigma matrix applied to i.
 
@@ -129,10 +145,7 @@ def sigma_of_marking(m: FareyMarking) -> TeichPoint:
     the correctly rounded exact point (`balanced_point`).
     """
     g = sigma_matrix(m)
-    if precision_demand(g) > PRECISION_BITS:
-        return balanced_point(g)
-    w = (g.a * 1j + g.b) / (g.c * 1j + g.d)
-    return TeichPoint(w.real, w.imag)
+    return balanced_point(g) if _exact(g) else on_point(g, _I)
 
 
 def balanced_point(g: SurfaceMap) -> TeichPoint:
@@ -349,14 +362,18 @@ def _correctly_rounded(evaluate: Callable[[], object], bits: int) -> object:
     raise PrecisionLossError(f"no correctly rounded double after {bits // 2} bits")
 
 
+def _tube_norm(g_a: SurfaceMap, g_b: SurfaceMap) -> int:
+    m = g_a.inverse() @ g_b
+    return m.a * m.a + m.b * m.b + m.c * m.c + m.d * m.d
+
+
 def exact_tube_length(g_a: SurfaceMap, g_b: SurfaceMap) -> float:
     """Correctly rounded length 1/2 arcosh(N/2) of the tube from g_a i to
-    g_b i, N = a^2 + b^2 + c^2 + d^2 of M = g_a^-1 g_b; N = 2 exactly when
-    M fixes i."""
+    g_b i, N = a^2 + b^2 + c^2 + d^2 of M = g_a^-1 g_b (`_tube_norm`);
+    N = 2 exactly when M fixes i, and the tube is one point."""
     from decimal import Decimal
 
-    m = g_a.inverse() @ g_b
-    n = m.a * m.a + m.b * m.b + m.c * m.c + m.d * m.d
+    n = _tube_norm(g_a, g_b)
 
     def length() -> float:
         # arcosh u = ln(u + sqrt(u^2 - 1)), with u = N/2
@@ -380,8 +397,6 @@ def exact_tube_samples(
     to hold x to a 2^-53 part of y, so the working precision carries
     log2((|c| + r)/y_min) + 53 + _GUARD_BITS bits.
     """
-    if n < 2:
-        raise ValidationError("tube sampling needs at least 2 samples")
     from decimal import Decimal
 
     xa, sa, ra = _balanced_ints(g_a)
@@ -442,3 +457,52 @@ def exact_tube_samples(
         (k / (n - 1), TeichPoint(x, y), systole, slope)
         for k, (x, y, systole, slope) in enumerate(points)
     )
+
+
+# ------------------------------------------------------------------ tubes
+
+
+def tube(
+    mu: FareyMarking, nu: FareyMarking
+) -> tuple[tuple[SurfaceMap, SurfaceMap], TeichPoint, TeichPoint, float, bool]:
+    """The tube between the balanced points of mu and nu, by the rule for a
+    whole tube: the sigma matrices of its ends, its two end points, its
+    length and whether it is degenerate (one point, length 0)."""
+    ends = (sigma_matrix(mu), sigma_matrix(nu))
+    degenerate, exact = _tube_norm(*ends) == 2, _exact(*ends)
+    z_a, z_b = (balanced_point(g) if exact else on_point(g, _I) for g in ends)
+    length = 0.0 if degenerate else exact_tube_length(*ends) if exact else teich_distance(z_a, z_b)
+    return ends, z_a, z_b, length, degenerate
+
+
+def tube_samples(
+    z_a: TeichPoint, z_b: TeichPoint, ends: tuple[SurfaceMap, SurfaceMap] | None, n: int
+) -> tuple[tuple[float, TeichPoint, float, Slope], ...]:
+    """n samples (t, point, systole, shortest slope) at equal steps of
+    arclength from z_a to z_b, on the path that the tube's sigma matrices
+    pick; bare points (ends None) stay in doubles.  A degenerate tube is
+    the product of one fiber with an interval: two samples of z_a for
+    any n."""
+    if n < 2:
+        raise ValidationError("tube sampling needs at least 2 samples")
+    if (_tube_norm(*ends) == 2) if ends else z_a == z_b:
+        z_b, n = z_a, 2
+    if ends and _exact(*ends):
+        return exact_tube_samples(*ends, n)
+    out = []
+    for k in range(n):
+        z = teich_geodesic(z_a, z_b, k / (n - 1))
+        # curve_length of the shortest slope is exactly what systole returns
+        shortest = shortest_slope(z)
+        out.append((k / (n - 1), z, curve_length(z, shortest), shortest))
+    return tuple(out)
+
+
+def tube_cf_coefficient(
+    z_a: TeichPoint, z_b: TeichPoint, ends: tuple[SurfaceMap, SurfaceMap] | None
+) -> int:
+    """The relative continued-fraction coefficient between the shortest
+    markings at the two ends of a tube, on its path as in `tube_samples`."""
+    if ends and _exact(*ends):
+        return relative_cf_max_coeff(*map(balanced_marking, ends))
+    return relative_cf_max_coeff(shortest_marking(z_a), shortest_marking(z_b))

@@ -32,7 +32,7 @@ from itertools import compress
 from operator import and_, itemgetter, le
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import ParseError, ValidationError, clip
+from .errors import ParseError, ValidationError, ascii_int, clip
 from .hypgraph import DistanceTable, FiniteGraph
 from .record import Record
 
@@ -318,8 +318,8 @@ def _admissible_ancestor_levels(
 
 
 def read_graph(text: str) -> FiniteGraph:
-    """Edge-list format: first line 'n m', then m lines 'u v' (0-based).
-    Blank lines and lines starting with '#' are ignored."""
+    """Edge-list format: first line 'n m', then m lines 'u v' (0-based), of
+    ASCII integers.  Blank lines and lines starting with '#' are ignored."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError("empty graph file")
@@ -327,7 +327,7 @@ def read_graph(text: str) -> FiniteGraph:
     if len(head) != 2:
         raise ParseError(f"header must be 'n m', got {clip(lines[0])}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = ascii_int(head[0]), ascii_int(head[1])
     except ValueError as exc:
         raise ParseError(f"bad header: {exc}") from exc
     body = lines[1:]
@@ -339,7 +339,7 @@ def read_graph(text: str) -> FiniteGraph:
         if len(parts) != 2:
             raise ParseError(f"edge line must be 'u v', got {clip(ln)}")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            pairs.append((ascii_int(parts[0]), ascii_int(parts[1])))
         except ValueError as exc:
             raise ParseError(f"bad edge line {clip(ln)}: {exc}") from exc
     return FiniteGraph.from_edges(n, pairs)

@@ -8,10 +8,9 @@ torus backend the fiber geometry is computed exactly from the modulus;
 finite-graph slots have no geometry and their tubes stay combinatorial,
 so a gluing on graph backends alone loads no torus code: the half-plane
 geometry (`halfplane`) is imported where a geometric tube or anchor is
-built.  Each geometric tube keeps the sigma matrices of its ends, and their
-precision demand picks its arithmetic: within `halfplane.PRECISION_BITS`
-it is measured and sampled in doubles, beyond it on the decimal path,
-whose every number is correctly rounded.
+built.  `halfplane` also picks the arithmetic, doubles or its correctly
+rounded decimal path, from the sigma matrices of a tube's ends, which the
+tube keeps so that its samples and coefficient take its path.
 
 A skeleton has two serializations: `ModelSkeleton.to_json` is the skeleton
 JSON that `glueforge model` prints inside its report envelope, and
@@ -32,15 +31,6 @@ from .surface import AbstractMarking, as_torus_marking
 if TYPE_CHECKING:  # geometric tubes and anchors import the half-plane layer
     from .halfplane import TeichPoint
     from .torus import Slope, SurfaceMap
-
-# the stabilizer of i: sigma(mu) and sigma(nu) balance at the same point
-# iff sigma(mu)^-1 sigma(nu) has one of these entries
-_FIXERS_OF_I = (
-    ((1, 0), (0, 1)),
-    ((-1, 0), (0, -1)),
-    ((0, -1), (1, 0)),
-    ((0, 1), (-1, 0)),
-)
 
 # the horizontal complement is a convention, not data: on the torus the
 # flat product split is used and recorded so exports stay comparable
@@ -83,8 +73,8 @@ class TubeBlock(Record):
     Equal endpoints force the degenerate flag: the block is then the
     product of the fiber with a unit interval.  Combinatorial tubes come
     from finite-graph slots and carry no geometry at all.  A tube built
-    from markings keeps ends, the sigma matrices of its two sides, which
-    pick and feed its arithmetic.
+    from markings keeps ends, the sigma matrices of its two sides, from
+    which `halfplane` picks and feeds its arithmetic.
     """
 
     slot_a: Slot
@@ -181,51 +171,15 @@ def _sigma(m: AbstractMarking) -> TeichPoint:
     return sigma_of_marking(as_torus_marking(m))
 
 
-def _decimal(ends: tuple[SurfaceMap, SurfaceMap] | None) -> bool:
-    """Whether a tube with these ends needs more bits than a double holds,
-    and so runs on the decimal path."""
-    from .halfplane import PRECISION_BITS, precision_demand
-
-    return ends is not None and max(map(precision_demand, ends)) > PRECISION_BITS
-
-
 def sample_tube(tube: TubeBlock, n: int) -> tuple[TubeSample, ...]:
-    """Equally spaced fibers along the tube geodesic, on the decimal path
-    when the tube's ends need more bits than a double holds.
-
-    A degenerate tube is the product of one fiber with an interval, so it
-    always yields exactly two identical samples regardless of n.
-    """
+    """Equally spaced fibers along the tube geodesic, two for a degenerate
+    tube (`halfplane.tube_samples`)."""
     if tube.combinatorial:
         raise ValidationError(f"combinatorial tube {tube.name} carries no geometry")
-    if n < 2:
-        raise ValidationError("tube sampling needs at least 2 samples")
-    if _decimal(tube.ends):
-        from .halfplane import exact_tube_samples
-
-        assert tube.ends is not None
-        # the two ends of a degenerate tube are the same exact point
-        samples = exact_tube_samples(*tube.ends, 2 if tube.degenerate else n)
-        return tuple(TubeSample(*s) for s in samples)
-    from .halfplane import teich_geodesic
+    from .halfplane import tube_samples
 
     assert tube.sigma_a is not None and tube.sigma_b is not None
-    if tube.degenerate:
-        fixed = _sample(0.0, tube.sigma_a)
-        return (fixed, replace(fixed, t=1.0))
-    out = []
-    for k in range(n):
-        t = k / (n - 1)
-        out.append(_sample(t, teich_geodesic(tube.sigma_a, tube.sigma_b, t)))
-    return tuple(out)
-
-
-def _sample(t: float, z: TeichPoint) -> TubeSample:
-    from .halfplane import curve_length, shortest_slope
-
-    # curve_length of the shortest slope is exactly what systole returns
-    shortest = shortest_slope(z)
-    return TubeSample(t, z, curve_length(z, shortest), shortest)
+    return tuple(TubeSample(*s) for s in tube_samples(tube.sigma_a, tube.sigma_b, tube.ends, n))
 
 
 def _geometry(
@@ -237,20 +191,9 @@ def _geometry(
     samples: int,
     involution: SlotMap | None = None,
 ) -> TubeBlock:
-    from .halfplane import sigma_matrix
+    from .halfplane import tube as measure
 
-    ends = (sigma_matrix(as_torus_marking(mu)), sigma_matrix(as_torus_marking(nu)))
-    degenerate = (ends[0].inverse() @ ends[1]).entries in _FIXERS_OF_I
-    if _decimal(ends):
-        from .halfplane import balanced_point, exact_tube_length
-
-        sigma_a, sigma_b = balanced_point(ends[0]), balanced_point(ends[1])
-        length = 0.0 if degenerate else exact_tube_length(*ends)
-    else:
-        from .halfplane import teich_distance
-
-        sigma_a, sigma_b = _sigma(mu), _sigma(nu)
-        length = 0.0 if degenerate else teich_distance(sigma_a, sigma_b)
+    ends, sigma_a, sigma_b, length, degenerate = measure(*map(as_torus_marking, (mu, nu)))
     tube = TubeBlock(
         slot_a,
         slot_b,
@@ -381,8 +324,11 @@ def verify_thickness(s: ModelSkeleton, eps0: float) -> ThicknessReport:
     for tube in s.tubes:
         if tube.combinatorial or not tube.samples:
             continue
+        from .halfplane import tube_cf_coefficient
+
         low = min(smp.systole for smp in tube.samples)
-        rows.append(ThicknessRow(tube.name, low, low >= eps0, _cf_coefficient(tube)))
+        coefficient = tube_cf_coefficient(tube.sigma_a, tube.sigma_b, tube.ends)
+        rows.append(ThicknessRow(tube.name, low, low >= eps0, coefficient))
     return ThicknessReport(
         eps0=eps0,
         rows=tuple(rows),
@@ -392,20 +338,6 @@ def verify_thickness(s: ModelSkeleton, eps0: float) -> ThicknessReport:
             for r in sorted(rows, key=lambda r: (-r.cf_coefficient, r.tube))
         ),
     )
-
-
-def _cf_coefficient(tube: TubeBlock) -> int:
-    """The relative continued-fraction coefficient between the shortest
-    markings at the two ends of a geometric tube."""
-    from .halfplane import relative_cf_max_coeff, shortest_marking
-
-    if _decimal(tube.ends):
-        from .halfplane import balanced_marking
-
-        assert tube.ends is not None
-        return relative_cf_max_coeff(*map(balanced_marking, tube.ends))
-    assert tube.sigma_a is not None and tube.sigma_b is not None
-    return relative_cf_max_coeff(shortest_marking(tube.sigma_a), shortest_marking(tube.sigma_b))
 
 
 def export_skeleton(s: ModelSkeleton) -> bytes:

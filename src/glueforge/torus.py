@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import ParseError, ValidationError, clip, json_int
+from .errors import ParseError, ValidationError, ascii_int, clip, json_int
 from .record import Record
 
 if TYPE_CHECKING:  # fractions loads decimal: Slope.value imports it when called
@@ -93,15 +93,13 @@ INFINITY = Slope(1, 0)
 
 
 def parse_slope(text: str) -> Slope:
-    """Parse 'p/q', a bare integer, or 'inf'."""
+    """Parse 'p/q', a bare integer, or 'inf', of ASCII integers (`ascii_int`)."""
     s = text.strip()
     if s in ("inf", "1/0", "-1/0"):
         return INFINITY
     try:
-        if "/" in s:
-            num, den = s.split("/")
-            return Slope(int(num), int(den))
-        return Slope(int(s), 1)
+        num, slash, den = s.partition("/")
+        return Slope(ascii_int(num), ascii_int(den) if slash else 1)
     except (ValueError, ValidationError) as exc:
         raise ParseError(f"bad slope {clip(text)}") from exc
 

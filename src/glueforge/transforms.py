@@ -360,29 +360,25 @@ def combine_stack(
     handle = seq[0].handle
 
     hs = tuple(marking_distance(a, b) for a, b in zip(seq, seq[1:]))
-    heights_ok = all(v > h_bound for v in hs)
     projs = tuple(
         sup_projection(a, b, denom_bound).value for a, b in zip(seq, seq[1:])
     )
-    projections_ok = all(v < r_bound for v in projs)
     geos = tuple(
         marking_to_path_distance(seq[i], geodesic_between(seq[i - 1], seq[i + 1]))
         for i in range(1, len(seq) - 1)
     )
-    geodesics_ok = all(v < r_bound for v in geos)
-
-    witness: tuple[str, int] | None = None
-    for name, values, bad in (
-        ("height", hs, lambda v: v <= h_bound),
-        ("projection", projs, lambda v: v >= r_bound),
-        ("geodesic", geos, lambda v: v >= r_bound),
-    ):
-        for i, v in enumerate(values):
-            if bad(v):
-                witness = (name, i if name != "geodesic" else i + 1)
-                break
-        if witness:
-            break
+    # each chain condition once: the index in seq of its first failing
+    # value, or None (deviation i is measured at marking i + 1)
+    first_bad = [
+        (name, next((i + start for i, v in enumerate(values) if not holds(v)), None))
+        for name, values, holds, start in (
+            ("height", hs, lambda v: v > h_bound, 0),
+            ("projection", projs, lambda v: v < r_bound, 0),
+            ("geodesic", geos, lambda v: v < r_bound, 1),
+        )
+    ]
+    heights_ok, projections_ok, geodesics_ok = (i is None for _, i in first_bad)
+    witness = next(((name, i) for name, i in first_bad if i is not None), None)
 
     path, reach = _stack_path(handle, seq)
     k_prime = _k_prime(handle, path, reach)

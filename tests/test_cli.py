@@ -844,6 +844,66 @@ def test_long_bad_values_are_cut_in_parse_errors(files, capsys, tmp_path):
     assert len(err) < 200
 
 
+# Spellings of an integer that int() reads but the formats do not: an
+# underscore, a sign '+', inner whitespace and digits of other scripts
+# (Arabic-Indic three and zero, Devanagari six).
+SLOPE_SPELLINGS = ["1_0/1", "\u0663/1", "0 / 1", "+0/1", "0/1_0", "\u0660/1"]
+
+
+@pytest.mark.parametrize("spelling", SLOPE_SPELLINGS)
+def test_slopes_are_ascii_integers(files, capsys, tmp_path, spelling):
+    path = "manifolds.0.boundaries.0.decoration.base"
+    bad = edited_input(files["chain"], path, spelling, tmp_path)
+    code, out, err = run(capsys, ["validate", "--input", bad])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: ") and "bad slope" in err
+
+
+@pytest.mark.parametrize("spelling", [" 0/1 ", "0/1", "-0/1", "0/-1"])
+def test_slopes_keep_outer_whitespace_and_a_minus(files, capsys, tmp_path, spelling):
+    path = "manifolds.0.boundaries.0.decoration.base"
+    ok = edited_input(files["chain"], path, spelling, tmp_path)
+    assert run(capsys, ["validate", "--input", ok])[0] == EXIT_PASS
+    for infinity in ("inf", "1/0", "-1/0", " inf "):
+        path = "manifolds.0.boundaries.0.decoration.transversal"
+        ok = edited_input(files["chain"], path, infinity, tmp_path)
+        assert run(capsys, ["validate", "--input", ok])[0] == EXIT_PASS, infinity
+
+
+@pytest.mark.parametrize(
+    "line, spelling",
+    [(0, "\u0666 6"), (0, "6 +6"), (6, "5 0_0"), (6, "5 +0"), (6, "5 \u0660")],
+)
+def test_graph_files_are_ascii_integers(capsys, tmp_path, line, spelling):
+    lines = C6.splitlines()
+    lines[line] = spelling
+    path = tmp_path / "graph.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, ["hyplab", "--input", str(path)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: bad ")
+
+
+@pytest.mark.parametrize(
+    "command, flag, spelling",
+    [
+        ("report", "--R", "\u0663"),
+        ("report", "--D", "+1"),
+        ("collapse", "--h", "1_0"),
+        ("collapse", "--denom-bound", " 5"),
+        ("model", "--samples", "1_0"),
+        ("hyplab", "--R", "\u0663"),
+    ],
+)
+def test_integer_flags_are_ascii_integers(files, capsys, command, flag, spelling):
+    source = files["c6" if command == "hyplab" else "chain"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", source, flag, spelling])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (EXIT_PARSE, "")
+    assert err.splitlines()[-1].startswith(f"glueforge {command}: error: argument {flag}: invalid")
+
+
 def test_oversized_input_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(" " * (cli.MAX_INPUT_BYTES + 1))
