@@ -1,13 +1,15 @@
 """The bounded-combinatorics certificate of a gluing.
 
-Per slot with a non-empty induced marking nu (see `gluing`), the
-certificate measures the subsurface-projection maximum between the
-decoration and nu (Masur and Minsky's annular projections on the torus,
-declared tables on a graph), the meridian inequality on compressible
-slots, and the height floor.  Per piece it checks the bundle geodesic
-clause, its double-cover analogue for twisted bundles, and coverage of the
-declared disk and annulus records.  Failures are certificate entries, not
-exceptions.
+Per slot with a non-empty induced marking nu, the certificate compares
+the slot's measure (`gluing.slot_measures`) with R and D: the
+subsurface-projection maximum between the decoration and nu (Masur and
+Minsky's annular projections on the torus, declared tables on a graph)
+in clause a, the meridian inequality on compressible slots in clause b,
+and the height floor.  `collapse`'s `r_prime` is the least R at which
+the same measures pass clauses a and b.  Per piece it checks the bundle
+geodesic clause, its double-cover analogue for twisted bundles, and
+coverage of the declared disk and annulus records.  Failures are
+certificate entries, not exceptions.
 """
 
 from __future__ import annotations
@@ -19,18 +21,15 @@ from .gluing import (
     DecoratedManifoldSpec,
     GluingGraph,
     Slot,
-    heights,
     induced_markings,
+    slot_measures,
 )
-from .ioutil import canonical_dumps
 from .record import Record
 from .surface import (
     AbstractMarking,
     ProjectionResult,
-    disk_distance,
     geodesic_between,
     marking_to_path_distance,
-    sup_projection,
 )
 
 
@@ -55,7 +54,7 @@ class SlotReport(Record):
             "buried": self.buried,
             "nu_source": self.nu_source,
             "height": self.height,
-            "projection": None if self.projection is None else self.projection.to_dict(),
+            "projection": None if self.projection is None else self.projection.to_json(),
             "clause_a": self.clause_a_ok,
         }
         if self.clause_b is None:
@@ -147,9 +146,6 @@ class CombinatoricsCertificate(Record):
             "pieces": [p.to_json() for p in self.pieces],
         }
 
-    def canonical_json(self) -> str:
-        return canonical_dumps(self.to_json())
-
 
 def _bundle_clause(
     mu0: AbstractMarking,
@@ -237,9 +233,10 @@ def check_bounded_combinatorics(
 ) -> CombinatoricsCertificate:
     """Verify every clause of bounded combinatorics against (R, D).
 
-    Per slot with non-empty nu: the subsurface maximum is measured and
-    compared with R, the meridian inequality height <= d(disks, nu) + R is
-    checked on compressible slots, and the height is compared with D.
+    Per slot with non-empty nu, its measure (`gluing.slot_measures`) is
+    compared: the subsurface maximum with R, the meridian inequality
+    height <= d(disks, nu) + R on compressible slots, and the height
+    with D.
     Per piece: the bundle geodesic clause, its double-cover analogue for
     twisted bundles, and coverage of the declared disk/annulus records.
     Failures become certificate entries; nothing raises.
@@ -249,49 +246,28 @@ def check_bounded_combinatorics(
     if not isinstance(d_bound, int) or d_bound < 0:
         raise ValidationError("D must be a non-negative integer")
     induced = induced_markings(x)
-    height_of = heights(x, induced)
+    measures = slot_measures(x, induced, denom_bound)
     slot_reports: list[SlotReport] = []
     failures = 0
     uncertified = False
     unmodeled = False
     for slot in x.slots():
-        pid, bid = slot
-        boundary = x.boundary_of(slot)
-        nu = induced[slot]
         buried = x.is_buried(slot)
-        source = "psi" if buried else "empty" if nu is None else "lambda"
-        if nu is None:
-            slot_reports.append(SlotReport(pid, bid, buried, source, None, None, None, None, None))
+        source = "psi" if buried else "empty" if induced[slot] is None else "lambda"
+        measure = measures.get(slot)
+        if measure is None:
+            slot_reports.append(SlotReport(*slot, buried, source, None, None, None, None, None))
             continue
-        mu = x.decoration(slot)
-        height = height_of[slot]
-        assert height is not None
-        projection = sup_projection(mu, nu, denom_bound=denom_bound)
-        if not projection.certified:
-            uncertified = True
-        if projection.unmodeled:
-            unmodeled = True
+        height, projection, dd = measure.height, measure.projection, measure.disk_distance
+        uncertified |= not projection.certified
+        unmodeled |= projection.unmodeled
         clause_a_ok = projection.value <= r_bound
-        clause_b: tuple[int, int, bool] | None = None
-        if boundary.compressible:
-            assert boundary.disks is not None
-            dd = disk_distance(nu, boundary.disks)
-            clause_b = (height, dd, height <= dd + r_bound)
+        clause_b = None if dd is None else (height, dd, height <= dd + r_bound)
         height_ok = height >= d_bound
         failures += (not clause_a_ok) + (clause_b is not None and not clause_b[2])
         failures += not height_ok
         slot_reports.append(
-            SlotReport(
-                pid,
-                bid,
-                buried,
-                source,
-                height,
-                projection,
-                clause_a_ok,
-                clause_b,
-                height_ok,
-            )
+            SlotReport(*slot, buried, source, height, projection, clause_a_ok, clause_b, height_ok)
         )
     piece_reports: list[PieceReport] = []
     for pid, _ in x.pieces:

@@ -275,7 +275,7 @@ def cmd_hyplab(cfg: RunConfig, text: str) -> int:
                 "vertices": interval,
                 "quasiconvexity": quasiconvexity_constant(table, interval),
             },
-            "stability": stability.to_dict(),
+            "stability": stability.to_json(),
         },
     )
     return EXIT_PASS

@@ -6,8 +6,11 @@ marking, an optional meridian disk set, and flags.  Pieces of a gluing are
 copies of such specs, and identifications pair boundary slots through
 orientation-reversing chart maps.  The induced markings are nu = Psi(mu)
 on buried slots (or the supplied boundary marking on unburied ones), and
-a slot's height is the marking distance d(mu, nu); `certify` checks the
-bounded combinatorics condition on top of them.
+a slot's height is the marking distance d(mu, nu).  `slot_measures` takes
+each slot's numbers once: its height, the subsurface-projection maximum
+between mu and nu, and on a compressible slot the meridian distance
+d(nu, disks).  `certify` compares them with R in clauses a and b, and
+`transforms` reads them for `r_prime`, the least R passing both.
 """
 
 from __future__ import annotations
@@ -19,7 +22,16 @@ from typing import TYPE_CHECKING, Mapping, NoReturn, Sequence
 from .errors import BackendMismatchError, ParseError, ValidationError, clip, json_int
 from .ioutil import canonical_dumps, sha256_of_text
 from .record import Record
-from .surface import AbstractMarking, BackendHandle, DiskSet, _check_permutation, marking_distance
+from .surface import (
+    AbstractMarking,
+    BackendHandle,
+    DiskSet,
+    ProjectionResult,
+    _check_permutation,
+    disk_distance,
+    marking_distance,
+    sup_projection,
+)
 
 if TYPE_CHECKING:  # only the torus branches of SlotMap load the torus layer
     from .torus import SurfaceMap
@@ -818,7 +830,7 @@ def validate_gluing(source: str | Mapping) -> GluingGraph:
     return GluingGraph.from_json(obj).validate()
 
 
-# -- induced markings and heights ---------------------------------------
+# -- induced markings, heights and slot measures ------------------------
 
 
 def induced_markings(x: GluingGraph) -> dict[Slot, AbstractMarking | None]:
@@ -845,3 +857,45 @@ def heights(
         slot: None if m is None else marking_distance(x.decoration(slot), m)
         for slot, m in nu.items()
     }
+
+
+class SlotMeasure(Record):
+    """What bounded combinatorics compares with R on a slot with a marking
+    nu: its height d(mu, nu), the subsurface-projection maximum between mu
+    and nu (clause a), and on a compressible slot the meridian distance
+    d(nu, disks) (clause b: height <= disk_distance + R), else None."""
+
+    height: int
+    projection: ProjectionResult
+    disk_distance: int | None
+
+    @property
+    def excess(self) -> int | None:
+        """height - d(nu, disks): clause b holds exactly when R >= excess."""
+        return None if self.disk_distance is None else self.height - self.disk_distance
+
+    @property
+    def least_r(self) -> int:
+        """The least R at which clauses a and b hold on this slot."""
+        value, excess = self.projection.value, self.excess
+        return value if excess is None else max(value, excess)
+
+
+def slot_measures(
+    x: GluingGraph,
+    nu: dict[Slot, AbstractMarking | None] | None = None,
+    denom_bound: int | None = None,
+) -> dict[Slot, SlotMeasure]:
+    """The measure of every slot whose nu is not None, in slot order; the
+    projection search takes denom_bound as `surface.sup_projection` does."""
+    if nu is None:
+        nu = induced_markings(x)
+    out: dict[Slot, SlotMeasure] = {}
+    for slot, height in heights(x, nu).items():
+        if height is None:
+            continue
+        m, boundary = nu[slot], x.boundary_of(slot)
+        assert m is not None and boundary.disks is not None
+        dd = disk_distance(m, boundary.disks) if boundary.compressible else None
+        out[slot] = SlotMeasure(height, sup_projection(x.decoration(slot), m, denom_bound), dd)
+    return out

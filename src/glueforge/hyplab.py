@@ -230,7 +230,7 @@ class StabilityReport(Record):
                 return rp
         return 0
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> dict:
         return {
             "subset": list(self.subset),
             "r": self.r,

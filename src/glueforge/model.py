@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ValidationError, clip
 from .gluing import GluingGraph, Slot, SlotMap, _slot_name
-from .record import Record, replace
+from .record import Record
 from .surface import AbstractMarking, as_torus_marking
 
 if TYPE_CHECKING:  # geometric tubes and anchors import the half-plane layer
@@ -191,10 +191,10 @@ def _geometry(
     samples: int,
     involution: SlotMap | None = None,
 ) -> TubeBlock:
-    from .halfplane import tube as measure
+    from .halfplane import tube as measure, tube_samples
 
     ends, sigma_a, sigma_b, length, degenerate = measure(*map(as_torus_marking, (mu, nu)))
-    tube = TubeBlock(
+    return TubeBlock(
         slot_a,
         slot_b,
         kind,
@@ -203,9 +203,9 @@ def _geometry(
         length=length,
         degenerate=degenerate,
         involution=involution,
+        samples=tuple(TubeSample(*s) for s in tube_samples(sigma_a, sigma_b, ends, samples)),
         ends=ends,
     )
-    return replace(tube, samples=sample_tube(tube, samples))
 
 
 def build_skeleton(

@@ -332,7 +332,7 @@ class ProjectionResult(Record):
     certified: bool
     unmodeled: bool = False
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> dict:
         return {
             "label": str(self.label),
             "value": self.value,

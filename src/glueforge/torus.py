@@ -149,10 +149,6 @@ class SurfaceMap(Record):
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
-    @property
-    def entries(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
-
     def inverse(self) -> "SurfaceMap":
         s = self.det
         return SurfaceMap(s * self.d, -s * self.b, -s * self.c, s * self.a)

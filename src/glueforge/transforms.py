@@ -4,6 +4,9 @@ Stack combination pushes every decoration of an I-bundle chain into one
 boundary frame and certifies the chain conditions; collapse removes the
 bundle pieces and rewires their neighbors with composed chart maps.  Both
 are pure: they return new values and never mutate the input graph.
+Collapse reads the collapsed gluing's slot measures (`gluing.slot_measures`,
+the numbers `report` compares in clauses a and b) for the new tubes'
+meridian excesses and for `r_prime`, the least R passing both clauses.
 
 The certificate measures how far the concatenated geodesic of a stack is
 from a geodesic, in one direct scan (`_k_prime`).  Quasigeodesic constants
@@ -26,15 +29,13 @@ from .gluing import (
     SlotMap,
     TRIVIAL_IBUNDLE,
     _slot_name,
-    induced_markings,
-    heights,
+    slot_measures,
 )
 from .record import Record
 from .surface import (
     AbstractMarking,
     BackendHandle,
     curve_distances_from,
-    disk_distance,
     geodesic_between,
     marking_distance,
     marking_to_path_distance,
@@ -500,31 +501,9 @@ class CollapseResult(Record):
 
 
 def measured_r_bound(x: GluingGraph, denom_bound: int | None = None) -> int:
-    """Smallest bound at which every decorated slot clears the projection
-    clause and every compressible slot clears the meridian clause."""
-    induced = induced_markings(x)
-    return _r_bound(x, induced, heights(x, induced), denom_bound)
-
-
-def _r_bound(
-    x: GluingGraph,
-    induced: dict[Slot, AbstractMarking | None],
-    hts: dict[Slot, int | None],
-    denom_bound: int | None,
-) -> int:
-    """measured_r_bound over the induced markings and heights of x."""
-    best = 0
-    for slot, nu in induced.items():
-        if nu is None:
-            continue
-        best = max(best, sup_projection(x.decoration(slot), nu, denom_bound).value)
-        boundary = x.boundary_of(slot)
-        if boundary.compressible:
-            assert boundary.disks is not None
-            h = hts[slot]
-            assert h is not None
-            best = max(best, h - disk_distance(nu, boundary.disks))
-    return best
+    """Least R >= 0 at which every slot of x passes `report`'s clauses a
+    and b: the largest `least_r` of its slot measures."""
+    return max((m.least_r for m in slot_measures(x, denom_bound=denom_bound).values()), default=0)
 
 
 def _stack_components(x: GluingGraph) -> list[list[str]]:
@@ -732,25 +711,18 @@ def collapse_ibundles(
         wiring = [(None, None, ident, None)]
     else:
         collapsed, wiring = _rewired_graph(x, certs)
-    induced = induced_markings(collapsed)
-    hts = heights(collapsed, induced)
+    measures = slot_measures(collapsed, denom_bound=denom_bound)
 
     records = []
     for cert, (left, right, ident, pushed) in zip(certs, wiring):
         new_height = None
         excesses: list[tuple[str, int]] = []
         if ident is not None:
-            new_height = hts[ident.slot_a]
-            sides = {ident.slot_a, ident.slot_b}
-            for slot in sorted(sides):
-                boundary = collapsed.boundary_of(slot)
-                if not boundary.compressible:
-                    continue
-                assert boundary.disks is not None
-                nu = induced[slot]
-                h = hts[slot]
-                assert nu is not None and h is not None
-                excesses.append((_slot_name(slot), h - disk_distance(nu, boundary.disks)))
+            new_height = measures[ident.slot_a].height
+            for slot in sorted({ident.slot_a, ident.slot_b}):
+                excess = measures[slot].excess
+                if excess is not None:
+                    excesses.append((_slot_name(slot), excess))
         sup = sup_projection(cert.nu[0], cert.nu[-1], denom_bound).value
         records.append(
             CollapsedStack(
@@ -771,6 +743,6 @@ def collapse_ibundles(
         collapsed=collapsed,
         stacks=tuple(records),
         fibered=fibered,
-        r_prime=_r_bound(collapsed, induced, hts, denom_bound),
+        r_prime=max((m.least_r for m in measures.values()), default=0),
         note=note,
     )

@@ -8,6 +8,7 @@ import pytest
 
 from glueforge import surface
 from glueforge.certify import CombinatoricsCertificate, check_bounded_combinatorics
+from glueforge.cli import main
 from glueforge.errors import BackendMismatchError, ParseError, ValidationError
 from glueforge.farey import farey_distance
 from glueforge.gluing import (
@@ -26,6 +27,7 @@ from glueforge.gluing import (
     validate_gluing,
 )
 from glueforge.hypgraph import FiniteGraph, cycle_graph, path_graph
+from glueforge.ioutil import canonical_dumps
 from glueforge.surface import (
     AbstractMarking,
     BackendHandle,
@@ -930,6 +932,41 @@ def test_height_and_certificate_action_invariance():
             assert sx.projection.value == sy.projection.value
 
 
+def report_numbers(capsys, path, command: str, *flags: str) -> tuple[int, dict]:
+    """Exit code and result of one command without the input hash and the
+    projection labels: a label is a curve in the slot's chart, which
+    conjugation moves."""
+    code = main([command, "--input", str(path), *flags])
+    res = json.loads(capsys.readouterr().out)["result"]
+    res.pop("input_sha256", None)
+    for entry in res.get("slots", ()):
+        if entry["projection"] is not None:
+            del entry["projection"]["label"]
+    return code, res
+
+
+def test_action_invariance_of_report_and_collapse_at_depth(tmp_path, capsys):
+    # conjugating one slot by a word of up to 400 letters moves nothing
+    # that report prints at R = 3, 4, 6 but the labels, nor collapse's r_prime
+    verdicts = set()
+    for seed in range(50):
+        rng = random.Random(seed)
+        x = rand_gluing(rng)
+        pid, bid = rng.choice(x.slots())
+        y = conjugate_slot(x, pid, bid, rand_word(rng, 400)).validate()
+        px, py = tmp_path / f"x{seed}.json", tmp_path / f"y{seed}.json"
+        px.write_text(x.canonical_json())
+        py.write_text(y.canonical_json())
+        for r in ("3", "4", "6"):
+            rx = report_numbers(capsys, px, "report", "--R", r)
+            assert rx == report_numbers(capsys, py, "report", "--R", r), (seed, r)
+            verdicts.add(rx[1]["verdict"])
+        cx = report_numbers(capsys, px, "collapse")
+        cy = report_numbers(capsys, py, "collapse")
+        assert cx[0] == cy[0] and cx[1]["r_prime"] == cy[1]["r_prime"], seed
+    assert verdicts == {"pass", "fail"}
+
+
 # --------------------------------------------------------- serialization
 
 
@@ -999,7 +1036,7 @@ def test_certificate_reproducibility_bit_identical():
     cert = check_bounded_combinatorics(x, 6, 0, denom_bound=34)
     reloaded = validate_gluing(x.canonical_json())
     cert2 = check_bounded_combinatorics(reloaded, 6, 0, denom_bound=34)
-    assert cert.canonical_json() == cert2.canonical_json()
+    assert canonical_dumps(cert.to_json()) == canonical_dumps(cert2.to_json())
     assert cert.input_sha256 == x.content_hash()
 
 

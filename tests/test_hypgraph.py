@@ -516,7 +516,7 @@ def test_stability_oracle_agreement_and_monotone(g, data):
         x, y, z = rep.extremal
         to_sub = min(t.d(z, s) for s in sub)
         assert t.d(z, y) - to_sub == rep.r_prime(0)
-    d = rep.to_dict()
+    d = rep.to_json()
     assert d["r"] == r and len(d["table"]) == len(rep.table)
 
 

@@ -14,6 +14,7 @@ from glueforge import cli
 from glueforge.certify import check_bounded_combinatorics
 from glueforge.decompose import full_and_maximal_decomposition
 from glueforge.errors import GlueforgeError, ValidationError
+from glueforge.gluing import slot_measures
 from glueforge.halfplane import TeichPoint
 from glueforge.hypgraph import all_pairs_distances, cycle_graph
 from glueforge.hyplab import check_qconvex_stability
@@ -93,6 +94,7 @@ def samples() -> dict:
             lambda: check_bounded_combinatorics(x, 6, 1),
             lambda: collapse_ibundles(x, 6, 1),
             lambda: full_and_maximal_decomposition(x),
+            lambda: slot_measures(x),
         ]
         for run in runs:
             try:

@@ -224,7 +224,7 @@ def test_sup_projection_graph_lookup_and_unmodeled():
     assert res2.value == 7
     missing = sup_projection(AbstractMarking(h, (0,)), AbstractMarking(h, (1,)))
     assert missing.value == 0 and missing.unmodeled and not missing.certified
-    assert missing.to_dict()["unmodeled"] is True
+    assert missing.to_json()["unmodeled"] is True
 
 
 # ------------------------------------------------------------- disks

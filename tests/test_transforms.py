@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from glueforge.certify import CombinatoricsCertificate, check_bounded_combinatorics
 from glueforge.decompose import full_and_maximal_decomposition
 from glueforge.errors import BackendMismatchError, ValidationError
 from glueforge.gluing import (
@@ -892,7 +893,9 @@ def test_collapse_builds_induced_markings_once(monkeypatch):
         return real(x)
 
     monkeypatch.setattr(glueforge.gluing, "induced_markings", counted)
-    monkeypatch.setattr(glueforge.transforms, "induced_markings", counted)
+    # transforms reads induced markings through gluing; patch a direct
+    # import too, should one come back
+    monkeypatch.setattr(glueforge.transforms, "induced_markings", counted, raising=False)
     res = collapse_ibundles(example_builders()["stack"](), 6, 1)
     assert calls == [res.collapsed]
     assert res.r_prime == measured_r_bound(res.collapsed)
@@ -903,6 +906,48 @@ def test_measured_r_bound_frozen():
     assert measured_r_bound(x) == 5
     res = collapse_ibundles(x, 6, 1)
     assert measured_r_bound(res.collapsed) == res.r_prime == 5
+
+
+def clauses_a_and_b_pass(cert: CombinatoricsCertificate) -> bool:
+    return all(
+        s.clause_a_ok is not False and (s.clause_b is None or s.clause_b[2]) for s in cert.slots
+    )
+
+
+def meridian_bound_chain(power: int, meridian: Slope) -> GluingGraph:
+    """An axis chain whose left slot is compressible, its meridian a slope
+    of the marking that collapse induces there: the slot's height exceeds
+    its projection value, so clause b sets r_prime."""
+    ds = DiskSet(T, (meridian,), owner="E0")
+    left = DecoratedManifoldSpec(
+        "ML",
+        GENERIC,
+        (BoundarySpec("E0", handle=T, decoration=MU, compressible=True, disks=ds),),
+    )
+    return chain(left, axis_bundle("B", 3), core("MR", push(A.power(power) @ REFLECTION)))
+
+
+def test_r_prime_is_the_report_threshold_of_the_collapsed_gluing():
+    # r_prime is the least R at which report's clauses a and b pass on the
+    # collapsed gluing: they pass at max(r_prime, 1) and fail one below
+    torus, cycle = random.Random(2718), random.Random(1618)
+    gluings = [build() for build in example_builders().values()]
+    gluings += [meridian_bound_chain(6, Slope(-144, 89)), meridian_bound_chain(8, Slope(-987, 610))]
+    gluings += [random_torus_stack(torus, k) for k in list(range(1, 7)) * 4]
+    for _ in range(20):
+        k = cycle.randrange(1, 5)
+        gluings.append(random_cycle_stack(cycle, cycle.randrange(5, 40), k))
+    thresholds = []
+    for x in gluings:
+        res = collapse_ibundles(x, 6, 1)
+        r = res.r_prime
+        thresholds.append(r)
+        assert clauses_a_and_b_pass(check_bounded_combinatorics(res.collapsed, max(r, 1), 0))
+        if r >= 2:
+            assert not clauses_a_and_b_pass(check_bounded_combinatorics(res.collapsed, r - 1, 0))
+    assert sum(r >= 2 for r in thresholds) >= 20, thresholds
+    # clause b binds: height 6 or 8 over the meridian, projection value 5
+    assert thresholds[6:8] == [6, 8]
 
 
 def example_builders() -> dict:
