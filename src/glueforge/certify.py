@@ -162,7 +162,6 @@ def _bundle_clause(
 
 
 def _clause_c(
-    x: GluingGraph,
     pid: str,
     spec: DecoratedManifoldSpec,
     induced: dict[Slot, AbstractMarking | None],
@@ -182,7 +181,6 @@ def _clause_c(
 
 
 def _clause_d(
-    x: GluingGraph,
     pid: str,
     spec: DecoratedManifoldSpec,
     induced: dict[Slot, AbstractMarking | None],
@@ -206,7 +204,6 @@ def _clause_d(
 
 
 def _clause_e(
-    x: GluingGraph,
     pid: str,
     spec: DecoratedManifoldSpec,
     induced: dict[Slot, AbstractMarking | None],
@@ -274,12 +271,12 @@ def check_bounded_combinatorics(
         spec = x.spec_of(pid)
         clause_c = clause_d = None
         if spec.kind == TRIVIAL_IBUNDLE:
-            clause_c = _clause_c(x, pid, spec, induced, r_bound)
+            clause_c = _clause_c(pid, spec, induced, r_bound)
             failures += not clause_c.ok
         elif spec.kind == TWISTED_IBUNDLE:
-            clause_d = _clause_d(x, pid, spec, induced, r_bound)
+            clause_d = _clause_d(pid, spec, induced, r_bound)
             failures += not clause_d.ok
-        e_ok, e_detail = _clause_e(x, pid, spec, induced)
+        e_ok, e_detail = _clause_e(pid, spec, induced)
         failures += not e_ok
         piece_reports.append(PieceReport(pid, spec.kind, clause_c, clause_d, e_ok, e_detail))
     caveats = ["meridian inequalities are relative to the declared finite disk sets"]

@@ -19,6 +19,7 @@ from .gluing import (
     Identification,
     Slot,
     SlotMap,
+    components,
 )
 from .record import Record
 
@@ -40,23 +41,6 @@ class DecompositionResult(Record):
     full: GluingGraph
     components: tuple[Component, ...]
     cut: tuple[Identification, ...]
-
-    def cut_slots(self) -> tuple[tuple[Slot, Slot], ...]:
-        return tuple((i.slot_a, i.slot_b) for i in self.cut)
-
-    def reglue(self) -> GluingGraph:
-        """Reassemble the full decomposition from the partition; the kept
-        and cut identifications must tile the original list exactly."""
-        kept = {id(i) for c in self.components for i in c.identifications}
-        kept |= {id(i) for i in self.cut}
-        if len(kept) != len(self.full.identifications):
-            raise ValidationError("decomposition does not partition the identifications")
-        return GluingGraph(
-            manifolds=self.full.manifolds,
-            pieces=self.full.pieces,
-            identifications=self.full.identifications,
-            boundary_markings=self.full.boundary_markings,
-        ).validate()
 
     def to_json(self) -> dict:
         return {
@@ -167,32 +151,17 @@ def full_and_maximal_decomposition(x: GluingGraph) -> DecompositionResult:
         else:
             cut.append(ident)
 
-    parent: dict[str, str] = {pid: pid for pid, _ in full.pieces}
-
-    def find(p: str) -> str:
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
+    groups = components([pid for pid, _ in full.pieces], ((i.piece_a, i.piece_b) for i in kept))
+    group_of = {pid: k for k, group in enumerate(groups) for pid in group}
+    by_group: list[list[Identification]] = [[] for _ in groups]
     for ident in kept:
-        ra, rb = find(ident.piece_a), find(ident.piece_b)
-        if ra != rb:
-            parent[ra] = rb
+        by_group[group_of[ident.piece_a]].append(ident)
 
-    groups: dict[str, list[str]] = {}
-    for pid, _ in full.pieces:
-        groups.setdefault(find(pid), []).append(pid)
-    by_ident: dict[str, list[Identification]] = {root: [] for root in groups}
-    for ident in kept:
-        by_ident[find(ident.piece_a)].append(ident)
-
-    components = []
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        members = tuple(sorted(groups[root]))
+    out = []
+    for group, idents in sorted(zip(groups, by_group), key=lambda g: min(g[0])):
+        members = tuple(sorted(group))
         cores = [p for p in members if full.spec_of(p).kind != COMPRESSION_BODY]
         assert len(cores) <= 1, "kept identifications cannot join two cores"
         kind = "compression-of-core" if cores else "compression-body-chain"
-        components.append(Component(members, kind, tuple(by_ident[root])))
-    return DecompositionResult(full=full, components=tuple(components), cut=tuple(cut))
-
+        out.append(Component(members, kind, tuple(idents)))
+    return DecompositionResult(full=full, components=tuple(out), cut=tuple(cut))

@@ -11,13 +11,15 @@ each slot's numbers once: its height, the subsurface-projection maximum
 between mu and nu, and on a compressible slot the meridian distance
 d(nu, disks).  `certify` compares them with R in clauses a and b, and
 `transforms` reads them for `r_prime`, the least R passing both.
+`components` is the package's one connected-component search: validation,
+collapse's bundle chains and the maximal decomposition group pieces by it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 import json
-from typing import TYPE_CHECKING, Mapping, NoReturn, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NoReturn, Sequence
 
 from .errors import BackendMismatchError, ParseError, ValidationError, clip, json_int
 from .ioutil import canonical_dumps, sha256_of_text
@@ -47,6 +49,31 @@ Slot = tuple[str, str]
 
 def _slot_name(slot: Slot) -> str:
     return f"{slot[0]}:{slot[1]}"
+
+
+def components(nodes: Sequence[str], pairs: Iterable[tuple[str, str]]) -> list[list[str]]:
+    """The connected components of the graph on nodes whose edges are
+    pairs, in node order: each lists its nodes in node order, and they
+    come in the order of their first nodes."""
+    adjacency: dict[str, list[str]] = {n: [] for n in nodes}
+    for a, b in pairs:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    root: dict[str, str] = {}
+    for start in nodes:
+        if start in root:
+            continue
+        root[start] = start
+        frontier = [start]
+        while frontier:
+            for nxt in adjacency[frontier.pop()]:
+                if nxt not in root:
+                    root[nxt] = start
+                    frontier.append(nxt)
+    out: dict[str, list[str]] = {}
+    for n in nodes:
+        out.setdefault(root[n], []).append(n)
+    return list(out.values())
 
 
 def _json_list(obj: Mapping, key: str) -> Sequence:
@@ -719,22 +746,10 @@ class GluingGraph(Record):
         return self
 
     def _check_connected(self) -> None:
-        adjacency: dict[str, set[str]] = {pid: set() for pid, _ in self.pieces}
-        for ident in self.identifications:
-            adjacency[ident.piece_a].add(ident.piece_b)
-            adjacency[ident.piece_b].add(ident.piece_a)
-        start = self.pieces[0][0]
-        frontier = [start]
-        reached = {start}
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adjacency[cur]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-        missing = [pid for pid, _ in self.pieces if pid not in reached]
-        if missing:
-            raise ValidationError(f"disconnected: piece {missing[0]} unreachable")
+        pieces = [pid for pid, _ in self.pieces]
+        groups = components(pieces, ((i.piece_a, i.piece_b) for i in self.identifications))
+        if len(groups) > 1:
+            raise ValidationError(f"disconnected: piece {groups[1][0]} unreachable")
 
     # -- serialization ---------------------------------------------------
 

@@ -5,8 +5,8 @@ that the translation length conventions match the curve-length formula
 len_z(p/q) = |p - q z| / sqrt(y).  Mapping classes act on points by
 Moebius transformations (det +1) or anti-Moebius ones (det -1, conjugate
 first).  Only the model skeleton runs this geometry (`tube`,
-`tube_samples`, `tube_cf_coefficient`, `sigma_of_marking`); the
-certificates and the collapse are exact Farey-graph combinatorics.
+`tube_cf_coefficient`, `sigma_of_marking`); the certificates and the
+collapse are exact Farey-graph combinatorics.
 
 The shortest slope at x + iy costs O(log 1/y): Lagrange-Gauss reduction of
 the lattice Z + Zz runs exactly on the rationals x and y, scaled to
@@ -17,8 +17,8 @@ Two arithmetics, picked from integers before any float work (`_exact`).
 The balanced point of sigma = [[a, b], [c, d]] is the rational point
 ((ac + bd) + i)/(c^2 + d^2), and its precision demand (`precision_demand`)
 is the bit length of max(c^2 + d^2, |ac + bd|), that is of 1/y and |x|/y.
-`sigma_of_marking` picks for its one point, and the `tube` functions for
-both ends of a tube at once.
+`sigma_of_marking` picks for its one point, and `tube` and
+`tube_cf_coefficient` for both ends of a tube at once.
 
 * Up to PRECISION_BITS the double path runs: the balanced point is the
   float Moebius image of i, and tubes are measured and sampled in doubles
@@ -78,7 +78,6 @@ __all__ = [
     "exact_tube_samples",
     "relative_cf_max_coeff",
     "tube",
-    "tube_samples",
     "tube_cf_coefficient",
 ]
 
@@ -382,9 +381,11 @@ def exact_tube_length(g_a: SurfaceMap, g_b: SurfaceMap) -> float:
     return _correctly_rounded(length, 53 + _GUARD_BITS)
 
 
-def exact_tube_samples(
-    g_a: SurfaceMap, g_b: SurfaceMap, n: int
-) -> tuple[tuple[float, TeichPoint, float, Slope], ...]:
+# one fiber of a tube: parameter t, point, systole and shortest slope
+_Sample = tuple[float, TeichPoint, float, Slope]
+
+
+def exact_tube_samples(g_a: SurfaceMap, g_b: SurfaceMap, n: int) -> tuple[_Sample, ...]:
     """n correctly rounded samples (t, point, systole, shortest slope) at
     equal steps of arclength on the exact geodesic from g_a i to g_b i.
 
@@ -462,47 +463,41 @@ def exact_tube_samples(
 # ------------------------------------------------------------------ tubes
 
 
-def tube(
-    mu: FareyMarking, nu: FareyMarking
-) -> tuple[tuple[SurfaceMap, SurfaceMap], TeichPoint, TeichPoint, float, bool]:
+def tube(mu: FareyMarking, nu: FareyMarking, n: int) -> tuple[
+    tuple[SurfaceMap, SurfaceMap], TeichPoint, TeichPoint, float, bool, tuple[_Sample, ...]
+]:
     """The tube between the balanced points of mu and nu, by the rule for a
     whole tube: the sigma matrices of its ends, its two end points, its
-    length and whether it is degenerate (one point, length 0)."""
-    ends = (sigma_matrix(mu), sigma_matrix(nu))
-    degenerate, exact = _tube_norm(*ends) == 2, _exact(*ends)
-    z_a, z_b = (balanced_point(g) if exact else on_point(g, _I) for g in ends)
-    length = 0.0 if degenerate else exact_tube_length(*ends) if exact else teich_distance(z_a, z_b)
-    return ends, z_a, z_b, length, degenerate
-
-
-def tube_samples(
-    z_a: TeichPoint, z_b: TeichPoint, ends: tuple[SurfaceMap, SurfaceMap] | None, n: int
-) -> tuple[tuple[float, TeichPoint, float, Slope], ...]:
-    """n samples (t, point, systole, shortest slope) at equal steps of
-    arclength from z_a to z_b, on the path that the tube's sigma matrices
-    pick; bare points (ends None) stay in doubles.  A degenerate tube is
-    the product of one fiber with an interval: two samples of z_a for
-    any n."""
+    length, whether it is degenerate (one point, length 0), and n samples
+    (t, point, systole, shortest slope) at equal steps of arclength.  A
+    degenerate tube is the product of one fiber with an interval: two
+    samples of its one point for any n."""
     if n < 2:
         raise ValidationError("tube sampling needs at least 2 samples")
-    if (_tube_norm(*ends) == 2) if ends else z_a == z_b:
-        z_b, n = z_a, 2
-    if ends and _exact(*ends):
-        return exact_tube_samples(*ends, n)
-    out = []
+    ends = (sigma_matrix(mu), sigma_matrix(nu))
+    degenerate = _tube_norm(*ends) == 2
+    if degenerate:
+        n = 2
+    if _exact(*ends):
+        z_a, z_b = map(balanced_point, ends)
+        length = 0.0 if degenerate else exact_tube_length(*ends)
+        return ends, z_a, z_b, length, degenerate, exact_tube_samples(*ends, n)
+    z_a, z_b = (on_point(g, _I) for g in ends)
+    length = 0.0 if degenerate else teich_distance(z_a, z_b)
+    far = z_a if degenerate else z_b
+    samples = []
     for k in range(n):
-        z = teich_geodesic(z_a, z_b, k / (n - 1))
+        z = teich_geodesic(z_a, far, k / (n - 1))
         # curve_length of the shortest slope is exactly what systole returns
         shortest = shortest_slope(z)
-        out.append((k / (n - 1), z, curve_length(z, shortest), shortest))
-    return tuple(out)
+        samples.append((k / (n - 1), z, curve_length(z, shortest), shortest))
+    return ends, z_a, z_b, length, degenerate, tuple(samples)
 
 
-def tube_cf_coefficient(
-    z_a: TeichPoint, z_b: TeichPoint, ends: tuple[SurfaceMap, SurfaceMap] | None
-) -> int:
+def tube_cf_coefficient(ends: tuple[SurfaceMap, SurfaceMap]) -> int:
     """The relative continued-fraction coefficient between the shortest
-    markings at the two ends of a tube, on its path as in `tube_samples`."""
-    if ends and _exact(*ends):
+    markings at the two ends of a tube, given by its sigma matrices, on
+    its path as in `tube`."""
+    if _exact(*ends):
         return relative_cf_max_coeff(*map(balanced_marking, ends))
-    return relative_cf_max_coeff(shortest_marking(z_a), shortest_marking(z_b))
+    return relative_cf_max_coeff(*(shortest_marking(on_point(g, _I)) for g in ends))

@@ -8,9 +8,10 @@ torus backend the fiber geometry is computed exactly from the modulus;
 finite-graph slots have no geometry and their tubes stay combinatorial,
 so a gluing on graph backends alone loads no torus code: the half-plane
 geometry (`halfplane`) is imported where a geometric tube or anchor is
-built.  `halfplane` also picks the arithmetic, doubles or its correctly
-rounded decimal path, from the sigma matrices of a tube's ends, which the
-tube keeps so that its samples and coefficient take its path.
+built.  `halfplane.tube` measures and samples a whole tube in one call,
+picking the arithmetic, doubles or its correctly rounded decimal path,
+from the sigma matrices of its ends; the tube keeps them so that its
+continued-fraction coefficient takes the same path.
 
 A skeleton has two serializations: `ModelSkeleton.to_json` is the skeleton
 JSON that `glueforge model` prints inside its report envelope, and
@@ -72,9 +73,9 @@ class TubeBlock(Record):
     "boundary" for a free slot joined to its share of the free marking.
     Equal endpoints force the degenerate flag: the block is then the
     product of the fiber with a unit interval.  Combinatorial tubes come
-    from finite-graph slots and carry no geometry at all.  A tube built
-    from markings keeps ends, the sigma matrices of its two sides, from
-    which `halfplane` picks and feeds its arithmetic.
+    from finite-graph slots and carry no geometry at all.  A geometric
+    tube keeps ends, the sigma matrices of its two sides, from which
+    `halfplane` picks its arithmetic.
     """
 
     slot_a: Slot
@@ -171,17 +172,6 @@ def _sigma(m: AbstractMarking) -> TeichPoint:
     return sigma_of_marking(as_torus_marking(m))
 
 
-def sample_tube(tube: TubeBlock, n: int) -> tuple[TubeSample, ...]:
-    """Equally spaced fibers along the tube geodesic, two for a degenerate
-    tube (`halfplane.tube_samples`)."""
-    if tube.combinatorial:
-        raise ValidationError(f"combinatorial tube {tube.name} carries no geometry")
-    from .halfplane import tube_samples
-
-    assert tube.sigma_a is not None and tube.sigma_b is not None
-    return tuple(TubeSample(*s) for s in tube_samples(tube.sigma_a, tube.sigma_b, tube.ends, n))
-
-
 def _geometry(
     slot_a: Slot,
     slot_b: Slot,
@@ -191,9 +181,11 @@ def _geometry(
     samples: int,
     involution: SlotMap | None = None,
 ) -> TubeBlock:
-    from .halfplane import tube as measure, tube_samples
+    from .halfplane import tube
 
-    ends, sigma_a, sigma_b, length, degenerate = measure(*map(as_torus_marking, (mu, nu)))
+    ends, sigma_a, sigma_b, length, degenerate, points = tube(
+        *map(as_torus_marking, (mu, nu)), samples
+    )
     return TubeBlock(
         slot_a,
         slot_b,
@@ -203,7 +195,7 @@ def _geometry(
         length=length,
         degenerate=degenerate,
         involution=involution,
-        samples=tuple(TubeSample(*s) for s in tube_samples(sigma_a, sigma_b, ends, samples)),
+        samples=tuple(TubeSample(*s) for s in points),
         ends=ends,
     )
 
@@ -326,8 +318,9 @@ def verify_thickness(s: ModelSkeleton, eps0: float) -> ThicknessReport:
             continue
         from .halfplane import tube_cf_coefficient
 
+        assert tube.ends is not None
         low = min(smp.systole for smp in tube.samples)
-        coefficient = tube_cf_coefficient(tube.sigma_a, tube.sigma_b, tube.ends)
+        coefficient = tube_cf_coefficient(tube.ends)
         rows.append(ThicknessRow(tube.name, low, low >= eps0, coefficient))
     return ThicknessReport(
         eps0=eps0,

@@ -29,6 +29,7 @@ from .gluing import (
     SlotMap,
     TRIVIAL_IBUNDLE,
     _slot_name,
+    components,
     slot_measures,
 )
 from .record import Record
@@ -500,12 +501,6 @@ class CollapseResult(Record):
         return out
 
 
-def measured_r_bound(x: GluingGraph, denom_bound: int | None = None) -> int:
-    """Least R >= 0 at which every slot of x passes `report`'s clauses a
-    and b: the largest `least_r` of its slot measures."""
-    return max((m.least_r for m in slot_measures(x, denom_bound=denom_bound).values()), default=0)
-
-
 def _stack_components(x: GluingGraph) -> list[list[str]]:
     """Connected chains of bundle pieces, each ordered so that any twisted
     piece comes last; cycles are cut at the lexicographically smallest
@@ -522,21 +517,9 @@ def _stack_components(x: GluingGraph) -> list[list[str]]:
             if partner[0] in bundle_set and partner[0] != pid:
                 neighbors[pid].append(partner[0])
 
-    seen: set[str] = set()
     stacks: list[list[str]] = []
-    for pid in bundle_ids:
-        if pid in seen:
-            continue
-        comp = {pid}
-        frontier = [pid]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in neighbors[cur]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    frontier.append(nxt)
-        seen |= comp
-        ends = sorted(p for p in comp if len(set(neighbors[p])) < 2)
+    for comp in components(bundle_ids, ((p, q) for p in bundle_ids for q in neighbors[p])):
+        ends = [p for p in sorted(comp) if len(set(neighbors[p])) < 2]
         if not ends:
             start = min(comp)
         else:
@@ -696,21 +679,15 @@ def collapse_ibundles(
                 note = f"doubly-twisted stack left uncollapsed: {', '.join(order)}"
                 break
     if note:
-        return CollapseResult(
-            collapsed=x,
-            stacks=(),
-            fibered=fibered,
-            r_prime=measured_r_bound(x, denom_bound),
-            note=note,
-        )
-
-    certs = [combine_stack(x, order, h_bound, r_bound, denom_bound) for order in orders]
-    if fibered:
-        assert len(certs) == 1, "connected all-bundle gluing must be one chain"
-        collapsed, ident, note = _combined_bundle(x, certs[0])
-        wiring = [(None, None, ident, None)]
+        collapsed, certs, wiring = x, [], []
     else:
-        collapsed, wiring = _rewired_graph(x, certs)
+        certs = [combine_stack(x, order, h_bound, r_bound, denom_bound) for order in orders]
+        if fibered:
+            assert len(certs) == 1, "connected all-bundle gluing must be one chain"
+            collapsed, ident, note = _combined_bundle(x, certs[0])
+            wiring = [(None, None, ident, None)]
+        else:
+            collapsed, wiring = _rewired_graph(x, certs)
     measures = slot_measures(collapsed, denom_bound=denom_bound)
 
     records = []

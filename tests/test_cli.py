@@ -47,11 +47,13 @@ from test_transforms import (
     bundle,
     chain,
     core,
+    core2,
     core_stack_core,
     example_builders,
     mk,
     push,
     split_gluing,
+    split_spec,
     tmap,
     twisted_end,
     wrap_cycle_stack,
@@ -153,6 +155,20 @@ def files(tmp_path_factory):
         out[f"example:{name}"] = save(f"example-{name}.json", build().canonical_json())
     out["twisted-end"] = save("twisted-end.json", twisted_end().canonical_json())
     out["split"] = save("split.json", split_gluing().canonical_json())
+    # two split pieces on either side of a two-boundary core, ids out of
+    # sorted order: three components, and the node order is not the
+    # report's order
+    outer, inner_core, inner_body = split_spec()
+    split3 = GluingGraph(
+        manifolds=(outer, inner_core, inner_body, core2("N", push(REFLECTION), push(REFLECTION))),
+        pieces=(("z", "M"), ("a", "N"), ("m", "M")),
+        identifications=(
+            Identification("z", "E0", "a", "E0", tmap(REFLECTION)),
+            Identification("a", "E1", "m", "E0", tmap(REFLECTION)),
+        ),
+        boundary_markings=((("z", "E1"), mk("2/1", "3/1")), (("m", "E1"), mk("3/1", "1/0"))),
+    ).validate()
+    out["split3"] = save("split3.json", split3.canonical_json())
 
     h = BackendHandle.finite_graph(cycle_graph(6))
 
@@ -531,6 +547,25 @@ def test_decompose_reports_partition_and_cut(files, capsys):
     assert set(result) == {"full", "components", "cut"}
     assert len(result["components"]) == 3
     assert len(result["cut"]) == 2
+
+
+# sha256 of the stdout of decompose on a splitting whose maximal
+# decomposition has three components, recorded while the components still
+# came from a union-find of decompose's own
+SPLIT3_DECOMPOSE_SHA256 = "733f33cba13248b962e3cec2f3628c55c9bac075221bcf291a572ed583388fec"
+
+
+def test_decompose_three_component_split_bytes_pinned(files, capsys):
+    code, out, _ = run(capsys, ["decompose", "--input", files["split3"]])
+    assert code == EXIT_PASS
+    result = json.loads(out)["result"]
+    assert [c["pieces"] for c in result["components"]] == [
+        ["a"],
+        ["m/body", "m/core"],
+        ["z/body", "z/core"],
+    ]
+    assert len(result["cut"]) == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == SPLIT3_DECOMPOSE_SHA256
 
 
 # ------------------------------------------------------------------- model

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glueforge
-from glueforge import cli
+from glueforge import cli, halfplane
 from glueforge.errors import ParseError, ValidationError
 from glueforge.gluing import (
     GENERIC,
@@ -32,24 +32,23 @@ from glueforge.halfplane import (
     exact_tube_length,
     exact_tube_samples,
     precision_demand,
+    shortest_slope,
     sigma_of_marking,
     teich_distance,
+    teich_geodesic,
 )
 from glueforge.hypgraph import cycle_graph
 from glueforge.ioutil import canonical_dumps
 from glueforge.model import (
     DEFAULT_SAMPLES,
     FIBER_RESOLUTION,
-    ModelSkeleton,
     TubeBlock,
     build_skeleton,
     export_skeleton,
-    sample_tube,
     verify_thickness,
 )
-from glueforge.record import replace
 from glueforge.surface import AbstractMarking, BackendHandle, as_torus_marking
-from glueforge.torus import REFLECTION, FareyMarking, Slope, SurfaceMap, parse_slope
+from glueforge.torus import INFINITY, REFLECTION, FareyMarking, Slope, SurfaceMap, parse_slope
 from glueforge.transforms import collapse_ibundles
 from oracles import load_skeleton, reference_tube, systole
 from test_transforms import core_stack_core, example_builders, load_module
@@ -127,74 +126,25 @@ def vertical_tube(y: float) -> TubeBlock:
     )
 
 
-def test_sample_vertical_tube_midpoint():
-    smps = sample_tube(vertical_tube(4.0), 3)
-    assert [(s.point.x, round(s.point.y, 12)) for s in smps] == [
-        (0.0, 1.0),
-        (0.0, 2.0),
-        (0.0, 4.0),
-    ]
+def test_tube_needs_two_samples():
+    with pytest.raises(ValidationError, match="at least 2"):
+        halfplane.tube(MU.payload, MU.payload, 1)
+
+
+def test_vertical_geodesic_at_arbitrary_points():
+    # 4i lies above every balanced point, whose y is 1/(c^2 + d^2)
+    top = TeichPoint(0.0, 4.0)
+    mid = teich_geodesic(TeichPoint(0.0, 1.0), top, 0.5)
+    assert (mid.x, round(mid.y, 12)) == (0.0, 2.0)
     # at modulus 4i the short curve is the fiber direction, length 1/2
-    assert smps[2].systole == pytest.approx(0.5)
-    assert str(smps[2].shortest) == "inf"
-    assert [s.t for s in smps] == [0.0, 0.5, 1.0]
-
-
-def point_tube(z: TeichPoint) -> TubeBlock:
-    return TubeBlock(
-        ("p", "E0"), ("q", "E0"), "internal", sigma_a=z, sigma_b=z, degenerate=True
-    )
-
-
-def sampled_skeleton(tube: TubeBlock, n: int) -> ModelSkeleton:
-    tube = replace(tube, samples=sample_tube(tube, n))
-    return ModelSkeleton(
-        pieces=(),
-        tubes=(tube,),
-        incidence=(("p:E0", "q:E0"),),
-        total_tube_length=tube.length,
-        min_sampled_systole=min(s.systole for s in tube.samples),
-    )
-
-
-def test_thick_check_frozen():
-    assert systole(TeichPoint(0.0, 4.0)) == pytest.approx(0.5)
-    assert verify_thickness(sampled_skeleton(point_tube(TeichPoint(0.0, 1.0)), 2), 0.9).ok
-    assert not verify_thickness(sampled_skeleton(point_tube(TeichPoint(0.0, 4.0)), 2), 0.9).ok
-
-
-def test_segment_thick_check_samples():
-    sk = sampled_skeleton(vertical_tube(4.0), 3)
-    rep = verify_thickness(sk, 0.4)
-    assert rep.rows[0].min_systole == pytest.approx(0.5)
-    assert rep.ok
-    assert not verify_thickness(sk, 0.6).ok
-    with pytest.raises(ValidationError):
-        sample_tube(vertical_tube(4.0), 1)
+    assert shortest_slope(top) == INFINITY
+    assert curve_length(top, INFINITY) == pytest.approx(0.5)
+    assert systole(top) == pytest.approx(0.5)
 
 
 def test_tube_length_is_half_plane_distance():
     tube = vertical_tube(4.0)
     assert tube.length == pytest.approx(0.5 * math.log(4.0))
-
-
-def test_sample_degenerate_tube():
-    z = TeichPoint(0.5, 2.0)
-    tube = TubeBlock(
-        ("p", "E0"), ("q", "E0"), "internal", sigma_a=z, sigma_b=z, degenerate=True
-    )
-    smps = sample_tube(tube, 7)
-    assert len(smps) == 2
-    assert smps[0].point == smps[1].point == z
-    assert smps[0].systole == smps[1].systole == pytest.approx(systole(z))
-
-
-def test_sample_tube_input_errors():
-    with pytest.raises(ValidationError, match="at least 2"):
-        sample_tube(vertical_tube(4.0), 1)
-    comb = TubeBlock(("p", "E0"), ("q", "E0"), "internal", combinatorial=True)
-    with pytest.raises(ValidationError, match="no geometry"):
-        sample_tube(comb, 3)
 
 
 def test_tube_block_invariants():
@@ -281,6 +231,7 @@ def test_skeleton_quotient_tube_degenerate_at_fixed_point():
     ).validate()
     tube = build_skeleton(x, samples=9).tubes[0]
     assert tube.degenerate and len(tube.samples) == 2
+    assert tube.samples[0].point == tube.samples[1].point == tube.sigma_a
 
 
 def self_glued(dec: AbstractMarking, involution: SurfaceMap) -> GluingGraph:

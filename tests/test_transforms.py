@@ -28,6 +28,7 @@ from glueforge.gluing import (
     Splitting,
     heights,
     induced_markings,
+    slot_measures,
 )
 from glueforge.ioutil import canonical_dumps, sha256_of_text
 from glueforge.record import replace
@@ -53,7 +54,6 @@ from glueforge.transforms import (
     _stack_path,
     collapse_ibundles,
     combine_stack,
-    measured_r_bound,
 )
 
 from oracles import (
@@ -898,14 +898,18 @@ def test_collapse_builds_induced_markings_once(monkeypatch):
     monkeypatch.setattr(glueforge.transforms, "induced_markings", counted, raising=False)
     res = collapse_ibundles(example_builders()["stack"](), 6, 1)
     assert calls == [res.collapsed]
-    assert res.r_prime == measured_r_bound(res.collapsed)
+    assert res.r_prime == max(m.least_r for m in slot_measures(res.collapsed).values())
 
 
 def test_measured_r_bound_frozen():
+    # R = 5 is the least at which report's clauses a and b pass, before the
+    # collapse and after it; a bundle-free gluing is left as it is with the
+    # same r_prime
     x = core_stack_core([3], right_power=6)
-    assert measured_r_bound(x) == 5
+    assert clauses_a_and_b_pass(check_bounded_combinatorics(x, 5, 0))
+    assert not clauses_a_and_b_pass(check_bounded_combinatorics(x, 4, 0))
     res = collapse_ibundles(x, 6, 1)
-    assert measured_r_bound(res.collapsed) == res.r_prime == 5
+    assert res.r_prime == collapse_ibundles(res.collapsed, 6, 1).r_prime == 5
 
 
 def clauses_a_and_b_pass(cert: CombinatoricsCertificate) -> bool:
@@ -1063,7 +1067,7 @@ def test_decomposition_no_compressible_slots():
     assert [c.pieces for c in res.components] == [("p0",), ("p1",)]
     assert all(c.kind == "compression-of-core" for c in res.components)
     assert res.cut == x.identifications
-    assert res.reglue() == x
+    assert res.full == x
 
 
 def test_decomposition_core_plus_body():
@@ -1077,7 +1081,7 @@ def test_decomposition_core_plus_body():
     assert comp.pieces == ("c0", "p0")
     assert comp.kind == "compression-of-core"
     assert res.cut == ()
-    assert res.reglue() == x
+    assert res.full == x
 
 
 def test_decomposition_exterior_to_exterior_chain():
@@ -1110,7 +1114,7 @@ def test_decomposition_interior_contact_is_cut():
         "compression-of-core",
     ]
     assert len(res.cut) == 1
-    assert res.cut_slots() == ((("c0", "E1"), ("p0", "E0")),)
+    assert [(i.slot_a, i.slot_b) for i in res.cut] == [(("c0", "E1"), ("p0", "E0"))]
 
 
 def split_spec() -> tuple[DecoratedManifoldSpec, ...]:
@@ -1169,7 +1173,6 @@ def test_decomposition_expands_declared_splitting():
     assert len(res.cut) == 1
     assert res.cut[0].slot_a == ("p0/core", "B0")
     assert res.full.lam(("p0/body", "E1")) == mk("2/1", "3/1")
-    assert res.reglue() == res.full
     # partition: every identification of the full graph in exactly one bucket
     buckets = [i for c in res.components for i in c.identifications] + list(res.cut)
     assert sorted(map(id, buckets)) == sorted(map(id, res.full.identifications))
@@ -1252,7 +1255,6 @@ def test_decomposition_random_partition_exactness():
         assert sorted(p for c in res.components for p in c.pieces) == sorted(
             p for p, _ in res.full.pieces
         )
-        assert res.reglue() == res.full
 
 
 # --------------------------------------------------- mini stack properties
