@@ -155,13 +155,13 @@ def _read_input(path: str) -> str:
     return text
 
 
-def _emit(cfg: RunConfig, payload: bytes) -> None:
+def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.out is None:
-        sys.stdout.write(payload.decode())
+        sys.stdout.write(text)
         return
     try:
         with open(cfg.out, "wb") as fh:
-            fh.write(payload)
+            fh.write(text.encode())
     except OSError as exc:
         raise ValidationError(f"cannot write {cfg.out}: {exc.strerror}") from exc
 
@@ -173,7 +173,7 @@ def _emit_report(cfg: RunConfig, text: str, result: dict) -> None:
         "params": dict(cfg.params),
         "result": result,
     }
-    _emit(cfg, canonical_dumps(envelope).encode())
+    _emit(cfg, canonical_dumps(envelope))
 
 
 def cmd_validate(cfg: RunConfig, text: str) -> int:

@@ -1,11 +1,11 @@
 """Full and maximal decompositions of a gluing.
 
 The full decomposition replaces every piece by its declared splitting into
-a core and compression bodies.  The maximal one keeps exactly the
-identifications that meet a compression body's exterior boundary; the
-connected groups under them are its components, and the other
-identifications are cut.  Both are pure: they return new values and never
-mutate the input graph.
+a core and compression bodies, none of which splits again.  The maximal
+one keeps exactly the identifications that meet a compression body's
+exterior boundary; the connected groups under them are its components,
+and the other identifications are cut.  Both are pure: they return new
+values and never mutate the input graph.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 from .errors import ValidationError
 from .gluing import (
     COMPRESSION_BODY,
+    DecoratedManifoldSpec,
     GluingGraph,
     Identification,
     Slot,
@@ -50,9 +51,11 @@ class DecompositionResult(Record):
         }
 
 
-def _expand_splittings(x: GluingGraph) -> GluingGraph:
+def expand_splittings(x: GluingGraph) -> GluingGraph:
     """Replace each piece by its declared core/compression-body splitting;
-    pieces without metadata stand for themselves."""
+    pieces without metadata stand for themselves.  The home of the
+    splitting rules: a `GluingGraph` runs it when it is built (its `full`),
+    and the expanded graph passes the check of its own build."""
     spec_by_id = {m.id: m for m in x.manifolds}
     pieces: list[tuple[str, str]] = []
     idents: list[Identification] = []
@@ -63,9 +66,9 @@ def _expand_splittings(x: GluingGraph) -> GluingGraph:
         split = spec.splitting
         if split is None:
             pieces.append((pid, mid))
-            for b in spec.boundaries:
-                slot_map[(pid, b.id)] = (pid, b.id)
+            slot_map.update(((pid, b.id), (pid, b.id)) for b in spec.boundaries)
             continue
+        parts: dict[str, DecoratedManifoldSpec] = {}
         covered: dict[str, Slot] = {}
         for sub in split.pieces:
             sub_spec = spec_by_id.get(sub.manifold)
@@ -73,6 +76,7 @@ def _expand_splittings(x: GluingGraph) -> GluingGraph:
                 raise ValidationError(
                     f"piece {pid}: splitting references unknown manifold {sub.manifold}"
                 )
+            parts.setdefault(sub.id, sub_spec)
             sub_pid = f"{pid}/{sub.id}"
             pieces.append((sub_pid, sub.manifold))
             for parent_bdry, sub_bdry in sub.boundaries:
@@ -86,38 +90,31 @@ def _expand_splittings(x: GluingGraph) -> GluingGraph:
                         f"{sub.manifold}:{sub_bdry}"
                     )
                 if parent_bdry in covered:
-                    raise ValidationError(
-                        f"piece {pid}: boundary {parent_bdry} split twice"
-                    )
+                    raise ValidationError(f"piece {pid}: boundary {parent_bdry} split twice")
                 covered[parent_bdry] = (sub_pid, sub_bdry)
+            # so a full decomposition is full, and the check never recurses
+            if sub_spec.splitting is not None:
+                raise ValidationError(
+                    f"piece {pid}: splitting part {sub.id} is manifold {sub.manifold},"
+                    " which declares a splitting of its own"
+                )
         for b in spec.nontoroidal():
             if b.id not in covered:
-                raise ValidationError(
-                    f"piece {pid}: splitting leaves boundary {b.id} unplaced"
-                )
+                raise ValidationError(f"piece {pid}: splitting leaves boundary {b.id} unplaced")
             slot_map[(pid, b.id)] = covered[b.id]
         for sub_a, bdry_a, sub_b, bdry_b, map_json in split.identifications:
-            owners = [s.manifold for s in split.pieces if s.id == sub_a]
-            if not owners:
+            if sub_a not in parts:
                 raise ValidationError(
                     f"piece {pid}: splitting identification names unknown part {sub_a}"
                 )
-            spec_a = spec_by_id[owners[0]]
-            handle = spec_a.boundary(bdry_a).handle
+            handle = parts[sub_a].boundary(bdry_a).handle
             if handle is None:
                 raise ValidationError(
                     f"piece {pid}: splitting identification on toroidal boundary "
                     f"{sub_a}:{bdry_a}"
                 )
-            idents.append(
-                Identification(
-                    f"{pid}/{sub_a}",
-                    bdry_a,
-                    f"{pid}/{sub_b}",
-                    bdry_b,
-                    SlotMap.from_json(handle, json.loads(map_json)),
-                )
-            )
+            chart = SlotMap.from_json(handle, json.loads(map_json))
+            idents.append(Identification(f"{pid}/{sub_a}", bdry_a, f"{pid}/{sub_b}", bdry_b, chart))
     for ident in x.identifications:
         a = slot_map[ident.slot_a]
         b = slot_map[ident.slot_b]
@@ -128,7 +125,7 @@ def _expand_splittings(x: GluingGraph) -> GluingGraph:
         pieces=tuple(pieces),
         identifications=tuple(idents),
         boundary_markings=lam,
-    ).validate()
+    )
 
 
 def _is_exterior_side(x: GluingGraph, slot: Slot) -> bool:
@@ -142,7 +139,7 @@ def full_and_maximal_decomposition(x: GluingGraph) -> DecompositionResult:
     """Expand every declared splitting, then keep exactly the
     identifications meeting a compression body's exterior boundary; the
     connected groups under the kept identifications are the components."""
-    full = _expand_splittings(x)
+    full = x.full
     kept: list[Identification] = []
     cut: list[Identification] = []
     for ident in full.identifications:

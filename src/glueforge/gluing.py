@@ -663,8 +663,9 @@ class GluingGraph(Record):
 
     # -- validation ------------------------------------------------------
 
-    def validate(self) -> "GluingGraph":
-        """Check every structural invariant; returns self when sound."""
+    def __post_init__(self) -> None:
+        """Check every structural invariant, the splitting that each
+        piece's spec declares included: a graph is sound once it exists."""
         mids = [m.id for m in self.manifolds]
         if len(set(mids)) != len(mids):
             raise ValidationError("duplicate manifold id")
@@ -673,11 +674,7 @@ class GluingGraph(Record):
             raise ValidationError("duplicate piece id")
         if not self.pieces:
             raise ValidationError("gluing needs at least one piece")
-        self._piece_spec  # raises on dangling manifold references
-        valid = set()
-        for pid, _ in self.pieces:
-            for b in self.spec_of(pid).nontoroidal():
-                valid.add((pid, b.id))
+        valid = set(self.slots())  # raises on dangling manifold references
         seen: set[Slot] = set()
         for ident in self.identifications:
             for slot in (ident.slot_a, ident.slot_b):
@@ -742,14 +739,23 @@ class GluingGraph(Record):
         lam_slots = [slot for slot, _ in self.boundary_markings]
         if len(set(lam_slots)) != len(lam_slots):
             raise ValidationError("duplicate boundary marking")
-        self._check_connected()
-        return self
-
-    def _check_connected(self) -> None:
-        pieces = [pid for pid, _ in self.pieces]
-        groups = components(pieces, ((i.piece_a, i.piece_b) for i in self.identifications))
+        groups = components(pids, ((i.piece_a, i.piece_b) for i in self.identifications))
         if len(groups) > 1:
             raise ValidationError(f"disconnected: piece {groups[1][0]} unreachable")
+        self.full  # checks each declared splitting
+
+    def validate(self) -> "GluingGraph":
+        """Self: a graph was checked when it was built."""
+        return self
+
+    @cached_property
+    def full(self) -> "GluingGraph":
+        """Each split piece replaced by its parts (`decompose.expand_splittings`)."""
+        if all(spec.splitting is None for spec in self._piece_spec.values()):
+            return self
+        from .decompose import expand_splittings  # only a split gluing loads it
+
+        return expand_splittings(self)
 
     # -- serialization ---------------------------------------------------
 
@@ -833,7 +839,7 @@ def validate_gluing(source: str | Mapping) -> GluingGraph:
     and check every structural invariant; returns the canonical in-memory
     graph."""
     if isinstance(source, Mapping):
-        return GluingGraph.from_json(source).validate()
+        return GluingGraph.from_json(source)
     if not isinstance(source, str):
         raise ParseError(f"cannot read a gluing spec from {type(source).__name__}")
     try:
@@ -842,7 +848,7 @@ def validate_gluing(source: str | Mapping) -> GluingGraph:
         raise ParseError(f"malformed gluing spec: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("malformed gluing spec: arrays or objects nest too deeply") from exc
-    return GluingGraph.from_json(obj).validate()
+    return GluingGraph.from_json(obj)
 
 
 # -- induced markings, heights and slot measures ------------------------

@@ -332,16 +332,11 @@ def _exact_tie_break(cands: Iterable[Slope], x: int, y: int, den: int) -> tuple[
 
 
 def balanced_marking(g: SurfaceMap) -> FareyMarking:
-    """`shortest_marking` at the exact balanced point g i, on exact norms."""
-    x, den, _ = _balanced_ints(g)
-    base, _ = _exact_tie_break(_short_slopes(x, 1, den), x, 1, den)
-    minv = normalizer_to_infinity(base).inverse()
-    # the k minimizing |k (a - c z) + (b - d z)|^2, scaled by den
-    ar, ai = minv.a * den - minv.c * x, -minv.c
-    br, bi = minv.b * den - minv.d * x, -minv.d
-    k0 = -(ar * br + ai * bi) // (ar * ar + ai * ai)
-    neighbour, _ = _exact_tie_break(_window(minv, k0), x, 1, den)
-    return FareyMarking(base, neighbour)
+    """`shortest_marking` at the exact balanced point g i.  At i only 0/1
+    and 1/0 have length 1, and g carries slopes and their lengths at i to
+    g i, so the marking is g(0/1) and g(1/0), ordered by the tie key."""
+    ends = (g.on_slope(Slope(0, 1)), g.on_slope(Slope(1, 0)))
+    return FareyMarking(*sorted(ends, key=_slope_tie_key))
 
 
 def _correctly_rounded(evaluate: Callable[[], object], bits: int) -> object:

@@ -20,8 +20,13 @@ def canonical_dumps(obj: object) -> str:
 
 
 def sha256_of_text(text: str) -> str:
-    # hashlib loads OpenSSL, the largest import of a cold run; `model
-    # --format obj` hashes nothing and so never pays for it
-    import hashlib
-
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    # CPython's builtin SHA-256, about 5 ms for 1 MiB: `hashlib` loads
+    # OpenSSL, the largest import of a cold run
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:  # an interpreter built without them
+            from hashlib import sha256
+    return sha256(text.encode("utf-8")).hexdigest()

@@ -212,14 +212,12 @@ def build_skeleton(
     free marking get a boundary tube; without one the tube is omitted with
     a warning.
     """
-    x.validate()
     blocks = []
     for pid, _ in x.pieces:
         spec = x.spec_of(pid)
         anchors = tuple(
             (b.id, _sigma(b.decoration) if b.handle is not None and b.handle.is_torus else None)
             for b in spec.nontoroidal()
-            if b.decoration is not None
         )
         blocks.append(PieceBlock(pid, anchors))
 
@@ -333,7 +331,7 @@ def verify_thickness(s: ModelSkeleton, eps0: float) -> ThicknessReport:
     )
 
 
-def export_skeleton(s: ModelSkeleton) -> bytes:
+def export_skeleton(s: ModelSkeleton) -> str:
     """The OBJ surface sweep of a skeleton: each geometric tube becomes a
     ring of FIBER_RESOLUTION vertices per sample, of radius systole / 2 pi,
     joined to the next ring by triangles."""
@@ -364,4 +362,4 @@ def export_skeleton(s: ModelSkeleton) -> bytes:
                 lines.append(f"f {a} {d} {c}")
         base += rings * FIBER_RESOLUTION
     lines.append("")
-    return "\n".join(lines).encode()
+    return "\n".join(lines)

@@ -604,7 +604,7 @@ def _rewired_graph(
         pieces=tuple(sorted((p for p in x.pieces if p[0] not in removed))),
         identifications=kept + tuple(sorted(new_idents, key=lambda i: i.slot_a)),
         boundary_markings=lam + tuple(sorted(new_markings, key=lambda m: m[0])),
-    ).validate()
+    )
     return collapsed, wiring
 
 
@@ -645,7 +645,7 @@ def _combined_bundle(
         pieces=((new_pid, spec.id),),
         identifications=(ident,) if ident else (),
         boundary_markings=tuple(lam),
-    ).validate()
+    )
     return collapsed, ident, note
 
 
@@ -663,7 +663,6 @@ def collapse_ibundles(
     chain.  It collapses to a single trivial bundle B[...] whose exchange
     map is the chain's total flip, self-glued when the chain is a cycle; a
     fibered gluing with a twisted end is left uncollapsed."""
-    x.validate()
     bundles = [x.spec_of(pid).is_bundle for pid, _ in x.pieces]
     fibered = all(bundles)
     note = ""

@@ -31,11 +31,19 @@ from glueforge.gluing import (
     SlotMap,
     _slot_name,
 )
-from glueforge.halfplane import TeichPoint, curve_length, shortest_slope
+from glueforge.halfplane import (
+    TeichPoint,
+    _balanced_ints,
+    _exact_tie_break,
+    _short_slopes,
+    _window,
+    curve_length,
+    shortest_slope,
+)
 from glueforge.model import SCHEMA, ModelSkeleton, PieceBlock, TubeBlock, TubeSample
 from glueforge.record import Record
 from glueforge.surface import AbstractMarking, BackendHandle, _require_same, curve_distances_from
-from glueforge.torus import Slope
+from glueforge.torus import FareyMarking, Slope, SurfaceMap, normalizer_to_infinity
 
 INF = (1, 0)
 
@@ -320,6 +328,22 @@ def _reference_shortest(x: Decimal, y: Decimal) -> tuple[tuple[int, int], Decima
 def _tie_key(s: tuple[int, int]) -> tuple[int, int, int, int]:
     p, q = s
     return (1 if q == 0 else 0, q, abs(p), p)
+
+
+def reference_balanced_marking(g: SurfaceMap) -> FareyMarking:
+    """The package's former `halfplane.balanced_marking`: the shortest
+    slope at the exact balanced point g i by Lagrange-Gauss reduction and
+    the tie rule on exact norms, then its shortest neighbour from a window
+    of the base's chart around the real minimizer."""
+    x, den, _ = _balanced_ints(g)
+    base, _ = _exact_tie_break(_short_slopes(x, 1, den), x, 1, den)
+    minv = normalizer_to_infinity(base).inverse()
+    # the k minimizing |k (a - c z) + (b - d z)|^2, scaled by den
+    ar, ai = minv.a * den - minv.c * x, -minv.c
+    br, bi = minv.b * den - minv.d * x, -minv.d
+    k0 = -(ar * br + ai * bi) // (ar * ar + ai * ai)
+    neighbour, _ = _exact_tie_break(_window(minv, k0), x, 1, den)
+    return FareyMarking(base, neighbour)
 
 
 # --- former torus kernels, kept as differential references ---------------
@@ -1013,4 +1037,4 @@ def build_compression(
         manifolds=tuple(manifolds.values()),
         pieces=tuple(pieces),
         identifications=tuple(idents),
-    ).validate()
+    )

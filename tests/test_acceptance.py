@@ -148,7 +148,7 @@ def test_criterion_02_action_invariance():
                 Identification("p0", "E0", "p1", "F0", tmap(maps[0])),
                 Identification("p1", "F1", "p2", "E0", tmap(maps[1])),
             ),
-        ).validate()
+        )
 
     for _ in range(100):
         d = [random_marking(rng) for _ in range(4)]
@@ -366,7 +366,7 @@ def test_criterion_08_thickness_correlation():
             pieces=(("p0", "c0"), ("p1", "c1")),
             identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
             boundary_markings=((("p0", "E1"), mk(f"{coeff}/1", "1/0")),),
-        ).validate()
+        )
         thin_mins.append(build_skeleton(thin).min_sampled_systole)
     assert thin_mins == sorted(thin_mins, reverse=True)
     assert thin_mins[0] <= 0.24  # frozen 0.1999 with 20% slack, coeff 50
@@ -384,7 +384,7 @@ def test_criterion_09_round_trips_and_determinism(tmp_path, capsys):
         manifolds=(core("c0", MU),),
         pieces=(("p0", "c0"),),
         identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
-    ).validate()
+    )
     compression = build_compression(
         core("M0", MU),
         [CompressionStep("c0", body_spec("C0"), ("p0", "E0"), tmap(REFLECTION))],

@@ -46,7 +46,7 @@ def meridian_gluing() -> GluingGraph:
         ),
         pieces=(("p0", "M0"), ("p1", "M1")),
         identifications=(Identification("p1", "E0", "p0", "E0", tmap(REFLECTION)),),
-    ).validate()
+    )
 
 
 def covered_twisted_gluing() -> GluingGraph:
@@ -66,7 +66,7 @@ def covered_twisted_gluing() -> GluingGraph:
         manifolds=(core("M0", M_BASE), spec),
         pieces=(("p0", "M0"), ("w", "W")),
         identifications=(Identification("p0", "E0", "w", "F0", tmap(REFLECTION)),),
-    ).validate()
+    )
 
 
 def backtracking_stack() -> GluingGraph:

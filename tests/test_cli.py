@@ -37,7 +37,7 @@ from glueforge.gluing import (
     SlotMap,
 )
 from glueforge.hypgraph import cycle_graph
-from glueforge.ioutil import sha256_of_text
+from glueforge.ioutil import canonical_dumps, sha256_of_text
 from glueforge.surface import AbstractMarking, BackendHandle
 from glueforge.torus import IDENTITY, REFLECTION, FareyMarking, Slope
 from test_transforms import (
@@ -97,12 +97,15 @@ def files(tmp_path_factory):
     )
     out["fibered"] = save("fibered.json", fibered.canonical_json())
 
+    # a self-identification by the identity, which no graph can hold: the
+    # text of a sound one with its map replaced
     fixed = GluingGraph(
         manifolds=(core("c0", MU),),
         pieces=(("p0", "c0"),),
-        identifications=(Identification("p0", "E0", "p0", "E0", tmap(IDENTITY)),),
-    )
-    out["fixed"] = save("fixed.json", fixed.canonical_json())
+        identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
+    ).to_json()
+    fixed["identifications"][0]["map"] = tmap(IDENTITY).to_json()
+    out["fixed"] = save("fixed.json", canonical_dumps(fixed))
 
     # structurally fine, semantically broken: compressible slot, no disks
     broken = json.loads(cores.canonical_json())
@@ -122,7 +125,7 @@ def files(tmp_path_factory):
         pieces=(("p0", "c0"), ("p1", "c1")),
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
         boundary_markings=((("p0", "E1"), mk("50/1", "1/0")),),
-    ).validate()
+    )
     out["thin"] = save("thin.json", thin.canonical_json())
 
     # large gluing heights: a long continued fraction and a deep stack
@@ -130,7 +133,7 @@ def files(tmp_path_factory):
         manifolds=(core("c0", mk("1/1000", "0/1")),),
         pieces=(("p0", "c0"),),
         identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
-    ).validate()
+    )
     out["inv1000"] = save("inv1000.json", inv1000.canonical_json())
     out["deep200"] = save("deep200.json", core_stack_core([200]).canonical_json())
     out["deep1000"] = save("deep1000.json", core_stack_core([1000]).canonical_json())
@@ -145,7 +148,7 @@ def files(tmp_path_factory):
             ),
             pieces=(("p0", "c0"),),
             identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
-        ).validate()
+        )
         out["huge"] = save("huge.json", huge.canonical_json())
     out["deep30"] = save("deep30.json", core_stack_core([30]).canonical_json())
     # 38 bits, the deepest double-path input of the benchmark
@@ -167,7 +170,7 @@ def files(tmp_path_factory):
             Identification("a", "E1", "m", "E0", tmap(REFLECTION)),
         ),
         boundary_markings=((("z", "E1"), mk("2/1", "3/1")), (("m", "E1"), mk("3/1", "1/0"))),
-    ).validate()
+    )
     out["split3"] = save("split3.json", split3.canonical_json())
 
     h = BackendHandle.finite_graph(cycle_graph(6))
@@ -182,7 +185,7 @@ def files(tmp_path_factory):
         identifications=(
             Identification("p0", "E0", "p1", "E0", SlotMap(h, perm=(0, 5, 4, 3, 2, 1))),
         ),
-    ).validate()
+    )
     out["graph_pair"] = save("graph_pair.json", graph_pair.canonical_json())
 
     # one spec with a torus and a graph boundary, glued along the torus
@@ -198,7 +201,7 @@ def files(tmp_path_factory):
         manifolds=(mixed_spec,),
         pieces=(("p0", "m"), ("p1", "m")),
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
-    ).validate()
+    )
     out["mixed"] = save("mixed.json", mixed.canonical_json())
 
     # a core, a trivial I-bundle and a core over C_12, glued by v -> -v
@@ -224,7 +227,7 @@ def files(tmp_path_factory):
             Identification("p0", "E0", "p1", "F0", flip),
             Identification("p1", "F1", "p2", "E0", flip),
         ),
-    ).validate()
+    )
     out["graph_stack"] = save("graph_stack.json", graph_stack.canonical_json())
 
     # a torus stack whose path backtracks along the axis: not a geodesic,
@@ -358,20 +361,88 @@ def test_non_finite_numbers_are_parse_errors(files, capsys, tmp_path, number):
     assert err.count("\n") == 1
 
 
-def test_splitting_identification_on_a_toroidal_boundary(capsys, tmp_path):
-    obj = json.loads(split_gluing().canonical_json())
+def _garbage_map(obj, split):
+    split["identifications"][0]["map"] = "garbage"
+
+
+def _unknown_part_manifold(obj, split):
+    split["pieces"][0]["manifold"] = "NOPE"
+
+
+def _orientation_preserving_map(obj, split):
+    split["identifications"][0]["map"] = [[1, 0], [0, 1]]
+
+
+def _unplaced_boundaries(obj, split):
+    split["pieces"][0]["boundaries"] = {}
+
+
+def _toroidal_split_slot(obj, split):
     kc = next(m for m in obj["manifolds"] if m["id"] == "KC")
     kc["boundaries"].append({"id": "T0", "toroidal": True})
-    outer = next(m for m in obj["manifolds"] if m["id"] == "M")
-    outer["splitting"]["identifications"][0]["a"] = ["core", "T0"]
-    bad = tmp_path / "split.json"
-    bad.write_text(json.dumps(obj))
-    code, out, err = run(capsys, ["decompose", "--input", str(bad)])
-    assert (code, out) == (EXIT_INVARIANT, "")
-    assert err == (
-        "invariant violation: piece p0: splitting identification on toroidal"
-        " boundary core:T0\n"
-    )
+    split["identifications"][0]["a"] = ["core", "T0"]
+
+
+def _unknown_part_boundary(obj, split):
+    split["pieces"][0] = {"id": "core", "manifold": "M", "boundaries": {"E0": "B0"}}
+
+
+def _part_that_splits(obj, split):
+    # the part is the split manifold M itself
+    split["pieces"][0] = {"id": "core", "manifold": "M", "boundaries": {"E0": "E0"}}
+    split["identifications"][0]["a"] = ["core", "E1"]
+
+
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        (_garbage_map, EXIT_PARSE, "parse error: bad surface map 'garbage'"),
+        (
+            _unknown_part_manifold,
+            EXIT_INVARIANT,
+            "invariant violation: piece p0: splitting references unknown manifold NOPE",
+        ),
+        (
+            _orientation_preserving_map,
+            EXIT_INVARIANT,
+            "invariant violation: gluing map p0/core:B1 -> p0/body:E0 must reverse orientation",
+        ),
+        (
+            _unplaced_boundaries,
+            EXIT_INVARIANT,
+            "invariant violation: piece p0: splitting leaves boundary E0 unplaced",
+        ),
+        (
+            _toroidal_split_slot,
+            EXIT_INVARIANT,
+            "invariant violation: piece p0: splitting identification on toroidal boundary core:T0",
+        ),
+        (
+            _unknown_part_boundary,
+            EXIT_INVARIANT,
+            "invariant violation: piece p0: splitting targets unknown boundary M:B0",
+        ),
+        (
+            _part_that_splits,
+            EXIT_INVARIANT,
+            "invariant violation: piece p0: splitting part core is manifold M, which"
+            " declares a splitting of its own",
+        ),
+    ],
+    ids=["garbage-map", "unknown-manifold", "preserving-map", "unplaced", "toroidal-slot",
+         "unknown-boundary", "part-splits"],
+)
+def test_every_gluing_command_checks_splittings_as_decompose_does(
+    capsys, tmp_path, edit, code, message
+):
+    # a broken splitting fails every command that reads a gluing alike,
+    # before any output
+    obj = split_gluing().to_json()
+    edit(obj, next(m for m in obj["manifolds"] if m["id"] == "M")["splitting"])
+    bad = tmp_path / "broken.json"
+    bad.write_text(canonical_dumps(obj))
+    for command in ("validate", "report", "collapse", "model", "decompose"):
+        assert run(capsys, [command, "--input", str(bad)]) == (code, "", message + "\n"), command
 
 
 @pytest.mark.parametrize("where", ["missing/x.json", "."])
@@ -733,7 +804,9 @@ def test_deep_stack_report_bytes_pinned(files, command, name):
 # model pins of the stack example were recorded when its 55-bit tube moved
 # to the decimal path; before, both ended with exit 5 and no output.
 # The JSON pins were re-recorded when each report's params came to echo
-# only the flags its command reads; the result bytes stayed the same.
+# only the flags its command reads; the result bytes stayed the same.  The
+# validate, report and model pins of the splitting were recorded before
+# those commands checked a splitting as decompose does.
 COLD_STDOUT_PINS = {
     ("validate", "example:chain"): (0, "a2a597e0eca2cfd4d0c53f1a1948c70f1a9d52807be4b7219f99e971552e0a73"),
     ("report", "example:chain"): (0, "c41dc9a61f886de4e6c3bf1ccd81b99047fd12d9fca72eb2bed0b28a142962f4"),
@@ -775,6 +848,9 @@ COLD_STDOUT_PINS = {
     ("collapse", "twisted-end"): (0, "53f9bd7b887ec00340e7346b27ae809684d22d5fc30c81cfd1d7c4180fe6dda9"),
     ("decompose", "split"): (0, "8b7284b31d48f127c15efecc611b8cd5e35895bf97f1edaf9a00fe5166809ba6"),
     ("collapse", "split"): (0, "868996f8dfd274ccbb962fb635e7fb3ddd9e6cf8e49585b36ec4f2a73a4b5b49"),
+    ("validate", "split"): (0, "865d03f6cca671f1c56344f0a0638c331c7638d20aa09c06c9a35526d4b8f396"),
+    ("report", "split"): (1, "c11d16ef17825d75f61d26b6929a3d2b78de7413458c605c848ce48d632b9da1"),
+    ("model", "split"): (0, "d8ecab63212cf1093632d5999d8535bcffb0abe399b67c34d444afeeadcfe41b"),
     ("collapse", "backtrack"): (1, "69050b36845362c97a26e976b3acc3c587bb2efd7a136f15dbfe819f1730a77d"),
     ("collapse", "wrap20"): (0, "98292565b1b3a4d24db6b16ad18141855cbb22dea0dfeec34b6c4e13e998d0d5"),
 }
@@ -1070,7 +1146,8 @@ def test_no_module_imports_numpy():
 # scan of a stack path that is not a geodesic build one.  A model within
 # 40 bits of precision demand runs in doubles and loads neither; the
 # decimal path of a deeper one (deep30) loads both.  hashlib loads OpenSSL
-# (_hashlib); only the commands that print an input hash import it
+# (_hashlib); no command imports it, since the input hash is CPython's
+# builtin SHA-256
 _IMPORT_PROBE = (
     "import sys\n"
     "from glueforge import cli\n"
@@ -1106,8 +1183,7 @@ def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
         assert proc.returncode == 0, proc.stderr
         obj = "obj" in command
         exact = " fractions decimal" if example == "deep30" else ""
-        hashed = "" if obj else " hashlib _hashlib"
-        assert proc.stdout == f"\n{EXIT_PASS}{exact}{hashed}\n", command
+        assert proc.stdout == f"\n{EXIT_PASS}{exact}\n", command
         if obj:
             continue
         report = json.loads(target.read_text())
@@ -1399,7 +1475,7 @@ def cycle_stack(n: int, ks: list[int]) -> GluingGraph:
         manifolds=tuple(specs),
         pieces=tuple((f"p{i}", spec.id) for i, spec in enumerate(specs)),
         identifications=tuple(idents),
-    ).validate()
+    )
 
 
 @pytest.fixture(scope="module")

@@ -108,7 +108,7 @@ def two_piece_gluing(psi: SurfaceMap, mu0=M_BASE, mu1=M_BASE) -> GluingGraph:
         manifolds=(core("M0", mu0), core("M1", mu1)),
         pieces=(("p0", "M0"), ("p1", "M1")),
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(psi)),),
-    ).validate()
+    )
 
 
 # ------------------------------------------------------ boundary specs
@@ -254,43 +254,41 @@ def test_two_piece_gluing_accepted_and_involutive():
 
 
 def test_self_identification_twisted_rule():
+    # a graph is checked when it is built; validate() only returns it
     x = GluingGraph(
         manifolds=(core("M", M_BASE),),
         pieces=(("p0", "M"),),
         identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
     )
-    x.validate()
+    assert x.validate() is x
     non_involution = SurfaceMap(13, 8, 8, 5) @ REFLECTION
-    bad = GluingGraph(
-        manifolds=(core("M", M_BASE),),
-        pieces=(("p0", "M"),),
-        identifications=(Identification("p0", "E0", "p0", "E0", tmap(non_involution)),),
-    )
     with pytest.raises(ValidationError, match="fixed point"):
-        bad.validate()
+        GluingGraph(
+            manifolds=(core("M", M_BASE),),
+            pieces=(("p0", "M"),),
+            identifications=(Identification("p0", "E0", "p0", "E0", tmap(non_involution)),),
+        )
 
 
 def test_disconnected_rejected():
-    x = GluingGraph(
-        manifolds=(core("M", M_BASE),),
-        pieces=(("p0", "M"), ("p1", "M"), ("p2", "M")),
-        identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
-    )
     with pytest.raises(ValidationError, match="disconnected: piece p2"):
-        x.validate()
+        GluingGraph(
+            manifolds=(core("M", M_BASE),),
+            pieces=(("p0", "M"), ("p1", "M"), ("p2", "M")),
+            identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
+        )
 
 
 def test_slot_reuse_rejected():
-    x = GluingGraph(
-        manifolds=(core("M", M_BASE), core("N", M_BASE, M_BASE)),
-        pieces=(("p0", "N"), ("p1", "M"), ("p2", "M")),
-        identifications=(
-            Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),
-            Identification("p0", "E0", "p2", "E0", tmap(REFLECTION)),
-        ),
-    )
     with pytest.raises(ValidationError, match="non-involutive.*p0:E0"):
-        x.validate()
+        GluingGraph(
+            manifolds=(core("M", M_BASE), core("N", M_BASE, M_BASE)),
+            pieces=(("p0", "N"), ("p1", "M"), ("p2", "M")),
+            identifications=(
+                Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),
+                Identification("p0", "E0", "p2", "E0", tmap(REFLECTION)),
+            ),
+        )
 
 
 def test_dangling_references_rejected():
@@ -299,14 +297,13 @@ def test_dangling_references_rejected():
             manifolds=(core("M", M_BASE),),
             pieces=(("p0", "ZZZ"),),
             identifications=(),
-        ).validate()
-    x = GluingGraph(
-        manifolds=(core("M", M_BASE),),
-        pieces=(("p0", "M"), ("p1", "M")),
-        identifications=(Identification("p0", "E9", "p1", "E0", tmap(REFLECTION)),),
-    )
+        )
     with pytest.raises(ValidationError, match="unknown slot p0:E9"):
-        x.validate()
+        GluingGraph(
+            manifolds=(core("M", M_BASE),),
+            pieces=(("p0", "M"), ("p1", "M")),
+            identifications=(Identification("p0", "E9", "p1", "E0", tmap(REFLECTION)),),
+        )
 
 
 def test_toroidal_slot_rejected():
@@ -318,23 +315,21 @@ def test_toroidal_slot_rejected():
             BoundarySpec("T0", toroidal=True),
         ),
     )
-    x = GluingGraph(
-        manifolds=(spec,),
-        pieces=(("p0", "M"), ("p1", "M")),
-        identifications=(Identification("p0", "T0", "p1", "E0", tmap(REFLECTION)),),
-    )
     with pytest.raises(ValidationError, match="toroidal boundary p0:T0"):
-        x.validate()
+        GluingGraph(
+            manifolds=(spec,),
+            pieces=(("p0", "M"), ("p1", "M")),
+            identifications=(Identification("p0", "T0", "p1", "E0", tmap(REFLECTION)),),
+        )
 
 
 def test_orientation_preserving_identification_rejected():
-    x = GluingGraph(
-        manifolds=(core("M", M_BASE),),
-        pieces=(("p0", "M"), ("p1", "M")),
-        identifications=(Identification("p0", "E0", "p1", "E0", tmap(T_MAP)),),
-    )
     with pytest.raises(ValidationError, match="must reverse orientation"):
-        x.validate()
+        GluingGraph(
+            manifolds=(core("M", M_BASE),),
+            pieces=(("p0", "M"), ("p1", "M")),
+            identifications=(Identification("p0", "E0", "p1", "E0", tmap(T_MAP)),),
+        )
 
 
 def test_identified_backends_must_match():
@@ -344,33 +339,30 @@ def test_identified_backends_must_match():
         GENERIC,
         (BoundarySpec("E0", handle=h, decoration=AbstractMarking(h, (0,))),),
     )
-    x = GluingGraph(
-        manifolds=(core("M", M_BASE), graph_piece),
-        pieces=(("p0", "M"), ("p1", "G")),
-        identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
-    )
     with pytest.raises(BackendMismatchError, match="different backends"):
-        x.validate()
+        GluingGraph(
+            manifolds=(core("M", M_BASE), graph_piece),
+            pieces=(("p0", "M"), ("p1", "G")),
+            identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
+        )
 
 
 def test_lambda_validation():
     spec = core("M", M_BASE, M_BASE)
-    buried = GluingGraph(
-        manifolds=(spec,),
-        pieces=(("p0", "M"), ("p1", "M")),
-        identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
-        boundary_markings=((("p0", "E0"), M_BASE),),
-    )
     with pytest.raises(ValidationError, match="buried slot p0:E0"):
-        buried.validate()
-    unknown = GluingGraph(
-        manifolds=(spec,),
-        pieces=(("p0", "M"), ("p1", "M")),
-        identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
-        boundary_markings=((("p0", "E9"), M_BASE),),
-    )
+        GluingGraph(
+            manifolds=(spec,),
+            pieces=(("p0", "M"), ("p1", "M")),
+            identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
+            boundary_markings=((("p0", "E0"), M_BASE),),
+        )
     with pytest.raises(ValidationError, match="unknown slot p0:E9"):
-        unknown.validate()
+        GluingGraph(
+            manifolds=(spec,),
+            pieces=(("p0", "M"), ("p1", "M")),
+            identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
+            boundary_markings=((("p0", "E9"), M_BASE),),
+        )
 
 
 # ------------------------------------------- induced markings and heights
@@ -399,7 +391,7 @@ def test_unburied_slots_take_lambda_or_are_empty():
         pieces=(("p0", "M"), ("p1", "M")),
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
         boundary_markings=((("p0", "E1"), lam),),
-    ).validate()
+    )
     table = induced_markings(x)
     assert table[("p0", "E1")] == lam
     assert [slot for slot, m in table.items() if m is None] == [("p1", "E1")]
@@ -427,7 +419,7 @@ def test_heights_empty_nu_is_none():
         manifolds=(spec,),
         pieces=(("p0", "M"), ("p1", "M")),
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
-    ).validate()
+    )
     h = heights(x)
     assert h[("p0", "E1")] is None
     assert min(v for v in h.values() if v is not None) == 0
@@ -455,7 +447,7 @@ def test_certificate_self_gluing_reflection():
         manifolds=(core("M", M_BASE),),
         pieces=(("p0", "M"),),
         identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
-    ).validate()
+    )
     assert heights(x)[("p0", "E0")] == 0
     cert = check_bounded_combinatorics(x, 6, 1)
     assert not cert.passed
@@ -475,7 +467,7 @@ def test_clause_b_meridian_inequality():
         ),
         pieces=(("p0", "M0"), ("p1", "M1")),
         identifications=(Identification("p1", "E0", "p0", "E0", tmap(REFLECTION)),),
-    ).validate()
+    )
     table = induced_markings(x)
     nu = table[("p0", "E0")]
     assert nu is not None and Slope(0, 1) in nu.elements()
@@ -510,7 +502,7 @@ def core_bundle_core(
             Identification("p0", "E0", "b", "F0", tmap(psi_left)),
             Identification("b", "F1", "p1", "E0", tmap(psi_right)),
         ),
-    ).validate()
+    )
 
 
 def test_clause_c_bundle_geodesic():
@@ -539,7 +531,7 @@ def test_clause_c_missing_induced_marking():
         manifolds=(core("ML", M_BASE), b),
         pieces=(("p0", "ML"), ("b", "B")),
         identifications=(Identification("p0", "E0", "b", "F0", tmap(REFLECTION)),),
-    ).validate()
+    )
     report = check_bounded_combinatorics(x, 3, 0).piece("b").clause_c
     assert report is not None and not report.ok
     assert "missing induced marking" in report.detail
@@ -557,7 +549,7 @@ def test_clause_d_twisted_cover():
             manifolds=(core("M0", M_BASE), spec),
             pieces=(("p0", "M0"), ("w", spec.id)),
             identifications=(Identification("p0", "E0", "w", "F0", tmap(REFLECTION)),),
-        ).validate()
+        )
 
     missing = check_bounded_combinatorics(glue(tw_plain), 3, 0).piece("w").clause_d
     assert missing is not None and not missing.ok
@@ -599,7 +591,7 @@ def test_clause_e_record_coverage():
             pieces=(("p0", "M"), ("p1", "N")),
             identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
             boundary_markings=lam,
-        ).validate()
+        )
 
     bare = check_bounded_combinatorics(build(()), 3, 0)
     report = bare.piece("p0")
@@ -619,7 +611,7 @@ def test_empty_nu_skips_height_gate():
         manifolds=(spec, core("N", mk("8/5", "13/8"))),
         pieces=(("p0", "M"), ("p1", "N")),
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
-    ).validate()
+    )
     cert = check_bounded_combinatorics(x, 6, 3)
     assert cert.slot("p0", "E1").height is None
     assert cert.slot("p0", "E1").height_ok is None
@@ -638,7 +630,7 @@ def test_graph_backend_gluing_and_unmodeled_caveat():
         manifolds=(spec,),
         pieces=(("p0", "G"), ("p1", "G")),
         identifications=(Identification("p0", "E0", "p1", "E0", flip),),
-    ).validate()
+    )
     table = induced_markings(x)
     assert table[("p1", "E0")].payload == (0, 5)
     assert heights(x)[("p1", "E0")] == 0
@@ -790,7 +782,6 @@ def test_each_graph_map_is_checked_once(monkeypatch):
 def test_relabel_naturality():
     x = two_piece_gluing(SurfaceMap(13, 8, 8, 5) @ REFLECTION)
     y = relabel(x, {"p0": "left", "p1": "right"})
-    y.validate()
     tx = induced_markings(x)
     ty = induced_markings(y)
     assert ty[("left", "E0")] == tx[("p0", "E0")]
@@ -826,7 +817,7 @@ def rand_gluing(rng: random.Random) -> GluingGraph:
         )
         for i in range(n - 1)
     )
-    return GluingGraph(tuple(manifolds), tuple(pieces), idents).validate()
+    return GluingGraph(tuple(manifolds), tuple(pieces), idents)
 
 
 def test_certificate_monotonicity():
@@ -915,7 +906,7 @@ def test_height_and_certificate_action_invariance():
         x = rand_gluing(rng)
         pid, bid = rng.choice(x.slots())
         g = rand_word(rng, 6)
-        y = conjugate_slot(x, pid, bid, g).validate()
+        y = conjugate_slot(x, pid, bid, g)
         hx = heights(x)
         hy = heights(y)
         assert hx == hy
@@ -953,7 +944,7 @@ def test_action_invariance_of_report_and_collapse_at_depth(tmp_path, capsys):
         rng = random.Random(seed)
         x = rand_gluing(rng)
         pid, bid = rng.choice(x.slots())
-        y = conjugate_slot(x, pid, bid, rand_word(rng, 400)).validate()
+        y = conjugate_slot(x, pid, bid, rand_word(rng, 400))
         px, py = tmp_path / f"x{seed}.json", tmp_path / f"y{seed}.json"
         px.write_text(x.canonical_json())
         py.write_text(y.canonical_json())
@@ -991,7 +982,7 @@ def full_featured_gluing() -> GluingGraph:
             Identification("c", "E0", "m", "E0", tmap(SurfaceMap(2, 1, 1, 1) @ REFLECTION)),
         ),
         boundary_markings=((("c", "E1"), mk("3/2", "1/1")),),
-    ).validate()
+    )
 
 
 def test_gluing_json_round_trip():

@@ -28,11 +28,13 @@ from glueforge.gluing import (
 from glueforge.halfplane import (
     PRECISION_BITS,
     TeichPoint,
+    balanced_marking,
     curve_length,
     exact_tube_length,
     exact_tube_samples,
     precision_demand,
     shortest_slope,
+    sigma_matrix,
     sigma_of_marking,
     teich_distance,
     teich_geodesic,
@@ -50,7 +52,7 @@ from glueforge.model import (
 from glueforge.surface import AbstractMarking, BackendHandle, as_torus_marking
 from glueforge.torus import INFINITY, REFLECTION, FareyMarking, Slope, SurfaceMap, parse_slope
 from glueforge.transforms import collapse_ibundles
-from oracles import load_skeleton, reference_tube, systole
+from oracles import load_skeleton, reference_balanced_marking, reference_tube, systole
 from test_transforms import core_stack_core, example_builders, load_module
 
 T = BackendHandle.torus()
@@ -99,7 +101,7 @@ def core_bundle_core(k: int, left=None, right=None) -> GluingGraph:
             Identification("p0", "E0", "p1", "F0", tmap(REFLECTION)),
             Identification("p1", "F1", "p2", "E0", tmap(REFLECTION)),
         ),
-    ).validate()
+    )
 
 
 def single_free(dec: AbstractMarking, lam: AbstractMarking | None) -> GluingGraph:
@@ -112,7 +114,7 @@ def single_free(dec: AbstractMarking, lam: AbstractMarking | None) -> GluingGrap
         pieces=(("p0", "M"),),
         identifications=(),
         boundary_markings=markings,
-    ).validate()
+    )
 
 
 # ----------------------------------------------------------------- sampling
@@ -210,7 +212,7 @@ def test_skeleton_quotient_tube_records_involution():
         manifolds=(spec,),
         pieces=(("p0", "M"),),
         identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
-    ).validate()
+    )
     sk = build_skeleton(x, samples=5)
     tube = sk.tubes[0]
     assert tube.kind == "quotient"
@@ -228,7 +230,7 @@ def test_skeleton_quotient_tube_degenerate_at_fixed_point():
         manifolds=(core("M", MU),),
         pieces=(("p0", "M"),),
         identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
-    ).validate()
+    )
     tube = build_skeleton(x, samples=9).tubes[0]
     assert tube.degenerate and len(tube.samples) == 2
     assert tube.samples[0].point == tube.samples[1].point == tube.sigma_a
@@ -239,7 +241,7 @@ def self_glued(dec: AbstractMarking, involution: SurfaceMap) -> GluingGraph:
         manifolds=(core("M", dec),),
         pieces=(("p0", "M"),),
         identifications=(Identification("p0", "E0", "p0", "E0", tmap(involution)),),
-    ).validate()
+    )
 
 
 def test_self_glued_piece_with_float_midpoint_drift(tmp_path):
@@ -405,6 +407,17 @@ def reference_cases() -> list[tuple[SurfaceMap, SurfaceMap]]:
     return out
 
 
+def test_balanced_marking_matches_the_reduction_on_deep_anchors():
+    # the sigma matrix of every decoration and both ends of every tube of
+    # the stack example (55 bits) and of deep30, all on the decimal path
+    for x in (example_builders()["stack"](), core_stack_core([30])):
+        ends = [g for t in build_skeleton(x, samples=2).tubes if not t.combinatorial for g in t.ends]
+        anchors = [sigma_matrix(as_torus_marking(x.decoration(slot))) for slot in x.slots()]
+        assert max(map(precision_demand, ends)) > PRECISION_BITS
+        for g in ends + anchors:
+            assert balanced_marking(g) == reference_balanced_marking(g), g
+
+
 def test_decimal_path_matches_the_high_precision_reference():
     # every double the rounding test accepts is the one a 600-digit
     # evaluation by other formulas rounds to
@@ -475,7 +488,7 @@ def test_thickness_correlation_orders_by_coefficient():
             (("p0", "E0"), mk("50/1", "1/0")),
             (("p0", "E1"), mk("3/1", "1/0")),
         ),
-    ).validate()
+    )
     report = verify_thickness(build_skeleton(x, samples=51), 0.3)
     assert [entry[1] for entry in report.correlation] == [50, 3]
     thin = {entry[0]: entry[2] for entry in report.correlation}
@@ -488,7 +501,7 @@ def test_thickness_all_degenerate_passes_at_anchor_systole():
         pieces=(("p0", "M"),),
         identifications=(),
         boundary_markings=((("p0", "E0"), MU),),
-    ).validate()
+    )
     sk = build_skeleton(x, samples=5)
     assert sk.tubes[0].degenerate
     assert verify_thickness(sk, 1.0).ok
@@ -514,7 +527,7 @@ def test_graph_slots_build_combinatorial_tubes():
         identifications=(
             Identification("p0", "E0", "p0", "E1", SlotMap(h, perm=(0, 5, 4, 3, 2, 1))),
         ),
-    ).validate()
+    )
     sk = build_skeleton(x, samples=5)
     tube = sk.tubes[0]
     assert tube.combinatorial and tube.samples == ()
@@ -535,7 +548,7 @@ def test_skeleton_naturality_under_relabeling():
             )
             for i in x.identifications
         ),
-    ).validate()
+    )
     sk = build_skeleton(x, samples=7)
     skr = build_skeleton(renamed, samples=7)
     assert [p.piece for p in skr.pieces] == ["zz0", "zz1", "zz2"]
@@ -575,7 +588,7 @@ def test_export_piece_without_tubes():
 
 def test_export_obj_vertex_count():
     sk = build_skeleton(core_bundle_core(2), samples=5)
-    text = export_skeleton(sk).decode()
+    text = export_skeleton(sk)
     verts = [line for line in text.splitlines() if line.startswith("v ")]
     faces = [line for line in text.splitlines() if line.startswith("f ")]
     names = [line for line in text.splitlines() if line.startswith("o ")]

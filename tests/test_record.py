@@ -88,7 +88,7 @@ def samples() -> dict:
     roots: list[object] = []
     builds = [*example_builders().values(), twisted_end, full_featured_gluing]
     for build in builds:
-        x = build().validate()
+        x = build()
         roots.append(x)
         runs = [
             lambda: check_bounded_combinatorics(x, 6, 1),
@@ -105,7 +105,7 @@ def samples() -> dict:
             warnings.simplefilter("ignore", RuntimeWarning)  # free slots without lambda
             skeleton = build_skeleton(x, samples=3)
         roots.extend((skeleton, verify_thickness(skeleton, 0.1)))
-    stack = example_builders()["stack"]().validate()
+    stack = example_builders()["stack"]()
     roots.extend((_resolve_stack(stack, ["p1", "p2", "p3"]), split_spec()))
     step = CompressionStep("c0", body_spec("C0"), ("p0", "E0"), tmap(REFLECTION))
     roots.extend((step, build_compression(core("M0", MU), [step])))

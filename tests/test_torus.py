@@ -58,7 +58,7 @@ from glueforge.torus import (
 )
 
 import glueforge
-from oracles import FareyOracle, canon, scan_shortest_slope, systole
+from oracles import FareyOracle, canon, reference_balanced_marking, scan_shortest_slope, systole
 
 A_GOLD = SurfaceMap(2, 1, 1, 1)
 
@@ -661,6 +661,15 @@ def test_balanced_marking_is_the_shortest_marking_at_the_balanced_point():
         assert balanced_marking(s) == shortest_marking(sigma_of_marking(m)), m
         seen += 1
     assert seen >= 200
+
+
+def test_balanced_marking_matches_the_reduction_at_depth():
+    # the images of 0/1 and 1/0 against the former Lagrange-Gauss
+    # reduction and neighbour window, on words of up to 80 letters
+    rng = random.Random(26)
+    for _ in range(5000):
+        g = _sl2z_word(rng, rng.randrange(0, 81))
+        assert balanced_marking(g) == reference_balanced_marking(g), g
 
 
 # --- half-plane geometry ---------------------------------------------------

@@ -143,7 +143,7 @@ def chain(
         manifolds=tuple(dict.fromkeys(specs, None)),
         pieces=pieces,
         identifications=tuple(idents),
-    ).validate()
+    )
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -299,7 +299,7 @@ def test_combine_stack_backend_mismatch():
             Identification("p0", "F1", "p1", "E0", tmap(REFLECTION)),
             Identification("p1", "E1", "p2", "F0", SlotMap(h, perm=(0, 5, 4, 3, 2, 1))),
         ),
-    ).validate()
+    )
     with pytest.raises(BackendMismatchError, match="different backends"):
         combine_stack(x, ["p0", "p2"], 1, 6)
 
@@ -363,7 +363,7 @@ def random_cycle_stack(rng: random.Random, n: int, k: int) -> GluingGraph:
         manifolds=tuple(specs),
         pieces=tuple((f"p{i}", spec.id) for i, spec in enumerate(specs)),
         identifications=tuple(idents),
-    ).validate()
+    )
 
 
 def wrap_cycle_stack(k: int) -> GluingGraph:
@@ -395,7 +395,7 @@ def wrap_cycle_stack(k: int) -> GluingGraph:
         manifolds=tuple(specs),
         pieces=tuple((f"p{i}", spec.id) for i, spec in enumerate(specs)),
         identifications=tuple(idents),
-    ).validate()
+    )
 
 
 def test_stack_certificate_matches_all_pairs_oracles_on_torus_stacks():
@@ -616,7 +616,7 @@ def test_collapse_unburied_end_pushes_free_marking():
         pieces=(("p0", "M"), ("p1", "B")),
         identifications=(Identification("p0", "E0", "p1", "F0", tmap(REFLECTION)),),
         boundary_markings=((("p1", "F1"), lam),),
-    ).validate()
+    )
     res = collapse_ibundles(x, 6, 1)
     st = res.stacks[0]
     assert st.new_identification is None
@@ -650,7 +650,7 @@ def twisted_end() -> GluingGraph:
         manifolds=(core("M", MU), tw),
         pieces=(("p0", "M"), ("w", "W")),
         identifications=(Identification("p0", "E0", "w", "F0", tmap(REFLECTION)),),
-    ).validate()
+    )
 
 
 def test_collapse_twisted_end_self_identification():
@@ -672,7 +672,7 @@ def test_collapse_twisted_end_self_identification():
         manifolds=(core("M", MU), bare),
         pieces=(("p0", "M"), ("w", "W")),
         identifications=(Identification("p0", "E0", "w", "F0", tmap(REFLECTION)),),
-    ).validate()
+    )
     with pytest.raises(ValidationError, match="twisted piece without cover data"):
         collapse_ibundles(y, 6, 1)
 
@@ -687,7 +687,7 @@ def folded_end() -> GluingGraph:
             Identification("p0", "E0", "w", "F0", tmap(REFLECTION)),
             Identification("w", "F1", "w", "F1", tmap(REFLECTION)),
         ),
-    ).validate()
+    )
 
 
 def test_collapse_folded_bundle_slot():
@@ -706,7 +706,7 @@ def fibered_self_glued() -> GluingGraph:
         manifolds=(bundle("B", MU, MU),),
         pieces=(("b0", "B"),),
         identifications=(Identification("b0", "F0", "b0", "F1", tmap(FIBERED_GLUE)),),
-    ).validate()
+    )
 
 
 def test_collapse_fibered_self_glued_bundle():
@@ -729,7 +729,7 @@ def fibered_cycle() -> GluingGraph:
         manifolds=tuple(bundles),
         pieces=tuple((f"b{i}", f"B{i}") for i in range(3)),
         identifications=tuple(idents),
-    ).validate()
+    )
 
 
 def test_collapse_fibered_cycle_combines_monodromy():
@@ -770,7 +770,7 @@ def fibered_twisted() -> GluingGraph:
         manifolds=(axis_bundle("B0", 2), tw),
         pieces=(("b0", "B0"), ("w", "W")),
         identifications=(Identification("b0", "F1", "w", "F0", tmap(REFLECTION)),),
-    ).validate()
+    )
 
 
 def test_collapse_fibered_twisted_left_alone():
@@ -839,7 +839,7 @@ def skew_twisted_end() -> GluingGraph:
             Identification("p0", "E0", "b", "F0", tmap(SKEW_1)),
             Identification("b", "F1", "w", "F0", tmap(SKEW_3)),
         ),
-    ).validate()
+    )
 
 
 def test_collapse_skew_twisted_end_conjugates_the_fold():
@@ -862,7 +862,7 @@ def skew_fibered_chain() -> GluingGraph:
         manifolds=(skew_bundle("B0", 1, SKEW_2), skew_bundle("B1", 3, SKEW_3)),
         pieces=(("b0", "B0"), ("b1", "B1")),
         identifications=(Identification("b0", "F1", "b1", "F0", tmap(SKEW_1)),),
-    ).validate()
+    )
 
 
 def test_collapse_skew_fibered_chain_composes_the_exchange():
@@ -1091,7 +1091,7 @@ def test_decomposition_exterior_to_exterior_chain():
         manifolds=(a, b),
         pieces=(("p0", "CA"), ("p1", "CB")),
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
-    ).validate()
+    )
     res = full_and_maximal_decomposition(x)
     assert len(res.components) == 1
     assert res.components[0].kind == "compression-body-chain"
@@ -1106,7 +1106,7 @@ def test_decomposition_interior_contact_is_cut():
         manifolds=(body, core("M", MU)),
         pieces=(("c0", "C"), ("p0", "M")),
         identifications=(Identification("c0", "E1", "p0", "E0", tmap(REFLECTION)),),
-    ).validate()
+    )
     res = full_and_maximal_decomposition(x)
     assert [c.pieces for c in res.components] == [("c0",), ("p0",)]
     assert [c.kind for c in res.components] == [
@@ -1157,7 +1157,7 @@ def split_gluing() -> GluingGraph:
         pieces=(("p0", "M"), ("p1", "N")),
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
         boundary_markings=((("p0", "E1"), mk("2/1", "3/1")),),
-    ).validate()
+    )
 
 
 def test_decomposition_expands_declared_splitting():
@@ -1179,36 +1179,35 @@ def test_decomposition_expands_declared_splitting():
 
 
 def test_decomposition_splitting_errors():
+    # a graph checks each declared splitting when it is built
     outer, inner_core, inner_body = split_spec()
-    x = GluingGraph(
-        manifolds=(outer, inner_core),
-        pieces=(("p0", "M"),),
-        identifications=(),
-    )
     with pytest.raises(ValidationError, match="references unknown manifold KB"):
-        full_and_maximal_decomposition(x)
+        GluingGraph(
+            manifolds=(outer, inner_core),
+            pieces=(("p0", "M"),),
+            identifications=(),
+        )
     bad_split = Splitting(
         pieces=(SubPiece("core", "KC", (("E0", "B0"),)),),
         identifications=(),
     )
-    y = GluingGraph(
-        manifolds=(
-            DecoratedManifoldSpec(
-                "M",
-                GENERIC,
-                (
-                    BoundarySpec("E0", handle=T, decoration=MU),
-                    BoundarySpec("E1", handle=T, decoration=mk("1/1", "1/0")),
-                ),
-                splitting=bad_split,
-            ),
-            inner_core,
-        ),
-        pieces=(("p0", "M"),),
-        identifications=(),
-    )
     with pytest.raises(ValidationError, match="leaves boundary E1 unplaced"):
-        full_and_maximal_decomposition(y)
+        GluingGraph(
+            manifolds=(
+                DecoratedManifoldSpec(
+                    "M",
+                    GENERIC,
+                    (
+                        BoundarySpec("E0", handle=T, decoration=MU),
+                        BoundarySpec("E1", handle=T, decoration=mk("1/1", "1/0")),
+                    ),
+                    splitting=bad_split,
+                ),
+                inner_core,
+            ),
+            pieces=(("p0", "M"),),
+            identifications=(),
+        )
 
 
 def test_split_spec_records_hash_and_keep_their_bytes():
