@@ -91,6 +91,15 @@ def expand_splittings(x: GluingGraph) -> GluingGraph:
                     )
                 if parent_bdry in covered:
                     raise ValidationError(f"piece {pid}: boundary {parent_bdry} split twice")
+                if sub_spec.boundary(sub_bdry).toroidal and not spec.boundary(parent_bdry).toroidal:
+                    raise ValidationError(
+                        f"piece {pid}: splitting places boundary {parent_bdry} on toroidal"
+                        f" boundary {sub.id}:{sub_bdry}"
+                    )
+                if (sub_pid, sub_bdry) in covered.values():
+                    raise ValidationError(
+                        f"piece {pid}: splitting places two boundaries on {sub.id}:{sub_bdry}"
+                    )
                 covered[parent_bdry] = (sub_pid, sub_bdry)
             # so a full decomposition is full, and the check never recurses
             if sub_spec.splitting is not None:
@@ -130,9 +139,7 @@ def expand_splittings(x: GluingGraph) -> GluingGraph:
 
 def _is_exterior_side(x: GluingGraph, slot: Slot) -> bool:
     spec = x.spec_of(slot[0])
-    return (
-        spec.kind == COMPRESSION_BODY and spec.exterior_boundary().id == slot[1]
-    )
+    return spec.kind == COMPRESSION_BODY and spec.exterior_boundary().id == slot[1]
 
 
 def full_and_maximal_decomposition(x: GluingGraph) -> DecompositionResult:

@@ -29,7 +29,6 @@ from .surface import (
     BackendHandle,
     DiskSet,
     ProjectionResult,
-    _check_permutation,
     disk_distance,
     marking_distance,
     sup_projection,
@@ -128,7 +127,7 @@ class SlotMap(Record):
             if self.perm is None or self.matrix is not None:
                 raise ValidationError("graph slot map needs a permutation and no matrix")
             perm = tuple(map(int, self.perm))
-            _check_permutation(self.handle.graph, perm)
+            self.handle.graph.check_automorphism(perm)
             object.__setattr__(self, "perm", perm)
 
     @staticmethod

@@ -11,6 +11,7 @@ concatenating geodesics through such a v realizes the distance.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -28,7 +29,8 @@ __all__ = [
 
 
 class FiniteGraph(Record):
-    """Simple connected graph on vertices 0..n-1."""
+    """Simple connected graph on vertices 0..n-1, which owns its distance
+    table and remembers the automorphisms it has accepted."""
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
@@ -70,6 +72,22 @@ class FiniteGraph(Record):
         iff it maps edges onto edges, the pairs at distance 1."""
         image = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in self.edges}
         return image == self.edges
+
+    def check_automorphism(self, perm: tuple[int, ...]) -> None:
+        """Raise unless perm is a distance-preserving vertex bijection; the
+        graph remembers each perm it accepted and checks it only once."""
+        accepted = self.__dict__.setdefault("_automorphisms", set())
+        if perm not in accepted:
+            if sorted(perm) != list(range(self.vertex_count)):
+                raise ValidationError("graph map descriptor is not a vertex bijection")
+            if not self.preserved_by(perm):
+                raise ValidationError("graph map descriptor is not distance preserving")
+            accepted.add(perm)
+
+    @cached_property
+    def table(self) -> "DistanceTable":
+        """The metric of this graph; rows are computed as they are read."""
+        return DistanceTable(self)
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
@@ -151,9 +169,8 @@ def _bfs_row(adj: list[list[int]], s: int) -> list[int]:
 
 def all_pairs_distances(g: FiniteGraph) -> DistanceTable:
     """The metric of g with every row computed: a BFS from every vertex."""
-    table = DistanceTable(g)
-    table.rows()
-    return table
+    g.table.rows()
+    return g.table
 
 
 def geodesic_interval(table: DistanceTable, x: int, y: int) -> list[int]:
@@ -161,7 +178,6 @@ def geodesic_interval(table: DistanceTable, x: int, y: int) -> list[int]:
     rx, ry = table.row(x), table.row(y)
     dxy = rx[y]
     return [v for v, (a, b) in enumerate(zip(rx, ry)) if a + b == dxy]
-
 
 
 def path_graph(n: int) -> FiniteGraph:

@@ -14,12 +14,13 @@ torus gluing no graph code.
 Operations never mix backends: every binary operation insists the handles
 are equal and raises BackendMismatchError otherwise.  Markings move between
 charts only through `gluing.SlotMap.apply`, by a mapping class on the torus
-or by a vertex bijection of a graph that `_check_permutation` has checked.
+or by a vertex bijection that `FiniteGraph.check_automorphism` has checked.
+Nothing is kept between calls: each FiniteGraph owns its distance table and
+its checked maps, so a new parse of a file computes and checks them anew.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import BackendMismatchError, ParseError, ValidationError, clip, json_int
@@ -60,25 +61,6 @@ class GraphProjection(Record):
         return {self.a, self.b} == {x, y}
 
 
-@lru_cache(maxsize=None)
-def _graph_table(graph: FiniteGraph) -> DistanceTable:
-    # rows are computed as they are read: gluing commands read few of them
-    from .hypgraph import DistanceTable
-
-    return DistanceTable(graph)
-
-
-@lru_cache(maxsize=None)
-def _check_permutation(graph: FiniteGraph, perm: tuple[int, ...]) -> None:
-    """Raise unless perm is a distance-preserving vertex bijection of
-    graph; each distinct pair is checked once."""
-    n = graph.vertex_count
-    if len(perm) != n or sorted(perm) != list(range(n)):
-        raise ValidationError("graph map descriptor is not a vertex bijection")
-    if not graph.preserved_by(perm):
-        raise ValidationError("graph map descriptor is not distance preserving")
-
-
 class BackendHandle(Record):
     """Curve-graph model for one boundary component."""
 
@@ -106,9 +88,7 @@ class BackendHandle(Record):
         markings: Mapping[str, Iterable[int]] | None = None,
         projections: Iterable[GraphProjection] = (),
     ) -> "BackendHandle":
-        named = tuple(
-            sorted((name, tuple(vs)) for name, vs in (markings or {}).items())
-        )
+        named = tuple(sorted((name, tuple(vs)) for name, vs in (markings or {}).items()))
         return BackendHandle(GRAPH, graph, named, tuple(projections))
 
     @property
@@ -118,7 +98,7 @@ class BackendHandle(Record):
     def table(self) -> DistanceTable:
         if self.graph is None:
             raise BackendMismatchError("torus backend has no distance table")
-        return _graph_table(self.graph)
+        return self.graph.table
 
     def named_marking(self, name: str) -> "AbstractMarking":
         for key, payload in self.markings:
@@ -191,9 +171,7 @@ class BackendHandle(Record):
 
 def _require_same(a: BackendHandle, b: BackendHandle) -> None:
     if a != b:
-        raise BackendMismatchError(
-            f"operands live on different backends ({a.kind} vs {b.kind})"
-        )
+        raise BackendMismatchError(f"operands live on different backends ({a.kind} vs {b.kind})")
 
 
 class AbstractMarking(Record):

@@ -4,10 +4,12 @@ export paths, all through main(argv)."""
 import contextlib
 import gc
 import hashlib
+import importlib
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import random
 import re
 import subprocess
@@ -17,7 +19,7 @@ import time
 import pytest
 
 import glueforge
-from glueforge import cli, surface
+from glueforge import cli, gluing
 from glueforge.cli import (
     EXIT_FIBERED,
     EXIT_INTERNAL,
@@ -35,8 +37,9 @@ from glueforge.gluing import (
     GluingGraph,
     Identification,
     SlotMap,
+    validate_gluing,
 )
-from glueforge.hypgraph import cycle_graph
+from glueforge.hypgraph import DistanceTable, FiniteGraph, cycle_graph
 from glueforge.ioutil import canonical_dumps, sha256_of_text
 from glueforge.surface import AbstractMarking, BackendHandle
 from glueforge.torus import IDENTITY, REFLECTION, FareyMarking, Slope
@@ -387,6 +390,21 @@ def _unknown_part_boundary(obj, split):
     split["pieces"][0] = {"id": "core", "manifold": "M", "boundaries": {"E0": "B0"}}
 
 
+def _toroidal_part_target(obj, split):
+    # E1, unmarked, placed onto a toroidal boundary, where no chart can follow it
+    del obj["lambda"]
+    kb = next(m for m in obj["manifolds"] if m["id"] == "KB")
+    kb["boundaries"].append({"id": "T0", "toroidal": True})
+    split["pieces"][1]["boundaries"] = {"E1": "T0"}
+
+
+def _shared_part_target(obj, split):
+    # E0 and an unmarked E1 placed onto one core boundary
+    del obj["lambda"]
+    split["pieces"][0]["boundaries"] = {"E0": "B0", "E1": "B0"}
+    split["pieces"][1]["boundaries"] = {}
+
+
 def _part_that_splits(obj, split):
     # the part is the split manifold M itself
     split["pieces"][0] = {"id": "core", "manifold": "M", "boundaries": {"E0": "E0"}}
@@ -428,9 +446,20 @@ def _part_that_splits(obj, split):
             "invariant violation: piece p0: splitting part core is manifold M, which"
             " declares a splitting of its own",
         ),
+        (
+            _toroidal_part_target,
+            EXIT_INVARIANT,
+            "invariant violation: piece p0: splitting places boundary E1 on toroidal"
+            " boundary body:T0",
+        ),
+        (
+            _shared_part_target,
+            EXIT_INVARIANT,
+            "invariant violation: piece p0: splitting places two boundaries on core:B0",
+        ),
     ],
     ids=["garbage-map", "unknown-manifold", "preserving-map", "unplaced", "toroidal-slot",
-         "unknown-boundary", "part-splits"],
+         "unknown-boundary", "part-splits", "toroidal-target", "shared-target"],
 )
 def test_every_gluing_command_checks_splittings_as_decompose_does(
     capsys, tmp_path, edit, code, message
@@ -1545,13 +1574,70 @@ def test_large_graph_report_bytes_pinned(large_graph_files, command, name):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
-def test_validate_computes_few_rows_of_a_large_curve_graph(large_graph_files, capsys):
-    surface._graph_table.cache_clear()
+def parsed_table(x: GluingGraph) -> DistanceTable:
+    """The one distance table that every boundary of x reads."""
+    tables = {id(t): t for t in (b.handle.table() for m in x.manifolds for b in m.boundaries)}
+    assert len(tables) == 1
+    return tables.popitem()[1]
+
+
+def test_validate_computes_few_rows_of_a_large_curve_graph(
+    large_graph_files, capsys, monkeypatch
+):
+    # the table of the graph that the command's own parse built
+    parsed = []
+    real = gluing.validate_gluing
+
+    def keeping(text):
+        parsed.append(real(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(gluing, "validate_gluing", keeping)
     code, _, _ = run(capsys, ["validate", "--input", large_graph_files["stack400.json"]])
     assert code == EXIT_PASS
-    table = surface._graph_table(cycle_graph(400))
+    table = parsed_table(parsed[0])
     assert table.n == 400
     assert table.rows_held < 40
+
+
+def test_a_parse_does_its_own_work_whatever_ran_before(large_graph_files, capsys, monkeypatch):
+    # the rows a parse computes and the maps it checks depend on the file
+    # alone: a report run in between leaves the next parse nothing to reuse
+    name = large_graph_files["stack400.json"]
+    text = pathlib.Path(name).read_text()
+    checked = []
+    real = FiniteGraph.preserved_by
+
+    def counting(graph, perm):
+        checked.append(tuple(perm))
+        return real(graph, perm)
+
+    monkeypatch.setattr(FiniteGraph, "preserved_by", counting)
+
+    def parse() -> tuple[int, list]:
+        checked.clear()
+        return parsed_table(validate_gluing(text)).rows_held, list(checked)
+
+    first = parse()
+    assert first[0] > 0 and first[1]
+    code, _, _ = run(capsys, ["report", "--input", name])
+    assert code == LARGE_GRAPH_STDOUT["report", "stack400.json"][0]
+    assert parse() == first
+
+
+def test_no_module_keeps_a_memo_between_calls():
+    # a process-wide functools cache would make work, and any answer that
+    # depends on it, follow what the process computed earlier
+    names = [info.name for info in pkgutil.iter_modules(glueforge.__path__)]
+    memos = []
+    for name in names:
+        module = importlib.import_module(f"glueforge.{name}")
+        for attr, value in vars(module).items():
+            found = [(attr, value)]
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                found += [(f"{attr}.{k}", getattr(value, k)) for k in vars(value)]
+            memos += [f"{name}.{a}" for a, v in found if hasattr(v, "cache_info")]
+    assert "surface" in names and memos == []
 
 
 # ----------------------------------------------------------- determinism

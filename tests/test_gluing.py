@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from glueforge import surface
 from glueforge.certify import CombinatoricsCertificate, check_bounded_combinatorics
 from glueforge.cli import main
 from glueforge.errors import BackendMismatchError, ParseError, ValidationError
@@ -757,18 +756,21 @@ def test_each_graph_map_is_checked_once(monkeypatch):
     real = FiniteGraph.preserved_by
 
     def counting(graph, perm):
-        checked.append(tuple(perm))
+        checked.append((graph, tuple(perm)))
         return real(graph, perm)
 
     monkeypatch.setattr(FiniteGraph, "preserved_by", counting)
-    surface._check_permutation.cache_clear()
     x = validate_gluing(text)
     check_bounded_combinatorics(x, 2, 0)
     collapse_ibundles(x, 2, 0)
-    # the flip is an involution: it and the identity are the only maps
-    assert sorted(checked) == [tuple(range(12)), flip.perm]
-    # applying a map does not check it again
+    # the parse built its own graph, which checked each map once: the flip
+    # is an involution, so it and the identity are the only maps
     m = x.decoration(("p0", "E0"))
+    graph = m.handle.graph
+    assert graph is not h.graph
+    assert [g is graph for g, _ in checked] == [True, True]
+    assert sorted(perm for _, perm in checked) == [tuple(range(12)), flip.perm]
+    # applying a map does not check it again
     assert flip.apply(flip.apply(m)) == m and len(checked) == 2
     # a rejected map is rejected every time
     rotation = (*range(1, 12), 0)
@@ -776,7 +778,7 @@ def test_each_graph_map_is_checked_once(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValidationError, match="not distance preserving"):
             SlotMap(h, perm=bad)
-    assert checked[2:] == [bad, bad]
+    assert [(g is h.graph, perm) for g, perm in checked[2:]] == [(True, bad)] * 2
 
 
 def test_relabel_naturality():
