@@ -3,11 +3,12 @@
 Every command reads one input file, runs the corresponding pipeline, and
 emits a deterministic JSON report carrying the input's content hash and
 the flags the command reads (`COMMANDS`), so identical invocations are
-byte identical.  A command takes only its own flags: any other is a
-usage error.  Exit codes are fixed for scripting: 0 pass, 1 verdict
-fail, 2 parse trouble, 3 invariant violation, 4 the all-bundle fibered
-case, 5 internal error (any other exception, reported on one stderr line
-as a fault of glueforge, with the input's sha256).
+byte identical.  One argparse parser serves every command line, and a
+command takes only its own flags: any other is a usage error.  Exit codes
+are fixed for scripting: 0 pass, 1 verdict fail, 2 parse trouble, 3
+invariant violation, 4 the all-bundle fibered case, 5 internal error (any
+other exception, reported on one stderr line as a fault of glueforge,
+with the input's sha256).
 """
 
 from __future__ import annotations
@@ -100,15 +101,11 @@ class RunConfig(Record):
         return dict(self.params)[name]
 
 
-def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """The parser, for argv when given.  Every command gets its subparser,
-    for the top-level help and the list of choices, but with argv only the
-    command that argv names gets its arguments: the top level takes no
-    option with a value, so that command is the first argument not
-    starting with '-'.  Subparsers take no abbreviated flags, so that a
-    flag a command does not read is a usage error even where it begins
-    another (--h and --help)."""
-    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
+def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of every command line: a subparser per command, each
+    with the flags that command reads.  Subparsers take no abbreviated
+    flags, so that a flag a command does not read is a usage error even
+    where it begins another (--h and --help)."""
     parser = argparse.ArgumentParser(
         prog="glueforge",
         description="exact decorated-gluing toolkit: validation, certificates,"
@@ -117,8 +114,6 @@ def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (blurb, reads) in COMMANDS.items():
         cmd = sub.add_parser(name, help=blurb, allow_abbrev=False)
-        if named is not None and name != named:
-            continue
         cmd.add_argument("--input", required=True, help="input file path")
         for flag in reads:
             cmd.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag][0])
@@ -316,9 +311,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     text = None
     try:
         with _any_int_digits(), warnings.catch_warnings():

@@ -61,6 +61,8 @@ def expand_splittings(x: GluingGraph) -> GluingGraph:
     idents: list[Identification] = []
     # per original piece: boundary id -> (new piece, new boundary)
     slot_map: dict[Slot, Slot] = {}
+    # (piece, part, slot) of each part boundary that no parent boundary is on
+    unplaced: list[tuple[str, str, Slot]] = []
     for pid, mid in x.pieces:
         spec = x.spec_of(pid)
         split = spec.splitting
@@ -101,6 +103,8 @@ def expand_splittings(x: GluingGraph) -> GluingGraph:
                         f"piece {pid}: splitting places two boundaries on {sub.id}:{sub_bdry}"
                     )
                 covered[parent_bdry] = (sub_pid, sub_bdry)
+            ends = [(sub_pid, b.id) for b in sub_spec.nontoroidal()]
+            unplaced += [(pid, sub.id, end) for end in ends if end not in covered.values()]
             # so a full decomposition is full, and the check never recurses
             if sub_spec.splitting is not None:
                 raise ValidationError(
@@ -129,12 +133,20 @@ def expand_splittings(x: GluingGraph) -> GluingGraph:
         b = slot_map[ident.slot_b]
         idents.append(Identification(a[0], a[1], b[0], b[1], ident.map))
     lam = tuple((slot_map[slot], m) for slot, m in x.boundary_markings)
-    return GluingGraph(
+    full = GluingGraph(
         manifolds=x.manifolds,
         pieces=tuple(pieces),
         identifications=tuple(idents),
         boundary_markings=lam,
     )
+    # a part boundary glued nowhere inside its splitting would be a free
+    # boundary that the split piece does not have
+    for pid, part, slot in unplaced:
+        if not full.is_buried(slot):
+            raise ValidationError(
+                f"piece {pid}: splitting leaves part boundary {part}:{slot[1]} unplaced and unglued"
+            )
+    return full
 
 
 def _is_exterior_side(x: GluingGraph, slot: Slot) -> bool:

@@ -5,8 +5,8 @@ that the translation length conventions match the curve-length formula
 len_z(p/q) = |p - q z| / sqrt(y).  Mapping classes act on points by
 Moebius transformations (det +1) or anti-Moebius ones (det -1, conjugate
 first).  Only the model skeleton runs this geometry (`tube`,
-`tube_cf_coefficient`, `sigma_of_marking`); the certificates and the
-collapse are exact Farey-graph combinatorics.
+`sigma_of_marking`, `balanced_marking`); the certificates and the collapse
+are exact Farey-graph combinatorics.
 
 The shortest slope at x + iy costs O(log 1/y): Lagrange-Gauss reduction of
 the lattice Z + Zz runs exactly on the rationals x and y, scaled to
@@ -17,8 +17,10 @@ Two arithmetics, picked from integers before any float work (`_exact`).
 The balanced point of sigma = [[a, b], [c, d]] is the rational point
 ((ac + bd) + i)/(c^2 + d^2), and its precision demand (`precision_demand`)
 is the bit length of max(c^2 + d^2, |ac + bd|), that is of 1/y and |x|/y.
-`sigma_of_marking` picks for its one point, and `tube` and
-`tube_cf_coefficient` for both ends of a tube at once.
+`sigma_of_marking` picks for its one point, and `tube` for both ends of a
+tube at once.  A tube's continued-fraction coefficient needs no pick: it
+is read on both paths from integers, `relative_cf_max_coeff` of the
+`balanced_marking`s of the tube's two sigma matrices.
 
 * Up to PRECISION_BITS the double path runs: the balanced point is the
   float Moebius image of i, and tubes are measured and sampled in doubles
@@ -27,10 +29,10 @@ is the bit length of max(c^2 + d^2, |ac + bd|), that is of 1/y and |x|/y.
   2^-12 of y within 40 bits, so a balanced point lies within
   cosh d - 1 of about 2^-25 of the exact one, far below 1e-6.
 * Above it the decimal path (`balanced_point`, `exact_tube_length`,
-  `exact_tube_samples`, `balanced_marking`) works from the integer
-  matrices.  Balanced points are the correctly rounded exact rationals.  A
-  tube between sigma(mu) i and sigma(nu) i has length
-  1/2 arcosh(N/2), N = a^2 + b^2 + c^2 + d^2 of M = sigma(mu)^-1 sigma(nu).
+  `exact_tube_samples`) works from the integer matrices.  Balanced points
+  are the correctly rounded exact rationals.  A tube between sigma(mu) i
+  and sigma(nu) i has length 1/2 arcosh(N/2), N = a^2 + b^2 + c^2 + d^2
+  of M = sigma(mu)^-1 sigma(nu).
   Samples lie on the exact geodesic, whose centre and squared radius are
   rational, at equal steps of the arclength parameter s: x = c + r tanh s,
   y = r sech s, with no trigonometry.  The shortest slope is taken on the
@@ -78,7 +80,6 @@ __all__ = [
     "exact_tube_samples",
     "relative_cf_max_coeff",
     "tube",
-    "tube_cf_coefficient",
 ]
 
 # the largest precision demand that the double path answers
@@ -298,6 +299,14 @@ def teich_geodesic(z: TeichPoint, w: TeichPoint, t: float) -> TeichPoint:
     return TeichPoint(c + r * math.cos(th), r * math.sin(th))
 
 
+def balanced_marking(g: SurfaceMap) -> FareyMarking:
+    """`shortest_marking` at the exact balanced point g i.  At i only 0/1
+    and 1/0 have length 1, and g carries slopes and their lengths at i to
+    g i, so the marking is g(0/1) and g(1/0), ordered by the tie key."""
+    ends = (g.on_slope(Slope(0, 1)), g.on_slope(Slope(1, 0)))
+    return FareyMarking(*sorted(ends, key=_slope_tie_key))
+
+
 def relative_cf_max_coeff(m_from: FareyMarking, m_to: FareyMarking) -> int:
     """Max |coefficient| of the target base expanded in the source marking chart."""
     rel = sigma_matrix(m_from).inverse().on_slope(m_to.base)
@@ -329,14 +338,6 @@ def _exact_tie_break(cands: Iterable[Slope], x: int, y: int, den: int) -> tuple[
 
     best = _tie_break(cands, norm, Fraction(_TIE_TOL))
     return best, norm(best.p, best.q)
-
-
-def balanced_marking(g: SurfaceMap) -> FareyMarking:
-    """`shortest_marking` at the exact balanced point g i.  At i only 0/1
-    and 1/0 have length 1, and g carries slopes and their lengths at i to
-    g i, so the marking is g(0/1) and g(1/0), ordered by the tie key."""
-    ends = (g.on_slope(Slope(0, 1)), g.on_slope(Slope(1, 0)))
-    return FareyMarking(*sorted(ends, key=_slope_tie_key))
 
 
 def _correctly_rounded(evaluate: Callable[[], object], bits: int) -> object:
@@ -389,8 +390,11 @@ def exact_tube_samples(g_a: SurfaceMap, g_b: SurfaceMap, n: int) -> tuple[_Sampl
     and r^2 = (x_a - c)^2 + y_a^2.  Its arclength parameter at a point is
     s = ln((r + (x - c))/y), taken as -ln((r - (x - c))/y) when x < c so
     that no branch cancels, and the point at s is x = c + r tanh s,
-    y = r sech s.  A vertical geodesic interpolates ln y.  A sample has
-    to hold x to a 2^-53 part of y, so the working precision carries
+    y = r sech s.  No geodesic between two balanced points is vertical:
+    (X + i)/S has X^2 + 1 = RS (`_balanced_ints`), so X/S is in lowest
+    terms and x alone names the point; x_a = x_b only on a degenerate
+    tube, whose n = 2 samples are its ends.  A sample has to hold x to a
+    2^-53 part of y, so the working precision carries
     log2((|c| + r)/y_min) + 53 + _GUARD_BITS bits.
     """
     from decimal import Decimal
@@ -418,10 +422,7 @@ def exact_tube_samples(g_a: SurfaceMap, g_b: SurfaceMap, n: int) -> tuple[_Sampl
     def interior() -> Iterator[tuple[int, int, int]]:
         # the points at k = 1 .. n - 2 as (X, Y, den) of the current context
         if cross == 0:
-            la, lb = -Decimal(sa).ln(), -Decimal(sb).ln()
-            for k in range(1, n - 1):
-                y = (((n - 1 - k) * la + k * lb) / (n - 1)).exp()
-                yield _scaled(xa, sa, *y.as_integer_ratio())
+            assert n == 2, "a degenerate tube takes two samples"
             return
         c = Decimal(cn) / cd
         r = Decimal(ua * ua + cd * cd).sqrt() / (sa * cd)
@@ -487,12 +488,3 @@ def tube(mu: FareyMarking, nu: FareyMarking, n: int) -> tuple[
         shortest = shortest_slope(z)
         samples.append((k / (n - 1), z, curve_length(z, shortest), shortest))
     return ends, z_a, z_b, length, degenerate, tuple(samples)
-
-
-def tube_cf_coefficient(ends: tuple[SurfaceMap, SurfaceMap]) -> int:
-    """The relative continued-fraction coefficient between the shortest
-    markings at the two ends of a tube, given by its sigma matrices, on
-    its path as in `tube`."""
-    if _exact(*ends):
-        return relative_cf_max_coeff(*map(balanced_marking, ends))
-    return relative_cf_max_coeff(*(shortest_marking(on_point(g, _I)) for g in ends))

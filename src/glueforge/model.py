@@ -10,8 +10,8 @@ so a gluing on graph backends alone loads no torus code: the half-plane
 geometry (`halfplane`) is imported where a geometric tube or anchor is
 built.  `halfplane.tube` measures and samples a whole tube in one call,
 picking the arithmetic, doubles or its correctly rounded decimal path,
-from the sigma matrices of its ends; the tube keeps them so that its
-continued-fraction coefficient takes the same path.
+from the sigma matrices of its ends; the tube keeps them, and on either
+path its continued-fraction coefficient is read from their integers.
 
 A skeleton has two serializations: `ModelSkeleton.to_json` is the skeleton
 JSON that `glueforge model` prints inside its report envelope, and
@@ -75,7 +75,7 @@ class TubeBlock(Record):
     product of the fiber with a unit interval.  Combinatorial tubes come
     from finite-graph slots and carry no geometry at all.  A geometric
     tube keeps ends, the sigma matrices of its two sides, from which
-    `halfplane` picks its arithmetic.
+    `verify_thickness` reads its continued-fraction coefficient.
     """
 
     slot_a: Slot
@@ -314,11 +314,11 @@ def verify_thickness(s: ModelSkeleton, eps0: float) -> ThicknessReport:
     for tube in s.tubes:
         if tube.combinatorial or not tube.samples:
             continue
-        from .halfplane import tube_cf_coefficient
+        from .halfplane import balanced_marking, relative_cf_max_coeff
 
         assert tube.ends is not None
         low = min(smp.systole for smp in tube.samples)
-        coefficient = tube_cf_coefficient(tube.ends)
+        coefficient = relative_cf_max_coeff(*map(balanced_marking, tube.ends))
         rows.append(ThicknessRow(tube.name, low, low >= eps0, coefficient))
     return ThicknessReport(
         eps0=eps0,

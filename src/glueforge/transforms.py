@@ -662,7 +662,11 @@ def collapse_ibundles(
     In the fibered case every piece is an I-bundle and the gluing is one
     chain.  It collapses to a single trivial bundle B[...] whose exchange
     map is the chain's total flip, self-glued when the chain is a cycle; a
-    fibered gluing with a twisted end is left uncollapsed."""
+    fibered gluing with a twisted end is left uncollapsed.  Otherwise each
+    chain has at most one twisted end, where its walk ends: a twisted
+    piece or a folded slot leaves its piece one slot for the chain, so a
+    chain closed at both ends would have no slot left for the rest of a
+    connected gluing."""
     bundles = [x.spec_of(pid).is_bundle for pid, _ in x.pieces]
     fibered = all(bundles)
     note = ""
@@ -670,16 +674,10 @@ def collapse_ibundles(
         note = "no I-bundle pieces"
     elif fibered and any(_twisted_end(x, pid) for pid, _ in x.pieces):
         note = "fibered gluing case with a twisted bundle: left uncollapsed"
-    else:
-        orders = _stack_components(x)
-        for order in orders:
-            twisted = [_twisted_end(x, p) for p in order]
-            if sum(twisted) > 1 or (any(twisted) and not twisted[-1]):
-                note = f"doubly-twisted stack left uncollapsed: {', '.join(order)}"
-                break
     if note:
         collapsed, certs, wiring = x, [], []
     else:
+        orders = _stack_components(x)
         certs = [combine_stack(x, order, h_bound, r_bound, denom_bound) for order in orders]
         if fibered:
             assert len(certs) == 1, "connected all-bundle gluing must be one chain"

@@ -44,6 +44,8 @@ from glueforge.ioutil import canonical_dumps, sha256_of_text
 from glueforge.surface import AbstractMarking, BackendHandle
 from glueforge.torus import IDENTITY, REFLECTION, FareyMarking, Slope
 from test_transforms import (
+    SKEW_1,
+    SKEW_2,
     A,
     MU,
     axis_bundle,
@@ -55,6 +57,8 @@ from test_transforms import (
     example_builders,
     mk,
     push,
+    skew_bundle,
+    skew_fibered_chain,
     split_gluing,
     split_spec,
     tmap,
@@ -405,6 +409,13 @@ def _shared_part_target(obj, split):
     split["pieces"][1]["boundaries"] = {}
 
 
+def _free_part_boundary(obj, split):
+    # the core gains a copy of B0 that no parent boundary is placed on and
+    # no identification of the splitting glues
+    kc = next(m for m in obj["manifolds"] if m["id"] == "KC")
+    kc["boundaries"].append(dict(kc["boundaries"][0], id="B2"))
+
+
 def _part_that_splits(obj, split):
     # the part is the split manifold M itself
     split["pieces"][0] = {"id": "core", "manifold": "M", "boundaries": {"E0": "E0"}}
@@ -457,9 +468,16 @@ def _part_that_splits(obj, split):
             EXIT_INVARIANT,
             "invariant violation: piece p0: splitting places two boundaries on core:B0",
         ),
+        (
+            _free_part_boundary,
+            EXIT_INVARIANT,
+            "invariant violation: piece p0: splitting leaves part boundary core:B2"
+            " unplaced and unglued",
+        ),
     ],
     ids=["garbage-map", "unknown-manifold", "preserving-map", "unplaced", "toroidal-slot",
-         "unknown-boundary", "part-splits", "toroidal-target", "shared-target"],
+         "unknown-boundary", "part-splits", "toroidal-target", "shared-target",
+         "free-part-boundary"],
 )
 def test_every_gluing_command_checks_splittings_as_decompose_does(
     capsys, tmp_path, edit, code, message
@@ -637,6 +655,84 @@ def test_collapse_fibered_case_has_its_own_exit_code(files, capsys):
     assert result["note"] == "fibered gluing case: bundle cycle combined and self-glued"
 
 
+def collapse_result(capsys, tmp_path, x: GluingGraph, code: int) -> dict:
+    """The result of collapse on x through main, which must exit with code."""
+    path = tmp_path / "gluing.json"
+    path.write_text(x.canonical_json())
+    got, out, err = run(capsys, ["collapse", "--input", str(path)])
+    assert (got, err) == (code, "")
+    return json.loads(out)["result"]
+
+
+# the gluing and exchange maps of these fixtures are not involutions
+# (test_transforms.SKEW_*), so a map and its inverse, or a conjugation and
+# its reverse, print different bytes
+LAM_0 = mk("2/1", "3/1")
+LAM_1 = mk("1/2", "1/3")
+
+
+def test_collapse_pushes_a_free_entry_marking_to_the_exit_neighbour(capsys, tmp_path):
+    # the chain's entry b:F0 is free and marked; its exit b:F1 is glued
+    # to p0:E0, which opens up and inherits the marking
+    x = GluingGraph(
+        manifolds=(core("M", MU), skew_bundle("B", 2, SKEW_2)),
+        pieces=(("b", "B"), ("p0", "M")),
+        identifications=(Identification("b", "F1", "p0", "E0", tmap(SKEW_1)),),
+        boundary_markings=((("b", "F0"), LAM_0),),
+    )
+    result = collapse_result(capsys, tmp_path, x, EXIT_PASS)
+    collapsed = result["collapsed"]
+    assert [p["id"] for p in collapsed["pieces"]] == ["p0"]
+    assert collapsed["identifications"] == []
+    # b:F0 data crosses b into the F1 chart by the inverse exchange, then
+    # into p0:E0 by the gluing map, which pushes b:F1 data there
+    down = SKEW_1 @ SKEW_2.inverse()
+    wrong = [SKEW_1.inverse() @ SKEW_2.inverse(), SKEW_1 @ SKEW_2, SKEW_2.inverse() @ SKEW_1]
+    assert push(down, LAM_0) not in [push(w, LAM_0) for w in wrong]
+    assert collapsed["lambda"] == {"p0:E0": push(down, LAM_0).to_json()}
+    (stack,) = result["stacks"]
+    assert (stack["left"], stack["right"]) == (None, "p0:E0")
+
+
+def test_collapse_fibered_chain_keeps_its_end_markings(capsys, tmp_path):
+    # an open all-bundle chain becomes one bundle; its free ends keep
+    # their markings, the entry's on F0 and the far end's on F1
+    chain_x = skew_fibered_chain()
+    x = GluingGraph(
+        manifolds=chain_x.manifolds,
+        pieces=chain_x.pieces,
+        identifications=chain_x.identifications,
+        boundary_markings=((("b0", "F0"), LAM_0), (("b1", "F1"), LAM_1)),
+    )
+    result = collapse_result(capsys, tmp_path, x, EXIT_FIBERED)
+    collapsed = result["collapsed"]
+    assert [p["id"] for p in collapsed["pieces"]] == ["b0+b1"]
+    assert collapsed["lambda"] == {"b0+b1:F0": LAM_0.to_json(), "b0+b1:F1": LAM_1.to_json()}
+
+
+def test_collapse_folds_a_single_bundle_at_its_first_slot(capsys, tmp_path):
+    # b:F0 is self-glued, so the one-piece chain enters at F1 and folds at
+    # F0; p0:E0 is glued to itself by the fold carried back to it
+    fold = A @ REFLECTION @ A.inverse()
+    x = GluingGraph(
+        manifolds=(core("M", MU), skew_bundle("B", 2, SKEW_2)),
+        pieces=(("p0", "M"), ("b", "B")),
+        identifications=(
+            Identification("p0", "E0", "b", "F1", tmap(SKEW_1)),
+            Identification("b", "F0", "b", "F0", tmap(fold)),
+        ),
+    )
+    result = collapse_result(capsys, tmp_path, x, EXIT_PASS)
+    (ident,) = result["collapsed"]["identifications"]
+    assert ident["a"] == ident["b"] == ["p0", "E0"]
+    # p0:E0 data reaches b:F1 by the gluing map and b:F0 by the exchange,
+    # which pushes the second boundary's data onto the first
+    up = SKEW_2 @ SKEW_1
+    assert ident["map"] == tmap(up.inverse() @ fold @ up).to_json()
+    assert ident["map"] != tmap(up @ fold @ up.inverse()).to_json()
+    assert result["stacks"][0]["pieces"] == ["b"]
+
+
 # --------------------------------------------------------------- decompose
 
 
@@ -690,6 +786,41 @@ def test_model_thin_tube_fails_and_tops_the_correlation(files, capsys):
     assert name == "p0:E1--free"
     assert coeff == 50
     assert systole < 0.3
+
+
+def test_model_graph_slot_with_a_free_marking_gets_a_combinatorial_tube(capsys, tmp_path):
+    h = BackendHandle.finite_graph(cycle_graph(6))
+    spec = DecoratedManifoldSpec(
+        "G", GENERIC, (BoundarySpec("E0", handle=h, decoration=AbstractMarking(h, (0,))),)
+    )
+    x = GluingGraph(
+        manifolds=(spec,),
+        pieces=(("p0", "G"),),
+        identifications=(),
+        boundary_markings=((("p0", "E0"), AbstractMarking(h, (3,))),),
+    )
+    path = tmp_path / "graph.json"
+    path.write_text(x.canonical_json())
+    code, out, err = run(capsys, ["model", "--input", str(path)])
+    assert (code, err) == (EXIT_PASS, "")
+    result = json.loads(out)["result"]
+    assert result["skeleton"]["tubes"] == [
+        {
+            "slot_a": ["p0", "E0"],
+            "slot_b": ["p0", "E0"],
+            "kind": "boundary",
+            "combinatorial": True,
+            "sigma_a": None,
+            "sigma_b": None,
+            "length": 0.0,
+            "degenerate": False,
+            "samples": [],
+        }
+    ]
+    assert result["skeleton"]["incidence"] == [["p0:E0", "p0:E0"]]
+    assert result["thickness"]["rows"] == []
+    code, out, _ = run(capsys, ["model", "--input", str(path), "--format", "obj"])
+    assert (code, out.splitlines()[1:]) == (EXIT_PASS, [])
 
 
 def test_model_obj_export(files, capsys, tmp_path):
@@ -1269,8 +1400,7 @@ def test_warnings_print_one_line_each(files, capsys):
 
 def full_parser_output(capsys, argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of argparse on the parser with every
-    command's arguments, as it was built before parsers were trimmed to
-    the command named on the command line."""
+    command's arguments, in process: a cold process entry prints the same."""
     with pytest.raises(SystemExit) as exc:
         cli._build_parser().parse_args(argv)
     captured = capsys.readouterr()

@@ -32,7 +32,10 @@ from glueforge.halfplane import (
     curve_length,
     exact_tube_length,
     exact_tube_samples,
+    on_point,
     precision_demand,
+    relative_cf_max_coeff,
+    shortest_marking,
     shortest_slope,
     sigma_matrix,
     sigma_of_marking,
@@ -493,6 +496,58 @@ def test_thickness_correlation_orders_by_coefficient():
     assert [entry[1] for entry in report.correlation] == [50, 3]
     thin = {entry[0]: entry[2] for entry in report.correlation}
     assert thin["p0:E0--free"] < thin["p0:E1--free"]
+
+
+def float_cf_coefficient(ends: tuple[SurfaceMap, SurfaceMap]) -> int:
+    """The coefficient as the double path read it before it went to
+    integers: the relative coefficient between the markings that a float
+    lattice search finds at the two balanced points."""
+    return relative_cf_max_coeff(*(shortest_marking(on_point(g, TeichPoint(0.0, 1.0))) for g in ends))
+
+
+# both slopes have the same exact norm at its balanced point, and float
+# cancellation makes the search pick the base the tie key ranks second
+TIE = SurfaceMap(2753, 1242, 5025, 2267)
+
+
+def test_cf_coefficient_is_read_from_the_balanced_markings():
+    assert precision_demand(TIE) <= PRECISION_BITS
+    assert shortest_marking(on_point(TIE, TeichPoint(0.0, 1.0))) != balanced_marking(TIE)
+    rng = random.Random(28)
+    agree = swapped = 0
+    for i in range(600):
+        gs = [word([rng.random() < 0.5 for _ in range(rng.randrange(31))]) for _ in range(2)]
+        if i % 3:
+            gs[i % 3 - 1] = TIE
+        sk = build_skeleton(single_free(*(push(g) for g in gs)), samples=2)
+        (tube,) = sk.tubes
+        if demand(tube) > PRECISION_BITS:
+            continue
+        coefficient = verify_thickness(sk, 0.1).rows[0].cf_coefficient
+        # the shortest markings under the tie rule on exact norms
+        exact = [reference_balanced_marking(g) for g in tube.ends]
+        assert coefficient == relative_cf_max_coeff(*exact)
+        found = [shortest_marking(on_point(g, TeichPoint(0.0, 1.0))) for g in tube.ends]
+        if found == exact:
+            assert coefficient == float_cf_coefficient(tube.ends)
+            agree += 1
+        else:
+            # at a balanced point base and transversal both have length 1,
+            # and the float search broke that tie the other way
+            for f, e in zip(found, exact):
+                assert f in (e, FareyMarking(e.transversal, e.base))
+            swapped += 1
+    assert agree > 50 and swapped > 200
+
+
+def test_balanced_points_name_their_real_part():
+    # X^2 + 1 = RS puts X/S in lowest terms, so two balanced points with
+    # the same x are one point: no tube between distinct ones is vertical
+    rng = random.Random(7)
+    for _ in range(300):
+        g = word([rng.random() < 0.5 for _ in range(rng.randrange(80))])
+        x, s, r = halfplane._balanced_ints(g)
+        assert x * x + 1 == r * s and math.gcd(x, s) == 1
 
 
 def test_thickness_all_degenerate_passes_at_anchor_systole():
