@@ -75,14 +75,6 @@ class BundleClauseReport(Record):
     distance_1: int | None = None
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "distance_0": self.distance_0,
-            "distance_1": self.distance_1,
-            "detail": self.detail,
-        }
-
 
 class PieceReport(Record):
     """Per-piece certificate entry for the bundle, cover and record

@@ -1,8 +1,8 @@
 """Batch front-end.
 
 Every command reads one input file, runs the corresponding pipeline, and
-emits a deterministic JSON report carrying the input's content hash and
-the flags the command reads (`COMMANDS`), so identical invocations are
+emits a deterministic JSON report carrying the sha256 of the file's bytes
+and the flags the command reads (`COMMANDS`), so identical invocations are
 byte identical.  One argparse parser serves every command line, and a
 command takes only its own flags: any other is a usage error.  Exit codes
 are fixed for scripting: 0 pass, 1 verdict fail, 2 parse trouble, 3
@@ -23,7 +23,7 @@ from typing import Any, Iterator, Sequence
 # Each command imports the layers it runs, so that a cold `hyplab` loads
 # no torus or gluing code and a cold `validate` no collapse or skeleton.
 from .errors import GlueforgeError, ParseError, ValidationError, ascii_int
-from .ioutil import canonical_dumps, sha256_of_text
+from .ioutil import canonical_dumps, sha256_of_bytes
 from .record import Record
 
 EXIT_PASS = 0
@@ -68,19 +68,6 @@ FLAGS: dict[str, tuple[dict[str, Any], tuple]] = {
     "format": ({"choices": ("json", "obj"), "default": "json"}, ()),
 }
 
-# Each command: its help line and the flags it reads, in the order its
-# report echoes them.  Every command also takes --input and --out, and
-# collapse --emit-correspondence, which its report does not echo.
-COMMANDS = {
-    "validate": ("parse a gluing file and check every structural invariant", ()),
-    "report": ("certify bounded combinatorics at (R, D)", ("R", "D", "denom_bound")),
-    "collapse": ("combine I-bundle stacks and rewire the gluing", ("R", "h", "denom_bound")),
-    "decompose": ("expand splittings and cut along maximal compressions", ()),
-    "model": ("assemble, verify and export the metric skeleton", ("eps0", "samples", "format")),
-    "hyplab": ("measure hyperbolicity and stability on a finite graph", ("R",)),
-}
-
-
 class RunConfig(Record):
     """One fully resolved invocation: the values of the flags its command
     reads, as (name, value) pairs in the order of `COMMANDS`."""
@@ -112,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
         " collapse, decomposition, model skeletons, graph experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (blurb, reads) in COMMANDS.items():
+    for name, (blurb, reads, _) in COMMANDS.items():
         cmd = sub.add_parser(name, help=blurb, allow_abbrev=False)
         cmd.add_argument("--input", required=True, help="input file path")
         for flag in reads:
@@ -137,17 +124,21 @@ def _config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _read_input(path: str) -> str:
+def _read_input(path: str) -> tuple[bytes, str]:
+    """The file's bytes and their text as strict UTF-8, without newline
+    translation: the report hashes the bytes, so a CRLF file is not its LF
+    twin."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read(MAX_INPUT_BYTES + 1)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    if len(data) > MAX_INPUT_BYTES:
+        raise ParseError(f"input {path} is larger than {MAX_INPUT_BYTES} bytes")
+    try:
+        return data, data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
-    if len(text) > MAX_INPUT_BYTES or len(text.encode("utf-8")) > MAX_INPUT_BYTES:
-        raise ParseError(f"input {path} is larger than {MAX_INPUT_BYTES} bytes")
-    return text
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -161,84 +152,67 @@ def _emit(cfg: RunConfig, text: str) -> None:
         raise ValidationError(f"cannot write {cfg.out}: {exc.strerror}") from exc
 
 
-def _emit_report(cfg: RunConfig, text: str, result: dict) -> None:
+def _emit_report(cfg: RunConfig, data: bytes, result: dict) -> None:
     envelope = {
         "command": cfg.command,
-        "input_sha256": sha256_of_text(text),
+        "input_sha256": sha256_of_bytes(data),
         "params": dict(cfg.params),
         "result": result,
     }
     _emit(cfg, canonical_dumps(envelope))
 
 
-def cmd_validate(cfg: RunConfig, text: str) -> int:
+def cmd_validate(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
     from .gluing import validate_gluing
 
     x = validate_gluing(text)
-    _emit_report(
-        cfg,
-        text,
-        {
-            "valid": True,
-            "pieces": len(x.pieces),
-            "identifications": len(x.identifications),
-            "unburied": [f"{p}:{b}" for p, b in x.slots() if not x.is_buried((p, b))],
-        },
-    )
-    return EXIT_PASS
+    return {
+        "valid": True,
+        "pieces": len(x.pieces),
+        "identifications": len(x.identifications),
+        "unburied": [f"{p}:{b}" for p, b in x.slots() if not x.is_buried((p, b))],
+    }, EXIT_PASS
 
 
-def cmd_report(cfg: RunConfig, text: str) -> int:
+def cmd_report(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
     from .certify import check_bounded_combinatorics
     from .gluing import validate_gluing
 
     x = validate_gluing(text)
     cert = check_bounded_combinatorics(x, cfg["R"], cfg["D"], cfg["denom_bound"])
-    _emit_report(cfg, text, cert.to_json())
-    return EXIT_PASS if cert.passed else EXIT_VERDICT
+    return cert.to_json(), EXIT_PASS if cert.passed else EXIT_VERDICT
 
 
-def cmd_collapse(cfg: RunConfig, text: str) -> int:
+def cmd_collapse(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
     from .gluing import validate_gluing
     from .transforms import collapse_ibundles
 
     x = validate_gluing(text)
     res = collapse_ibundles(x, cfg["R"], cfg["h"], cfg["denom_bound"])
-    _emit_report(cfg, text, res.to_json(emit_correspondence=cfg.emit_correspondence))
-    if res.fibered:
-        return EXIT_FIBERED
-    return EXIT_PASS if res.ok else EXIT_VERDICT
+    code = EXIT_FIBERED if res.fibered else EXIT_PASS if res.ok else EXIT_VERDICT
+    return res.to_json(emit_correspondence=cfg.emit_correspondence), code
 
 
-def cmd_decompose(cfg: RunConfig, text: str) -> int:
+def cmd_decompose(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
     from .decompose import full_and_maximal_decomposition
     from .gluing import validate_gluing
 
-    x = validate_gluing(text)
-    res = full_and_maximal_decomposition(x)
-    _emit_report(cfg, text, res.to_json())
-    return EXIT_PASS
+    return full_and_maximal_decomposition(validate_gluing(text)).to_json(), EXIT_PASS
 
 
-def cmd_model(cfg: RunConfig, text: str) -> int:
+def cmd_model(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
     from .gluing import validate_gluing
     from .model import build_skeleton, export_skeleton, verify_thickness
 
-    x = validate_gluing(text)
-    skeleton = build_skeleton(x, samples=cfg["samples"])
+    skeleton = build_skeleton(validate_gluing(text), samples=cfg["samples"])
     if cfg["format"] == "obj":
-        _emit(cfg, export_skeleton(skeleton))
-        return EXIT_PASS
+        return export_skeleton(skeleton), EXIT_PASS
     report = verify_thickness(skeleton, cfg["eps0"])
-    _emit_report(
-        cfg,
-        text,
-        {"skeleton": skeleton.to_json(), "thickness": report.to_json()},
-    )
-    return EXIT_PASS if report.ok else EXIT_VERDICT
+    result = {"skeleton": skeleton.to_json(), "thickness": report.to_json()}
+    return result, EXIT_PASS if report.ok else EXIT_VERDICT
 
 
-def cmd_hyplab(cfg: RunConfig, text: str) -> int:
+def cmd_hyplab(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
     from .hypgraph import all_pairs_distances, geodesic_interval
     from .hyplab import (
         check_qconvex_stability,
@@ -258,31 +232,39 @@ def cmd_hyplab(cfg: RunConfig, text: str) -> int:
     y = rows[x].index(diameter)
     interval = geodesic_interval(table, x, y)
     stability = check_qconvex_stability(table, interval, cfg["R"])
-    _emit_report(
-        cfg,
-        text,
-        {
-            "vertices": table.n,
-            "delta": [delta.numerator, delta.denominator],
-            "diameter": diameter,
-            "interval": {
-                "endpoints": [x, y],
-                "vertices": interval,
-                "quasiconvexity": quasiconvexity_constant(table, interval),
-            },
-            "stability": stability.to_json(),
+    return {
+        "vertices": table.n,
+        "delta": [delta.numerator, delta.denominator],
+        "diameter": diameter,
+        "interval": {
+            "endpoints": [x, y],
+            "vertices": interval,
+            "quasiconvexity": quasiconvexity_constant(table, interval),
         },
-    )
-    return EXIT_PASS
+        "stability": stability.to_json(),
+    }, EXIT_PASS
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "report": cmd_report,
-    "collapse": cmd_collapse,
-    "decompose": cmd_decompose,
-    "model": cmd_model,
-    "hyplab": cmd_hyplab,
+# Each command: its help line, the flags it reads, in the order its report
+# echoes them, and its runner, which maps the input's text to the report's
+# `result` (or the text of an OBJ export) and the exit code.  Every command
+# also takes --input and --out, and collapse --emit-correspondence, which
+# its report does not echo.
+COMMANDS = {
+    "validate": ("parse a gluing file and check every structural invariant", (), cmd_validate),
+    "report": ("certify bounded combinatorics at (R, D)", ("R", "D", "denom_bound"), cmd_report),
+    "collapse": (
+        "combine I-bundle stacks and rewire the gluing",
+        ("R", "h", "denom_bound"),
+        cmd_collapse,
+    ),
+    "decompose": ("expand splittings and cut along maximal compressions", (), cmd_decompose),
+    "model": (
+        "assemble, verify and export the metric skeleton",
+        ("eps0", "samples", "format"),
+        cmd_model,
+    ),
+    "hyplab": ("measure hyperbolicity and stability on a finite graph", ("R",), cmd_hyplab),
 }
 
 
@@ -312,13 +294,18 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    text = None
+    data = None
     try:
         with _any_int_digits(), warnings.catch_warnings():
             warnings.showwarning = _show_warning
             cfg = _config(args)
-            text = _read_input(cfg.input)
-            return _COMMANDS[cfg.command](cfg, text)
+            data, text = _read_input(cfg.input)
+            result, code = COMMANDS[cfg.command][2](cfg, text)
+            if isinstance(result, str):  # an OBJ export, written as it is
+                _emit(cfg, result)
+            else:
+                _emit_report(cfg, data, result)
+            return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -327,7 +314,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INVARIANT
     except Exception as exc:
         # the input's hash, so that a fault report names what it ran on
-        where = "" if text is None else f"; input sha256 {sha256_of_text(text)}"
+        where = "" if data is None else f"; input sha256 {sha256_of_bytes(data)}"
         print(f"internal error: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
         return EXIT_INTERNAL
 
@@ -341,7 +328,9 @@ def entry() -> int:
     them loaded at start-up, only to let the process end; frozen objects
     are left out of it.  main() leaves the collector alone, and entry()
     turns it back on after main() if it was on, so in-process callers keep
-    theirs as it was."""
+    theirs as it was.  Stdout is UTF-8 in every locale: a report prints the
+    bytes that --out writes."""
+    sys.stdout.reconfigure(encoding="utf-8")
     enabled = gc.isenabled()
     gc.disable()
     try:

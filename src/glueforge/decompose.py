@@ -30,25 +30,11 @@ class Component(Record):
     kind: str
     identifications: tuple[Identification, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "pieces": list(self.pieces),
-            "kind": self.kind,
-            "identifications": [i.to_json() for i in self.identifications],
-        }
-
 
 class DecompositionResult(Record):
     full: GluingGraph
     components: tuple[Component, ...]
     cut: tuple[Identification, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "full": self.full.to_json(),
-            "components": [c.to_json() for c in self.components],
-            "cut": [i.to_json() for i in self.cut],
-        }
 
 
 def expand_splittings(x: GluingGraph) -> GluingGraph:

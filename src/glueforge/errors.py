@@ -59,6 +59,15 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
+def json_str(value: object, field: str) -> str:
+    """value when JSON decoded it as a string.  An id or a name is never
+    coerced: a number, null or any other value is a ParseError that names
+    the field."""
+    if type(value) is not str:
+        raise ParseError(f"{field} must be a string, not {clip(value)}")
+    return value
+
+
 def json_int(value: object) -> int:
     """value when JSON decoded it as an integer.  A float, a numeric string
     or true/false raises TypeError, which each parser reports as a

@@ -67,6 +67,9 @@ class AnnulusLabel(Record):
     def __str__(self) -> str:
         return f"annulus({self.core})"
 
+    def to_json(self) -> str:
+        return str(self)
+
 
 
 def _chart_image(m: SurfaceMap, b: Slope) -> tuple[int, int]:

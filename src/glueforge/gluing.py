@@ -21,7 +21,7 @@ from functools import cached_property
 import json
 from typing import TYPE_CHECKING, Iterable, Mapping, NoReturn, Sequence
 
-from .errors import BackendMismatchError, ParseError, ValidationError, clip, json_int
+from .errors import BackendMismatchError, ParseError, ValidationError, clip, json_int, json_str
 from .ioutil import canonical_dumps, sha256_of_text
 from .record import Record
 from .surface import (
@@ -87,13 +87,9 @@ def _json_slot(rec: Mapping, key: str) -> Slot:
     """The [piece, boundary] pair of strings under key; any other value is
     malformed."""
     value = rec[key]
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(type(v) is str for v in value)
-    ):
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ParseError(f"slot {key} must be a [piece, boundary] pair, not {clip(value)}")
-    return value[0], value[1]
+    return json_str(value[0], f"slot {key} piece"), json_str(value[1], f"slot {key} boundary")
 
 
 def _json_bool(obj: Mapping, key: str, default: bool) -> bool:
@@ -264,7 +260,7 @@ class BoundarySpec(Record):
     def from_json(obj: object, graphs: dict | None = None) -> "BoundarySpec":
         if not isinstance(obj, Mapping) or "id" not in obj:
             raise ParseError("boundary spec must be an object with an id")
-        bid = str(obj["id"])
+        bid = json_str(obj["id"], "boundary id")
         if _json_bool(obj, "toroidal", False):
             return BoundarySpec(bid, toroidal=True)
         if "backend" not in obj or "decoration" not in obj:
@@ -310,9 +306,12 @@ class SubPiece(Record):
             if not isinstance(bmap, Mapping):
                 raise ParseError("sub-piece boundaries must be an object")
             return SubPiece(
-                str(obj["id"]),
-                str(obj["manifold"]),
-                tuple((str(k), str(v)) for k, v in bmap.items()),
+                json_str(obj["id"], "sub-piece id"),
+                json_str(obj["manifold"], "sub-piece manifold"),
+                tuple(
+                    (json_str(k, "sub-piece boundary"), json_str(v, "sub-piece boundary"))
+                    for k, v in bmap.items()
+                ),
             )
         except KeyError as exc:
             raise ParseError(f"sub-piece missing field {exc}") from exc
@@ -327,15 +326,6 @@ class CoverData(Record):
     lift0: SlotMap
     lift1: SlotMap
     phi: SlotMap
-
-    def to_json(self) -> dict:
-        return {
-            "mu0": self.mu0.to_json(),
-            "mu1": self.mu1.to_json(),
-            "lift0": self.lift0.to_json(),
-            "lift1": self.lift1.to_json(),
-            "phi": self.phi.to_json(),
-        }
 
     @staticmethod
     def from_json(handle: BackendHandle, obj: object) -> "CoverData":
@@ -559,14 +549,16 @@ class DecoratedManifoldSpec(Record):
 
         def records(key: str) -> tuple[tuple[str, ...], ...]:
             try:
-                return tuple(tuple(str(b) for b in r) for r in _json_list(obj, key))
+                return tuple(
+                    tuple(json_str(b, f"{key} boundary") for b in r) for r in _json_list(obj, key)
+                )
             except TypeError as exc:
                 raise ParseError(f"{key} must be lists of boundary ids") from exc
 
         try:
             return DecoratedManifoldSpec(
-                str(obj["id"]),
-                str(obj["kind"]),
+                json_str(obj["id"], "manifold id"),
+                json_str(obj["kind"], "manifold kind"),
                 boundaries,
                 records("disk_records"),
                 records("annulus_records"),
@@ -784,7 +776,7 @@ class GluingGraph(Record):
         for p in _json_list(obj, "pieces"):
             if not isinstance(p, Mapping) or "id" not in p or "manifold" not in p:
                 raise ParseError("piece entry needs an id and a manifold")
-            pieces.append((str(p["id"]), str(p["manifold"])))
+            pieces.append((json_str(p["id"], "piece id"), json_str(p["manifold"], "piece manifold")))
         piece_spec = {pid: specs.get(mid) for pid, mid in pieces}
 
         def slot_handle(pid: str, bid: str) -> BackendHandle:

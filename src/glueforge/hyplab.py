@@ -230,15 +230,6 @@ class StabilityReport(Record):
                 return rp
         return 0
 
-    def to_json(self) -> dict:
-        return {
-            "subset": list(self.subset),
-            "r": self.r,
-            "table": [[h, rp] for h, rp in self.table],
-            "extremal": list(self.extremal) if self.extremal else None,
-            "degenerate": self.degenerate,
-        }
-
 
 def check_qconvex_stability(table: DistanceTable, subset: Sequence[int], r: int) -> StabilityReport:
     """Exhaustive scan over all configurations satisfying the hypotheses;

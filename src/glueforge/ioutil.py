@@ -20,6 +20,10 @@ def canonical_dumps(obj: object) -> str:
 
 
 def sha256_of_text(text: str) -> str:
+    return sha256_of_bytes(text.encode("utf-8"))
+
+
+def sha256_of_bytes(data: bytes) -> str:
     # CPython's builtin SHA-256, about 5 ms for 1 MiB: `hashlib` loads
     # OpenSSL, the largest import of a cold run
     try:
@@ -29,4 +33,4 @@ def sha256_of_text(text: str) -> str:
             from _sha256 import sha256  # Python 3.10 and 3.11
         except ImportError:  # an interpreter built without them
             from hashlib import sha256
-    return sha256(text.encode("utf-8")).hexdigest()
+    return sha256(data).hexdigest()

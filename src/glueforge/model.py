@@ -274,14 +274,6 @@ class ThicknessRow(Record):
     thick: bool
     cf_coefficient: int
 
-    def to_json(self) -> dict:
-        return {
-            "tube": self.tube,
-            "min_systole": self.min_systole,
-            "thick": self.thick,
-            "cf_coefficient": self.cf_coefficient,
-        }
-
 
 class ThicknessReport(Record):
     """Sampled thickness of every geometric tube of a skeleton.
@@ -296,14 +288,6 @@ class ThicknessReport(Record):
     rows: tuple[ThicknessRow, ...]
     ok: bool
     correlation: tuple[tuple[str, int, float], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "eps0": self.eps0,
-            "rows": [r.to_json() for r in self.rows],
-            "ok": self.ok,
-            "correlation": [list(entry) for entry in self.correlation],
-        }
 
 
 def verify_thickness(s: ModelSkeleton, eps0: float) -> ThicknessReport:

@@ -22,7 +22,8 @@ class Record:
     """Immutable value with the semantics of `dataclass(frozen=True)`: a
     subclass declares its fields as annotations, in order, and a class
     attribute of the same name is a default.  No `__slots__`, because
-    `cached_property` and trusted constructors write `__dict__`."""
+    `cached_property` and trusted constructors write `__dict__`.  Its JSON
+    (`to_json`) lists its fields in declaration order."""
 
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, Any] = {}
@@ -73,6 +74,21 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def to_json(self) -> Any:
+        """The fields in declaration order, each written by `_json`.  A
+        record whose JSON has another shape overrides this."""
+        return {n: _json(self.__dict__[n]) for n in self._fields}
+
+
+def _json(value: Any) -> Any:
+    """A record through its own `to_json`, a tuple as a list, any other
+    value as it is."""
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value
 
 
 def replace(record: Record, /, **changes: Any) -> Any:

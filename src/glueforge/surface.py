@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import BackendMismatchError, ParseError, ValidationError, clip, json_int
+from .errors import BackendMismatchError, ParseError, ValidationError, clip, json_int, json_str
 from .record import Record
 
 if TYPE_CHECKING:  # each backend branch imports the layer it runs
@@ -159,7 +159,7 @@ class BackendHandle(Record):
                 GraphProjection(
                     tuple(json_int(v) for v in e["a"]),
                     tuple(json_int(v) for v in e["b"]),
-                    str(e["label"]),
+                    json_str(e["label"], "projection label"),
                     json_int(e["value"]),
                 )
                 for e in obj.get("projections", [])
@@ -239,7 +239,7 @@ class AbstractMarking(Record):
                 raise ParseError(f"bad torus marking: {exc}") from exc
             return AbstractMarking(handle, payload)
         if "name" in obj:
-            return handle.named_marking(str(obj["name"]))
+            return handle.named_marking(json_str(obj["name"], "marking name"))
         if "vertices" not in obj:
             raise ParseError("graph marking needs vertices or a declared name")
         try:
@@ -309,14 +309,6 @@ class ProjectionResult(Record):
     value: int
     certified: bool
     unmodeled: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "label": str(self.label),
-            "value": self.value,
-            "certified": self.certified,
-            "unmodeled": self.unmodeled,
-        }
 
 
 def curve_distances_from(handle: BackendHandle, a: object, targets: Sequence) -> list[int]:

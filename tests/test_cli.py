@@ -41,7 +41,7 @@ from glueforge.gluing import (
 )
 from glueforge.hypgraph import DistanceTable, FiniteGraph, cycle_graph
 from glueforge.ioutil import canonical_dumps, sha256_of_text
-from glueforge.surface import AbstractMarking, BackendHandle
+from glueforge.surface import AbstractMarking, BackendHandle, GraphProjection
 from glueforge.torus import IDENTITY, REFLECTION, FareyMarking, Slope
 from test_transforms import (
     SKEW_1,
@@ -863,7 +863,8 @@ def test_internal_fault_has_its_own_exit_code(files, capsys, monkeypatch):
     def broken(cfg, text):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "validate", broken)
+    help_line, reads, _ = cli.COMMANDS["validate"]
+    monkeypatch.setitem(cli.COMMANDS, "validate", (help_line, reads, broken))
     code, out, err = run(capsys, ["validate", "--input", files["chain"]])
     assert code == EXIT_INTERNAL
     assert out == ""
@@ -1195,6 +1196,107 @@ def test_input_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
     assert err.startswith(f"parse error: cannot read {path}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("name", ["chain", "c6"])
+def test_input_hash_is_the_hash_of_the_file_bytes(files, capsys, tmp_path, name):
+    # no newline translation: a CRLF copy hashes as itself, not as its LF
+    # twin, and gives the same result
+    command = "hyplab" if name == "c6" else "report"
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(pathlib.Path(files[name]).read_bytes().replace(b"\n", b"\r\n"))
+    lf_code, lf_out, _ = run(capsys, [command, "--input", files[name]])
+    code, out, err = run(capsys, [command, "--input", str(crlf)])
+    assert (code, err) == (lf_code, "")
+    obj = envelope(out)
+    assert obj["input_sha256"] == hashlib.sha256(crlf.read_bytes()).hexdigest()
+    assert obj["input_sha256"] != envelope(lf_out)["input_sha256"]
+    assert obj["result"] == envelope(lf_out)["result"]
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_is_utf8_in_every_locale(tmp_path, encoding):
+    path = tmp_path / "accent.json"
+    path.write_text(chain(core("MÉ", MU), core("c1", push(REFLECTION))).canonical_json(), "utf-8")
+    argv = ["collapse", "--input", str(path)]
+    plain = cold_bytes(argv)
+    assert plain.returncode == EXIT_PASS and "MÉ".encode() in plain.stdout
+    proc = cold_bytes(argv, PYTHONIOENCODING=encoding)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_PASS, plain.stdout, b"")
+    out = tmp_path / "out.json"
+    assert cold_bytes([*argv, "--out", str(out)], PYTHONIOENCODING=encoding).returncode == EXIT_PASS
+    assert out.read_bytes() == plain.stdout
+
+
+def id_gluings() -> dict:
+    """JSON objects of gluings whose ids and names each case edits: two
+    cores, a split piece, and a graph backend with a named marking and a
+    projection table."""
+    h = BackendHandle.finite_graph(
+        cycle_graph(6), {"W": [0, 1]}, [GraphProjection((0, 1), (3,), "W0", 7)]
+    )
+    spec = DecoratedManifoldSpec(
+        "G", GENERIC, (BoundarySpec("E0", handle=h, decoration=AbstractMarking(h, (0, 1))),)
+    )
+    graph = GluingGraph(
+        manifolds=(spec,),
+        pieces=(("p0", "G"), ("p1", "G")),
+        identifications=(
+            Identification("p0", "E0", "p1", "E0", SlotMap(h, perm=(0, 5, 4, 3, 2, 1))),
+        ),
+    )
+    cores = chain(core("c0", MU), core("c1", push(REFLECTION)))
+    return {"cores": cores.to_json(), "split": split_gluing().to_json(), "graph": graph.to_json()}
+
+
+SPLIT = ("manifolds", 0, "splitting", "pieces", 0)
+GRAPH_BOUNDARY = ("manifolds", 0, "boundaries", 0)
+
+
+# Each case: the gluing, its edits as (path..., value), and the field the
+# parse error names.  Before ids had to be strings, str() turned the
+# first three into valid gluings.
+@pytest.mark.parametrize(
+    "base, edits, field",
+    [
+        ("cores", [("manifolds", 0, "id", 7), ("pieces", 0, "manifold", 7)], "manifold id"),
+        (
+            "cores",
+            [("manifolds", 0, "boundaries", 0, "id", 0), ("identifications", 0, "a", ["p0", "0"])],
+            "boundary id",
+        ),
+        ("cores", [("manifolds", 0, "id", None), ("pieces", 0, "manifold", "None")], "manifold id"),
+        ("cores", [("manifolds", 0, "kind", 0)], "manifold kind"),
+        ("cores", [("manifolds", 0, "disk_records", [[0]])], "disk_records boundary"),
+        ("cores", [("pieces", 0, "id", 0)], "piece id"),
+        ("cores", [("manifolds", 0, "id", "7"), ("pieces", 0, "manifold", 7)], "piece manifold"),
+        ("cores", [("identifications", 0, "b", ["p1", 0])], "slot b boundary"),
+        ("split", [(*SPLIT, "id", 0)], "sub-piece id"),
+        ("split", [(*SPLIT, "manifold", None)], "sub-piece manifold"),
+        ("split", [(*SPLIT, "boundaries", "E0", 0)], "sub-piece boundary"),
+        ("graph", [(*GRAPH_BOUNDARY, "backend", "projections", 0, "label", 0)], "projection label"),
+        (
+            "graph",
+            [
+                (*GRAPH_BOUNDARY, "backend", "markings", {"5": [0, 1]}),
+                (*GRAPH_BOUNDARY, "decoration", {"name": 5}),
+            ],
+            "marking name",
+        ),
+    ],
+)
+def test_ids_and_names_must_be_json_strings(capsys, tmp_path, base, edits, field):
+    obj = id_gluings()[base]
+    for *parents, last, value in edits:
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["validate", "--input", str(path)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith(f"parse error: {field} must be a string, not "), err
+
+
 def test_balanced_points_beyond_double_precision_are_internal_faults(files):
     # axis power 200 puts balanced points below y = 2^-1074, the least
     # double; the run stops at once with one internal-fault line
@@ -1355,14 +1457,17 @@ def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
 # ------------------------------------------------------- process entry
 
 
-def cold_bytes(argv: list[str]) -> subprocess.CompletedProcess:
-    """`python -m glueforge.cli argv...` in a fresh interpreter, stdout as bytes."""
+def cold_bytes(argv: list[str], **env: str) -> subprocess.CompletedProcess:
+    """`python -m glueforge.cli argv...` in a fresh interpreter, stdout as
+    bytes; env adds to the environment, which never sets PYTHONIOENCODING
+    unless env does."""
     src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
     return subprocess.run(
         [sys.executable, "-m", "glueforge.cli", *argv],
         capture_output=True,
         timeout=120,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(base, PYTHONPATH=src, **env),
     )
 
 
@@ -1492,7 +1597,7 @@ def test_help_names_every_command_and_flag(capsys):
     assert proc.returncode == EXIT_PASS
     for name in ("validate", "report", "collapse", "decompose", "model", "hyplab"):
         assert name in proc.stdout.decode()
-    for name, (_, reads) in cli.COMMANDS.items():
+    for name, (_, reads, _) in cli.COMMANDS.items():
         proc = cold_bytes([name, "--help"])
         assert proc.returncode == EXIT_PASS
         flags = ["--" + flag.replace("_", "-") for flag in reads]

@@ -217,3 +217,36 @@ def test_post_init_normalises_like_the_dataclass():
     assert (Slope(4, -6).p, Slope(4, -6).q) == (-2, 3) == (twin(4, -6).p, twin(4, -6).q)
     assert hash(Slope(4, -6)) == hash(twin(-2, 3)) == hash((-2, 3))
 
+
+
+# The records whose report JSON is Record.to_json: their fields in
+# declaration order
+FIELD_RULE = (
+    "BundleClauseReport",
+    "Component",
+    "CoverData",
+    "DecompositionResult",
+    "ProjectionResult",
+    "StabilityReport",
+    "ThicknessReport",
+    "ThicknessRow",
+)
+
+
+def plain_json(value: object) -> bool:
+    """value is made of JSON's own types only: no tuple, no record."""
+    if isinstance(value, dict):
+        return all(type(k) is str and plain_json(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(plain_json(v) for v in value)
+    return value is None or type(value) in (str, int, float, bool)
+
+
+@pytest.mark.parametrize("name", FIELD_RULE)
+def test_field_rule_records_emit_their_fields_in_order(samples, name):
+    cls = RECORDS[name]
+    assert cls.to_json is Record.to_json
+    for s in samples[name]:
+        obj = s.to_json()
+        assert list(obj) == list(cls._fields)
+        assert plain_json(obj)
