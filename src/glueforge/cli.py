@@ -24,7 +24,6 @@ from typing import Any, Iterator, Sequence
 # no torus or gluing code and a cold `validate` no collapse or skeleton.
 from .errors import GlueforgeError, ParseError, ValidationError, ascii_int
 from .ioutil import canonical_dumps, sha256_of_bytes
-from .record import Record
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -68,25 +67,6 @@ FLAGS: dict[str, tuple[dict[str, Any], tuple]] = {
     "format": ({"choices": ("json", "obj"), "default": "json"}, ()),
 }
 
-class RunConfig(Record):
-    """One fully resolved invocation: the values of the flags its command
-    reads, as (name, value) pairs in the order of `COMMANDS`."""
-
-    command: str
-    input: str
-    out: str | None
-    params: tuple[tuple[str, Any], ...]
-    emit_correspondence: bool
-
-    def __post_init__(self) -> None:
-        for name, value in self.params:
-            for test, message in FLAGS[name][1]:
-                if not test(value):
-                    raise ValidationError(message)
-
-    def __getitem__(self, name: str) -> Any:
-        return dict(self.params)[name]
-
 
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of every command line: a subparser per command, each
@@ -114,16 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input=args.input,
-        out=args.out,
-        params=tuple((name, getattr(args, name)) for name in COMMANDS[args.command][1]),
-        emit_correspondence=getattr(args, "emit_correspondence", False),
-    )
-
-
 def _read_input(path: str) -> tuple[bytes, str]:
     """The file's bytes and their text as strict UTF-8, without newline
     translation: the report hashes the bytes, so a CRLF file is not its LF
@@ -141,28 +111,28 @@ def _read_input(path: str) -> tuple[bytes, str]:
         raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out is None:
+def _emit(out: str | None, text: str) -> None:
+    if out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(cfg.out, "wb") as fh:
+        with open(out, "wb") as fh:
             fh.write(text.encode())
     except OSError as exc:
-        raise ValidationError(f"cannot write {cfg.out}: {exc.strerror}") from exc
+        raise ValidationError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-def _emit_report(cfg: RunConfig, data: bytes, result: dict) -> None:
+def _emit_report(args: argparse.Namespace, params: dict, data: bytes, result: dict) -> None:
     envelope = {
-        "command": cfg.command,
+        "command": args.command,
         "input_sha256": sha256_of_bytes(data),
-        "params": dict(cfg.params),
+        "params": params,
         "result": result,
     }
-    _emit(cfg, canonical_dumps(envelope))
+    _emit(args.out, canonical_dumps(envelope))
 
 
-def cmd_validate(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
+def cmd_validate(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
     from .gluing import validate_gluing
 
     x = validate_gluing(text)
@@ -174,46 +144,46 @@ def cmd_validate(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
     }, EXIT_PASS
 
 
-def cmd_report(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
+def cmd_report(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
     from .certify import check_bounded_combinatorics
     from .gluing import validate_gluing
 
     x = validate_gluing(text)
-    cert = check_bounded_combinatorics(x, cfg["R"], cfg["D"], cfg["denom_bound"])
+    cert = check_bounded_combinatorics(x, args.R, args.D, args.denom_bound)
     return cert.to_json(), EXIT_PASS if cert.passed else EXIT_VERDICT
 
 
-def cmd_collapse(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
+def cmd_collapse(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
     from .gluing import validate_gluing
     from .transforms import collapse_ibundles
 
     x = validate_gluing(text)
-    res = collapse_ibundles(x, cfg["R"], cfg["h"], cfg["denom_bound"])
+    res = collapse_ibundles(x, args.R, args.h, args.denom_bound)
     code = EXIT_FIBERED if res.fibered else EXIT_PASS if res.ok else EXIT_VERDICT
-    return res.to_json(emit_correspondence=cfg.emit_correspondence), code
+    return res.to_json(emit_correspondence=args.emit_correspondence), code
 
 
-def cmd_decompose(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
+def cmd_decompose(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
     from .decompose import full_and_maximal_decomposition
     from .gluing import validate_gluing
 
     return full_and_maximal_decomposition(validate_gluing(text)).to_json(), EXIT_PASS
 
 
-def cmd_model(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
+def cmd_model(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
     from .gluing import validate_gluing
     from .model import build_skeleton, export_skeleton, verify_thickness
 
-    skeleton = build_skeleton(validate_gluing(text), samples=cfg["samples"])
-    if cfg["format"] == "obj":
+    skeleton = build_skeleton(validate_gluing(text), samples=args.samples)
+    if args.format == "obj":
         return export_skeleton(skeleton), EXIT_PASS
-    report = verify_thickness(skeleton, cfg["eps0"])
+    report = verify_thickness(skeleton, args.eps0)
     result = {"skeleton": skeleton.to_json(), "thickness": report.to_json()}
     return result, EXIT_PASS if report.ok else EXIT_VERDICT
 
 
-def cmd_hyplab(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
-    from .hypgraph import all_pairs_distances, geodesic_interval
+def cmd_hyplab(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
+    from .hypgraph import geodesic_interval
     from .hyplab import (
         check_qconvex_stability,
         four_point_delta,
@@ -222,34 +192,34 @@ def cmd_hyplab(cfg: RunConfig, text: str) -> tuple[dict | str, int]:
     )
 
     graph = read_graph(text)
-    table = all_pairs_distances(graph)
-    delta = four_point_delta(table)
+    delta = four_point_delta(graph)
     # the widest geodesic interval doubles as the stability test bed: the
     # first diametral pair in row-major order
-    rows = table.rows()
+    rows = graph.rows()
     diameter = max(map(max, rows))
     x = next(u for u, row in enumerate(rows) if max(row) == diameter)
     y = rows[x].index(diameter)
-    interval = geodesic_interval(table, x, y)
-    stability = check_qconvex_stability(table, interval, cfg["R"])
+    interval = geodesic_interval(graph, x, y)
+    stability = check_qconvex_stability(graph, interval, args.R)
     return {
-        "vertices": table.n,
+        "vertices": graph.vertex_count,
         "delta": [delta.numerator, delta.denominator],
         "diameter": diameter,
         "interval": {
             "endpoints": [x, y],
             "vertices": interval,
-            "quasiconvexity": quasiconvexity_constant(table, interval),
+            "quasiconvexity": quasiconvexity_constant(graph, interval),
         },
         "stability": stability.to_json(),
     }, EXIT_PASS
 
 
 # Each command: its help line, the flags it reads, in the order its report
-# echoes them, and its runner, which maps the input's text to the report's
-# `result` (or the text of an OBJ export) and the exit code.  Every command
-# also takes --input and --out, and collapse --emit-correspondence, which
-# its report does not echo.
+# echoes them, and its runner, which maps the parsed command line, whose
+# flags `main` has checked against `FLAGS`, and the input's text to the
+# report's `result` (or the text of an OBJ export) and the exit code.  Every
+# command also takes --input and --out, and collapse --emit-correspondence,
+# which its report does not echo.
 COMMANDS = {
     "validate": ("parse a gluing file and check every structural invariant", (), cmd_validate),
     "report": ("certify bounded combinatorics at (R, D)", ("R", "D", "denom_bound"), cmd_report),
@@ -298,13 +268,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with _any_int_digits(), warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            cfg = _config(args)
-            data, text = _read_input(cfg.input)
-            result, code = COMMANDS[cfg.command][2](cfg, text)
+            params = {name: getattr(args, name) for name in COMMANDS[args.command][1]}
+            for name, value in params.items():
+                for test, message in FLAGS[name][1]:
+                    if not test(value):
+                        raise ValidationError(message)
+            data, text = _read_input(args.input)
+            result, code = COMMANDS[args.command][2](args, text)
             if isinstance(result, str):  # an OBJ export, written as it is
-                _emit(cfg, result)
+                _emit(args.out, result)
             else:
-                _emit_report(cfg, data, result)
+                _emit_report(args, params, data, result)
             return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -329,8 +303,10 @@ def entry() -> int:
     are left out of it.  main() leaves the collector alone, and entry()
     turns it back on after main() if it was on, so in-process callers keep
     theirs as it was.  Stdout is UTF-8 in every locale: a report prints the
-    bytes that --out writes."""
+    bytes that --out writes.  So is stderr, where a character UTF-8 cannot
+    encode (an undecodable byte of a path) prints as its backslash escape."""
     sys.stdout.reconfigure(encoding="utf-8")
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     enabled = gc.isenabled()
     gc.disable()
     try:

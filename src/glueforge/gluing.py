@@ -548,12 +548,10 @@ class DecoratedManifoldSpec(Record):
             splitting = Splitting.from_json(obj["splitting"])
 
         def records(key: str) -> tuple[tuple[str, ...], ...]:
-            try:
-                return tuple(
-                    tuple(json_str(b, f"{key} boundary") for b in r) for r in _json_list(obj, key)
-                )
-            except TypeError as exc:
-                raise ParseError(f"{key} must be lists of boundary ids") from exc
+            entries = _json_list(obj, key)
+            if not all(isinstance(r, (list, tuple)) for r in entries):
+                raise ParseError(f"{key} must be lists of boundary ids")
+            return tuple(tuple(json_str(b, f"{key} boundary") for b in r) for r in entries)
 
         try:
             return DecoratedManifoldSpec(
@@ -779,21 +777,21 @@ class GluingGraph(Record):
             pieces.append((json_str(p["id"], "piece id"), json_str(p["manifold"], "piece manifold")))
         piece_spec = {pid: specs.get(mid) for pid, mid in pieces}
 
-        def slot_handle(pid: str, bid: str) -> BackendHandle:
+        def slot_handle(pid: str, bid: str, field: str) -> BackendHandle:
             spec = piece_spec.get(pid)
             if spec is None:
-                raise ParseError(f"identification references unknown piece {pid}")
+                raise ParseError(f"{field} references unknown piece {pid}")
             for b in spec.boundaries:
                 if b.id == bid and b.handle is not None:
                     return b.handle
-            raise ParseError(f"identification references unknown slot {pid}:{bid}")
+            raise ParseError(f"{field} references unknown slot {pid}:{bid}")
 
         idents = []
         for rec in _json_list(obj, "identifications"):
             if not isinstance(rec, Mapping) or not {"a", "b", "map"} <= rec.keys():
                 raise ParseError("identification needs slots a and b and a map")
             (pa, ba), (pb, bb) = _json_slot(rec, "a"), _json_slot(rec, "b")
-            handle = slot_handle(pa, ba)
+            handle = slot_handle(pa, ba, "identification")
             idents.append(Identification(pa, ba, pb, bb, SlotMap.from_json(handle, rec["map"])))
         lam = []
         lam_obj = obj.get("lambda", {})
@@ -803,7 +801,7 @@ class GluingGraph(Record):
             if ":" not in key:
                 raise ParseError(f"lambda key {clip(key)} is not piece:boundary")
             pid, bid = key.split(":", 1)
-            handle = slot_handle(pid, bid)
+            handle = slot_handle(pid, bid, "lambda")
             lam.append(((pid, bid), AbstractMarking.from_json(handle, mjson)))
         return GluingGraph(manifolds, tuple(pieces), tuple(idents), tuple(lam))
 

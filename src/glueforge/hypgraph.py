@@ -1,10 +1,10 @@
-"""Finite graphs as curve-graph backends: distance tables and intervals.
+"""Finite graphs as curve-graph backends: their metric and intervals.
 
-Distances are BFS integers.  A distance table is the metric of a finite
-graph, held as Python lists, one row per vertex, and nothing here imports
-numpy.  A table computes a row's BFS when the row is first read: gluing
-commands on graph backends read a few rows of a large curve graph, while
-`hyplab` reads them all.
+Distances are BFS integers.  A FiniteGraph is its own metric: it holds
+its distances as Python lists, one row per vertex, and nothing here
+imports numpy.  The graph computes a row's BFS when the row is first
+read: gluing commands on graph backends read a few rows of a large curve
+graph, while `hyplab` reads them all.
 A vertex v lies on a geodesic from x to y iff d(x,v)+d(v,y)=d(x,y), since
 concatenating geodesics through such a v realizes the distance.
 """
@@ -19,8 +19,6 @@ from .record import Record
 
 __all__ = [
     "FiniteGraph",
-    "DistanceTable",
-    "all_pairs_distances",
     "geodesic_interval",
     "path_graph",
     "cycle_graph",
@@ -29,8 +27,12 @@ __all__ = [
 
 
 class FiniteGraph(Record):
-    """Simple connected graph on vertices 0..n-1, which owns its distance
-    table and remembers the automorphisms it has accepted."""
+    """Simple connected graph on vertices 0..n-1 and its metric, which
+    remembers the automorphisms it has accepted.
+
+    The graph runs the BFS of a row the first time `row(u)` or `d(u, v)`
+    reads it; the metric is symmetric, so `d(u, v)` answers from row v
+    when only that row is held."""
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
@@ -85,11 +87,9 @@ class FiniteGraph(Record):
             accepted.add(perm)
 
     @cached_property
-    def table(self) -> "DistanceTable":
-        """The metric of this graph; rows are computed as they are read."""
-        return DistanceTable(self)
-
     def adjacency(self) -> list[list[int]]:
+        """Sorted adjacency lists, whose paths are the geodesics; the
+        caller must not mutate them."""
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
             adj[u].append(v)
@@ -98,26 +98,13 @@ class FiniteGraph(Record):
             row.sort()
         return adj
 
-
-class DistanceTable:
-    """The metric of a FiniteGraph, one Python list per row.
-
-    The table runs the BFS of a row the first time `row(u)` or `d(u, v)`
-    reads it; the metric is symmetric, so `d(u, v)` answers from row v
-    when only that row is held.  `adjacency` holds the graph's sorted
-    adjacency lists, whose paths are the geodesics."""
-
-    def __init__(self, g: FiniteGraph):
-        self.adjacency = g.adjacency()
-        self._rows: list = [None] * g.vertex_count
-
-    @property
-    def n(self) -> int:
-        return len(self._rows)
+    @cached_property
+    def _rows(self) -> list:
+        return [None] * self.vertex_count
 
     @property
     def rows_held(self) -> int:
-        """How many rows the table has computed so far."""
+        """How many rows the graph has computed so far."""
         return sum(row is not None for row in self._rows)
 
     def d(self, u: int, v: int) -> int:
@@ -128,8 +115,6 @@ class DistanceTable:
                 return other[u]
             row = self.row(u)
         return row[v]
-
-    __call__ = d
 
     def row(self, u: int) -> list[int]:
         """Distances from u to every vertex; the caller must not mutate it."""
@@ -167,15 +152,9 @@ def _bfs_row(adj: list[list[int]], s: int) -> list[int]:
     return row
 
 
-def all_pairs_distances(g: FiniteGraph) -> DistanceTable:
-    """The metric of g with every row computed: a BFS from every vertex."""
-    g.table.rows()
-    return g.table
-
-
-def geodesic_interval(table: DistanceTable, x: int, y: int) -> list[int]:
+def geodesic_interval(g: FiniteGraph, x: int, y: int) -> list[int]:
     """Vertices lying on some geodesic from x to y."""
-    rx, ry = table.row(x), table.row(y)
+    rx, ry = g.row(x), g.row(y)
     dxy = rx[y]
     return [v for v, (a, b) in enumerate(zip(rx, ry)) if a + b == dxy]
 

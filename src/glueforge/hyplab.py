@@ -1,7 +1,7 @@
 """The hyperbolic-graph laboratory behind `glueforge hyplab`.
 
-Every table is the metric of a finite graph (`hypgraph.DistanceTable`),
-and the kernels walk that graph.  Everything is exact: distances are BFS
+Every kernel reads the metric of a finite graph (`hypgraph.FiniteGraph`)
+and walks that graph.  Everything is exact: distances are BFS
 integers, the four-point constant is a half-integer Fraction, and
 quasiconvexity constants come from the interval characterization of
 `hypgraph.geodesic_interval`.
@@ -33,7 +33,7 @@ from operator import and_, itemgetter, le
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ParseError, ValidationError, ascii_int, clip
-from .hypgraph import DistanceTable, FiniteGraph
+from .hypgraph import FiniteGraph
 from .record import Record
 
 if TYPE_CHECKING:  # fractions loads decimal: four_point_delta imports it when called
@@ -53,18 +53,18 @@ def _column_min(rows: Sequence[Sequence[int]]) -> list[int]:
     return list(map(min, *rows)) if len(rows) > 1 else list(rows[0])
 
 
-def four_point_delta(table: DistanceTable) -> Fraction:
+def four_point_delta(g: FiniteGraph) -> Fraction:
     """Least delta such that for every vertex quadruple the two largest of
     the three pairing sums d(i,j)+d(k,l), d(i,k)+d(j,l), d(i,l)+d(j,k)
     differ by at most 2*delta.
 
-    The scan runs per biconnected block of the table's graph over the
-    far-apart pairs only, and is exact: see the module docstring."""
+    The scan runs per biconnected block of g over the far-apart pairs
+    only, and is exact: see the module docstring."""
     from fractions import Fraction
 
-    rows = table.rows()
+    rows = g.rows()
     best = 0
-    for block in _blocks(table.adjacency):
+    for block in _blocks(g.adjacency):
         if len(block) >= 4:
             get = itemgetter(*block)
             mb = [get(rows[u]) for u in block]
@@ -194,7 +194,7 @@ def _on_geodesics_to(adj: list[list[int]], row: list[int], targets: Iterable[int
     return on
 
 
-def quasiconvexity_constant(table: DistanceTable, subset: Sequence[int]) -> int:
+def quasiconvexity_constant(g: FiniteGraph, subset: Sequence[int]) -> int:
     """Exact minimal a such that every geodesic between subset points stays
     in the a-neighbourhood of the subset.  Uses the interval
     characterization, which covers the union of all geodesics without
@@ -203,7 +203,7 @@ def quasiconvexity_constant(table: DistanceTable, subset: Sequence[int]) -> int:
     sub = sorted(set(subset))
     if not sub:
         raise ValidationError("quasiconvexity needs a nonempty subset")
-    rows, adj = table.rows(), table.adjacency
+    rows, adj = g.rows(), g.adjacency
     to_sub = _column_min([rows[s] for s in sub])
     return max(
         max(compress(to_sub, _on_geodesics_to(adj, rows[x], sub[i:]))) for i, x in enumerate(sub)
@@ -231,7 +231,7 @@ class StabilityReport(Record):
         return 0
 
 
-def check_qconvex_stability(table: DistanceTable, subset: Sequence[int], r: int) -> StabilityReport:
+def check_qconvex_stability(g: FiniteGraph, subset: Sequence[int], r: int) -> StabilityReport:
     """Exhaustive scan over all configurations satisfying the hypotheses;
     for every threshold h0 the least sufficient r' is witnessed.  The
     extremal field is the configuration of largest excess (ties broken by
@@ -246,7 +246,7 @@ def check_qconvex_stability(table: DistanceTable, subset: Sequence[int], r: int)
         raise ValidationError("stability scan needs a nonempty subset")
     if r < 0:
         raise ValidationError("r must be non-negative")
-    rows, adj = table.rows(), table.adjacency
+    rows, adj = g.rows(), g.adjacency
     hmax = max(map(max, rows))
     to_sub = _column_min([rows[s] for s in sub])
     # excess e -> union of the level masks of the z whose excess is e

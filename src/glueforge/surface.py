@@ -2,8 +2,9 @@
 
 A BackendHandle names the curve-graph model a boundary component lives on.
 The torus backend delegates to the exact Farey machinery (`farey`); the
-finite-graph backend runs on BFS tables plus declared data (named markings
-and, when supplied, a table of subsurface-projection values).  Graph backends carry
+finite-graph backend runs on the graph's BFS metric plus declared data
+(named markings and, when supplied, a table of subsurface-projection
+values), which the handle checks when it is built.  Graph backends carry
 no Teichmuller structure, so geometric consumers must check the kind and
 degrade honestly.
 
@@ -15,8 +16,9 @@ Operations never mix backends: every binary operation insists the handles
 are equal and raises BackendMismatchError otherwise.  Markings move between
 charts only through `gluing.SlotMap.apply`, by a mapping class on the torus
 or by a vertex bijection that `FiniteGraph.check_automorphism` has checked.
-Nothing is kept between calls: each FiniteGraph owns its distance table and
-its checked maps, so a new parse of a file computes and checks them anew.
+Nothing is kept between calls: each FiniteGraph holds its own distance
+rows and checked maps, so a new parse of a file computes and checks them
+anew.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import BackendMismatchError, ParseError, ValidationError, clip, jso
 from .record import Record
 
 if TYPE_CHECKING:  # each backend branch imports the layer it runs
-    from .hypgraph import DistanceTable, FiniteGraph
+    from .hypgraph import FiniteGraph
     from .torus import FareyMarking, Slope
 
 __all__ = [
@@ -50,12 +52,25 @@ GRAPH = "graph"
 
 
 class GraphProjection(Record):
-    """Declared subsurface-projection value for one unordered marking pair."""
+    """Declared subsurface-projection value for one unordered marking pair.
+    Each side is a nonempty set of distinct vertices, stored sorted as a
+    marking's payload is, and the value is non-negative."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
     label: str
     value: int
+
+    def __post_init__(self) -> None:
+        a, b = tuple(sorted(self.a)), tuple(sorted(self.b))
+        for side in (a, b):
+            if not side:
+                raise ValidationError(f"projection {clip(self.label)} has an empty side")
+            if len(set(side)) != len(side):
+                raise ValidationError(f"projection {clip(self.label)} repeats a vertex")
+        if self.value < 0:
+            raise ValidationError(f"projection {clip(self.label)} has negative value {self.value}")
+        self.__dict__.update(a=a, b=b)
 
     def matches(self, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
         return {self.a, self.b} == {x, y}
@@ -77,6 +92,14 @@ class BackendHandle(Record):
                 raise ValidationError("torus backend takes no graph data")
         elif self.graph is None:
             raise ValidationError("graph backend needs a FiniteGraph")
+        else:
+            n = self.graph.vertex_count
+            for e in self.projections:
+                for v in e.a + e.b:
+                    if not 0 <= v < n:
+                        raise ValidationError(f"projection vertex {v} outside the graph")
+            for _, vertices in self.markings:
+                AbstractMarking(self, vertices)
 
     @staticmethod
     def torus() -> "BackendHandle":
@@ -94,11 +117,6 @@ class BackendHandle(Record):
     @property
     def is_torus(self) -> bool:
         return self.kind == TORUS
-
-    def table(self) -> DistanceTable:
-        if self.graph is None:
-            raise BackendMismatchError("torus backend has no distance table")
-        return self.graph.table
 
     def named_marking(self, name: str) -> "AbstractMarking":
         for key, payload in self.markings:
@@ -129,7 +147,7 @@ class BackendHandle(Record):
         """Parse a backend declaration.  graphs, shared across the
         declarations of one file, maps (n, edges) to the graph parsed for
         it, so that equal declarations share one FiniteGraph and its
-        distance table."""
+        distance rows."""
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ParseError("backend declaration must be an object with a kind")
         kind = obj["kind"]
@@ -201,7 +219,7 @@ class AbstractMarking(Record):
         if len(set(verts)) != len(verts):
             raise ValidationError("graph marking repeats a vertex")
         object.__setattr__(self, "payload", tuple(sorted(verts)))
-        d = self.handle.table().d
+        d = self.handle.graph.d
         diam = max((d(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]), default=0)
         if diam > 2:
             raise ValidationError(f"marking diameter {diam} exceeds 2")
@@ -314,7 +332,7 @@ class ProjectionResult(Record):
 def curve_distances_from(handle: BackendHandle, a: object, targets: Sequence) -> list[int]:
     """Curve-graph distances from a to each target: one chart on the torus,
     where consecutive targets that are adjacent or equal cost O(1) each,
-    and one table row on a graph."""
+    and one distance row on a graph."""
     if handle.is_torus:
         from .farey import distances_from
         from .torus import Slope
@@ -322,7 +340,7 @@ def curve_distances_from(handle: BackendHandle, a: object, targets: Sequence) ->
         if not isinstance(a, Slope) or not all(isinstance(t, Slope) for t in targets):
             raise ValidationError("torus curve vertices are slopes")
         return distances_from(a, targets)
-    row = handle.table().row(a)
+    row = handle.graph.row(a)
     return [row[t] for t in targets]
 
 
@@ -384,11 +402,11 @@ def disk_distance(m: AbstractMarking, disks: DiskSet) -> int:
     return _min_distance(m, disks.elements)
 
 
-def _graph_geodesic(table: DistanceTable, a: int, b: int) -> list[int]:
+def _graph_geodesic(g: FiniteGraph, a: int, b: int) -> list[int]:
     # deterministic: at every step pick the smallest-index neighbour
     # that moves closer to the target
-    adj = table.adjacency
-    rb = table.row(b)
+    adj = g.adjacency
+    rb = g.row(b)
     path = [a]
     cur = a
     while cur != b:
@@ -405,12 +423,9 @@ def geodesic_between(m1: AbstractMarking, m2: AbstractMarking) -> list:
         from .farey import farey_geodesic
 
         return farey_geodesic(m1.payload.base, m2.payload.base)
-    table = m1.handle.table()
-    best = min(
-        ((table.d(x, y), x, y) for x in m1.payload for y in m2.payload),
-    )
-    _, x, y = best
-    return _graph_geodesic(table, x, y)
+    g = m1.handle.graph
+    _, x, y = min((g.d(x, y), x, y) for x in m1.payload for y in m2.payload)
+    return _graph_geodesic(g, x, y)
 
 
 def marking_to_path_distance(m: AbstractMarking, path: Sequence) -> int:

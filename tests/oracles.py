@@ -143,15 +143,15 @@ def brute_force_delta(dist: list[list[int]]) -> Fraction:
     return Fraction(worst, 2)
 
 
-def exhaustive_delta(table) -> Fraction:
+def exhaustive_delta(g) -> Fraction:
     """Least delta such that for every vertex quadruple the two largest of
     the three pairing sums d(i,j)+d(k,l), d(i,k)+d(j,l), d(i,l)+d(j,k)
     differ by at most 2*delta.  Exhaustive; quadruples with repeats
     contribute gap 0, so scanning i<j against all (k,l) is complete."""
     import numpy as np
 
-    m = table_array(table)
-    n = table.n
+    m = table_array(g)
+    n = g.vertex_count
     worst = 0
     for i in range(n):
         mi = m[i][:, None]
@@ -530,23 +530,23 @@ def full_fellow_traveling(handle, path, direct) -> int:
 
 
 # The package's former numpy kernels of the graph laboratory, kept to test
-# their list replacements against.  They read a table through its array
-# form, the read-only int64 copy that DistanceTable.as_array() used to
-# build; the biconnected blocks come from the package.
+# their list replacements against.  They read a graph's metric through its
+# array form, the read-only int64 copy that the former table's as_array()
+# built; the biconnected blocks come from the package.
 
 
-def table_array(table):
-    """The table as a read-only n x n int64 array."""
+def table_array(g):
+    """The graph's metric as a read-only n x n int64 array."""
     import numpy as np
 
-    n = table.n
-    m = np.array(table.rows(), dtype=np.int64).reshape(n, n)
+    n = g.vertex_count
+    m = np.array(g.rows(), dtype=np.int64).reshape(n, n)
     m.flags.writeable = False
     return m
 
 
 def array_check(m) -> None:
-    """The former DistanceTable.check on the array form."""
+    """The former distance table's check on the array form."""
     import numpy as np
 
     from glueforge.errors import ValidationError
@@ -564,16 +564,16 @@ def array_check(m) -> None:
             raise ValidationError("triangle inequality violated")
 
 
-def array_four_point_delta(table) -> Fraction:
+def array_four_point_delta(g) -> Fraction:
     import numpy as np
 
     from glueforge.hyplab import _blocks
 
-    m = table_array(table)
+    m = table_array(g)
     adj = array_metric_graph(m)
     if adj is None:
         array_check(m)
-        a, b = np.triu_indices(table.n, 1)
+        a, b = np.triu_indices(g.vertex_count, 1)
         return Fraction(array_widest_gap(m, a, b, 0), 2)
     best = 0
     for block in _blocks(adj):
@@ -632,11 +632,11 @@ def array_widest_gap(m, a, b, best: int) -> int:
     return best
 
 
-def array_quasiconvexity_constant(table, subset) -> int:
+def array_quasiconvexity_constant(g, subset) -> int:
     import numpy as np
 
     sub = sorted(set(subset))
-    m = table_array(table)
+    m = table_array(g)
     to_sub = np.min(m[:, sub], axis=1)
     best = 0
     for i, x in enumerate(sub):
@@ -646,12 +646,12 @@ def array_quasiconvexity_constant(table, subset) -> int:
     return best
 
 
-def array_stability(table, subset, r: int) -> tuple:
+def array_stability(g, subset, r: int) -> tuple:
     """(table rows, extremal) of the former check_qconvex_stability."""
     import numpy as np
 
     sub = sorted(set(subset))
-    m = table_array(table)
+    m = table_array(g)
     hmax = int(m.max())
     to_sub = np.min(m[:, sub], axis=1)
     worst_at = np.zeros(hmax + 2, dtype=np.int64)
@@ -703,17 +703,17 @@ def _geodesic_successors(adj: list[list[int]], rx: list[int], ry: list[int], v: 
     return [w for w in adj[v] if rx[w] == rx[v] + 1 and ry[w] == ry[v] - 1]
 
 
-def count_geodesics(table, g, x: int, y: int) -> int:
+def count_geodesics(g, x: int, y: int) -> int:
     """Number of geodesics from x to y, by dynamic programming over the
     predecessor DAG."""
     from glueforge.hypgraph import geodesic_interval
 
     if x == y:
         return 1
-    adj = g.adjacency()
-    rx, ry = table.row(x), table.row(y)
+    adj = g.adjacency
+    rx, ry = g.row(x), g.row(y)
     ways = {x: 1}
-    for v in sorted(geodesic_interval(table, x, y), key=rx.__getitem__):
+    for v in sorted(geodesic_interval(g, x, y), key=rx.__getitem__):
         if v == x:
             continue
         ways[v] = sum(
@@ -724,7 +724,6 @@ def count_geodesics(table, g, x: int, y: int) -> int:
 
 def enumerate_geodesics(
     g,
-    table,
     x: int,
     y: int,
     cap: int = 10**6,
@@ -739,9 +738,9 @@ def enumerate_geodesics(
     """
     from glueforge.hypgraph import geodesic_interval
 
-    adj = g.adjacency()
-    rx, ry = table.row(x), table.row(y)
-    total = count_geodesics(table, g, x, y)
+    adj = g.adjacency
+    rx, ry = g.row(x), g.row(y)
+    total = count_geodesics(g, x, y)
     if total <= cap:
         out: list[tuple[int, ...]] = []
 
@@ -756,7 +755,7 @@ def enumerate_geodesics(
         walk([x])
         return GeodesicFamily(tuple(out), total, sampled=False)
     ways_from = {y: 1}
-    for v in sorted(geodesic_interval(table, x, y), key=lambda v: -rx[v]):
+    for v in sorted(geodesic_interval(g, x, y), key=lambda v: -rx[v]):
         if v == y:
             continue
         ways_from[v] = sum(ways_from.get(w, 0) for w in _geodesic_successors(adj, rx, ry, v))

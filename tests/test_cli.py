@@ -39,7 +39,7 @@ from glueforge.gluing import (
     SlotMap,
     validate_gluing,
 )
-from glueforge.hypgraph import DistanceTable, FiniteGraph, cycle_graph
+from glueforge.hypgraph import FiniteGraph, cycle_graph
 from glueforge.ioutil import canonical_dumps, sha256_of_text
 from glueforge.surface import AbstractMarking, BackendHandle, GraphProjection
 from glueforge.torus import IDENTITY, REFLECTION, FareyMarking, Slope
@@ -1297,6 +1297,104 @@ def test_ids_and_names_must_be_json_strings(capsys, tmp_path, base, edits, field
     assert err.startswith(f"parse error: {field} must be a string, not "), err
 
 
+def c6_pair(**backend: object) -> dict:
+    """JSON object of two pieces of one C6 boundary glued by the rotation
+    v -> v + 2, so that clause a reads the slot pair ({0, 1}, {2, 3});
+    backend adds to the graph backend's declaration."""
+    h = BackendHandle.finite_graph(cycle_graph(6))
+    spec = DecoratedManifoldSpec(
+        "G", GENERIC, (BoundarySpec("E0", handle=h, decoration=AbstractMarking(h, (0, 1))),)
+    )
+    rotation = SlotMap(h, perm=(2, 3, 4, 5, 0, 1))
+    obj = GluingGraph(
+        manifolds=(spec,),
+        pieces=(("p0", "G"), ("p1", "G")),
+        identifications=(Identification("p0", "E0", "p1", "E0", rotation),),
+    ).to_json()
+    obj["manifolds"][0]["boundaries"][0]["backend"].update(backend)
+    return obj
+
+
+def run_gluing(capsys, tmp_path, obj: dict, argv: list[str]):
+    path = tmp_path / "gluing.json"
+    path.write_text(json.dumps(obj))
+    return run(capsys, [*argv, "--input", str(path)])
+
+
+@pytest.mark.parametrize("a, b", [([0, 1], [2, 3]), ([1, 0], [3, 2]), ([3, 2], [1, 0])])
+def test_a_projection_entry_matches_in_any_vertex_order(capsys, tmp_path, a, b):
+    # each side is a vertex set: before entries were stored sorted, only
+    # ascending lists matched, and the written-down 9 went unread
+    obj = c6_pair(projections=[{"a": a, "b": b, "label": "W", "value": 9}])
+    code, out, err = run_gluing(capsys, tmp_path, obj, ["report", "--R", "6"])
+    assert (code, err) == (EXIT_VERDICT, "")
+    slots = envelope(out)["result"]["slots"]
+    assert [(s["projection"]["value"], s["clause_a"]) for s in slots] == [(0, True), (9, False)]
+
+
+@pytest.mark.parametrize(
+    "backend, message",
+    [
+        ({"projections": [{"a": [0, 1], "b": [2, 3], "label": "W", "value": -50}]},
+         "projection 'W' has negative value -50"),
+        ({"projections": [{"a": [0, 99], "b": [2, 3], "label": "W", "value": 9}]},
+         "projection vertex 99 outside the graph"),
+        ({"projections": [{"a": [], "b": [2, 3], "label": "W", "value": 9}]},
+         "projection 'W' has an empty side"),
+        ({"projections": [{"a": [0, 1], "b": [2, 2], "label": "W", "value": 9}]},
+         "projection 'W' repeats a vertex"),
+        ({"markings": {"X": [0, 99]}}, "marking vertex 99 outside the graph"),
+        ({"markings": {"X": [0, 3]}}, "marking diameter 3 exceeds 2"),
+    ],
+)
+def test_a_graph_backend_checks_its_declared_data(capsys, tmp_path, backend, message):
+    # checked when the backend is built, whether or not a slot reads it
+    for argv in (["validate"], ["report", "--R", "6"]):
+        code, out, err = run_gluing(capsys, tmp_path, c6_pair(**backend), argv)
+        assert (code, out, err) == (EXIT_INVARIANT, "", f"invariant violation: {message}\n")
+
+
+@pytest.mark.parametrize("key", ["disk_records", "annulus_records"])
+def test_a_record_entry_must_be_a_list(capsys, tmp_path, key):
+    # a string entry used to be read as its characters
+    obj = id_gluings()["cores"]
+    obj["manifolds"][0][key] = ["E0"]
+    code, out, err = run_gluing(capsys, tmp_path, obj, ["validate"])
+    message = f"parse error: {key} must be lists of boundary ids\n"
+    assert (code, out, err) == (EXIT_PARSE, "", message)
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [("p0:NOPE", "unknown slot p0:NOPE"), ("px:E0", "unknown piece px")],
+)
+def test_a_bad_lambda_key_is_named_as_lambda(capsys, tmp_path, key, message):
+    obj = id_gluings()["cores"]
+    obj["lambda"] = {key: {"base": "0", "transversal": "inf"}}
+    code, out, err = run_gluing(capsys, tmp_path, obj, ["validate"])
+    assert (code, out, err) == (EXIT_PARSE, "", f"parse error: lambda references {message}\n")
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stderr_is_utf8_in_every_locale(tmp_path, encoding):
+    obj = id_gluings()["cores"]
+    obj["identifications"][0]["a"][0] = "pÉ"
+    path = tmp_path / "accent.json"
+    path.write_text(json.dumps(obj, ensure_ascii=False), "utf-8")
+    argv = ["validate", "--input", str(path)]
+    plain = cold_bytes(argv)
+    expected = "parse error: identification references unknown piece pÉ\n".encode()
+    assert (plain.returncode, plain.stderr) == (EXIT_PARSE, expected)
+    proc = cold_bytes(argv, PYTHONIOENCODING=encoding)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_PARSE, b"", expected)
+    # a path byte that is not UTF-8 prints as its escape, not as a fault
+    undecodable = ["validate", "--input", os.fsdecode(bytes(tmp_path) + b"/\xff")]
+    plain = cold_bytes(undecodable)
+    assert plain.returncode == EXIT_PARSE and b"\\udcff" in plain.stderr
+    proc = cold_bytes(undecodable, PYTHONIOENCODING=encoding)
+    assert (proc.returncode, proc.stderr) == (EXIT_PARSE, plain.stderr)
+
+
 def test_balanced_points_beyond_double_precision_are_internal_faults(files):
     # axis power 200 puts balanced points below y = 2^-1074, the least
     # double; the run stops at once with one internal-fault line
@@ -1809,17 +1907,17 @@ def test_large_graph_report_bytes_pinned(large_graph_files, command, name):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
-def parsed_table(x: GluingGraph) -> DistanceTable:
-    """The one distance table that every boundary of x reads."""
-    tables = {id(t): t for t in (b.handle.table() for m in x.manifolds for b in m.boundaries)}
-    assert len(tables) == 1
-    return tables.popitem()[1]
+def parsed_graph(x: GluingGraph) -> FiniteGraph:
+    """The one curve graph that every boundary of x reads."""
+    graphs = {id(g): g for g in (b.handle.graph for m in x.manifolds for b in m.boundaries)}
+    assert len(graphs) == 1
+    return graphs.popitem()[1]
 
 
 def test_validate_computes_few_rows_of_a_large_curve_graph(
     large_graph_files, capsys, monkeypatch
 ):
-    # the table of the graph that the command's own parse built
+    # the graph that the command's own parse built
     parsed = []
     real = gluing.validate_gluing
 
@@ -1830,9 +1928,9 @@ def test_validate_computes_few_rows_of_a_large_curve_graph(
     monkeypatch.setattr(gluing, "validate_gluing", keeping)
     code, _, _ = run(capsys, ["validate", "--input", large_graph_files["stack400.json"]])
     assert code == EXIT_PASS
-    table = parsed_table(parsed[0])
-    assert table.n == 400
-    assert table.rows_held < 40
+    graph = parsed_graph(parsed[0])
+    assert graph.vertex_count == 400
+    assert graph.rows_held < 40
 
 
 def test_a_parse_does_its_own_work_whatever_ran_before(large_graph_files, capsys, monkeypatch):
@@ -1851,7 +1949,7 @@ def test_a_parse_does_its_own_work_whatever_ran_before(large_graph_files, capsys
 
     def parse() -> tuple[int, list]:
         checked.clear()
-        return parsed_table(validate_gluing(text)).rows_held, list(checked)
+        return parsed_graph(validate_gluing(text)).rows_held, list(checked)
 
     first = parse()
     assert first[0] > 0 and first[1]

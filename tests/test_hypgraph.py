@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from glueforge.errors import ParseError, ValidationError
 from glueforge.hypgraph import (
-    DistanceTable,
     FiniteGraph,
-    all_pairs_distances,
     complete_graph,
     cycle_graph,
     geodesic_interval,
@@ -36,12 +34,8 @@ from glueforge.hyplab import (
 from oracles import PathWitness
 
 
-def table_of(g: FiniteGraph) -> DistanceTable:
-    return all_pairs_distances(g)
-
-
 def adj_dict(g: FiniteGraph) -> dict:
-    return {v: row for v, row in enumerate(g.adjacency())}
+    return {v: row for v, row in enumerate(g.adjacency)}
 
 
 def stability_oracle(m: list[list[int]], sub: list[int], r: int) -> tuple:
@@ -116,22 +110,22 @@ def test_graph_validation_is_linear_in_the_edges():
 
 def test_single_vertex_graph_is_fine():
     g = FiniteGraph.from_edges(1, [])
-    assert four_point_delta(table_of(g)) == 0
+    assert four_point_delta(g) == 0
 
 
 def test_distance_frozen_examples():
-    assert table_of(path_graph(4)).d(0, 3) == 3
-    t = table_of(complete_graph(4))
+    assert path_graph(4).d(0, 3) == 3
+    t = complete_graph(4)
     assert all(t.d(i, j) == 1 for i in range(4) for j in range(4) if i != j)
-    assert table_of(cycle_graph(6)).d(0, 3) == 3
+    assert cycle_graph(6).d(0, 3) == 3
 
 
 # ---------------------------------------------------------------- delta
 
 
 def test_delta_frozen_small_graphs():
-    k4 = table_of(complete_graph(4))
-    c6 = table_of(cycle_graph(6))
+    k4 = complete_graph(4)
+    c6 = cycle_graph(6)
     assert four_point_delta(k4) == 0
     assert four_point_delta(c6) == 1
     # against the independent quadruple scan
@@ -140,40 +134,40 @@ def test_delta_frozen_small_graphs():
 
 
 def test_delta_fixed_trees_are_zero():
-    assert four_point_delta(table_of(path_graph(7))) == 0
+    assert four_point_delta(path_graph(7)) == 0
     star = FiniteGraph.from_edges(6, [(0, v) for v in range(1, 6)])
-    assert four_point_delta(table_of(star)) == 0
+    assert four_point_delta(star) == 0
 
 
 def test_delta_matches_oracle_on_petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
-    t = table_of(FiniteGraph.from_edges(10, outer + inner + spokes))
+    t = FiniteGraph.from_edges(10, outer + inner + spokes)
     assert four_point_delta(t) == oracles.brute_force_delta(t.rows())
 
 
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(max_n=8))
 def test_delta_matches_oracle_on_random_graphs(g):
-    t = table_of(g)
+    t = g
     assert four_point_delta(t) == oracles.brute_force_delta(t.rows())
 
 
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(max_n=9), st.randoms(use_true_random=False))
 def test_delta_invariant_under_vertex_permutation(g, rng):
-    t = table_of(g)
+    t = g
     perm = list(range(g.vertex_count))
     rng.shuffle(perm)
     relabelled = FiniteGraph.from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
-    assert four_point_delta(table_of(relabelled)) == four_point_delta(t)
+    assert four_point_delta(relabelled) == four_point_delta(t)
 
 
 @settings(max_examples=80, deadline=None)
 @given(random_trees(max_n=40))
 def test_delta_random_trees_zero(g):
-    assert four_point_delta(table_of(g)) == 0
+    assert four_point_delta(g) == 0
 
 
 def cycle_edges(vertices: list[int]) -> list[tuple[int, int]]:
@@ -212,7 +206,7 @@ def differential_graphs() -> list:
 
 @pytest.mark.parametrize("g", differential_graphs())
 def test_delta_equals_exhaustive_oracles(g):
-    t = table_of(g)
+    t = g
     expected = oracles.exhaustive_delta(t)
     assert four_point_delta(t) == expected
     if g.vertex_count <= 14:
@@ -222,16 +216,16 @@ def test_delta_equals_exhaustive_oracles(g):
     perm = list(range(g.vertex_count))
     rng.shuffle(perm)
     relabelled = FiniteGraph.from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
-    assert four_point_delta(table_of(relabelled)) == expected
+    assert four_point_delta(relabelled) == expected
 
 
 def test_delta_of_block_sum_is_the_larger_block():
     # C_6 (delta 1) and C_10 (delta 2) sharing vertex 0
     first = cycle_edges(list(range(6)))
     second = cycle_edges([0] + list(range(6, 15)))
-    t = table_of(FiniteGraph.from_edges(15, first + second))
-    assert four_point_delta(table_of(cycle_graph(6))) == 1
-    assert four_point_delta(table_of(cycle_graph(10))) == 2
+    t = FiniteGraph.from_edges(15, first + second)
+    assert four_point_delta(cycle_graph(6)) == 1
+    assert four_point_delta(cycle_graph(10)) == 2
     assert four_point_delta(t) == 2 == oracles.exhaustive_delta(t)
 
 
@@ -239,8 +233,8 @@ def test_far_apart_pairs_match_their_definition():
     rng = random.Random(7)
     for n, chords in ((8, 4), (12, 6), (16, 12)):
         g = chorded_sparse_graph(rng, n, chords)
-        m = table_of(g).rows()
-        adj = g.adjacency()
+        m = g.rows()
+        adj = g.adjacency
         expected = [
             (u, v)
             for u in range(n)
@@ -268,13 +262,14 @@ def test_delta_large_seeded_tree_zero():
     rng = _random.Random(20260814)
     edges = [(rng.randrange(v), v) for v in range(1, 200)]
     g = FiniteGraph.from_edges(200, edges)
-    assert four_point_delta(table_of(g)) == 0
+    assert four_point_delta(g) == 0
 
 
 def test_clique_blocks_skip_the_pair_scan():
     # every pair of a clique is far apart and no scan stop fires before the
     # last one, so a scan would match about 45,000 pairs against each other
-    t = table_of(complete_graph(300))
+    t = complete_graph(300)
+    t.rows()
     start = time.perf_counter()
     assert four_point_delta(t) == 0
     assert time.perf_counter() - start < 1.0
@@ -324,7 +319,7 @@ def kernel_graphs() -> list:
 
 @pytest.mark.parametrize("g", kernel_graphs())
 def test_list_kernels_match_the_former_array_kernels(g):
-    t = table_of(g)
+    t = g
     assert four_point_delta(t) == oracles.array_four_point_delta(t)
     n = g.vertex_count
     rng = random.Random(n * 31 + len(g.edges))
@@ -341,32 +336,31 @@ def test_list_kernels_match_the_former_array_kernels(g):
             assert (rep.table, rep.extremal) == oracles.array_stability(t, sub, r)
 
 
-def test_graph_table_computes_rows_as_they_are_read():
+def test_graph_computes_rows_as_they_are_read():
     g = cycle_graph(10)
-    t = DistanceTable(g)
-    assert t.n == 10 and t.rows_held == 0
-    assert t.d(0, 5) == 5 and t.rows_held == 1
+    assert g.vertex_count == 10 and g.rows_held == 0
+    assert g.d(0, 5) == 5 and g.rows_held == 1
     # symmetric: d(3, 0) is read off row 0
-    assert t.d(3, 0) == 3 and t.rows_held == 1
-    assert t.row(7) == [3, 4, 5, 4, 3, 2, 1, 0, 1, 2] and t.rows_held == 2
-    assert t.d(7, 2) == 5 and t(2, 9) == 3 and t.rows_held == 3
-    assert t.rows() == all_pairs_distances(g).rows() and t.rows_held == 10
+    assert g.d(3, 0) == 3 and g.rows_held == 1
+    assert g.row(7) == [3, 4, 5, 4, 3, 2, 1, 0, 1, 2] and g.rows_held == 2
+    assert g.d(7, 2) == 5 and g.d(2, 9) == 3 and g.rows_held == 3
+    assert g.rows() == cycle_graph(10).rows() and g.rows_held == 10
 
 
 # ---------------------------------------------------------------- geodesics
 
 
 def test_geodesic_interval_examples():
-    c6 = table_of(cycle_graph(6))
+    c6 = cycle_graph(6)
     assert geodesic_interval(c6, 0, 3) == [0, 1, 2, 3, 4, 5]
     assert geodesic_interval(c6, 0, 2) == [0, 1, 2]
-    p4 = table_of(path_graph(4))
+    p4 = path_graph(4)
     assert geodesic_interval(p4, 0, 3) == [0, 1, 2, 3]
 
 
 def test_enumerate_geodesics_cycle():
     g = cycle_graph(6)
-    fam = oracles.enumerate_geodesics(g, table_of(g), 0, 3)
+    fam = oracles.enumerate_geodesics(g, 0, 3)
     assert not fam.sampled
     assert fam.count == 2
     assert set(fam.paths) == {(0, 1, 2, 3), (0, 5, 4, 3)}
@@ -374,31 +368,31 @@ def test_enumerate_geodesics_cycle():
 
 def test_enumerate_geodesics_matches_recursive_oracle():
     g = cycle_graph(6)
-    t = table_of(g)
-    expected = set(oracles.all_geodesics(adj_dict(g), t, 0, 3))
-    assert set(oracles.enumerate_geodesics(g, t, 0, 3).paths) == expected
+    t = g
+    expected = set(oracles.all_geodesics(adj_dict(g), t.d, 0, 3))
+    assert set(oracles.enumerate_geodesics(t, 0, 3).paths) == expected
 
 
 def test_count_geodesics_cube():
     edges = [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]
     g = FiniteGraph.from_edges(8, edges)
-    assert oracles.count_geodesics(table_of(g), g, 0, 7) == 6
+    assert oracles.count_geodesics(g, 0, 7) == 6
 
 
 def test_enumerate_geodesics_sampled_fallback():
     g = cycle_graph(6)
-    t = table_of(g)
-    fam = oracles.enumerate_geodesics(g, t, 0, 3, cap=1, sample_size=40, seed=7)
+    t = g
+    fam = oracles.enumerate_geodesics(t, 0, 3, cap=1, sample_size=40, seed=7)
     assert fam.sampled
     assert fam.count == 2
     assert set(fam.paths) <= {(0, 1, 2, 3), (0, 5, 4, 3)}
-    again = oracles.enumerate_geodesics(g, t, 0, 3, cap=1, sample_size=40, seed=7)
+    again = oracles.enumerate_geodesics(t, 0, 3, cap=1, sample_size=40, seed=7)
     assert fam.paths == again.paths
 
 
 def test_enumerate_geodesics_trivial_endpoints():
     g = path_graph(3)
-    fam = oracles.enumerate_geodesics(g, table_of(g), 1, 1)
+    fam = oracles.enumerate_geodesics(g, 1, 1)
     assert fam.paths == ((1,),) and fam.count == 1
 
 
@@ -406,7 +400,7 @@ def test_enumerate_geodesics_trivial_endpoints():
 
 
 def test_quasiconvexity_frozen_examples():
-    c6 = table_of(cycle_graph(6))
+    c6 = cycle_graph(6)
     assert quasiconvexity_constant(c6, [2]) == 0
     assert quasiconvexity_constant(c6, list(range(6))) == 0
     assert quasiconvexity_constant(c6, [0, 3]) == 1
@@ -417,7 +411,7 @@ def test_quasiconvexity_frozen_examples():
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(max_n=8), st.data())
 def test_quasiconvexity_matches_geodesic_enumeration(g, data):
-    t = table_of(g)
+    t = g
     sub = data.draw(
         st.lists(st.integers(0, g.vertex_count - 1), min_size=1, max_size=3, unique=True)
     )
@@ -425,7 +419,7 @@ def test_quasiconvexity_matches_geodesic_enumeration(g, data):
     worst = 0
     for x in sub:
         for y in sub:
-            for path in oracles.all_geodesics(adj, t, x, y):
+            for path in oracles.all_geodesics(adj, t.d, x, y):
                 for v in path:
                     worst = max(worst, min(t.d(v, s) for s in sub))
     assert quasiconvexity_constant(t, sub) == worst
@@ -434,7 +428,7 @@ def test_quasiconvexity_matches_geodesic_enumeration(g, data):
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(max_n=8), st.data())
 def test_geodesically_closed_subsets_have_constant_zero(g, data):
-    t = table_of(g)
+    t = g
     sub = set(
         data.draw(
             st.lists(st.integers(0, g.vertex_count - 1), min_size=1, max_size=2, unique=True)
@@ -455,7 +449,7 @@ def test_geodesically_closed_subsets_have_constant_zero(g, data):
 
 
 def test_stability_subset_all_vertices_degenerate():
-    t = table_of(cycle_graph(6))
+    t = cycle_graph(6)
     rep = check_qconvex_stability(t, list(range(6)), 0)
     assert rep.degenerate
     assert all(rp == 0 for _, rp in rep.table)
@@ -464,7 +458,7 @@ def test_stability_subset_all_vertices_degenerate():
 
 
 def test_stability_tree_leaf_frozen():
-    t = table_of(path_graph(5))
+    t = path_graph(5)
     for leaf in (0, 4):
         rep = check_qconvex_stability(t, [leaf], 0)
         assert rep.r_prime(0) == 0
@@ -476,7 +470,7 @@ def test_stability_cycle_antipodal_frozen():
     # worked example: excess 3 is achieved (e.g. x=2,y=0,z=3) by any config
     # whose geodesic [y,z] crosses to the far subset point, and dies once
     # h0 reaches 2 because d(x,y) <= 2 on all admissible configs
-    t = table_of(cycle_graph(6))
+    t = cycle_graph(6)
     rep = check_qconvex_stability(t, [0, 3], 1)
     assert rep.table == ((0, 3), (1, 3), (2, 0), (3, 0))
     assert not rep.degenerate
@@ -494,7 +488,7 @@ def test_stability_matches_oracle_more_cases():
         (complete_graph(5), [0], 3),
     ]
     for g, sub, r in cases:
-        t = table_of(g)
+        t = g
         rep = check_qconvex_stability(t, sub, r)
         assert rep.table == stability_oracle(t.rows(), sub, r)
 
@@ -502,7 +496,7 @@ def test_stability_matches_oracle_more_cases():
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(max_n=8), st.data())
 def test_stability_oracle_agreement_and_monotone(g, data):
-    t = table_of(g)
+    t = g
     sub = data.draw(
         st.lists(st.integers(0, g.vertex_count - 1), min_size=1, max_size=3, unique=True)
     )
@@ -521,7 +515,7 @@ def test_stability_oracle_agreement_and_monotone(g, data):
 
 
 def test_stability_rejects_bad_input():
-    t = table_of(cycle_graph(6))
+    t = cycle_graph(6)
     with pytest.raises(ValidationError):
         check_qconvex_stability(t, [], 1)
     with pytest.raises(ValidationError):
@@ -547,23 +541,23 @@ def test_path_witness_claim_validation():
 
 
 def test_path_witness_validate_against_table():
-    t = table_of(cycle_graph(6))
-    PathWitness((0, 1, 2, 3)).validate(t)
+    t = cycle_graph(6)
+    PathWitness((0, 1, 2, 3)).validate(t.d)
     with pytest.raises(ValidationError, match="not adjacent"):
-        PathWitness((0, 2)).validate(t)
+        PathWitness((0, 2)).validate(t.d)
     with pytest.raises(ValidationError, match="not a geodesic"):
-        PathWitness((0, 1, 2, 3, 4)).validate(t)
-    PathWitness((0, 1, 2, 3, 4), claim="quasigeodesic", k=Fraction(2)).validate(t)
+        PathWitness((0, 1, 2, 3, 4)).validate(t.d)
+    PathWitness((0, 1, 2, 3, 4), claim="quasigeodesic", k=Fraction(2)).validate(t.d)
     with pytest.raises(ValidationError, match="violated"):
-        PathWitness((0, 1, 2, 3, 4), claim="quasigeodesic", k=Fraction(3, 2)).validate(t)
+        PathWitness((0, 1, 2, 3, 4), claim="quasigeodesic", k=Fraction(3, 2)).validate(t.d)
     # within window 2 every interval is geodesic, so k=1 suffices locally
-    PathWitness((0, 1, 2, 3, 4), claim="local-quasigeodesic", k=Fraction(1), window=2).validate(t)
+    PathWitness((0, 1, 2, 3, 4), claim="local-quasigeodesic", k=Fraction(1), window=2).validate(t.d)
     with pytest.raises(ValidationError, match="violated"):
         PathWitness(
             (0, 1, 2, 3, 4), claim="local-quasigeodesic", k=Fraction(1), window=4
-        ).validate(t)
+        ).validate(t.d)
     with pytest.raises(ValidationError, match="revisited"):
-        PathWitness((0, 1, 0), claim="quasigeodesic", k=Fraction(2)).validate(t)
+        PathWitness((0, 1, 0), claim="quasigeodesic", k=Fraction(2)).validate(t.d)
 
 
 # ---------------------------------------------------------------- parsing

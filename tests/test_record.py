@@ -10,13 +10,12 @@ import warnings
 import pytest
 
 import glueforge
-from glueforge import cli
 from glueforge.certify import check_bounded_combinatorics
 from glueforge.decompose import full_and_maximal_decomposition
 from glueforge.errors import GlueforgeError, ValidationError
 from glueforge.gluing import slot_measures
 from glueforge.halfplane import TeichPoint
-from glueforge.hypgraph import all_pairs_distances, cycle_graph
+from glueforge.hypgraph import cycle_graph
 from glueforge.hyplab import check_qconvex_stability
 from glueforge.model import build_skeleton, verify_thickness
 from glueforge.record import FrozenRecordError, Record, replace
@@ -110,16 +109,13 @@ def samples() -> dict:
     step = CompressionStep("c0", body_spec("C0"), ("p0", "E0"), tmap(REFLECTION))
     roots.extend((step, build_compression(core("M0", MU), [step])))
     g = cycle_graph(8)
-    table = all_pairs_distances(g)
     witness = PathWitness((0, 1, 2, 3))
     roots.extend(
         (
-            check_qconvex_stability(table, [0, 1, 2], 1),
+            check_qconvex_stability(g, [0, 1, 2], 1),
             g,
             witness,
             GraphProjection((0, 1), (3,), "W0", 7),
-            cli._config(cli._build_parser().parse_args(["report", "--input", "x.json"])),
-            cli._config(cli._build_parser().parse_args(["collapse", "--input", "y", "--R", "3"])),
         )
     )
     found: dict = {}

@@ -174,7 +174,7 @@ def test_curve_distance_and_diameter():
 def test_curve_distances_from_is_a_row_of_curve_distance():
     g = BackendHandle.finite_graph(cycle_graph(7))
     row = [2, 0, 5, 6]
-    assert curve_distances_from(g, 2, row) == [g.table().d(2, v) for v in row]
+    assert curve_distances_from(g, 2, row) == [g.graph.d(2, v) for v in row]
     t = BackendHandle.torus()
     rng = random.Random(5)
     slopes = [rand_torus_marking(rng, 12).payload.base for _ in range(20)] + [INFINITY]
@@ -443,4 +443,4 @@ def test_graph_geodesic_is_geodesic(u, shift):
     path = geodesic_between(m1, m2)
     assert len(path) == marking_distance(m1, m2) + 1
     for a, b in zip(path, path[1:]):
-        assert h.table().d(a, b) == 1
+        assert h.graph.d(a, b) == 1
