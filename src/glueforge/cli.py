@@ -37,6 +37,11 @@ EXIT_INTERNAL = 5
 # bound, not the interpreter's int/str digit limit, caps the work.
 MAX_INPUT_BYTES = 1 << 20
 
+# Most vertices `hyplab` takes.  Its kernels read every distance row, so
+# its cost grows at least as n^2: a path at the cap takes about 6 s and
+# 125 MiB.  A larger graph exits 3 before any row is computed.
+MAX_HYPLAB_VERTICES = 2_000
+
 # Largest --samples.  A sample costs about 0.05 ms per tube in doubles, and
 # on the decimal path 0.5 ms at axis power 30 and 5 ms at 180.
 MAX_SAMPLES = 10_000
@@ -192,6 +197,10 @@ def cmd_hyplab(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
     )
 
     graph = read_graph(text)
+    if graph.vertex_count > MAX_HYPLAB_VERTICES:
+        raise ValidationError(
+            f"hyplab takes at most {MAX_HYPLAB_VERTICES} vertices, got {graph.vertex_count}"
+        )
     delta = four_point_delta(graph)
     # the widest geodesic interval doubles as the stability test bed: the
     # first diametral pair in row-major order

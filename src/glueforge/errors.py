@@ -75,3 +75,12 @@ def json_int(value: object) -> int:
     if type(value) is not int:
         raise TypeError(f"{clip(value)} is not an integer")
     return value
+
+
+def json_bool(obj: dict, key: str, default: bool) -> bool:
+    """The JSON true or false under key, default when absent; any other
+    value, such as the string "false", is malformed."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ParseError(f"{key} must be true or false, not {clip(value)}")
+    return value

@@ -34,7 +34,7 @@ import math
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .errors import EmptyProjectionError
+from .errors import EmptyProjectionError, ValidationError, clip
 from .record import Record
 from .torus import (
     INFINITY,
@@ -326,10 +326,26 @@ def _marking_pair_projection(core: Slope, m1: FareyMarking, m2: FareyMarking) ->
     )
 
 
+# Most fractions p/q, q <= denom_bound, that one --denom-bound sweep may
+# score.  A sweep at the cap takes about 2 s and 45 MiB, once per slot;
+# past it the search raises before it builds a slope, and the CLI exits 3.
+MAX_SWEEP_CANDIDATES = 250_000
+
+
 def _sweep_candidates(values: list[Fraction], denom_bound: int, pad: int = 2) -> list[Slope]:
-    """All slopes with denominator <= denom_bound in the padded value window."""
+    """All slopes with denominator <= denom_bound in the padded value window.
+    The window, at least 4 wide, holds at least 4q - 1 fractions of each
+    denominator q, so counting them stops past the cap within 360 steps."""
     lo = min(values) - pad
     hi = max(values) + pad
+    count = 1
+    for q in range(1, denom_bound + 1):
+        count += math.floor(hi * q) - math.ceil(lo * q) + 1
+        if count > MAX_SWEEP_CANDIDATES:
+            raise ValidationError(
+                f"denominator bound {clip(denom_bound)} sweeps more than"
+                f" {MAX_SWEEP_CANDIDATES} candidate slopes"
+            )
     out = [INFINITY]
     for q in range(1, denom_bound + 1):
         p_lo = math.ceil(lo * q)

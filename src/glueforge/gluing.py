@@ -21,7 +21,7 @@ from functools import cached_property
 import json
 from typing import TYPE_CHECKING, Iterable, Mapping, NoReturn, Sequence
 
-from .errors import BackendMismatchError, ParseError, ValidationError, clip, json_int, json_str
+from .errors import BackendMismatchError, ParseError, ValidationError, clip, json_bool, json_str
 from .ioutil import canonical_dumps, sha256_of_text
 from .record import Record
 from .surface import (
@@ -34,7 +34,7 @@ from .surface import (
     sup_projection,
 )
 
-if TYPE_CHECKING:  # only the torus branches of SlotMap load the torus layer
+if TYPE_CHECKING:  # only a torus backend loads the torus layer
     from .torus import SurfaceMap
 
 GENERIC = "generic"
@@ -92,23 +92,12 @@ def _json_slot(rec: Mapping, key: str) -> Slot:
     return json_str(value[0], f"slot {key} piece"), json_str(value[1], f"slot {key} boundary")
 
 
-def _json_bool(obj: Mapping, key: str, default: bool) -> bool:
-    """The JSON true or false under key, default when absent; any other
-    value, such as the string "false", is malformed."""
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ParseError(f"{key} must be true or false, not {clip(value)}")
-    return value
-
-
 class SlotMap(Record):
-    """Chart translation between boundary slots.
-
-    Exact backend: an integer mapping class acting on slopes.  Graph
-    backend: a distance-preserving vertex bijection with a declared
-    orientation flag (graphs carry no orientation of their own, so the
-    flag is bookkeeping supplied by the input data).
-    """
+    """Chart translation between boundary slots, checked and run by its
+    backend: an integer mapping class acting on slopes on the torus (the
+    matrix), a distance-preserving vertex bijection on a graph (the perm)
+    with a declared orientation flag, since graphs carry no orientation of
+    their own."""
 
     handle: BackendHandle
     matrix: SurfaceMap | None = None
@@ -116,91 +105,36 @@ class SlotMap(Record):
     graph_reversing: bool = True
 
     def __post_init__(self) -> None:
-        if self.handle.is_torus:
-            if self.matrix is None or self.perm is not None:
-                raise ValidationError("torus slot map needs a matrix and no permutation")
-        else:
-            if self.perm is None or self.matrix is not None:
-                raise ValidationError("graph slot map needs a permutation and no matrix")
-            perm = tuple(map(int, self.perm))
-            self.handle.graph.check_automorphism(perm)
-            object.__setattr__(self, "perm", perm)
-
-    @staticmethod
-    def identity(handle: BackendHandle) -> "SlotMap":
-        if handle.is_torus:
-            from .torus import SurfaceMap
-
-            return SlotMap(handle, matrix=SurfaceMap(1, 0, 0, 1))
-        assert handle.graph is not None
-        return SlotMap(handle, perm=tuple(range(handle.graph.vertex_count)), graph_reversing=False)
+        self.handle.check_map(self)
 
     @property
     def reversing(self) -> bool:
         """Orientation-reversing: exact on the torus, declared on graphs."""
-        if self.matrix is not None:
-            return self.matrix.det == -1
-        return self.graph_reversing
+        return self.handle.map_reverses(self)
 
     def apply(self, m: AbstractMarking) -> AbstractMarking:
         if m.handle != self.handle:
             raise BackendMismatchError("marking does not live on this map's backend")
-        if self.matrix is not None:
-            return AbstractMarking(m.handle, self.matrix.on_marking(m.payload))
-        # the constructor checked the permutation
-        assert self.perm is not None
-        return AbstractMarking(m.handle, tuple(self.perm[v] for v in m.payload))
+        return AbstractMarking(m.handle, self.handle.apply_map(self, m.payload))
 
     def inverse(self) -> "SlotMap":
-        if self.matrix is not None:
-            return SlotMap(self.handle, matrix=self.matrix.inverse())
-        assert self.perm is not None
-        inv = [0] * len(self.perm)
-        for i, v in enumerate(self.perm):
-            inv[v] = i
-        return SlotMap(self.handle, perm=tuple(inv), graph_reversing=self.graph_reversing)
+        return self.handle.invert_map(self)
 
     def compose(self, other: "SlotMap") -> "SlotMap":
         """self after other."""
         if self.handle != other.handle:
             raise BackendMismatchError("composing slot maps across backends")
-        if self.matrix is not None and other.matrix is not None:
-            return SlotMap(self.handle, matrix=self.matrix @ other.matrix)
-        assert self.perm is not None and other.perm is not None
-        return SlotMap(
-            self.handle,
-            perm=tuple(self.perm[v] for v in other.perm),
-            graph_reversing=self.graph_reversing != other.graph_reversing,
-        )
+        return self.handle.compose_maps(self, other)
 
     def is_involution(self) -> bool:
-        if self.matrix is not None:
-            return self.matrix.is_involution()
-        assert self.perm is not None
-        return all(self.perm[v] == i for i, v in enumerate(self.perm))
+        return self.handle.map_is_involution(self)
 
     def to_json(self) -> object:
-        if self.matrix is not None:
-            return self.matrix.to_json()
-        return {"perm": list(self.perm or ()), "reverses_orientation": self.graph_reversing}
+        return self.handle.map_to_json(self)
 
     @staticmethod
     def from_json(handle: BackendHandle, obj: object) -> "SlotMap":
-        if handle.is_torus:
-            from .torus import SurfaceMap
-
-            return SlotMap(handle, matrix=SurfaceMap.from_json(obj))
-        if not isinstance(obj, Mapping) or "perm" not in obj:
-            raise ParseError(f"graph slot map must declare a perm, got {clip(obj)}")
-        try:
-            perm = tuple(json_int(v) for v in obj["perm"])  # type: ignore[index]
-        except TypeError as exc:
-            raise ParseError(f"bad permutation in slot map: {exc}") from exc
-        reversing = _json_bool(obj, "reverses_orientation", True)
-        try:
-            return SlotMap(handle, perm=perm, graph_reversing=reversing)
-        except ValidationError as exc:
-            raise ParseError(str(exc)) from exc
+        return handle.map_from_json(obj)
 
 
 class BoundarySpec(Record):
@@ -261,7 +195,7 @@ class BoundarySpec(Record):
         if not isinstance(obj, Mapping) or "id" not in obj:
             raise ParseError("boundary spec must be an object with an id")
         bid = json_str(obj["id"], "boundary id")
-        if _json_bool(obj, "toroidal", False):
+        if json_bool(obj, "toroidal", False):
             return BoundarySpec(bid, toroidal=True)
         if "backend" not in obj or "decoration" not in obj:
             raise ParseError(f"boundary {bid} needs backend and decoration")
@@ -274,7 +208,7 @@ class BoundarySpec(Record):
             bid,
             handle=handle,
             decoration=decoration,
-            compressible=_json_bool(obj, "compressible", False),
+            compressible=json_bool(obj, "compressible", False),
             disks=disks,
         )
 

@@ -1,4 +1,4 @@
-"""Finite graphs as curve-graph backends: their metric and intervals.
+"""Finite graphs, their metric and intervals, and the graph backend.
 
 Distances are BFS integers.  A FiniteGraph is its own metric: it holds
 its distances as Python lists, one row per vertex, and nothing here
@@ -7,18 +7,28 @@ read: gluing commands on graph backends read a few rows of a large curve
 graph, while `hyplab` reads them all.
 A vertex v lies on a geodesic from x to y iff d(x,v)+d(v,y)=d(x,y), since
 concatenating geodesics through such a v realizes the distance.
+
+GraphBackend, the curve-graph contract on a declared graph, imports
+`surface` and `gluing` where a method builds their records, so `hyplab`
+loads neither.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError, clip, json_bool, json_int, json_str
 from .record import Record
+
+if TYPE_CHECKING:  # loaded by whatever holds a backend
+    from .gluing import SlotMap
+    from .surface import ProjectionResult
 
 __all__ = [
     "FiniteGraph",
+    "GraphBackend",
+    "GraphProjection",
     "geodesic_interval",
     "path_graph",
     "cycle_graph",
@@ -157,6 +167,233 @@ def geodesic_interval(g: FiniteGraph, x: int, y: int) -> list[int]:
     rx, ry = g.row(x), g.row(y)
     dxy = rx[y]
     return [v for v, (a, b) in enumerate(zip(rx, ry)) if a + b == dxy]
+
+
+class GraphProjection(Record):
+    """Declared subsurface-projection value for one unordered marking pair.
+    Each side is a nonempty set of distinct vertices, stored sorted as a
+    marking's payload is, and the value is non-negative."""
+
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    label: str
+    value: int
+
+    def __post_init__(self) -> None:
+        a, b = tuple(sorted(self.a)), tuple(sorted(self.b))
+        for side in (a, b):
+            if not side:
+                raise ValidationError(f"projection {clip(self.label)} has an empty side")
+            if len(set(side)) != len(side):
+                raise ValidationError(f"projection {clip(self.label)} repeats a vertex")
+        if self.value < 0:
+            raise ValidationError(f"projection {clip(self.label)} has negative value {self.value}")
+        self.__dict__.update(a=a, b=b)
+
+    def matches(self, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+        return {self.a, self.b} == {x, y}
+
+
+class GraphBackend(Record):
+    """A finite graph, its named markings and its table of projection
+    values as a `surface.BackendHandle`.  Curve vertices are ints, a
+    marking is a sorted vertex tuple of diameter at most 2, and a slot map
+    a vertex bijection the graph preserves (its perm) with a declared
+    orientation flag: graphs carry no orientation of their own."""
+
+    kind = "graph"
+    graph: FiniteGraph
+    markings: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    projections: tuple[GraphProjection, ...] = ()
+
+    def __post_init__(self) -> None:
+        for e in self.projections:
+            self._check_vertices(e.a + e.b, "projection")
+        for _, vertices in self.markings:
+            self.check_marking(vertices)
+
+    def _check_vertices(self, vertices: Iterable, what: str) -> None:
+        n = self.graph.vertex_count
+        for v in vertices:
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise ValidationError(f"{what} vertex {v} outside the graph")
+
+    def to_json(self) -> dict:
+        out: dict = {
+            "kind": self.kind,
+            "n": self.graph.vertex_count,
+            "edges": sorted([u, v] for u, v in self.graph.edges),
+        }
+        if self.markings:
+            out["markings"] = {name: list(vs) for name, vs in self.markings}
+        if self.projections:
+            out["projections"] = [e.to_json() for e in self.projections]
+        return out
+
+    @staticmethod
+    def from_json(obj: dict, graphs: dict) -> "GraphBackend":
+        """The declaration obj; graphs maps (n, edges) to the graph parsed
+        for it, so that equal declarations share one FiniteGraph."""
+        if not isinstance(obj.get("markings", {}), dict):
+            raise ParseError("graph backend markings must be an object")
+        try:
+            key = (
+                json_int(obj["n"]),
+                tuple((json_int(u), json_int(v)) for u, v in obj.get("edges", [])),
+            )
+            if key not in graphs:
+                graphs[key] = FiniteGraph.from_edges(*key)
+            markings = sorted(
+                (str(name), tuple(json_int(v) for v in vs))
+                for name, vs in obj.get("markings", {}).items()
+            )
+            projections = [
+                GraphProjection(
+                    tuple(json_int(v) for v in e["a"]),
+                    tuple(json_int(v) for v in e["b"]),
+                    json_str(e["label"], "projection label"),
+                    json_int(e["value"]),
+                )
+                for e in obj.get("projections", [])
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad graph backend declaration: {exc}") from exc
+        return GraphBackend(graphs[key], tuple(markings), tuple(projections))
+
+    def named_marking(self, name: str) -> tuple[int, ...]:
+        for key, payload in self.markings:
+            if key == name:
+                return payload
+        raise ValidationError(f"backend declares no marking named {clip(name)}")
+
+    def distances_from(self, a: int, targets: Sequence[int]) -> list[int]:
+        row = self.graph.row(a)
+        return [row[t] for t in targets]
+
+    def marking_distance(self, payload: tuple[int, ...], targets: Sequence[int]) -> int:
+        return min(min(self.distances_from(x, targets)) for x in payload)
+
+    def geodesic(self, x: tuple[int, ...], y: tuple[int, ...]) -> list[int]:
+        # from the first closest pair, each step to the smallest neighbour
+        # closer to the target
+        g = self.graph
+        _, cur, end = min((g.d(u, v), u, v) for u in x for v in y)
+        adj, to_end = g.adjacency, g.row(end)
+        path = [cur]
+        while cur != end:
+            cur = min(w for w in adj[cur] if to_end[w] == to_end[cur] - 1)
+            path.append(cur)
+        return path
+
+    def sup_projection(
+        self, x: tuple[int, ...], y: tuple[int, ...], denom_bound: int | None
+    ) -> ProjectionResult:
+        # the largest declared value; a pair the table lacks is unmodeled
+        from .surface import ProjectionResult
+
+        hits = [e for e in self.projections if e.matches(x, y)]
+        if not hits:
+            return ProjectionResult("", 0, certified=False, unmodeled=True)
+        best = max(hits, key=lambda e: (e.value, e.label))
+        return ProjectionResult(best.label, best.value, certified=True)
+
+    def check_marking(self, payload: object) -> tuple[int, ...]:
+        if not isinstance(payload, tuple):
+            raise ValidationError("graph marking payload must be a vertex tuple")
+        if not payload:
+            raise ValidationError("graph marking needs at least one vertex")
+        self._check_vertices(payload, "marking")
+        if len(set(payload)) != len(payload):
+            raise ValidationError("graph marking repeats a vertex")
+        d = self.graph.d
+        diam = max((d(u, v) for i, u in enumerate(payload) for v in payload[i + 1 :]), default=0)
+        if diam > 2:
+            raise ValidationError(f"marking diameter {diam} exceeds 2")
+        return tuple(sorted(payload))
+
+    def marking_elements(self, payload: tuple[int, ...]) -> tuple[int, ...]:
+        return payload
+
+    def marking_to_json(self, payload: tuple[int, ...]) -> dict:
+        return {"vertices": list(payload)}
+
+    def marking_from_json(self, obj: dict) -> tuple[int, ...]:
+        if "name" in obj:
+            return self.named_marking(json_str(obj["name"], "marking name"))
+        if "vertices" not in obj:
+            raise ParseError("graph marking needs vertices or a declared name")
+        try:
+            return tuple(json_int(v) for v in obj["vertices"])
+        except TypeError as exc:
+            raise ParseError(f"bad graph marking: {exc}") from exc
+
+    def check_disks(self, elements: tuple) -> None:
+        self._check_vertices(elements, "disk")
+
+    def disks_to_json(self, elements: tuple[int, ...]) -> list[int]:
+        return list(elements)
+
+    def disks_from_json(self, obj: list) -> tuple[int, ...]:
+        try:
+            return tuple(json_int(v) for v in obj)
+        except TypeError as exc:
+            raise ParseError(f"bad disk set: {exc}") from exc
+
+    def check_map(self, f: SlotMap) -> None:
+        # f keeps the permutation it was given as a tuple
+        if f.perm is None or f.matrix is not None:
+            raise ValidationError("graph slot map needs a permutation and no matrix")
+        perm = tuple(map(int, f.perm))
+        self.graph.check_automorphism(perm)
+        object.__setattr__(f, "perm", perm)
+
+    def identity_map(self) -> SlotMap:
+        from .gluing import SlotMap
+
+        return SlotMap(self, perm=tuple(range(self.graph.vertex_count)), graph_reversing=False)
+
+    def apply_map(self, f: SlotMap, payload: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(f.perm[v] for v in payload)
+
+    def invert_map(self, f: SlotMap) -> SlotMap:
+        inv = [0] * len(f.perm)
+        for i, v in enumerate(f.perm):
+            inv[v] = i
+        return type(f)(self, perm=tuple(inv), graph_reversing=f.graph_reversing)
+
+    def compose_maps(self, f: SlotMap, g: SlotMap) -> SlotMap:
+        perm = tuple(f.perm[v] for v in g.perm)
+        return type(f)(self, perm=perm, graph_reversing=f.graph_reversing != g.graph_reversing)
+
+    def map_reverses(self, f: SlotMap) -> bool:
+        return f.graph_reversing
+
+    def map_is_involution(self, f: SlotMap) -> bool:
+        return all(f.perm[v] == i for i, v in enumerate(f.perm))
+
+    def map_to_json(self, f: SlotMap) -> dict:
+        return {"perm": list(f.perm), "reverses_orientation": f.graph_reversing}
+
+    def map_from_json(self, obj: object) -> SlotMap:
+        from .gluing import SlotMap
+
+        if not isinstance(obj, Mapping) or "perm" not in obj:
+            raise ParseError(f"graph slot map must declare a perm, got {clip(obj)}")
+        try:
+            perm = tuple(json_int(v) for v in obj["perm"])
+        except TypeError as exc:
+            raise ParseError(f"bad permutation in slot map: {exc}") from exc
+        reversing = json_bool(obj, "reverses_orientation", True)
+        try:
+            return SlotMap(self, perm=perm, graph_reversing=reversing)
+        except ValidationError as exc:
+            raise ParseError(str(exc)) from exc
+
+    def sigma(self, *payloads: object) -> None:
+        """No balanced point, and no tube geometry."""
+        return None
+
+    tube = sigma
 
 
 def path_graph(n: int) -> FiniteGraph:

@@ -3,8 +3,9 @@
 A decorated gluing determines a piecewise metric model: every piece keeps
 an opaque interior whose boundary restrictions are the balanced points of
 its decorations, and every identification contributes a tube swept along
-the half-plane geodesic between the two induced balanced points.  On the
-torus backend the fiber geometry is computed exactly from the modulus;
+the half-plane geodesic between the two induced balanced points.  Each
+slot's backend supplies its balanced points and tube geometry: on the
+torus the fiber geometry is computed exactly from the modulus, while
 finite-graph slots have no geometry and their tubes stay combinatorial,
 so a gluing on graph backends alone loads no torus code: the half-plane
 geometry (`halfplane`) is imported where a geometric tube or anchor is
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING
 from .errors import ValidationError, clip
 from .gluing import GluingGraph, Slot, SlotMap, _slot_name
 from .record import Record
-from .surface import AbstractMarking, as_torus_marking
+from .surface import AbstractMarking
 
 if TYPE_CHECKING:  # geometric tubes and anchors import the half-plane layer
     from .halfplane import TeichPoint
@@ -166,13 +167,7 @@ class ModelSkeleton(Record):
             },
         }
 
-def _sigma(m: AbstractMarking) -> TeichPoint:
-    from .halfplane import sigma_of_marking
-
-    return sigma_of_marking(as_torus_marking(m))
-
-
-def _geometry(
+def _tube(
     slot_a: Slot,
     slot_b: Slot,
     kind: str,
@@ -181,11 +176,12 @@ def _geometry(
     samples: int,
     involution: SlotMap | None = None,
 ) -> TubeBlock:
-    from .halfplane import tube
-
-    ends, sigma_a, sigma_b, length, degenerate, points = tube(
-        *map(as_torus_marking, (mu, nu)), samples
-    )
+    """The tube from mu to nu, combinatorial where the backend has no
+    geometry."""
+    geometry = mu.handle.tube(mu.payload, nu.payload, samples)
+    if geometry is None:
+        return TubeBlock(slot_a, slot_b, kind, combinatorial=True, involution=involution)
+    ends, sigma_a, sigma_b, length, degenerate, points = geometry
     return TubeBlock(
         slot_a,
         slot_b,
@@ -215,10 +211,7 @@ def build_skeleton(
     blocks = []
     for pid, _ in x.pieces:
         spec = x.spec_of(pid)
-        anchors = tuple(
-            (b.id, _sigma(b.decoration) if b.handle is not None and b.handle.is_torus else None)
-            for b in spec.nontoroidal()
-        )
+        anchors = tuple((b.id, b.handle.sigma(b.decoration.payload)) for b in spec.nontoroidal())
         blocks.append(PieceBlock(pid, anchors))
 
     tubes: list[TubeBlock] = []
@@ -227,13 +220,8 @@ def build_skeleton(
         # a self-identification pairs the slot with itself through its map
         partner, push = x.psi(slot)
         kind, involution = ("quotient", push) if partner == slot else ("internal", None)
-        if not push.handle.is_torus:
-            tubes.append(TubeBlock(slot, partner, kind, combinatorial=True, involution=involution))
-            continue
         nu = push.apply(x.decoration(partner))
-        tubes.append(
-            _geometry(slot, partner, kind, x.decoration(slot), nu, samples, involution=involution)
-        )
+        tubes.append(_tube(slot, partner, kind, x.decoration(slot), nu, samples, involution))
 
     for slot in x.slots():
         if x.is_buried(slot):
@@ -247,12 +235,7 @@ def build_skeleton(
                 stacklevel=2,
             )
             continue
-        handle = x.boundary_of(slot).handle
-        assert handle is not None
-        if not handle.is_torus:
-            tubes.append(TubeBlock(slot, slot, "boundary", combinatorial=True))
-            continue
-        tubes.append(_geometry(slot, slot, "boundary", x.decoration(slot), free, samples))
+        tubes.append(_tube(slot, slot, "boundary", x.decoration(slot), free, samples))
 
     sampled = [s.systole for t in tubes for s in t.samples]
     return ModelSkeleton(

@@ -12,18 +12,25 @@ Conventions fixed here and recorded in exported reports:
     normalizer_to_infinity(w) sending w to infinity;
   * markings are unordered-looking pairs (base, transversal) with
     intersection number one.
+
+TorusBackend, the curve-graph contract on the Farey graph, imports
+`farey` and `halfplane` where a method runs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ParseError, ValidationError, ascii_int, clip, json_int
 from .record import Record
 
 if TYPE_CHECKING:  # fractions loads decimal: Slope.value imports it when called
     from fractions import Fraction
+
+    from .gluing import SlotMap
+    from .halfplane import TeichPoint
+    from .surface import ProjectionResult
 
 __all__ = [
     "Slope",
@@ -37,6 +44,7 @@ __all__ = [
     "REFLECTION",
     "FareyMarking",
     "normalizer_to_infinity",
+    "TorusBackend",
 ]
 
 
@@ -242,3 +250,133 @@ def normalizer_to_infinity(w: Slope, neighbour: Slope | None = None) -> SurfaceM
         s = (t if p * t - q * neighbour.p == 1 else -t) % q
     r = (p * s - 1) // q
     return SurfaceMap(s, -r, -q, p)
+
+
+def _json_slope(value: object) -> Slope:
+    """A slope, which JSON writes as a string ('p/q', an integer or 'inf');
+    a number or any other type is a parse error."""
+    if not isinstance(value, str):
+        raise ParseError(f"slope {clip(value)} is not a string")
+    return parse_slope(value)
+
+
+def _slopes(vertices: Sequence) -> Sequence[Slope]:
+    if not all(isinstance(v, Slope) for v in vertices):
+        raise ValidationError("torus curve vertices are slopes")
+    return vertices
+
+
+class TorusBackend(Record):
+    """The Farey graph as a `surface.BackendHandle`: curve vertices are
+    slopes, a marking is a FareyMarking, and a slot map a mapping class
+    (its matrix), orientation-reversing iff its determinant is -1."""
+
+    kind = "torus"
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind}
+
+    def distances_from(self, a: Slope, targets: Sequence[Slope]) -> list[int]:
+        # one chart, where consecutive adjacent or equal targets cost O(1)
+        from .farey import distances_from
+
+        if not isinstance(a, Slope):
+            raise ValidationError("torus curve vertices are slopes")
+        return distances_from(a, _slopes(targets))
+
+    def marking_distance(self, payload: FareyMarking, targets: Sequence[Slope]) -> int:
+        # the other slope of the marking is a Farey neighbour of each, which
+        # spares each row's chart its modular inverse
+        from .farey import distances_from
+
+        base, transversal = payload.slopes()
+        return min(
+            min(distances_from(base, _slopes(targets), transversal)),
+            min(distances_from(transversal, targets, base)),
+        )
+
+    def geodesic(self, x: FareyMarking, y: FareyMarking) -> list[Slope]:
+        from .farey import farey_geodesic
+
+        return farey_geodesic(x.base, y.base)
+
+    def sup_projection(
+        self, x: FareyMarking, y: FareyMarking, denom_bound: int | None
+    ) -> ProjectionResult:
+        # the exact pivot search, certified by the sweep when bounded
+        from .farey import max_subsurface_projection
+        from .surface import ProjectionResult
+
+        label, value = max_subsurface_projection(x, y, denom_bound=denom_bound)
+        return ProjectionResult(label, value, certified=denom_bound is not None)
+
+    def check_marking(self, payload: object) -> FareyMarking:
+        if not isinstance(payload, FareyMarking):
+            raise ValidationError("torus marking payload must be a FareyMarking")
+        return payload
+
+    def marking_elements(self, payload: FareyMarking) -> tuple[Slope, Slope]:
+        return payload.slopes()
+
+    def marking_to_json(self, payload: FareyMarking) -> dict:
+        return {"base": str(payload.base), "transversal": str(payload.transversal)}
+
+    def marking_from_json(self, obj: dict) -> FareyMarking:
+        if "base" not in obj or "transversal" not in obj:
+            raise ParseError("torus marking needs base and transversal")
+        try:
+            return FareyMarking(_json_slope(obj["base"]), _json_slope(obj["transversal"]))
+        except ValidationError as exc:
+            raise ParseError(f"bad torus marking: {exc}") from exc
+
+    def check_disks(self, elements: tuple) -> None:
+        if not all(isinstance(e, Slope) for e in elements):
+            raise ValidationError("torus disk set elements must be slopes")
+
+    def disks_to_json(self, elements: tuple[Slope, ...]) -> list[str]:
+        return [str(s) for s in elements]
+
+    def disks_from_json(self, obj: list) -> tuple[Slope, ...]:
+        return tuple(_json_slope(s) for s in obj)
+
+    def check_map(self, f: SlotMap) -> None:
+        if f.matrix is None or f.perm is not None:
+            raise ValidationError("torus slot map needs a matrix and no permutation")
+
+    def identity_map(self) -> SlotMap:
+        from .gluing import SlotMap
+
+        return SlotMap(self, matrix=IDENTITY)
+
+    def apply_map(self, f: SlotMap, payload: FareyMarking) -> FareyMarking:
+        return f.matrix.on_marking(payload)
+
+    def invert_map(self, f: SlotMap) -> SlotMap:
+        return type(f)(self, matrix=f.matrix.inverse())
+
+    def compose_maps(self, f: SlotMap, g: SlotMap) -> SlotMap:
+        return type(f)(self, matrix=f.matrix @ g.matrix)
+
+    def map_reverses(self, f: SlotMap) -> bool:
+        return f.matrix.det == -1
+
+    def map_is_involution(self, f: SlotMap) -> bool:
+        return f.matrix.is_involution()
+
+    def map_to_json(self, f: SlotMap) -> list[list[int]]:
+        return f.matrix.to_json()
+
+    def map_from_json(self, obj: object) -> SlotMap:
+        from .gluing import SlotMap
+
+        return SlotMap(self, matrix=SurfaceMap.from_json(obj))
+
+    def sigma(self, payload: FareyMarking) -> TeichPoint:
+        from .halfplane import sigma_of_marking
+
+        return sigma_of_marking(payload)
+
+    def tube(self, mu: FareyMarking, nu: FareyMarking, samples: int) -> tuple:
+        from .halfplane import tube
+
+        return tube(mu, nu, samples)

@@ -36,7 +36,6 @@ from .record import Record
 from .surface import (
     AbstractMarking,
     BackendHandle,
-    curve_distances_from,
     geodesic_between,
     marking_distance,
     marking_to_path_distance,
@@ -225,7 +224,7 @@ def _nu_sequence(
     chart.  Returns the deduplicated sequence, the total flip carrying the
     final exit chart onto the frame, and the twisted-cover note."""
     handle = x.boundary_of(steps[0].entry).handle
-    transport = SlotMap.identity(handle)
+    transport = handle.identity_map()
     seq: list[AbstractMarking] = []
     note = ""
 
@@ -300,7 +299,7 @@ def _k_prime(handle: BackendHandle, path: list, reach: list[int]) -> Rational | 
     different pieces.  A measured row starts at the next vertex, a
     neighbour, which spares the chart's modular inverse on the torus."""
     last = len(path) - 1
-    if last < 1 or curve_distances_from(handle, path[0], [path[1], path[last]])[1] == last:
+    if last < 1 or handle.distances_from(path[0], [path[1], path[last]])[1] == last:
         return 1
     # the best ratio as an integer pair (num, den), compared by cross-multiplication
     best_n, best_d = 1, 1
@@ -308,7 +307,7 @@ def _k_prime(handle: BackendHandle, path: list, reach: list[int]) -> Rational | 
         cut = reach[i] + 1
         if cut > last:
             continue
-        far = curve_distances_from(handle, path[i], [path[i + 1], *path[cut:]])
+        far = handle.distances_from(path[i], [path[i + 1], *path[cut:]])
         for span, d in enumerate(far[1:], start=cut - i):
             if d == 0:
                 return None
@@ -332,12 +331,12 @@ def _fellow_traveling(handle: BackendHandle, path: list, direct: list) -> int:
         # a path neighbour leads each chunk, as in _k_prime
         lead = [path[i - 1 if i else 1]] if len(path) > 1 else []
         lo = hi = i * last // max(len(path) - 1, 1)
-        near = curve_distances_from(handle, v, [*lead, direct[lo]])[-1]
+        near = handle.distances_from(v, [*lead, direct[lo]])[-1]
         step = 1
         while near > best and (lo > 0 or hi < last):
             new_lo, new_hi = max(lo - step, 0), min(hi + step, last)
             chunk = [*lead, *direct[hi + 1 : new_hi + 1], *direct[new_lo:lo][::-1]]
-            near = min(near, *curve_distances_from(handle, v, chunk)[len(lead) :])
+            near = min(near, *handle.distances_from(v, chunk)[len(lead) :])
             lo, hi, step = new_lo, new_hi, 2 * step
         best = max(best, near)
     return best

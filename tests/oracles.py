@@ -42,7 +42,7 @@ from glueforge.halfplane import (
 )
 from glueforge.model import SCHEMA, ModelSkeleton, PieceBlock, TubeBlock, TubeSample
 from glueforge.record import Record
-from glueforge.surface import AbstractMarking, BackendHandle, _require_same, curve_distances_from
+from glueforge.surface import AbstractMarking, BackendHandle, _require_same
 from glueforge.torus import FareyMarking, Slope, SurfaceMap, normalizer_to_infinity
 
 INF = (1, 0)
@@ -516,7 +516,7 @@ def all_pairs_k_prime(handle, path) -> Fraction | None:
     None at the first pair of distinct indices on one vertex."""
     best = Fraction(1)
     for i, u in enumerate(path):
-        for span, d in enumerate(curve_distances_from(handle, u, path[i + 1 :]), start=1):
+        for span, d in enumerate(handle.distances_from(u, path[i + 1 :]), start=1):
             if d == 0:
                 return None
             best = max(best, Fraction(span, d))
@@ -526,7 +526,7 @@ def all_pairs_k_prime(handle, path) -> Fraction | None:
 def full_fellow_traveling(handle, path, direct) -> int:
     """The former fellow-traveling scan: every path vertex against every
     vertex of the direct geodesic."""
-    return max(min(curve_distances_from(handle, v, direct)) for v in path)
+    return max(min(handle.distances_from(v, direct)) for v in path)
 
 
 # The package's former numpy kernels of the graph laboratory, kept to test
@@ -815,7 +815,7 @@ def marking_diameter(*markings: AbstractMarking) -> int:
         elems.extend(m.elements())
     return max(
         (
-            max(curve_distances_from(handle, elems[i], elems[i + 1 :]))
+            max(handle.distances_from(elems[i], elems[i + 1 :]))
             for i in range(len(elems) - 1)
         ),
         default=0,

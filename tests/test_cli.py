@@ -15,11 +15,12 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import glueforge
-from glueforge import cli, gluing
+from glueforge import cli, farey, gluing
 from glueforge.cli import (
     EXIT_FIBERED,
     EXIT_INTERNAL,
@@ -29,6 +30,7 @@ from glueforge.cli import (
     EXIT_VERDICT,
     main,
 )
+from glueforge.errors import ValidationError
 from glueforge.gluing import (
     GENERIC,
     TRIVIAL_IBUNDLE,
@@ -39,10 +41,10 @@ from glueforge.gluing import (
     SlotMap,
     validate_gluing,
 )
-from glueforge.hypgraph import FiniteGraph, cycle_graph
+from glueforge.hypgraph import FiniteGraph, GraphProjection, cycle_graph
 from glueforge.ioutil import canonical_dumps, sha256_of_text
-from glueforge.surface import AbstractMarking, BackendHandle, GraphProjection
-from glueforge.torus import IDENTITY, REFLECTION, FareyMarking, Slope
+from glueforge.surface import AbstractMarking, BackendHandle
+from glueforge.torus import IDENTITY, INFINITY, REFLECTION, FareyMarking, Slope
 from test_transforms import (
     SKEW_1,
     SKEW_2,
@@ -1763,6 +1765,53 @@ def test_huge_vertex_count_without_edges_fails_fast(tmp_path):
     assert proc.stderr.splitlines() == [
         "invariant violation: graph disconnected: no path from 0 to 1"
     ]
+
+
+def test_hyplab_refuses_a_path_past_its_vertex_cap(tmp_path):
+    # before any distance row: a path at the cap takes seconds, and every
+    # hyplab input of this suite lies far below it
+    n = cli.MAX_HYPLAB_VERTICES + 1
+    graph = tmp_path / "path.txt"
+    graph.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    proc, wall = cold_cli(["hyplab", "--input", str(graph)])
+    assert wall < 1.0
+    assert proc.returncode == EXIT_INVARIANT
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"invariant violation: hyplab takes at most {cli.MAX_HYPLAB_VERTICES} vertices, got {n}"
+    ]
+
+
+def test_denom_bound_sweep_is_counted_before_it_is_built(files):
+    # a window a million wide holds about 10^7 fractions of denominator at
+    # most 4: the count passes the cap before the sweep builds a slope
+    obj = json.loads(pathlib.Path(files["example:chain"]).read_text())
+    obj["manifolds"][0]["boundaries"][0]["decoration"] = {"base": "1000000/1", "transversal": "inf"}
+    wide = pathlib.Path(files["dir"]) / "wide-chain.json"
+    wide.write_text(json.dumps(obj))
+    proc, wall = cold_cli(["report", "--denom-bound", "4", "--input", str(wide)])
+    assert wall < 1.0
+    assert proc.returncode == EXIT_INVARIANT
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "invariant violation: denominator bound 4 sweeps more than"
+        f" {farey.MAX_SWEEP_CANDIDATES} candidate slopes"
+    ]
+
+
+def test_the_sweep_cap_bounds_the_count_of_built_slopes(monkeypatch):
+    # the window [-2, 2] holds 4q + 1 fractions of denominator q, so a
+    # bound b counts 2b(b + 1) + b + 1 candidates with infinity
+    def counted(b: int) -> int:
+        return 2 * b * (b + 1) + b + 1
+
+    monkeypatch.setattr(farey, "MAX_SWEEP_CANDIDATES", counted(5))
+    built = farey._sweep_candidates([Fraction(0)], 5)
+    assert INFINITY in built and len(built) <= counted(5)
+    with pytest.raises(ValidationError, match="denominator bound 6 sweeps more than 66"):
+        farey._sweep_candidates([Fraction(0)], 6)
+    with pytest.raises(ValidationError):  # counting stops at the cap, whatever the bound
+        farey._sweep_candidates([Fraction(0)], 10**18)
 
 
 def test_deep_nesting_is_a_parse_error(tmp_path):

@@ -683,7 +683,7 @@ def test_decoded_mappings_take_only_integers():
     # JSON text with a float fails while it is decoded; a decoded mapping
     # can still carry floats, and no integer field coerces them, nor
     # true/false, nor a numeric string
-    from glueforge.surface import GraphProjection
+    from glueforge.hypgraph import GraphProjection
 
     h = BackendHandle.finite_graph(
         cycle_graph(6), {"W": [0, 1]}, [GraphProjection((0, 1), (3,), "W0", 7)]

@@ -52,7 +52,7 @@ from glueforge.model import (
     export_skeleton,
     verify_thickness,
 )
-from glueforge.surface import AbstractMarking, BackendHandle, as_torus_marking
+from glueforge.surface import AbstractMarking, BackendHandle
 from glueforge.torus import INFINITY, REFLECTION, FareyMarking, Slope, SurfaceMap, parse_slope
 from glueforge.transforms import collapse_ibundles
 from oracles import load_skeleton, reference_balanced_marking, reference_tube, systole
@@ -177,7 +177,7 @@ def test_skeleton_anchors_and_incidence():
     for block in sk.pieces:
         spec = x.spec_of(block.piece)
         for bid, anchor in block.anchors:
-            expected = sigma_of_marking(as_torus_marking(spec.boundary(bid).decoration))
+            expected = sigma_of_marking(spec.boundary(bid).decoration.payload)
             assert anchor.close_to(expected)
     # one tube per identification, same slots, same order
     assert sk.incidence == (("p0:E0", "p1:F0"), ("p1:F1", "p2:E0"))
@@ -190,8 +190,8 @@ def test_skeleton_tube_endpoints_follow_gluing():
     tube = sk.tubes[0]
     partner, pushm = x.psi(("p0", "E0"))
     nu = pushm.apply(x.decoration(partner))
-    assert tube.sigma_a.close_to(sigma_of_marking(as_torus_marking(MU)))
-    assert tube.sigma_b.close_to(sigma_of_marking(as_torus_marking(nu)))
+    assert tube.sigma_a.close_to(sigma_of_marking(MU.payload))
+    assert tube.sigma_b.close_to(sigma_of_marking(nu.payload))
     assert tube.length == pytest.approx(teich_distance(tube.sigma_a, tube.sigma_b))
     # both joints of the power-3 chain have the same span
     assert sk.tubes[1].length == pytest.approx(tube.length)
@@ -415,7 +415,7 @@ def test_balanced_marking_matches_the_reduction_on_deep_anchors():
     # the stack example (55 bits) and of deep30, all on the decimal path
     for x in (example_builders()["stack"](), core_stack_core([30])):
         ends = [g for t in build_skeleton(x, samples=2).tubes if not t.combinatorial for g in t.ends]
-        anchors = [sigma_matrix(as_torus_marking(x.decoration(slot))) for slot in x.slots()]
+        anchors = [sigma_matrix(x.decoration(slot).payload) for slot in x.slots()]
         assert max(map(precision_demand, ends)) > PRECISION_BITS
         for g in ends + anchors:
             assert balanced_marking(g) == reference_balanced_marking(g), g
@@ -678,10 +678,8 @@ def collapsed_direct_length(x) -> float:
 def concatenated_length(x) -> float:
     sk = build_skeleton(x, samples=5)
     span = teich_distance(
-        sigma_of_marking(as_torus_marking(x.decoration(("p1", "F0")))),
-        sigma_of_marking(
-            as_torus_marking(tmap(REFLECTION).apply(x.decoration(("p1", "F1"))))
-        ),
+        sigma_of_marking(x.decoration(("p1", "F0")).payload),
+        sigma_of_marking(tmap(REFLECTION).apply(x.decoration(("p1", "F1"))).payload),
     )
     return sum(t.length for t in sk.tubes) + span
 

@@ -1,30 +1,38 @@
 """Backend-contract tests: delegation identities, mismatch errors, and the
 isometry/equivariance invariants of the pushforward SlotMap.apply."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glueforge
 from glueforge.errors import BackendMismatchError, ParseError, ValidationError
 from glueforge.farey import farey_distance, max_subsurface_projection
 from glueforge.gluing import SlotMap
-from glueforge.hypgraph import FiniteGraph, cycle_graph, path_graph
+from glueforge.hypgraph import FiniteGraph, GraphBackend, GraphProjection, cycle_graph, path_graph
 from glueforge.surface import (
     AbstractMarking,
     BackendHandle,
     DiskSet,
-    GraphProjection,
-    as_torus_marking,
-    curve_distances_from,
     disk_distance,
     geodesic_between,
     marking_distance,
     marking_to_path_distance,
     sup_projection,
 )
-from glueforge.torus import IDENTITY, INFINITY, REFLECTION, FareyMarking, Slope, SurfaceMap
+from glueforge.torus import (
+    IDENTITY,
+    INFINITY,
+    REFLECTION,
+    FareyMarking,
+    Slope,
+    SurfaceMap,
+    TorusBackend,
+)
 from oracles import marking_diameter
 
 T_MAP = SurfaceMap(1, 1, 0, 1)
@@ -55,12 +63,26 @@ def rand_torus_marking(rng: random.Random, length: int = 7) -> AbstractMarking:
 
 
 def test_backend_handle_validation():
-    with pytest.raises(ValidationError, match="unknown backend kind"):
-        BackendHandle("sphere")
-    with pytest.raises(ValidationError, match="no graph data"):
-        BackendHandle("torus", graph=cycle_graph(6))
-    with pytest.raises(ValidationError, match="needs a FiniteGraph"):
-        BackendHandle("graph")
+    # the contract has two implementations, and each checks its own data
+    with pytest.raises(ParseError, match="unknown backend kind"):
+        BackendHandle.from_json({"kind": "sphere"})
+    with pytest.raises(TypeError):
+        TorusBackend(cycle_graph(6))  # the torus takes no graph data
+    with pytest.raises(TypeError):
+        GraphBackend()  # a graph backend needs its graph
+    with pytest.raises(ValidationError, match="projection vertex 9 outside"):
+        BackendHandle.finite_graph(cycle_graph(6), projections=[GraphProjection((9,), (0,), "W", 1)])
+    with pytest.raises(ValidationError, match="diameter 3"):
+        BackendHandle.finite_graph(cycle_graph(6), {"far": [0, 3]})
+
+
+def test_both_backends_implement_the_whole_contract():
+    operations = {name for name in vars(BackendHandle) if not name.startswith("_")}
+    operations -= {"torus", "finite_graph", "from_json"}  # the contract's constructors
+    assert {"distances_from", "sup_projection", "check_map", "tube"} <= operations
+    for handle in (BackendHandle.torus(), BackendHandle.finite_graph(cycle_graph(6))):
+        assert all(callable(getattr(handle, name)) for name in operations)
+    assert (TorusBackend.kind, GraphBackend.kind) == ("torus", "graph")
 
 
 def test_backend_equality_is_structural():
@@ -91,10 +113,77 @@ def test_backend_json_round_trip():
 
 def test_named_markings():
     h = BackendHandle.finite_graph(cycle_graph(6), {"mu": [0, 1]})
-    assert h.named_marking("mu").payload == (0, 1)
+    assert h.named_marking("mu") == (0, 1)
     with pytest.raises(ValidationError, match="no marking named"):
         h.named_marking("nu")
-    assert AbstractMarking.from_json(h, {"name": "mu"}) == h.named_marking("mu")
+    assert AbstractMarking.from_json(h, {"name": "mu"}) == AbstractMarking(h, (0, 1))
+
+
+BACKEND_KINDS = {"torus", "graph"}
+IMPLEMENTATIONS = {"TorusBackend", "GraphBackend"}
+
+
+def _backend_tests(tree: ast.AST, allowed: set[ast.AST]) -> list[str]:
+    """What tells one backend from the other: anywhere, a read of is_torus
+    or as_torus_marking; outside the allowed nodes, a comparison with a
+    backend kind or of a handle's kind, and a name of an implementation."""
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if isinstance(node, ast.alias):  # an import
+            name = node.name
+        if name in ("is_torus", "as_torus_marking"):
+            found.append(f"line {node.lineno}: {name}")
+        if node in allowed:
+            continue
+        if name in IMPLEMENTATIONS:
+            found.append(f"line {node.lineno}: {name}")
+        if isinstance(node, ast.Compare):
+            parts = list(ast.walk(node))
+            kinds = {p.value for p in parts if isinstance(p, ast.Constant)}
+            handle_kinds = [
+                p
+                for p in parts
+                if isinstance(p, ast.Attribute) and p.attr == "kind" and "handle" in ast.unparse(p.value)
+            ]
+            if kinds & BACKEND_KINDS or handle_kinds:
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_the_backends_tell_torus_from_graph():
+    # every other module asks the handle: the two implementations and the
+    # constructors of BackendHandle, whose from_json reads the JSON kind,
+    # are the only code that knows which backend it holds
+    src = pathlib.Path(glueforge.__file__).parent
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed: set[ast.AST] = set()
+        if path.name in ("torus.py", "hypgraph.py"):
+            allowed = set(ast.walk(tree))
+        elif path.name == "surface.py":
+            handle = next(c for c in tree.body if getattr(c, "name", None) == "BackendHandle")
+            for fn in handle.body:
+                if getattr(fn, "name", None) in ("torus", "finite_graph", "from_json"):
+                    allowed.update(ast.walk(fn))
+        found[path.name] = _backend_tests(tree, allowed)
+    assert {"surface.py", "gluing.py", "model.py", "torus.py", "hypgraph.py"} <= found.keys()
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_kind_check_sees_each_way_to_branch_on_a_backend():
+    for code in (
+        "if m.handle.is_torus: pass",
+        "if handle.kind == 'torus': pass",
+        "x = 'graph' != h.kind",
+        "ok = kind in ('torus', 'graph')",
+        "if isinstance(h, TorusBackend): pass",
+        "from .hypgraph import GraphBackend",
+        "payload = as_torus_marking(m)",
+    ):
+        assert _backend_tests(ast.parse(code), set()), code
+    assert _backend_tests(ast.parse("if spec.kind == TRIVIAL_IBUNDLE: pass"), set()) == []
 
 
 # ------------------------------------------------------------- markings
@@ -161,10 +250,10 @@ def test_marking_distance_backend_mismatch():
 
 def test_curve_distance_and_diameter():
     h = BackendHandle.finite_graph(cycle_graph(6))
-    assert curve_distances_from(h, 0, [3]) == [3]
-    assert curve_distances_from(BackendHandle.torus(), Slope(0, 1), [Slope(8, 5)]) == [3]
+    assert h.distances_from(0, [3]) == [3]
+    assert BackendHandle.torus().distances_from(Slope(0, 1), [Slope(8, 5)]) == [3]
     with pytest.raises(ValidationError):
-        curve_distances_from(BackendHandle.torus(), 0, [1])
+        BackendHandle.torus().distances_from(0, [1])
     m1 = AbstractMarking(h, (0, 1))
     m2 = AbstractMarking(h, (2, 3))
     assert marking_diameter(m1, m2) == 3
@@ -174,17 +263,17 @@ def test_curve_distance_and_diameter():
 def test_curve_distances_from_is_a_row_of_curve_distance():
     g = BackendHandle.finite_graph(cycle_graph(7))
     row = [2, 0, 5, 6]
-    assert curve_distances_from(g, 2, row) == [g.graph.d(2, v) for v in row]
+    assert g.distances_from(2, row) == [g.graph.d(2, v) for v in row]
     t = BackendHandle.torus()
     rng = random.Random(5)
     slopes = [rand_torus_marking(rng, 12).payload.base for _ in range(20)] + [INFINITY]
     for a in slopes[:5]:
-        assert curve_distances_from(t, a, slopes) == [farey_distance(a, b) for b in slopes]
-    assert curve_distances_from(t, INFINITY, []) == []
+        assert t.distances_from(a, slopes) == [farey_distance(a, b) for b in slopes]
+    assert t.distances_from(INFINITY, []) == []
     with pytest.raises(ValidationError):
-        curve_distances_from(t, INFINITY, [Slope(0, 1), 1])
+        t.distances_from(INFINITY, [Slope(0, 1), 1])
     with pytest.raises(ValidationError):
-        curve_distances_from(t, 0, [Slope(0, 1)])
+        t.distances_from(0, [Slope(0, 1)])
 
 
 # ------------------------------------------------------------- projections
@@ -426,12 +515,14 @@ def test_marking_rows_chart_through_the_partner_slope(monkeypatch):
         assert len(neighbours) == 6 and None not in neighbours
 
 
-def test_as_torus_marking():
+def test_marking_payload_is_the_backends_value():
     m = torus_marking(Slope(0, 1), INFINITY)
-    assert as_torus_marking(m) == FareyMarking(Slope(0, 1), INFINITY)
+    assert m.payload == FareyMarking(Slope(0, 1), INFINITY)
     h = BackendHandle.finite_graph(cycle_graph(6))
-    with pytest.raises(BackendMismatchError):
-        as_torus_marking(AbstractMarking(h, (0,)))
+    g = AbstractMarking(h, (1, 0))
+    assert g.payload == (0, 1)
+    # a graph has no Teichmuller geometry: no balanced point, no tube
+    assert h.sigma(g.payload) is None and h.tube(g.payload, g.payload, 2) is None
 
 
 @settings(max_examples=40, deadline=None)
