@@ -106,7 +106,7 @@ def twisted_example() -> GluingGraph:
 
 
 def compression_example() -> GluingGraph:
-    disks = DiskSet(T, (parse_slope("0/1"),), owner="E0")
+    disks = DiskSet(T, (parse_slope("0/1"),))
     body = DecoratedManifoldSpec(
         "C",
         COMPRESSION_BODY,

@@ -29,7 +29,7 @@ from glueforge.gluing import (
     Identification,
     SlotMap,
 )
-from glueforge.halfplane import shortest_marking, sigma_of_marking, teich_distance
+from glueforge.halfplane import balanced_marking, sigma_matrix, sigma_of_marking, teich_distance
 from glueforge.model import build_skeleton
 from glueforge.surface import AbstractMarking, BackendHandle, marking_distance, sup_projection
 from glueforge.torus import (
@@ -37,7 +37,7 @@ from glueforge.torus import (
     FareyMarking,
     Slope,
     SurfaceMap,
-    is_adjacent,
+    intersection_number,
     parse_slope,
 )
 
@@ -81,7 +81,7 @@ def measure_projection(args: argparse.Namespace) -> None:
         for j in range(i + 1, len(ends)):
             geo = farey_geodesic(ends[i], ends[j])
             for w in annuli:
-                if any(w == v or is_adjacent(w, v) for v in geo):
+                if any(w == v or intersection_number(w, v) == 1 for v in geo):
                     continue
                 d = annular_projection_distance(AnnulusLabel(w), ends[i], ends[j])
                 worst = max(worst, d)
@@ -106,7 +106,8 @@ def measure_comparison(args: argparse.Namespace) -> None:
                 marking_distance(AbstractMarking(T, mu), AbstractMarking(T, nu)),
                 teich_distance(s, t),
                 marking_distance(
-                    AbstractMarking(T, shortest_marking(s)), AbstractMarking(T, shortest_marking(t))
+                    AbstractMarking(T, balanced_marking(sigma_matrix(mu))),
+                    AbstractMarking(T, balanced_marking(sigma_matrix(nu))),
                 ),
             )
         )

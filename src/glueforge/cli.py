@@ -62,7 +62,7 @@ FLAGS: dict[str, tuple[dict[str, Any], tuple]] = {
         {"type": float, "default": 0.1},
         ((lambda e: e > 0, "eps0 must be positive"), (lambda e: e < float("inf"), "eps0 must be finite")),
     ),
-    "samples": (
+    "samples": (  # model.DEFAULT_SAMPLES, which a cold report does not import
         {"type": ascii_int, "default": 9},
         (
             (lambda n: n >= 2, "sample count must be at least 2"),

@@ -165,7 +165,7 @@ class BoundarySpec(Record):
             raise ValidationError(f"decoration on {self.id} lives on the wrong backend")
         disks = self.disks
         if disks is None:
-            disks = DiskSet(self.handle, (), owner=self.id)
+            disks = DiskSet(self.handle, ())
             object.__setattr__(self, "disks", disks)
         elif disks.handle != self.handle:
             raise ValidationError(f"disk set on {self.id} lives on the wrong backend")
@@ -201,7 +201,7 @@ class BoundarySpec(Record):
             raise ParseError(f"boundary {bid} needs backend and decoration")
         handle = BackendHandle.from_json(obj["backend"], graphs)
         decoration = AbstractMarking.from_json(handle, obj["decoration"])
-        disks = DiskSet.from_json(handle, obj.get("disks", []), owner=bid)
+        disks = DiskSet.from_json(handle, obj.get("disks", []))
         # semantic rules (such as the compressible/disk-set pairing) keep
         # their own error type so callers can tell them from parse noise
         return BoundarySpec(

@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import PrecisionLossError, ValidationError
 from .record import Record
-from .torus import FareyMarking, Slope, SurfaceMap, cf_expansion, normalizer_to_infinity
+from .torus import FareyMarking, Slope, SurfaceMap, cf_expansion
 
 if TYPE_CHECKING:  # the decimal path imports decimal and fractions when it runs
     from decimal import Decimal
@@ -73,7 +73,6 @@ __all__ = [
     "balanced_marking",
     "curve_length",
     "shortest_slope",
-    "shortest_marking",
     "teich_distance",
     "teich_geodesic",
     "exact_tube_length",
@@ -99,9 +98,6 @@ class TeichPoint(Record):
     @property
     def z(self) -> complex:
         return complex(self.x, self.y)
-
-    def close_to(self, other: "TeichPoint", tol: float = 1e-9) -> bool:
-        return abs(self.z - other.z) <= tol * max(1.0, abs(self.z), abs(other.z))
 
 
 # i, the balanced point of the identity
@@ -252,28 +248,6 @@ def shortest_slope(z: TeichPoint) -> Slope:
     return _tie_break(cands, lambda p, q: _norm_sq(z, p, q), _TIE_TOL)
 
 
-def _window(minv: SurfaceMap, k0: int) -> Iterator[Slope]:
-    # Neighbours of a base are the pullbacks minv(k/1) of the integers under
-    # its canonical chart; the squared norm is quadratic in k, so a window
-    # around the real minimizer k0 suffices.
-    return (minv.on_slope(Slope(k, 1)) for k in range(k0 - 3, k0 + 5))
-
-
-def _shortest_neighbour(z: TeichPoint, base: Slope) -> Slope:
-    minv = normalizer_to_infinity(base).inverse()
-    ac = complex(minv.a, 0) - minv.c * z.z
-    bc = complex(minv.b, 0) - minv.d * z.z
-    denom = abs(ac) ** 2
-    k_star = 0.0 if denom == 0 else -(ac.conjugate() * bc).real / denom
-    return _tie_break(_window(minv, math.floor(k_star)), lambda p, q: _norm_sq(z, p, q), _TIE_TOL)
-
-
-def shortest_marking(z: TeichPoint) -> FareyMarking:
-    """Shortest slope plus its shortest Farey neighbour, with the fixed tie-break."""
-    base = shortest_slope(z)
-    return FareyMarking(base, _shortest_neighbour(z, base))
-
-
 def teich_distance(z: TeichPoint, w: TeichPoint) -> float:
     """Half the hyperbolic half-plane distance."""
     d2 = (z.x - w.x) ** 2 + (z.y - w.y) ** 2
@@ -300,7 +274,7 @@ def teich_geodesic(z: TeichPoint, w: TeichPoint, t: float) -> TeichPoint:
 
 
 def balanced_marking(g: SurfaceMap) -> FareyMarking:
-    """`shortest_marking` at the exact balanced point g i.  At i only 0/1
+    """The shortest marking at the exact balanced point g i.  At i only 0/1
     and 1/0 have length 1, and g carries slopes and their lengths at i to
     g i, so the marking is g(0/1) and g(1/0), ordered by the tie key."""
     ends = (g.on_slope(Slope(0, 1)), g.on_slope(Slope(1, 0)))

@@ -273,17 +273,20 @@ class GraphBackend(Record):
     def marking_distance(self, payload: tuple[int, ...], targets: Sequence[int]) -> int:
         return min(min(self.distances_from(x, targets)) for x in payload)
 
-    def geodesic(self, x: tuple[int, ...], y: tuple[int, ...]) -> list[int]:
-        # from the first closest pair, each step to the smallest neighbour
-        # closer to the target
-        g = self.graph
-        _, cur, end = min((g.d(u, v), u, v) for u in x for v in y)
-        adj, to_end = g.adjacency, g.row(end)
-        path = [cur]
-        while cur != end:
-            cur = min(w for w in adj[cur] if to_end[w] == to_end[cur] - 1)
-            path.append(cur)
+    def curve_geodesic(self, a: int, b: int) -> list[int]:
+        # each step to the smallest neighbour closer to the target
+        adj, to_end = self.graph.adjacency, self.graph.row(b)
+        path = [a]
+        while a != b:
+            a = min(w for w in adj[a] if to_end[w] == to_end[a] - 1)
+            path.append(a)
         return path
+
+    def geodesic(self, x: tuple[int, ...], y: tuple[int, ...]) -> list[int]:
+        # the walk from the first closest pair
+        g = self.graph
+        _, a, b = min((g.d(u, v), u, v) for u in x for v in y)
+        return self.curve_geodesic(a, b)
 
     def sup_projection(
         self, x: tuple[int, ...], y: tuple[int, ...], denom_bound: int | None

@@ -224,12 +224,6 @@ class StabilityReport(Record):
     extremal: tuple[int, int, int] | None
     degenerate: bool
 
-    def r_prime(self, h0: int) -> int:
-        for h, rp in self.table:
-            if h == h0:
-                return rp
-        return 0
-
 
 def check_qconvex_stability(g: FiniteGraph, subset: Sequence[int], r: int) -> StabilityReport:
     """Exhaustive scan over all configurations satisfying the hypotheses;

@@ -89,8 +89,3 @@ def _json(value: Any) -> Any:
     if isinstance(value, tuple):
         return [_json(v) for v in value]
     return value
-
-
-def replace(record: Record, /, **changes: Any) -> Any:
-    """A copy with some fields changed, checked again by `__post_init__`."""
-    return type(record)(**{**{n: record.__dict__[n] for n in record._fields}, **changes})

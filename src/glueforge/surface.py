@@ -55,9 +55,11 @@ class BackendHandle(Protocol):
 
     def to_json(self) -> dict: ...
 
-    # distance row from a curve vertex, and min distance from a marking
+    # distance row from a curve vertex, and min distance from a marking;
+    # geodesic between two curve vertices, and between two markings
     def distances_from(self, a: Any, targets: Sequence) -> list[int]: ...
     def marking_distance(self, payload: Any, targets: Sequence) -> int: ...
+    def curve_geodesic(self, a: Any, b: Any) -> list: ...
     def geodesic(self, x: Any, y: Any) -> list: ...
     def sup_projection(self, x: Any, y: Any, denom_bound: int | None) -> ProjectionResult: ...
 
@@ -151,12 +153,10 @@ class AbstractMarking(Record):
 
 
 class DiskSet(Record):
-    """Declared meridian list for a compressible boundary; possibly empty.
-    The owner string names the boundary in diagnostics."""
+    """Declared meridian list for a compressible boundary; possibly empty."""
 
     handle: BackendHandle
     elements: tuple
-    owner: str = ""
 
     def __post_init__(self) -> None:
         self.handle.check_disks(self.elements)
@@ -169,10 +169,10 @@ class DiskSet(Record):
         return self.handle.disks_to_json(self.elements)
 
     @staticmethod
-    def from_json(handle: BackendHandle, obj: object, owner: str = "") -> DiskSet:
+    def from_json(handle: BackendHandle, obj: object) -> DiskSet:
         if not isinstance(obj, list):
             raise ParseError("disk set must be a list")
-        return DiskSet(handle, handle.disks_from_json(obj), owner)
+        return DiskSet(handle, handle.disks_from_json(obj))
 
 
 class ProjectionResult(Record):
@@ -206,8 +206,7 @@ def disk_distance(m: AbstractMarking, disks: DiskSet) -> int:
     """Min curve-graph distance from the marking to the declared disk set."""
     _require_same(m.handle, disks.handle)
     if disks.is_empty:
-        name = disks.owner or "<unnamed>"
-        raise ValidationError(f"empty disk set on boundary {name}")
+        raise ValidationError("empty disk set")
     return m.handle.marking_distance(m.payload, disks.elements)
 
 

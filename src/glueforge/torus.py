@@ -37,7 +37,6 @@ __all__ = [
     "INFINITY",
     "parse_slope",
     "intersection_number",
-    "is_adjacent",
     "cf_expansion",
     "SurfaceMap",
     "IDENTITY",
@@ -114,10 +113,6 @@ def parse_slope(text: str) -> Slope:
 
 def intersection_number(a: Slope, b: Slope) -> int:
     return abs(a.p * b.q - b.p * a.q)
-
-
-def is_adjacent(a: Slope, b: Slope) -> bool:
-    return intersection_number(a, b) == 1
 
 
 def cf_expansion(a: Slope) -> list[int]:
@@ -295,10 +290,13 @@ class TorusBackend(Record):
             min(distances_from(transversal, targets, base)),
         )
 
-    def geodesic(self, x: FareyMarking, y: FareyMarking) -> list[Slope]:
+    def curve_geodesic(self, a: Slope, b: Slope) -> list[Slope]:
         from .farey import farey_geodesic
 
-        return farey_geodesic(x.base, y.base)
+        return farey_geodesic(a, b)
+
+    def geodesic(self, x: FareyMarking, y: FareyMarking) -> list[Slope]:
+        return self.curve_geodesic(x.base, y.base)
 
     def sup_projection(
         self, x: FareyMarking, y: FareyMarking, denom_bound: int | None

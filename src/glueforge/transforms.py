@@ -271,11 +271,7 @@ def _stack_path(handle: BackendHandle, seq: Sequence[AbstractMarking]) -> tuple[
         if path and path[-1] != seg[0]:
             # closest-pair segments on a graph backend may land on a
             # different representative of the junction marking
-            attach(
-                geodesic_between(
-                    AbstractMarking(handle, (path[-1],)), AbstractMarking(handle, (seg[0],))
-                )
-            )
+            attach(handle.curve_geodesic(path[-1], seg[0]))
         attach(seg)
     if not path:
         attach(geodesic_between(seq[0], seq[0]))

@@ -36,7 +36,6 @@ from glueforge.halfplane import (
     _balanced_ints,
     _exact_tie_break,
     _short_slopes,
-    _window,
     curve_length,
     shortest_slope,
 )
@@ -342,7 +341,8 @@ def reference_balanced_marking(g: SurfaceMap) -> FareyMarking:
     ar, ai = minv.a * den - minv.c * x, -minv.c
     br, bi = minv.b * den - minv.d * x, -minv.d
     k0 = -(ar * br + ai * bi) // (ar * ar + ai * ai)
-    neighbour, _ = _exact_tie_break(_window(minv, k0), x, 1, den)
+    window = (minv.on_slope(Slope(k, 1)) for k in range(k0 - 3, k0 + 5))
+    neighbour, _ = _exact_tie_break(window, x, 1, den)
     return FareyMarking(base, neighbour)
 
 

@@ -35,13 +35,13 @@ from glueforge.gluing import (
     heights,
     validate_gluing,
 )
-from glueforge.halfplane import shortest_marking, sigma_of_marking, teich_distance
+from glueforge.halfplane import balanced_marking, sigma_matrix, sigma_of_marking, teich_distance
 from glueforge.hypgraph import FiniteGraph
 from glueforge.hyplab import check_qconvex_stability
 from glueforge.ioutil import canonical_dumps
 from glueforge.model import build_skeleton
 from glueforge.surface import AbstractMarking, geodesic_between, marking_distance, sup_projection
-from glueforge.torus import REFLECTION, Slope, SurfaceMap, is_adjacent
+from glueforge.torus import REFLECTION, Slope, SurfaceMap, intersection_number
 from glueforge.transforms import collapse_ibundles, combine_stack
 from oracles import (
     CompressionStep,
@@ -276,7 +276,7 @@ def test_criterion_06_bounded_geodesic_projection():
             for j in range(i + 1, len(endpoints)):
                 geo = farey_geodesic(endpoints[i], endpoints[j])
                 for w in pick(geo):
-                    if any(w == v or is_adjacent(w, v) for v in geo):
+                    if any(w == v or intersection_number(w, v) == 1 for v in geo):
                         continue
                     d = annular_projection_distance(AnnulusLabel(w), endpoints[i], endpoints[j])
                     worst = max(worst, d)
@@ -305,7 +305,8 @@ def test_criterion_07_marking_teichmueller_comparison():
         s, t = sigma_of_marking(mu), sigma_of_marking(nu)
         dt = teich_distance(s, t)
         dc2 = marking_distance(
-            AbstractMarking(T, shortest_marking(s)), AbstractMarking(T, shortest_marking(t))
+            AbstractMarking(T, balanced_marking(sigma_matrix(mu))),
+            AbstractMarking(T, balanced_marking(sigma_matrix(nu))),
         )
         rows.append((dc, dt, dc2))
 

@@ -1666,6 +1666,13 @@ ALL_FLAGS = {
 }
 
 
+def test_the_samples_flag_defaults_to_the_model_default():
+    # cli holds its own copy, so that a cold report does not import model
+    from glueforge.model import DEFAULT_SAMPLES
+
+    assert cli.FLAGS["samples"][0]["default"] == DEFAULT_SAMPLES
+
+
 @pytest.mark.parametrize("command", list(DEFAULT_PARAMS))
 def test_each_command_takes_only_the_flags_it_reads(files, capsys, command):
     source = files["c6" if command == "hyplab" else "chain"]

@@ -82,7 +82,7 @@ def core(mid: str, *decorations: AbstractMarking, disks=None) -> DecoratedManifo
         if elems is None:
             bs.append(BoundarySpec(f"E{i}", handle=T, decoration=dec))
         else:
-            ds = DiskSet(T, tuple(elems), owner=f"E{i}")
+            ds = DiskSet(T, tuple(elems))
             bs.append(
                 BoundarySpec(f"E{i}", handle=T, decoration=dec, compressible=True, disks=ds)
             )
@@ -132,7 +132,6 @@ def test_boundary_spec_validation():
         )
     plain = BoundarySpec("E0", handle=T, decoration=M_BASE)
     assert plain.disks is not None and plain.disks.is_empty
-    assert plain.disks.owner == "E0"
 
 
 def test_manifold_kind_invariants():
@@ -189,7 +188,7 @@ def test_bundle_kind_invariants():
 
 
 def test_compression_body_invariants():
-    ds = DiskSet(T, (Slope(0, 1),), owner="E0")
+    ds = DiskSet(T, (Slope(0, 1),))
     exterior = BoundarySpec("E0", handle=T, decoration=M_BASE, compressible=True, disks=ds)
     interior = BoundarySpec("E1", handle=T, decoration=M_BASE)
     body = DecoratedManifoldSpec("C", COMPRESSION_BODY, (exterior, interior))
@@ -860,7 +859,7 @@ def conjugate_slot(x: GluingGraph, piece: str, bdry: str, g: SurfaceMap) -> Glui
                     handle=b.handle,
                     decoration=gmap.apply(b.decoration),
                     compressible=b.compressible,
-                    disks=DiskSet(T, tuple(g.on_slope(s) for s in disks.elements), disks.owner),
+                    disks=DiskSet(T, tuple(g.on_slope(s) for s in disks.elements)),
                 )
             )
         new_manifolds.append(
@@ -964,7 +963,7 @@ def test_action_invariance_of_report_and_collapse_at_depth(tmp_path, capsys):
 
 
 def full_featured_gluing() -> GluingGraph:
-    ds = DiskSet(T, (Slope(0, 1), Slope(1, 1)), owner="E0")
+    ds = DiskSet(T, (Slope(0, 1), Slope(1, 1)))
     body = DecoratedManifoldSpec(
         "C",
         COMPRESSION_BODY,

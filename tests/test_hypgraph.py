@@ -454,14 +454,14 @@ def test_stability_subset_all_vertices_degenerate():
     assert rep.degenerate
     assert all(rp == 0 for _, rp in rep.table)
     assert rep.extremal is None
-    assert rep.r_prime(0) == 0
+    assert dict(rep.table)[0] == 0
 
 
 def test_stability_tree_leaf_frozen():
     t = path_graph(5)
     for leaf in (0, 4):
         rep = check_qconvex_stability(t, [leaf], 0)
-        assert rep.r_prime(0) == 0
+        assert dict(rep.table)[0] == 0
         assert rep.degenerate
         assert rep.table == tuple((h, 0) for h in range(5))
 
@@ -509,7 +509,7 @@ def test_stability_oracle_agreement_and_monotone(g, data):
     if rep.extremal is not None:
         x, y, z = rep.extremal
         to_sub = min(t.d(z, s) for s in sub)
-        assert t.d(z, y) - to_sub == rep.r_prime(0)
+        assert t.d(z, y) - to_sub == dict(rep.table)[0]
     d = rep.to_json()
     assert d["r"] == r and len(d["table"]) == len(rep.table)
 

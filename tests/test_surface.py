@@ -126,7 +126,9 @@ IMPLEMENTATIONS = {"TorusBackend", "GraphBackend"}
 def _backend_tests(tree: ast.AST, allowed: set[ast.AST]) -> list[str]:
     """What tells one backend from the other: anywhere, a read of is_torus
     or as_torus_marking; outside the allowed nodes, a comparison with a
-    backend kind or of a handle's kind, and a name of an implementation."""
+    backend kind or of a handle's kind, a name of an implementation, and
+    an AbstractMarking built from a tuple or list literal, which is one
+    backend's payload."""
     found = []
     for node in ast.walk(tree):
         name = getattr(node, "attr", None) or getattr(node, "id", None)
@@ -147,6 +149,10 @@ def _backend_tests(tree: ast.AST, allowed: set[ast.AST]) -> list[str]:
                 if isinstance(p, ast.Attribute) and p.attr == "kind" and "handle" in ast.unparse(p.value)
             ]
             if kinds & BACKEND_KINDS or handle_kinds:
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "AbstractMarking":
+            payload = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "payload")]
+            if any(isinstance(p, (ast.Tuple, ast.List)) for p in payload):
                 found.append(f"line {node.lineno}: {ast.unparse(node)}")
     return found
 
@@ -181,9 +187,12 @@ def test_the_kind_check_sees_each_way_to_branch_on_a_backend():
         "if isinstance(h, TorusBackend): pass",
         "from .hypgraph import GraphBackend",
         "payload = as_torus_marking(m)",
+        "m = AbstractMarking(handle, (path[-1],))",
+        "m = AbstractMarking(h, payload=[0, 1])",
     ):
         assert _backend_tests(ast.parse(code), set()), code
-    assert _backend_tests(ast.parse("if spec.kind == TRIVIAL_IBUNDLE: pass"), set()) == []
+    for code in ("if spec.kind == TRIVIAL_IBUNDLE: pass", "m = AbstractMarking(h, f(m.payload))"):
+        assert _backend_tests(ast.parse(code), set()) == [], code
 
 
 # ------------------------------------------------------------- markings
@@ -322,19 +331,19 @@ def test_sup_projection_graph_lookup_and_unmodeled():
 def test_disk_distance_frozen_examples():
     h = BackendHandle.torus()
     m = torus_marking(Slope(2, 5), Slope(1, 2))
-    disks = DiskSet(h, (Slope(0, 1),), owner="E0")
+    disks = DiskSet(h, (Slope(0, 1),))
     assert disk_distance(m, disks) == 1  # d(0,1/2)=1 beats d(0,2/5)=2
     assert disk_distance(torus_marking(Slope(0, 1), INFINITY), disks) == 0
-    far = DiskSet(h, (Slope(13, 8),), owner="E0")
+    far = DiskSet(h, (Slope(13, 8),))
     expect = min(farey_distance(Slope(13, 8), s) for s in (Slope(2, 5), Slope(1, 2)))
     assert disk_distance(m, far) == expect
 
 
-def test_disk_distance_empty_names_boundary():
+def test_disk_distance_empty_raises():
     h = BackendHandle.torus()
     m = torus_marking(Slope(0, 1), INFINITY)
-    with pytest.raises(ValidationError, match="boundary E3"):
-        disk_distance(m, DiskSet(h, (), owner="E3"))
+    with pytest.raises(ValidationError, match="empty disk set"):
+        disk_distance(m, DiskSet(h, ()))
 
 
 def test_disk_set_validation_and_json():
@@ -346,8 +355,8 @@ def test_disk_set_validation_and_json():
         DiskSet(hg, (Slope(0, 1),))
     with pytest.raises(ValidationError):
         DiskSet(hg, (9,))
-    d = DiskSet(h, (Slope(0, 1), Slope(1, 2)), owner="E0")
-    assert DiskSet.from_json(h, d.to_json(), owner="E0") == d
+    d = DiskSet(h, (Slope(0, 1), Slope(1, 2)))
+    assert DiskSet.from_json(h, d.to_json()) == d
     dg = DiskSet(hg, (0, 3))
     assert DiskSet.from_json(hg, dg.to_json()) == dg
 
@@ -359,7 +368,7 @@ def test_disk_triangle_with_marking_diameter_slack():
     h = BackendHandle.torus()
     m = torus_marking(Slope(0, 1), INFINITY)
     mp = torus_marking(Slope(3, 1), INFINITY)
-    disks = DiskSet(h, (Slope(3, 1),), owner="E")
+    disks = DiskSet(h, (Slope(3, 1),))
     assert marking_distance(m, mp) == 0
     assert disk_distance(mp, disks) == 0
     assert disk_distance(m, disks) == 1  # strict violation of the raw form
@@ -367,7 +376,7 @@ def test_disk_triangle_with_marking_diameter_slack():
     for _ in range(200):
         a = rand_torus_marking(rng)
         b = rand_torus_marking(rng)
-        dset = DiskSet(h, tuple({rand_torus_marking(rng).elements()[0]}), owner="E")
+        dset = DiskSet(h, tuple({rand_torus_marking(rng).elements()[0]}))
         lhs = disk_distance(a, dset)
         rhs = marking_distance(a, b) + disk_distance(b, dset) + marking_diameter(b)
         assert lhs <= rhs
@@ -472,6 +481,22 @@ def test_geodesic_between_graph_deterministic():
     assert path == [0, 1, 2, 3]
     p2 = geodesic_between(AbstractMarking(h, (0, 1)), AbstractMarking(h, (3, 2)))
     assert p2 == [1, 2]  # closest pair (1,2), not (0,3)
+
+
+def test_curve_geodesic_joins_two_vertices_on_both_backends():
+    # the vertex geodesic under the marking one: the Farey geodesic of the
+    # bases on the torus, the walk from the closest pair on a graph
+    t = BackendHandle.torus()
+    m1 = torus_marking(Slope(2, 5), Slope(1, 2))
+    m2 = torus_marking(INFINITY, Slope(0, 1))
+    assert t.curve_geodesic(Slope(2, 5), INFINITY) == geodesic_between(m1, m2)
+    assert t.curve_geodesic(Slope(1, 2), Slope(1, 2)) == [Slope(1, 2)]
+    h = BackendHandle.finite_graph(cycle_graph(7))
+    for u in range(7):
+        for v in range(7):
+            path = h.curve_geodesic(u, v)
+            assert path == geodesic_between(AbstractMarking(h, (u,)), AbstractMarking(h, (v,)))
+            assert path[0] == u and path[-1] == v and len(path) == h.graph.d(u, v) + 1
 
 
 def test_marking_to_path_distance():

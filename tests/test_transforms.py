@@ -31,7 +31,6 @@ from glueforge.gluing import (
     slot_measures,
 )
 from glueforge.ioutil import canonical_dumps, sha256_of_text
-from glueforge.record import replace
 from glueforge.surface import (
     AbstractMarking,
     BackendHandle,
@@ -782,7 +781,7 @@ def test_collapse_fibered_twisted_left_alone():
 
 
 def test_collapse_compressible_neighbor_excess():
-    ds = DiskSet(T, (Slope(0, 1),), owner="E0")
+    ds = DiskSet(T, (Slope(0, 1),))
     left = DecoratedManifoldSpec(
         "ML",
         GENERIC,
@@ -922,7 +921,7 @@ def meridian_bound_chain(power: int, meridian: Slope) -> GluingGraph:
     """An axis chain whose left slot is compressible, its meridian a slope
     of the marking that collapse induces there: the slot's height exceeds
     its projection value, so clause b sets r_prime."""
-    ds = DiskSet(T, (meridian,), owner="E0")
+    ds = DiskSet(T, (meridian,))
     left = DecoratedManifoldSpec(
         "ML",
         GENERIC,
@@ -998,7 +997,7 @@ def test_collapse_report_bytes_pinned(name):
 
 
 def body_spec(mid: str, meridian: str = "0/1", extra: int = 1) -> DecoratedManifoldSpec:
-    ds = DiskSet(T, (parse_slope(meridian),), owner="E0")
+    ds = DiskSet(T, (parse_slope(meridian),))
     bs = [BoundarySpec("E0", handle=T, decoration=MU, compressible=True, disks=ds)]
     for i in range(extra):
         bs.append(BoundarySpec(f"E{i+1}", handle=T, decoration=mk("1/1", "1/0")))
@@ -1221,7 +1220,8 @@ def test_split_spec_records_hash_and_keep_their_bytes():
     assert canonical_dumps(again.to_json()) == text
     graph_map = {"perm": [0, 2, 1], "reverses_orientation": True}
     split = Splitting(outer.splitting.pieces, (("core", "B1", "body", "E0", json.dumps(graph_map)),))
-    assert replace(split) == split and hash(replace(split)) == hash(split)
+    copy = Splitting(split.pieces, split.identifications)
+    assert copy == split and hash(copy) == hash(split)
     assert split.to_json()["identifications"][0]["map"] == graph_map
     assert Splitting.from_json(split.to_json()) == split
     # key order is part of the stored text, as it is of the input
