@@ -195,8 +195,12 @@ class BoundarySpec(Record):
         if not isinstance(obj, Mapping) or "id" not in obj:
             raise ParseError("boundary spec must be an object with an id")
         bid = json_str(obj["id"], "boundary id")
-        if json_bool(obj, "toroidal", False):
-            return BoundarySpec(bid, toroidal=True)
+        toroidal = json_bool(obj, "toroidal", False)
+        if toroidal and "backend" not in obj and "decoration" not in obj:
+            # no chart to read meridians in: declared ones make the boundary
+            # compressible, which the constructor refuses, as it does a chart
+            declared = json_bool(obj, "compressible", False) or obj.get("disks", []) != []
+            return BoundarySpec(bid, compressible=declared, toroidal=True)
         if "backend" not in obj or "decoration" not in obj:
             raise ParseError(f"boundary {bid} needs backend and decoration")
         handle = BackendHandle.from_json(obj["backend"], graphs)
@@ -210,6 +214,7 @@ class BoundarySpec(Record):
             decoration=decoration,
             compressible=json_bool(obj, "compressible", False),
             disks=disks,
+            toroidal=toroidal,
         )
 
 

@@ -4,9 +4,11 @@ Teichmueller space is the upper half plane with the distance halved, so
 that the translation length conventions match the curve-length formula
 len_z(p/q) = |p - q z| / sqrt(y).  Mapping classes act on points by
 Moebius transformations (det +1) or anti-Moebius ones (det -1, conjugate
-first).  Only the model skeleton runs this geometry (`tube`,
-`sigma_of_marking`, `balanced_marking`); the certificates and the collapse
-are exact Farey-graph combinatorics.
+first).  Only the model skeleton runs this geometry, through the torus
+backend: `sigma_of_marking` for an anchor, and `tube` for a tube, which
+returns a `Tube`, the one record of a tube's geometry and its thickness
+facts.  The certificates and the collapse are exact Farey-graph
+combinatorics.
 
 The shortest slope at x + iy costs O(log 1/y): Lagrange-Gauss reduction of
 the lattice Z + Zz runs exactly on the rationals x and y, scaled to
@@ -18,9 +20,10 @@ The balanced point of sigma = [[a, b], [c, d]] is the rational point
 ((ac + bd) + i)/(c^2 + d^2), and its precision demand (`precision_demand`)
 is the bit length of max(c^2 + d^2, |ac + bd|), that is of 1/y and |x|/y.
 `sigma_of_marking` picks for its one point, and `tube` for both ends of a
-tube at once.  A tube's continued-fraction coefficient needs no pick: it
-is read on both paths from integers, `relative_cf_max_coeff` of the
-`balanced_marking`s of the tube's two sigma matrices.
+tube at once.  A tube's continued-fraction coefficient
+(`Tube.cf_coefficient`) needs no pick: it is read on both paths from
+integers, `relative_cf_max_coeff` of the `balanced_marking`s of the
+tube's two sigma matrices.
 
 * Up to PRECISION_BITS the double path runs: the balanced point is the
   float Moebius image of i, and tubes are measured and sampled in doubles
@@ -78,6 +81,8 @@ __all__ = [
     "exact_tube_length",
     "exact_tube_samples",
     "relative_cf_max_coeff",
+    "TubeSample",
+    "Tube",
     "tube",
 ]
 
@@ -98,6 +103,26 @@ class TeichPoint(Record):
     @property
     def z(self) -> complex:
         return complex(self.x, self.y)
+
+    def to_json(self) -> list[float]:
+        return [self.x, self.y]
+
+
+class TubeSample(Record):
+    """One fiber of a tube: parameter, modulus, and its shortest geometry."""
+
+    t: float
+    point: TeichPoint
+    systole: float
+    shortest: Slope
+
+    def to_json(self) -> dict:
+        return {
+            "t": self.t,
+            "point": self.point.to_json(),
+            "systole": self.systole,
+            "shortest": [self.shortest.p, self.shortest.q],
+        }
 
 
 # i, the balanced point of the identity
@@ -351,13 +376,9 @@ def exact_tube_length(g_a: SurfaceMap, g_b: SurfaceMap) -> float:
     return _correctly_rounded(length, 53 + _GUARD_BITS)
 
 
-# one fiber of a tube: parameter t, point, systole and shortest slope
-_Sample = tuple[float, TeichPoint, float, Slope]
-
-
-def exact_tube_samples(g_a: SurfaceMap, g_b: SurfaceMap, n: int) -> tuple[_Sample, ...]:
-    """n correctly rounded samples (t, point, systole, shortest slope) at
-    equal steps of arclength on the exact geodesic from g_a i to g_b i.
+def exact_tube_samples(g_a: SurfaceMap, g_b: SurfaceMap, n: int) -> tuple[TubeSample, ...]:
+    """n correctly rounded samples at equal steps of arclength on the
+    exact geodesic from g_a i to g_b i.
 
     The ends are the exact balanced points.  A geodesic with x_a != x_b is
     the semicircle of rational centre c = (|z_b|^2 - |z_a|^2)/(2 (x_b - x_a))
@@ -425,7 +446,7 @@ def exact_tube_samples(g_a: SurfaceMap, g_b: SurfaceMap, n: int) -> tuple[_Sampl
 
     points = _correctly_rounded(samples, bits)
     return tuple(
-        (k / (n - 1), TeichPoint(x, y), systole, slope)
+        TubeSample(k / (n - 1), TeichPoint(x, y), systole, slope)
         for k, (x, y, systole, slope) in enumerate(points)
     )
 
@@ -433,15 +454,44 @@ def exact_tube_samples(g_a: SurfaceMap, g_b: SurfaceMap, n: int) -> tuple[_Sampl
 # ------------------------------------------------------------------ tubes
 
 
-def tube(mu: FareyMarking, nu: FareyMarking, n: int) -> tuple[
-    tuple[SurfaceMap, SurfaceMap], TeichPoint, TeichPoint, float, bool, tuple[_Sample, ...]
-]:
+class Tube(Record):
+    """The geometry of one tube: the sigma matrices of its ends, its two
+    end points, its length, whether it is degenerate (one point, length 0),
+    and its samples at equal steps of arclength.  Its JSON leaves out the
+    sigma matrices, from which its continued-fraction coefficient is read;
+    a tube read back from JSON has none."""
+
+    ends: tuple[SurfaceMap, SurfaceMap] | None
+    sigma_a: TeichPoint
+    sigma_b: TeichPoint
+    length: float
+    degenerate: bool
+    samples: tuple[TubeSample, ...]
+
+    @property
+    def min_systole(self) -> float:
+        return min(s.systole for s in self.samples)
+
+    @property
+    def cf_coefficient(self) -> int:
+        """`relative_cf_max_coeff` of the `balanced_marking`s of the ends,
+        read from integers on both paths."""
+        return relative_cf_max_coeff(*map(balanced_marking, self.ends))
+
+    def to_json(self) -> dict:
+        return {
+            "sigma_a": self.sigma_a.to_json(),
+            "sigma_b": self.sigma_b.to_json(),
+            "length": self.length,
+            "degenerate": self.degenerate,
+            "samples": [s.to_json() for s in self.samples],
+        }
+
+
+def tube(mu: FareyMarking, nu: FareyMarking, n: int) -> Tube:
     """The tube between the balanced points of mu and nu, by the rule for a
-    whole tube: the sigma matrices of its ends, its two end points, its
-    length, whether it is degenerate (one point, length 0), and n samples
-    (t, point, systole, shortest slope) at equal steps of arclength.  A
-    degenerate tube is the product of one fiber with an interval: two
-    samples of its one point for any n."""
+    whole tube, with n samples.  A degenerate tube is the product of one
+    fiber with an interval: two samples of its one point for any n."""
     if n < 2:
         raise ValidationError("tube sampling needs at least 2 samples")
     ends = (sigma_matrix(mu), sigma_matrix(nu))
@@ -451,7 +501,7 @@ def tube(mu: FareyMarking, nu: FareyMarking, n: int) -> tuple[
     if _exact(*ends):
         z_a, z_b = map(balanced_point, ends)
         length = 0.0 if degenerate else exact_tube_length(*ends)
-        return ends, z_a, z_b, length, degenerate, exact_tube_samples(*ends, n)
+        return Tube(ends, z_a, z_b, length, degenerate, exact_tube_samples(*ends, n))
     z_a, z_b = (on_point(g, _I) for g in ends)
     length = 0.0 if degenerate else teich_distance(z_a, z_b)
     far = z_a if degenerate else z_b
@@ -460,5 +510,5 @@ def tube(mu: FareyMarking, nu: FareyMarking, n: int) -> tuple[
         z = teich_geodesic(z_a, far, k / (n - 1))
         # curve_length of the shortest slope is exactly what systole returns
         shortest = shortest_slope(z)
-        samples.append((k / (n - 1), z, curve_length(z, shortest), shortest))
-    return ends, z_a, z_b, length, degenerate, tuple(samples)
+        samples.append(TubeSample(k / (n - 1), z, curve_length(z, shortest), shortest))
+    return Tube(ends, z_a, z_b, length, degenerate, tuple(samples))

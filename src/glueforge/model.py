@@ -4,15 +4,11 @@ A decorated gluing determines a piecewise metric model: every piece keeps
 an opaque interior whose boundary restrictions are the balanced points of
 its decorations, and every identification contributes a tube swept along
 the half-plane geodesic between the two induced balanced points.  Each
-slot's backend supplies its balanced points and tube geometry: on the
-torus the fiber geometry is computed exactly from the modulus, while
-finite-graph slots have no geometry and their tubes stay combinatorial,
-so a gluing on graph backends alone loads no torus code: the half-plane
-geometry (`halfplane`) is imported where a geometric tube or anchor is
-built.  `halfplane.tube` measures and samples a whole tube in one call,
-picking the arithmetic, doubles or its correctly rounded decimal path,
-from the sigma matrices of its ends; the tube keeps them, and on either
-path its continued-fraction coefficient is read from their integers.
+slot's backend supplies its balanced points and its tube, a
+`halfplane.Tube` that holds the whole tube's geometry and its thickness
+facts, or None: finite-graph slots have no geometry and their tubes stay
+combinatorial.  This module reads those records and knows no torus
+geometry, so a gluing on graph backends alone loads no torus code.
 
 A skeleton has two serializations: `ModelSkeleton.to_json` is the skeleton
 JSON that `glueforge model` prints inside its report envelope, and
@@ -28,11 +24,9 @@ from typing import TYPE_CHECKING
 from .errors import ValidationError, clip
 from .gluing import GluingGraph, Slot, SlotMap, _slot_name
 from .record import Record
-from .surface import AbstractMarking
 
-if TYPE_CHECKING:  # geometric tubes and anchors import the half-plane layer
-    from .halfplane import TeichPoint
-    from .torus import Slope, SurfaceMap
+if TYPE_CHECKING:  # the torus backend builds the half-plane records
+    from .halfplane import TeichPoint, Tube
 
 # the horizontal complement is a convention, not data: on the torus the
 # flat product split is used and recorded so exports stay comparable
@@ -45,64 +39,42 @@ DEFAULT_SAMPLES = 9
 # vertices per fiber ring of the OBJ sweep
 FIBER_RESOLUTION = 16
 
+# the JSON geometry fields of a combinatorial tube
+_NO_GEOMETRY = {"sigma_a": None, "sigma_b": None, "length": 0.0, "degenerate": False, "samples": []}
 
-def _point_json(z: TeichPoint | None) -> list[float] | None:
-    return None if z is None else [z.x, z.y]
-
-
-class TubeSample(Record):
-    """One fiber of a tube: parameter, modulus, and its shortest geometry."""
-
-    t: float
-    point: TeichPoint
-    systole: float
-    shortest: Slope
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "point": _point_json(self.point),
-            "systole": self.systole,
-            "shortest": [self.shortest.p, self.shortest.q],
-        }
 
 class TubeBlock(Record):
-    """Geodesic tube between two induced balanced points.
+    """Tube between two induced balanced points.
 
     kind is "internal" for a two-slot identification, "quotient" for a
     self-identification (the involution is kept for the record), and
     "boundary" for a free slot joined to its share of the free marking.
-    Equal endpoints force the degenerate flag: the block is then the
-    product of the fiber with a unit interval.  Combinatorial tubes come
-    from finite-graph slots and carry no geometry at all.  A geometric
-    tube keeps ends, the sigma matrices of its two sides, from which
-    `verify_thickness` reads its continued-fraction coefficient.
+    geometry is the backend's tube, None for a combinatorial tube of
+    finite-graph slots.  A degenerate tube, of equal endpoints, is the
+    product of the fiber with a unit interval.
     """
 
     slot_a: Slot
     slot_b: Slot
     kind: str
-    combinatorial: bool = False
-    sigma_a: TeichPoint | None = None
-    sigma_b: TeichPoint | None = None
-    length: float = 0.0
-    degenerate: bool = False
+    geometry: Tube | None
     involution: SlotMap | None = None
-    samples: tuple[TubeSample, ...] = ()
-    ends: tuple[SurfaceMap, SurfaceMap] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("internal", "quotient", "boundary"):
             raise ValidationError(f"unknown tube kind {clip(self.kind)}")
-        if self.combinatorial:
+        g = self.geometry
+        if g is None:
             return
-        if self.sigma_a is None or self.sigma_b is None:
-            raise ValidationError(f"tube {self.name} lacks endpoint geometry")
-        if self.degenerate:
-            if self.length != 0.0:
+        if g.degenerate:
+            if g.length != 0.0:
                 raise ValidationError(f"degenerate tube {self.name} with length")
-        elif not self.length > 0.0:
+        elif not g.length > 0.0:
             raise ValidationError(f"tube {self.name} needs positive length")
+
+    @property
+    def combinatorial(self) -> bool:
+        return self.geometry is None
 
     @property
     def name(self) -> str:
@@ -116,11 +88,7 @@ class TubeBlock(Record):
             "slot_b": list(self.slot_b),
             "kind": self.kind,
             "combinatorial": self.combinatorial,
-            "sigma_a": _point_json(self.sigma_a),
-            "sigma_b": _point_json(self.sigma_b),
-            "length": self.length,
-            "degenerate": self.degenerate,
-            "samples": [s.to_json() for s in self.samples],
+            **(_NO_GEOMETRY if self.geometry is None else self.geometry.to_json()),
         }
         if self.involution is not None:
             out["involution"] = {
@@ -139,7 +107,7 @@ class PieceBlock(Record):
     def to_json(self) -> dict:
         return {
             "piece": self.piece,
-            "anchors": {bid: _point_json(z) for bid, z in self.anchors},
+            "anchors": {bid: None if z is None else z.to_json() for bid, z in self.anchors},
             "volume_tag": self.volume_tag,
         }
 
@@ -167,35 +135,6 @@ class ModelSkeleton(Record):
             },
         }
 
-def _tube(
-    slot_a: Slot,
-    slot_b: Slot,
-    kind: str,
-    mu: AbstractMarking,
-    nu: AbstractMarking,
-    samples: int,
-    involution: SlotMap | None = None,
-) -> TubeBlock:
-    """The tube from mu to nu, combinatorial where the backend has no
-    geometry."""
-    geometry = mu.handle.tube(mu.payload, nu.payload, samples)
-    if geometry is None:
-        return TubeBlock(slot_a, slot_b, kind, combinatorial=True, involution=involution)
-    ends, sigma_a, sigma_b, length, degenerate, points = geometry
-    return TubeBlock(
-        slot_a,
-        slot_b,
-        kind,
-        sigma_a=sigma_a,
-        sigma_b=sigma_b,
-        length=length,
-        degenerate=degenerate,
-        involution=involution,
-        samples=tuple(TubeSample(*s) for s in points),
-        ends=ends,
-    )
-
-
 def build_skeleton(
     x: GluingGraph,
     samples: int = DEFAULT_SAMPLES,
@@ -220,8 +159,9 @@ def build_skeleton(
         # a self-identification pairs the slot with itself through its map
         partner, push = x.psi(slot)
         kind, involution = ("quotient", push) if partner == slot else ("internal", None)
-        nu = push.apply(x.decoration(partner))
-        tubes.append(_tube(slot, partner, kind, x.decoration(slot), nu, samples, involution))
+        mu, nu = x.decoration(slot), push.apply(x.decoration(partner))
+        geometry = mu.handle.tube(mu.payload, nu.payload, samples)
+        tubes.append(TubeBlock(slot, partner, kind, geometry, involution))
 
     for slot in x.slots():
         if x.is_buried(slot):
@@ -235,16 +175,19 @@ def build_skeleton(
                 stacklevel=2,
             )
             continue
-        tubes.append(_tube(slot, slot, "boundary", x.decoration(slot), free, samples))
+        mu = x.decoration(slot)
+        geometry = mu.handle.tube(mu.payload, free.payload, samples)
+        tubes.append(TubeBlock(slot, slot, "boundary", geometry))
 
-    sampled = [s.systole for t in tubes for s in t.samples]
+    geometric = [t.geometry for t in tubes if t.geometry is not None]
+    sampled = [s.systole for g in geometric for s in g.samples]
     return ModelSkeleton(
         pieces=tuple(blocks),
         tubes=tuple(tubes),
         incidence=tuple(
             (_slot_name(t.slot_a), _slot_name(t.slot_b)) for t in tubes
         ),
-        total_tube_length=math.fsum(t.length for t in tubes),
+        total_tube_length=math.fsum(g.length for g in geometric),
         min_sampled_systole=min(sampled) if sampled else None,
     )
 
@@ -277,16 +220,11 @@ def verify_thickness(s: ModelSkeleton, eps0: float) -> ThicknessReport:
     """Compare every sampled tube systole against the thickness floor."""
     if not eps0 > 0:
         raise ValidationError("thickness floor must be positive")
-    rows = []
-    for tube in s.tubes:
-        if tube.combinatorial or not tube.samples:
-            continue
-        from .halfplane import balanced_marking, relative_cf_max_coeff
-
-        assert tube.ends is not None
-        low = min(smp.systole for smp in tube.samples)
-        coefficient = relative_cf_max_coeff(*map(balanced_marking, tube.ends))
-        rows.append(ThicknessRow(tube.name, low, low >= eps0, coefficient))
+    rows = [
+        ThicknessRow(t.name, g.min_systole, g.min_systole >= eps0, g.cf_coefficient)
+        for t in s.tubes
+        if (g := t.geometry) is not None
+    ]
     return ThicknessReport(
         eps0=eps0,
         rows=tuple(rows),
@@ -305,13 +243,14 @@ def export_skeleton(s: ModelSkeleton) -> str:
     lines = [f"# {SCHEMA} sweep, horizontal split {HORIZONTAL_SPLIT}"]
     base = 0
     for index, tube in enumerate(s.tubes):
-        if tube.combinatorial or not tube.samples:
+        g = tube.geometry
+        if g is None:
             continue
         lines.append(f"o {tube.name}")
-        span = tube.length if not tube.degenerate else 1.0
+        span = g.length if not g.degenerate else 1.0
         offset = 3.0 * index
-        rings = len(tube.samples)
-        for smp in tube.samples:
+        rings = len(g.samples)
+        for smp in g.samples:
             radius = smp.systole / (2.0 * math.pi)
             cx = smp.t * span
             for j in range(FIBER_RESOLUTION):

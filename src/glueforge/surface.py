@@ -30,7 +30,7 @@ from .record import Record
 
 if TYPE_CHECKING:  # each implementation is imported where it is built
     from .gluing import SlotMap
-    from .halfplane import TeichPoint
+    from .halfplane import TeichPoint, Tube
     from .hypgraph import FiniteGraph, GraphProjection
 
 __all__ = [
@@ -83,10 +83,10 @@ class BackendHandle(Protocol):
     def map_to_json(self, f: SlotMap) -> object: ...
     def map_from_json(self, obj: object) -> SlotMap: ...
 
-    # model geometry: a marking's balanced point and a tube's
-    # `halfplane.tube`, None without Teichmuller structure
+    # model geometry: a marking's balanced point and a `halfplane.Tube`,
+    # None without Teichmuller structure
     def sigma(self, payload: Any) -> TeichPoint | None: ...
-    def tube(self, mu: Any, nu: Any, samples: int) -> tuple | None: ...
+    def tube(self, mu: Any, nu: Any, samples: int) -> Tube | None: ...
 
     @staticmethod
     def torus() -> BackendHandle:

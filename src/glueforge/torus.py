@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # fractions loads decimal: Slope.value imports it when called
     from fractions import Fraction
 
     from .gluing import SlotMap
-    from .halfplane import TeichPoint
+    from .halfplane import TeichPoint, Tube
     from .surface import ProjectionResult
 
 __all__ = [
@@ -374,7 +374,7 @@ class TorusBackend(Record):
 
         return sigma_of_marking(payload)
 
-    def tube(self, mu: FareyMarking, nu: FareyMarking, samples: int) -> tuple:
+    def tube(self, mu: FareyMarking, nu: FareyMarking, samples: int) -> Tube:
         from .halfplane import tube
 
         return tube(mu, nu, samples)

@@ -96,6 +96,8 @@ def _twisted_end(x: GluingGraph, pid: str) -> bool:
 def _resolve_stack(x: GluingGraph, piece_ids: Sequence[str]) -> list[_StackStep]:
     if not piece_ids:
         raise ValidationError("empty stack")
+    if len(set(piece_ids)) < len(piece_ids):
+        raise ValidationError("stack names a piece twice")
     specs = [x.spec_of(pid) for pid in piece_ids]
     for pid, spec in zip(piece_ids, specs):
         if not spec.is_bundle:
@@ -106,53 +108,39 @@ def _resolve_stack(x: GluingGraph, piece_ids: Sequence[str]) -> list[_StackStep]
     if len(handles) != 1:
         raise BackendMismatchError("stack pieces live on different backends")
 
-    # joint i: the identification between piece i and piece i+1, read off
-    # as (exit slot of i, entry slot of i+1, pull map into the exit chart);
-    # a two-piece cycle is doubly identified and either joint works, so the
-    # first in boundary order is taken
-    joints: list[tuple[Slot, Slot, SlotMap]] = []
-    for i in range(len(piece_ids) - 1):
-        pid, nxt = piece_ids[i], piece_ids[i + 1]
-        found = None
-        for bid in _bundle_slots(specs[i]):
-            slot = (pid, bid)
-            if not x.is_buried(slot):
-                continue
-            partner, pull = x.psi(slot)
-            if partner[0] == nxt and partner != slot:
-                found = (slot, partner, pull)
-                break
-        if found is None:
-            raise ValidationError(
-                f"stack pieces {pid}, {nxt} are not identified end-to-end"
-            )
-        joints.append(found)
-
+    # the walk leaves each piece through the slot opposite its entry and
+    # follows psi into the next piece; the first piece leaves through its
+    # first slot, in boundary order, that psi carries into the second (a
+    # two-piece cycle is doubly identified, and either slot works), or a
+    # lone piece through its fold
     steps: list[_StackStep] = []
     for i, (pid, spec) in enumerate(zip(piece_ids, specs)):
         slots = _bundle_slots(spec)
         if spec.kind != TRIVIAL_IBUNDLE:
             steps.append(_StackStep(pid, (pid, slots[0]), None, None))
             continue
+        nxt = piece_ids[i + 1] if i + 1 < len(piece_ids) else None
         if i == 0:
-            if joints:
-                exit_bdry = joints[0][0][1]
-            elif _fold_slot(x, pid) == slots[0]:
-                exit_bdry = slots[0]
-            else:
-                exit_bdry = slots[1]
-            entry_bdry = slots[0] if exit_bdry == slots[1] else slots[1]
-        else:
-            entry_bdry = joints[i - 1][1][1]
-            exit_bdry = slots[0] if entry_bdry == slots[1] else slots[1]
-            if entry_bdry == exit_bdry:
-                raise ValidationError(f"stack enters and exits piece {pid} on one slot")
-            if joints and i < len(joints) and joints[i][0] != (pid, exit_bdry):
-                raise ValidationError(f"stack does not traverse piece {pid} end-to-end")
-        steps.append(
-            _StackStep(pid, (pid, entry_bdry), (pid, exit_bdry), _exchange_into(spec, entry_bdry))
-        )
+            joined = [b for b in slots if _psi_into(x, (pid, b), nxt)]
+            leave = joined[0] if joined else _fold_slot(x, pid)
+            entry = slots[1] if leave == slots[0] else slots[0]
+        exit_bdry = slots[0] if entry == slots[1] else slots[1]
+        steps.append(_StackStep(pid, (pid, entry), (pid, exit_bdry), _exchange_into(spec, entry)))
+        if nxt is not None:
+            landing = _psi_into(x, (pid, exit_bdry), nxt)
+            if landing is None:
+                raise ValidationError(f"stack pieces {pid}, {nxt} are not identified end-to-end")
+            entry = landing[1]
     return steps
+
+
+def _psi_into(x: GluingGraph, slot: Slot, pid: str | None) -> Slot | None:
+    """The slot of piece pid that psi carries slot to, or None."""
+    if x.is_buried(slot):
+        partner = x.psi(slot)[0]
+        if partner[0] == pid and partner != slot:
+            return partner
+    return None
 
 
 class StackCertificate(Record):

@@ -33,13 +33,15 @@ from glueforge.gluing import (
 )
 from glueforge.halfplane import (
     TeichPoint,
+    Tube,
+    TubeSample,
     _balanced_ints,
     _exact_tie_break,
     _short_slopes,
     curve_length,
     shortest_slope,
 )
-from glueforge.model import SCHEMA, ModelSkeleton, PieceBlock, TubeBlock, TubeSample
+from glueforge.model import SCHEMA, ModelSkeleton, PieceBlock, TubeBlock
 from glueforge.record import Record
 from glueforge.surface import AbstractMarking, BackendHandle, _require_same
 from glueforge.torus import FareyMarking, Slope, SurfaceMap, normalizer_to_infinity
@@ -855,20 +857,21 @@ def _tube_block_from_json(obj: object) -> TubeBlock:
             blob = obj["involution"]
             handle = BackendHandle.from_json(blob["backend"])
             involution = SlotMap.from_json(handle, blob["map"])
+        geometry = None
+        if not obj["combinatorial"]:
+            # the JSON leaves out the sigma matrices of the ends
+            geometry = Tube(
+                None,
+                _point_from_json(obj["sigma_a"]),
+                _point_from_json(obj["sigma_b"]),
+                float(obj["length"]),
+                bool(obj["degenerate"]),
+                tuple(_tube_sample_from_json(s) for s in obj["samples"]),
+            )
         pa, ba = obj["slot_a"]
         pb, bb = obj["slot_b"]
-        return TubeBlock(
-            (str(pa), str(ba)),
-            (str(pb), str(bb)),
-            str(obj["kind"]),
-            combinatorial=bool(obj["combinatorial"]),
-            sigma_a=_point_from_json(obj["sigma_a"]),
-            sigma_b=_point_from_json(obj["sigma_b"]),
-            length=float(obj["length"]),
-            degenerate=bool(obj["degenerate"]),
-            involution=involution,
-            samples=tuple(_tube_sample_from_json(s) for s in obj["samples"]),
-        )
+        slots = (str(pa), str(ba)), (str(pb), str(bb))
+        return TubeBlock(*slots, str(obj["kind"]), geometry, involution)
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ParseError(f"bad tube block: {exc}") from exc
 

@@ -11,7 +11,6 @@ generators below; loosening them needs a deliberate re-measurement.
 """
 
 import itertools
-import json
 import random
 import time
 from fractions import Fraction
@@ -40,7 +39,7 @@ from glueforge.hypgraph import FiniteGraph
 from glueforge.hyplab import check_qconvex_stability
 from glueforge.ioutil import canonical_dumps
 from glueforge.model import build_skeleton
-from glueforge.surface import AbstractMarking, geodesic_between, marking_distance, sup_projection
+from glueforge.surface import AbstractMarking, marking_distance, sup_projection
 from glueforge.torus import REFLECTION, Slope, SurfaceMap, intersection_number
 from glueforge.transforms import collapse_ibundles, combine_stack
 from oracles import (

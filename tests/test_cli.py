@@ -356,6 +356,134 @@ def test_wrong_typed_containers_are_parse_errors(files, capsys, tmp_path, path, 
     assert err.count("\n") == 1
 
 
+def _set(path: str, value: object):
+    """An edit that sets the field at a dotted path."""
+    return lambda obj: set_field(obj, path, value)
+
+
+def _toroidal(**fields: object):
+    """An edit that gives the chain example's ML a toroidal boundary T with
+    the given fields."""
+
+    def edit(obj: dict) -> dict:
+        obj["manifolds"][0]["boundaries"].append({"id": "T", "toroidal": True, **fields})
+        return obj
+
+    return edit
+
+
+TORUS_MARKING = {"base": "0/1", "transversal": "inf"}
+SPLITTING = "manifolds.0.splitting"
+
+# edits of the chain example, each with the message of the one check it
+# trips
+PARSE_CHECKS = {
+    "not-an-object": (lambda obj: [obj], "gluing spec must be a JSON object"),
+    "piece-without-manifold": (
+        _set("pieces.0", {"id": "p0"}),
+        "piece entry needs an id and a manifold",
+    ),
+    "lambda-list": (_set("lambda", []), "lambda must be an object"),
+    "lambda-key": (
+        _set("lambda", {"p0E0": TORUS_MARKING}),
+        "lambda key 'p0E0' is not piece:boundary",
+    ),
+    "marking-string": (
+        _set("manifolds.0.boundaries.0.decoration", "0/1"),
+        "marking must be an object",
+    ),
+    "disks-string": (_set("manifolds.0.boundaries.0.disks", "0/1"), "disk set must be a list"),
+    "boundary-without-id": (
+        _set("manifolds.0.boundaries.0", {}),
+        "boundary spec must be an object with an id",
+    ),
+    "boundary-without-decoration": (
+        _set("manifolds.0.boundaries.0", {"id": "E0", "backend": {"kind": "torus"}}),
+        "boundary E0 needs backend and decoration",
+    ),
+    "bundle-map-without-chart": (
+        _set("manifolds.1.boundaries", [{"id": "T", "toroidal": True}]),
+        "bundle map without a charted boundary",
+    ),
+    "cover-number": (_set("manifolds.1.cover", 1), "cover data must be an object"),
+    "cover-empty": (_set("manifolds.1.cover", {}), "cover data missing field 'mu0'"),
+    "splitting-number": (_set(SPLITTING, 1), "splitting must be an object"),
+    "sub-piece-number": (_set(SPLITTING, {"pieces": [1]}), "sub-piece must be an object"),
+    "sub-piece-boundaries-list": (
+        _set(SPLITTING, {"pieces": [{"id": "a", "manifold": "ML", "boundaries": []}]}),
+        "sub-piece boundaries must be an object",
+    ),
+    "sub-piece-without-manifold": (
+        _set(SPLITTING, {"pieces": [{"id": "a"}]}),
+        "sub-piece missing field 'manifold'",
+    ),
+    "splitting-identification-without-b": (
+        _set(SPLITTING, {"pieces": [], "identifications": [{"a": ["a", "E0"]}]}),
+        "splitting identification needs slots a and b",
+    ),
+    "compressible-bundle": (
+        _set("manifolds.1.boundaries.0", {
+            "id": "F0", "backend": {"kind": "torus"}, "decoration": TORUS_MARKING,
+            "compressible": True, "disks": ["0/1"],
+        }),
+        "bundle B boundaries are incompressible",
+    ),
+    "toroidal-junk": (
+        _toroidal(disks="junk", backend=7),
+        "boundary T needs backend and decoration",
+    ),
+}
+INVARIANT_CHECKS = {
+    "no-pieces": (
+        lambda obj: {**obj, "pieces": [], "identifications": []},
+        "gluing needs at least one piece",
+    ),
+    "duplicate-piece": (_set("pieces.2.id", "p0"), "duplicate piece id"),
+    "duplicate-manifold": (_set("manifolds.2.id", "ML"), "duplicate manifold id"),
+    "fixed-point": (
+        _set("identifications", [{"a": ["p0", "E0"], "b": ["p0", "E0"], "map": [[2, 1], [1, 0]]}]),
+        "fixed point: self-identification on p0:E0 needs an orientation-reversing involution",
+    ),
+    # a toroidal boundary's declared fields reach the constructor's rules
+    "toroidal-compressible": (
+        _toroidal(compressible=True),
+        "toroidal boundary T cannot be compressible",
+    ),
+    "toroidal-chart": (
+        _toroidal(backend={"kind": "torus"}, decoration=TORUS_MARKING),
+        "toroidal boundary T cannot carry a chart",
+    ),
+    "toroidal-disks": (_toroidal(disks=["1/0"]), "toroidal boundary T cannot be compressible"),
+}
+
+
+def chain_example(files) -> dict:
+    return json.loads(pathlib.Path(files["example:chain"]).read_text())
+
+
+@pytest.mark.parametrize("name", [*PARSE_CHECKS, *INVARIANT_CHECKS])
+def test_input_checks_name_their_fault(files, capsys, tmp_path, name):
+    # each check of the gluing input ends a command with its exit code and
+    # its one stderr line
+    if name in PARSE_CHECKS:
+        (edit, message), code, prefix = PARSE_CHECKS[name], EXIT_PARSE, "parse error"
+    else:
+        (edit, message), code, prefix = INVARIANT_CHECKS[name], EXIT_INVARIANT, "invariant violation"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(chain_example(files))))
+    assert run(capsys, ["validate", "--input", str(bad)]) == (code, "", f"{prefix}: {message}\n")
+
+
+def test_bare_toroidal_boundary_is_valid(files, capsys, tmp_path):
+    ok = tmp_path / "toroidal.json"
+    ok.write_text(json.dumps(_toroidal()(chain_example(files))))
+    assert run(capsys, ["validate", "--input", str(ok)])[0] == EXIT_PASS
+    code, out, _ = run(capsys, ["collapse", "--input", str(ok)])
+    assert code == EXIT_PASS
+    boundaries = json.loads(out)["result"]["collapsed"]["manifolds"][0]["boundaries"]
+    assert {"id": "T", "toroidal": True} in boundaries
+
+
 @pytest.mark.parametrize("number", ["1e400", "-1e400"])
 def test_non_finite_numbers_are_parse_errors(files, capsys, tmp_path, number):
     # no field is a float: a number past double range would reach int() as
@@ -506,15 +634,20 @@ def test_unwritable_out_is_an_invariant_violation(files, capsys, tmp_path, where
 def edited_input(src: str, path: str, value: object, tmp_path: pathlib.Path) -> str:
     """A copy of the JSON file src with the field at the dotted path set to
     value; returns the copy's path."""
-    obj = json.loads(pathlib.Path(src).read_text())
+    obj = set_field(json.loads(pathlib.Path(src).read_text()), path, value)
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(obj))
+    return str(out)
+
+
+def set_field(obj: dict, path: str, value: object) -> dict:
+    """obj with the field at the dotted path set to value."""
     *parents, last = (int(key) if key.isdigit() else key for key in path.split("."))
     target = obj
     for key in parents:
         target = target[key]
     target[last] = value
-    out = tmp_path / "edited.json"
-    out.write_text(json.dumps(obj))
-    return str(out)
+    return obj
 
 
 FLAG_FIELDS = {

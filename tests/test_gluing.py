@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from glueforge.certify import CombinatoricsCertificate, check_bounded_combinatorics
+from glueforge.certify import check_bounded_combinatorics
 from glueforge.cli import main
 from glueforge.errors import BackendMismatchError, ParseError, ValidationError
 from glueforge.farey import farey_distance
@@ -27,12 +27,7 @@ from glueforge.gluing import (
 )
 from glueforge.hypgraph import FiniteGraph, cycle_graph, path_graph
 from glueforge.ioutil import canonical_dumps
-from glueforge.surface import (
-    AbstractMarking,
-    BackendHandle,
-    DiskSet,
-    marking_distance,
-)
+from glueforge.surface import AbstractMarking, BackendHandle, DiskSet
 from glueforge.torus import (
     IDENTITY,
     INFINITY,

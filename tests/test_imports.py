@@ -1,0 +1,72 @@
+"""Every name that a module of the package or of the tests imports at its
+top level is read by that module."""
+
+import ast
+import pathlib
+
+import glueforge
+
+TESTS = pathlib.Path(__file__).parent
+SRC = pathlib.Path(glueforge.__file__).parent
+
+
+def _top_level_imports(body: list[ast.stmt]):
+    """The import statements of a module body, inside its if and try
+    blocks too, but not inside a function or class."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse, *(h.body for h in getattr(node, "handlers", ()))):
+                yield from _top_level_imports(block)
+
+
+def unread_imports(tree: ast.Module) -> list[str]:
+    """The names a module's top-level imports bind that it never reads: a
+    name is read when the code loads it, a string annotation names it, or
+    `__all__` lists it."""
+    bound = {}
+    for node in _top_level_imports(tree.body):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg | ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            annotations.append(node.returns)
+        for part in (p for a in annotations if a is not None for p in ast.walk(a)):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                read |= {n.id for n in ast.walk(ast.parse(part.value, mode="eval")) if isinstance(n, ast.Name)}
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in sorted(bound.items()) if name not in read]
+
+
+def test_every_imported_name_is_read():
+    found = {}
+    for path in [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
+        found[path.name] = unread_imports(ast.parse(path.read_text(), str(path)))
+    assert {"model.py", "test_model.py", "oracles.py"} <= found.keys()
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_import_check_sees_an_unread_name():
+    for code, unread in (
+        ("import json", ["line 1: json"]),
+        ("from a import b, c\nc()", ["line 1: b"]),
+        ("import os.path", ["line 1: os"]),
+        ("if X:\n    from a import B\nelse:\n    B = 1\nB()", []),
+        ("if TYPE_CHECKING:\n    from a import B", ["line 2: B"]),
+        ("try:\n    from a import b\nexcept ImportError:\n    from c import b\nb()", []),
+        ("from a import B\ndef f(x: 'list[B]') -> None: pass", []),
+        ("from a import b as c\n__all__ = ['c']", []),
+        ("from __future__ import annotations", []),
+        ("def f():\n    import json", []),
+    ):
+        assert unread_imports(ast.parse(code)) == unread, code

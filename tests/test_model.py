@@ -121,12 +121,16 @@ def single_free(dec: AbstractMarking, lam: AbstractMarking | None) -> GluingGrap
 # ----------------------------------------------------------------- sampling
 
 
+def geometry(
+    z: TeichPoint, w: TeichPoint, length: float = 0.0, degenerate: bool = False
+) -> halfplane.Tube:
+    """A tube record without sigma matrices or samples."""
+    return halfplane.Tube(None, z, w, length, degenerate, ())
+
+
 def vertical_tube(y: float) -> TubeBlock:
     a, b = TeichPoint(0.0, 1.0), TeichPoint(0.0, y)
-    return TubeBlock(
-        ("p", "E0"), ("q", "E0"), "internal",
-        sigma_a=a, sigma_b=b, length=teich_distance(a, b),
-    )
+    return TubeBlock(("p", "E0"), ("q", "E0"), "internal", geometry(a, b, teich_distance(a, b)))
 
 
 def test_tube_needs_two_samples():
@@ -146,23 +150,20 @@ def test_vertical_geodesic_at_arbitrary_points():
 
 
 def test_tube_length_is_half_plane_distance():
-    tube = vertical_tube(4.0)
+    tube = vertical_tube(4.0).geometry
     assert tube.length == pytest.approx(0.5 * math.log(4.0))
 
 
 def test_tube_block_invariants():
     z, w = TeichPoint(0.0, 1.0), TeichPoint(0.0, 2.0)
     with pytest.raises(ValidationError, match="unknown tube kind"):
-        TubeBlock(("p", "E0"), ("q", "E0"), "sideways", sigma_a=z, sigma_b=w, length=1.0)
-    with pytest.raises(ValidationError, match="positive length"):
-        TubeBlock(("p", "E0"), ("q", "E0"), "internal", sigma_a=z, sigma_b=w)
-    with pytest.raises(ValidationError, match="degenerate tube"):
-        TubeBlock(
-            ("p", "E0"), ("q", "E0"), "internal",
-            sigma_a=z, sigma_b=z, degenerate=True, length=0.5,
-        )
-    with pytest.raises(ValidationError, match="endpoint geometry"):
-        TubeBlock(("p", "E0"), ("q", "E0"), "internal", sigma_a=z, length=1.0)
+        TubeBlock(("p", "E0"), ("q", "E0"), "sideways", geometry(z, w, 1.0))
+    with pytest.raises(ValidationError, match="tube p:E0--q:E0 needs positive length"):
+        TubeBlock(("p", "E0"), ("q", "E0"), "internal", geometry(z, w))
+    with pytest.raises(ValidationError, match="degenerate tube p:E0--q:E0 with length"):
+        TubeBlock(("p", "E0"), ("q", "E0"), "internal", geometry(z, z, 0.5, degenerate=True))
+    # a tube without geometry is combinatorial
+    assert TubeBlock(("p", "E0"), ("q", "E0"), "internal", None).combinatorial
 
 
 # ----------------------------------------------------------------- assembly
@@ -185,14 +186,14 @@ def test_skeleton_anchors_and_incidence():
 def test_skeleton_tube_endpoints_follow_gluing():
     x = core_bundle_core(3)
     sk = build_skeleton(x, samples=33)
-    tube = sk.tubes[0]
+    tube = sk.tubes[0].geometry
     partner, pushm = x.psi(("p0", "E0"))
     nu = pushm.apply(x.decoration(partner))
     assert tube.sigma_a.z == pytest.approx(sigma_of_marking(MU.payload).z, rel=1e-9)
     assert tube.sigma_b.z == pytest.approx(sigma_of_marking(nu.payload).z, rel=1e-9)
     assert tube.length == pytest.approx(teich_distance(tube.sigma_a, tube.sigma_b))
     # both joints of the power-3 chain have the same span
-    assert sk.tubes[1].length == pytest.approx(tube.length)
+    assert sk.tubes[1].geometry.length == pytest.approx(tube.length)
     assert sk.total_tube_length == pytest.approx(2 * tube.length)
 
 
@@ -218,10 +219,10 @@ def test_skeleton_quotient_tube_records_involution():
     tube = sk.tubes[0]
     assert tube.kind == "quotient"
     assert tube.involution is not None and tube.involution.matrix == REFLECTION
-    assert tube.sigma_a.z == pytest.approx(complex(1.0, 1.0), rel=1e-9)
-    assert tube.sigma_b.z == pytest.approx(complex(-1.0, 1.0), rel=1e-9)
-    assert tube.length == pytest.approx(0.5 * math.acosh(3.0))
-    assert not tube.degenerate
+    assert tube.geometry.sigma_a.z == pytest.approx(complex(1.0, 1.0), rel=1e-9)
+    assert tube.geometry.sigma_b.z == pytest.approx(complex(-1.0, 1.0), rel=1e-9)
+    assert tube.geometry.length == pytest.approx(0.5 * math.acosh(3.0))
+    assert not tube.geometry.degenerate
 
 
 def test_skeleton_quotient_tube_degenerate_at_fixed_point():
@@ -232,7 +233,7 @@ def test_skeleton_quotient_tube_degenerate_at_fixed_point():
         pieces=(("p0", "M"),),
         identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
     )
-    tube = build_skeleton(x, samples=9).tubes[0]
+    tube = build_skeleton(x, samples=9).tubes[0].geometry
     assert tube.degenerate and len(tube.samples) == 2
     assert tube.samples[0].point == tube.samples[1].point == tube.sigma_a
 
@@ -251,7 +252,7 @@ def test_self_glued_piece_with_float_midpoint_drift(tmp_path):
     dec = AbstractMarking(T, FareyMarking(Slope(21899, 30384), Slope(6029, 8365)))
     x = self_glued(dec, SurfaceMap(4, -1, 15, -4))
     tube = build_skeleton(x).tubes[0]
-    assert tube.kind == "quotient" and not tube.degenerate
+    assert tube.kind == "quotient" and not tube.geometry.degenerate
     path = tmp_path / "self_glued.json"
     path.write_text(x.canonical_json())
     src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
@@ -291,7 +292,7 @@ def test_thin_distinct_endpoints_make_a_real_tube():
     # both ends of the second tube sit below y = 1e-9, where an absolute
     # closeness test took them for one point; sigma(mu)^-1 sigma(nu) does
     # not fix i, so the tube is sampled along its length
-    tube = build_skeleton(core_stack_core([12], right_power=13)).tubes[1]
+    tube = build_skeleton(core_stack_core([12], right_power=13)).tubes[1].geometry
     assert tube.sigma_a.y < 1e-9 and tube.sigma_b.y < 1e-9
     assert not tube.degenerate
     assert tube.length == pytest.approx(0.9624, abs=1e-4)
@@ -307,7 +308,7 @@ GOLDEN_MIN_SYSTOLE = 0.9457416
 
 
 def demand(tube: TubeBlock) -> int:
-    return max(map(precision_demand, tube.ends))
+    return max(map(precision_demand, tube.geometry.ends))
 
 
 def double_error(bits: int) -> float:
@@ -328,10 +329,10 @@ def test_golden_axis_stacks_are_uniformly_thick(k):
     assert len(sk.tubes) == 2
     for tube in sk.tubes:
         tol = 1e-12 if demand(tube) > PRECISION_BITS else double_error(demand(tube))
-        assert tube.length == pytest.approx(k * GOLDEN, rel=tol)
-        for smp in tube.samples:
+        assert tube.geometry.length == pytest.approx(k * GOLDEN, rel=tol)
+        for smp in tube.geometry.samples:
             assert GOLDEN_MIN_SYSTOLE - 1e-9 - tol <= smp.systole <= 1 + tol
-    assert sk.tubes[1].ends is not None and demand(sk.tubes[1]) > PRECISION_BITS
+    assert sk.tubes[1].geometry.ends is not None and demand(sk.tubes[1]) > PRECISION_BITS
 
 
 def test_axis_eight_is_thick(tmp_path, capsys):
@@ -372,16 +373,19 @@ def test_decimal_path_agrees_with_the_double_path_within_38_bits():
             bits = demand(tube)
             assert bits <= 38
             tol = double_error(bits)
-            if not tube.degenerate:
-                assert tube.length == pytest.approx(exact_tube_length(*tube.ends), rel=tol)
-            exact = exact_tube_samples(*tube.ends, len(tube.samples))
-            for smp, (t, point, length, slope) in zip(tube.samples, exact, strict=True):
-                assert smp.t == t
-                assert abs(smp.point.x - point.x) <= tol * point.y
-                assert smp.point.y == pytest.approx(point.y, rel=tol)
-                assert smp.systole == pytest.approx(length, rel=tol)
-                if smp.shortest != slope:  # a tie: both slopes are shortest
-                    assert curve_length(point, smp.shortest) == pytest.approx(length, rel=tol)
+            g = tube.geometry
+            if not g.degenerate:
+                assert g.length == pytest.approx(exact_tube_length(*g.ends), rel=tol)
+            exact = exact_tube_samples(*g.ends, len(g.samples))
+            for smp, ref in zip(g.samples, exact, strict=True):
+                assert smp.t == ref.t
+                assert abs(smp.point.x - ref.point.x) <= tol * ref.point.y
+                assert smp.point.y == pytest.approx(ref.point.y, rel=tol)
+                assert smp.systole == pytest.approx(ref.systole, rel=tol)
+                if smp.shortest != ref.shortest:  # a tie: both slopes are shortest
+                    assert curve_length(ref.point, smp.shortest) == pytest.approx(
+                        ref.systole, rel=tol
+                    )
             seen += 1
     assert seen >= 60
 
@@ -404,7 +408,8 @@ def reference_cases() -> list[tuple[SurfaceMap, SurfaceMap]]:
     for x in xs:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            out += [t.ends for t in build_skeleton(x, samples=2).tubes if not t.combinatorial]
+            tubes = build_skeleton(x, samples=2).tubes
+            out += [t.geometry.ends for t in tubes if not t.combinatorial]
     return out
 
 
@@ -412,7 +417,8 @@ def test_balanced_marking_matches_the_reduction_on_deep_anchors():
     # the sigma matrix of every decoration and both ends of every tube of
     # the stack example (55 bits) and of deep30, all on the decimal path
     for x in (example_builders()["stack"](), core_stack_core([30])):
-        ends = [g for t in build_skeleton(x, samples=2).tubes if not t.combinatorial for g in t.ends]
+        tubes = build_skeleton(x, samples=2).tubes
+        ends = [g for t in tubes if not t.combinatorial for g in t.geometry.ends]
         anchors = [sigma_matrix(x.decoration(slot).payload) for slot in x.slots()]
         assert max(map(precision_demand, ends)) > PRECISION_BITS
         for g in ends + anchors:
@@ -432,7 +438,7 @@ def test_decimal_path_matches_the_high_precision_reference():
             expected = [expected[0], expected[-1]]
             degenerate += 1
         samples = exact_tube_samples(*ends, n)
-        got = [(p.x, p.y, systole, (slope.p, slope.q)) for _, p, systole, slope in samples]
+        got = [(s.point.x, s.point.y, s.systole, (s.shortest.p, s.shortest.q)) for s in samples]
         assert got == expected, ends
         if n == 7:
             middles.append(got[3][0])
@@ -445,7 +451,7 @@ def test_skeleton_boundary_tube_and_missing_marking_warning():
     sk = build_skeleton(single_free(MU, lam), samples=101)
     tube = sk.tubes[0]
     assert tube.kind == "boundary" and tube.name == "p0:E0--free"
-    assert tube.sigma_b.z == pytest.approx(complex(50.0, 1.0), rel=1e-9)
+    assert tube.geometry.sigma_b.z == pytest.approx(complex(50.0, 1.0), rel=1e-9)
     with pytest.warns(RuntimeWarning, match="boundary tube omitted"):
         bare = build_skeleton(single_free(MU, None))
     assert bare.tubes == ()
@@ -456,7 +462,7 @@ def test_skeleton_lambda_override_argument():
     # the boundary tube ends at the gluing's own free marking
     sk = build_skeleton(single_free(MU, mk("1/1", "1/0")), samples=5)
     assert sk.tubes[0].kind == "boundary"
-    assert sk.tubes[0].sigma_b.z == pytest.approx(complex(1.0, 1.0), rel=1e-9)
+    assert sk.tubes[0].geometry.sigma_b.z == pytest.approx(complex(1.0, 1.0), rel=1e-9)
 
 
 def test_thin_tube_detected_by_long_cf_coefficient():
@@ -515,7 +521,7 @@ def test_cf_coefficient_is_read_from_the_balanced_markings():
             continue
         coefficient = verify_thickness(sk, 0.1).rows[0].cf_coefficient
         # the shortest markings under the tie rule on exact norms
-        exact = [reference_balanced_marking(g) for g in tube.ends]
+        exact = [reference_balanced_marking(g) for g in tube.geometry.ends]
         assert coefficient == relative_cf_max_coeff(*exact)
         seen += 1
     assert seen > 250
@@ -539,7 +545,7 @@ def test_thickness_all_degenerate_passes_at_anchor_systole():
         boundary_markings=((("p0", "E0"), MU),),
     )
     sk = build_skeleton(x, samples=5)
-    assert sk.tubes[0].degenerate
+    assert sk.tubes[0].geometry.degenerate
     assert verify_thickness(sk, 1.0).ok
     assert not verify_thickness(sk, 1.0 + 1e-9).ok
     with pytest.raises(ValidationError, match="positive"):
@@ -566,7 +572,7 @@ def test_graph_slots_build_combinatorial_tubes():
     )
     sk = build_skeleton(x, samples=5)
     tube = sk.tubes[0]
-    assert tube.combinatorial and tube.samples == ()
+    assert tube.combinatorial and tube.geometry is None
     assert sk.pieces[0].anchors == (("E0", None), ("E1", None))
     assert sk.min_sampled_systole is None
     assert verify_thickness(sk, 0.3).rows == ()
@@ -590,8 +596,8 @@ def test_skeleton_naturality_under_relabeling():
     assert [p.piece for p in skr.pieces] == ["zz0", "zz1", "zz2"]
     for a, b in zip(sk.tubes, skr.tubes):
         assert b.slot_a == (a.slot_a[0].replace("p", "zz"), a.slot_a[1])
-        assert b.length == a.length
-        assert [s.systole for s in b.samples] == [s.systole for s in a.samples]
+        assert b.geometry.length == a.geometry.length
+        assert [s.systole for s in b.geometry.samples] == [s.systole for s in a.geometry.samples]
 
 
 # ------------------------------------------------------------------- export
@@ -653,7 +659,7 @@ def test_export_errors():
 def collapsed_direct_length(x) -> float:
     res = collapse_ibundles(x, 8, 0)
     assert res.ok
-    return sum(t.length for t in build_skeleton(res.collapsed, samples=5).tubes)
+    return sum(t.geometry.length for t in build_skeleton(res.collapsed, samples=5).tubes)
 
 
 def concatenated_length(x) -> float:
@@ -662,7 +668,7 @@ def concatenated_length(x) -> float:
         sigma_of_marking(x.decoration(("p1", "F0")).payload),
         sigma_of_marking(tmap(REFLECTION).apply(x.decoration(("p1", "F1"))).payload),
     )
-    return sum(t.length for t in sk.tubes) + span
+    return sum(t.geometry.length for t in sk.tubes) + span
 
 
 def test_collapse_exact_on_axis_families():

@@ -13,7 +13,7 @@ import glueforge
 from glueforge.errors import BackendMismatchError, ParseError, ValidationError
 from glueforge.farey import farey_distance, max_subsurface_projection
 from glueforge.gluing import SlotMap
-from glueforge.hypgraph import FiniteGraph, GraphBackend, GraphProjection, cycle_graph, path_graph
+from glueforge.hypgraph import GraphBackend, GraphProjection, cycle_graph, path_graph
 from glueforge.surface import (
     AbstractMarking,
     BackendHandle,
@@ -123,14 +123,29 @@ BACKEND_KINDS = {"torus", "graph"}
 IMPLEMENTATIONS = {"TorusBackend", "GraphBackend"}
 
 
-def _backend_tests(tree: ast.AST, allowed: set[ast.AST]) -> list[str]:
+# the torus layer: the Farey kernels and the half-plane geometry
+TORUS_LAYER = {"farey", "halfplane"}
+
+
+def _backend_tests(tree: ast.AST, allowed: set[ast.AST], torus_layer: bool = False) -> list[str]:
     """What tells one backend from the other: anywhere, a read of is_torus
     or as_torus_marking; outside the allowed nodes, a comparison with a
     backend kind or of a handle's kind, a name of an implementation, and
     an AbstractMarking built from a tuple or list literal, which is one
-    backend's payload."""
+    backend's payload; outside the torus layer, a run-time import of it
+    (an import under `if TYPE_CHECKING:` only names types)."""
+    typing_only = {
+        n
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+        for n in ast.walk(node)
+    }
     found = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.Import | ast.ImportFrom) and not torus_layer and node not in typing_only:
+            names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            if TORUS_LAYER & {part for n in names for part in n.split(".")}:
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
         name = getattr(node, "attr", None) or getattr(node, "id", None)
         if isinstance(node, ast.alias):  # an import
             name = node.name
@@ -160,7 +175,8 @@ def _backend_tests(tree: ast.AST, allowed: set[ast.AST]) -> list[str]:
 def test_only_the_backends_tell_torus_from_graph():
     # every other module asks the handle: the two implementations and the
     # constructors of BackendHandle, whose from_json reads the JSON kind,
-    # are the only code that knows which backend it holds
+    # are the only code that knows which backend it holds, and only the
+    # torus implementation runs the torus layer
     src = pathlib.Path(glueforge.__file__).parent
     found = {}
     for path in sorted(src.glob("*.py")):
@@ -173,7 +189,7 @@ def test_only_the_backends_tell_torus_from_graph():
             for fn in handle.body:
                 if getattr(fn, "name", None) in ("torus", "finite_graph", "from_json"):
                     allowed.update(ast.walk(fn))
-        found[path.name] = _backend_tests(tree, allowed)
+        found[path.name] = _backend_tests(tree, allowed, path.stem in ("torus", *TORUS_LAYER))
     assert {"surface.py", "gluing.py", "model.py", "torus.py", "hypgraph.py"} <= found.keys()
     assert {name: lines for name, lines in found.items() if lines} == {}
 
@@ -189,10 +205,20 @@ def test_the_kind_check_sees_each_way_to_branch_on_a_backend():
         "payload = as_torus_marking(m)",
         "m = AbstractMarking(handle, (path[-1],))",
         "m = AbstractMarking(h, payload=[0, 1])",
+        "from .halfplane import balanced_marking",
+        "from . import farey",
+        "import glueforge.halfplane",
+        "def f():\n    from glueforge.farey import farey_distance",
     ):
         assert _backend_tests(ast.parse(code), set()), code
-    for code in ("if spec.kind == TRIVIAL_IBUNDLE: pass", "m = AbstractMarking(h, f(m.payload))"):
+    for code in (
+        "if spec.kind == TRIVIAL_IBUNDLE: pass",
+        "m = AbstractMarking(h, f(m.payload))",
+        "if TYPE_CHECKING:\n    from .halfplane import Tube",
+        "from .torus import farey_distance_row",
+    ):
         assert _backend_tests(ast.parse(code), set()) == [], code
+    assert _backend_tests(ast.parse("from .farey import distances_from"), set(), True) == []
 
 
 # ------------------------------------------------------------- markings

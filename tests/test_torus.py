@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from glueforge.errors import (
@@ -56,7 +56,7 @@ from glueforge.torus import (
 )
 
 import glueforge
-from oracles import FareyOracle, canon, reference_balanced_marking, scan_shortest_slope, systole
+from oracles import FareyOracle, reference_balanced_marking, scan_shortest_slope, systole
 
 A_GOLD = SurfaceMap(2, 1, 1, 1)
 

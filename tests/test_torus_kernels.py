@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glueforge import farey
 from glueforge.farey import (
     _pivot_projections,
     distances_from,
@@ -225,7 +226,7 @@ def assert_pivots_match(m1: FareyMarking, m2: FareyMarking) -> None:
     assert (label.core, value) == reference_max_subsurface_projection(m1, m2)
 
 
-def test_pivot_search_matches_reference_on_seeded_markings():
+def check_pivots_on_seeded_markings() -> None:
     rng = random.Random(31337)
     for _ in range(250):
         m1 = marking_from(random_map(rng, rng.randrange(0, 25)), rng.random() < 0.5)
@@ -241,6 +242,18 @@ def test_pivot_search_matches_reference_on_seeded_markings():
             m2 = marking_from(random_map(rng, rng.randrange(0, 25)), rng.random() < 0.5)
         assert_pivots_match(m1, m2)
         assert_pivots_match(m2, m1)
+
+
+def test_pivot_search_matches_reference_on_seeded_markings():
+    check_pivots_on_seeded_markings()
+
+
+@pytest.mark.parametrize("meet", [0, 1])
+def test_pivot_search_matches_reference_when_runs_meet_no_ladder(monkeypatch, meet):
+    # a run that has not met a ladder within _MEET steps goes on alone:
+    # the same cores and values, at more cost
+    monkeypatch.setattr(farey, "_MEET", meet)
+    check_pivots_on_seeded_markings()
 
 
 def test_pivot_search_with_infinity_among_the_slopes():

@@ -27,7 +27,6 @@ from glueforge.gluing import (
     SubPiece,
     Splitting,
     heights,
-    induced_markings,
     slot_measures,
 )
 from glueforge.ioutil import canonical_dumps, sha256_of_text
@@ -38,7 +37,6 @@ from glueforge.surface import (
     geodesic_between,
     marking_distance,
     marking_to_path_distance,
-    sup_projection,
 )
 from glueforge.torus import (
     IDENTITY,
@@ -265,6 +263,17 @@ def test_combine_stack_input_validation():
     )
     with pytest.raises(ValidationError, match="not identified end-to-end"):
         combine_stack(y, ["p1", "p3"], 1, 6)
+    # a two-bundle cycle walks back into its first piece
+    cycle = GluingGraph(
+        manifolds=(axis_bundle("B0", 2), axis_bundle("B1", 3)),
+        pieces=(("p0", "B0"), ("p1", "B1")),
+        identifications=(
+            Identification("p0", "F1", "p1", "F0", tmap(REFLECTION)),
+            Identification("p1", "F1", "p0", "F0", tmap(REFLECTION)),
+        ),
+    )
+    with pytest.raises(ValidationError, match="names a piece twice"):
+        combine_stack(cycle, ["p0", "p1", "p0"], 1, 6)
     with pytest.raises(ValidationError, match="positive integer"):
         combine_stack(x, ["p1"], 1, 0)
 
