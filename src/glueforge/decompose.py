@@ -21,6 +21,7 @@ from .gluing import (
     Slot,
     SlotMap,
     components,
+    resolve_slot,
 )
 from .record import Record
 
@@ -102,16 +103,8 @@ def expand_splittings(x: GluingGraph) -> GluingGraph:
                 raise ValidationError(f"piece {pid}: splitting leaves boundary {b.id} unplaced")
             slot_map[(pid, b.id)] = covered[b.id]
         for sub_a, bdry_a, sub_b, bdry_b, map_json in split.identifications:
-            if sub_a not in parts:
-                raise ValidationError(
-                    f"piece {pid}: splitting identification names unknown part {sub_a}"
-                )
-            handle = parts[sub_a].boundary(bdry_a).handle
-            if handle is None:
-                raise ValidationError(
-                    f"piece {pid}: splitting identification on toroidal boundary "
-                    f"{sub_a}:{bdry_a}"
-                )
+            referrer = f"piece {pid}: splitting identification"
+            handle = resolve_slot(parts, (sub_a, bdry_a), referrer).handle
             chart = SlotMap.from_json(handle, json.loads(map_json))
             idents.append(Identification(f"{pid}/{sub_a}", bdry_a, f"{pid}/{sub_b}", bdry_b, chart))
     for ident in x.identifications:

@@ -1,8 +1,12 @@
 """Error taxonomy shared across the package.
 
 Parse failures and invariant violations are kept distinct because the CLI
-maps them to different exit codes (2 and 3 respectively).  Every other
-exception, PrecisionLossError included, is an internal fault (exit 5).
+maps them to different exit codes (2 and 3 respectively).  A reader raises
+ParseError only for input without the schema's shape: bad JSON, a missing
+key, a value of the wrong JSON type.  A rule about what well-shaped values
+mean is its record's, checked by the constructor as a ValidationError, and
+no reader turns one into the other.  Every other exception,
+PrecisionLossError included, is an internal fault (exit 5).
 """
 
 

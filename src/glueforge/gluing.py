@@ -196,24 +196,26 @@ class BoundarySpec(Record):
             raise ParseError("boundary spec must be an object with an id")
         bid = json_str(obj["id"], "boundary id")
         toroidal = json_bool(obj, "toroidal", False)
-        if toroidal and "backend" not in obj and "decoration" not in obj:
-            # no chart to read meridians in: declared ones make the boundary
-            # compressible, which the constructor refuses, as it does a chart
-            declared = json_bool(obj, "compressible", False) or obj.get("disks", []) != []
-            return BoundarySpec(bid, compressible=declared, toroidal=True)
-        if "backend" not in obj or "decoration" not in obj:
+        if not toroidal and ("backend" not in obj or "decoration" not in obj):
             raise ParseError(f"boundary {bid} needs backend and decoration")
+        compressible = json_bool(obj, "compressible", False)
+        if "backend" not in obj:
+            # a toroidal boundary has no chart to read a decoration or
+            # meridians in: the constructor refuses a declared decoration
+            # unread, and declared meridians as compressibility
+            declared = compressible or obj.get("disks", []) != []
+            decoration = obj.get("decoration")
+            return BoundarySpec(bid, decoration=decoration, compressible=declared, toroidal=True)
         handle = BackendHandle.from_json(obj["backend"], graphs)
-        decoration = AbstractMarking.from_json(handle, obj["decoration"])
-        disks = DiskSet.from_json(handle, obj.get("disks", []))
-        # semantic rules (such as the compressible/disk-set pairing) keep
-        # their own error type so callers can tell them from parse noise
+        decoration = None
+        if "decoration" in obj:  # absent only on a toroidal boundary
+            decoration = AbstractMarking.from_json(handle, obj["decoration"])
         return BoundarySpec(
             bid,
             handle=handle,
             decoration=decoration,
-            compressible=json_bool(obj, "compressible", False),
-            disks=disks,
+            compressible=compressible,
+            disks=DiskSet.from_json(handle, obj.get("disks", [])),
             toroidal=toroidal,
         )
 
@@ -473,14 +475,12 @@ class DecoratedManifoldSpec(Record):
         )
         bundle_map = None
         cover = None
+        # the maps are read in the chart of a non-toroidal boundary; a
+        # manifold without one is refused by the constructor
         chart = next((b.handle for b in boundaries if b.handle is not None), None)
-        if "bundle_map" in obj:
-            if chart is None:
-                raise ParseError("bundle map without a charted boundary")
+        if chart is not None and "bundle_map" in obj:
             bundle_map = SlotMap.from_json(chart, obj["bundle_map"])
-        if "cover" in obj:
-            if chart is None:
-                raise ParseError("cover data without a charted boundary")
+        if chart is not None and "cover" in obj:
             cover = CoverData.from_json(chart, obj["cover"])
         splitting = None
         if "splitting" in obj:
@@ -492,19 +492,52 @@ class DecoratedManifoldSpec(Record):
                 raise ParseError(f"{key} must be lists of boundary ids")
             return tuple(tuple(json_str(b, f"{key} boundary") for b in r) for r in entries)
 
-        try:
-            return DecoratedManifoldSpec(
-                json_str(obj["id"], "manifold id"),
-                json_str(obj["kind"], "manifold kind"),
-                boundaries,
-                records("disk_records"),
-                records("annulus_records"),
-                bundle_map,
-                cover,
-                splitting,
-            )
-        except ValidationError as exc:
-            raise ParseError(str(exc)) from exc
+        return DecoratedManifoldSpec(
+            json_str(obj["id"], "manifold id"),
+            json_str(obj["kind"], "manifold kind"),
+            boundaries,
+            records("disk_records"),
+            records("annulus_records"),
+            bundle_map,
+            cover,
+            splitting,
+        )
+
+
+def _piece_specs(
+    manifolds: Sequence[DecoratedManifoldSpec], pieces: Sequence[tuple[str, str]]
+) -> dict[str, DecoratedManifoldSpec]:
+    """Each piece's spec, once the manifold ids and the piece ids are each
+    unique and every piece names a manifold."""
+    specs = {m.id: m for m in manifolds}
+    if len(specs) != len(manifolds):
+        raise ValidationError("duplicate manifold id")
+    if len({pid for pid, _ in pieces}) != len(pieces):
+        raise ValidationError("duplicate piece id")
+    out = {}
+    for pid, mid in pieces:
+        spec = specs.get(mid)
+        if spec is None:
+            raise ValidationError(f"piece {pid} references unknown manifold {mid}")
+        out[pid] = spec
+    return out
+
+
+def resolve_slot(
+    specs: Mapping[str, DecoratedManifoldSpec], slot: Slot, referrer: str
+) -> BoundarySpec:
+    """The non-toroidal boundary that slot names, given each piece's spec;
+    the error of each way it names none starts with referrer, what names
+    the slot."""
+    spec = specs.get(slot[0])
+    if spec is None:
+        raise ValidationError(f"{referrer} references unknown piece {slot[0]}")
+    for b in spec.boundaries:
+        if b.id == slot[1]:
+            if b.toroidal:
+                raise ValidationError(f"{referrer} on toroidal boundary {_slot_name(slot)}")
+            return b
+    raise ValidationError(f"{referrer} references unknown slot {_slot_name(slot)}")
 
 
 class GluingGraph(Record):
@@ -523,18 +556,8 @@ class GluingGraph(Record):
     boundary_markings: tuple[tuple[Slot, AbstractMarking], ...] = ()
 
     @cached_property
-    def _specs(self) -> dict[str, DecoratedManifoldSpec]:
-        return {m.id: m for m in self.manifolds}
-
-    @cached_property
     def _piece_spec(self) -> dict[str, DecoratedManifoldSpec]:
-        out = {}
-        for pid, mid in self.pieces:
-            spec = self._specs.get(mid)
-            if spec is None:
-                raise ValidationError(f"piece {pid} references unknown manifold {mid}")
-            out[pid] = spec
-        return out
+        return _piece_specs(self.manifolds, self.pieces)
 
     @cached_property
     def _psi(self) -> dict[Slot, tuple[Slot, SlotMap]]:
@@ -594,28 +617,14 @@ class GluingGraph(Record):
     def __post_init__(self) -> None:
         """Check every structural invariant, the splitting that each
         piece's spec declares included: a graph is sound once it exists."""
-        mids = [m.id for m in self.manifolds]
-        if len(set(mids)) != len(mids):
-            raise ValidationError("duplicate manifold id")
-        pids = [pid for pid, _ in self.pieces]
-        if len(set(pids)) != len(pids):
-            raise ValidationError("duplicate piece id")
+        specs = self._piece_spec
         if not self.pieces:
             raise ValidationError("gluing needs at least one piece")
-        valid = set(self.slots())  # raises on dangling manifold references
         seen: set[Slot] = set()
         for ident in self.identifications:
-            for slot in (ident.slot_a, ident.slot_b):
-                if slot not in valid:
-                    piece = slot[0]
-                    if piece in self._piece_spec and self.spec_of(piece).has_boundary(slot[1]):
-                        raise ValidationError(
-                            f"identification on toroidal boundary {_slot_name(slot)}"
-                        )
-                    raise ValidationError(
-                        f"identification references unknown slot {_slot_name(slot)}"
-                    )
             a, b = ident.slot_a, ident.slot_b
+            ha = resolve_slot(specs, a, "identification").handle
+            hb = resolve_slot(specs, b, "identification").handle
             if a == b:
                 if not (ident.map.reversing and ident.map.is_involution()):
                     raise ValidationError(
@@ -635,8 +644,6 @@ class GluingGraph(Record):
                             " used twice"
                         )
                     seen.add(slot)
-            ha = self.boundary_of(a).handle
-            hb = self.boundary_of(b).handle
             if ha != hb:
                 raise BackendMismatchError(
                     f"identified slots {_slot_name(a)} and {_slot_name(b)} live on"
@@ -652,22 +659,19 @@ class GluingGraph(Record):
                     " orientation"
                 )
         for slot, marking in self.boundary_markings:
-            if slot not in valid:
-                raise ValidationError(
-                    f"boundary marking on unknown slot {_slot_name(slot)}"
-                )
+            handle = resolve_slot(specs, slot, "boundary marking").handle
             if slot in self._psi:
                 raise ValidationError(
                     f"boundary marking on buried slot {_slot_name(slot)}"
                 )
-            if marking.handle != self.boundary_of(slot).handle:
+            if marking.handle != handle:
                 raise ValidationError(
                     f"boundary marking on {_slot_name(slot)} lives on the wrong backend"
                 )
         lam_slots = [slot for slot, _ in self.boundary_markings]
         if len(set(lam_slots)) != len(lam_slots):
             raise ValidationError("duplicate boundary marking")
-        groups = components(pids, ((i.piece_a, i.piece_b) for i in self.identifications))
+        groups = components(list(specs), ((i.piece_a, i.piece_b) for i in self.identifications))
         if len(groups) > 1:
             raise ValidationError(f"disconnected: piece {groups[1][0]} unreachable")
         self.full  # checks each declared splitting
@@ -708,29 +712,19 @@ class GluingGraph(Record):
         manifolds = tuple(
             DecoratedManifoldSpec.from_json(m, graphs) for m in _json_list(obj, "manifolds")
         )
-        specs = {m.id: m for m in manifolds}
         pieces = []
         for p in _json_list(obj, "pieces"):
             if not isinstance(p, Mapping) or "id" not in p or "manifold" not in p:
                 raise ParseError("piece entry needs an id and a manifold")
             pieces.append((json_str(p["id"], "piece id"), json_str(p["manifold"], "piece manifold")))
-        piece_spec = {pid: specs.get(mid) for pid, mid in pieces}
-
-        def slot_handle(pid: str, bid: str, field: str) -> BackendHandle:
-            spec = piece_spec.get(pid)
-            if spec is None:
-                raise ParseError(f"{field} references unknown piece {pid}")
-            for b in spec.boundaries:
-                if b.id == bid and b.handle is not None:
-                    return b.handle
-            raise ParseError(f"{field} references unknown slot {pid}:{bid}")
-
+        # a map or a marking is read in the chart of the slot it is on
+        specs = _piece_specs(manifolds, pieces)
         idents = []
         for rec in _json_list(obj, "identifications"):
             if not isinstance(rec, Mapping) or not {"a", "b", "map"} <= rec.keys():
                 raise ParseError("identification needs slots a and b and a map")
             (pa, ba), (pb, bb) = _json_slot(rec, "a"), _json_slot(rec, "b")
-            handle = slot_handle(pa, ba, "identification")
+            handle = resolve_slot(specs, (pa, ba), "identification").handle
             idents.append(Identification(pa, ba, pb, bb, SlotMap.from_json(handle, rec["map"])))
         lam = []
         lam_obj = obj.get("lambda", {})
@@ -740,7 +734,7 @@ class GluingGraph(Record):
             if ":" not in key:
                 raise ParseError(f"lambda key {clip(key)} is not piece:boundary")
             pid, bid = key.split(":", 1)
-            handle = slot_handle(pid, bid, "lambda")
+            handle = resolve_slot(specs, (pid, bid), "lambda").handle
             lam.append(((pid, bid), AbstractMarking.from_json(handle, mjson)))
         return GluingGraph(manifolds, tuple(pieces), tuple(idents), tuple(lam))
 

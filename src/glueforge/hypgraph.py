@@ -387,10 +387,7 @@ class GraphBackend(Record):
         except TypeError as exc:
             raise ParseError(f"bad permutation in slot map: {exc}") from exc
         reversing = json_bool(obj, "reverses_orientation", True)
-        try:
-            return SlotMap(self, perm=perm, graph_reversing=reversing)
-        except ValidationError as exc:
-            raise ParseError(str(exc)) from exc
+        return SlotMap(self, perm=perm, graph_reversing=reversing)
 
     def sigma(self, *payloads: object) -> None:
         """No balanced point, and no tube geometry."""

@@ -107,7 +107,7 @@ def parse_slope(text: str) -> Slope:
     try:
         num, slash, den = s.partition("/")
         return Slope(ascii_int(num), ascii_int(den) if slash else 1)
-    except (ValueError, ValidationError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad slope {clip(text)}") from exc
 
 
@@ -198,7 +198,7 @@ class SurfaceMap(Record):
         try:
             (a, b), (c, d) = rows  # type: ignore[misc]
             return SurfaceMap(json_int(a), json_int(b), json_int(c), json_int(d))
-        except (TypeError, ValueError, ValidationError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"bad surface map {clip(rows)}") from exc
 
 
@@ -322,10 +322,7 @@ class TorusBackend(Record):
     def marking_from_json(self, obj: dict) -> FareyMarking:
         if "base" not in obj or "transversal" not in obj:
             raise ParseError("torus marking needs base and transversal")
-        try:
-            return FareyMarking(_json_slope(obj["base"]), _json_slope(obj["transversal"]))
-        except ValidationError as exc:
-            raise ParseError(f"bad torus marking: {exc}") from exc
+        return FareyMarking(_json_slope(obj["base"]), _json_slope(obj["transversal"]))
 
     def check_disks(self, elements: tuple) -> None:
         if not all(isinstance(e, Slope) for e in elements):

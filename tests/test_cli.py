@@ -372,6 +372,25 @@ def _toroidal(**fields: object):
     return edit
 
 
+def _then(*edits):
+    """An edit that makes the given edits in turn."""
+
+    def edit(obj: dict) -> dict:
+        for each in edits:
+            obj = each(obj)
+        return obj
+
+    return edit
+
+
+def _graph_e0(*vertices: int):
+    """An edit that puts the chain example's p0:E0 on a 6-cycle backend,
+    decorated by the given vertices."""
+    backend = {"kind": "graph", "n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}
+    boundary = {"id": "E0", "backend": backend, "decoration": {"vertices": list(vertices)}}
+    return _set("manifolds.0.boundaries.0", boundary)
+
+
 TORUS_MARKING = {"base": "0/1", "transversal": "inf"}
 SPLITTING = "manifolds.0.splitting"
 
@@ -401,10 +420,6 @@ PARSE_CHECKS = {
         _set("manifolds.0.boundaries.0", {"id": "E0", "backend": {"kind": "torus"}}),
         "boundary E0 needs backend and decoration",
     ),
-    "bundle-map-without-chart": (
-        _set("manifolds.1.boundaries", [{"id": "T", "toroidal": True}]),
-        "bundle map without a charted boundary",
-    ),
     "cover-number": (_set("manifolds.1.cover", 1), "cover data must be an object"),
     "cover-empty": (_set("manifolds.1.cover", {}), "cover data missing field 'mu0'"),
     "splitting-number": (_set(SPLITTING, 1), "splitting must be an object"),
@@ -421,16 +436,9 @@ PARSE_CHECKS = {
         _set(SPLITTING, {"pieces": [], "identifications": [{"a": ["a", "E0"]}]}),
         "splitting identification needs slots a and b",
     ),
-    "compressible-bundle": (
-        _set("manifolds.1.boundaries.0", {
-            "id": "F0", "backend": {"kind": "torus"}, "decoration": TORUS_MARKING,
-            "compressible": True, "disks": ["0/1"],
-        }),
-        "bundle B boundaries are incompressible",
-    ),
     "toroidal-junk": (
         _toroidal(disks="junk", backend=7),
-        "boundary T needs backend and decoration",
+        "backend declaration must be an object with a kind",
     ),
 }
 INVARIANT_CHECKS = {
@@ -454,6 +462,72 @@ INVARIANT_CHECKS = {
         "toroidal boundary T cannot carry a chart",
     ),
     "toroidal-disks": (_toroidal(disks=["1/0"]), "toroidal boundary T cannot be compressible"),
+    "toroidal-backend": (
+        _toroidal(backend={"kind": "torus"}),
+        "toroidal boundary T cannot carry a chart",
+    ),
+    "toroidal-decoration": (
+        _toroidal(decoration=TORUS_MARKING),
+        "toroidal boundary T cannot carry a chart",
+    ),
+    # a rule of a record is an invariant wherever the file states it: on
+    # either slot, glued or not, on either backend
+    "bundle-map-without-chart": (
+        _set("manifolds.1.boundaries", [{"id": "T", "toroidal": True}]),
+        "manifold B needs a non-toroidal boundary",
+    ),
+    "compressible-bundle": (
+        _set("manifolds.1.boundaries.0", {
+            "id": "F0", "backend": {"kind": "torus"}, "decoration": TORUS_MARKING,
+            "compressible": True, "disks": ["0/1"],
+        }),
+        "bundle B boundaries are incompressible",
+    ),
+    "toroidal-slot-a": (
+        _then(_toroidal(), _set("identifications.0.a", ["p0", "T"])),
+        "identification on toroidal boundary p0:T",
+    ),
+    "toroidal-slot-b": (
+        _then(_toroidal(), _set("identifications.0.b", ["p0", "T"])),
+        "identification on toroidal boundary p0:T",
+    ),
+    "toroidal-lambda": (
+        _then(_toroidal(), _set("lambda", {"p0:T": TORUS_MARKING})),
+        "lambda on toroidal boundary p0:T",
+    ),
+    "glued-piece-unknown-manifold": (
+        _set("pieces.0.manifold", "NOPE"),
+        "piece p0 references unknown manifold NOPE",
+    ),
+    "unglued-piece-unknown-manifold": (
+        lambda obj: {**obj, "pieces": [*obj["pieces"], {"id": "p3", "manifold": "NOPE"}]},
+        "piece p3 references unknown manifold NOPE",
+    ),
+    "torus-decoration-not-adjacent": (
+        _set("manifolds.0.boundaries.0.decoration", {"base": "0/1", "transversal": "2/1"}),
+        "marking slopes must intersect once: 0/1, 2/1",
+    ),
+    "graph-decoration-diameter-3": (_graph_e0(0, 3), "marking diameter 3 exceeds 2"),
+    "bundle-map-preserves-orientation": (
+        _set("manifolds.1.bundle_map", [[1, 0], [0, 1]]),
+        "bundle B: exchange map must reverse orientation",
+    ),
+    "identification-map-preserves-orientation": (
+        _set("identifications.0.map", [[1, 0], [0, 1]]),
+        "gluing map p0:E0 -> p1:F0 must reverse orientation",
+    ),
+    "matrix-det-2": (
+        _set("identifications.0.map", [[2, 0], [0, 1]]),
+        "surface map must have det +-1, got 2",
+    ),
+    "perm-not-automorphism": (
+        _then(_graph_e0(0), _set("identifications.0.map", {"perm": [1, 0, 2, 3, 4, 5]})),
+        "graph map descriptor is not distance preserving",
+    ),
+    "slope-0/0": (
+        _set("manifolds.0.boundaries.0.decoration.base", "0/0"),
+        "slope 0/0 is not a curve",
+    ),
 }
 
 
@@ -1507,7 +1581,8 @@ def test_a_bad_lambda_key_is_named_as_lambda(capsys, tmp_path, key, message):
     obj = id_gluings()["cores"]
     obj["lambda"] = {key: {"base": "0", "transversal": "inf"}}
     code, out, err = run_gluing(capsys, tmp_path, obj, ["validate"])
-    assert (code, out, err) == (EXIT_PARSE, "", f"parse error: lambda references {message}\n")
+    expected = f"invariant violation: lambda references {message}\n"
+    assert (code, out, err) == (EXIT_INVARIANT, "", expected)
 
 
 @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
@@ -1518,10 +1593,10 @@ def test_stderr_is_utf8_in_every_locale(tmp_path, encoding):
     path.write_text(json.dumps(obj, ensure_ascii=False), "utf-8")
     argv = ["validate", "--input", str(path)]
     plain = cold_bytes(argv)
-    expected = "parse error: identification references unknown piece pÉ\n".encode()
-    assert (plain.returncode, plain.stderr) == (EXIT_PARSE, expected)
+    expected = "invariant violation: identification references unknown piece pÉ\n".encode()
+    assert (plain.returncode, plain.stderr) == (EXIT_INVARIANT, expected)
     proc = cold_bytes(argv, PYTHONIOENCODING=encoding)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_PARSE, b"", expected)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INVARIANT, b"", expected)
     # a path byte that is not UTF-8 prints as its escape, not as a fault
     undecodable = ["validate", "--input", os.fsdecode(bytes(tmp_path) + b"/\xff")]
     plain = cold_bytes(undecodable)

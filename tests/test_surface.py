@@ -254,7 +254,8 @@ def test_marking_json_round_trip():
     assert AbstractMarking.from_json(h, g.to_json()) == g
     with pytest.raises(ParseError):
         AbstractMarking.from_json(BackendHandle.torus(), {"base": "0/1"})
-    with pytest.raises(ParseError):
+    # a marking of the right shape whose slopes do not meet once breaks a rule
+    with pytest.raises(ValidationError, match="intersect once"):
         AbstractMarking.from_json(BackendHandle.torus(), {"base": "0/1", "transversal": "0/1"})
     with pytest.raises(ParseError):
         AbstractMarking.from_json(h, {"slopes": []})
