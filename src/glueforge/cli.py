@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 import warnings
 from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NoReturn, Sequence
 
 # Each command imports the layers it runs, so that a cold `hyplab` loads
 # no torus or gluing code and a cold `validate` no collapse or skeleton.
@@ -117,8 +118,14 @@ def _read_input(path: str) -> tuple[bytes, str]:
 
 
 def _emit(out: str | None, text: str) -> None:
+    """Write text to --out or to stdout, flushed: a reader that closed the
+    pipe is an invariant violation, as an unwritable --out is."""
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise ValidationError(f"cannot write stdout: {exc.strerror}") from exc
         return
     try:
         with open(out, "wb") as fh:
@@ -302,29 +309,32 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
-def entry() -> int:
+def entry() -> NoReturn:
     """Process entry of `python -m glueforge.cli` and of the `glueforge`
     script: main() on the command line with the cyclic collector off, then
-    gc.freeze().  A command makes few reference cycles, so the collections
-    that allocation triggers reclaim almost nothing.  At exit the
-    interpreter runs a full collection over every tracked object, most of
-    them loaded at start-up, only to let the process end; frozen objects
-    are left out of it.  main() leaves the collector alone, and entry()
-    turns it back on after main() if it was on, so in-process callers keep
-    theirs as it was.  Stdout is UTF-8 in every locale: a report prints the
+    os._exit with its code.  A command makes few reference cycles, so the
+    collections that allocation triggers reclaim almost nothing, and the
+    teardown after main() only frees what the process is about to give
+    back: a full collection over every tracked object, most of them loaded
+    at start-up, and every module.  main() has flushed the report, and
+    leaves the collector alone for in-process callers; entry() flushes what
+    argparse printed.  Stdout is UTF-8 in every locale: a report prints the
     bytes that --out writes.  So is stderr, where a character UTF-8 cannot
     encode (an undecodable byte of a path) prints as its backslash escape."""
     sys.stdout.reconfigure(encoding="utf-8")
     sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
-    enabled = gc.isenabled()
     gc.disable()
     try:
-        return main()
-    finally:
-        gc.freeze()
-        if enabled:
-            gc.enable()
+        code = main()
+    except SystemExit as exc:  # help or a usage error, from argparse
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except OSError:  # main() reported its report's failed write, and
+        pass  # argparse ignores a failed write of its own
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(entry())
+    entry()

@@ -5,14 +5,16 @@ a core and compression bodies, none of which splits again.  The maximal
 one keeps exactly the identifications that meet a compression body's
 exterior boundary; the connected groups under them are its components,
 and the other identifications are cut.  Both are pure: they return new
-values and never mutate the input graph.
+values and never mutate the input graph.  The splitting records live
+here with their rules, so a gluing without a splitting compiles neither.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Mapping
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError, json_str
 from .gluing import (
     COMPRESSION_BODY,
     DecoratedManifoldSpec,
@@ -20,10 +22,83 @@ from .gluing import (
     Identification,
     Slot,
     SlotMap,
+    _json_list,
+    _json_slot,
     components,
     resolve_slot,
 )
 from .record import Record
+
+
+class SubPiece(Record):
+    """Declared sub-piece of a core/compression-body splitting.
+
+    boundaries maps parent boundary ids to the sub-piece's own boundary
+    ids; the referenced manifold id resolves within the same manifest.
+    """
+
+    id: str
+    manifold: str
+    boundaries: tuple[tuple[str, str], ...] = ()
+
+    def to_json(self) -> dict:
+        return {
+            "id": self.id,
+            "manifold": self.manifold,
+            "boundaries": {parent: sub for parent, sub in self.boundaries},
+        }
+
+    @staticmethod
+    def from_json(obj: object) -> "SubPiece":
+        if not isinstance(obj, Mapping):
+            raise ParseError("sub-piece must be an object")
+        try:
+            bmap = obj.get("boundaries", {})
+            if not isinstance(bmap, Mapping):
+                raise ParseError("sub-piece boundaries must be an object")
+            return SubPiece(
+                json_str(obj["id"], "sub-piece id"),
+                json_str(obj["manifold"], "sub-piece manifold"),
+                tuple(
+                    (json_str(k, "sub-piece boundary"), json_str(v, "sub-piece boundary"))
+                    for k, v in bmap.items()
+                ),
+            )
+        except KeyError as exc:
+            raise ParseError(f"sub-piece missing field {exc}") from exc
+
+
+class Splitting(Record):
+    """Core/compression-body splitting of one spec: sub-pieces plus the
+    internal identifications along the splitting surfaces."""
+
+    pieces: tuple[SubPiece, ...]
+    identifications: tuple[tuple[str, str, str, str, str], ...] = ()
+    # identification tuples (sub_a, bdry_a, sub_b, bdry_b, map JSON text);
+    # `expand_splittings` parses a map against its sub-spec handle once
+    # the manifest is known
+
+    def to_json(self) -> dict:
+        return {
+            "pieces": [p.to_json() for p in self.pieces],
+            "identifications": [
+                {"a": [pa, ba], "b": [pb, bb], "map": json.loads(m)}
+                for pa, ba, pb, bb, m in self.identifications
+            ],
+        }
+
+    @staticmethod
+    def from_json(obj: object) -> "Splitting":
+        if not isinstance(obj, Mapping):
+            raise ParseError("splitting must be an object")
+        pieces = tuple(SubPiece.from_json(p) for p in _json_list(obj, "pieces"))
+        idents = []
+        for rec in _json_list(obj, "identifications"):
+            if not isinstance(rec, Mapping) or "a" not in rec or "b" not in rec:
+                raise ParseError("splitting identification needs slots a and b")
+            (pa, ba), (pb, bb) = _json_slot(rec, "a"), _json_slot(rec, "b")
+            idents.append((pa, ba, pb, bb, json.dumps(rec.get("map"))))
+        return Splitting(pieces, tuple(idents))
 
 
 class Component(Record):

@@ -34,8 +34,9 @@ from .surface import (
     sup_projection,
 )
 
-if TYPE_CHECKING:  # only a torus backend loads the torus layer
-    from .torus import SurfaceMap
+if TYPE_CHECKING:
+    from .decompose import Splitting  # only a declared splitting loads it
+    from .torus import SurfaceMap  # only a torus backend loads the torus layer
 
 GENERIC = "generic"
 TRIVIAL_IBUNDLE = "trivial-I-bundle"
@@ -220,44 +221,6 @@ class BoundarySpec(Record):
         )
 
 
-class SubPiece(Record):
-    """Declared sub-piece of a core/compression-body splitting.
-
-    boundaries maps parent boundary ids to the sub-piece's own boundary
-    ids; the referenced manifold id resolves within the same manifest.
-    """
-
-    id: str
-    manifold: str
-    boundaries: tuple[tuple[str, str], ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "manifold": self.manifold,
-            "boundaries": {parent: sub for parent, sub in self.boundaries},
-        }
-
-    @staticmethod
-    def from_json(obj: object) -> "SubPiece":
-        if not isinstance(obj, Mapping):
-            raise ParseError("sub-piece must be an object")
-        try:
-            bmap = obj.get("boundaries", {})
-            if not isinstance(bmap, Mapping):
-                raise ParseError("sub-piece boundaries must be an object")
-            return SubPiece(
-                json_str(obj["id"], "sub-piece id"),
-                json_str(obj["manifold"], "sub-piece manifold"),
-                tuple(
-                    (json_str(k, "sub-piece boundary"), json_str(v, "sub-piece boundary"))
-                    for k, v in bmap.items()
-                ),
-            )
-        except KeyError as exc:
-            raise ParseError(f"sub-piece missing field {exc}") from exc
-
-
 class CoverData(Record):
     """Declared double cover of a twisted bundle: the product bundle's two
     decorations, the two boundary lifts, and the endpoint exchange."""
@@ -308,39 +271,6 @@ class Identification(Record):
             "b": [self.piece_b, self.bdry_b],
             "map": self.map.to_json(),
         }
-
-
-class Splitting(Record):
-    """Core/compression-body splitting of one spec: sub-pieces plus the
-    internal identifications along the splitting surfaces."""
-
-    pieces: tuple[SubPiece, ...]
-    identifications: tuple[tuple[str, str, str, str, str], ...] = ()
-    # identification tuples (sub_a, bdry_a, sub_b, bdry_b, map JSON text);
-    # `decompose` parses a map against its sub-spec handle once the
-    # manifest is known
-
-    def to_json(self) -> dict:
-        return {
-            "pieces": [p.to_json() for p in self.pieces],
-            "identifications": [
-                {"a": [pa, ba], "b": [pb, bb], "map": json.loads(m)}
-                for pa, ba, pb, bb, m in self.identifications
-            ],
-        }
-
-    @staticmethod
-    def from_json(obj: object) -> "Splitting":
-        if not isinstance(obj, Mapping):
-            raise ParseError("splitting must be an object")
-        pieces = tuple(SubPiece.from_json(p) for p in _json_list(obj, "pieces"))
-        idents = []
-        for rec in _json_list(obj, "identifications"):
-            if not isinstance(rec, Mapping) or "a" not in rec or "b" not in rec:
-                raise ParseError("splitting identification needs slots a and b")
-            (pa, ba), (pb, bb) = _json_slot(rec, "a"), _json_slot(rec, "b")
-            idents.append((pa, ba, pb, bb, json.dumps(rec.get("map"))))
-        return Splitting(pieces, tuple(idents))
 
 
 class DecoratedManifoldSpec(Record):
@@ -484,6 +414,8 @@ class DecoratedManifoldSpec(Record):
             cover = CoverData.from_json(chart, obj["cover"])
         splitting = None
         if "splitting" in obj:
+            from .decompose import Splitting
+
             splitting = Splitting.from_json(obj["splitting"])
 
         def records(key: str) -> tuple[tuple[str, ...], ...]:

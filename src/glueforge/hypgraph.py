@@ -97,6 +97,12 @@ class FiniteGraph(Record):
             accepted.add(perm)
 
     @cached_property
+    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges in order, one tuple per graph: the JSON of every
+        backend on the graph holds this one object."""
+        return tuple(sorted(self.edges))
+
+    @cached_property
     def adjacency(self) -> list[list[int]]:
         """Sorted adjacency lists, whose paths are the geodesics; the
         caller must not mutate them."""
@@ -222,7 +228,7 @@ class GraphBackend(Record):
         out: dict = {
             "kind": self.kind,
             "n": self.graph.vertex_count,
-            "edges": sorted([u, v] for u, v in self.graph.edges),
+            "edges": self.graph.sorted_edges,
         }
         if self.markings:
             out["markings"] = {name: list(vs) for name, vs in self.markings}

@@ -1765,15 +1765,18 @@ def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
 # ------------------------------------------------------- process entry
 
 
-def cold_bytes(argv: list[str], **env: str) -> subprocess.CompletedProcess:
+def cold_bytes(argv: list[str], stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
     """`python -m glueforge.cli argv...` in a fresh interpreter, stdout as
-    bytes; env adds to the environment, which never sets PYTHONIOENCODING
-    unless env does."""
+    bytes (into stdout, a pipe unless given); env adds to the environment,
+    which never sets PYTHONIOENCODING or PYTHONUNBUFFERED unless env does,
+    so stdout is buffered as in a shell."""
     src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
-    base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    unset = ("PYTHONIOENCODING", "PYTHONUNBUFFERED")
+    base = {k: v for k, v in os.environ.items() if k not in unset}
     return subprocess.run(
         [sys.executable, "-m", "glueforge.cli", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         timeout=120,
         env=dict(base, PYTHONPATH=src, **env),
     )
@@ -1926,24 +1929,86 @@ def test_help_names_every_command_and_flag(capsys):
     )
 
 
-def test_main_leaves_the_collector_alone_and_entry_freezes(files, capsys, monkeypatch):
+def test_main_leaves_the_collector_alone(files, capsys):
     before = gc.get_freeze_count()
     assert run(capsys, ["validate", "--input", files["example:chain"]])[0] == EXIT_PASS
     assert gc.get_freeze_count() == before
     assert gc.isenabled()
-    monkeypatch.setattr(sys, "argv", ["glueforge", "validate", "--input", files["example:chain"]])
-    # entry runs main with the cyclic collector off and restores it after
-    collecting = []
-    real_main = cli.main
-    monkeypatch.setattr(cli, "main", lambda: collecting.append(gc.isenabled()) or real_main())
+
+
+# one command line per exit code: main() returns it in process, and the
+# process entry, which ends the process with os._exit, exits with it
+EXIT_CODE_RUNS = [
+    ("validate", "example:chain"),
+    ("model --eps0 0.3", "example:thin"),
+    ("validate", "bad"),
+    ("validate", "fixed"),
+    ("collapse", "example:fibered"),
+    ("model", "deep200"),
+]
+
+
+def test_process_entry_ends_with_every_byte_and_exit_code(
+    files, large_graph_files, capsys, tmp_path
+):
+    # a report larger than a pipe's buffer reaches a pipe, a file and --out
+    # whole, with the bytes that the pinned digest names
+    argv = ["collapse", "--input", large_graph_files["stack400.json"]]
+    piped = cold_bytes(argv)
+    code, digest = LARGE_GRAPH_STDOUT["collapse", "stack400.json"]
+    assert (piped.returncode, piped.stderr) == (code, b"")
+    assert len(piped.stdout) > 1 << 16
+    assert hashlib.sha256(piped.stdout).hexdigest() == digest
+    with open(tmp_path / "stdout.json", "wb") as fh:
+        assert cold_bytes(argv, stdout=fh).returncode == code
+    assert (tmp_path / "stdout.json").read_bytes() == piped.stdout
+    out = tmp_path / "out.json"
+    written = cold_bytes([*argv, "--out", str(out)])
+    assert (written.returncode, written.stdout, written.stderr) == (code, b"", b"")
+    assert out.read_bytes() == piped.stdout
+    codes = []
+    for command, name in EXIT_CODE_RUNS:
+        argv = [*command.split(), "--input", files[name]]
+        code, out, err = run(capsys, argv)
+        proc = cold_bytes(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out.encode(), err)
+        codes.append(code)
+    assert codes == [EXIT_PASS, EXIT_VERDICT, EXIT_PARSE, EXIT_INVARIANT, EXIT_FIBERED, EXIT_INTERNAL]
+    # main() runs with the cyclic collector off
+    probe = (
+        "import gc, sys\n"
+        "from glueforge import cli\n"
+        "real = cli.main\n"
+        "cli.main = lambda: print(gc.isenabled(), file=sys.stderr) or real()\n"
+        "cli.entry()\n"
+    )
+    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "validate", "--input", files["example:chain"]],
+        capture_output=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_PASS, b"False\n")
+
+
+def closed_pipe_run(argv: list[str]) -> subprocess.CompletedProcess:
+    """A cold run whose stdout is a pipe that its reader closed first."""
+    read, write = os.pipe()
+    os.close(read)
     try:
-        assert cli.entry() == EXIT_PASS
-        assert gc.get_freeze_count() > before
+        return cold_bytes(argv, stdout=write)
     finally:
-        gc.unfreeze()
-    assert collecting == [False]
-    assert gc.isenabled()
-    capsys.readouterr()
+        os.close(write)
+
+
+@pytest.mark.parametrize("command, name", [("collapse", "stack400.json"), ("hyplab", "c6.txt")])
+def test_a_closed_stdout_is_an_invariant_violation(large_graph_files, command, name):
+    # as an unwritable --out is: one stderr line, not an internal fault,
+    # whether the report fills a pipe's buffer or fits in stdout's
+    proc = closed_pipe_run([command, "--input", large_graph_files[name]])
+    assert proc.returncode == EXIT_INVARIANT
+    assert proc.stderr.decode().splitlines() == ["invariant violation: cannot write stdout: Broken pipe"]
 
 
 def test_console_script_is_the_process_entry():

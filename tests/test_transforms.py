@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from glueforge.certify import CombinatoricsCertificate, check_bounded_combinatorics
-from glueforge.decompose import full_and_maximal_decomposition
+from glueforge.decompose import Splitting, SubPiece, full_and_maximal_decomposition
 from glueforge.errors import BackendMismatchError, ValidationError
 from glueforge.gluing import (
     COMPRESSION_BODY,
@@ -24,8 +24,6 @@ from glueforge.gluing import (
     GluingGraph,
     Identification,
     SlotMap,
-    SubPiece,
-    Splitting,
     heights,
     slot_measures,
 )
