@@ -557,25 +557,17 @@ class GluingGraph(Record):
             a, b = ident.slot_a, ident.slot_b
             ha = resolve_slot(specs, a, "identification").handle
             hb = resolve_slot(specs, b, "identification").handle
-            if a == b:
-                if not (ident.map.reversing and ident.map.is_involution()):
+            if a == b and not (ident.map.reversing and ident.map.is_involution()):
+                raise ValidationError(
+                    f"fixed point: self-identification on {_slot_name(a)} needs an"
+                    " orientation-reversing involution"
+                )
+            for slot in (a,) if a == b else (a, b):
+                if slot in seen:
                     raise ValidationError(
-                        f"fixed point: self-identification on {_slot_name(a)} needs an"
-                        " orientation-reversing involution"
+                        f"non-involutive identifications: slot {_slot_name(slot)} used twice"
                     )
-                if a in seen:
-                    raise ValidationError(
-                        f"non-involutive identifications: slot {_slot_name(a)} used twice"
-                    )
-                seen.add(a)
-            else:
-                for slot in (a, b):
-                    if slot in seen:
-                        raise ValidationError(
-                            f"non-involutive identifications: slot {_slot_name(slot)}"
-                            " used twice"
-                        )
-                    seen.add(slot)
+                seen.add(slot)
             if ha != hb:
                 raise BackendMismatchError(
                     f"identified slots {_slot_name(a)} and {_slot_name(b)} live on"

@@ -8,19 +8,25 @@ the reference kernels at the end: the package's former per-target row and
 pivot searches, kept to test their replacements against, and the geodesic
 enumerator that no command uses.  The last section holds the former
 library functions that no command reaches: builders, a reader and
-checkers that the tests use on package values.
+checkers that the tests use on package values, and after them the one
+runner of a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import deque
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+import glueforge
 from glueforge.errors import ParseError, ValidationError, clip
 from glueforge.gluing import (
     COMPRESSION_BODY,
@@ -1039,4 +1045,29 @@ def build_compression(
         manifolds=tuple(manifolds.values()),
         pieces=tuple(pieces),
         identifications=tuple(idents),
+    )
+
+
+# --------------------------------------------------------- cold processes
+
+SRC = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
+# the arguments that start the process entry: `python -m glueforge.cli`
+CLI = ("-m", "glueforge.cli")
+
+
+def cold(args: Sequence[str], stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
+    """`python args...` in a fresh interpreter that imports the package
+    from src, with stdout (into a pipe unless given) and stderr as raw
+    bytes.  The child inherits this process's environment without
+    PYTHONUNBUFFERED and PYTHONIOENCODING, so that its stdout is buffered
+    and UTF-8 as in a plain shell, whatever the caller's shell sets; env
+    adds variables, those two among them."""
+    unset = ("PYTHONUNBUFFERED", "PYTHONIOENCODING")
+    base = {k: v for k, v in os.environ.items() if k not in unset}
+    return subprocess.run(
+        [sys.executable, *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        timeout=120,
+        env=dict(base, PYTHONPATH=SRC, **env),
     )

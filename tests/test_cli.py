@@ -12,7 +12,6 @@ import pathlib
 import pkgutil
 import random
 import re
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -45,6 +44,7 @@ from glueforge.hypgraph import FiniteGraph, GraphProjection, cycle_graph
 from glueforge.ioutil import canonical_dumps, sha256_of_text
 from glueforge.surface import AbstractMarking, BackendHandle
 from glueforge.torus import IDENTITY, INFINITY, REFLECTION, FareyMarking, Slope
+from oracles import CLI, cold
 from test_transforms import (
     SKEW_1,
     SKEW_2,
@@ -81,6 +81,16 @@ def any_int_digits():
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+# Stacks of two to thirty axis bundles with large height gaps
+STACKS = {
+    "stack100_600": [100, 600],
+    "stack100_1100": [100, 1100],
+    "stack50_300": [50, 100, 150, 200, 250, 300],
+    "stack50_750": list(range(50, 800, 50)),
+    "stack50_1500": list(range(50, 1550, 50)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -1081,178 +1091,131 @@ def test_internal_fault_has_its_own_exit_code(files, capsys, monkeypatch):
     assert err == f"internal error: RuntimeError: boom; input sha256 {digest}\n"
 
 
-# ------------------------------------------------------ large gluing heights
+# ------------------------------------------------------- pinned report bytes
 
+UNBURIED = "warning: unburied slot p1:E1 has no free marking; boundary tube omitted\n"
 
-@pytest.mark.parametrize(
-    "command, name", [("report", "inv1000"), ("collapse", "deep200")]
-)
-def test_large_heights_finish_with_a_report(files, command, name):
-    # a cold interpreter, as a user runs it: no warm caches, real stderr
-    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "glueforge.cli", command, "--input", files[name]],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode in (EXIT_PASS, EXIT_VERDICT), proc.stderr
-    assert "Traceback" not in proc.stderr
-    obj = envelope(proc.stdout)
-    assert obj["command"] == command
-    assert obj["input_sha256"] == sha256_of_text(open(files[name]).read())
-
-
-def cold_run(argv: list[str]) -> subprocess.CompletedProcess:
-    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
-    return subprocess.run(
-        [sys.executable, "-m", "glueforge.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-
-
-# sha256 of the stdout of cold runs on core_stack_core([k]) with default
-# flags, recorded before the depth-linear torus kernels; any change is a
-# report change
-# Re-recorded when each report's params came to echo only the flags its
-# command reads; the result bytes stayed the same.
-DEEP_STDOUT_SHA256 = {
-    ("report", "deep200"): "16a7d39d4fab8d29f1bf9416d9faf8b80e71c5b15610ca9d8899d40e87d332b3",
-    ("collapse", "deep200"): "ef6366241faaec6345004bdc27f493ddcb624858b199929065c8b22f71bd3bdf",
-    ("report", "deep1000"): "63c1ab5922d1eb41f39b6c8c4553381b2d6928d70a6f0b4446a012b8385502f6",
-}
-
-
-# Stacks of two to thirty axis bundles with large height gaps; the sha256
-# of the stdout of cold runs with default flags was recorded while the
-# stack certificate still scanned the pairs of every stack path (the 15-
-# and 30-bundle stacks before geodesic paths skipped the scan)
-STACKS = {
-    "stack100_600": [100, 600],
-    "stack100_1100": [100, 1100],
-    "stack50_300": [50, 100, 150, 200, 250, 300],
-    "stack50_750": list(range(50, 800, 50)),
-    "stack50_1500": list(range(50, 1550, 50)),
-}
-# Re-recorded when each report's params came to echo only the flags its
-# command reads; the result bytes stayed the same.
-STACK_STDOUT_SHA256 = {
-    ("report", "stack100_600"): "5e2441364a330388b9ce3a56785c21718b24a0b4ebb660dfd833115b66b1e4dd",
-    ("collapse", "stack100_600"): "5351aee766897b50436b3fbec6bab6ab8df70178f5411a5fa1cced915d8cd752",
-    ("report", "stack100_1100"): "ac961079517e7dca5659c9c97fb08e19addc2fb2e27aa4bc1aa97c06ce0c58db",
-    ("collapse", "stack100_1100"): "98ac97f07ef5b5c5aed2b4a4aa0313c37116d28aa569fca62dec82383bde2f03",
-    ("report", "stack50_300"): "8e6895b8bc5a8a4d1a6267b90599b666ea75c4c9d997a30390ee0e04e62fa5ad",
-    ("collapse", "stack50_300"): "1ae1b5f1752ac23924b8081cabd3ec8bf4667d03cb82c808e50ca8884e38f76b",
-    ("report", "stack50_750"): "06e44a6af8f20d5ae57a2eb34a2ebe4404327e2c33f045015a91f55690a95dad",
-    ("collapse", "stack50_750"): "823d4fad5899745a3fc8bac99d4e15e345f7fabdad50f155bf2040442dde74ab",
-    ("report", "stack50_1500"): "e629b9e2bf0cef555c886a664edacc155e67d83c5d9b840f510c965213f60c87",
-    ("collapse", "stack50_1500"): "8bea6c09e251cae5ff1248646c82cac916713570a100a7df004845ea1541d2e3",
-}
-
-
-@pytest.mark.parametrize(
-    "command, name", list(DEEP_STDOUT_SHA256) + list(STACK_STDOUT_SHA256)
-)
-def test_deep_stack_report_bytes_pinned(files, command, name):
-    proc = cold_run([command, "--input", files[name]])
-    assert proc.returncode in (EXIT_PASS, EXIT_VERDICT), proc.stderr
-    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-    assert digest == {**DEEP_STDOUT_SHA256, **STACK_STDOUT_SHA256}[command, name]
-
-
-# exit code and sha256 of the stdout of cold runs with default flags: every
-# example command line, and the twisted-end and splitting branches that no
-# example reaches.  Recorded while the graph metric, the pushforward, the
-# skeleton JSON and the gluing source each still had a second, test-only
-# path; any change is a report change.  The two stack paths that are not
+# The golden table of cold runs: (exit code, sha256 of the raw stdout,
+# stderr) of `python -m glueforge.cli <command line> --input <input>`, by
+# (command line, input name).  It holds every example command line; the
+# twisted-end and splitting branches that no example reaches; large
+# gluing heights: a long continued fraction (inv1000), a 10,001-digit
+# denominator (huge), axis powers 200 and 1000 and STACKS; and graph
+# backends: hyplab graphs of up to 1000 vertices and a stack over a
+# 400-cycle.  Any change is a report change.
+#
+# The example pins were recorded while the graph metric, the pushforward,
+# the skeleton JSON and the gluing source each still had a second,
+# test-only path; the deep pins before the depth-linear torus kernels; the
+# stack pins while the stack certificate still scanned the pairs of every
+# stack path (the 15- and 30-bundle stacks before geodesic paths skipped
+# the scan); the graph pins while distance tables still had an array form
+# and graph backends built every row.  The two stack paths that are not
 # geodesics, a revisit (backtrack) and a detour (wrap20), were recorded
 # while K' still came from the windowed local-to-global report.  The two
 # model pins of the stack example were recorded when its 55-bit tube moved
-# to the decimal path; before, both ended with exit 5 and no output.
-# The JSON pins were re-recorded when each report's params came to echo
-# only the flags its command reads; the result bytes stayed the same.  The
+# to the decimal path; before, both ended with exit 5 and no output.  The
 # validate, report and model pins of the splitting were recorded before
-# those commands checked a splitting as decompose does.
-COLD_STDOUT_PINS = {
-    ("validate", "example:chain"): (0, "a2a597e0eca2cfd4d0c53f1a1948c70f1a9d52807be4b7219f99e971552e0a73"),
-    ("report", "example:chain"): (0, "c41dc9a61f886de4e6c3bf1ccd81b99047fd12d9fca72eb2bed0b28a142962f4"),
-    ("collapse --emit-correspondence", "example:chain"): (0, "bb41db41d41b7a898e616e20b764b6cf1c0d84aa225d1ce6d17078f5b66bc3ba"),
-    ("decompose", "example:chain"): (0, "68643a53580505ac284e24804172bbc9faa3850ae4565f0432a0970a2c6705fa"),
-    ("model", "example:chain"): (0, "560b3c87476f699f247715e60a3bf75a750e34e61a4bd85a5816e4e997f7af56"),
-    ("model --format obj", "example:chain"): (0, "9446c140590e661cd0a522e7c2bdc042afebc43cdfc54980645932c3c4afa9f6"),
-    ("validate", "example:stack"): (0, "ccc42c8157f4a65a83bbd74d15cdb2a667da0dcdd19575c35c4615d1211b87c8"),
-    ("report", "example:stack"): (0, "24dc0b1b111b183c1661110396a848a8143d51e5bfa19aee7e2991b58a0f6eaf"),
-    ("collapse --emit-correspondence", "example:stack"): (0, "7ace200e6c39a872997516d9032a81b48efacb3a49ed0016664b974910983973"),
-    ("decompose", "example:stack"): (0, "5b9ad24d1844feb26285dbacfac916652656179fd85ea887f2c034890b01dc0e"),
-    ("model", "example:stack"): (0, "dc1eea487f397dd092883125b3eac78b120922877d96fe81ca1b1b76ee3030e3"),
-    ("model --format obj", "example:stack"): (0, "fecb985aa33df79286dda5df5090634f80f2935b4174262bc7376213c98a4f3d"),
-    ("validate", "example:twisted"): (0, "f747b1c19d4d53a967a81759ff0ed3c8ba23d33f8aa9e1bad251b3a89d3d027f"),
-    ("report", "example:twisted"): (1, "a855110700edd6645908b7bd3c9ce264a93680a7b6cc3b16b58471bf3add9d86"),
-    ("collapse --emit-correspondence", "example:twisted"): (0, "1eafc1f369f13433927895f393f8f914b712eda63f3591bbce7545b4079cce6b"),
-    ("decompose", "example:twisted"): (0, "a03f3a6039065df1029f0bb30ee422acdcedcd31c445f51745ac98f1c5e7c399"),
-    ("model", "example:twisted"): (0, "fadec79ffac8d15e4bc7cb6086a0c3c439390e4f755b869d57335369b258530d"),
-    ("model --format obj", "example:twisted"): (0, "bf88759627fe918823e3aaddd4eff8b9bb4a4d337d975dc75de09834f5a0d70d"),
-    ("validate", "example:compression"): (0, "10fb7380ebb35dfdb938b152da3a88cb6d3bb86a7a2bebf10b08f6825290b178"),
-    ("report", "example:compression"): (1, "a045713fe77090e9b78958d522d753e6c03178f0512d2d053cc666dd32ef9d44"),
-    ("collapse --emit-correspondence", "example:compression"): (0, "8688200adabba9ec528b55784d73cd7ebfe23e7b3e2ce612b34c35346df7c125"),
-    ("decompose", "example:compression"): (0, "7ea58d3883ecefd3e175bb04bd98c758b5b25d8dbb776fdd9a79e52230e9f56b"),
-    ("model", "example:compression"): (0, "f2ba7dbebccd1d5224f7fe3872fb76e49395848ad6e81e2422f30329f9fb92cf"),
-    ("model --format obj", "example:compression"): (0, "17beb101eadb38419211d61e0cc2efd5fd48812fd51d69d7c128f967733a01ed"),
-    ("validate", "example:thin"): (0, "cceb7206a6d8292cb8c3359ad92bea81596b1031e0db4e71907e96d73698e215"),
-    ("report", "example:thin"): (1, "cdbaff95e84a54840816c893b6742f90ef28693456f0b36b95ba9040480355d1"),
-    ("collapse --emit-correspondence", "example:thin"): (0, "a74519ee5f623a6bb07dde7bd5e2b7bf9278c595e329a62edf1e688cbdce4465"),
-    ("decompose", "example:thin"): (0, "6428c3e83326439e59747b558909996dbfc262ed6ffc3a474097e7e0b50a445c"),
-    ("model", "example:thin"): (0, "88fcddc8bbfc40a818b4598d3596e15119073a354939cc9dc3ac6843da6e6e6b"),
-    ("model --format obj", "example:thin"): (0, "6a0b7c7a0628a07ef398da4379e90d464bc59d867c8eebdcd625f8c36be1271f"),
-    ("validate", "example:fibered"): (0, "13e49078282ce8bd9c7dbab2305f69f6cdb302dbc8e7f9c28ee23473da06c75b"),
-    ("report", "example:fibered"): (1, "92dc63f7b181aae69faa1f2a93944dfab31b7099c32ba2da184565e78ca96c25"),
-    ("collapse --emit-correspondence", "example:fibered"): (4, "c839b758a284dad3c1cbbfb2273734f920ee0cdf3132244eb9e995aa71e99746"),
-    ("decompose", "example:fibered"): (0, "7228488304352b6440f057be8f059bbedc8dfd478c32340efc2f3d1b7f9b89fa"),
-    ("model", "example:fibered"): (0, "0fbff450b920a7a38a669ee70783fdfd00fa050cdc821410cc28554cd1db0b14"),
-    ("model --format obj", "example:fibered"): (0, "a996974b5de3f8366f6cca908008bdf251bab19e6ada3b1b4153917e816cb779"),
-    ("report", "twisted-end"): (0, "ff49b88e5e06ed810daf1b4e15d065bba3e9982f5e645f1edf1feccccffc3506"),
-    ("collapse", "twisted-end"): (0, "53f9bd7b887ec00340e7346b27ae809684d22d5fc30c81cfd1d7c4180fe6dda9"),
-    ("decompose", "split"): (0, "8b7284b31d48f127c15efecc611b8cd5e35895bf97f1edaf9a00fe5166809ba6"),
-    ("collapse", "split"): (0, "868996f8dfd274ccbb962fb635e7fb3ddd9e6cf8e49585b36ec4f2a73a4b5b49"),
-    ("validate", "split"): (0, "865d03f6cca671f1c56344f0a0638c331c7638d20aa09c06c9a35526d4b8f396"),
-    ("report", "split"): (1, "c11d16ef17825d75f61d26b6929a3d2b78de7413458c605c848ce48d632b9da1"),
-    ("model", "split"): (0, "d8ecab63212cf1093632d5999d8535bcffb0abe399b67c34d444afeeadcfe41b"),
-    ("collapse", "backtrack"): (1, "69050b36845362c97a26e976b3acc3c587bb2efd7a136f15dbfe819f1730a77d"),
-    ("collapse", "wrap20"): (0, "98292565b1b3a4d24db6b16ad18141855cbb22dea0dfeec34b6c4e13e998d0d5"),
+# those commands checked a splitting as decompose does.  The JSON pins were
+# re-recorded when each report's params came to echo only the flags its
+# command reads; the result bytes stayed the same.  The exit codes of the
+# deep and stack pins, the stderr of every pin, and the inv1000 and huge
+# pins were recorded when the four tables of the suite became this one.
+COLD_PINS = {
+    ("validate", "example:chain"): (0, "a2a597e0eca2cfd4d0c53f1a1948c70f1a9d52807be4b7219f99e971552e0a73", ""),
+    ("report", "example:chain"): (0, "c41dc9a61f886de4e6c3bf1ccd81b99047fd12d9fca72eb2bed0b28a142962f4", ""),
+    ("collapse --emit-correspondence", "example:chain"): (0, "bb41db41d41b7a898e616e20b764b6cf1c0d84aa225d1ce6d17078f5b66bc3ba", ""),
+    ("decompose", "example:chain"): (0, "68643a53580505ac284e24804172bbc9faa3850ae4565f0432a0970a2c6705fa", ""),
+    ("model", "example:chain"): (0, "560b3c87476f699f247715e60a3bf75a750e34e61a4bd85a5816e4e997f7af56", ""),
+    ("model --format obj", "example:chain"): (0, "9446c140590e661cd0a522e7c2bdc042afebc43cdfc54980645932c3c4afa9f6", ""),
+    ("validate", "example:stack"): (0, "ccc42c8157f4a65a83bbd74d15cdb2a667da0dcdd19575c35c4615d1211b87c8", ""),
+    ("report", "example:stack"): (0, "24dc0b1b111b183c1661110396a848a8143d51e5bfa19aee7e2991b58a0f6eaf", ""),
+    ("collapse --emit-correspondence", "example:stack"): (0, "7ace200e6c39a872997516d9032a81b48efacb3a49ed0016664b974910983973", ""),
+    ("decompose", "example:stack"): (0, "5b9ad24d1844feb26285dbacfac916652656179fd85ea887f2c034890b01dc0e", ""),
+    ("model", "example:stack"): (0, "dc1eea487f397dd092883125b3eac78b120922877d96fe81ca1b1b76ee3030e3", ""),
+    ("model --format obj", "example:stack"): (0, "fecb985aa33df79286dda5df5090634f80f2935b4174262bc7376213c98a4f3d", ""),
+    ("validate", "example:twisted"): (0, "f747b1c19d4d53a967a81759ff0ed3c8ba23d33f8aa9e1bad251b3a89d3d027f", ""),
+    ("report", "example:twisted"): (1, "a855110700edd6645908b7bd3c9ce264a93680a7b6cc3b16b58471bf3add9d86", ""),
+    ("collapse --emit-correspondence", "example:twisted"): (0, "1eafc1f369f13433927895f393f8f914b712eda63f3591bbce7545b4079cce6b", ""),
+    ("decompose", "example:twisted"): (0, "a03f3a6039065df1029f0bb30ee422acdcedcd31c445f51745ac98f1c5e7c399", ""),
+    ("model", "example:twisted"): (0, "fadec79ffac8d15e4bc7cb6086a0c3c439390e4f755b869d57335369b258530d", ""),
+    ("model --format obj", "example:twisted"): (0, "bf88759627fe918823e3aaddd4eff8b9bb4a4d337d975dc75de09834f5a0d70d", ""),
+    ("validate", "example:compression"): (0, "10fb7380ebb35dfdb938b152da3a88cb6d3bb86a7a2bebf10b08f6825290b178", ""),
+    ("report", "example:compression"): (1, "a045713fe77090e9b78958d522d753e6c03178f0512d2d053cc666dd32ef9d44", ""),
+    ("collapse --emit-correspondence", "example:compression"): (0, "8688200adabba9ec528b55784d73cd7ebfe23e7b3e2ce612b34c35346df7c125", ""),
+    ("decompose", "example:compression"): (0, "7ea58d3883ecefd3e175bb04bd98c758b5b25d8dbb776fdd9a79e52230e9f56b", ""),
+    ("model", "example:compression"): (0, "f2ba7dbebccd1d5224f7fe3872fb76e49395848ad6e81e2422f30329f9fb92cf", UNBURIED),
+    ("model --format obj", "example:compression"): (0, "17beb101eadb38419211d61e0cc2efd5fd48812fd51d69d7c128f967733a01ed", UNBURIED),
+    ("validate", "example:thin"): (0, "cceb7206a6d8292cb8c3359ad92bea81596b1031e0db4e71907e96d73698e215", ""),
+    ("report", "example:thin"): (1, "cdbaff95e84a54840816c893b6742f90ef28693456f0b36b95ba9040480355d1", ""),
+    ("collapse --emit-correspondence", "example:thin"): (0, "a74519ee5f623a6bb07dde7bd5e2b7bf9278c595e329a62edf1e688cbdce4465", ""),
+    ("decompose", "example:thin"): (0, "6428c3e83326439e59747b558909996dbfc262ed6ffc3a474097e7e0b50a445c", ""),
+    ("model", "example:thin"): (0, "88fcddc8bbfc40a818b4598d3596e15119073a354939cc9dc3ac6843da6e6e6b", ""),
+    ("model --format obj", "example:thin"): (0, "6a0b7c7a0628a07ef398da4379e90d464bc59d867c8eebdcd625f8c36be1271f", ""),
+    ("validate", "example:fibered"): (0, "13e49078282ce8bd9c7dbab2305f69f6cdb302dbc8e7f9c28ee23473da06c75b", ""),
+    ("report", "example:fibered"): (1, "92dc63f7b181aae69faa1f2a93944dfab31b7099c32ba2da184565e78ca96c25", ""),
+    ("collapse --emit-correspondence", "example:fibered"): (4, "c839b758a284dad3c1cbbfb2273734f920ee0cdf3132244eb9e995aa71e99746", ""),
+    ("decompose", "example:fibered"): (0, "7228488304352b6440f057be8f059bbedc8dfd478c32340efc2f3d1b7f9b89fa", ""),
+    ("model", "example:fibered"): (0, "0fbff450b920a7a38a669ee70783fdfd00fa050cdc821410cc28554cd1db0b14", ""),
+    ("model --format obj", "example:fibered"): (0, "a996974b5de3f8366f6cca908008bdf251bab19e6ada3b1b4153917e816cb779", ""),
+    ("report", "twisted-end"): (0, "ff49b88e5e06ed810daf1b4e15d065bba3e9982f5e645f1edf1feccccffc3506", ""),
+    ("collapse", "twisted-end"): (0, "53f9bd7b887ec00340e7346b27ae809684d22d5fc30c81cfd1d7c4180fe6dda9", ""),
+    ("decompose", "split"): (0, "8b7284b31d48f127c15efecc611b8cd5e35895bf97f1edaf9a00fe5166809ba6", ""),
+    ("collapse", "split"): (0, "868996f8dfd274ccbb962fb635e7fb3ddd9e6cf8e49585b36ec4f2a73a4b5b49", ""),
+    ("validate", "split"): (0, "865d03f6cca671f1c56344f0a0638c331c7638d20aa09c06c9a35526d4b8f396", ""),
+    ("report", "split"): (1, "c11d16ef17825d75f61d26b6929a3d2b78de7413458c605c848ce48d632b9da1", ""),
+    ("model", "split"): (0, "d8ecab63212cf1093632d5999d8535bcffb0abe399b67c34d444afeeadcfe41b", ""),
+    ("collapse", "backtrack"): (1, "69050b36845362c97a26e976b3acc3c587bb2efd7a136f15dbfe819f1730a77d", ""),
+    ("collapse", "wrap20"): (0, "98292565b1b3a4d24db6b16ad18141855cbb22dea0dfeec34b6c4e13e998d0d5", ""),
+    ("report", "deep200"): (0, "16a7d39d4fab8d29f1bf9416d9faf8b80e71c5b15610ca9d8899d40e87d332b3", ""),
+    ("collapse", "deep200"): (0, "ef6366241faaec6345004bdc27f493ddcb624858b199929065c8b22f71bd3bdf", ""),
+    ("report", "deep1000"): (0, "63c1ab5922d1eb41f39b6c8c4553381b2d6928d70a6f0b4446a012b8385502f6", ""),
+    ("report", "stack100_600"): (0, "5e2441364a330388b9ce3a56785c21718b24a0b4ebb660dfd833115b66b1e4dd", ""),
+    ("collapse", "stack100_600"): (0, "5351aee766897b50436b3fbec6bab6ab8df70178f5411a5fa1cced915d8cd752", ""),
+    ("report", "stack100_1100"): (0, "ac961079517e7dca5659c9c97fb08e19addc2fb2e27aa4bc1aa97c06ce0c58db", ""),
+    ("collapse", "stack100_1100"): (0, "98ac97f07ef5b5c5aed2b4a4aa0313c37116d28aa569fca62dec82383bde2f03", ""),
+    ("report", "stack50_300"): (0, "8e6895b8bc5a8a4d1a6267b90599b666ea75c4c9d997a30390ee0e04e62fa5ad", ""),
+    ("collapse", "stack50_300"): (0, "1ae1b5f1752ac23924b8081cabd3ec8bf4667d03cb82c808e50ca8884e38f76b", ""),
+    ("report", "stack50_750"): (0, "06e44a6af8f20d5ae57a2eb34a2ebe4404327e2c33f045015a91f55690a95dad", ""),
+    ("collapse", "stack50_750"): (0, "823d4fad5899745a3fc8bac99d4e15e345f7fabdad50f155bf2040442dde74ab", ""),
+    ("report", "stack50_1500"): (0, "e629b9e2bf0cef555c886a664edacc155e67d83c5d9b840f510c965213f60c87", ""),
+    ("collapse", "stack50_1500"): (0, "8bea6c09e251cae5ff1248646c82cac916713570a100a7df004845ea1541d2e3", ""),
+    ("hyplab", "c6.txt"): (0, "fc87b52e26c4d3f1ced3d6bfb0ac911956a77e616a45eb3b41972eaa7798f18e", ""),
+    ("hyplab", "k7.txt"): (0, "4fee95aa5a652e444361cbe39861c86bd6a8ca0ff4929dde7a211cd985d0e635", ""),
+    ("hyplab", "sparse300.txt"): (0, "c2bdeb358a87259b119154054cb06c4aa5eea05b2d33a73144b08a5e4f30ce89", ""),
+    ("hyplab", "sparse1000.txt"): (0, "33d7f9791750ade9af8b78fbde7bfb304a1392fb9ffd0204b8245ed9362048e6", ""),
+    ("hyplab", "gnp60.txt"): (0, "5113cb0c3b8facece6fb89b260471504c2003f9d1a0229aa7638a34dcbe609ae", ""),
+    ("validate", "stack400.json"): (0, "fa73d2b8d3348b7f74b1a5a6a58e1755eac1f18e87b9a7e9027308c364729890", ""),
+    ("report", "stack400.json"): (1, "d2505c6ac103876123b87428ab1c25ab660985a2c48b580dd53c8eef351eebd1", ""),
+    ("collapse", "stack400.json"): (0, "0e23cdfeff31e46246d23a307b22e4bf44bce6f75c46b80674a8c9add63c7510", ""),
+    ("report", "inv1000"): (1, "6a325208ccb8684dde0fb16c48459d5fe74ea83bcbdb3b03717b5c36800cab16", ""),
+    ("validate", "huge"): (0, "428e9bb3db32105aa22e8eacb92ffad6b621c8503e6a4eec6de7c1da85c7b132", ""),
+    ("report", "huge"): (1, "5c643421238cdf4a7dc4c437f445cdafc27182e74aabdb62fdb7ade7bd85a68a", ""),
 }
 
 
-@pytest.mark.parametrize("command, name", list(COLD_STDOUT_PINS))
-def test_cold_command_bytes_pinned(files, command, name):
-    proc = cold_run([*command.split(), "--input", files[name]])
-    code, digest = COLD_STDOUT_PINS[command, name]
-    assert proc.returncode == code, proc.stderr
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+@pytest.mark.parametrize("command, name", list(COLD_PINS))
+def test_cold_command_bytes_pinned(files, large_graph_files, command, name):
+    # a cold interpreter, as a user runs it: no warm caches, real stderr,
+    # and stdout buffered, so that bytes the process entry fails to flush
+    # are missing bytes
+    path = {**files, **large_graph_files}[name]
+    proc = cold([*CLI, *command.split(), "--input", path])
+    code, digest, stderr = COLD_PINS[command, name]
+    assert (proc.returncode, proc.stderr.decode()) == (code, stderr)
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
-def loaded_modules(argv: list[str]) -> set[str]:
-    """The glueforge modules a cold process has loaded after one command."""
-    code = (
-        "import contextlib, io, sys\n"
-        "from glueforge import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    cli.main(sys.argv[1:])\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('glueforge.')))\n"
-    )
-    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+# Runs main(argv) in a fresh interpreter and prints two lines: the modules
+# loaded once cli is imported, then main's exit code and the modules loaded
+# after it.  Each argv that it runs writes its report to --out.
+MODULES_PROBE = (
+    "import sys\n"
+    "from glueforge import cli\n"
+    "print(*sys.modules)\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, *sys.modules)\n"
+)
 
 
 # The glueforge modules a cold command loads besides cli, errors, ioutil
@@ -1273,35 +1236,31 @@ LAYERS_LOADED = {
 INPUT_OF_BACKEND = {None: "c6", "torus": "chain", "graph": "graph_stack"}
 
 
-def test_commands_load_only_the_layers_they_run(files):
+def test_commands_load_only_the_layers_they_run(files, tmp_path):
     for (command, backend), layers in LAYERS_LOADED.items():
-        loaded = loaded_modules([command, "--input", files[INPUT_OF_BACKEND[backend]]])
+        argv = [command, "--input", files[INPUT_OF_BACKEND[backend]], "--out", str(tmp_path / "out")]
+        proc = cold(["-c", MODULES_PROBE, *argv])
+        assert proc.returncode == 0, proc.stderr
+        loaded = {m for m in proc.stdout.decode().split() if m.startswith("glueforge.")}
         expected = {"cli", "errors", "ioutil", "record"} | layers
         assert loaded == {f"glueforge.{m}" for m in expected}, (command, backend)
 
 
-def test_stack_certificates_and_mixed_gluings_load_their_layers(files, capsys):
+def test_stack_certificates_and_mixed_gluings_load_their_layers(files, capsys, tmp_path):
+    loaded = {}
+    for command, name in (("collapse", "backtrack"), ("collapse", "chain"), ("report", "mixed")):
+        argv = [command, "--input", files[name], "--out", str(tmp_path / "out")]
+        proc = cold(["-c", MODULES_PROBE, *argv])
+        assert proc.returncode == 0, proc.stderr
+        loaded[name] = {m for m in proc.stdout.decode().split() if m.startswith("glueforge.")}
     # a stack path that is not a geodesic runs the pair scan, which needs
     # no more layers than the one-row test of a geodesic path
-    argv = ["collapse", "--input", files["backtrack"]]
-    assert loaded_modules(argv) == loaded_modules(["collapse", "--input", files["chain"]])
-    code, out, _ = run(capsys, argv)
+    assert loaded["backtrack"] == loaded["chain"]
+    code, out, _ = run(capsys, ["collapse", "--input", files["backtrack"]])
     assert code == EXIT_VERDICT
     assert envelope(out)["result"]["stacks"][0]["certificate"]["k_prime"] is None
     # a gluing with boundaries on both backends loads both layers
-    both = loaded_modules(["report", "--input", files["mixed"]])
-    assert {"glueforge.torus", "glueforge.farey", "glueforge.hypgraph"} <= both
-
-
-@pytest.mark.parametrize("command", ["validate", "report"])
-def test_slopes_beyond_the_default_digit_limit(files, command):
-    proc = cold_run([command, "--input", files["huge"]])
-    assert proc.returncode in (EXIT_PASS, EXIT_VERDICT), proc.stderr
-    assert "Traceback" not in proc.stderr
-    with any_int_digits():
-        obj = envelope(proc.stdout)
-    assert obj["command"] == command
-    assert obj["input_sha256"] == sha256_of_text(open(files["huge"]).read())
+    assert {"glueforge.torus", "glueforge.farey", "glueforge.hypgraph"} <= loaded["mixed"]
 
 
 def test_main_restores_the_digit_limit(files, capsys):
@@ -1426,12 +1385,12 @@ def test_stdout_is_utf8_in_every_locale(tmp_path, encoding):
     path = tmp_path / "accent.json"
     path.write_text(chain(core("MÉ", MU), core("c1", push(REFLECTION))).canonical_json(), "utf-8")
     argv = ["collapse", "--input", str(path)]
-    plain = cold_bytes(argv)
+    plain = cold([*CLI, *argv])
     assert plain.returncode == EXIT_PASS and "MÉ".encode() in plain.stdout
-    proc = cold_bytes(argv, PYTHONIOENCODING=encoding)
+    proc = cold([*CLI, *argv], PYTHONIOENCODING=encoding)
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_PASS, plain.stdout, b"")
     out = tmp_path / "out.json"
-    assert cold_bytes([*argv, "--out", str(out)], PYTHONIOENCODING=encoding).returncode == EXIT_PASS
+    assert cold([*CLI, *argv, "--out", str(out)], PYTHONIOENCODING=encoding).returncode == EXIT_PASS
     assert out.read_bytes() == plain.stdout
 
 
@@ -1592,36 +1551,27 @@ def test_stderr_is_utf8_in_every_locale(tmp_path, encoding):
     path = tmp_path / "accent.json"
     path.write_text(json.dumps(obj, ensure_ascii=False), "utf-8")
     argv = ["validate", "--input", str(path)]
-    plain = cold_bytes(argv)
+    plain = cold([*CLI, *argv])
     expected = "invariant violation: identification references unknown piece pÉ\n".encode()
     assert (plain.returncode, plain.stderr) == (EXIT_INVARIANT, expected)
-    proc = cold_bytes(argv, PYTHONIOENCODING=encoding)
+    proc = cold([*CLI, *argv], PYTHONIOENCODING=encoding)
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INVARIANT, b"", expected)
     # a path byte that is not UTF-8 prints as its escape, not as a fault
     undecodable = ["validate", "--input", os.fsdecode(bytes(tmp_path) + b"/\xff")]
-    plain = cold_bytes(undecodable)
+    plain = cold([*CLI, *undecodable])
     assert plain.returncode == EXIT_PARSE and b"\\udcff" in plain.stderr
-    proc = cold_bytes(undecodable, PYTHONIOENCODING=encoding)
+    proc = cold([*CLI, *undecodable], PYTHONIOENCODING=encoding)
     assert (proc.returncode, proc.stderr) == (EXIT_PARSE, plain.stderr)
 
 
 def test_balanced_points_beyond_double_precision_are_internal_faults(files):
     # axis power 200 puts balanced points below y = 2^-1074, the least
     # double; the run stops at once with one internal-fault line
-    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "glueforge.cli", "model", "--input", files["deep200"]],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
+    proc = cold([*CLI, "model", "--input", files["deep200"]])
     assert time.perf_counter() - start < 5.0
-    assert proc.returncode == EXIT_INTERNAL
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (EXIT_INTERNAL, b"")
+    lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("internal error: PrecisionLossError: ")
 
@@ -1630,7 +1580,7 @@ def test_deep_stack_model_answers_on_the_decimal_path(files):
     # axis power 30 puts balanced points near y = 1e-50, beyond what a
     # double resolves; both tubes are 30 log phi^2 long
     start = time.perf_counter()
-    proc = cold_run(["model", "--input", files["deep30"]])
+    proc = cold([*CLI, "model", "--input", files["deep30"]])
     assert time.perf_counter() - start < 5.0
     assert proc.returncode == EXIT_PASS, proc.stderr
     tubes = json.loads(proc.stdout)["result"]["skeleton"]["tubes"]
@@ -1640,30 +1590,6 @@ def test_deep_stack_model_answers_on_the_decimal_path(files):
 
 
 # ------------------------------------------------------- numpy stays cold
-
-# runs main(argv) in a fresh interpreter, then reports its exit code and
-# whether numpy was ever imported
-_NUMPY_PROBE = (
-    "import sys\n"
-    "from glueforge import cli\n"
-    "code = cli.main(sys.argv[1:])\n"
-    "print(code, 'numpy' in sys.modules)\n"
-)
-
-
-def numpy_probe(argv: list[str]) -> str:
-    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *argv],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    return proc.stdout
-
 
 @pytest.mark.parametrize(
     "command, example",
@@ -1679,8 +1605,10 @@ def numpy_probe(argv: list[str]) -> str:
 def test_torus_commands_never_load_numpy(files, tmp_path, command, example):
     target = tmp_path / "out"
     argv = [*command.split(), "--input", files[f"example:{example}"], "--out", str(target)]
-    out = numpy_probe(argv)
-    assert out == f"{EXIT_PASS} False\n"
+    proc = cold(["-c", MODULES_PROBE, *argv])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    code, *loaded = proc.stdout.decode().splitlines()[1].split()
+    assert (code, "numpy" in loaded) == (str(EXIT_PASS), False)
     assert target.stat().st_size > 0
 
 
@@ -1698,8 +1626,10 @@ def test_torus_commands_never_load_numpy(files, tmp_path, command, example):
 )
 def test_graph_backend_commands_never_load_numpy(files, tmp_path, command, name):
     target = tmp_path / "out"
-    out = numpy_probe([command, "--input", files[name], "--out", str(target)])
-    assert out == f"{EXIT_PASS} False\n"
+    proc = cold(["-c", MODULES_PROBE, command, "--input", files[name], "--out", str(target)])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    code, *loaded = proc.stdout.decode().splitlines()[1].split()
+    assert (code, "numpy" in loaded) == (str(EXIT_PASS), False)
     assert json.loads(target.read_text())["command"] == command
 
 
@@ -1718,18 +1648,10 @@ def test_no_module_imports_numpy():
 # decimal path of a deeper one (deep30) loads both.  hashlib loads OpenSSL
 # (_hashlib); no command imports it, since the input hash is CPython's
 # builtin SHA-256
-_IMPORT_PROBE = (
-    "import sys\n"
-    "from glueforge import cli\n"
-    "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal', 'hashlib', '_hashlib')\n"
-    "print(*[m for m in heavy if m in sys.modules])\n"
-    "code = cli.main(sys.argv[1:])\n"
-    "print(code, *[m for m in heavy if m in sys.modules])\n"
-)
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "hashlib", "_hashlib"}
 
 
 def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
-    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
     target = tmp_path / "out"
     for command, example in (
         ("validate", "example:chain"),
@@ -1743,18 +1665,12 @@ def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
         ("model", "deep30"),
     ):
         argv = [*command.split(), "--input", files[example], "--out", str(target)]
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, *argv],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
+        proc = cold(["-c", MODULES_PROBE, *argv])
         assert proc.returncode == 0, proc.stderr
-        obj = "obj" in command
-        exact = " fractions decimal" if example == "deep30" else ""
-        assert proc.stdout == f"\n{EXIT_PASS}{exact}\n", command
-        if obj:
+        before, (code, *after) = (line.split() for line in proc.stdout.decode().splitlines())
+        exact = {"fractions", "decimal"} if example == "deep30" else set()
+        assert (code, HEAVY & {*before}, HEAVY & {*after}) == (str(EXIT_PASS), set(), exact), command
+        if "obj" in command:
             continue
         report = json.loads(target.read_text())
         assert report["command"] == command
@@ -1763,23 +1679,6 @@ def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
 
 
 # ------------------------------------------------------- process entry
-
-
-def cold_bytes(argv: list[str], stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
-    """`python -m glueforge.cli argv...` in a fresh interpreter, stdout as
-    bytes (into stdout, a pipe unless given); env adds to the environment,
-    which never sets PYTHONIOENCODING or PYTHONUNBUFFERED unless env does,
-    so stdout is buffered as in a shell."""
-    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
-    unset = ("PYTHONIOENCODING", "PYTHONUNBUFFERED")
-    base = {k: v for k, v in os.environ.items() if k not in unset}
-    return subprocess.run(
-        [sys.executable, "-m", "glueforge.cli", *argv],
-        stdout=stdout,
-        stderr=subprocess.PIPE,
-        timeout=120,
-        env=dict(base, PYTHONPATH=src, **env),
-    )
 
 
 @pytest.mark.parametrize(
@@ -1798,7 +1697,7 @@ def cold_bytes(argv: list[str], stdout=subprocess.PIPE, **env: str) -> subproces
 )
 def test_process_entry_matches_in_process_main(files, capsys, command, example):
     argv = [*command.split(), "--input", files[example]]
-    proc = cold_bytes(argv)
+    proc = cold([*CLI, *argv])
     code, out, err = run(capsys, argv)
     assert proc.returncode == code
     assert proc.stdout == out.encode()
@@ -1806,12 +1705,9 @@ def test_process_entry_matches_in_process_main(files, capsys, command, example):
 
 
 def test_warnings_print_one_line_each(files, capsys):
-    argv = ["model", "--input", files["example:compression"]]
-    expected = ["warning: unburied slot p1:E1 has no free marking; boundary tube omitted"]
-    assert cold_bytes(argv).stderr.decode().splitlines() == expected
-    code, _, err = run(capsys, argv)
-    assert code == EXIT_PASS
-    assert err.splitlines() == expected
+    # in process, as in the cold runs that COLD_PINS pins
+    code, _, err = run(capsys, ["model", "--input", files["example:compression"]])
+    assert (code, err) == (EXIT_PASS, UNBURIED)
 
 
 def full_parser_output(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -1839,7 +1735,7 @@ def full_parser_output(capsys, argv: list[str]) -> tuple[int, str, str]:
     ],
 )
 def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
-    proc = cold_bytes(argv)
+    proc = cold([*CLI, *argv])
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == full_parser_output(
         capsys, argv
     )
@@ -1911,18 +1807,18 @@ def test_each_command_takes_only_the_flags_it_reads(files, capsys, command):
 
 
 def test_help_names_every_command_and_flag(capsys):
-    proc = cold_bytes(["--help"])
+    proc = cold([*CLI, "--help"])
     assert proc.returncode == EXIT_PASS
     for name in ("validate", "report", "collapse", "decompose", "model", "hyplab"):
         assert name in proc.stdout.decode()
     for name, (_, reads, _) in cli.COMMANDS.items():
-        proc = cold_bytes([name, "--help"])
+        proc = cold([*CLI, name, "--help"])
         assert proc.returncode == EXIT_PASS
         flags = ["--" + flag.replace("_", "-") for flag in reads]
         if name == "collapse":
             flags.append("--emit-correspondence")
         assert help_flags(proc.stdout.decode()) == ["--input", *flags, "--out"], name
-    proc = cold_bytes(["bogus"])
+    proc = cold([*CLI, "bogus"])
     assert proc.returncode == EXIT_PARSE
     assert proc.stderr.decode().splitlines()[-1].startswith(
         "glueforge: error: argument command: invalid choice: 'bogus'"
@@ -1954,23 +1850,23 @@ def test_process_entry_ends_with_every_byte_and_exit_code(
     # a report larger than a pipe's buffer reaches a pipe, a file and --out
     # whole, with the bytes that the pinned digest names
     argv = ["collapse", "--input", large_graph_files["stack400.json"]]
-    piped = cold_bytes(argv)
-    code, digest = LARGE_GRAPH_STDOUT["collapse", "stack400.json"]
+    piped = cold([*CLI, *argv])
+    code, digest, _ = COLD_PINS["collapse", "stack400.json"]
     assert (piped.returncode, piped.stderr) == (code, b"")
     assert len(piped.stdout) > 1 << 16
     assert hashlib.sha256(piped.stdout).hexdigest() == digest
     with open(tmp_path / "stdout.json", "wb") as fh:
-        assert cold_bytes(argv, stdout=fh).returncode == code
+        assert cold([*CLI, *argv], stdout=fh).returncode == code
     assert (tmp_path / "stdout.json").read_bytes() == piped.stdout
     out = tmp_path / "out.json"
-    written = cold_bytes([*argv, "--out", str(out)])
+    written = cold([*CLI, *argv, "--out", str(out)])
     assert (written.returncode, written.stdout, written.stderr) == (code, b"", b"")
     assert out.read_bytes() == piped.stdout
     codes = []
     for command, name in EXIT_CODE_RUNS:
         argv = [*command.split(), "--input", files[name]]
         code, out, err = run(capsys, argv)
-        proc = cold_bytes(argv)
+        proc = cold([*CLI, *argv])
         assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out.encode(), err)
         codes.append(code)
     assert codes == [EXIT_PASS, EXIT_VERDICT, EXIT_PARSE, EXIT_INVARIANT, EXIT_FIBERED, EXIT_INTERNAL]
@@ -1982,22 +1878,16 @@ def test_process_entry_ends_with_every_byte_and_exit_code(
         "cli.main = lambda: print(gc.isenabled(), file=sys.stderr) or real()\n"
         "cli.entry()\n"
     )
-    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, "validate", "--input", files["example:chain"]],
-        capture_output=True,
-        timeout=120,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
+    proc = cold(["-c", probe, "validate", "--input", files["example:chain"]])
     assert (proc.returncode, proc.stderr) == (EXIT_PASS, b"False\n")
 
 
-def closed_pipe_run(argv: list[str]) -> subprocess.CompletedProcess:
+def closed_pipe_run(argv: list[str]):
     """A cold run whose stdout is a pipe that its reader closed first."""
     read, write = os.pipe()
     os.close(read)
     try:
-        return cold_bytes(argv, stdout=write)
+        return cold([*CLI, *argv], stdout=write)
     finally:
         os.close(write)
 
@@ -2011,6 +1901,25 @@ def test_a_closed_stdout_is_an_invariant_violation(large_graph_files, command, n
     assert proc.stderr.decode().splitlines() == ["invariant violation: cannot write stdout: Broken pipe"]
 
 
+def test_cold_runs_see_neither_unbuffered_stdout_nor_an_encoding(monkeypatch):
+    # whatever the caller's environment sets, the runner's child imports the
+    # package from src, buffers its stdout and returns its raw bytes: a CR
+    # and the UTF-8 bytes of an accent stay as written
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+    probe = (
+        "import os, glueforge\n"
+        "print(os.environ.get('PYTHONUNBUFFERED'), os.environ.get('PYTHONIOENCODING'),"
+        " glueforge.__file__)\n"
+    )
+    proc = cold(["-c", probe])
+    unbuffered, encoding, path = proc.stdout.decode().split()
+    assert (proc.returncode, unbuffered, encoding) == (0, "None", "None")
+    assert pathlib.Path(path).resolve() == pathlib.Path(glueforge.__file__).resolve()
+    proc = cold(["-c", "import sys\nsys.stdout.buffer.write(b'a\\r\\nb\\xc3\\x89\\n')"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"a\r\nb\xc3\x89\n", b"")
+
+
 def test_console_script_is_the_process_entry():
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert re.search(r'^glueforge = "glueforge\.cli:entry"$', pyproject.read_text(), re.M)
@@ -2019,30 +1928,15 @@ def test_console_script_is_the_process_entry():
 # ------------------------------------------------------- graphs at scale
 
 
-def cold_cli(argv: list[str]):
-    """Runs glueforge in a fresh interpreter; returns the process and its
-    wall time."""
-    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "glueforge.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    return proc, time.perf_counter() - start
-
-
 def test_huge_vertex_count_without_edges_fails_fast(tmp_path):
     graph = tmp_path / "huge.txt"
     graph.write_text("1000000000 0")
     assert graph.stat().st_size == 12
-    proc, wall = cold_cli(["hyplab", "--input", str(graph)])
-    assert wall < 1.0
-    assert proc.returncode == EXIT_INVARIANT
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
+    start = time.perf_counter()
+    proc = cold([*CLI, "hyplab", "--input", str(graph)])
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (EXIT_INVARIANT, b"")
+    assert proc.stderr.decode().splitlines() == [
         "invariant violation: graph disconnected: no path from 0 to 1"
     ]
 
@@ -2053,11 +1947,11 @@ def test_hyplab_refuses_a_path_past_its_vertex_cap(tmp_path):
     n = cli.MAX_HYPLAB_VERTICES + 1
     graph = tmp_path / "path.txt"
     graph.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
-    proc, wall = cold_cli(["hyplab", "--input", str(graph)])
-    assert wall < 1.0
-    assert proc.returncode == EXIT_INVARIANT
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
+    start = time.perf_counter()
+    proc = cold([*CLI, "hyplab", "--input", str(graph)])
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (EXIT_INVARIANT, b"")
+    assert proc.stderr.decode().splitlines() == [
         f"invariant violation: hyplab takes at most {cli.MAX_HYPLAB_VERTICES} vertices, got {n}"
     ]
 
@@ -2069,11 +1963,11 @@ def test_denom_bound_sweep_is_counted_before_it_is_built(files):
     obj["manifolds"][0]["boundaries"][0]["decoration"] = {"base": "1000000/1", "transversal": "inf"}
     wide = pathlib.Path(files["dir"]) / "wide-chain.json"
     wide.write_text(json.dumps(obj))
-    proc, wall = cold_cli(["report", "--denom-bound", "4", "--input", str(wide)])
-    assert wall < 1.0
-    assert proc.returncode == EXIT_INVARIANT
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
+    start = time.perf_counter()
+    proc = cold([*CLI, "report", "--denom-bound", "4", "--input", str(wide)])
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (EXIT_INVARIANT, b"")
+    assert proc.stderr.decode().splitlines() == [
         "invariant violation: denominator bound 4 sweeps more than"
         f" {farey.MAX_SWEEP_CANDIDATES} candidate slopes"
     ]
@@ -2097,10 +1991,9 @@ def test_the_sweep_cap_bounds_the_count_of_built_slopes(monkeypatch):
 def test_deep_nesting_is_a_parse_error(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
-    proc, _ = cold_cli(["validate", "--input", str(deep)])
-    assert proc.returncode == EXIT_PARSE
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
+    proc = cold([*CLI, "validate", "--input", str(deep)])
+    assert (proc.returncode, proc.stdout) == (EXIT_PARSE, b"")
+    assert proc.stderr.decode().splitlines() == [
         "parse error: malformed gluing spec: arrays or objects nest too deeply"
     ]
 
@@ -2118,9 +2011,10 @@ def seeded_sparse_graph(seed: int, n: int, extra: int) -> str:
 def test_hyplab_on_300_vertices_is_fast(tmp_path):
     graph = tmp_path / "sparse300.txt"
     graph.write_text(seeded_sparse_graph(300, 300, 50))
-    proc, wall = cold_cli(["hyplab", "--input", str(graph)])
+    start = time.perf_counter()
+    proc = cold([*CLI, "hyplab", "--input", str(graph)])
+    assert time.perf_counter() - start < 2.0
     assert proc.returncode == EXIT_PASS, proc.stderr
-    assert wall < 2.0
     result = json.loads(proc.stdout)["result"]
     # frozen from the exhaustive O(n^4) scan, oracles.exhaustive_delta
     assert result["delta"] == [9, 2]
@@ -2187,55 +2081,6 @@ def large_graph_files(tmp_path_factory):
     return out
 
 
-# (exit code, sha256 of stdout) of cold runs, recorded while distance
-# tables still had an array form and graph backends built every row; any
-# change is a report change
-# Re-recorded when each report's params came to echo only the flags its
-# command reads; the result bytes stayed the same.
-LARGE_GRAPH_STDOUT = {
-    ("hyplab", "c6.txt"): (
-        EXIT_PASS,
-        "fc87b52e26c4d3f1ced3d6bfb0ac911956a77e616a45eb3b41972eaa7798f18e",
-    ),
-    ("hyplab", "k7.txt"): (
-        EXIT_PASS,
-        "4fee95aa5a652e444361cbe39861c86bd6a8ca0ff4929dde7a211cd985d0e635",
-    ),
-    ("hyplab", "sparse300.txt"): (
-        EXIT_PASS,
-        "c2bdeb358a87259b119154054cb06c4aa5eea05b2d33a73144b08a5e4f30ce89",
-    ),
-    ("hyplab", "sparse1000.txt"): (
-        EXIT_PASS,
-        "33d7f9791750ade9af8b78fbde7bfb304a1392fb9ffd0204b8245ed9362048e6",
-    ),
-    ("hyplab", "gnp60.txt"): (
-        EXIT_PASS,
-        "5113cb0c3b8facece6fb89b260471504c2003f9d1a0229aa7638a34dcbe609ae",
-    ),
-    ("validate", "stack400.json"): (
-        EXIT_PASS,
-        "fa73d2b8d3348b7f74b1a5a6a58e1755eac1f18e87b9a7e9027308c364729890",
-    ),
-    ("report", "stack400.json"): (
-        EXIT_VERDICT,
-        "d2505c6ac103876123b87428ab1c25ab660985a2c48b580dd53c8eef351eebd1",
-    ),
-    ("collapse", "stack400.json"): (
-        EXIT_PASS,
-        "0e23cdfeff31e46246d23a307b22e4bf44bce6f75c46b80674a8c9add63c7510",
-    ),
-}
-
-
-@pytest.mark.parametrize("command, name", list(LARGE_GRAPH_STDOUT))
-def test_large_graph_report_bytes_pinned(large_graph_files, command, name):
-    proc = cold_run([command, "--input", large_graph_files[name]])
-    code, digest = LARGE_GRAPH_STDOUT[command, name]
-    assert proc.returncode == code, proc.stderr
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
-
-
 def parsed_graph(x: GluingGraph) -> FiniteGraph:
     """The one curve graph that every boundary of x reads."""
     graphs = {id(g): g for g in (b.handle.graph for m in x.manifolds for b in m.boundaries)}
@@ -2283,7 +2128,7 @@ def test_a_parse_does_its_own_work_whatever_ran_before(large_graph_files, capsys
     first = parse()
     assert first[0] > 0 and first[1]
     code, _, _ = run(capsys, ["report", "--input", name])
-    assert code == LARGE_GRAPH_STDOUT["report", "stack400.json"][0]
+    assert code == COLD_PINS["report", "stack400.json"][0]
     assert parse() == first
 
 

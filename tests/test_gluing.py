@@ -273,15 +273,18 @@ def test_disconnected_rejected():
 
 
 def test_slot_reuse_rejected():
-    with pytest.raises(ValidationError, match="non-involutive.*p0:E0"):
-        GluingGraph(
-            manifolds=(core("M", M_BASE), core("N", M_BASE, M_BASE)),
-            pieces=(("p0", "N"), ("p1", "M"), ("p2", "M")),
-            identifications=(
-                Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),
-                Identification("p0", "E0", "p2", "E0", tmap(REFLECTION)),
-            ),
-        )
+    # two pairs, a slot self-identified twice, and a self-identification
+    # and a pair on one slot in either order
+    to_p1 = Identification("p0", "E0", "p1", "E0", tmap(REFLECTION))
+    to_p2 = Identification("p0", "E0", "p2", "E0", tmap(REFLECTION))
+    to_self = Identification("p0", "E0", "p0", "E0", tmap(REFLECTION))
+    for first, second in ((to_p1, to_p2), (to_self, to_self), (to_self, to_p1), (to_p1, to_self)):
+        with pytest.raises(ValidationError, match="^non-involutive identifications: slot p0:E0 used twice$"):
+            GluingGraph(
+                manifolds=(core("M", M_BASE), core("N", M_BASE, M_BASE)),
+                pieces=(("p0", "N"), ("p1", "M"), ("p2", "M")),
+                identifications=(first, second),
+            )
 
 
 def test_dangling_references_rejected():

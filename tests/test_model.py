@@ -2,18 +2,13 @@
 
 import json
 import math
-import os
-import pathlib
 import random
-import subprocess
-import sys
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import glueforge
 from glueforge import cli, halfplane
 from glueforge.errors import ParseError, ValidationError
 from glueforge.gluing import (
@@ -53,7 +48,7 @@ from glueforge.model import (
 from glueforge.surface import AbstractMarking, BackendHandle
 from glueforge.torus import INFINITY, REFLECTION, FareyMarking, Slope, SurfaceMap, parse_slope
 from glueforge.transforms import collapse_ibundles
-from oracles import load_skeleton, reference_balanced_marking, reference_tube, systole
+from oracles import CLI, cold, load_skeleton, reference_balanced_marking, reference_tube, systole
 from test_transforms import core_stack_core, example_builders, load_module
 
 T = BackendHandle.torus()
@@ -255,16 +250,9 @@ def test_self_glued_piece_with_float_midpoint_drift(tmp_path):
     assert tube.kind == "quotient" and not tube.geometry.degenerate
     path = tmp_path / "self_glued.json"
     path.write_text(x.canonical_json())
-    src = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "glueforge.cli", "model", "--input", str(path)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
+    proc = cold([*CLI, "model", "--input", str(path)])
     assert proc.returncode in (0, 1), proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 WORDS = st.lists(st.booleans(), min_size=10, max_size=30)

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import math
-import pathlib
 import random
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -55,8 +53,7 @@ from glueforge.torus import (
     parse_slope,
 )
 
-import glueforge
-from oracles import FareyOracle, reference_balanced_marking, scan_shortest_slope, systole
+from oracles import FareyOracle, cold, reference_balanced_marking, scan_shortest_slope, systole
 
 A_GOLD = SurfaceMap(2, 1, 1, 1)
 
@@ -225,9 +222,6 @@ def test_farey_distance_symmetry_and_adjacency():
 # --- large heights: the kernel's cost follows the continued fraction ----
 
 
-SRC = str(pathlib.Path(glueforge.__file__).resolve().parents[1])
-
-
 def fibonacci_ratio(terms: int) -> Slope:
     """F(n+2)/F(n+1), whose continued fraction has the given number of terms."""
     a, b = 1, 1
@@ -247,15 +241,9 @@ def test_one_over_q_in_a_fresh_process(q):
         "print(farey_distance(INFINITY, s), farey_distance(s, INFINITY))\n"
         "print(*farey_geodesic(INFINITY, s))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-B", "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={"PYTHONPATH": SRC},
-    )
+    out = cold(["-B", "-c", code])
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["2 2", f"inf 0/1 1/{q}"]
+    assert out.stdout.decode().splitlines() == ["2 2", f"inf 0/1 1/{q}"]
 
 
 def test_fibonacci_ratio_of_5000_terms_needs_no_recursion():
