@@ -1206,6 +1206,19 @@ def test_cold_command_bytes_pinned(files, large_graph_files, command, name):
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "command, name", [("report", "inv1000"), ("collapse", "deep200")]
+)
+def test_large_heights_finish_with_a_report(files, command, name):
+    # the pins above fix these runs' bytes; this reads what the bytes say
+    proc = cold([*CLI, command, "--input", files[name]])
+    assert proc.returncode in (EXIT_PASS, EXIT_VERDICT), proc.stderr
+    assert b"Traceback" not in proc.stderr
+    obj = envelope(proc.stdout)
+    assert obj["command"] == command
+    assert obj["input_sha256"] == sha256_of_text(open(files[name]).read())
+
+
 # Runs main(argv) in a fresh interpreter and prints two lines: the modules
 # loaded once cli is imported, then main's exit code and the modules loaded
 # after it.  Each argv that it runs writes its report to --out.
