@@ -3,22 +3,25 @@
 Every command reads one input file, runs the corresponding pipeline, and
 emits a deterministic JSON report carrying the sha256 of the file's bytes
 and the flags the command reads (`COMMANDS`), so identical invocations are
-byte identical.  One argparse parser serves every command line, and a
-command takes only its own flags: any other is a usage error.  Exit codes
-are fixed for scripting: 0 pass, 1 verdict fail, 2 parse trouble, 3
-invariant violation, 4 the all-bundle fibered case, 5 internal error (any
-other exception, reported on one stderr line as a fault of glueforge,
-with the input's sha256).
+byte identical.  A command takes only its own flags: any other is a
+usage error.  A plain command line, the command and then distinct
+`--flag value` pairs, is read from the `COMMANDS` and `FLAGS` tables
+without loading argparse; every other line goes to the argparse parser,
+the one author of help and usage errors, which reads a plain line into
+the same fields.  Exit codes are fixed for scripting: 0 pass, 1 verdict
+fail, 2 parse trouble, 3 invariant violation, 4 the all-bundle fibered
+case, 5 internal error (any other exception, reported on one stderr line
+as a fault of glueforge, with the input's sha256).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 import warnings
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Any, Iterator, NoReturn, Sequence
 
 # Each command imports the layers it runs, so that a cold `hyplab` loads
@@ -48,9 +51,10 @@ MAX_HYPLAB_VERTICES = 2_000
 MAX_SAMPLES = 10_000
 
 # Every flag some command reads, by its name in the report; the flag is
-# that name after '--', with '-' for '_'.  Each has its argparse settings
-# and the checks of its value, each with the message of the invariant
-# violation when the value fails it.
+# that name after '--', with '-' for '_'.  Each has its argparse settings,
+# which the plain-line reader applies too, and the checks of its value,
+# each with the message of the invariant violation when the value fails
+# it.
 FLAGS: dict[str, tuple[dict[str, Any], tuple]] = {
     "R": ({"type": ascii_int, "default": 6}, ((lambda r: r >= 1, "R must be at least 1"),)),
     "D": ({"type": ascii_int, "default": 1}, ((lambda d: d >= 0, "D must be non-negative"),)),
@@ -74,11 +78,15 @@ FLAGS: dict[str, tuple[dict[str, Any], tuple]] = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of every command line: a subparser per command, each
-    with the flags that command reads.  Subparsers take no abbreviated
+def _build_parser():
+    """The argparse parser of every command line: a subparser per command,
+    each with the flags that command reads.  Subparsers take no abbreviated
     flags, so that a flag a command does not read is a usage error even
-    where it begins another (--h and --help)."""
+    where it begins another (--h and --help).  The only importer of
+    argparse, which with the gettext lookups of its messages costs a cold
+    op about 6 ms."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="glueforge",
         description="exact decorated-gluing toolkit: validation, certificates,"
@@ -98,6 +106,44 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         cmd.add_argument("--out", default=None, help="write output here instead of stdout")
     return parser
+
+
+def _read_plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The fields that `_build_parser()` parses from a plain command line:
+    a command, then `--flag value` pairs of the flags it takes and, for
+    collapse, --emit-correspondence, each at most once, with --input among
+    them, no value beginning with '-' and every value passing its flag's
+    type and choices.  None for any other line, which the parser reads: it
+    prints help and every usage error, so this reader reports none."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, reads = argv[0], COMMANDS[argv[0]][1]
+    fields: dict[str, Any] = {"command": command, "input": None}
+    fields.update((flag, FLAGS[flag][0]["default"]) for flag in reads)
+    options = {"--input": "input", "--out": "out"}
+    options.update(("--" + flag.replace("_", "-"), flag) for flag in reads)
+    if command == "collapse":
+        fields["emit_correspondence"] = False
+        options["--emit-correspondence"] = "emit_correspondence"
+    fields["out"] = None
+    tokens = iter(argv[1:])
+    for option in tokens:
+        name = options.pop(option, None)
+        if name == "emit_correspondence":
+            fields[name] = True
+            continue
+        value = next(tokens, None)
+        if name is None or value is None or value.startswith("-"):
+            return None
+        settings = FLAGS[name][0] if name in FLAGS else {}
+        try:
+            value = settings.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if value not in settings.get("choices", (value,)):
+            return None
+        fields[name] = value
+    return None if "--input" in options else SimpleNamespace(**fields)
 
 
 def _read_input(path: str) -> tuple[bytes, str]:
@@ -134,7 +180,7 @@ def _emit(out: str | None, text: str) -> None:
         raise ValidationError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-def _emit_report(args: argparse.Namespace, params: dict, data: bytes, result: dict) -> None:
+def _emit_report(args: SimpleNamespace, params: dict, data: bytes, result: dict) -> None:
     envelope = {
         "command": args.command,
         "input_sha256": sha256_of_bytes(data),
@@ -144,7 +190,7 @@ def _emit_report(args: argparse.Namespace, params: dict, data: bytes, result: di
     _emit(args.out, canonical_dumps(envelope))
 
 
-def cmd_validate(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
+def cmd_validate(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
     from .gluing import validate_gluing
 
     x = validate_gluing(text)
@@ -156,7 +202,7 @@ def cmd_validate(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
     }, EXIT_PASS
 
 
-def cmd_report(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
+def cmd_report(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
     from .certify import check_bounded_combinatorics
     from .gluing import validate_gluing
 
@@ -165,7 +211,7 @@ def cmd_report(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
     return cert.to_json(), EXIT_PASS if cert.passed else EXIT_VERDICT
 
 
-def cmd_collapse(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
+def cmd_collapse(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
     from .gluing import validate_gluing
     from .transforms import collapse_ibundles
 
@@ -175,14 +221,14 @@ def cmd_collapse(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
     return res.to_json(emit_correspondence=args.emit_correspondence), code
 
 
-def cmd_decompose(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
+def cmd_decompose(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
     from .decompose import full_and_maximal_decomposition
     from .gluing import validate_gluing
 
     return full_and_maximal_decomposition(validate_gluing(text)).to_json(), EXIT_PASS
 
 
-def cmd_model(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
+def cmd_model(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
     from .gluing import validate_gluing
     from .model import build_skeleton, export_skeleton, verify_thickness
 
@@ -194,7 +240,7 @@ def cmd_model(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
     return result, EXIT_PASS if report.ok else EXIT_VERDICT
 
 
-def cmd_hyplab(args: argparse.Namespace, text: str) -> tuple[dict | str, int]:
+def cmd_hyplab(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
     from .hypgraph import geodesic_interval
     from .hyplab import (
         check_qconvex_stability,
@@ -279,7 +325,9 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv) or _build_parser().parse_args(argv)
     data = None
     try:
         with _any_int_digits(), warnings.catch_warnings():

@@ -17,6 +17,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glueforge
 from glueforge import cli, farey, gluing
@@ -352,6 +354,10 @@ def test_malformed_json_is_a_parse_error(files, capsys):
         # torus slopes are strings
         ("manifolds.0.boundaries.0.decoration.base", 0),
         ("example:compression:manifolds.1.boundaries.0.disks", [0]),
+        # a repeated graph declaration is checked as the first one is,
+        # although true == 1
+        ("graph_stack:manifolds.2.boundaries.0.backend.edges.0.1", True),
+        ("graph_stack:manifolds.2.boundaries.0.backend.edges.0.1", "1"),
     ],
 )
 def test_wrong_typed_containers_are_parse_errors(files, capsys, tmp_path, path, value):
@@ -1194,13 +1200,28 @@ COLD_PINS = {
 }
 
 
-@pytest.mark.parametrize("command, name", list(COLD_PINS))
-def test_cold_command_bytes_pinned(files, large_graph_files, command, name):
+# every pin under the caller's hash seed, and each example's pins again
+# under two fixed seeds: no printed byte may depend on the order of a set
+# of strings
+PIN_RUNS = [
+    *(pytest.param(command, name, None, id=f"{command}-{name}") for command, name in COLD_PINS),
+    *(
+        pytest.param(command, name, seed, id=f"{command}-{name}-PYTHONHASHSEED={seed}")
+        for seed in ("0", "1")
+        for command, name in COLD_PINS
+        if name.startswith("example:")
+    ),
+]
+
+
+@pytest.mark.parametrize("command, name, hash_seed", PIN_RUNS)
+def test_cold_command_bytes_pinned(files, large_graph_files, command, name, hash_seed):
     # a cold interpreter, as a user runs it: no warm caches, real stderr,
     # and stdout buffered, so that bytes the process entry fails to flush
     # are missing bytes
     path = {**files, **large_graph_files}[name]
-    proc = cold([*CLI, *command.split(), "--input", path])
+    env = {} if hash_seed is None else {"PYTHONHASHSEED": hash_seed}
+    proc = cold([*CLI, *command.split(), "--input", path], **env)
     code, digest, stderr = COLD_PINS[command, name]
     assert (proc.returncode, proc.stderr.decode()) == (code, stderr)
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
@@ -1660,8 +1681,12 @@ def test_no_module_imports_numpy():
 # 40 bits of precision demand runs in doubles and loads neither; the
 # decimal path of a deeper one (deep30) loads both.  hashlib loads OpenSSL
 # (_hashlib); no command imports it, since the input hash is CPython's
-# builtin SHA-256
-HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "hashlib", "_hashlib"}
+# builtin SHA-256.  argparse, with the gettext and locale of its messages,
+# reads only help and the lines the plain-line reader leaves to it
+HEAVY = {
+    "dataclasses", "inspect", "fractions", "decimal", "hashlib", "_hashlib",
+    "argparse", "gettext", "locale",
+}
 
 
 def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
@@ -1817,6 +1842,89 @@ def test_each_command_takes_only_the_flags_it_reads(files, capsys, command):
     code, out, _ = run(capsys, [command, "--input", source])
     assert code == EXIT_PASS
     assert list(envelope(out)["params"].items()) == list(DEFAULT_PARAMS[command].items())
+
+
+# The tokens of the command lines that the plain-line reader is held to
+# argparse on: the commands and a name that is none; every flag that some
+# command takes or refuses, and spellings that only argparse reads (--R=3,
+# an abbreviation, -h, --); values that a flag takes or refuses
+LINE_COMMANDS = [*cli.COMMANDS, "bogus"]
+LINE_FLAGS = ["--input", "--out", *ALL_FLAGS, "--denom_bound", "--inp", "--R=3", "-h", "--"]
+LINE_VALUES = ["x.json", "3", "-1", "", "1_0", "0.3", "obj", "json", "nan", "inf", "--", "-h"]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command, then --input and some other flags it takes, shuffled,
+    each with the value `ALL_FLAGS` gives it; one token in four is
+    replaced by a token of its kind, and one line in two gets one more
+    token at a random place.  About one line in five stays plain."""
+
+    def mostly(token: str, others: list[str]) -> str:
+        return draw(st.sampled_from(others)) if draw(st.integers(0, 3)) == 0 else token
+
+    command = draw(st.sampled_from([*cli.COMMANDS]))
+    takes = ["--out", *("--" + name.replace("_", "-") for name in DEFAULT_PARAMS[command])]
+    if command == "collapse":
+        takes.append("--emit-correspondence")
+    flags = draw(st.permutations(["--input", *draw(st.lists(st.sampled_from(takes), unique=True))]))
+    argv = [mostly(command, LINE_COMMANDS)]
+    for flag in flags:
+        argv.append(mostly(flag, LINE_FLAGS))
+        if flag != "--emit-correspondence":
+            argv.append(mostly(ALL_FLAGS.get(flag, "x.json"), LINE_VALUES))
+    if draw(st.booleans()):
+        token = draw(st.sampled_from([*LINE_COMMANDS, *LINE_FLAGS, *LINE_VALUES]))
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines())
+def test_plain_lines_read_as_the_full_parser_reads_them(argv):
+    # wherever the reader takes a line, argparse takes it too and gives the
+    # same fields; repr, so that a NaN --eps0 equals itself and the types
+    # count (1 is not 1.0, nor True)
+    plain = cli._read_plain(argv)
+    if plain is not None:
+        assert repr(vars(plain)) == repr(vars(cli._build_parser().parse_args(argv)))
+
+
+# the shapes of the benchmark ops and example command lines, which the
+# reader takes, then help, usage errors and the spellings that argparse
+# alone reads, which it leaves to the parser
+PLAIN_LINES = [
+    ["validate", "--input", "x.json"],
+    ["report", "--R", "3", "--input", "x.json", "--D", "0", "--denom-bound", "5"],
+    ["collapse", "--emit-correspondence", "--input", "x.json", "--h", "2", "--out", "o"],
+    ["model", "--input", "x.json", "--eps0", "nan", "--samples", "10", "--format", "obj"],
+    ["hyplab", "--out", "", "--input", "x.json", "--R", "3"],
+]
+PARSER_LINES = [
+    ["report", "--help"],
+    ["report"],
+    ["report", "--R", "3"],
+    ["report", "--input", "x.json", "--input", "y.json"],
+    ["report", "--input", "x.json", "--R=3"],
+    ["report", "--inp", "x.json"],
+    ["report", "--input", "x.json", "--denom_bound", "5"],
+    ["report", "--input", "x.json", "--R", "-1"],
+    ["report", "--input", "x.json", "--", "--R", "3"],
+    ["collapse", "--input", "x.json", "--emit-correspondence", "--emit-correspondence"],
+    ["model", "--input", "x.json", "--format", "xyz"],
+    ["model", "--input", "x.json", "--samples", "many"],
+    ["hyplab", "--input", "x.json", "--format", "obj"],
+    ["bogus", "--input", "x.json"],
+    ["--R", "3", "report", "--input", "x.json"],
+]
+
+
+@pytest.mark.parametrize("argv", [*PLAIN_LINES, *PARSER_LINES])
+def test_only_plain_lines_skip_the_full_parser(argv):
+    plain = cli._read_plain(argv)
+    assert (plain is None) == (argv in PARSER_LINES)
+    if plain is not None:
+        assert repr(vars(plain)) == repr(vars(cli._build_parser().parse_args(argv)))
 
 
 def test_help_names_every_command_and_flag(capsys):
