@@ -24,24 +24,31 @@ from glueforge.farey import (
     farey_distance,
     farey_geodesic,
 )
-from glueforge.gluing import (
-    GENERIC,
-    TRIVIAL_IBUNDLE,
-    BoundarySpec,
-    DecoratedManifoldSpec,
-    GluingGraph,
-    Identification,
-    heights,
-    validate_gluing,
-)
+from glueforge.gluing import GluingGraph, Identification, heights, validate_gluing
 from glueforge.halfplane import balanced_marking, sigma_matrix, sigma_of_marking, teich_distance
 from glueforge.hypgraph import FiniteGraph
 from glueforge.hyplab import check_qconvex_stability
 from glueforge.ioutil import canonical_dumps
 from glueforge.model import build_skeleton
 from glueforge.surface import AbstractMarking, marking_distance, sup_projection
-from glueforge.torus import REFLECTION, Slope, SurfaceMap, intersection_number
+from glueforge.torus import IDENTITY, REFLECTION, Slope, SurfaceMap, intersection_number
 from glueforge.transforms import collapse_ibundles, combine_stack
+from builders import (
+    A,
+    L_MAP,
+    MU,
+    T,
+    T_MAP,
+    axis_bundle,
+    body_spec,
+    bundle,
+    chain,
+    core,
+    core_stack_core,
+    mk,
+    push,
+    tmap,
+)
 from oracles import (
     CompressionStep,
     FareyOracle,
@@ -50,27 +57,10 @@ from oracles import (
     marking_diameter,
     unit_interval_slopes,
 )
-from test_transforms import (
-    A,
-    MU,
-    T,
-    axis_bundle,
-    body_spec,
-    chain,
-    core,
-    core_stack_core,
-    mk,
-    push,
-    tmap,
-)
-
-T_MAP = SurfaceMap(1, 1, 0, 1)
-L_MAP = SurfaceMap(1, 0, 1, 1)
-IDEN = SurfaceMap(1, 0, 0, 1)
 
 
 def random_word(rng: random.Random, n: int, dets=(1, -1)) -> SurfaceMap:
-    m = IDEN
+    m = IDENTITY
     for _ in range(n):
         m = m @ (T_MAP if rng.random() < 0.5 else L_MAP)
     if rng.choice(dets) == -1:
@@ -131,23 +121,7 @@ def test_criterion_02_action_invariance():
             )
 
     def build(d, maps, bmap) -> GluingGraph:
-        mid = DecoratedManifoldSpec(
-            "B",
-            TRIVIAL_IBUNDLE,
-            (
-                BoundarySpec("F0", handle=T, decoration=d[1]),
-                BoundarySpec("F1", handle=T, decoration=d[2]),
-            ),
-            bundle_map=tmap(bmap),
-        )
-        return GluingGraph(
-            manifolds=(core("ML", d[0]), mid, core("MR", d[3])),
-            pieces=(("p0", "ML"), ("p1", "B"), ("p2", "MR")),
-            identifications=(
-                Identification("p0", "E0", "p1", "F0", tmap(maps[0])),
-                Identification("p1", "F1", "p2", "E0", tmap(maps[1])),
-            ),
-        )
+        return chain(core("ML", d[0]), bundle("B", d[1], d[2], bmap), core("MR", d[3]), maps=maps)
 
     for _ in range(100):
         d = [random_marking(rng) for _ in range(4)]
@@ -296,7 +270,7 @@ def test_criterion_07_marking_teichmueller_comparison():
     rng = random.Random(2710)
     rows = []
     for _ in range(500):
-        m = IDEN
+        m = IDENTITY
         for _ in range(rng.randrange(0, 26)):
             m = m @ (T_MAP if rng.random() < 0.5 else L_MAP)
         mu, nu = MU.payload, m.on_marking(MU.payload)
@@ -351,14 +325,7 @@ def test_criterion_08_thickness_correlation():
     assert suite_min >= 0.1
     assert suite_min >= 0.75  # frozen 0.9457 with 20% slack
 
-    two_sided = DecoratedManifoldSpec(
-        "c0",
-        GENERIC,
-        (
-            BoundarySpec("E0", handle=T, decoration=MU),
-            BoundarySpec("E1", handle=T, decoration=MU),
-        ),
-    )
+    two_sided = core("c0", MU, MU)
     thin_mins = []
     for coeff in (50, 120, 300, 800):
         thin = GluingGraph(

@@ -19,19 +19,23 @@ import pytest
 
 from glueforge.cli import EXIT_PASS, EXIT_VERDICT, main
 from glueforge.farey import AnnulusLabel, max_subsurface_projection
-from glueforge.gluing import (
-    TWISTED_IBUNDLE,
-    BoundarySpec,
-    CoverData,
-    DecoratedManifoldSpec,
-    GluingGraph,
-    Identification,
+from glueforge.gluing import GluingGraph, Identification
+from glueforge.torus import INFINITY, REFLECTION, FareyMarking, Slope
+from builders import (
+    A,
+    MU,
+    bundle,
+    chain,
+    core,
+    core_bundle_core,
+    core_stack_core,
+    example_builders,
+    mk,
+    on_core,
+    push,
+    tmap,
+    twisted,
 )
-from glueforge.torus import IDENTITY, INFINITY, REFLECTION, FareyMarking, Slope
-from test_gluing import M_BASE, T, bundle, core, core_bundle_core, mk, tmap
-from test_transforms import A, MU, chain, core_stack_core, example_builders, push
-from test_transforms import bundle as stack_bundle
-from test_transforms import core as stack_core
 
 FIB = mk("55/34", "89/55")
 
@@ -52,29 +56,15 @@ def meridian_gluing() -> GluingGraph:
 def covered_twisted_gluing() -> GluingGraph:
     """A twisted I-bundle whose declared double cover sits at distance 5
     from the lifted geodesic."""
-    cover = CoverData(
-        mu0=FIB, mu1=FIB, lift0=tmap(IDENTITY), lift1=tmap(IDENTITY), phi=tmap(REFLECTION)
-    )
-    spec = DecoratedManifoldSpec(
-        "W",
-        TWISTED_IBUNDLE,
-        (BoundarySpec("F0", handle=T, decoration=M_BASE),),
-        bundle_map=tmap(REFLECTION),
-        cover=cover,
-    )
-    return GluingGraph(
-        manifolds=(core("M0", M_BASE), spec),
-        pieces=(("p0", "M0"), ("w", "W")),
-        identifications=(Identification("p0", "E0", "w", "F0", tmap(REFLECTION)),),
-    )
+    return on_core(twisted("W", MU, FIB), "M0")
 
 
 def backtracking_stack() -> GluingGraph:
     """A two-bundle stack whose middle marking deviates 9 from the geodesic
     between its neighbours."""
-    b0 = stack_bundle("B0", MU, push(REFLECTION @ A.power(12)))
-    b1 = stack_bundle("B1", push(A.power(3)), push(REFLECTION @ A.power(18)))
-    return chain(stack_core("ML", MU), b0, b1, stack_core("MR", push(A.power(18) @ REFLECTION)))
+    b0 = bundle("B0", MU, push(REFLECTION @ A.power(12)))
+    b1 = bundle("B1", push(A.power(3)), push(REFLECTION @ A.power(18)))
+    return chain(core("ML", MU), b0, b1, core("MR", push(A.power(18) @ REFLECTION)))
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +73,7 @@ def files(tmp_path_factory):
     gluings = {f"example:{name}": build() for name, build in example_builders().items()}
     gluings.update(
         meridian=meridian_gluing(),
-        bundle=core_bundle_core(bundle("B", FIB, FIB), M_BASE, M_BASE),
+        bundle=core_bundle_core(bundle("B", FIB, FIB), MU, MU),
         cover=covered_twisted_gluing(),
         backtrack=backtracking_stack(),
         axis194=core_stack_core([194]),

@@ -1,7 +1,6 @@
 """Front-end tests: exit codes, report envelopes, determinism, and the
 export paths, all through main(argv)."""
 
-import contextlib
 import gc
 import hashlib
 import importlib
@@ -29,36 +28,28 @@ from glueforge.cli import (
     EXIT_PARSE,
     EXIT_PASS,
     EXIT_VERDICT,
+    _any_int_digits,
     main,
 )
 from glueforge.errors import ValidationError
-from glueforge.gluing import (
-    GENERIC,
-    TRIVIAL_IBUNDLE,
-    BoundarySpec,
-    DecoratedManifoldSpec,
-    GluingGraph,
-    Identification,
-    SlotMap,
-    validate_gluing,
-)
+from glueforge.gluing import GluingGraph, Identification, SlotMap, validate_gluing
 from glueforge.hypgraph import FiniteGraph, GraphProjection, cycle_graph
 from glueforge.ioutil import canonical_dumps, sha256_of_text
 from glueforge.surface import AbstractMarking, BackendHandle
 from glueforge.torus import IDENTITY, INFINITY, REFLECTION, FareyMarking, Slope
-from oracles import CLI, cold
-from test_transforms import (
+from builders import (
     SKEW_1,
     SKEW_2,
     A,
     MU,
+    T,
     axis_bundle,
     bundle,
     chain,
     core,
-    core2,
     core_stack_core,
     example_builders,
+    graph_stack,
     mk,
     push,
     skew_bundle,
@@ -69,20 +60,10 @@ from test_transforms import (
     twisted_end,
     wrap_cycle_stack,
 )
+from oracles import CLI, cold
 
-T = BackendHandle.torus()
 P4 = "4 3\n0 1\n1 2\n2 3\n"
 C6 = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
-
-
-@contextlib.contextmanager
-def any_int_digits():
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 # Stacks of two to thirty axis bundles with large height gaps
@@ -133,16 +114,8 @@ def files(tmp_path_factory):
     broken["manifolds"][0]["boundaries"][0]["compressible"] = True
     out["nodisks"] = save("nodisks.json", json.dumps(broken))
 
-    two_sided = DecoratedManifoldSpec(
-        "c0",
-        GENERIC,
-        (
-            BoundarySpec("E0", handle=T, decoration=MU),
-            BoundarySpec("E1", handle=T, decoration=MU),
-        ),
-    )
     thin = GluingGraph(
-        manifolds=(two_sided, core("c1", push(REFLECTION))),
+        manifolds=(core("c0", MU, MU), core("c1", push(REFLECTION))),
         pieces=(("p0", "c0"), ("p1", "c1")),
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
         boundary_markings=((("p0", "E1"), mk("50/1", "1/0")),),
@@ -162,7 +135,7 @@ def files(tmp_path_factory):
         out[name] = save(f"{name}.json", core_stack_core(ks).canonical_json())
     # a 10,001-digit denominator: past the interpreter's default int/str
     # limit, which only the CLI lifts
-    with any_int_digits():
+    with _any_int_digits():
         huge = GluingGraph(
             manifolds=(
                 core("c0", AbstractMarking(T, FareyMarking(Slope(1, 10**10000), Slope(0, 1)))),
@@ -184,7 +157,7 @@ def files(tmp_path_factory):
     # report's order
     outer, inner_core, inner_body = split_spec()
     split3 = GluingGraph(
-        manifolds=(outer, inner_core, inner_body, core2("N", push(REFLECTION), push(REFLECTION))),
+        manifolds=(outer, inner_core, inner_body, core("N", push(REFLECTION), push(REFLECTION))),
         pieces=(("z", "M"), ("a", "N"), ("m", "M")),
         identifications=(
             Identification("z", "E0", "a", "E0", tmap(REFLECTION)),
@@ -196,12 +169,8 @@ def files(tmp_path_factory):
 
     h = BackendHandle.finite_graph(cycle_graph(6))
 
-    def graph_core(mid: str, *vertices: int) -> DecoratedManifoldSpec:
-        dec = AbstractMarking(h, vertices)
-        return DecoratedManifoldSpec(mid, GENERIC, (BoundarySpec("E0", handle=h, decoration=dec),))
-
     graph_pair = GluingGraph(
-        manifolds=(graph_core("c0", 0, 1), graph_core("c1", 2, 3)),
+        manifolds=(core("c0", AbstractMarking(h, (0, 1))), core("c1", AbstractMarking(h, (2, 3)))),
         pieces=(("p0", "c0"), ("p1", "c1")),
         identifications=(
             Identification("p0", "E0", "p1", "E0", SlotMap(h, perm=(0, 5, 4, 3, 2, 1))),
@@ -210,46 +179,14 @@ def files(tmp_path_factory):
     out["graph_pair"] = save("graph_pair.json", graph_pair.canonical_json())
 
     # one spec with a torus and a graph boundary, glued along the torus
-    mixed_spec = DecoratedManifoldSpec(
-        "m",
-        GENERIC,
-        (
-            BoundarySpec("E0", handle=T, decoration=MU),
-            BoundarySpec("E1", handle=h, decoration=AbstractMarking(h, (0, 1))),
-        ),
-    )
     mixed = GluingGraph(
-        manifolds=(mixed_spec,),
+        manifolds=(core("m", MU, AbstractMarking(h, (0, 1))),),
         pieces=(("p0", "m"), ("p1", "m")),
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
     )
     out["mixed"] = save("mixed.json", mixed.canonical_json())
 
-    # a core, a trivial I-bundle and a core over C_12, glued by v -> -v
-    h12 = BackendHandle.finite_graph(cycle_graph(12))
-    flip = SlotMap(h12, perm=tuple(-v % 12 for v in range(12)))
-
-    def boundary(slot: str, *vertices: int) -> BoundarySpec:
-        return BoundarySpec(slot, handle=h12, decoration=AbstractMarking(h12, vertices))
-
-    graph_stack = GluingGraph(
-        manifolds=(
-            DecoratedManifoldSpec("ML", GENERIC, (boundary("E0", 0, 1),)),
-            DecoratedManifoldSpec(
-                "B0",
-                TRIVIAL_IBUNDLE,
-                (boundary("F0", 3, 4), boundary("F1", 9, 8)),
-                bundle_map=flip,
-            ),
-            DecoratedManifoldSpec("MR", GENERIC, (boundary("E0", 6, 7),)),
-        ),
-        pieces=(("p0", "ML"), ("p1", "B0"), ("p2", "MR")),
-        identifications=(
-            Identification("p0", "E0", "p1", "F0", flip),
-            Identification("p1", "F1", "p2", "E0", flip),
-        ),
-    )
-    out["graph_stack"] = save("graph_stack.json", graph_stack.canonical_json())
+    out["graph_stack"] = save("graph_stack.json", graph_stack().canonical_json())
 
     # a torus stack whose path backtracks along the axis: not a geodesic,
     # so its certificate scans the pairs of the path
@@ -492,6 +429,13 @@ INVARIANT_CHECKS = {
         _set("manifolds.1.boundaries", [{"id": "T", "toroidal": True}]),
         "manifold B needs a non-toroidal boundary",
     ),
+    "bundle-across-backends": (
+        _set("manifolds.1.boundaries.1", {
+            "id": "F1", "backend": {"kind": "graph", "n": 3, "edges": [[0, 1], [1, 2], [2, 0]]},
+            "decoration": {"vertices": [0]},
+        }),
+        "trivial bundle B spans two backends",
+    ),
     "compressible-bundle": (
         _set("manifolds.1.boundaries.0", {
             "id": "F0", "backend": {"kind": "torus"}, "decoration": TORUS_MARKING,
@@ -614,6 +558,14 @@ def _unknown_part_boundary(obj, split):
     split["pieces"][0] = {"id": "core", "manifold": "M", "boundaries": {"E0": "B0"}}
 
 
+def _unknown_parent_boundary(obj, split):
+    split["pieces"][0]["boundaries"] = {"E7": "B0"}
+
+
+def _boundary_split_twice(obj, split):
+    split["pieces"][1]["boundaries"] = {"E0": "E1"}
+
+
 def _toroidal_part_target(obj, split):
     # E1, unmarked, placed onto a toroidal boundary, where no chart can follow it
     del obj["lambda"]
@@ -672,6 +624,16 @@ def _part_that_splits(obj, split):
             "invariant violation: piece p0: splitting targets unknown boundary M:B0",
         ),
         (
+            _unknown_parent_boundary,
+            EXIT_INVARIANT,
+            "invariant violation: piece p0: splitting maps unknown boundary E7",
+        ),
+        (
+            _boundary_split_twice,
+            EXIT_INVARIANT,
+            "invariant violation: piece p0: boundary E0 split twice",
+        ),
+        (
             _part_that_splits,
             EXIT_INVARIANT,
             "invariant violation: piece p0: splitting part core is manifold M, which"
@@ -696,8 +658,8 @@ def _part_that_splits(obj, split):
         ),
     ],
     ids=["garbage-map", "unknown-manifold", "preserving-map", "unplaced", "toroidal-slot",
-         "unknown-boundary", "part-splits", "toroidal-target", "shared-target",
-         "free-part-boundary"],
+         "unknown-boundary", "unknown-parent-boundary", "split-twice", "part-splits",
+         "toroidal-target", "shared-target", "free-part-boundary"],
 )
 def test_every_gluing_command_checks_splittings_as_decompose_does(
     capsys, tmp_path, edit, code, message
@@ -1015,11 +977,8 @@ def test_model_thin_tube_fails_and_tops_the_correlation(files, capsys):
 
 def test_model_graph_slot_with_a_free_marking_gets_a_combinatorial_tube(capsys, tmp_path):
     h = BackendHandle.finite_graph(cycle_graph(6))
-    spec = DecoratedManifoldSpec(
-        "G", GENERIC, (BoundarySpec("E0", handle=h, decoration=AbstractMarking(h, (0,))),)
-    )
     x = GluingGraph(
-        manifolds=(spec,),
+        manifolds=(core("G", AbstractMarking(h, (0,))),),
         pieces=(("p0", "G"),),
         identifications=(),
         boundary_markings=((("p0", "E0"), AbstractMarking(h, (3,))),),
@@ -1435,11 +1394,8 @@ def id_gluings() -> dict:
     h = BackendHandle.finite_graph(
         cycle_graph(6), {"W": [0, 1]}, [GraphProjection((0, 1), (3,), "W0", 7)]
     )
-    spec = DecoratedManifoldSpec(
-        "G", GENERIC, (BoundarySpec("E0", handle=h, decoration=AbstractMarking(h, (0, 1))),)
-    )
     graph = GluingGraph(
-        manifolds=(spec,),
+        manifolds=(core("G", AbstractMarking(h, (0, 1))),),
         pieces=(("p0", "G"), ("p1", "G")),
         identifications=(
             Identification("p0", "E0", "p1", "E0", SlotMap(h, perm=(0, 5, 4, 3, 2, 1))),
@@ -1504,12 +1460,9 @@ def c6_pair(**backend: object) -> dict:
     v -> v + 2, so that clause a reads the slot pair ({0, 1}, {2, 3});
     backend adds to the graph backend's declaration."""
     h = BackendHandle.finite_graph(cycle_graph(6))
-    spec = DecoratedManifoldSpec(
-        "G", GENERIC, (BoundarySpec("E0", handle=h, decoration=AbstractMarking(h, (0, 1))),)
-    )
     rotation = SlotMap(h, perm=(2, 3, 4, 5, 0, 1))
     obj = GluingGraph(
-        manifolds=(spec,),
+        manifolds=(core("G", AbstractMarking(h, (0, 1))),),
         pieces=(("p0", "G"), ("p1", "G")),
         identifications=(Identification("p0", "E0", "p1", "E0", rotation),),
     ).to_json()
@@ -2160,28 +2113,13 @@ def cycle_stack(n: int, ks: list[int]) -> GluingGraph:
     h = BackendHandle.finite_graph(cycle_graph(n))
     flip = SlotMap(h, perm=tuple(-v % n for v in range(n)))
 
-    def boundary(slot: str, *vertices: int) -> BoundarySpec:
-        marking = AbstractMarking(h, tuple(v % n for v in vertices))
-        return BoundarySpec(slot, handle=h, decoration=marking)
+    def edge(*vertices: int) -> AbstractMarking:
+        return AbstractMarking(h, tuple(v % n for v in vertices))
 
-    specs = [DecoratedManifoldSpec("ML", GENERIC, (boundary("E0", 0, 1),))]
-    for i, k in enumerate(ks):
-        ends = (boundary("F0", k, k + 1), boundary("F1", -k, -k - 1))
-        specs.append(DecoratedManifoldSpec(f"B{i}", TRIVIAL_IBUNDLE, ends, bundle_map=flip))
+    bundles = [bundle(f"B{i}", edge(k, k + 1), edge(-k, -k - 1), flip) for i, k in enumerate(ks)]
     last = ks[-1] + 2
-    specs.append(DecoratedManifoldSpec("MR", GENERIC, (boundary("E0", -last, -last - 1),)))
-    m = len(ks)
-    idents = [
-        Identification(
-            f"p{i}", "E0" if i == 0 else "F1", f"p{i + 1}", "F0" if i < m else "E0", flip
-        )
-        for i in range(m + 1)
-    ]
-    return GluingGraph(
-        manifolds=tuple(specs),
-        pieces=tuple((f"p{i}", spec.id) for i, spec in enumerate(specs)),
-        identifications=tuple(idents),
-    )
+    right = core("MR", edge(-last, -last - 1))
+    return chain(core("ML", edge(0, 1)), *bundles, right, maps=[flip] * (len(ks) + 1))
 
 
 @pytest.fixture(scope="module")

@@ -35,68 +35,27 @@ from glueforge.torus import (
     FareyMarking,
     Slope,
     SurfaceMap,
-    parse_slope,
 )
 from glueforge.transforms import collapse_ibundles
+from builders import (
+    MU,
+    T,
+    T_MAP,
+    bundle,
+    core,
+    core_bundle_core,
+    full_featured_gluing,
+    graph_stack,
+    mk,
+    on_core,
+    rand_word,
+    tmap,
+    twisted,
+)
 from oracles import relabel
 
-T = BackendHandle.torus()
-T_MAP = SurfaceMap(1, 1, 0, 1)
-L_MAP = SurfaceMap(1, 0, 1, 1)
 
-
-def mk(base: str, transversal: str) -> AbstractMarking:
-    return AbstractMarking(T, FareyMarking(parse_slope(base), parse_slope(transversal)))
-
-
-M_BASE = mk("0/1", "1/0")
-
-
-def rand_word(rng: random.Random, length: int, orientation_preserving: bool = True) -> SurfaceMap:
-    m = IDENTITY
-    for _ in range(rng.randrange(1, length + 1)):
-        m = m @ rng.choice([T_MAP, L_MAP, T_MAP.inverse(), L_MAP.inverse()])
-    if rng.random() < 0.25:
-        m = m @ SurfaceMap(-1, 0, 0, -1)
-    if not orientation_preserving and rng.random() < 0.5:
-        m = m @ REFLECTION
-    return m
-
-
-def tmap(matrix: SurfaceMap) -> SlotMap:
-    return SlotMap(T, matrix=matrix)
-
-
-def core(mid: str, *decorations: AbstractMarking, disks=None) -> DecoratedManifoldSpec:
-    """Generic piece with one boundary per decoration; disks maps boundary
-    index -> DiskSet elements."""
-    disks = disks or {}
-    bs = []
-    for i, dec in enumerate(decorations):
-        elems = disks.get(i)
-        if elems is None:
-            bs.append(BoundarySpec(f"E{i}", handle=T, decoration=dec))
-        else:
-            ds = DiskSet(T, tuple(elems))
-            bs.append(
-                BoundarySpec(f"E{i}", handle=T, decoration=dec, compressible=True, disks=ds)
-            )
-    return DecoratedManifoldSpec(mid, GENERIC, tuple(bs))
-
-
-def bundle(mid: str, mu0: AbstractMarking, mu1: AbstractMarking, phi=REFLECTION) -> DecoratedManifoldSpec:
-    return DecoratedManifoldSpec(
-        mid,
-        TRIVIAL_IBUNDLE,
-        (
-            BoundarySpec("F0", handle=T, decoration=mu0),
-            BoundarySpec("F1", handle=T, decoration=mu1),
-        ),
-        bundle_map=tmap(phi),
-    )
-
-
-def two_piece_gluing(psi: SurfaceMap, mu0=M_BASE, mu1=M_BASE) -> GluingGraph:
+def two_piece_gluing(psi: SurfaceMap, mu0=MU, mu1=MU) -> GluingGraph:
     """Two generic one-boundary pieces identified by psi (p0 chart to p1)."""
     return GluingGraph(
         manifolds=(core("M0", mu0), core("M1", mu1)),
@@ -117,28 +76,28 @@ def test_boundary_spec_validation():
     with pytest.raises(ValidationError, match="wrong backend"):
         BoundarySpec("E0", handle=T, decoration=graph_marking)
     with pytest.raises(ValidationError, match="non-empty iff compressible"):
-        BoundarySpec("E0", handle=T, decoration=M_BASE, compressible=True)
+        BoundarySpec("E0", handle=T, decoration=MU, compressible=True)
     with pytest.raises(ValidationError, match="non-empty iff compressible"):
         BoundarySpec(
             "E0",
             handle=T,
-            decoration=M_BASE,
+            decoration=MU,
             disks=DiskSet(T, (Slope(0, 1),)),
         )
-    plain = BoundarySpec("E0", handle=T, decoration=M_BASE)
+    plain = BoundarySpec("E0", handle=T, decoration=MU)
     assert plain.disks is not None and plain.disks.is_empty
 
 
 def test_manifold_kind_invariants():
     with pytest.raises(ValidationError, match="unknown manifold kind"):
-        DecoratedManifoldSpec("M", "banana", (BoundarySpec("E0", handle=T, decoration=M_BASE),))
+        DecoratedManifoldSpec("M", "banana", (BoundarySpec("E0", handle=T, decoration=MU),))
     with pytest.raises(ValidationError, match="repeats a boundary id"):
         DecoratedManifoldSpec(
             "M",
             GENERIC,
             (
-                BoundarySpec("E0", handle=T, decoration=M_BASE),
-                BoundarySpec("E0", handle=T, decoration=M_BASE),
+                BoundarySpec("E0", handle=T, decoration=MU),
+                BoundarySpec("E0", handle=T, decoration=MU),
             ),
         )
     with pytest.raises(ValidationError, match="non-toroidal boundary"):
@@ -147,32 +106,38 @@ def test_manifold_kind_invariants():
         DecoratedManifoldSpec(
             "M",
             GENERIC,
-            (BoundarySpec("E0", handle=T, decoration=M_BASE),),
+            (BoundarySpec("E0", handle=T, decoration=MU),),
             disk_records=(("E7",),),
         )
     with pytest.raises(ValidationError, match="only bundles carry"):
         DecoratedManifoldSpec(
             "M",
             GENERIC,
-            (BoundarySpec("E0", handle=T, decoration=M_BASE),),
+            (BoundarySpec("E0", handle=T, decoration=MU),),
             bundle_map=tmap(REFLECTION),
         )
 
 
 def test_bundle_kind_invariants():
-    b0 = BoundarySpec("F0", handle=T, decoration=M_BASE)
-    b1 = BoundarySpec("F1", handle=T, decoration=M_BASE)
+    b0 = BoundarySpec("F0", handle=T, decoration=MU)
+    b1 = BoundarySpec("F1", handle=T, decoration=MU)
     with pytest.raises(ValidationError, match="exactly two non-toroidal"):
         DecoratedManifoldSpec("B", TRIVIAL_IBUNDLE, (b0,), bundle_map=tmap(REFLECTION))
     with pytest.raises(ValidationError, match="needs an exchange map"):
         DecoratedManifoldSpec("B", TRIVIAL_IBUNDLE, (b0, b1))
     with pytest.raises(ValidationError, match="must reverse orientation"):
         DecoratedManifoldSpec("B", TRIVIAL_IBUNDLE, (b0, b1), bundle_map=tmap(IDENTITY))
-    ok = bundle("B", M_BASE, M_BASE)
+    ok = bundle("B", MU, MU)
     assert ok.is_bundle
     # twisted: single boundary, exchange an orientation-reversing involution
     with pytest.raises(ValidationError, match="exactly one non-toroidal"):
         DecoratedManifoldSpec("B", TWISTED_IBUNDLE, (b0, b1), bundle_map=tmap(REFLECTION))
+    meridian = DiskSet(T, (Slope(0, 1),))
+    lid = BoundarySpec("F0", handle=T, decoration=MU, compressible=True, disks=meridian)
+    with pytest.raises(ValidationError, match="bundle B boundaries are incompressible"):
+        DecoratedManifoldSpec("B", TWISTED_IBUNDLE, (lid,), bundle_map=tmap(REFLECTION))
+    with pytest.raises(ValidationError, match="twisted bundle B needs an exchange map"):
+        DecoratedManifoldSpec("B", TWISTED_IBUNDLE, (b0,))
     with pytest.raises(ValidationError, match="involution"):
         # det -1 but trace 8, so its square is not central
         DecoratedManifoldSpec(
@@ -184,14 +149,14 @@ def test_bundle_kind_invariants():
 
 def test_compression_body_invariants():
     ds = DiskSet(T, (Slope(0, 1),))
-    exterior = BoundarySpec("E0", handle=T, decoration=M_BASE, compressible=True, disks=ds)
-    interior = BoundarySpec("E1", handle=T, decoration=M_BASE)
+    exterior = BoundarySpec("E0", handle=T, decoration=MU, compressible=True, disks=ds)
+    interior = BoundarySpec("E1", handle=T, decoration=MU)
     body = DecoratedManifoldSpec("C", COMPRESSION_BODY, (exterior, interior))
     assert body.exterior_boundary().id == "E0"
     with pytest.raises(ValidationError, match="exactly one compressible"):
         DecoratedManifoldSpec("C", COMPRESSION_BODY, (interior,))
     with pytest.raises(ValidationError, match="not a compression body"):
-        core("M", M_BASE).exterior_boundary()
+        core("M", MU).exterior_boundary()
 
 
 # ----------------------------------------------------------- slot maps
@@ -201,8 +166,8 @@ def test_slot_map_torus_algebra():
     f = tmap(SurfaceMap(13, 8, 8, 5) @ REFLECTION)
     assert f.reversing
     assert f.compose(f.inverse()).matrix == IDENTITY
-    m = f.apply(M_BASE)
-    assert f.inverse().apply(m) == M_BASE
+    m = f.apply(MU)
+    assert f.inverse().apply(m) == MU
     with pytest.raises(ValidationError, match="torus slot map"):
         SlotMap(T, matrix=REFLECTION, perm=(0, 1))
 
@@ -249,7 +214,7 @@ def test_two_piece_gluing_accepted_and_involutive():
 def test_self_identification_twisted_rule():
     # a graph is checked when it is built; validate() only returns it
     x = GluingGraph(
-        manifolds=(core("M", M_BASE),),
+        manifolds=(core("M", MU),),
         pieces=(("p0", "M"),),
         identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
     )
@@ -257,7 +222,7 @@ def test_self_identification_twisted_rule():
     non_involution = SurfaceMap(13, 8, 8, 5) @ REFLECTION
     with pytest.raises(ValidationError, match="fixed point"):
         GluingGraph(
-            manifolds=(core("M", M_BASE),),
+            manifolds=(core("M", MU),),
             pieces=(("p0", "M"),),
             identifications=(Identification("p0", "E0", "p0", "E0", tmap(non_involution)),),
         )
@@ -266,7 +231,7 @@ def test_self_identification_twisted_rule():
 def test_disconnected_rejected():
     with pytest.raises(ValidationError, match="disconnected: piece p2"):
         GluingGraph(
-            manifolds=(core("M", M_BASE),),
+            manifolds=(core("M", MU),),
             pieces=(("p0", "M"), ("p1", "M"), ("p2", "M")),
             identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
         )
@@ -281,7 +246,7 @@ def test_slot_reuse_rejected():
     for first, second in ((to_p1, to_p2), (to_self, to_self), (to_self, to_p1), (to_p1, to_self)):
         with pytest.raises(ValidationError, match="^non-involutive identifications: slot p0:E0 used twice$"):
             GluingGraph(
-                manifolds=(core("M", M_BASE), core("N", M_BASE, M_BASE)),
+                manifolds=(core("M", MU), core("N", MU, MU)),
                 pieces=(("p0", "N"), ("p1", "M"), ("p2", "M")),
                 identifications=(first, second),
             )
@@ -290,13 +255,13 @@ def test_slot_reuse_rejected():
 def test_dangling_references_rejected():
     with pytest.raises(ValidationError, match="references unknown manifold"):
         GluingGraph(
-            manifolds=(core("M", M_BASE),),
+            manifolds=(core("M", MU),),
             pieces=(("p0", "ZZZ"),),
             identifications=(),
         )
     with pytest.raises(ValidationError, match="unknown slot p0:E9"):
         GluingGraph(
-            manifolds=(core("M", M_BASE),),
+            manifolds=(core("M", MU),),
             pieces=(("p0", "M"), ("p1", "M")),
             identifications=(Identification("p0", "E9", "p1", "E0", tmap(REFLECTION)),),
         )
@@ -307,7 +272,7 @@ def test_toroidal_slot_rejected():
         "M",
         GENERIC,
         (
-            BoundarySpec("E0", handle=T, decoration=M_BASE),
+            BoundarySpec("E0", handle=T, decoration=MU),
             BoundarySpec("T0", toroidal=True),
         ),
     )
@@ -322,7 +287,7 @@ def test_toroidal_slot_rejected():
 def test_orientation_preserving_identification_rejected():
     with pytest.raises(ValidationError, match="must reverse orientation"):
         GluingGraph(
-            manifolds=(core("M", M_BASE),),
+            manifolds=(core("M", MU),),
             pieces=(("p0", "M"), ("p1", "M")),
             identifications=(Identification("p0", "E0", "p1", "E0", tmap(T_MAP)),),
         )
@@ -330,34 +295,30 @@ def test_orientation_preserving_identification_rejected():
 
 def test_identified_backends_must_match():
     h = BackendHandle.finite_graph(cycle_graph(6))
-    graph_piece = DecoratedManifoldSpec(
-        "G",
-        GENERIC,
-        (BoundarySpec("E0", handle=h, decoration=AbstractMarking(h, (0,))),),
-    )
+    graph_piece = core("G", AbstractMarking(h, (0,)))
     with pytest.raises(BackendMismatchError, match="different backends"):
         GluingGraph(
-            manifolds=(core("M", M_BASE), graph_piece),
+            manifolds=(core("M", MU), graph_piece),
             pieces=(("p0", "M"), ("p1", "G")),
             identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
         )
 
 
 def test_lambda_validation():
-    spec = core("M", M_BASE, M_BASE)
+    spec = core("M", MU, MU)
     with pytest.raises(ValidationError, match="buried slot p0:E0"):
         GluingGraph(
             manifolds=(spec,),
             pieces=(("p0", "M"), ("p1", "M")),
             identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
-            boundary_markings=((("p0", "E0"), M_BASE),),
+            boundary_markings=((("p0", "E0"), MU),),
         )
     with pytest.raises(ValidationError, match="unknown slot p0:E9"):
         GluingGraph(
             manifolds=(spec,),
             pieces=(("p0", "M"), ("p1", "M")),
             identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
-            boundary_markings=((("p0", "E9"), M_BASE),),
+            boundary_markings=((("p0", "E9"), MU),),
         )
 
 
@@ -367,8 +328,8 @@ def test_lambda_validation():
 def test_induced_reflection_fixes_base_marking():
     x = two_piece_gluing(REFLECTION)
     table = induced_markings(x)
-    assert table[("p1", "E0")] == M_BASE
-    assert table[("p0", "E0")] == M_BASE
+    assert table[("p1", "E0")] == MU
+    assert table[("p0", "E0")] == MU
     assert check_bounded_combinatorics(x, 6, 0).slot("p0", "E0").nu_source == "psi"
 
 
@@ -380,7 +341,7 @@ def test_induced_composite_map_example():
 
 
 def test_unburied_slots_take_lambda_or_are_empty():
-    spec = core("M", M_BASE, M_BASE)
+    spec = core("M", MU, MU)
     lam = mk("1/1", "1/0")
     x = GluingGraph(
         manifolds=(spec,),
@@ -404,13 +365,13 @@ def test_heights_frozen_values():
     assert h[("p0", "E0")] == 3
     assert h[("p1", "E0")] == 3
     # a shared slope forces height 0
-    y = two_piece_gluing(REFLECTION, mu0=mk("5/1", "1/0"), mu1=M_BASE)
+    y = two_piece_gluing(REFLECTION, mu0=mk("5/1", "1/0"), mu1=MU)
     assert heights(y)[("p1", "E0")] == 0
     assert heights(y)[("p0", "E0")] == 0
 
 
 def test_heights_empty_nu_is_none():
-    spec = core("M", M_BASE, M_BASE)
+    spec = core("M", MU, MU)
     x = GluingGraph(
         manifolds=(spec,),
         pieces=(("p0", "M"), ("p1", "M")),
@@ -436,11 +397,14 @@ def test_certificate_frozen_pass():
     assert s0.projection.value == 5
     assert check_bounded_combinatorics(x, 6, 4, denom_bound=64).verdict == "fail"
     assert check_bounded_combinatorics(x, 4, 3, denom_bound=64).verdict == "fail"
+    for r_bound, d_bound, message in ((0, 3, "R must be"), (6, -1, "D must be")):
+        with pytest.raises(ValidationError, match=message):
+            check_bounded_combinatorics(x, r_bound, d_bound)
 
 
 def test_certificate_self_gluing_reflection():
     x = GluingGraph(
-        manifolds=(core("M", M_BASE),),
+        manifolds=(core("M", MU),),
         pieces=(("p0", "M"),),
         identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
     )
@@ -483,31 +447,13 @@ def test_clause_b_meridian_inequality():
     assert check_bounded_combinatorics(x, 8, 0).passed
 
 
-def core_bundle_core(
-    bundle_spec: DecoratedManifoldSpec,
-    left: AbstractMarking,
-    right: AbstractMarking,
-    psi_left: SurfaceMap = REFLECTION,
-    psi_right: SurfaceMap = REFLECTION,
-) -> GluingGraph:
-    """Chain p0 -- bundle -- p1 with the bundle glued on both sides."""
-    return GluingGraph(
-        manifolds=(core("ML", left), bundle_spec, core("MR", right)),
-        pieces=(("p0", "ML"), ("b", bundle_spec.id), ("p1", "MR")),
-        identifications=(
-            Identification("p0", "E0", "b", "F0", tmap(psi_left)),
-            Identification("b", "F1", "p1", "E0", tmap(psi_right)),
-        ),
-    )
-
-
 def test_clause_c_bundle_geodesic():
     # both cores decorated at the base: the induced ends agree and the
     # geodesic degenerates to the base slope, so the clause measures the
     # distance from the bundle decorations to 0/1
     fib = mk("55/34", "89/55")
     b = bundle("B", fib, fib)
-    x = core_bundle_core(b, M_BASE, M_BASE)
+    x = core_bundle_core(b, MU, MU)
     d_expected = min(farey_distance(s, Slope(0, 1)) for s in fib.elements())
     assert d_expected >= 2
     cert = check_bounded_combinatorics(x, 1, 0)
@@ -522,9 +468,9 @@ def test_clause_c_bundle_geodesic():
 
 
 def test_clause_c_missing_induced_marking():
-    b = bundle("B", M_BASE, M_BASE)
+    b = bundle("B", MU, MU)
     x = GluingGraph(
-        manifolds=(core("ML", M_BASE), b),
+        manifolds=(core("ML", MU), b),
         pieces=(("p0", "ML"), ("b", "B")),
         identifications=(Identification("p0", "E0", "b", "F0", tmap(REFLECTION)),),
     )
@@ -534,40 +480,19 @@ def test_clause_c_missing_induced_marking():
 
 
 def test_clause_d_twisted_cover():
-    tw_plain = DecoratedManifoldSpec(
-        "W",
-        TWISTED_IBUNDLE,
-        (BoundarySpec("F0", handle=T, decoration=M_BASE),),
-        bundle_map=tmap(REFLECTION),
-    )
-    def glue(spec):
-        return GluingGraph(
-            manifolds=(core("M0", M_BASE), spec),
-            pieces=(("p0", "M0"), ("w", spec.id)),
-            identifications=(Identification("p0", "E0", "w", "F0", tmap(REFLECTION)),),
-        )
-
-    missing = check_bounded_combinatorics(glue(tw_plain), 3, 0).piece("w").clause_d
+    missing = check_bounded_combinatorics(on_core(twisted("W", MU), "M0"), 3, 0).piece("w").clause_d
     assert missing is not None and not missing.ok
     assert missing.detail == "cover data missing"
-    cover = CoverData(
-        mu0=M_BASE,
-        mu1=M_BASE,
-        lift0=tmap(IDENTITY),
-        lift1=tmap(IDENTITY),
-        phi=tmap(REFLECTION),
-    )
-    tw_covered = DecoratedManifoldSpec(
-        "W",
-        TWISTED_IBUNDLE,
-        (BoundarySpec("F0", handle=T, decoration=M_BASE),),
-        bundle_map=tmap(REFLECTION),
-        cover=cover,
-    )
-    report = check_bounded_combinatorics(glue(tw_covered), 1, 0).piece("w").clause_d
+    tw_covered = twisted("W", MU, MU)
+    report = check_bounded_combinatorics(on_core(tw_covered, "M0"), 1, 0).piece("w").clause_d
     assert report is not None and report.ok
     assert report.distance_0 == 0 and report.distance_1 == 0
     assert "double cover" in report.detail
+    # alone and without lambda, the covered bundle has no induced marking
+    lone = GluingGraph(manifolds=(tw_covered,), pieces=(("w", "W"),), identifications=())
+    unmarked = check_bounded_combinatorics(lone, 1, 0).piece("w").clause_d
+    assert unmarked is not None and not unmarked.ok
+    assert unmarked.detail == "missing induced marking on F0"
 
 
 def test_clause_e_record_coverage():
@@ -575,15 +500,15 @@ def test_clause_e_record_coverage():
         "M",
         GENERIC,
         (
-            BoundarySpec("E0", handle=T, decoration=M_BASE),
-            BoundarySpec("E1", handle=T, decoration=M_BASE),
+            BoundarySpec("E0", handle=T, decoration=MU),
+            BoundarySpec("E1", handle=T, decoration=MU),
         ),
         disk_records=(("E1",),),
         annulus_records=(("E0", "E1"),),
     )
     def build(lam):
         return GluingGraph(
-            manifolds=(spec, core("N", M_BASE)),
+            manifolds=(spec, core("N", MU)),
             pieces=(("p0", "M"), ("p1", "N")),
             identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
             boundary_markings=lam,
@@ -594,7 +519,7 @@ def test_clause_e_record_coverage():
     assert not report.clause_e_ok
     assert "disk(E1)" in report.clause_e_detail
     assert not bare.passed
-    covered = check_bounded_combinatorics(build(((("p0", "E1"), M_BASE),)), 3, 0)
+    covered = check_bounded_combinatorics(build(((("p0", "E1"), MU),)), 3, 0)
     assert covered.piece("p0").clause_e_ok
     assert covered.passed
 
@@ -602,7 +527,7 @@ def test_clause_e_record_coverage():
 def test_empty_nu_skips_height_gate():
     # the unburied undecorated slot contributes no height, so a large D
     # only constrains the buried pair
-    spec = core("M", M_BASE, M_BASE)
+    spec = core("M", MU, MU)
     x = GluingGraph(
         manifolds=(spec, core("N", mk("8/5", "13/8"))),
         pieces=(("p0", "M"), ("p1", "N")),
@@ -616,14 +541,9 @@ def test_empty_nu_skips_height_gate():
 
 def test_graph_backend_gluing_and_unmodeled_caveat():
     h = BackendHandle.finite_graph(cycle_graph(6))
-    spec = DecoratedManifoldSpec(
-        "G",
-        GENERIC,
-        (BoundarySpec("E0", handle=h, decoration=AbstractMarking(h, (0, 1))),),
-    )
     flip = SlotMap(h, perm=(0, 5, 4, 3, 2, 1))
     x = GluingGraph(
-        manifolds=(spec,),
+        manifolds=(core("G", AbstractMarking(h, (0, 1))),),
         pieces=(("p0", "G"), ("p1", "G")),
         identifications=(Identification("p0", "E0", "p1", "E0", flip),),
     )
@@ -726,29 +646,10 @@ def test_decoded_mappings_take_only_integers():
 
 def test_each_graph_map_is_checked_once(monkeypatch):
     # a core, a trivial bundle and a core over C_12, every map v -> -v
-    h = BackendHandle.finite_graph(cycle_graph(12))
-    flip = SlotMap(h, perm=tuple(-v % 12 for v in range(12)))
-
-    def boundary(bid: str, *vertices: int) -> BoundarySpec:
-        return BoundarySpec(bid, handle=h, decoration=AbstractMarking(h, vertices))
-
-    text = GluingGraph(
-        manifolds=(
-            DecoratedManifoldSpec("ML", GENERIC, (boundary("E0", 0, 1),)),
-            DecoratedManifoldSpec(
-                "B0",
-                TRIVIAL_IBUNDLE,
-                (boundary("F0", 3, 4), boundary("F1", 9, 8)),
-                bundle_map=flip,
-            ),
-            DecoratedManifoldSpec("MR", GENERIC, (boundary("E0", 6, 7),)),
-        ),
-        pieces=(("p0", "ML"), ("p1", "B0"), ("p2", "MR")),
-        identifications=(
-            Identification("p0", "E0", "p1", "F0", flip),
-            Identification("p1", "F1", "p2", "E0", flip),
-        ),
-    ).canonical_json()
+    source = graph_stack()
+    flip = source.identifications[0].map
+    h = flip.handle
+    text = source.canonical_json()
     checked = []
     real = FiniteGraph.preserved_by
 
@@ -960,30 +861,6 @@ def test_action_invariance_of_report_and_collapse_at_depth(tmp_path, capsys):
 # --------------------------------------------------------- serialization
 
 
-def full_featured_gluing() -> GluingGraph:
-    ds = DiskSet(T, (Slope(0, 1), Slope(1, 1)))
-    body = DecoratedManifoldSpec(
-        "C",
-        COMPRESSION_BODY,
-        (
-            BoundarySpec("E0", handle=T, decoration=M_BASE, compressible=True, disks=ds),
-            BoundarySpec("E1", handle=T, decoration=mk("1/1", "1/0")),
-            BoundarySpec("T0", toroidal=True),
-        ),
-        disk_records=(("E0",),),
-        annulus_records=(("E0", "E1"),),
-    )
-    partner = core("M", mk("8/5", "13/8"))
-    return GluingGraph(
-        manifolds=(body, partner),
-        pieces=(("c", "C"), ("m", "M")),
-        identifications=(
-            Identification("c", "E0", "m", "E0", tmap(SurfaceMap(2, 1, 1, 1) @ REFLECTION)),
-        ),
-        boundary_markings=((("c", "E1"), mk("3/2", "1/1")),),
-    )
-
-
 def test_gluing_json_round_trip():
     x = full_featured_gluing()
     blob = x.canonical_json()
@@ -1041,7 +918,7 @@ def test_twisted_bundle_spec_json_round_trip():
     tw = DecoratedManifoldSpec(
         "W",
         TWISTED_IBUNDLE,
-        (BoundarySpec("F0", handle=T, decoration=M_BASE),),
+        (BoundarySpec("F0", handle=T, decoration=MU),),
         bundle_map=tmap(SurfaceMap(0, 1, 1, 0)),
         cover=cover,
     )

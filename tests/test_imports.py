@@ -1,5 +1,5 @@
 """Every name that a module of the package or of the tests imports at its
-top level is read by that module."""
+top level is read by that module, and no test module imports another."""
 
 import ast
 import pathlib
@@ -52,7 +52,7 @@ def test_every_imported_name_is_read():
     found = {}
     for path in [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
         found[path.name] = unread_imports(ast.parse(path.read_text(), str(path)))
-    assert {"model.py", "test_model.py", "oracles.py"} <= found.keys()
+    assert {"model.py", "test_model.py", "oracles.py", "builders.py"} <= found.keys()
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
@@ -70,3 +70,37 @@ def test_the_import_check_sees_an_unread_name():
         ("def f():\n    import json", []),
     ):
         assert unread_imports(ast.parse(code)) == unread, code
+
+
+def imported_test_modules(tree: ast.Module) -> list[str]:
+    """The statements of a module, at any depth, that import a test module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.split(".")[0].startswith("test_")]
+    return [f"line {line}: {module}" for line, module in sorted(found)]
+
+
+def test_no_test_module_imports_another():
+    # shared helpers live in builders.py and oracles.py, so that each test
+    # module runs alone
+    found = {p.name: imported_test_modules(ast.parse(p.read_text())) for p in TESTS.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_test_import_check_sees_every_form():
+    for code, imports in (
+        ("import test_cli", ["line 1: test_cli"]),
+        ("from test_cli import run", ["line 1: test_cli"]),
+        ("import json, test_cli.sub as t", ["line 1: test_cli.sub"]),
+        ("def f():\n    from test_torus import g", ["line 2: test_torus"]),
+        ("if X:\n    import test_a\nimport test_b", ["line 2: test_a", "line 3: test_b"]),
+        ("from builders import core\nfrom oracles import cold", []),
+        ("import pytest\nfrom glueforge import test_x\nfrom . import test_y", []),
+    ):
+        assert imported_test_modules(ast.parse(code)) == imports, code

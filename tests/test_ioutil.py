@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glueforge.cli import _any_int_digits
 from glueforge.hypgraph import GraphBackend, cycle_graph
 from glueforge.ioutil import canonical_dumps
-from test_cli import any_int_digits
 
 
 def oracle(obj: object) -> str:
@@ -73,7 +73,7 @@ def shared_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(TREES, shared_rows()))
 def test_the_writer_prints_what_json_prints(obj):
-    with any_int_digits():
+    with _any_int_digits():
         assert canonical_dumps(obj) == oracle(obj)
 
 

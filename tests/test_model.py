@@ -11,15 +11,7 @@ from hypothesis import strategies as st
 
 from glueforge import cli, halfplane
 from glueforge.errors import ParseError, ValidationError
-from glueforge.gluing import (
-    GENERIC,
-    TRIVIAL_IBUNDLE,
-    BoundarySpec,
-    DecoratedManifoldSpec,
-    GluingGraph,
-    Identification,
-    SlotMap,
-)
+from glueforge.gluing import GluingGraph, Identification, SlotMap
 from glueforge.halfplane import (
     PRECISION_BITS,
     TeichPoint,
@@ -46,67 +38,41 @@ from glueforge.model import (
     verify_thickness,
 )
 from glueforge.surface import AbstractMarking, BackendHandle
-from glueforge.torus import INFINITY, REFLECTION, FareyMarking, Slope, SurfaceMap, parse_slope
+from glueforge.torus import INFINITY, REFLECTION, FareyMarking, Slope, SurfaceMap
 from glueforge.transforms import collapse_ibundles
+from builders import (
+    A,
+    L_MAP,
+    MU,
+    T,
+    T_MAP,
+    axis_bundle,
+    chain,
+    core,
+    core_stack_core,
+    example_builders,
+    load_module,
+    mk,
+    push,
+    tmap,
+)
 from oracles import CLI, cold, load_skeleton, reference_balanced_marking, reference_tube, systole
-from test_transforms import core_stack_core, example_builders, load_module
-
-T = BackendHandle.torus()
-A = SurfaceMap(2, 1, 1, 1)
-T_MAP = SurfaceMap(1, 1, 0, 1)
-L_MAP = SurfaceMap(1, 0, 1, 1)
 
 
-def mk(base: str, transversal: str) -> AbstractMarking:
-    return AbstractMarking(T, FareyMarking(parse_slope(base), parse_slope(transversal)))
-
-
-MU = mk("0/1", "1/0")
-
-
-def tmap(m: SurfaceMap) -> SlotMap:
-    return SlotMap(T, matrix=m)
-
-
-def push(m: SurfaceMap, marking: AbstractMarking = MU) -> AbstractMarking:
-    return AbstractMarking(T, m.on_marking(marking.payload))
-
-
-def core(mid: str, dec: AbstractMarking) -> DecoratedManifoldSpec:
-    return DecoratedManifoldSpec(mid, GENERIC, (BoundarySpec("E0", handle=T, decoration=dec),))
-
-
-def core_bundle_core(k: int, left=None, right=None) -> GluingGraph:
-    b = DecoratedManifoldSpec(
-        "B",
-        TRIVIAL_IBUNDLE,
-        (
-            BoundarySpec("F0", handle=T, decoration=push(A.power(k))),
-            BoundarySpec("F1", handle=T, decoration=push(REFLECTION @ A.power(k))),
-        ),
-        bundle_map=tmap(REFLECTION),
-    )
-    return GluingGraph(
-        manifolds=(
-            core("ML", left if left is not None else MU),
-            b,
-            core("MR", right if right is not None else push(A.power(2 * k) @ REFLECTION)),
-        ),
-        pieces=(("p0", "ML"), ("p1", "B"), ("p2", "MR")),
-        identifications=(
-            Identification("p0", "E0", "p1", "F0", tmap(REFLECTION)),
-            Identification("p1", "F1", "p2", "E0", tmap(REFLECTION)),
-        ),
+def core_axis_core(k: int, left=None, right=None) -> GluingGraph:
+    """A core at MU, the k-th axis bundle and a core at A^2k R, glued in a
+    row by reflections; either core's decoration can be given instead."""
+    return chain(
+        core("ML", left if left is not None else MU),
+        axis_bundle("B", k),
+        core("MR", right if right is not None else push(A.power(2 * k) @ REFLECTION)),
     )
 
 
 def single_free(dec: AbstractMarking, lam: AbstractMarking | None) -> GluingGraph:
-    spec = DecoratedManifoldSpec(
-        "M", GENERIC, (BoundarySpec("E0", handle=T, decoration=dec),)
-    )
     markings = () if lam is None else ((("p0", "E0"), lam),)
     return GluingGraph(
-        manifolds=(spec,),
+        manifolds=(core("M", dec),),
         pieces=(("p0", "M"),),
         identifications=(),
         boundary_markings=markings,
@@ -165,7 +131,7 @@ def test_tube_block_invariants():
 
 
 def test_skeleton_anchors_and_incidence():
-    x = core_bundle_core(3)
+    x = core_axis_core(3)
     sk = build_skeleton(x, samples=33)
     assert [p.piece for p in sk.pieces] == ["p0", "p1", "p2"]
     for block in sk.pieces:
@@ -179,7 +145,7 @@ def test_skeleton_anchors_and_incidence():
 
 
 def test_skeleton_tube_endpoints_follow_gluing():
-    x = core_bundle_core(3)
+    x = core_axis_core(3)
     sk = build_skeleton(x, samples=33)
     tube = sk.tubes[0].geometry
     partner, pushm = x.psi(("p0", "E0"))
@@ -193,7 +159,7 @@ def test_skeleton_tube_endpoints_follow_gluing():
 
 
 def test_skeleton_thickness_frozen_example():
-    sk = build_skeleton(core_bundle_core(3), samples=33)
+    sk = build_skeleton(core_axis_core(3), samples=33)
     report = verify_thickness(sk, 0.3)
     assert report.ok
     assert [r.thick for r in report.rows] == [True, True]
@@ -202,11 +168,8 @@ def test_skeleton_thickness_frozen_example():
 
 
 def test_skeleton_quotient_tube_records_involution():
-    spec = DecoratedManifoldSpec(
-        "M", GENERIC, (BoundarySpec("E0", handle=T, decoration=mk("1/1", "1/0")),)
-    )
     x = GluingGraph(
-        manifolds=(spec,),
+        manifolds=(core("M", mk("1/1", "1/0")),),
         pieces=(("p0", "M"),),
         identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
     )
@@ -467,16 +430,8 @@ def test_thin_tube_detected_by_long_cf_coefficient():
 
 
 def test_thickness_correlation_orders_by_coefficient():
-    spec = DecoratedManifoldSpec(
-        "M",
-        GENERIC,
-        (
-            BoundarySpec("E0", handle=T, decoration=MU),
-            BoundarySpec("E1", handle=T, decoration=MU),
-        ),
-    )
     x = GluingGraph(
-        manifolds=(spec,),
+        manifolds=(core("M", MU, MU),),
         pieces=(("p0", "M"),),
         identifications=(),
         boundary_markings=(
@@ -543,16 +498,8 @@ def test_thickness_all_degenerate_passes_at_anchor_systole():
 def test_graph_slots_build_combinatorial_tubes():
     h = BackendHandle.finite_graph(cycle_graph(6))
     gm = AbstractMarking(h, (0,))
-    spec = DecoratedManifoldSpec(
-        "G",
-        GENERIC,
-        (
-            BoundarySpec("E0", handle=h, decoration=gm),
-            BoundarySpec("E1", handle=h, decoration=gm),
-        ),
-    )
     x = GluingGraph(
-        manifolds=(spec,),
+        manifolds=(core("G", gm, gm),),
         pieces=(("p0", "G"),),
         identifications=(
             Identification("p0", "E0", "p0", "E1", SlotMap(h, perm=(0, 5, 4, 3, 2, 1))),
@@ -567,7 +514,7 @@ def test_graph_slots_build_combinatorial_tubes():
 
 
 def test_skeleton_naturality_under_relabeling():
-    x = core_bundle_core(2)
+    x = core_axis_core(2)
     renamed = GluingGraph(
         manifolds=x.manifolds,
         pieces=tuple((pid.replace("p", "zz"), mid) for pid, mid in x.pieces),
@@ -592,7 +539,7 @@ def test_skeleton_naturality_under_relabeling():
 
 
 def test_export_json_round_trip_byte_identical():
-    sk = build_skeleton(core_bundle_core(3), samples=9)
+    sk = build_skeleton(core_axis_core(3), samples=9)
     blob = canonical_dumps(sk.to_json())
     again = load_skeleton(blob)
     assert canonical_dumps(again.to_json()) == blob
@@ -617,7 +564,7 @@ def test_export_piece_without_tubes():
 
 
 def test_export_obj_vertex_count():
-    sk = build_skeleton(core_bundle_core(2), samples=5)
+    sk = build_skeleton(core_axis_core(2), samples=5)
     text = export_skeleton(sk)
     verts = [line for line in text.splitlines() if line.startswith("v ")]
     faces = [line for line in text.splitlines() if line.startswith("f ")]
@@ -628,7 +575,7 @@ def test_export_obj_vertex_count():
 
 
 def test_export_obj_deterministic():
-    sk = build_skeleton(core_bundle_core(2), samples=5)
+    sk = build_skeleton(core_axis_core(2), samples=5)
     assert export_skeleton(sk) == export_skeleton(sk)
 
 
@@ -664,7 +611,7 @@ def test_collapse_exact_on_axis_families():
     # so the concatenation is itself geodesic: zero fellowing gap, in
     # line with the zero fellow-traveling reported by the certificate
     for k in range(1, 6):
-        x = core_bundle_core(k)
+        x = core_axis_core(k)
         res = collapse_ibundles(x, 6, 0)
         assert res.stacks[0].certificate.fellow_traveling == 0
         assert concatenated_length(x) == pytest.approx(
@@ -677,7 +624,7 @@ def test_collapse_gap_regression_off_axis():
     # the direct tube cuts the corner, and the measured per-power gap of
     # this family stays under two units per power
     for k in range(1, 6):
-        x = core_bundle_core(
+        x = core_axis_core(
             k,
             left=push(T_MAP.inverse()),
             right=push(T_MAP @ A.power(2 * k) @ REFLECTION),

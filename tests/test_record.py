@@ -22,9 +22,17 @@ from glueforge.record import FrozenRecordError, Record
 from glueforge.surface import BackendHandle
 from glueforge.torus import REFLECTION, FareyMarking, Slope, SurfaceMap
 from glueforge.transforms import _resolve_stack, collapse_ibundles
+from builders import (
+    MU,
+    body_spec,
+    core,
+    example_builders,
+    full_featured_gluing,
+    split_spec,
+    tmap,
+    twisted_end,
+)
 from oracles import CompressionStep, PathWitness, build_compression
-from test_gluing import full_featured_gluing
-from test_transforms import MU, body_spec, core, example_builders, split_spec, tmap, twisted_end
 
 for _info in pkgutil.iter_modules(glueforge.__path__):
     importlib.import_module(f"glueforge.{_info.name}")

@@ -5,7 +5,7 @@ re-measurement."""
 
 import pytest
 
-from test_transforms import load_module
+from builders import load_module
 
 MEASURE_CONSTANTS = load_module("scripts/measure_constants.py", "measure_constants")
 

@@ -33,25 +33,12 @@ from glueforge.torus import (
     SurfaceMap,
     TorusBackend,
 )
+from builders import rand_word
 from oracles import marking_diameter
-
-T_MAP = SurfaceMap(1, 1, 0, 1)
-L_MAP = SurfaceMap(1, 0, 1, 1)
 
 
 def torus_marking(base: Slope, transversal: Slope) -> AbstractMarking:
     return AbstractMarking(BackendHandle.torus(), FareyMarking(base, transversal))
-
-
-def rand_word(rng: random.Random, length: int, orientation_preserving: bool = True) -> SurfaceMap:
-    m = IDENTITY
-    for _ in range(rng.randrange(1, length + 1)):
-        m = m @ rng.choice([T_MAP, L_MAP, T_MAP.inverse(), L_MAP.inverse()])
-    if rng.random() < 0.25:
-        m = m @ SurfaceMap(-1, 0, 0, -1)
-    if not orientation_preserving and rng.random() < 0.5:
-        m = m @ REFLECTION
-    return m
 
 
 def rand_torus_marking(rng: random.Random, length: int = 7) -> AbstractMarking:
@@ -425,17 +412,17 @@ def test_disk_triangle_graph_exhaustive():
 # ------------------------------------------------------------- pushforward
 
 
-def push(m: SurfaceMap, marking: AbstractMarking) -> AbstractMarking:
+def apply(m: SurfaceMap, marking: AbstractMarking) -> AbstractMarking:
     return SlotMap(marking.handle, matrix=m).apply(marking)
 
 
 def test_pushforward_frozen_examples():
     m = torus_marking(Slope(0, 1), INFINITY)
-    assert push(IDENTITY, m) == m
-    assert push(REFLECTION, m) == m
+    assert apply(IDENTITY, m) == m
+    assert apply(REFLECTION, m) == m
     psi = SurfaceMap(13, 8, 8, 5) @ REFLECTION
     assert psi.det == -1
-    image = push(psi, m)
+    image = apply(psi, m)
     assert image.payload == FareyMarking(Slope(8, 5), Slope(13, 8))
 
 
@@ -464,7 +451,7 @@ def test_pushforward_isometry_random_maps():
         m1 = rand_torus_marking(rng)
         m2 = rand_torus_marking(rng)
         word = rand_word(rng, 6, orientation_preserving=False)
-        assert marking_distance(push(word, m1), push(word, m2)) == marking_distance(m1, m2)
+        assert marking_distance(apply(word, m1), apply(word, m2)) == marking_distance(m1, m2)
 
 
 def test_sup_projection_equivariance_orientation_preserving():
@@ -477,7 +464,7 @@ def test_sup_projection_equivariance_orientation_preserving():
         word = rand_word(rng, 6)
         assert word.det == 1
         before = sup_projection(m1, m2).value
-        after = sup_projection(push(word, m1), push(word, m2)).value
+        after = sup_projection(apply(word, m1), apply(word, m2)).value
         assert before == after
 
 

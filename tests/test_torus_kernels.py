@@ -37,6 +37,7 @@ from glueforge.torus import (
     normalizer_to_infinity,
 )
 
+from builders import MOVES, random_map
 from oracles import (
     FareyOracle,
     enumerated_pivot_projections,
@@ -45,24 +46,6 @@ from oracles import (
     reference_pivot_candidates,
     reference_row,
 )
-
-# elementary moves: the two parabolic generators, their inverses, the
-# quarter turn and a reflection
-MOVES = (
-    SurfaceMap(1, 1, 0, 1),
-    SurfaceMap(1, 0, 1, 1),
-    SurfaceMap(1, -1, 0, 1),
-    SurfaceMap(1, 0, -1, 1),
-    SurfaceMap(0, -1, 1, 0),
-    REFLECTION,
-)
-
-
-def random_map(rng: random.Random, length: int) -> SurfaceMap:
-    g = IDENTITY
-    for _ in range(length):
-        g = g @ rng.choice(MOVES).power(rng.choice((1, 1, 1, 2, 3, rng.randrange(1, 60))))
-    return g
 
 
 def random_slope(rng: random.Random, bits: int) -> Slope:

@@ -1,11 +1,8 @@
 """Transformation tests: stack certificates, I-bundle collapse,
 compression assembly and decomposition."""
 
-import importlib.util
 import json
-import pathlib
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -14,12 +11,9 @@ from glueforge.certify import CombinatoricsCertificate, check_bounded_combinator
 from glueforge.decompose import Splitting, SubPiece, full_and_maximal_decomposition
 from glueforge.errors import BackendMismatchError, ValidationError
 from glueforge.gluing import (
-    COMPRESSION_BODY,
     GENERIC,
     TRIVIAL_IBUNDLE,
-    TWISTED_IBUNDLE,
     BoundarySpec,
-    CoverData,
     DecoratedManifoldSpec,
     GluingGraph,
     Identification,
@@ -31,19 +25,11 @@ from glueforge.ioutil import canonical_dumps, sha256_of_text
 from glueforge.surface import (
     AbstractMarking,
     BackendHandle,
-    DiskSet,
     geodesic_between,
     marking_distance,
     marking_to_path_distance,
 )
-from glueforge.torus import (
-    IDENTITY,
-    REFLECTION,
-    FareyMarking,
-    Slope,
-    SurfaceMap,
-    parse_slope,
-)
+from glueforge.torus import REFLECTION, Slope, SurfaceMap
 from glueforge.transforms import (
     _k_prime,
     _stack_path,
@@ -51,6 +37,34 @@ from glueforge.transforms import (
     combine_stack,
 )
 
+from builders import (
+    A,
+    MU,
+    SKEW_1,
+    SKEW_2,
+    SKEW_3,
+    T,
+    axis_bundle,
+    body_spec,
+    bundle,
+    chain,
+    core,
+    core_stack_core,
+    example_builders,
+    load_module,
+    mk,
+    on_core,
+    push,
+    random_map,
+    skew_bundle,
+    skew_fibered_chain,
+    split_gluing,
+    split_spec,
+    tmap,
+    twisted,
+    twisted_end,
+    wrap_cycle_stack,
+)
 from oracles import (
     CompressionStep,
     all_pairs_k_prime,
@@ -58,110 +72,6 @@ from oracles import (
     full_fellow_traveling,
     marking_diameter,
 )
-
-T = BackendHandle.torus()
-A = SurfaceMap(2, 1, 1, 1)
-T_MAP = SurfaceMap(1, 1, 0, 1)
-L_MAP = SurfaceMap(1, 0, 1, 1)
-
-
-def mk(base: str, transversal: str) -> AbstractMarking:
-    return AbstractMarking(T, FareyMarking(parse_slope(base), parse_slope(transversal)))
-
-
-MU = mk("0/1", "1/0")
-
-
-def tmap(m: SurfaceMap) -> SlotMap:
-    return SlotMap(T, matrix=m)
-
-
-def push(m: SurfaceMap, marking: AbstractMarking = MU) -> AbstractMarking:
-    return AbstractMarking(T, m.on_marking(marking.payload))
-
-
-def core(mid: str, dec: AbstractMarking, bdry: str = "E0") -> DecoratedManifoldSpec:
-    return DecoratedManifoldSpec(mid, GENERIC, (BoundarySpec(bdry, handle=T, decoration=dec),))
-
-
-def core2(mid: str, d0: AbstractMarking, d1: AbstractMarking) -> DecoratedManifoldSpec:
-    return DecoratedManifoldSpec(
-        mid,
-        GENERIC,
-        (
-            BoundarySpec("E0", handle=T, decoration=d0),
-            BoundarySpec("E1", handle=T, decoration=d1),
-        ),
-    )
-
-
-def bundle(mid: str, mu0: AbstractMarking, mu1: AbstractMarking) -> DecoratedManifoldSpec:
-    return DecoratedManifoldSpec(
-        mid,
-        TRIVIAL_IBUNDLE,
-        (
-            BoundarySpec("F0", handle=T, decoration=mu0),
-            BoundarySpec("F1", handle=T, decoration=mu1),
-        ),
-        bundle_map=tmap(REFLECTION),
-    )
-
-
-def axis_bundle(mid: str, k: int) -> DecoratedManifoldSpec:
-    """Paper-style piece: both boundary decorations are the k-th axis
-    marking, compared through the reflection exchange map."""
-    return bundle(mid, push(A.power(k)), push(REFLECTION @ A.power(k)))
-
-
-def chain(
-    *specs: DecoratedManifoldSpec, maps: list[SurfaceMap] | None = None
-) -> GluingGraph:
-    """Glue the pieces in a row, each to the next, reflections by default.
-    Piece ids are p0, p1, ...; bundle slots are traversed F0 -> F1."""
-    maps = maps or [REFLECTION] * (len(specs) - 1)
-    pieces = tuple((f"p{i}", s.id) for i, s in enumerate(specs))
-    used = [0] * len(specs)
-    idents = []
-
-    def take(i: int, incoming: bool) -> str:
-        if specs[i].is_bundle:
-            return "F0" if incoming else "F1"
-        bid = specs[i].nontoroidal()[used[i]].id
-        used[i] += 1
-        return bid
-
-    for i in range(len(specs) - 1):
-        out_b = take(i, incoming=False)
-        in_b = take(i + 1, incoming=True)
-        idents.append(Identification(f"p{i}", out_b, f"p{i+1}", in_b, tmap(maps[i])))
-    return GluingGraph(
-        manifolds=tuple(dict.fromkeys(specs, None)),
-        pieces=pieces,
-        identifications=tuple(idents),
-    )
-
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def load_module(relpath: str, name: str):
-    """The module at ROOT / relpath, loaded under the given name; sys.path
-    is restored after it ran."""
-    spec = importlib.util.spec_from_file_location(name, ROOT / relpath)
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    saved = sys.path[:]
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = saved
-    return module
-
-
-EXAMPLE_GLUINGS = load_module("scripts/make_example_gluings.py", "make_example_gluings")
-# left core at the axis origin, axis bundles at the given powers, and a
-# right core one reflection beyond the last bundle
-core_stack_core = EXAMPLE_GLUINGS.core_stack_core
 
 
 def test_core_stack_core_matches_the_benchmark_builder():
@@ -255,7 +165,7 @@ def test_combine_stack_input_validation():
     y = chain(
         core("ML", MU),
         axis_bundle("B0", 2),
-        core2("M", push(A.power(4) @ REFLECTION), push(A.power(4))),
+        core("M", push(A.power(4) @ REFLECTION), push(A.power(4))),
         axis_bundle("B1", 3),
         core("MR", push(A.power(6) @ REFLECTION)),
     )
@@ -274,6 +184,8 @@ def test_combine_stack_input_validation():
         combine_stack(cycle, ["p0", "p1", "p0"], 1, 6)
     with pytest.raises(ValidationError, match="positive integer"):
         combine_stack(x, ["p1"], 1, 0)
+    with pytest.raises(ValidationError, match="height floor must be a non-negative"):
+        combine_stack(x, ["p1"], -1, 6)
 
 
 def test_combine_stack_backend_mismatch():
@@ -281,23 +193,8 @@ def test_combine_stack_backend_mismatch():
 
     h = BackendHandle.finite_graph(cycle_graph(6))
     gm = AbstractMarking(h, (0,))
-    gb = DecoratedManifoldSpec(
-        "GB",
-        TRIVIAL_IBUNDLE,
-        (
-            BoundarySpec("F0", handle=h, decoration=gm),
-            BoundarySpec("F1", handle=h, decoration=gm),
-        ),
-        bundle_map=SlotMap(h, perm=(0, 5, 4, 3, 2, 1)),
-    )
-    bridge = DecoratedManifoldSpec(
-        "MIX",
-        GENERIC,
-        (
-            BoundarySpec("E0", handle=T, decoration=MU),
-            BoundarySpec("E1", handle=h, decoration=gm),
-        ),
-    )
+    gb = bundle("GB", gm, gm, SlotMap(h, perm=(0, 5, 4, 3, 2, 1)))
+    bridge = core("MIX", MU, gm)
     x = GluingGraph(
         manifolds=(axis_bundle("B0", 2), bridge, gb),
         pieces=(("p0", "B0"), ("p1", "MIX"), ("p2", "GB")),
@@ -331,8 +228,6 @@ def assert_stack_certificate_matches_oracles(x: GluingGraph, pieces: list[str]):
 def random_torus_stack(rng: random.Random, k: int) -> GluingGraph:
     """k bundles whose decorations are pushed by seeded words, so that
     the stack path zigzags and often revisits a vertex."""
-    from test_torus_kernels import random_map
-
     bundles = []
     for i in range(k):
         g = random_map(rng, rng.randrange(0, 8))
@@ -350,58 +245,16 @@ def random_cycle_stack(rng: random.Random, n: int, k: int) -> GluingGraph:
     h = BackendHandle.finite_graph(cycle_graph(n))
     flip = SlotMap(h, perm=tuple(-v % n for v in range(n)))
 
-    def end(slot: str) -> BoundarySpec:
+    def end() -> AbstractMarking:
         v = rng.randrange(n)
         vertices = {(v + d) % n for d in rng.sample(range(3), rng.randrange(1, 4))}
-        return BoundarySpec(slot, handle=h, decoration=AbstractMarking(h, tuple(sorted(vertices))))
+        return AbstractMarking(h, tuple(sorted(vertices)))
 
-    specs = [DecoratedManifoldSpec("ML", GENERIC, (end("E0"),))]
-    for i in range(k):
-        specs.append(
-            DecoratedManifoldSpec(f"B{i}", TRIVIAL_IBUNDLE, (end("F0"), end("F1")), bundle_map=flip)
-        )
-    specs.append(DecoratedManifoldSpec("MR", GENERIC, (end("E0"),)))
-    idents = [
-        Identification(f"p{i}", "E0" if i == 0 else "F1", f"p{i + 1}", "F0" if i < k else "E0", flip)
-        for i in range(k + 1)
-    ]
-    return GluingGraph(
-        manifolds=tuple(specs),
-        pieces=tuple((f"p{i}", spec.id) for i, spec in enumerate(specs)),
-        identifications=tuple(idents),
-    )
-
-
-def wrap_cycle_stack(k: int) -> GluingGraph:
-    """k bundles over C_(4k+6) glued by the identity, bundle i decorated at
-    4i and 4i + 2: the stack path winds 4k - 2 steps forward without
-    revisiting a vertex and ends 8 steps from its start, so K' = (4k - 2)/8."""
-    from glueforge.hypgraph import cycle_graph
-
-    n = 4 * k + 6
-    h = BackendHandle.finite_graph(cycle_graph(n))
-    same = SlotMap(h, perm=tuple(range(n)))
-
-    def end(slot: str, v: int) -> BoundarySpec:
-        return BoundarySpec(slot, handle=h, decoration=AbstractMarking(h, (v % n,)))
-
-    specs = [DecoratedManifoldSpec("ML", GENERIC, (end("E0", -2),))]
-    for i in range(k):
-        specs.append(
-            DecoratedManifoldSpec(
-                f"B{i}", TRIVIAL_IBUNDLE, (end("F0", 4 * i), end("F1", 4 * i + 2)), bundle_map=same
-            )
-        )
-    specs.append(DecoratedManifoldSpec("MR", GENERIC, (end("E0", 4 * k),)))
-    idents = [
-        Identification(f"p{i}", "E0" if i == 0 else "F1", f"p{i + 1}", "F0" if i < k else "E0", same)
-        for i in range(k + 1)
-    ]
-    return GluingGraph(
-        manifolds=tuple(specs),
-        pieces=tuple((f"p{i}", spec.id) for i, spec in enumerate(specs)),
-        identifications=tuple(idents),
-    )
+    # the seeded draws run left core, then F0 and F1 of each bundle, then
+    # right core
+    specs = [core("ML", end())]
+    specs += [bundle(f"B{i}", end(), end(), flip) for i in range(k)]
+    return chain(*specs, core("MR", end()), maps=[flip] * (k + 1))
 
 
 def test_stack_certificate_matches_all_pairs_oracles_on_torus_stacks():
@@ -573,14 +426,7 @@ def test_collapse_two_stacks_and_correspondence():
     x = chain(
         core("M0", MU),
         axis_bundle("B0", 2),
-        DecoratedManifoldSpec(
-            "M1",
-            GENERIC,
-            (
-                BoundarySpec("E0", handle=T, decoration=push(A.power(4) @ REFLECTION)),
-                BoundarySpec("E1", handle=T, decoration=push(A.power(5))),
-            ),
-        ),
+        core("M1", push(A.power(4) @ REFLECTION), push(A.power(5))),
         axis_bundle("B1", 7),
         core("M4", push(A.power(9) @ REFLECTION)),
     )
@@ -637,28 +483,6 @@ def test_collapse_unburied_end_pushes_free_marking():
     assert not res.collapsed.is_buried(("p0", "E0"))
 
 
-def twisted_end() -> GluingGraph:
-    cover = CoverData(
-        mu0=push(A.power(2)),
-        mu1=push(A.power(2)),
-        lift0=tmap(IDENTITY),
-        lift1=tmap(IDENTITY),
-        phi=tmap(REFLECTION),
-    )
-    tw = DecoratedManifoldSpec(
-        "W",
-        TWISTED_IBUNDLE,
-        (BoundarySpec("F0", handle=T, decoration=push(A.power(2))),),
-        bundle_map=tmap(REFLECTION),
-        cover=cover,
-    )
-    return GluingGraph(
-        manifolds=(core("M", MU), tw),
-        pieces=(("p0", "M"), ("w", "W")),
-        identifications=(Identification("p0", "E0", "w", "F0", tmap(REFLECTION)),),
-    )
-
-
 def test_collapse_twisted_end_self_identification():
     res = collapse_ibundles(twisted_end(), 6, 1)
     st = res.stacks[0]
@@ -668,19 +492,9 @@ def test_collapse_twisted_end_self_identification():
     assert ident.map.matrix.det == -1 and ident.map.is_involution()
     assert [p for p, _ in res.collapsed.pieces] == ["p0"]
     # without cover data the stack cannot be certified
-    bare = DecoratedManifoldSpec(
-        "W",
-        TWISTED_IBUNDLE,
-        (BoundarySpec("F0", handle=T, decoration=push(A.power(2))),),
-        bundle_map=tmap(REFLECTION),
-    )
-    y = GluingGraph(
-        manifolds=(core("M", MU), bare),
-        pieces=(("p0", "M"), ("w", "W")),
-        identifications=(Identification("p0", "E0", "w", "F0", tmap(REFLECTION)),),
-    )
+    bare = on_core(twisted("W", push(A.power(2))))
     with pytest.raises(ValidationError, match="twisted piece without cover data"):
-        collapse_ibundles(y, 6, 1)
+        collapse_ibundles(bare, 6, 1)
 
 
 def folded_end() -> GluingGraph:
@@ -764,16 +578,8 @@ def test_collapse_fibered_open_chain():
 
 
 def fibered_twisted() -> GluingGraph:
-    cover = CoverData(MU, MU, tmap(IDENTITY), tmap(IDENTITY), tmap(REFLECTION))
-    tw = DecoratedManifoldSpec(
-        "W",
-        TWISTED_IBUNDLE,
-        (BoundarySpec("F0", handle=T, decoration=MU),),
-        bundle_map=tmap(REFLECTION),
-        cover=cover,
-    )
     return GluingGraph(
-        manifolds=(axis_bundle("B0", 2), tw),
+        manifolds=(axis_bundle("B0", 2), twisted("W", MU, MU)),
         pieces=(("b0", "B0"), ("w", "W")),
         identifications=(Identification("b0", "F1", "w", "F0", tmap(REFLECTION)),),
     )
@@ -788,12 +594,7 @@ def test_collapse_fibered_twisted_left_alone():
 
 
 def test_collapse_compressible_neighbor_excess():
-    ds = DiskSet(T, (Slope(0, 1),))
-    left = DecoratedManifoldSpec(
-        "ML",
-        GENERIC,
-        (BoundarySpec("E0", handle=T, decoration=MU, compressible=True, disks=ds),),
-    )
+    left = core("ML", MU, disks={0: (Slope(0, 1),)})
     x = chain(left, axis_bundle("B", 3), core("MR", push(A.power(6) @ REFLECTION)))
     res = collapse_ibundles(x, 6, 1)
     st = res.stacks[0]
@@ -806,38 +607,10 @@ def test_collapse_compressible_neighbor_excess():
     assert res.r_prime >= excess
 
 
-# gluing and exchange maps that are not involutions (determinant -1,
-# nonzero trace), so a map and its inverse, or a conjugation and its
-# reverse, give different results
-SKEW_1 = SurfaceMap(1, 1, 1, 0)
-SKEW_2 = SurfaceMap(2, 1, 1, 0)
-SKEW_3 = SurfaceMap(0, 1, 1, 2)
-
-
-def skew_bundle(mid: str, k: int, exchange: SurfaceMap) -> DecoratedManifoldSpec:
-    return DecoratedManifoldSpec(
-        mid,
-        TRIVIAL_IBUNDLE,
-        (
-            BoundarySpec("F0", handle=T, decoration=push(A.power(k))),
-            BoundarySpec("F1", handle=T, decoration=push(exchange.inverse() @ A.power(k))),
-        ),
-        bundle_map=tmap(exchange),
-    )
-
-
 def skew_twisted_end() -> GluingGraph:
     """Core p0, trivial bundle b, twisted end w; no map but the twisted
     piece's exchange is an involution."""
-    dec = push(A.power(4))
-    cover = CoverData(dec, dec, tmap(IDENTITY), tmap(IDENTITY), tmap(REFLECTION))
-    tw = DecoratedManifoldSpec(
-        "W",
-        TWISTED_IBUNDLE,
-        (BoundarySpec("F0", handle=T, decoration=dec),),
-        bundle_map=tmap(REFLECTION),
-        cover=cover,
-    )
+    tw = twisted("W", push(A.power(4)), push(A.power(4)))
     return GluingGraph(
         manifolds=(core("M", MU), skew_bundle("B", 2, SKEW_2), tw),
         pieces=(("p0", "M"), ("b", "B"), ("w", "W")),
@@ -861,14 +634,6 @@ def test_collapse_skew_twisted_end_conjugates_the_fold():
     assert ident.map.matrix == up.inverse() @ REFLECTION @ up
     assert ident.map.matrix != up @ REFLECTION @ up.inverse()
     assert [p for p, _ in res.collapsed.pieces] == ["p0"]
-
-
-def skew_fibered_chain() -> GluingGraph:
-    return GluingGraph(
-        manifolds=(skew_bundle("B0", 1, SKEW_2), skew_bundle("B1", 3, SKEW_3)),
-        pieces=(("b0", "B0"), ("b1", "B1")),
-        identifications=(Identification("b0", "F1", "b1", "F0", tmap(SKEW_1)),),
-    )
 
 
 def test_collapse_skew_fibered_chain_composes_the_exchange():
@@ -928,12 +693,7 @@ def meridian_bound_chain(power: int, meridian: Slope) -> GluingGraph:
     """An axis chain whose left slot is compressible, its meridian a slope
     of the marking that collapse induces there: the slot's height exceeds
     its projection value, so clause b sets r_prime."""
-    ds = DiskSet(T, (meridian,))
-    left = DecoratedManifoldSpec(
-        "ML",
-        GENERIC,
-        (BoundarySpec("E0", handle=T, decoration=MU, compressible=True, disks=ds),),
-    )
+    left = core("ML", MU, disks={0: (meridian,)})
     return chain(left, axis_bundle("B", 3), core("MR", push(A.power(power) @ REFLECTION)))
 
 
@@ -958,11 +718,6 @@ def test_r_prime_is_the_report_threshold_of_the_collapsed_gluing():
     assert sum(r >= 2 for r in thresholds) >= 20, thresholds
     # clause b binds: height 6 or 8 over the meridian, projection value 5
     assert thresholds[6:8] == [6, 8]
-
-
-def example_builders() -> dict:
-    """The builders of scripts/make_example_gluings.py, by example name."""
-    return {name: build for name, build, _, _ in EXAMPLE_GLUINGS.EXAMPLES}
 
 
 # sha256 of the canonical collapse report (CLI defaults R = 6, h = 1, with
@@ -1001,14 +756,6 @@ def test_collapse_report_bytes_pinned(name):
 
 
 # ------------------------------------------------------------- compression
-
-
-def body_spec(mid: str, meridian: str = "0/1", extra: int = 1) -> DecoratedManifoldSpec:
-    ds = DiskSet(T, (parse_slope(meridian),))
-    bs = [BoundarySpec("E0", handle=T, decoration=MU, compressible=True, disks=ds)]
-    for i in range(extra):
-        bs.append(BoundarySpec(f"E{i+1}", handle=T, decoration=mk("1/1", "1/0")))
-    return DecoratedManifoldSpec(mid, COMPRESSION_BODY, tuple(bs))
 
 
 def test_build_compression_basic():
@@ -1121,49 +868,6 @@ def test_decomposition_interior_contact_is_cut():
     ]
     assert len(res.cut) == 1
     assert [(i.slot_a, i.slot_b) for i in res.cut] == [(("c0", "E1"), ("p0", "E0"))]
-
-
-def split_spec() -> tuple[DecoratedManifoldSpec, ...]:
-    """A two-boundary piece declared as core + compression body, the core
-    owning E0 and the body owning E1 through its interior."""
-    inner_core = DecoratedManifoldSpec(
-        "KC",
-        GENERIC,
-        (
-            BoundarySpec("B0", handle=T, decoration=MU),
-            BoundarySpec("B1", handle=T, decoration=mk("1/1", "1/0")),
-        ),
-    )
-    inner_body = body_spec("KB")
-    split = Splitting(
-        pieces=(
-            SubPiece("core", "KC", (("E0", "B0"),)),
-            SubPiece("body", "KB", (("E1", "E1"),)),
-        ),
-        identifications=(("core", "B1", "body", "E0", "[[1, 0], [0, -1]]"),),
-    )
-    outer = DecoratedManifoldSpec(
-        "M",
-        GENERIC,
-        (
-            BoundarySpec("E0", handle=T, decoration=MU),
-            BoundarySpec("E1", handle=T, decoration=mk("1/1", "1/0")),
-        ),
-        splitting=split,
-    )
-    return outer, inner_core, inner_body
-
-
-def split_gluing() -> GluingGraph:
-    """The split piece of split_spec glued to a core along E0, with a free
-    marking on E1."""
-    outer, inner_core, inner_body = split_spec()
-    return GluingGraph(
-        manifolds=(outer, inner_core, inner_body, core("N", push(REFLECTION))),
-        pieces=(("p0", "M"), ("p1", "N")),
-        identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
-        boundary_markings=((("p0", "E1"), mk("2/1", "3/1")),),
-    )
 
 
 def test_decomposition_expands_declared_splitting():
