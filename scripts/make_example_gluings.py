@@ -31,17 +31,30 @@ A = SurfaceMap(2, 1, 1, 1)
 MU = AbstractMarking(T, FareyMarking(parse_slope("0/1"), parse_slope("1/0")))
 
 
-def push(m: SurfaceMap) -> AbstractMarking:
-    return AbstractMarking(T, m.on_marking(MU.payload))
+def push(m: SurfaceMap, marking: AbstractMarking = MU) -> AbstractMarking:
+    return AbstractMarking(T, m.on_marking(marking.payload))
 
 
 def rmap() -> SlotMap:
     return SlotMap(T, matrix=REFLECTION)
 
 
-def core(mid: str, dec: AbstractMarking, *extra: AbstractMarking) -> DecoratedManifoldSpec:
-    bs = [BoundarySpec("E0", handle=T, decoration=dec)]
-    bs += [BoundarySpec(f"E{i+1}", handle=T, decoration=d) for i, d in enumerate(extra)]
+def core(mid: str, *decorations: AbstractMarking, disks=None) -> DecoratedManifoldSpec:
+    """Generic piece with one boundary per decoration, on the decoration's
+    backend; disks maps boundary index -> DiskSet elements."""
+    disks = disks or {}
+    bs = []
+    for i, dec in enumerate(decorations):
+        elems = disks.get(i)
+        if elems is None:
+            bs.append(BoundarySpec(f"E{i}", handle=dec.handle, decoration=dec))
+        else:
+            ds = DiskSet(dec.handle, tuple(elems))
+            bs.append(
+                BoundarySpec(
+                    f"E{i}", handle=dec.handle, decoration=dec, compressible=True, disks=ds
+                )
+            )
     return DecoratedManifoldSpec(mid, GENERIC, tuple(bs))
 
 

@@ -273,6 +273,15 @@ class Identification(Record):
         }
 
 
+def _bundle_chart(mid: str, nontoroidal: Sequence[BoundarySpec]) -> BackendHandle:
+    """The backend of a trivial bundle's two boundaries: the chart that its
+    exchange map is read in."""
+    e0, e1 = nontoroidal
+    if e0.handle != e1.handle:
+        raise ValidationError(f"trivial bundle {mid} spans two backends")
+    return e0.handle
+
+
 class DecoratedManifoldSpec(Record):
     """A decorated manifold, as the boundary data the engine consumes.
 
@@ -322,12 +331,10 @@ class DecoratedManifoldSpec(Record):
             raise ValidationError(
                 f"trivial bundle {self.id} needs exactly two non-toroidal boundaries"
             )
-        e0, e1 = nontoroidal
-        if e0.handle != e1.handle:
-            raise ValidationError(f"trivial bundle {self.id} spans two backends")
+        chart = _bundle_chart(self.id, nontoroidal)
         if any(b.compressible for b in nontoroidal):
             raise ValidationError(f"bundle {self.id} boundaries are incompressible")
-        if self.bundle_map is None or self.bundle_map.handle != e0.handle:
+        if self.bundle_map is None or self.bundle_map.handle != chart:
             raise ValidationError(f"trivial bundle {self.id} needs an exchange map")
         if not self.bundle_map.reversing:
             raise ValidationError(f"bundle {self.id}: exchange map must reverse orientation")
@@ -400,14 +407,20 @@ class DecoratedManifoldSpec(Record):
     def from_json(obj: object, graphs: dict | None = None) -> "DecoratedManifoldSpec":
         if not isinstance(obj, Mapping) or "id" not in obj or "kind" not in obj:
             raise ParseError("manifold spec must declare an id and a kind")
+        mid = json_str(obj["id"], "manifold id")
+        kind = json_str(obj["kind"], "manifold kind")
         boundaries = tuple(
             BoundarySpec.from_json(b, graphs) for b in _json_list(obj, "boundaries")
         )
         bundle_map = None
         cover = None
-        # the maps are read in the chart of a non-toroidal boundary; a
-        # manifold without one is refused by the constructor
-        chart = next((b.handle for b in boundaries if b.handle is not None), None)
+        # the maps are read in the chart of a non-toroidal boundary, which
+        # both of a trivial bundle's share; a manifold without one is
+        # refused by the constructor
+        nontoroidal = [b for b in boundaries if not b.toroidal]
+        chart = nontoroidal[0].handle if nontoroidal else None
+        if kind == TRIVIAL_IBUNDLE and len(nontoroidal) == 2:
+            chart = _bundle_chart(mid, nontoroidal)
         if chart is not None and "bundle_map" in obj:
             bundle_map = SlotMap.from_json(chart, obj["bundle_map"])
         if chart is not None and "cover" in obj:
@@ -425,8 +438,8 @@ class DecoratedManifoldSpec(Record):
             return tuple(tuple(json_str(b, f"{key} boundary") for b in r) for r in entries)
 
         return DecoratedManifoldSpec(
-            json_str(obj["id"], "manifold id"),
-            json_str(obj["kind"], "manifold kind"),
+            mid,
+            kind,
             boundaries,
             records("disk_records"),
             records("annulus_records"),
@@ -470,6 +483,18 @@ def resolve_slot(
                 raise ValidationError(f"{referrer} on toroidal boundary {_slot_name(slot)}")
             return b
     raise ValidationError(f"{referrer} references unknown slot {_slot_name(slot)}")
+
+
+def _glued_chart(specs: Mapping[str, DecoratedManifoldSpec], a: Slot, b: Slot) -> BackendHandle:
+    """The backend of two identified slots: the chart that their map is
+    read in."""
+    ha = resolve_slot(specs, a, "identification").handle
+    hb = resolve_slot(specs, b, "identification").handle
+    if ha != hb:
+        raise BackendMismatchError(
+            f"identified slots {_slot_name(a)} and {_slot_name(b)} live on different backends"
+        )
+    return ha
 
 
 class GluingGraph(Record):
@@ -555,8 +580,7 @@ class GluingGraph(Record):
         seen: set[Slot] = set()
         for ident in self.identifications:
             a, b = ident.slot_a, ident.slot_b
-            ha = resolve_slot(specs, a, "identification").handle
-            hb = resolve_slot(specs, b, "identification").handle
+            chart = _glued_chart(specs, a, b)
             if a == b and not (ident.map.reversing and ident.map.is_involution()):
                 raise ValidationError(
                     f"fixed point: self-identification on {_slot_name(a)} needs an"
@@ -568,12 +592,7 @@ class GluingGraph(Record):
                         f"non-involutive identifications: slot {_slot_name(slot)} used twice"
                     )
                 seen.add(slot)
-            if ha != hb:
-                raise BackendMismatchError(
-                    f"identified slots {_slot_name(a)} and {_slot_name(b)} live on"
-                    " different backends"
-                )
-            if ident.map.handle != ha:
+            if ident.map.handle != chart:
                 raise ValidationError(
                     f"identification map on {_slot_name(a)} lives on the wrong backend"
                 )
@@ -641,15 +660,16 @@ class GluingGraph(Record):
             if not isinstance(p, Mapping) or "id" not in p or "manifold" not in p:
                 raise ParseError("piece entry needs an id and a manifold")
             pieces.append((json_str(p["id"], "piece id"), json_str(p["manifold"], "piece manifold")))
-        # a map or a marking is read in the chart of the slot it is on
+        # a map is read in the chart that its two slots share, a marking in
+        # the chart of its slot
         specs = _piece_specs(manifolds, pieces)
         idents = []
         for rec in _json_list(obj, "identifications"):
             if not isinstance(rec, Mapping) or not {"a", "b", "map"} <= rec.keys():
                 raise ParseError("identification needs slots a and b and a map")
             (pa, ba), (pb, bb) = _json_slot(rec, "a"), _json_slot(rec, "b")
-            handle = resolve_slot(specs, (pa, ba), "identification").handle
-            idents.append(Identification(pa, ba, pb, bb, SlotMap.from_json(handle, rec["map"])))
+            chart = _glued_chart(specs, (pa, ba), (pb, bb))
+            idents.append(Identification(pa, ba, pb, bb, SlotMap.from_json(chart, rec["map"])))
         lam = []
         lam_obj = obj.get("lambda", {})
         if not isinstance(lam_obj, Mapping):

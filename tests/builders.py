@@ -28,8 +28,40 @@ from glueforge.hypgraph import cycle_graph
 from glueforge.surface import AbstractMarking, BackendHandle, DiskSet
 from glueforge.torus import IDENTITY, REFLECTION, FareyMarking, Slope, SurfaceMap, parse_slope
 
-T = BackendHandle.torus()
-A = SurfaceMap(2, 1, 1, 1)
+# ----------------------------------------------------- repository scripts
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_module(relpath: str, name: str):
+    """The module at ROOT / relpath, loaded under the given name; sys.path
+    is restored after it ran."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / relpath)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.path[:]
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+EXAMPLE_GLUINGS = load_module("scripts/make_example_gluings.py", "make_example_gluings")
+
+
+def example_builders() -> dict:
+    """The builders of scripts/make_example_gluings.py, by example name."""
+    return {name: build for name, build, _, _ in EXAMPLE_GLUINGS.EXAMPLES}
+
+
+# the pieces that the examples, the benchmark inputs and the tests share;
+# core_stack_core(ks) is a left core at the axis origin, axis bundles at
+# the given powers, and a right core one reflection beyond the last bundle
+T, A, MU = EXAMPLE_GLUINGS.T, EXAMPLE_GLUINGS.A, EXAMPLE_GLUINGS.MU
+push, core, axis_bundle = EXAMPLE_GLUINGS.push, EXAMPLE_GLUINGS.core, EXAMPLE_GLUINGS.axis_bundle
+core_stack_core = EXAMPLE_GLUINGS.core_stack_core
+
 T_MAP = SurfaceMap(1, 1, 0, 1)
 L_MAP = SurfaceMap(1, 0, 1, 1)
 
@@ -38,15 +70,8 @@ def mk(base: str, transversal: str) -> AbstractMarking:
     return AbstractMarking(T, FareyMarking(parse_slope(base), parse_slope(transversal)))
 
 
-MU = mk("0/1", "1/0")
-
-
 def tmap(m: SurfaceMap) -> SlotMap:
     return SlotMap(T, matrix=m)
-
-
-def push(m: SurfaceMap, marking: AbstractMarking = MU) -> AbstractMarking:
-    return AbstractMarking(T, m.on_marking(marking.payload))
 
 
 def _slot_map(m: SurfaceMap | SlotMap) -> SlotMap:
@@ -89,25 +114,6 @@ def random_map(rng: random.Random, length: int) -> SurfaceMap:
 # --------------------------------------------------------------- pieces
 
 
-def core(mid: str, *decorations: AbstractMarking, disks=None) -> DecoratedManifoldSpec:
-    """Generic piece with one boundary per decoration, on the decoration's
-    backend; disks maps boundary index -> DiskSet elements."""
-    disks = disks or {}
-    bs = []
-    for i, dec in enumerate(decorations):
-        elems = disks.get(i)
-        if elems is None:
-            bs.append(BoundarySpec(f"E{i}", handle=dec.handle, decoration=dec))
-        else:
-            ds = DiskSet(dec.handle, tuple(elems))
-            bs.append(
-                BoundarySpec(
-                    f"E{i}", handle=dec.handle, decoration=dec, compressible=True, disks=ds
-                )
-            )
-    return DecoratedManifoldSpec(mid, GENERIC, tuple(bs))
-
-
 def bundle(
     mid: str, mu0: AbstractMarking, mu1: AbstractMarking, phi: SurfaceMap | SlotMap = REFLECTION
 ) -> DecoratedManifoldSpec:
@@ -122,12 +128,6 @@ def bundle(
         ),
         bundle_map=_slot_map(phi),
     )
-
-
-def axis_bundle(mid: str, k: int) -> DecoratedManifoldSpec:
-    """Paper-style piece: both boundary decorations are the k-th axis
-    marking, compared through the reflection exchange map."""
-    return bundle(mid, push(A.power(k)), push(REFLECTION @ A.power(k)))
 
 
 def twisted(
@@ -328,33 +328,3 @@ def full_featured_gluing() -> GluingGraph:
         identifications=(Identification("c", "E0", "m", "E0", tmap(A @ REFLECTION)),),
         boundary_markings=((("c", "E1"), mk("3/2", "1/1")),),
     )
-
-
-# ----------------------------------------------------- repository scripts
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def load_module(relpath: str, name: str):
-    """The module at ROOT / relpath, loaded under the given name; sys.path
-    is restored after it ran."""
-    spec = importlib.util.spec_from_file_location(name, ROOT / relpath)
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    saved = sys.path[:]
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = saved
-    return module
-
-
-EXAMPLE_GLUINGS = load_module("scripts/make_example_gluings.py", "make_example_gluings")
-# left core at the axis origin, axis bundles at the given powers, and a
-# right core one reflection beyond the last bundle
-core_stack_core = EXAMPLE_GLUINGS.core_stack_core
-
-
-def example_builders() -> dict:
-    """The builders of scripts/make_example_gluings.py, by example name."""
-    return {name: build for name, build, _, _ in EXAMPLE_GLUINGS.EXAMPLES}

@@ -336,12 +336,13 @@ def _then(*edits):
     return edit
 
 
-def _graph_e0(*vertices: int):
-    """An edit that puts the chain example's p0:E0 on a 6-cycle backend,
-    decorated by the given vertices."""
+def _on_graph(manifold: int, boundary: int, *vertices: int):
+    """An edit that puts a boundary of the chain example's manifold (ML, B
+    or MR) on a 6-cycle backend, decorated by the given vertices."""
     backend = {"kind": "graph", "n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}
-    boundary = {"id": "E0", "backend": backend, "decoration": {"vertices": list(vertices)}}
-    return _set("manifolds.0.boundaries.0", boundary)
+    path = f"manifolds.{manifold}.boundaries.{boundary}"
+    bid = f"F{boundary}" if manifold == 1 else f"E{boundary}"
+    return _set(path, {"id": bid, "backend": backend, "decoration": {"vertices": list(vertices)}})
 
 
 TORUS_MARKING = {"base": "0/1", "transversal": "inf"}
@@ -429,12 +430,17 @@ INVARIANT_CHECKS = {
         _set("manifolds.1.boundaries", [{"id": "T", "toroidal": True}]),
         "manifold B needs a non-toroidal boundary",
     ),
-    "bundle-across-backends": (
-        _set("manifolds.1.boundaries.1", {
-            "id": "F1", "backend": {"kind": "graph", "n": 3, "edges": [[0, 1], [1, 2], [2, 0]]},
-            "decoration": {"vertices": [0]},
-        }),
-        "trivial bundle B spans two backends",
+    # either boundary of a bundle, and either slot of an identification,
+    # on another backend: which one the file names first does not matter
+    "bundle-across-backends": (_on_graph(1, 1, 0), "trivial bundle B spans two backends"),
+    "bundle-f0-across-backends": (_on_graph(1, 0, 0), "trivial bundle B spans two backends"),
+    "identification-a-across-backends": (
+        _on_graph(0, 0, 0),
+        "identified slots p0:E0 and p1:F0 live on different backends",
+    ),
+    "identification-b-across-backends": (
+        _on_graph(2, 0, 0),
+        "identified slots p1:F1 and p2:E0 live on different backends",
     ),
     "compressible-bundle": (
         _set("manifolds.1.boundaries.0", {
@@ -467,7 +473,7 @@ INVARIANT_CHECKS = {
         _set("manifolds.0.boundaries.0.decoration", {"base": "0/1", "transversal": "2/1"}),
         "marking slopes must intersect once: 0/1, 2/1",
     ),
-    "graph-decoration-diameter-3": (_graph_e0(0, 3), "marking diameter 3 exceeds 2"),
+    "graph-decoration-diameter-3": (_on_graph(0, 0, 0, 3), "marking diameter 3 exceeds 2"),
     "bundle-map-preserves-orientation": (
         _set("manifolds.1.bundle_map", [[1, 0], [0, 1]]),
         "bundle B: exchange map must reverse orientation",
@@ -480,8 +486,11 @@ INVARIANT_CHECKS = {
         _set("identifications.0.map", [[2, 0], [0, 1]]),
         "surface map must have det +-1, got 2",
     ),
+    # p0:E0 glued to itself, so that both slots are on the graph
     "perm-not-automorphism": (
-        _then(_graph_e0(0), _set("identifications.0.map", {"perm": [1, 0, 2, 3, 4, 5]})),
+        _then(_on_graph(0, 0, 0), _set("identifications.0", {
+            "a": ["p0", "E0"], "b": ["p0", "E0"], "map": {"perm": [1, 0, 2, 3, 4, 5]},
+        })),
         "graph map descriptor is not distance preserving",
     ),
     "slope-0/0": (
@@ -1189,71 +1198,14 @@ def test_cold_command_bytes_pinned(files, large_graph_files, command, name, hash
 @pytest.mark.parametrize(
     "command, name", [("report", "inv1000"), ("collapse", "deep200")]
 )
-def test_large_heights_finish_with_a_report(files, command, name):
-    # the pins above fix these runs' bytes; this reads what the bytes say
-    proc = cold([*CLI, command, "--input", files[name]])
-    assert proc.returncode in (EXIT_PASS, EXIT_VERDICT), proc.stderr
-    assert b"Traceback" not in proc.stderr
-    obj = envelope(proc.stdout)
+def test_large_heights_finish_with_a_report(files, capsys, command, name):
+    # the pins above fix these runs' bytes in a cold process; this reads
+    # what the bytes say
+    code, out, err = run(capsys, [command, "--input", files[name]])
+    assert (code, err) == (COLD_PINS[command, name][0], "")
+    obj = envelope(out)
     assert obj["command"] == command
     assert obj["input_sha256"] == sha256_of_text(open(files[name]).read())
-
-
-# Runs main(argv) in a fresh interpreter and prints two lines: the modules
-# loaded once cli is imported, then main's exit code and the modules loaded
-# after it.  Each argv that it runs writes its report to --out.
-MODULES_PROBE = (
-    "import sys\n"
-    "from glueforge import cli\n"
-    "print(*sys.modules)\n"
-    "code = cli.main(sys.argv[1:])\n"
-    "print(code, *sys.modules)\n"
-)
-
-
-# The glueforge modules a cold command loads besides cli, errors, ioutil
-# and record, per backend of its input: the table of the README.
-LAYERS_LOADED = {
-    ("hyplab", None): {"hypgraph", "hyplab"},
-    ("validate", "torus"): {"gluing", "surface", "torus"},
-    ("report", "torus"): {"gluing", "surface", "torus", "farey", "certify"},
-    ("collapse", "torus"): {"gluing", "surface", "torus", "farey", "transforms"},
-    ("decompose", "torus"): {"gluing", "surface", "torus", "decompose"},
-    ("model", "torus"): {"gluing", "surface", "torus", "halfplane", "model"},
-    ("validate", "graph"): {"gluing", "surface", "hypgraph"},
-    ("report", "graph"): {"gluing", "surface", "hypgraph", "certify"},
-    ("collapse", "graph"): {"gluing", "surface", "hypgraph", "transforms"},
-    ("decompose", "graph"): {"gluing", "surface", "hypgraph", "decompose"},
-    ("model", "graph"): {"gluing", "surface", "hypgraph", "model"},
-}
-INPUT_OF_BACKEND = {None: "c6", "torus": "chain", "graph": "graph_stack"}
-
-
-def test_commands_load_only_the_layers_they_run(files, tmp_path):
-    for (command, backend), layers in LAYERS_LOADED.items():
-        argv = [command, "--input", files[INPUT_OF_BACKEND[backend]], "--out", str(tmp_path / "out")]
-        proc = cold(["-c", MODULES_PROBE, *argv])
-        assert proc.returncode == 0, proc.stderr
-        loaded = {m for m in proc.stdout.decode().split() if m.startswith("glueforge.")}
-        expected = {"cli", "errors", "ioutil", "record"} | layers
-        assert loaded == {f"glueforge.{m}" for m in expected}, (command, backend)
-
-
-def test_stack_certificates_and_mixed_gluings_load_their_layers(files, capsys, tmp_path):
-    loaded = {}
-    for command, name in (("collapse", "backtrack"), ("collapse", "chain"), ("report", "mixed")):
-        argv = [command, "--input", files[name], "--out", str(tmp_path / "out")]
-        proc = cold(["-c", MODULES_PROBE, *argv])
-        assert proc.returncode == 0, proc.stderr
-        loaded[name] = {m for m in proc.stdout.decode().split() if m.startswith("glueforge.")}
-    # a stack path that is not a geodesic runs the pair scan, which needs
-    # no more layers than the one-row test of a geodesic path
-    assert loaded["backtrack"] == loaded["chain"]
-    code, out, _ = run(capsys, ["collapse", "--input", files["backtrack"]])
-    assert code == EXIT_VERDICT
-    assert envelope(out)["result"]["stacks"][0]["certificate"]["k_prime"] is None
-    # a gluing with boundaries on both backends loads both layers
-    assert {"glueforge.torus", "glueforge.farey", "glueforge.hypgraph"} <= loaded["mixed"]
 
 
 def test_main_restores_the_digit_limit(files, capsys):
@@ -1551,73 +1503,32 @@ def test_stderr_is_utf8_in_every_locale(tmp_path, encoding):
     assert (proc.returncode, proc.stderr) == (EXIT_PARSE, plain.stderr)
 
 
-def test_balanced_points_beyond_double_precision_are_internal_faults(files):
+def test_balanced_points_beyond_double_precision_are_internal_faults(files, capsys):
     # axis power 200 puts balanced points below y = 2^-1074, the least
     # double; the run stops at once with one internal-fault line
     start = time.perf_counter()
-    proc = cold([*CLI, "model", "--input", files["deep200"]])
+    code, out, err = run(capsys, ["model", "--input", files["deep200"]])
     assert time.perf_counter() - start < 5.0
-    assert (proc.returncode, proc.stdout) == (EXIT_INTERNAL, b"")
-    lines = proc.stderr.decode().splitlines()
+    assert (code, out) == (EXIT_INTERNAL, "")
+    lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("internal error: PrecisionLossError: ")
 
 
-def test_deep_stack_model_answers_on_the_decimal_path(files):
+def test_deep_stack_model_answers_on_the_decimal_path(files, capsys):
     # axis power 30 puts balanced points near y = 1e-50, beyond what a
     # double resolves; both tubes are 30 log phi^2 long
     start = time.perf_counter()
-    proc = cold([*CLI, "model", "--input", files["deep30"]])
+    code, out, err = run(capsys, ["model", "--input", files["deep30"]])
     assert time.perf_counter() - start < 5.0
-    assert proc.returncode == EXIT_PASS, proc.stderr
-    tubes = json.loads(proc.stdout)["result"]["skeleton"]["tubes"]
+    assert code == EXIT_PASS, err
+    tubes = json.loads(out)["result"]["skeleton"]["tubes"]
     golden = 30 * 2 * math.log((1 + math.sqrt(5)) / 2)
     assert len(tubes) == 2
     assert all(t["length"] == pytest.approx(golden, rel=1e-12) for t in tubes)
 
 
-# ------------------------------------------------------- numpy stays cold
-
-@pytest.mark.parametrize(
-    "command, example",
-    [
-        ("validate", "twisted"),
-        ("report", "chain"),
-        ("collapse", "stack"),
-        ("decompose", "compression"),
-        ("model", "thin"),
-        ("model --format obj", "chain"),
-    ],
-)
-def test_torus_commands_never_load_numpy(files, tmp_path, command, example):
-    target = tmp_path / "out"
-    argv = [*command.split(), "--input", files[f"example:{example}"], "--out", str(target)]
-    proc = cold(["-c", MODULES_PROBE, *argv])
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    code, *loaded = proc.stdout.decode().splitlines()[1].split()
-    assert (code, "numpy" in loaded) == (str(EXIT_PASS), False)
-    assert target.stat().st_size > 0
-
-
-@pytest.mark.parametrize(
-    "command, name",
-    [
-        ("validate", "graph_pair"),
-        ("validate", "graph_stack"),
-        ("report", "graph_stack"),
-        ("collapse", "graph_stack"),
-        ("decompose", "graph_stack"),
-        ("model", "graph_stack"),
-        ("hyplab", "c6"),
-    ],
-)
-def test_graph_backend_commands_never_load_numpy(files, tmp_path, command, name):
-    target = tmp_path / "out"
-    proc = cold(["-c", MODULES_PROBE, command, "--input", files[name], "--out", str(target)])
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    code, *loaded = proc.stdout.decode().splitlines()[1].split()
-    assert (code, "numpy" in loaded) == (str(EXIT_PASS), False)
-    assert json.loads(target.read_text())["command"] == command
+# ------------------------------------------------ modules a cold run loads
 
 
 def test_no_module_imports_numpy():
@@ -1627,12 +1538,23 @@ def test_no_module_imports_numpy():
         assert not re.search(r"^\s*(import|from)\s+numpy\b", text, re.M), path.name
 
 
+# Runs main(argv) in a fresh interpreter and prints two lines: the modules
+# loaded once cli is imported, then main's exit code and the modules loaded
+# after it.  Each argv that it runs writes its report to --out.
+MODULES_PROBE = (
+    "import sys\n"
+    "from glueforge import cli\n"
+    "print(*sys.modules)\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, *sys.modules)\n"
+)
+
 # importing dataclasses compiles its generated methods on every cold start,
 # and it loads inspect; records are built without either.  fractions loads
-# decimal and numbers; only the delta, the --denom-bound sweep and the pair
-# scan of a stack path that is not a geodesic build one.  A model within
-# 40 bits of precision demand runs in doubles and loads neither; the
-# decimal path of a deeper one (deep30) loads both.  hashlib loads OpenSSL
+# decimal and numbers; only the delta, the --denom-bound sweep and the K'
+# of a stack path that detours (neither a geodesic nor a revisit) build
+# one.  A model within 40 bits of precision demand runs in doubles and
+# loads neither; the decimal path of a deeper one (deep30) loads both.  hashlib loads OpenSSL
 # (_hashlib); no command imports it, since the input hash is CPython's
 # builtin SHA-256.  argparse, with the gettext and locale of its messages,
 # reads only help and the lines the plain-line reader leaves to it
@@ -1640,59 +1562,93 @@ HEAVY = {
     "dataclasses", "inspect", "fractions", "decimal", "hashlib", "_hashlib",
     "argparse", "gettext", "locale",
 }
+EXACT = {"fractions", "decimal"}
+TORUS = {"gluing", "surface", "torus"}
+GRAPH = {"gluing", "surface", "hypgraph"}
+
+# The glueforge modules that a cold run loads besides cli, errors, ioutil
+# and record (the table of the README), and the modules of HEAVY and numpy
+# that it loads, by (command line, input name); main's exit code comes
+# first.  No import of cli loads a module of HEAVY or numpy.
+COLD_MODULES = {
+    ("validate", "example:chain"): (EXIT_PASS, TORUS, set()),
+    ("report", "example:chain"): (EXIT_PASS, TORUS | {"farey", "certify"}, set()),
+    ("collapse", "example:stack"): (EXIT_PASS, TORUS | {"farey", "transforms"}, set()),
+    ("decompose", "example:chain"): (EXIT_PASS, TORUS | {"decompose"}, set()),
+    ("model", "example:chain"): (EXIT_PASS, TORUS | {"halfplane", "model"}, set()),
+    ("model --format obj", "example:chain"): (EXIT_PASS, TORUS | {"halfplane", "model"}, set()),
+    ("validate", "example:twisted"): (EXIT_PASS, TORUS, set()),
+    ("decompose", "example:compression"): (EXIT_PASS, TORUS | {"decompose"}, set()),
+    ("model", "example:thin"): (EXIT_PASS, TORUS | {"halfplane", "model"}, set()),
+    # at 38 bits the deepest double-path input of the benchmark (axis7),
+    # and one on the decimal path (deep30)
+    ("model", "axis7"): (EXIT_PASS, TORUS | {"halfplane", "model"}, set()),
+    ("model --format obj", "axis7"): (EXIT_PASS, TORUS | {"halfplane", "model"}, set()),
+    ("model", "deep30"): (EXIT_PASS, TORUS | {"halfplane", "model"}, EXACT),
+    # a stack path that revisits a vertex runs the pair scan, which needs
+    # no more layers than the one-row test of a geodesic path
+    ("collapse", "backtrack"): (EXIT_VERDICT, TORUS | {"farey", "transforms"}, set()),
+    # boundaries on both backends load both layers
+    ("report", "mixed"): (EXIT_VERDICT, TORUS | GRAPH | {"farey", "certify"}, set()),
+    ("validate", "graph_pair"): (EXIT_PASS, GRAPH, set()),
+    ("validate", "graph_stack"): (EXIT_PASS, GRAPH, set()),
+    ("report", "graph_stack"): (EXIT_PASS, GRAPH | {"certify"}, set()),
+    ("collapse", "graph_stack"): (EXIT_PASS, GRAPH | {"transforms"}, set()),
+    ("decompose", "graph_stack"): (EXIT_PASS, GRAPH | {"decompose"}, set()),
+    ("model", "graph_stack"): (EXIT_PASS, GRAPH | {"model"}, set()),
+    ("hyplab", "c6"): (EXIT_PASS, {"hypgraph", "hyplab"}, EXACT),
+}
 
 
-def test_cold_start_loads_neither_dataclasses_nor_inspect(files, tmp_path):
+@pytest.mark.parametrize("command, name", list(COLD_MODULES))
+def test_cold_runs_load_only_their_modules(files, tmp_path, command, name):
     target = tmp_path / "out"
-    for command, example in (
-        ("validate", "example:chain"),
-        ("report", "example:chain"),
-        ("model", "example:chain"),
-        ("model", "axis7"),
-        ("decompose", "example:chain"),
-        ("collapse", "example:stack"),
-        ("model --format obj", "example:chain"),
-        ("model --format obj", "axis7"),
-        ("model", "deep30"),
-    ):
-        argv = [*command.split(), "--input", files[example], "--out", str(target)]
-        proc = cold(["-c", MODULES_PROBE, *argv])
-        assert proc.returncode == 0, proc.stderr
-        before, (code, *after) = (line.split() for line in proc.stdout.decode().splitlines())
-        exact = {"fractions", "decimal"} if example == "deep30" else set()
-        assert (code, HEAVY & {*before}, HEAVY & {*after}) == (str(EXIT_PASS), set(), exact), command
-        if "obj" in command:
-            continue
-        report = json.loads(target.read_text())
-        assert report["command"] == command
-        if command == "validate":
-            assert report["result"]["valid"] is True
+    argv = [*command.split(), "--input", files[name], "--out", str(target)]
+    proc = cold(["-c", MODULES_PROBE, *argv])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    before, (code, *after) = (line.split() for line in proc.stdout.decode().splitlines())
+    loaded = {m.removeprefix("glueforge.") for m in after if m.startswith("glueforge.")}
+    outside = HEAVY | {"numpy"}
+    expected_code, layers, heavy = COLD_MODULES[command, name]
+    assert (int(code), loaded, outside & {*after}) == (
+        expected_code, {"cli", "errors", "ioutil", "record"} | layers, heavy
+    )
+    assert outside.isdisjoint(before)
+    assert target.stat().st_size > 0
 
 
 # ------------------------------------------------------- process entry
 
 
-@pytest.mark.parametrize(
-    "command, example",
-    [
-        ("validate", "example:twisted"),
-        ("report", "example:chain"),
-        ("collapse --emit-correspondence", "example:stack"),
-        ("collapse", "example:fibered"),
-        ("decompose", "example:compression"),
-        ("model", "example:compression"),
-        ("model --eps0 0.3", "example:thin"),
-        ("model --format obj", "example:chain"),
-        ("hyplab", "c6"),
-    ],
-)
+# Command lines of every command and every exit code, by (command line,
+# input name): main() returns the code in process, and the process entry,
+# which ends the process with os._exit, exits with it and prints the same
+# bytes
+PROCESS_RUNS = {
+    ("validate", "example:twisted"): EXIT_PASS,
+    ("report", "example:chain"): EXIT_PASS,
+    # a spelling that only argparse reads
+    ("report --R=6", "example:chain"): EXIT_PASS,
+    ("collapse --emit-correspondence", "example:stack"): EXIT_PASS,
+    ("collapse", "example:fibered"): EXIT_FIBERED,
+    ("decompose", "example:compression"): EXIT_PASS,
+    ("model", "example:compression"): EXIT_PASS,
+    ("model --eps0 0.3", "example:thin"): EXIT_VERDICT,
+    ("model --format obj", "example:chain"): EXIT_PASS,
+    ("model", "deep200"): EXIT_INTERNAL,
+    ("hyplab", "c6"): EXIT_PASS,
+    ("validate", "bad"): EXIT_PARSE,
+    ("validate", "fixed"): EXIT_INVARIANT,
+}
+
+
+@pytest.mark.parametrize("command, example", list(PROCESS_RUNS))
 def test_process_entry_matches_in_process_main(files, capsys, command, example):
     argv = [*command.split(), "--input", files[example]]
     proc = cold([*CLI, *argv])
     code, out, err = run(capsys, argv)
-    assert proc.returncode == code
-    assert proc.stdout == out.encode()
-    assert proc.stderr.decode() == err
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out.encode(), err)
+    assert code == PROCESS_RUNS[command, example]
 
 
 def test_warnings_print_one_line_each(files, capsys):
@@ -1723,6 +1679,10 @@ def full_parser_output(capsys, argv: list[str]) -> tuple[int, str, str]:
         ["model", "--input", "x.json", "--samples", "many"],
         ["hyplab", "--input", "x.txt", "--emit-correspondence"],
         ["--R", "3", "report", "--input", "x.json"],
+        ["validate", "--help"],
+        ["decompose", "--help"],
+        ["model", "--help"],
+        ["hyplab", "--help"],
     ],
 )
 def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
@@ -1777,6 +1737,9 @@ def test_each_command_takes_only_the_flags_it_reads(files, capsys, command):
     reads = ["--" + name.replace("_", "-") for name in DEFAULT_PARAMS[command]]
     if command == "collapse":
         reads.append("--emit-correspondence")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert (exc.value.code, command in capsys.readouterr().out) == (EXIT_PASS, True)
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == EXIT_PASS
@@ -1880,25 +1843,6 @@ def test_only_plain_lines_skip_the_full_parser(argv):
         assert repr(vars(plain)) == repr(vars(cli._build_parser().parse_args(argv)))
 
 
-def test_help_names_every_command_and_flag(capsys):
-    proc = cold([*CLI, "--help"])
-    assert proc.returncode == EXIT_PASS
-    for name in ("validate", "report", "collapse", "decompose", "model", "hyplab"):
-        assert name in proc.stdout.decode()
-    for name, (_, reads, _) in cli.COMMANDS.items():
-        proc = cold([*CLI, name, "--help"])
-        assert proc.returncode == EXIT_PASS
-        flags = ["--" + flag.replace("_", "-") for flag in reads]
-        if name == "collapse":
-            flags.append("--emit-correspondence")
-        assert help_flags(proc.stdout.decode()) == ["--input", *flags, "--out"], name
-    proc = cold([*CLI, "bogus"])
-    assert proc.returncode == EXIT_PARSE
-    assert proc.stderr.decode().splitlines()[-1].startswith(
-        "glueforge: error: argument command: invalid choice: 'bogus'"
-    )
-
-
 def test_main_leaves_the_collector_alone(files, capsys):
     before = gc.get_freeze_count()
     assert run(capsys, ["validate", "--input", files["example:chain"]])[0] == EXIT_PASS
@@ -1906,44 +1850,23 @@ def test_main_leaves_the_collector_alone(files, capsys):
     assert gc.isenabled()
 
 
-# one command line per exit code: main() returns it in process, and the
-# process entry, which ends the process with os._exit, exits with it
-EXIT_CODE_RUNS = [
-    ("validate", "example:chain"),
-    ("model --eps0 0.3", "example:thin"),
-    ("validate", "bad"),
-    ("validate", "fixed"),
-    ("collapse", "example:fibered"),
-    ("model", "deep200"),
-]
-
-
-def test_process_entry_ends_with_every_byte_and_exit_code(
-    files, large_graph_files, capsys, tmp_path
-):
-    # a report larger than a pipe's buffer reaches a pipe, a file and --out
-    # whole, with the bytes that the pinned digest names
+def test_process_entry_ends_with_every_byte_and_exit_code(files, large_graph_files, tmp_path):
+    # a report larger than a pipe's buffer reaches a file and --out whole,
+    # with the bytes that the pinned digest names (its pin reads a pipe)
     argv = ["collapse", "--input", large_graph_files["stack400.json"]]
-    piped = cold([*CLI, *argv])
     code, digest, _ = COLD_PINS["collapse", "stack400.json"]
-    assert (piped.returncode, piped.stderr) == (code, b"")
-    assert len(piped.stdout) > 1 << 16
-    assert hashlib.sha256(piped.stdout).hexdigest() == digest
     with open(tmp_path / "stdout.json", "wb") as fh:
         assert cold([*CLI, *argv], stdout=fh).returncode == code
-    assert (tmp_path / "stdout.json").read_bytes() == piped.stdout
     out = tmp_path / "out.json"
     written = cold([*CLI, *argv, "--out", str(out)])
     assert (written.returncode, written.stdout, written.stderr) == (code, b"", b"")
-    assert out.read_bytes() == piped.stdout
-    codes = []
-    for command, name in EXIT_CODE_RUNS:
-        argv = [*command.split(), "--input", files[name]]
-        code, out, err = run(capsys, argv)
-        proc = cold([*CLI, *argv])
-        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out.encode(), err)
-        codes.append(code)
-    assert codes == [EXIT_PASS, EXIT_VERDICT, EXIT_PARSE, EXIT_INVARIANT, EXIT_FIBERED, EXIT_INTERNAL]
+    for path in (tmp_path / "stdout.json", out):
+        assert path.stat().st_size > 1 << 16
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    # every exit code leaves the process entry
+    assert {*PROCESS_RUNS.values()} == {
+        EXIT_PASS, EXIT_VERDICT, EXIT_PARSE, EXIT_INVARIANT, EXIT_FIBERED, EXIT_INTERNAL
+    }
     # main() runs with the cyclic collector off
     probe = (
         "import gc, sys\n"
@@ -2082,14 +2005,13 @@ def seeded_sparse_graph(seed: int, n: int, extra: int) -> str:
     return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))
 
 
-def test_hyplab_on_300_vertices_is_fast(tmp_path):
-    graph = tmp_path / "sparse300.txt"
-    graph.write_text(seeded_sparse_graph(300, 300, 50))
+def test_hyplab_on_300_vertices_is_fast(large_graph_files, capsys):
+    # the pin of this graph fixes the bytes of a cold run
     start = time.perf_counter()
-    proc = cold([*CLI, "hyplab", "--input", str(graph)])
+    code, out, err = run(capsys, ["hyplab", "--input", large_graph_files["sparse300.txt"]])
     assert time.perf_counter() - start < 2.0
-    assert proc.returncode == EXIT_PASS, proc.stderr
-    result = json.loads(proc.stdout)["result"]
+    assert code == EXIT_PASS, err
+    result = json.loads(out)["result"]
     # frozen from the exhaustive O(n^4) scan, oracles.exhaustive_delta
     assert result["delta"] == [9, 2]
     assert result["diameter"] == 14
