@@ -22,10 +22,10 @@ from .gluing import (
     Identification,
     Slot,
     SlotMap,
+    _glued_chart,
     _json_list,
     _json_slot,
     components,
-    resolve_slot,
 )
 from .record import Record
 
@@ -179,9 +179,9 @@ def expand_splittings(x: GluingGraph) -> GluingGraph:
             slot_map[(pid, b.id)] = covered[b.id]
         for sub_a, bdry_a, sub_b, bdry_b, map_json in split.identifications:
             referrer = f"piece {pid}: splitting identification"
-            handle = resolve_slot(parts, (sub_a, bdry_a), referrer).handle
-            chart = SlotMap.from_json(handle, json.loads(map_json))
-            idents.append(Identification(f"{pid}/{sub_a}", bdry_a, f"{pid}/{sub_b}", bdry_b, chart))
+            chart = _glued_chart(parts, (sub_a, bdry_a), (sub_b, bdry_b), referrer)
+            glue = SlotMap.from_json(chart, json.loads(map_json))
+            idents.append(Identification(f"{pid}/{sub_a}", bdry_a, f"{pid}/{sub_b}", bdry_b, glue))
     for ident in x.identifications:
         a = slot_map[ident.slot_a]
         b = slot_map[ident.slot_b]

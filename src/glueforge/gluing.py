@@ -273,13 +273,18 @@ class Identification(Record):
         }
 
 
-def _bundle_chart(mid: str, nontoroidal: Sequence[BoundarySpec]) -> BackendHandle:
-    """The backend of a trivial bundle's two boundaries: the chart that its
-    exchange map is read in."""
-    e0, e1 = nontoroidal
-    if e0.handle != e1.handle:
+def _exchange_chart(
+    mid: str, kind: str, nontoroidal: Sequence[BoundarySpec]
+) -> BackendHandle | None:
+    """The chart that a bundle's `bundle_map` and a twisted bundle's `cover`
+    are read in: the one backend of a trivial bundle's two boundaries or of
+    a twisted bundle's one.  None for every other kind, and for a bundle
+    with another count of boundaries."""
+    if (kind, len(nontoroidal)) not in ((TRIVIAL_IBUNDLE, 2), (TWISTED_IBUNDLE, 1)):
+        return None
+    if nontoroidal[-1].handle != nontoroidal[0].handle:
         raise ValidationError(f"trivial bundle {mid} spans two backends")
-    return e0.handle
+    return nontoroidal[0].handle
 
 
 class DecoratedManifoldSpec(Record):
@@ -289,8 +294,9 @@ class DecoratedManifoldSpec(Record):
     exactly two non-toroidal boundaries over one backend plus the endpoint
     exchange map; a twisted bundle has one, with the exchange acting as an
     orientation-reversing involution of that single chart; a compression
-    body has exactly one compressible (exterior) boundary.  Essential disk
-    and annulus footprints are declared records, not derived topology.
+    body has exactly one compressible (exterior) boundary.  Only bundles
+    carry an exchange map, and only twisted bundles a cover.  Essential
+    disk and annulus footprints are declared records, not derived topology.
     """
 
     id: str
@@ -317,51 +323,35 @@ class DecoratedManifoldSpec(Record):
                     raise ValidationError(
                         f"manifold {self.id}: record references unknown boundary {bid}"
                     )
-        if self.kind == TRIVIAL_IBUNDLE:
-            self._check_trivial_bundle(nontoroidal)
-        elif self.kind == TWISTED_IBUNDLE:
-            self._check_twisted_bundle(nontoroidal)
-        elif self.kind == COMPRESSION_BODY:
-            self._check_compression_body(nontoroidal)
+        if self.is_bundle:
+            self._check_bundle(nontoroidal)
         elif self.bundle_map is not None:
             raise ValidationError(f"manifold {self.id}: only bundles carry an exchange map")
-
-    def _check_trivial_bundle(self, nontoroidal: tuple[BoundarySpec, ...]) -> None:
-        if len(nontoroidal) != 2:
+        elif self.kind == COMPRESSION_BODY and sum(b.compressible for b in nontoroidal) != 1:
             raise ValidationError(
-                f"trivial bundle {self.id} needs exactly two non-toroidal boundaries"
+                f"compression body {self.id} needs exactly one compressible exterior boundary"
             )
-        chart = _bundle_chart(self.id, nontoroidal)
+        if self.cover is not None and self.kind != TWISTED_IBUNDLE:
+            raise ValidationError(f"manifold {self.id}: only twisted bundles carry a cover")
+
+    def _check_bundle(self, nontoroidal: tuple[BoundarySpec, ...]) -> None:
+        twisted = self.kind == TWISTED_IBUNDLE
+        name = f"{'twisted' if twisted else 'trivial'} bundle {self.id}"
+        chart = _exchange_chart(self.id, self.kind, nontoroidal)
+        if chart is None:
+            ends = "one non-toroidal boundary" if twisted else "two non-toroidal boundaries"
+            raise ValidationError(f"{name} needs exactly {ends}")
         if any(b.compressible for b in nontoroidal):
             raise ValidationError(f"bundle {self.id} boundaries are incompressible")
-        if self.bundle_map is None or self.bundle_map.handle != chart:
-            raise ValidationError(f"trivial bundle {self.id} needs an exchange map")
-        if not self.bundle_map.reversing:
+        exchange = self.bundle_map
+        if exchange is None or exchange.handle != chart:
+            raise ValidationError(f"{name} needs an exchange map")
+        if twisted and not (exchange.reversing and exchange.is_involution()):
+            raise ValidationError(
+                f"{name}: exchange map must be an orientation-reversing involution"
+            )
+        if not exchange.reversing:
             raise ValidationError(f"bundle {self.id}: exchange map must reverse orientation")
-
-    def _check_twisted_bundle(self, nontoroidal: tuple[BoundarySpec, ...]) -> None:
-        if len(nontoroidal) != 1:
-            raise ValidationError(
-                f"twisted bundle {self.id} needs exactly one non-toroidal boundary"
-            )
-        e0 = nontoroidal[0]
-        if e0.compressible:
-            raise ValidationError(f"bundle {self.id} boundaries are incompressible")
-        if self.bundle_map is None or self.bundle_map.handle != e0.handle:
-            raise ValidationError(f"twisted bundle {self.id} needs an exchange map")
-        if not self.bundle_map.reversing or not self.bundle_map.is_involution():
-            raise ValidationError(
-                f"twisted bundle {self.id}: exchange map must be an"
-                " orientation-reversing involution"
-            )
-
-    def _check_compression_body(self, nontoroidal: tuple[BoundarySpec, ...]) -> None:
-        exteriors = [b for b in nontoroidal if b.compressible]
-        if len(exteriors) != 1:
-            raise ValidationError(
-                f"compression body {self.id} needs exactly one compressible"
-                " exterior boundary"
-            )
 
     def nontoroidal(self) -> tuple[BoundarySpec, ...]:
         return tuple(b for b in self.boundaries if not b.toroidal)
@@ -412,19 +402,18 @@ class DecoratedManifoldSpec(Record):
         boundaries = tuple(
             BoundarySpec.from_json(b, graphs) for b in _json_list(obj, "boundaries")
         )
-        bundle_map = None
-        cover = None
-        # the maps are read in the chart of a non-toroidal boundary, which
-        # both of a trivial bundle's share; a manifold without one is
-        # refused by the constructor
-        nontoroidal = [b for b in boundaries if not b.toroidal]
-        chart = nontoroidal[0].handle if nontoroidal else None
-        if kind == TRIVIAL_IBUNDLE and len(nontoroidal) == 2:
-            chart = _bundle_chart(mid, nontoroidal)
-        if chart is not None and "bundle_map" in obj:
-            bundle_map = SlotMap.from_json(chart, obj["bundle_map"])
-        if chart is not None and "cover" in obj:
-            cover = CoverData.from_json(chart, obj["cover"])
+        # a map is read in the chart of a kind that carries it; a field that
+        # the kind does not carry, even null, reaches the constructor unread
+        # as its key, and is refused there
+        chart = _exchange_chart(mid, kind, [b for b in boundaries if not b.toroidal])
+
+        def declared(key: str, read, carriers: tuple[str, ...]):
+            if key not in obj:
+                return None
+            return read(chart, obj[key]) if chart is not None and kind in carriers else key
+
+        bundle_map = declared("bundle_map", SlotMap.from_json, (TRIVIAL_IBUNDLE, TWISTED_IBUNDLE))
+        cover = declared("cover", CoverData.from_json, (TWISTED_IBUNDLE,))
         splitting = None
         if "splitting" in obj:
             from .decompose import Splitting
@@ -485,11 +474,13 @@ def resolve_slot(
     raise ValidationError(f"{referrer} references unknown slot {_slot_name(slot)}")
 
 
-def _glued_chart(specs: Mapping[str, DecoratedManifoldSpec], a: Slot, b: Slot) -> BackendHandle:
+def _glued_chart(
+    specs: Mapping[str, DecoratedManifoldSpec], a: Slot, b: Slot, referrer: str = "identification"
+) -> BackendHandle:
     """The backend of two identified slots: the chart that their map is
-    read in."""
-    ha = resolve_slot(specs, a, "identification").handle
-    hb = resolve_slot(specs, b, "identification").handle
+    read in, once both slots are resolved as `resolve_slot` does."""
+    ha = resolve_slot(specs, a, referrer).handle
+    hb = resolve_slot(specs, b, referrer).handle
     if ha != hb:
         raise BackendMismatchError(
             f"identified slots {_slot_name(a)} and {_slot_name(b)} live on different backends"

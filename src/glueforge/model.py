@@ -98,17 +98,17 @@ class TubeBlock(Record):
         return out
 
 class PieceBlock(Record):
-    """Opaque interior of one piece, known only by its boundary anchors."""
+    """Opaque interior of one piece, known only by its boundary anchors;
+    its JSON tags every volume "opaque"."""
 
     piece: str
     anchors: tuple[tuple[str, TeichPoint | None], ...]
-    volume_tag: str = "opaque"
 
     def to_json(self) -> dict:
         return {
             "piece": self.piece,
             "anchors": {bid: None if z is None else z.to_json() for bid, z in self.anchors},
-            "volume_tag": self.volume_tag,
+            "volume_tag": "opaque",
         }
 
 class ModelSkeleton(Record):

@@ -890,7 +890,9 @@ def _piece_block_from_json(obj: object) -> PieceBlock:
             (str(bid), _point_from_json(z))
             for bid, z in sorted(dict(obj["anchors"]).items())
         )
-        return PieceBlock(str(obj["piece"]), anchors, str(obj["volume_tag"]))
+        if obj["volume_tag"] != "opaque":
+            raise ValueError(f"volume tag {obj['volume_tag']!r} is not 'opaque'")
+        return PieceBlock(str(obj["piece"]), anchors)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad piece block: {exc}") from exc
 

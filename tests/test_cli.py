@@ -336,13 +336,37 @@ def _then(*edits):
     return edit
 
 
+def _graph_boundary(bid: str, *vertices: int) -> dict:
+    """Boundary bid on a 6-cycle backend, decorated by the given vertices."""
+    backend = {"kind": "graph", "n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}
+    return {"id": bid, "backend": backend, "decoration": {"vertices": list(vertices)}}
+
+
 def _on_graph(manifold: int, boundary: int, *vertices: int):
     """An edit that puts a boundary of the chain example's manifold (ML, B
     or MR) on a 6-cycle backend, decorated by the given vertices."""
-    backend = {"kind": "graph", "n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}
     path = f"manifolds.{manifold}.boundaries.{boundary}"
     bid = f"F{boundary}" if manifold == 1 else f"E{boundary}"
-    return _set(path, {"id": bid, "backend": backend, "decoration": {"vertices": list(vertices)}})
+    return _set(path, _graph_boundary(bid, *vertices))
+
+
+def _graph_e1(first: bool):
+    """An edit that gives the chain example's ML a second boundary E1 on a
+    6-cycle backend, written before its E0 or after it."""
+
+    def edit(obj: dict) -> dict:
+        boundaries = obj["manifolds"][0]["boundaries"]
+        boundaries.insert(0 if first else len(boundaries), _graph_boundary("E1", 0))
+        return obj
+
+    return edit
+
+
+def _instead(name: str, path: str, value: object):
+    """An edit that leaves the chain example for the input name (an example
+    or twisted-end) with the field at a dotted path set to value."""
+    build = {**example_builders(), "twisted-end": twisted_end}[name]
+    return lambda obj: set_field(build().to_json(), path, value)
 
 
 TORUS_MARKING = {"base": "0/1", "transversal": "inf"}
@@ -374,8 +398,15 @@ PARSE_CHECKS = {
         _set("manifolds.0.boundaries.0", {"id": "E0", "backend": {"kind": "torus"}}),
         "boundary E0 needs backend and decoration",
     ),
-    "cover-number": (_set("manifolds.1.cover", 1), "cover data must be an object"),
-    "cover-empty": (_set("manifolds.1.cover", {}), "cover data missing field 'mu0'"),
+    # a twisted bundle reads its cover
+    "cover-number": (
+        _instead("twisted-end", "manifolds.1.cover", 1),
+        "cover data must be an object",
+    ),
+    "cover-empty": (
+        _instead("twisted-end", "manifolds.1.cover", {}),
+        "cover data missing field 'mu0'",
+    ),
     "splitting-number": (_set(SPLITTING, 1), "splitting must be an object"),
     "sub-piece-number": (_set(SPLITTING, {"pieces": [1]}), "sub-piece must be an object"),
     "sub-piece-boundaries-list": (
@@ -429,6 +460,32 @@ INVARIANT_CHECKS = {
     "bundle-map-without-chart": (
         _set("manifolds.1.boundaries", [{"id": "T", "toroidal": True}]),
         "manifold B needs a non-toroidal boundary",
+    ),
+    # a kind refuses a map that it does not carry, unread: whatever its
+    # value, null included, and whichever boundary the file names first
+    "generic-bundle-map-graph-first": (
+        _then(_graph_e1(True), _set("manifolds.0.bundle_map", [[1, 0], [0, -1]])),
+        "manifold ML: only bundles carry an exchange map",
+    ),
+    "generic-bundle-map-graph-last": (
+        _then(_graph_e1(False), _set("manifolds.0.bundle_map", [[1, 0], [0, -1]])),
+        "manifold ML: only bundles carry an exchange map",
+    ),
+    "generic-cover": (
+        _set("manifolds.0.cover", None),
+        "manifold ML: only twisted bundles carry a cover",
+    ),
+    "trivial-bundle-cover": (
+        _set("manifolds.1.cover", 1),
+        "manifold B: only twisted bundles carry a cover",
+    ),
+    "compression-bundle-map": (
+        _instead("compression", "manifolds.1.bundle_map", [[1, 0], [0, -1]]),
+        "manifold C: only bundles carry an exchange map",
+    ),
+    "compression-bundle-map-null": (
+        _instead("compression", "manifolds.1.bundle_map", None),
+        "manifold C: only bundles carry an exchange map",
     ),
     # either boundary of a bundle, and either slot of an identification,
     # on another backend: which one the file names first does not matter
@@ -563,6 +620,12 @@ def _toroidal_split_slot(obj, split):
     split["identifications"][0]["a"] = ["core", "T0"]
 
 
+def _toroidal_split_slot_b(obj, split):
+    kb = next(m for m in obj["manifolds"] if m["id"] == "KB")
+    kb["boundaries"].append({"id": "T0", "toroidal": True})
+    split["identifications"][0]["b"] = ["body", "T0"]
+
+
 def _unknown_part_boundary(obj, split):
     split["pieces"][0] = {"id": "core", "manifold": "M", "boundaries": {"E0": "B0"}}
 
@@ -597,6 +660,19 @@ def _free_part_boundary(obj, split):
     kc["boundaries"].append(dict(kc["boundaries"][0], id="B2"))
 
 
+def _graph_core_slot(obj, split):
+    # the core's B1 on a 6-cycle, glued to the body's torus E0
+    kc = next(m for m in obj["manifolds"] if m["id"] == "KC")
+    kc["boundaries"][1] = _graph_boundary("B1", 0)
+
+
+def _graph_core_slot_from_body(obj, split):
+    # the same, the identification written from the body's side
+    _graph_core_slot(obj, split)
+    ident = split["identifications"][0]
+    ident["a"], ident["b"] = ident["b"], ident["a"]
+
+
 def _part_that_splits(obj, split):
     # the part is the split manifold M itself
     split["pieces"][0] = {"id": "core", "manifold": "M", "boundaries": {"E0": "E0"}}
@@ -626,6 +702,11 @@ def _part_that_splits(obj, split):
             _toroidal_split_slot,
             EXIT_INVARIANT,
             "invariant violation: piece p0: splitting identification on toroidal boundary core:T0",
+        ),
+        (
+            _toroidal_split_slot_b,
+            EXIT_INVARIANT,
+            "invariant violation: piece p0: splitting identification on toroidal boundary body:T0",
         ),
         (
             _unknown_part_boundary,
@@ -665,10 +746,24 @@ def _part_that_splits(obj, split):
             "invariant violation: piece p0: splitting leaves part boundary core:B2"
             " unplaced and unglued",
         ),
+        # both slots are resolved before the map is read in their chart
+        (
+            _graph_core_slot,
+            EXIT_INVARIANT,
+            "invariant violation: identified slots core:B1 and body:E0 live on different"
+            " backends",
+        ),
+        (
+            _graph_core_slot_from_body,
+            EXIT_INVARIANT,
+            "invariant violation: identified slots body:E0 and core:B1 live on different"
+            " backends",
+        ),
     ],
     ids=["garbage-map", "unknown-manifold", "preserving-map", "unplaced", "toroidal-slot",
-         "unknown-boundary", "unknown-parent-boundary", "split-twice", "part-splits",
-         "toroidal-target", "shared-target", "free-part-boundary"],
+         "toroidal-slot-b", "unknown-boundary", "unknown-parent-boundary", "split-twice",
+         "part-splits", "toroidal-target", "shared-target", "free-part-boundary",
+         "across-backends-core-first", "across-backends-body-first"],
 )
 def test_every_gluing_command_checks_splittings_as_decompose_does(
     capsys, tmp_path, edit, code, message

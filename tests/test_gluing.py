@@ -44,11 +44,15 @@ from builders import (
     bundle,
     core,
     core_bundle_core,
+    core_stack_core,
+    example_builders,
     full_featured_gluing,
     graph_stack,
     mk,
     on_core,
     rand_word,
+    random_cycle_stack,
+    random_torus_stack,
     tmap,
     twisted,
 )
@@ -856,6 +860,49 @@ def test_action_invariance_of_report_and_collapse_at_depth(tmp_path, capsys):
         cy = report_numbers(capsys, py, "collapse")
         assert cx[0] == cy[0] and cx[1]["r_prime"] == cy[1]["r_prime"], seed
     assert verdicts == {"pass", "fail"}
+
+
+def reversed_identifications(x: GluingGraph) -> GluingGraph:
+    """x with every identification written from its other side: slots
+    swapped, map inverted."""
+    idents = tuple(
+        Identification(i.piece_b, i.bdry_b, i.piece_a, i.bdry_a, i.map.inverse())
+        for i in x.identifications
+    )
+    return GluingGraph(x.manifolds, x.pieces, idents, x.boundary_markings)
+
+
+def side_free_numbers(capsys, path) -> tuple:
+    """report's verdict and each slot's height and projection value, then
+    collapse's exit code, ok, fibered, r_prime and each stack's K' and
+    heights."""
+    main(["report", "--input", str(path)])
+    res = json.loads(capsys.readouterr().out)["result"]
+    slots = [(s["height"], s["projection"] and s["projection"]["value"]) for s in res["slots"]]
+    code = main(["collapse", "--input", str(path)])
+    col = json.loads(capsys.readouterr().out)["result"]
+    stacks = [(s["certificate"]["k_prime"], s["certificate"]["heights"]) for s in col["stacks"]]
+    return res["verdict"], slots, code, col["ok"], col["fibered"], col["r_prime"], stacks
+
+
+def test_reversing_identifications_moves_nothing_at_depth(tmp_path, capsys):
+    # which side of an identification the file names first is a choice of
+    # writing: report and collapse read the same numbers either way
+    rng = random.Random(1)
+    gluings = [build() for build in example_builders().values()]
+    gluings += [random_torus_stack(rng, k) for k in list(range(1, 7)) * 5]
+    gluings += [random_cycle_stack(rng, rng.randrange(5, 40), k) for k in list(range(1, 7)) * 5]
+    gluings += [core_stack_core([200]), core_stack_core([1000])]
+    seen = set()
+    for n, x in enumerate(gluings):
+        px, py = tmp_path / f"x{n}.json", tmp_path / f"y{n}.json"
+        px.write_text(x.canonical_json())
+        py.write_text(reversed_identifications(x).canonical_json())
+        numbers = side_free_numbers(capsys, px)
+        assert numbers == side_free_numbers(capsys, py), n
+        seen.add((numbers[0], numbers[3]))
+    # both verdicts, each beside a collapse that passes and one that fails
+    assert seen == {("pass", True), ("pass", False), ("fail", True), ("fail", False)}
 
 
 # --------------------------------------------------------- serialization

@@ -55,7 +55,8 @@ from builders import (
     mk,
     on_core,
     push,
-    random_map,
+    random_cycle_stack,
+    random_torus_stack,
     skew_bundle,
     skew_fibered_chain,
     split_gluing,
@@ -223,38 +224,6 @@ def assert_stack_certificate_matches_oracles(x: GluingGraph, pieces: list[str]):
     assert cert.fellow_traveling == full_fellow_traveling(handle, path, direct)
     segments = sum(len(geodesic_between(a, b)) - 1 for a, b in zip(cert.nu, cert.nu[1:]))
     return cert, len(path) - 1 > segments, kind
-
-
-def random_torus_stack(rng: random.Random, k: int) -> GluingGraph:
-    """k bundles whose decorations are pushed by seeded words, so that
-    the stack path zigzags and often revisits a vertex."""
-    bundles = []
-    for i in range(k):
-        g = random_map(rng, rng.randrange(0, 8))
-        twist = random_map(rng, rng.randrange(0, 3))
-        bundles.append(bundle(f"B{i}", push(g), push(REFLECTION @ g @ twist)))
-    return chain(core("ML", MU), *bundles, core("MR", push(random_map(rng, 5))))
-
-
-def random_cycle_stack(rng: random.Random, n: int, k: int) -> GluingGraph:
-    """k bundles over C_n glued by v -> -v, each decoration one to three
-    vertices within distance 2, so that closest pairs of consecutive
-    segments often land on different vertices of a marking."""
-    from glueforge.hypgraph import cycle_graph
-
-    h = BackendHandle.finite_graph(cycle_graph(n))
-    flip = SlotMap(h, perm=tuple(-v % n for v in range(n)))
-
-    def end() -> AbstractMarking:
-        v = rng.randrange(n)
-        vertices = {(v + d) % n for d in rng.sample(range(3), rng.randrange(1, 4))}
-        return AbstractMarking(h, tuple(sorted(vertices)))
-
-    # the seeded draws run left core, then F0 and F1 of each bundle, then
-    # right core
-    specs = [core("ML", end())]
-    specs += [bundle(f"B{i}", end(), end(), flip) for i in range(k)]
-    return chain(*specs, core("MR", end()), maps=[flip] * (k + 1))
 
 
 def test_stack_certificate_matches_all_pairs_oracles_on_torus_stacks():
