@@ -177,6 +177,21 @@ def files(tmp_path_factory):
         ),
     )
     out["graph_pair"] = save("graph_pair.json", graph_pair.canonical_json())
+    # a graph slot glued to itself by the reflection v -> -v, and a
+    # compressible graph boundary with its disk set
+    flip = SlotMap(h, perm=tuple(-v % 6 for v in range(6)), graph_reversing=True)
+    graph_self = GluingGraph(
+        manifolds=(core("c0", AbstractMarking(h, (0, 1))),),
+        pieces=(("p0", "c0"),),
+        identifications=(Identification("p0", "E0", "p0", "E0", flip),),
+    )
+    out["graph_self"] = save("graph_self.json", graph_self.canonical_json())
+    graph_disks = GluingGraph(
+        manifolds=(core("c0", AbstractMarking(h, (0, 1)), disks={0: (3,)}), graph_pair.manifolds[1]),
+        pieces=graph_pair.pieces,
+        identifications=graph_pair.identifications,
+    )
+    out["graph_disks"] = save("graph_disks.json", graph_disks.canonical_json())
 
     # one spec with a torus and a graph boundary, glued along the torus
     mixed = GluingGraph(
@@ -1731,6 +1746,10 @@ PROCESS_RUNS = {
     ("model --eps0 0.3", "example:thin"): EXIT_VERDICT,
     ("model --format obj", "example:chain"): EXIT_PASS,
     ("model", "deep200"): EXIT_INTERNAL,
+    # the graph backend's involution test and the skeleton's involution
+    # block, and its disk-set echo
+    ("model", "graph_self"): EXIT_PASS,
+    ("decompose", "graph_disks"): EXIT_PASS,
     ("hyplab", "c6"): EXIT_PASS,
     ("validate", "bad"): EXIT_PARSE,
     ("validate", "fixed"): EXIT_INVARIANT,

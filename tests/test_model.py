@@ -167,7 +167,7 @@ def test_skeleton_thickness_frozen_example():
     assert {r.cf_coefficient for r in report.rows} == {2}
 
 
-def test_skeleton_quotient_tube_records_involution():
+def test_skeleton_quotient_tube_records_involution(tmp_path, capsys):
     x = GluingGraph(
         manifolds=(core("M", mk("1/1", "1/0")),),
         pieces=(("p0", "M"),),
@@ -181,6 +181,13 @@ def test_skeleton_quotient_tube_records_involution():
     assert tube.geometry.sigma_b.z == pytest.approx(complex(-1.0, 1.0), rel=1e-9)
     assert tube.geometry.length == pytest.approx(0.5 * math.acosh(3.0))
     assert not tube.geometry.degenerate
+    # the skeleton that `model` prints carries the involution's backend and map
+    path = tmp_path / "quotient.json"
+    path.write_text(x.canonical_json())
+    assert cli.main(["model", "--input", str(path)]) == 0
+    skeleton = json.loads(capsys.readouterr().out)["result"]["skeleton"]
+    printed = load_skeleton(json.dumps(skeleton)).tubes[0].involution
+    assert printed.handle == T and printed.matrix == REFLECTION
 
 
 def test_skeleton_quotient_tube_degenerate_at_fixed_point():
