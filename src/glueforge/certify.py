@@ -1,7 +1,7 @@
 """The bounded-combinatorics certificate of a gluing.
 
 Per slot with a non-empty induced marking nu, the certificate compares
-the slot's measure (`gluing.slot_measures`) with R and D: the
+the slot's measure (`measures.slot_measures`) with R and D: the
 subsurface-projection maximum between the decoration and nu (Masur and
 Minsky's annular projections on the torus, declared tables on a graph)
 in clause a, the meridian inequality on compressible slots in clause b,
@@ -22,8 +22,8 @@ from .gluing import (
     GluingGraph,
     Slot,
     induced_markings,
-    slot_measures,
 )
+from .measures import slot_measures
 from .record import Record
 from .surface import (
     AbstractMarking,
@@ -222,7 +222,7 @@ def check_bounded_combinatorics(
 ) -> CombinatoricsCertificate:
     """Verify every clause of bounded combinatorics against (R, D).
 
-    Per slot with non-empty nu, its measure (`gluing.slot_measures`) is
+    Per slot with non-empty nu, its measure (`measures.slot_measures`) is
     compared: the subsurface maximum with R, the meridian inequality
     height <= d(disks, nu) + R on compressible slots, and the height
     with D.

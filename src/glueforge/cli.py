@@ -25,9 +25,9 @@ from types import SimpleNamespace
 from typing import Any, Iterator, NoReturn, Sequence
 
 # Each command imports the layers it runs, so that a cold `hyplab` loads
-# no torus or gluing code and a cold `validate` no collapse or skeleton.
+# no torus or gluing code and a cold `validate` no collapse or skeleton,
+# and only a JSON report loads its writer (`ioutil`).
 from .errors import GlueforgeError, ParseError, ValidationError, ascii_int
-from .ioutil import canonical_dumps, sha256_of_bytes
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -40,11 +40,6 @@ EXIT_INTERNAL = 5
 # bounded by the input size (slopes with many digits cost more), so this
 # bound, not the interpreter's int/str digit limit, caps the work.
 MAX_INPUT_BYTES = 1 << 20
-
-# Most vertices `hyplab` takes.  Its kernels read every distance row, so
-# its cost grows at least as n^2: a path at the cap takes about 6 s and
-# 125 MiB.  A larger graph exits 3 before any row is computed.
-MAX_HYPLAB_VERTICES = 2_000
 
 # Largest --samples.  A sample costs about 0.05 ms per tube in doubles, and
 # on the decimal path 0.5 ms at axis power 30 and 5 ms at 180.
@@ -181,6 +176,8 @@ def _emit(out: str | None, text: str) -> None:
 
 
 def _emit_report(args: SimpleNamespace, params: dict, data: bytes, result: dict) -> None:
+    from .ioutil import canonical_dumps, sha256_of_bytes
+
     envelope = {
         "command": args.command,
         "input_sha256": sha256_of_bytes(data),
@@ -241,39 +238,9 @@ def cmd_model(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
 
 
 def cmd_hyplab(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
-    from .hypgraph import geodesic_interval
-    from .hyplab import (
-        check_qconvex_stability,
-        four_point_delta,
-        quasiconvexity_constant,
-        read_graph,
-    )
+    from .hyplab import lab_report
 
-    graph = read_graph(text)
-    if graph.vertex_count > MAX_HYPLAB_VERTICES:
-        raise ValidationError(
-            f"hyplab takes at most {MAX_HYPLAB_VERTICES} vertices, got {graph.vertex_count}"
-        )
-    delta = four_point_delta(graph)
-    # the widest geodesic interval doubles as the stability test bed: the
-    # first diametral pair in row-major order
-    rows = graph.rows()
-    diameter = max(map(max, rows))
-    x = next(u for u, row in enumerate(rows) if max(row) == diameter)
-    y = rows[x].index(diameter)
-    interval = geodesic_interval(graph, x, y)
-    stability = check_qconvex_stability(graph, interval, args.R)
-    return {
-        "vertices": graph.vertex_count,
-        "delta": [delta.numerator, delta.denominator],
-        "diameter": diameter,
-        "interval": {
-            "endpoints": [x, y],
-            "vertices": interval,
-            "quasiconvexity": quasiconvexity_constant(graph, interval),
-        },
-        "stability": stability.to_json(),
-    }, EXIT_PASS
+    return lab_report(text, args.R), EXIT_PASS
 
 
 # Each command: its help line, the flags it reads, in the order its report
@@ -352,6 +319,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INVARIANT
     except Exception as exc:
         # the input's hash, so that a fault report names what it ran on
+        from .ioutil import sha256_of_bytes
+
         where = "" if data is None else f"; input sha256 {sha256_of_bytes(data)}"
         print(f"internal error: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
         return EXIT_INTERNAL

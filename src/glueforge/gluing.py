@@ -1,4 +1,4 @@
-"""Decorated manifolds, gluing graphs, induced markings and heights.
+"""Decorated manifolds, gluing graphs and induced markings.
 
 A decorated manifold is described purely through its boundary data: each
 non-toroidal boundary component carries a backend handle, a decoration
@@ -6,11 +6,7 @@ marking, an optional meridian disk set, and flags.  Pieces of a gluing are
 copies of such specs, and identifications pair boundary slots through
 orientation-reversing chart maps.  The induced markings are nu = Psi(mu)
 on buried slots (or the supplied boundary marking on unburied ones), and
-a slot's height is the marking distance d(mu, nu).  `slot_measures` takes
-each slot's numbers once: its height, the subsurface-projection maximum
-between mu and nu, and on a compressible slot the meridian distance
-d(nu, disks).  `certify` compares them with R in clauses a and b, and
-`transforms` reads them for `r_prime`, the least R passing both.
+a slot's height is the marking distance d(mu, nu) (`measures`).
 `components` is the package's one connected-component search: validation,
 collapse's bundle chains and the maximal decomposition group pieces by it.
 """
@@ -22,17 +18,8 @@ import json
 from typing import TYPE_CHECKING, Iterable, Mapping, NoReturn, Sequence
 
 from .errors import BackendMismatchError, ParseError, ValidationError, clip, json_bool, json_str
-from .ioutil import canonical_dumps, sha256_of_text
 from .record import Record
-from .surface import (
-    AbstractMarking,
-    BackendHandle,
-    DiskSet,
-    ProjectionResult,
-    disk_distance,
-    marking_distance,
-    sup_projection,
-)
+from .surface import AbstractMarking, BackendHandle, DiskSet
 
 if TYPE_CHECKING:
     from .decompose import Splitting  # only a declared splitting loads it
@@ -674,9 +661,13 @@ class GluingGraph(Record):
         return GluingGraph(manifolds, tuple(pieces), tuple(idents), tuple(lam))
 
     def canonical_json(self) -> str:
+        from .ioutil import canonical_dumps  # an OBJ export loads no JSON writer
+
         return canonical_dumps(self.to_json())
 
     def content_hash(self) -> str:
+        from .ioutil import sha256_of_text
+
         return sha256_of_text(self.canonical_json())
 
 
@@ -708,7 +699,7 @@ def validate_gluing(source: str | Mapping) -> GluingGraph:
     return GluingGraph.from_json(obj)
 
 
-# -- induced markings, heights and slot measures ------------------------
+# -- induced markings ----------------------------------------------------
 
 
 def induced_markings(x: GluingGraph) -> dict[Slot, AbstractMarking | None]:
@@ -722,58 +713,3 @@ def induced_markings(x: GluingGraph) -> dict[Slot, AbstractMarking | None]:
         else:
             nu[slot] = x.lam(slot)
     return nu
-
-
-def heights(
-    x: GluingGraph, nu: dict[Slot, AbstractMarking | None] | None = None
-) -> dict[Slot, int | None]:
-    """Per-slot height d(mu, nu), None where nu is; both directions of each
-    identification are reported through its two slots."""
-    if nu is None:
-        nu = induced_markings(x)
-    return {
-        slot: None if m is None else marking_distance(x.decoration(slot), m)
-        for slot, m in nu.items()
-    }
-
-
-class SlotMeasure(Record):
-    """What bounded combinatorics compares with R on a slot with a marking
-    nu: its height d(mu, nu), the subsurface-projection maximum between mu
-    and nu (clause a), and on a compressible slot the meridian distance
-    d(nu, disks) (clause b: height <= disk_distance + R), else None."""
-
-    height: int
-    projection: ProjectionResult
-    disk_distance: int | None
-
-    @property
-    def excess(self) -> int | None:
-        """height - d(nu, disks): clause b holds exactly when R >= excess."""
-        return None if self.disk_distance is None else self.height - self.disk_distance
-
-    @property
-    def least_r(self) -> int:
-        """The least R at which clauses a and b hold on this slot."""
-        value, excess = self.projection.value, self.excess
-        return value if excess is None else max(value, excess)
-
-
-def slot_measures(
-    x: GluingGraph,
-    nu: dict[Slot, AbstractMarking | None] | None = None,
-    denom_bound: int | None = None,
-) -> dict[Slot, SlotMeasure]:
-    """The measure of every slot whose nu is not None, in slot order; the
-    projection search takes denom_bound as `surface.sup_projection` does."""
-    if nu is None:
-        nu = induced_markings(x)
-    out: dict[Slot, SlotMeasure] = {}
-    for slot, height in heights(x, nu).items():
-        if height is None:
-            continue
-        m, boundary = nu[slot], x.boundary_of(slot)
-        assert m is not None and boundary.disks is not None
-        dd = disk_distance(m, boundary.disks) if boundary.compressible else None
-        out[slot] = SlotMeasure(height, sup_projection(x.decoration(slot), m, denom_bound), dd)
-    return out

@@ -33,7 +33,7 @@ from operator import and_, itemgetter, le
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ParseError, ValidationError, ascii_int, clip
-from .hypgraph import FiniteGraph
+from .hypgraph import FiniteGraph, geodesic_interval
 from .record import Record
 
 if TYPE_CHECKING:  # fractions loads decimal: four_point_delta imports it when called
@@ -45,7 +45,13 @@ __all__ = [
     "quasiconvexity_constant",
     "check_qconvex_stability",
     "read_graph",
+    "lab_report",
 ]
+
+# Most vertices `hyplab` takes.  Its kernels read every distance row, so
+# its cost grows at least as n^2: a path at the cap takes about 6 s and
+# 125 MiB.  A larger graph exits 3 before any row is computed.
+MAX_HYPLAB_VERTICES = 2_000
 
 
 def _column_min(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -62,6 +68,12 @@ def four_point_delta(g: FiniteGraph) -> Fraction:
     only, and is exact: see the module docstring."""
     from fractions import Fraction
 
+    return Fraction(_doubled_delta(g), 2)
+
+
+def _doubled_delta(g: FiniteGraph) -> int:
+    """Twice `four_point_delta`, an int, so that the report needs no
+    `fractions`."""
     rows = g.rows()
     best = 0
     for block in _blocks(g.adjacency):
@@ -71,7 +83,7 @@ def four_point_delta(g: FiniteGraph) -> Fraction:
             # a clique: every pairing sum is 2, so its gap is 0
             if max(map(max, mb)) > 1:
                 best = _widest_gap(mb, _far_apart_pairs(mb), best)
-    return Fraction(best, 2)
+    return best
 
 
 def _blocks(adj: list[list[int]]) -> list[list[int]]:
@@ -328,3 +340,32 @@ def read_graph(text: str) -> FiniteGraph:
         except ValueError as exc:
             raise ParseError(f"bad edge line {clip(ln)}: {exc}") from exc
     return FiniteGraph.from_edges(n, pairs)
+
+
+def lab_report(text: str, r: int) -> dict:
+    """The result of `glueforge hyplab --R r` on a graph file's text."""
+    graph = read_graph(text)
+    if graph.vertex_count > MAX_HYPLAB_VERTICES:
+        raise ValidationError(
+            f"hyplab takes at most {MAX_HYPLAB_VERTICES} vertices, got {graph.vertex_count}"
+        )
+    delta2 = _doubled_delta(graph)
+    # the widest geodesic interval doubles as the stability test bed: the
+    # first diametral pair in row-major order
+    rows = graph.rows()
+    diameter = max(map(max, rows))
+    x = next(u for u, row in enumerate(rows) if max(row) == diameter)
+    y = rows[x].index(diameter)
+    interval = geodesic_interval(graph, x, y)
+    stability = check_qconvex_stability(graph, interval, r)
+    return {
+        "vertices": graph.vertex_count,
+        "delta": [delta2 // 2, 1] if delta2 % 2 == 0 else [delta2, 2],
+        "diameter": diameter,
+        "interval": {
+            "endpoints": [x, y],
+            "vertices": interval,
+            "quasiconvexity": quasiconvexity_constant(graph, interval),
+        },
+        "stability": stability.to_json(),
+    }

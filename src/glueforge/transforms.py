@@ -4,7 +4,7 @@ Stack combination pushes every decoration of an I-bundle chain into one
 boundary frame and certifies the chain conditions; collapse removes the
 bundle pieces and rewires their neighbors with composed chart maps.  Both
 are pure: they return new values and never mutate the input graph.
-Collapse reads the collapsed gluing's slot measures (`gluing.slot_measures`,
+Collapse reads the collapsed gluing's slot measures (`measures.slot_measures`,
 the numbers `report` compares in clauses a and b) for the new tubes'
 meridian excesses and for `r_prime`, the least R passing both clauses.
 
@@ -30,8 +30,8 @@ from .gluing import (
     TRIVIAL_IBUNDLE,
     _slot_name,
     components,
-    slot_measures,
 )
+from .measures import slot_measures
 from .record import Record
 from .surface import (
     AbstractMarking,

@@ -131,18 +131,23 @@ def bundle(
 
 
 def twisted(
-    mid: str, dec: AbstractMarking, cover: AbstractMarking | None = None
+    mid: str,
+    dec: AbstractMarking,
+    cover: AbstractMarking | None = None,
+    exchange: SlotMap | None = None,
 ) -> DecoratedManifoldSpec:
-    """Twisted I-bundle decorated dec on F0, its exchange map the
-    reflection; cover, if given, decorates both ends of its declared double
-    cover, whose lifts are the identity."""
-    lift = tmap(IDENTITY)
+    """Twisted I-bundle decorated dec on F0, on dec's backend, its exchange
+    map the given one or the torus reflection; cover, if given, decorates
+    both ends of its declared double cover, whose lifts are the identity
+    and whose deck map is the exchange map."""
+    exchange = exchange or tmap(REFLECTION)
+    lift = dec.handle.identity_map()
     return DecoratedManifoldSpec(
         mid,
         TWISTED_IBUNDLE,
-        (BoundarySpec("F0", handle=T, decoration=dec),),
-        bundle_map=tmap(REFLECTION),
-        cover=None if cover is None else CoverData(cover, cover, lift, lift, tmap(REFLECTION)),
+        (BoundarySpec("F0", handle=dec.handle, decoration=dec),),
+        bundle_map=exchange,
+        cover=None if cover is None else CoverData(cover, cover, lift, lift, exchange),
     )
 
 

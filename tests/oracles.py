@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import glueforge
+from glueforge.decimalpath import _balanced_ints, _exact_tie_break
 from glueforge.errors import ParseError, ValidationError, clip
 from glueforge.gluing import (
     COMPRESSION_BODY,
@@ -41,8 +42,6 @@ from glueforge.halfplane import (
     TeichPoint,
     Tube,
     TubeSample,
-    _balanced_ints,
-    _exact_tie_break,
     _short_slopes,
     curve_length,
     shortest_slope,
@@ -232,12 +231,12 @@ def scan_shortest_slope(x: float, y: float) -> tuple[int, int]:
 
 # --- decimal-path reference ----------------------------------------------
 #
-# The tubes of halfplane's decimal path recomputed at a fixed precision far
-# above the working precision of every tube the tests give it, by other
-# formulas: the length from cosh d = 1 + |z - w|^2 / (2 y_z y_w) of the
-# rational ends, not from the trace of sigma(mu)^-1 sigma(nu); the samples
-# through the Moebius map that sends the geodesic to the imaginary axis,
-# not through tanh and sech; the shortest slope by reduction into the
+# The tubes of the decimal path (`decimalpath`) recomputed at a fixed
+# precision far above the working precision of every tube the tests give it,
+# by other formulas: the length from cosh d = 1 + |z - w|^2 / (2 y_z y_w) of
+# the rational ends, not from the trace of sigma(mu)^-1 sigma(nu); the
+# samples through the Moebius map that sends the geodesic to the imaginary
+# axis, not through tanh and sech; the shortest slope by reduction into the
 # fundamental domain, not by Lagrange-Gauss.
 
 REFERENCE_DIGITS = 600

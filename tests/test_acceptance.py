@@ -24,11 +24,12 @@ from glueforge.farey import (
     farey_distance,
     farey_geodesic,
 )
-from glueforge.gluing import GluingGraph, Identification, heights, validate_gluing
+from glueforge.gluing import GluingGraph, Identification, validate_gluing
 from glueforge.halfplane import balanced_marking, sigma_matrix, sigma_of_marking, teich_distance
 from glueforge.hypgraph import FiniteGraph
 from glueforge.hyplab import check_qconvex_stability
 from glueforge.ioutil import canonical_dumps
+from glueforge.measures import heights
 from glueforge.model import build_skeleton
 from glueforge.surface import AbstractMarking, marking_distance, sup_projection
 from glueforge.torus import IDENTITY, REFLECTION, Slope, SurfaceMap, intersection_number

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glueforge
-from glueforge import cli, farey, gluing
+from glueforge import cli, farey, gluing, hyplab
 from glueforge.cli import (
     EXIT_FIBERED,
     EXIT_INTERNAL,
@@ -57,6 +57,7 @@ from builders import (
     split_gluing,
     split_spec,
     tmap,
+    twisted,
     twisted_end,
     wrap_cycle_stack,
 )
@@ -192,6 +193,15 @@ def files(tmp_path_factory):
         identifications=graph_pair.identifications,
     )
     out["graph_disks"] = save("graph_disks.json", graph_disks.canonical_json())
+    # a twisted bundle on the graph, with the reflection for its exchange
+    # map and a declared cover
+    w = AbstractMarking(h, (2, 3))
+    graph_twisted = GluingGraph(
+        manifolds=(graph_pair.manifolds[0], twisted("W", w, w, flip)),
+        pieces=(("p0", "c0"), ("w", "W")),
+        identifications=(Identification("p0", "E0", "w", "F0", graph_pair.identifications[0].map),),
+    )
+    out["graph_twisted"] = save("graph_twisted.json", graph_twisted.canonical_json())
 
     # one spec with a torus and a graph boundary, glued along the torus
     mixed = GluingGraph(
@@ -1661,10 +1671,11 @@ MODULES_PROBE = (
 
 # importing dataclasses compiles its generated methods on every cold start,
 # and it loads inspect; records are built without either.  fractions loads
-# decimal and numbers; only the delta, the --denom-bound sweep and the K'
-# of a stack path that detours (neither a geodesic nor a revisit) build
-# one.  A model within 40 bits of precision demand runs in doubles and
-# loads neither; the decimal path of a deeper one (deep30) loads both.  hashlib loads OpenSSL
+# decimal and numbers; only the --denom-bound sweep and the K' of a stack
+# path that detours (neither a geodesic nor a revisit) build one, and
+# hyplab writes its delta from an int.  A model within 40 bits of
+# precision demand runs in doubles and loads neither; the decimal path
+# (decimalpath) of a deeper one (deep30) loads both.  hashlib loads OpenSSL
 # (_hashlib); no command imports it, since the input hash is CPython's
 # builtin SHA-256.  argparse, with the gettext and locale of its messages,
 # reads only help and the lines the plain-line reader leaves to it
@@ -1675,38 +1686,47 @@ HEAVY = {
 EXACT = {"fractions", "decimal"}
 TORUS = {"gluing", "surface", "torus"}
 GRAPH = {"gluing", "surface", "hypgraph"}
+# a JSON report loads its writer, and an OBJ export does not
+JSON = {"ioutil"}
+# the skeleton on the torus in doubles, and on the decimal path
+SKELETON = TORUS | {"halfplane", "model"}
+DECIMAL = SKELETON | {"decimalpath"}
+# the certificate and the collapse read the slot measures
+REPORT = {"certify", "measures"}
+COLLAPSE = {"transforms", "measures"}
 
-# The glueforge modules that a cold run loads besides cli, errors, ioutil
-# and record (the table of the README), and the modules of HEAVY and numpy
+# The glueforge modules that a cold run loads besides cli, errors and
+# record (the table of the README), and the modules of HEAVY and numpy
 # that it loads, by (command line, input name); main's exit code comes
 # first.  No import of cli loads a module of HEAVY or numpy.
 COLD_MODULES = {
-    ("validate", "example:chain"): (EXIT_PASS, TORUS, set()),
-    ("report", "example:chain"): (EXIT_PASS, TORUS | {"farey", "certify"}, set()),
-    ("collapse", "example:stack"): (EXIT_PASS, TORUS | {"farey", "transforms"}, set()),
-    ("decompose", "example:chain"): (EXIT_PASS, TORUS | {"decompose"}, set()),
-    ("model", "example:chain"): (EXIT_PASS, TORUS | {"halfplane", "model"}, set()),
-    ("model --format obj", "example:chain"): (EXIT_PASS, TORUS | {"halfplane", "model"}, set()),
-    ("validate", "example:twisted"): (EXIT_PASS, TORUS, set()),
-    ("decompose", "example:compression"): (EXIT_PASS, TORUS | {"decompose"}, set()),
-    ("model", "example:thin"): (EXIT_PASS, TORUS | {"halfplane", "model"}, set()),
+    ("validate", "example:chain"): (EXIT_PASS, TORUS | JSON, set()),
+    ("report", "example:chain"): (EXIT_PASS, TORUS | JSON | {"farey"} | REPORT, set()),
+    ("collapse", "example:stack"): (EXIT_PASS, TORUS | JSON | {"farey"} | COLLAPSE, set()),
+    ("decompose", "example:chain"): (EXIT_PASS, TORUS | JSON | {"decompose"}, set()),
+    ("model", "example:chain"): (EXIT_PASS, SKELETON | JSON, set()),
+    ("model --format obj", "example:chain"): (EXIT_PASS, SKELETON, set()),
+    ("validate", "example:twisted"): (EXIT_PASS, TORUS | JSON, set()),
+    ("decompose", "example:compression"): (EXIT_PASS, TORUS | JSON | {"decompose"}, set()),
+    ("model", "example:thin"): (EXIT_PASS, SKELETON | JSON, set()),
     # at 38 bits the deepest double-path input of the benchmark (axis7),
     # and one on the decimal path (deep30)
-    ("model", "axis7"): (EXIT_PASS, TORUS | {"halfplane", "model"}, set()),
-    ("model --format obj", "axis7"): (EXIT_PASS, TORUS | {"halfplane", "model"}, set()),
-    ("model", "deep30"): (EXIT_PASS, TORUS | {"halfplane", "model"}, EXACT),
+    ("model", "axis7"): (EXIT_PASS, SKELETON | JSON, set()),
+    ("model --format obj", "axis7"): (EXIT_PASS, SKELETON, set()),
+    ("model", "deep30"): (EXIT_PASS, DECIMAL | JSON, EXACT),
+    ("model --format obj", "deep30"): (EXIT_PASS, DECIMAL, EXACT),
     # a stack path that revisits a vertex runs the pair scan, which needs
     # no more layers than the one-row test of a geodesic path
-    ("collapse", "backtrack"): (EXIT_VERDICT, TORUS | {"farey", "transforms"}, set()),
+    ("collapse", "backtrack"): (EXIT_VERDICT, TORUS | JSON | {"farey"} | COLLAPSE, set()),
     # boundaries on both backends load both layers
-    ("report", "mixed"): (EXIT_VERDICT, TORUS | GRAPH | {"farey", "certify"}, set()),
-    ("validate", "graph_pair"): (EXIT_PASS, GRAPH, set()),
-    ("validate", "graph_stack"): (EXIT_PASS, GRAPH, set()),
-    ("report", "graph_stack"): (EXIT_PASS, GRAPH | {"certify"}, set()),
-    ("collapse", "graph_stack"): (EXIT_PASS, GRAPH | {"transforms"}, set()),
-    ("decompose", "graph_stack"): (EXIT_PASS, GRAPH | {"decompose"}, set()),
-    ("model", "graph_stack"): (EXIT_PASS, GRAPH | {"model"}, set()),
-    ("hyplab", "c6"): (EXIT_PASS, {"hypgraph", "hyplab"}, EXACT),
+    ("report", "mixed"): (EXIT_VERDICT, TORUS | GRAPH | JSON | {"farey"} | REPORT, set()),
+    ("validate", "graph_pair"): (EXIT_PASS, GRAPH | JSON, set()),
+    ("validate", "graph_stack"): (EXIT_PASS, GRAPH | JSON, set()),
+    ("report", "graph_stack"): (EXIT_PASS, GRAPH | JSON | REPORT, set()),
+    ("collapse", "graph_stack"): (EXIT_PASS, GRAPH | JSON | COLLAPSE, set()),
+    ("decompose", "graph_stack"): (EXIT_PASS, GRAPH | JSON | {"decompose"}, set()),
+    ("model", "graph_stack"): (EXIT_PASS, GRAPH | JSON | {"model"}, set()),
+    ("hyplab", "c6"): (EXIT_PASS, JSON | {"hypgraph", "hyplab"}, set()),
 }
 
 
@@ -1721,7 +1741,7 @@ def test_cold_runs_load_only_their_modules(files, tmp_path, command, name):
     outside = HEAVY | {"numpy"}
     expected_code, layers, heavy = COLD_MODULES[command, name]
     assert (int(code), loaded, outside & {*after}) == (
-        expected_code, {"cli", "errors", "ioutil", "record"} | layers, heavy
+        expected_code, {"cli", "errors", "record"} | layers, heavy
     )
     assert outside.isdisjoint(before)
     assert target.stat().st_size > 0
@@ -1750,6 +1770,10 @@ PROCESS_RUNS = {
     # block, and its disk-set echo
     ("model", "graph_self"): EXIT_PASS,
     ("decompose", "graph_disks"): EXIT_PASS,
+    # a twisted bundle on a graph backend: its cover clause, and the
+    # twisted end of a stack
+    ("report", "graph_twisted"): EXIT_PASS,
+    ("collapse", "graph_twisted"): EXIT_VERDICT,
     ("hyplab", "c6"): EXIT_PASS,
     ("validate", "bad"): EXIT_PARSE,
     ("validate", "fixed"): EXIT_INVARIANT,
@@ -2055,7 +2079,7 @@ def test_huge_vertex_count_without_edges_fails_fast(tmp_path):
 def test_hyplab_refuses_a_path_past_its_vertex_cap(tmp_path):
     # before any distance row: a path at the cap takes seconds, and every
     # hyplab input of this suite lies far below it
-    n = cli.MAX_HYPLAB_VERTICES + 1
+    n = hyplab.MAX_HYPLAB_VERTICES + 1
     graph = tmp_path / "path.txt"
     graph.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
     start = time.perf_counter()
@@ -2063,7 +2087,7 @@ def test_hyplab_refuses_a_path_past_its_vertex_cap(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert (proc.returncode, proc.stdout) == (EXIT_INVARIANT, b"")
     assert proc.stderr.decode().splitlines() == [
-        f"invariant violation: hyplab takes at most {cli.MAX_HYPLAB_VERTICES} vertices, got {n}"
+        f"invariant violation: hyplab takes at most {hyplab.MAX_HYPLAB_VERTICES} vertices, got {n}"
     ]
 
 

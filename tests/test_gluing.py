@@ -21,12 +21,12 @@ from glueforge.gluing import (
     GluingGraph,
     Identification,
     SlotMap,
-    heights,
     induced_markings,
     validate_gluing,
 )
 from glueforge.hypgraph import FiniteGraph, cycle_graph, path_graph
 from glueforge.ioutil import canonical_dumps
+from glueforge.measures import heights
 from glueforge.surface import AbstractMarking, BackendHandle, DiskSet
 from glueforge.torus import (
     IDENTITY,

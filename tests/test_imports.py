@@ -1,7 +1,9 @@
 """Every name that a module of the package or of the tests imports at its
-top level is read by that module, and no test module imports another."""
+top level is read by that module, every name that a module of the package
+imports from another exists there, and no test module imports another."""
 
 import ast
+import importlib
 import pathlib
 
 import glueforge
@@ -70,6 +72,58 @@ def test_the_import_check_sees_an_unread_name():
         ("def f():\n    import json", []),
     ):
         assert unread_imports(ast.parse(code)) == unread, code
+
+
+def package_imports(tree: ast.Module) -> list[tuple[int, str, str | None]]:
+    """(line, module, name) of each `from .module import name` of a package
+    module, at any depth: in a function, where it runs only on its path,
+    and under `if TYPE_CHECKING:`, where it never runs, too.  A
+    `from . import module` gives (line, module, None)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                module, name = (node.module, alias.name) if node.module else (alias.name, None)
+                found.add((node.lineno, module, name))
+    return sorted(found, key=lambda f: (f[0], f[1], f[2] or ""))
+
+
+def test_every_package_import_names_an_existing_attribute():
+    # a lazy import fails only when its path runs, and tier-1 seldom runs
+    # some of those paths: the internal-error report, the decimal path
+    missing, lazy = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for line, module, name in package_imports(tree):
+            try:
+                target = importlib.import_module(f"glueforge.{module}")
+            except ImportError:
+                missing.append(f"{path.name} line {line}: no module {module}")
+                continue
+            if name is not None and not hasattr(target, name):
+                missing.append(f"{path.name} line {line}: {module} has no {name}")
+        lazy |= {
+            (path.stem, node.module)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        }
+    assert {("cli", "ioutil"), ("gluing", "ioutil"), ("halfplane", "decimalpath")} <= lazy
+    assert missing == []
+
+
+def test_the_package_import_check_sees_every_form():
+    for code, imports in (
+        ("from .torus import Slope", [(1, "torus", "Slope")]),
+        ("def f():\n    from .ioutil import nothing", [(2, "ioutil", "nothing")]),
+        ("if TYPE_CHECKING:\n    from .halfplane import Tube, TeichPoint", [
+            (2, "halfplane", "TeichPoint"), (2, "halfplane", "Tube")
+        ]),
+        ("from . import farey", [(1, "farey", None)]),
+        ("import json\nfrom json import loads\nfrom glueforge.torus import Slope", []),
+    ):
+        assert package_imports(ast.parse(code)) == imports, code
 
 
 def imported_test_modules(tree: ast.Module) -> list[str]:

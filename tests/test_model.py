@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glueforge import cli, halfplane
+from glueforge import cli, decimalpath, halfplane
+from glueforge.decimalpath import exact_tube_length, exact_tube_samples
 from glueforge.errors import ParseError, ValidationError
 from glueforge.gluing import GluingGraph, Identification, SlotMap
 from glueforge.halfplane import (
@@ -17,8 +18,6 @@ from glueforge.halfplane import (
     TeichPoint,
     balanced_marking,
     curve_length,
-    exact_tube_length,
-    exact_tube_samples,
     precision_demand,
     relative_cf_max_coeff,
     shortest_slope,
@@ -483,7 +482,7 @@ def test_balanced_points_name_their_real_part():
     rng = random.Random(7)
     for _ in range(300):
         g = word([rng.random() < 0.5 for _ in range(rng.randrange(80))])
-        x, s, r = halfplane._balanced_ints(g)
+        x, s, r = decimalpath._balanced_ints(g)
         assert x * x + 1 == r * s and math.gcd(x, s) == 1
 
 

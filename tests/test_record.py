@@ -13,10 +13,10 @@ import glueforge
 from glueforge.certify import check_bounded_combinatorics
 from glueforge.decompose import full_and_maximal_decomposition
 from glueforge.errors import GlueforgeError, ValidationError
-from glueforge.gluing import slot_measures
 from glueforge.halfplane import TeichPoint
 from glueforge.hypgraph import GraphBackend, GraphProjection, cycle_graph
 from glueforge.hyplab import check_qconvex_stability
+from glueforge.measures import slot_measures
 from glueforge.model import build_skeleton, verify_thickness
 from glueforge.record import FrozenRecordError, Record
 from glueforge.surface import BackendHandle

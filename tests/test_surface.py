@@ -110,8 +110,9 @@ BACKEND_KINDS = {"torus", "graph"}
 IMPLEMENTATIONS = {"TorusBackend", "GraphBackend"}
 
 
-# the torus layer: the Farey kernels and the half-plane geometry
-TORUS_LAYER = {"farey", "halfplane"}
+# the torus layer: the Farey kernels and the half-plane geometry with its
+# decimal path
+TORUS_LAYER = {"farey", "halfplane", "decimalpath"}
 
 
 def _backend_tests(tree: ast.AST, allowed: set[ast.AST], torus_layer: bool = False) -> list[str]:

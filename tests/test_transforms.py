@@ -18,10 +18,9 @@ from glueforge.gluing import (
     GluingGraph,
     Identification,
     SlotMap,
-    heights,
-    slot_measures,
 )
 from glueforge.ioutil import canonical_dumps, sha256_of_text
+from glueforge.measures import heights, slot_measures
 from glueforge.surface import (
     AbstractMarking,
     BackendHandle,
@@ -623,6 +622,7 @@ def test_collapse_skew_fibered_chain_composes_the_exchange():
 
 def test_collapse_builds_induced_markings_once(monkeypatch):
     import glueforge.gluing
+    import glueforge.measures
     import glueforge.transforms
 
     calls = []
@@ -632,9 +632,11 @@ def test_collapse_builds_induced_markings_once(monkeypatch):
         calls.append(x)
         return real(x)
 
+    # slot_measures reads induced markings through its own import of the
+    # name; patch gluing's and a direct import in transforms too, should
+    # one come back
     monkeypatch.setattr(glueforge.gluing, "induced_markings", counted)
-    # transforms reads induced markings through gluing; patch a direct
-    # import too, should one come back
+    monkeypatch.setattr(glueforge.measures, "induced_markings", counted)
     monkeypatch.setattr(glueforge.transforms, "induced_markings", counted, raising=False)
     res = collapse_ibundles(example_builders()["stack"](), 6, 1)
     assert calls == [res.collapsed]
