@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BackendMismatchError,
-    EmptyProjectionError,
     GlueforgeError,
     ParseError,
     ValidationError,
@@ -16,5 +15,4 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "BackendMismatchError",
-    "EmptyProjectionError",
 ]

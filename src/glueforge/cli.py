@@ -27,7 +27,7 @@ from typing import Any, Iterator, NoReturn, Sequence
 # Each command imports the layers it runs, so that a cold `hyplab` loads
 # no torus or gluing code and a cold `validate` no collapse or skeleton,
 # and only a JSON report loads its writer (`ioutil`).
-from .errors import GlueforgeError, ParseError, ValidationError, ascii_int
+from .errors import GlueforgeError, ParseError, ValidationError, ascii_float, ascii_int
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -59,7 +59,7 @@ FLAGS: dict[str, tuple[dict[str, Any], tuple]] = {
         ((lambda b: b is None or b >= 1, "denominator bound must be at least 1"),),
     ),
     "eps0": (
-        {"type": float, "default": 0.1},
+        {"type": ascii_float, "default": 0.1},
         ((lambda e: e > 0, "eps0 must be positive"), (lambda e: e < float("inf"), "eps0 must be finite")),
     ),
     "samples": (  # model.DEFAULT_SAMPLES, which a cold report does not import

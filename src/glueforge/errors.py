@@ -26,10 +26,6 @@ class BackendMismatchError(ValidationError):
     """Operation mixing markings or maps over different backends."""
 
 
-class EmptyProjectionError(ValidationError):
-    """Annular projection requested for a slope equal to the annulus core."""
-
-
 class PrecisionLossError(ArithmeticError):
     """A result that no double can hold.
 
@@ -61,6 +57,15 @@ def ascii_int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{clip(text)} is not an integer")
     return int(text)
+
+
+def ascii_float(text: str) -> float:
+    """text as an ASCII spelling that float() takes, without a leading plus;
+    any other spelling float() takes ('+0.3', '0_3', ' 0.3', other scripts'
+    digits) raises ValueError."""
+    if not text.isascii() or text.startswith("+") or "_" in text or text.strip() != text:
+        raise ValueError(f"{clip(text)} is not a number")
+    return float(text)
 
 
 def json_str(value: object, field: str) -> str:

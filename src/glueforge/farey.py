@@ -34,7 +34,7 @@ import math
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .errors import EmptyProjectionError, ValidationError, clip
+from .errors import ValidationError, clip
 from .record import Record
 from .torus import (
     INFINITY,
@@ -54,7 +54,6 @@ __all__ = [
     "farey_distance",
     "distances_from",
     "farey_geodesic",
-    "annular_projection_distance",
     "max_subsurface_projection",
 ]
 
@@ -293,19 +292,6 @@ def farey_geodesic(a: Slope, b: Slope) -> list[Slope]:
         ca, cb, cc, cd = ca * v + cb, ca * sign, cc * v + cd, cc * sign
     path.append(b)
     return path
-
-
-def annular_projection_distance(w: AnnulusLabel, a: Slope, b: Slope) -> int:
-    """Projection distance |floor(a') - floor(b')| + 2 in the w-chart.
-
-    The chart is the canonical normalizer sending the core to infinity;
-    integer translations of the chart cancel in the floor difference, so
-    the value only depends on the orientation-preserving chart choice.
-    """
-    if a == w.core or b == w.core:
-        raise EmptyProjectionError(f"slope equal to the core of {w}")
-    m = normalizer_to_infinity(w.core)
-    return abs(_chart_floor(m, a) - _chart_floor(m, b)) + 2
 
 
 def _spread(floors: list[int | None]) -> int:

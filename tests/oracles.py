@@ -5,9 +5,10 @@ brute-force definitions, so that it shares no code path with the package:
 the Farey oracle builds the mediant tessellation and runs BFS, while the
 production distance is a continued-fraction descent.  The exceptions are
 the reference kernels at the end: the package's former per-target row and
-pivot searches, kept to test their replacements against, and the geodesic
-enumerator that no command uses.  The last section holds the former
-library functions that no command reaches: builders, a reader and
+pivot searches, kept to test their replacements against, its former single
+annular projection, which the projection tests and criterion 6 read, and
+the geodesic enumerator that no command uses.  The last section holds the
+former library functions that no command reaches: builders, a reader and
 checkers that the tests use on package values, and after them the one
 runner of a fresh interpreter.
 """
@@ -425,20 +426,29 @@ def reference_pivot_candidates(m1, m2) -> dict:
     return out
 
 
+def _chart_floor(chart, s) -> int:
+    """floor of the image of slope s, not the chart's core, under chart."""
+    num = chart.a * s.p + chart.b * s.q
+    den = chart.c * s.p + chart.d * s.q
+    return num // den if den > 0 else (-num) // (-den)
+
+
+def annular_projection_distance(w, a, b) -> int:
+    """The package's former single projection: |floor(a') - floor(b')| + 2
+    for slopes a and b other than the core of annulus w, in the canonical
+    chart sending the core to infinity.  Integer translations of the chart
+    cancel in the floor difference, so the value depends only on the
+    orientation-preserving chart choice."""
+    chart = normalizer_to_infinity(w.core)
+    return abs(_chart_floor(chart, a) - _chart_floor(chart, b)) + 2
+
+
 def reference_core_projection(core, neighbour, m1, m2) -> int | None:
     """Max of |floor(a') - floor(b')| + 2 over slope pairs off the core, in
     the canonical chart of the core; None when no pair is left."""
-    from glueforge.torus import normalizer_to_infinity
-
     chart = normalizer_to_infinity(core, neighbour)
-
-    def floor(s):
-        num = chart.a * s.p + chart.b * s.q
-        den = chart.c * s.p + chart.d * s.q
-        return num // den if den > 0 else (-num) // (-den)
-
-    f1 = [floor(x) for x in m1.slopes() if x != core]
-    f2 = [floor(y) for y in m2.slopes() if y != core]
+    f1 = [_chart_floor(chart, x) for x in m1.slopes() if x != core]
+    f2 = [_chart_floor(chart, y) for y in m2.slopes() if y != core]
     if not f1 or not f2:
         return None
     return max(max(f1) - min(f2), max(f2) - min(f1)) + 2

