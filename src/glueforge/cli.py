@@ -41,10 +41,6 @@ EXIT_INTERNAL = 5
 # bound, not the interpreter's int/str digit limit, caps the work.
 MAX_INPUT_BYTES = 1 << 20
 
-# Largest --samples.  A sample costs about 0.05 ms per tube in doubles, and
-# on the decimal path 0.5 ms at axis power 30 and 5 ms at 180.
-MAX_SAMPLES = 10_000
-
 # Every flag some command reads, by its name in the report; the flag is
 # that name after '--', with '-' for '_'.  Each has its argparse settings,
 # which the plain-line reader applies too, and the checks of its value,
@@ -61,13 +57,6 @@ FLAGS: dict[str, tuple[dict[str, Any], tuple]] = {
     "eps0": (
         {"type": ascii_float, "default": 0.1},
         ((lambda e: e > 0, "eps0 must be positive"), (lambda e: e < float("inf"), "eps0 must be finite")),
-    ),
-    "samples": (  # model.DEFAULT_SAMPLES, which a cold report does not import
-        {"type": ascii_int, "default": 9},
-        (
-            (lambda n: n >= 2, "sample count must be at least 2"),
-            (lambda n: n <= MAX_SAMPLES, f"sample count must be at most {MAX_SAMPLES}"),
-        ),
     ),
     "format": ({"choices": ("json", "obj"), "default": "json"}, ()),
 }
@@ -229,7 +218,7 @@ def cmd_model(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
     from .gluing import validate_gluing
     from .model import build_skeleton, export_skeleton, verify_thickness
 
-    skeleton = build_skeleton(validate_gluing(text), samples=args.samples)
+    skeleton = build_skeleton(validate_gluing(text))
     if args.format == "obj":
         return export_skeleton(skeleton), EXIT_PASS
     report = verify_thickness(skeleton, args.eps0)
@@ -260,7 +249,7 @@ COMMANDS = {
     "decompose": ("expand splittings and cut along maximal compressions", (), cmd_decompose),
     "model": (
         "assemble, verify and export the metric skeleton",
-        ("eps0", "samples", "format"),
+        ("eps0", "format"),
         cmd_model,
     ),
     "hyplab": ("measure hyperbolicity and stability on a finite graph", ("R",), cmd_hyplab),

@@ -20,6 +20,7 @@ import pytest
 from glueforge.cli import EXIT_PASS, EXIT_VERDICT, main
 from glueforge.farey import AnnulusLabel, max_subsurface_projection
 from glueforge.gluing import GluingGraph, Identification
+from glueforge.model import build_skeleton, verify_thickness
 from glueforge.torus import INFINITY, REFLECTION, FareyMarking, Slope
 from builders import (
     A,
@@ -76,6 +77,7 @@ def files(tmp_path_factory):
         bundle=core_bundle_core(bundle("B", FIB, FIB), MU, MU),
         cover=covered_twisted_gluing(),
         backtrack=backtracking_stack(),
+        axis8=core_stack_core([8]),
         axis194=core_stack_core([194]),
     )
     out = {}
@@ -184,13 +186,20 @@ def test_collapse_sup_ok_passes_sup_equal_to_twice_R(files, capsys):
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
-def test_thin_thickness_verdict_does_not_depend_on_the_sample_count(files, capsys):
+def test_thickness_verdict_reads_the_exact_minimum_systole(files, capsys):
+    # both tubes of axis power 8 reach systole 0.9457416 between samples,
+    # at -610/377 in the chart of sigma(mu); the default samples read 1.0
+    code, _ = result(capsys, ["model", "--input", files["axis8"], "--eps0", "0.95"])
+    assert code == EXIT_VERDICT
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+def test_thin_thickness_verdict_does_not_depend_on_the_sample_count():
     # the tube's top point has systole 626^(-1/4) = 0.19992, below the
     # floor, but no sample of an even count lands on it
-    argv = ["model", "--input", files["example:thin"], "--eps0", "0.2001"]
+    thin = example_builders()["thin"]()
     for samples in (9, 50, 400):
-        code, _ = result(capsys, [*argv, "--samples", str(samples)])
-        assert code == EXIT_VERDICT, samples
+        assert not verify_thickness(build_skeleton(thin, samples=samples), 0.2001).ok, samples
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
