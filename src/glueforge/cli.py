@@ -3,15 +3,15 @@
 Every command reads one input file, runs the corresponding pipeline, and
 emits a deterministic JSON report carrying the sha256 of the file's bytes
 and the flags the command reads (`COMMANDS`), so identical invocations are
-byte identical.  A command takes only its own flags: any other is a
-usage error.  A plain command line, the command and then distinct
-`--flag value` pairs, is read from the `COMMANDS` and `FLAGS` tables
-without loading argparse; every other line goes to the argparse parser,
-the one author of help and usage errors, which reads a plain line into
-the same fields.  Exit codes are fixed for scripting: 0 pass, 1 verdict
-fail, 2 parse trouble, 3 invariant violation, 4 the all-bundle fibered
-case, 5 internal error (any other exception, reported on one stderr line
-as a fault of glueforge, with the input's sha256).
+byte identical.  One reader takes every command line from the
+`COMMANDS` and `FLAGS` tables: the command, then distinct `--flag value`
+pairs of the flags it takes.  A line with --help or -h prints help
+written from the same tables, and any other line is a usage error, one
+stderr line that names its first bad token.  Exit codes are fixed for
+scripting: 0 pass, 1 verdict fail, 2 parse trouble, 3 invariant
+violation, 4 the all-bundle fibered case, 5 internal error (any other
+exception, reported on one stderr line as a fault of glueforge, with the
+input's sha256).
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ import sys
 import warnings
 from contextlib import contextmanager
 from types import SimpleNamespace
-from typing import Any, Iterator, NoReturn, Sequence
+from typing import Any, Callable, Iterator, NoReturn, Sequence
 
 # Each command imports the layers it runs, so that a cold `hyplab` loads
 # no torus or gluing code and a cold `validate` no collapse or skeleton,
 # and only a JSON report loads its writer (`ioutil`).
-from .errors import GlueforgeError, ParseError, ValidationError, ascii_float, ascii_int
+from .errors import GlueforgeError, ParseError, ValidationError, ascii_float, ascii_int, clip
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -41,93 +41,87 @@ EXIT_INTERNAL = 5
 # bound, not the interpreter's int/str digit limit, caps the work.
 MAX_INPUT_BYTES = 1 << 20
 
+
+def _json_or_obj(text: str) -> str:
+    """The value of --format."""
+    if text not in ("json", "obj"):
+        raise ValueError(text)
+    return text
+
+
 # Every flag some command reads, by its name in the report; the flag is
-# that name after '--', with '-' for '_'.  Each has its argparse settings,
-# which the plain-line reader applies too, and the checks of its value,
-# each with the message of the invariant violation when the value fails
-# it.
-FLAGS: dict[str, tuple[dict[str, Any], tuple]] = {
-    "R": ({"type": ascii_int, "default": 6}, ((lambda r: r >= 1, "R must be at least 1"),)),
-    "D": ({"type": ascii_int, "default": 1}, ((lambda d: d >= 0, "D must be non-negative"),)),
-    "h": ({"type": ascii_int, "default": 1}, ((lambda h: h >= 0, "h must be non-negative"),)),
-    "denom_bound": (
-        {"type": ascii_int, "default": None},
-        ((lambda b: b is None or b >= 1, "denominator bound must be at least 1"),),
-    ),
+# that name after '--', with '-' for '_'.  Each has the reader of its
+# value, which raises ValueError on a spelling it refuses, its default, and
+# the checks of its value, each with the message of the invariant
+# violation when the value fails it.
+FLAGS: dict[str, tuple[Callable[[str], Any], Any, tuple]] = {
+    "R": (ascii_int, 6, ((lambda r: r >= 1, "R must be at least 1"),)),
+    "D": (ascii_int, 1, ((lambda d: d >= 0, "D must be non-negative"),)),
+    "h": (ascii_int, 1, ((lambda h: h >= 0, "h must be non-negative"),)),
+    "denom_bound": (ascii_int, None, ((lambda b: b is None or b >= 1, "denominator bound must be at least 1"),)),
     "eps0": (
-        {"type": ascii_float, "default": 0.1},
+        ascii_float,
+        0.1,
         ((lambda e: e > 0, "eps0 must be positive"), (lambda e: e < float("inf"), "eps0 must be finite")),
     ),
-    "format": ({"choices": ("json", "obj"), "default": "json"}, ()),
+    "format": (_json_or_obj, "json", ()),
 }
 
 
-def _build_parser():
-    """The argparse parser of every command line: a subparser per command,
-    each with the flags that command reads.  Subparsers take no abbreviated
-    flags, so that a flag a command does not read is a usage error even
-    where it begins another (--h and --help).  The only importer of
-    argparse, which with the gettext lookups of its messages costs a cold
-    op about 6 ms."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="glueforge",
-        description="exact decorated-gluing toolkit: validation, certificates,"
-        " collapse, decomposition, model skeletons, graph experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (blurb, reads, _) in COMMANDS.items():
-        cmd = sub.add_parser(name, help=blurb, allow_abbrev=False)
-        cmd.add_argument("--input", required=True, help="input file path")
-        for flag in reads:
-            cmd.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag][0])
-        if name == "collapse":
-            cmd.add_argument(
-                "--emit-correspondence",
-                action="store_true",
-                help="include the stack-to-slot table in the report",
-            )
-        cmd.add_argument("--out", default=None, help="write output here instead of stdout")
-    return parser
+def _options(command: str) -> dict[str, str]:
+    """The flags of a command, in the order of its help, each with the
+    field it sets: --input, the flags it reads, --emit-correspondence on
+    collapse, and --out."""
+    switches = ["emit_correspondence"] if command == "collapse" else []
+    names = ["input", *COMMANDS[command][1], *switches, "out"]
+    return {"--" + name.replace("_", "-"): name for name in names}
 
 
-def _read_plain(argv: Sequence[str]) -> SimpleNamespace | None:
-    """The fields that `_build_parser()` parses from a plain command line:
-    a command, then `--flag value` pairs of the flags it takes and, for
-    collapse, --emit-correspondence, each at most once, with --input among
-    them, no value beginning with '-' and every value passing its flag's
-    type and choices.  None for any other line, which the parser reads: it
-    prints help and every usage error, so this reader reports none."""
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | str:
+    """The fields of a command line: a command, then its flags
+    (`_options`), each at most once and --input among them, each but
+    --emit-correspondence with a value, the next token whatever it begins
+    with, read by its flag's reader.  For any other line, the usage error
+    that names its first bad token."""
     if not argv or argv[0] not in COMMANDS:
-        return None
-    command, reads = argv[0], COMMANDS[argv[0]][1]
-    fields: dict[str, Any] = {"command": command, "input": None}
-    fields.update((flag, FLAGS[flag][0]["default"]) for flag in reads)
-    options = {"--input": "input", "--out": "out"}
-    options.update(("--" + flag.replace("_", "-"), flag) for flag in reads)
-    if command == "collapse":
-        fields["emit_correspondence"] = False
-        options["--emit-correspondence"] = "emit_correspondence"
-    fields["out"] = None
+        named = f"unknown command {clip(argv[0])}" if argv else "no command"
+        return f"{named}; the commands are {', '.join(COMMANDS)}"
+    command, options = argv[0], _options(argv[0])
+    fields = {"command": command, "out": None, "emit_correspondence": False}
+    fields.update((name, FLAGS[name][1]) for name in COMMANDS[command][1])
     tokens = iter(argv[1:])
     for option in tokens:
         name = options.pop(option, None)
+        if name is None:
+            given = option in _options(command)
+            return f"{clip(option)} is given twice" if given else f"{command} does not take {clip(option)}"
         if name == "emit_correspondence":
             fields[name] = True
             continue
         value = next(tokens, None)
-        if name is None or value is None or value.startswith("-"):
-            return None
-        settings = FLAGS[name][0] if name in FLAGS else {}
+        if value is None:
+            return f"{clip(option)} needs a value"
         try:
-            value = settings.get("type", str)(value)
-        except (TypeError, ValueError):
-            return None
-        if value not in settings.get("choices", (value,)):
-            return None
-        fields[name] = value
-    return None if "--input" in options else SimpleNamespace(**fields)
+            fields[name] = FLAGS[name][0](value) if name in FLAGS else value
+        except ValueError:
+            return f"{clip(option)} does not take {clip(value)}"
+    return f"{command} needs --input" if "--input" in options else SimpleNamespace(**fields)
+
+
+def _help(command: str | None) -> str:
+    """The help of a command, or of glueforge for None, from the tables."""
+    if command is None:
+        rows = "".join(f"  {name:<10} {blurb}\n" for name, (blurb, _, _) in COMMANDS.items())
+        return (
+            f"usage: glueforge <command> --input INPUT [--flag value ...] [--out OUT]\n\n{rows}\n"
+            "glueforge <command> --help lists the flags of a command\n"
+        )
+    flags = [
+        flag if name == "emit_correspondence" else f"{flag} {name.upper()}"
+        for flag, name in _options(command).items()
+    ]
+    usage = " ".join([flags[0], *(f"[{flag}]" for flag in flags[1:])])
+    return f"usage: glueforge {command} {usage}\n\n{COMMANDS[command][0]}\n"
 
 
 def _read_input(path: str) -> tuple[bytes, str]:
@@ -248,7 +242,7 @@ COMMANDS = {
     ),
     "decompose": ("expand splittings and cut along maximal compressions", (), cmd_decompose),
     "model": (
-        "assemble, verify and export the metric skeleton",
+        "assemble, verify and export the metric skeleton as json or obj",
         ("eps0", "format"),
         cmd_model,
     ),
@@ -283,14 +277,20 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_plain(argv) or _build_parser().parse_args(argv)
+    if "--help" in argv or "-h" in argv:
+        print(_help(argv[0] if argv[0] in COMMANDS else None), end="")
+        return EXIT_PASS
+    args = _read_argv(argv)
+    if isinstance(args, str):
+        print(f"glueforge: error: {args}", file=sys.stderr)
+        return EXIT_PARSE
     data = None
     try:
         with _any_int_digits(), warnings.catch_warnings():
             warnings.showwarning = _show_warning
             params = {name: getattr(args, name) for name in COMMANDS[args.command][1]}
             for name, value in params.items():
-                for test, message in FLAGS[name][1]:
+                for test, message in FLAGS[name][2]:
                     if not test(value):
                         raise ValidationError(message)
             data, text = _read_input(args.input)
@@ -323,21 +323,18 @@ def entry() -> NoReturn:
     teardown after main() only frees what the process is about to give
     back: a full collection over every tracked object, most of them loaded
     at start-up, and every module.  main() has flushed the report, and
-    leaves the collector alone for in-process callers; entry() flushes what
-    argparse printed.  Stdout is UTF-8 in every locale: a report prints the
-    bytes that --out writes.  So is stderr, where a character UTF-8 cannot
-    encode (an undecodable byte of a path) prints as its backslash escape."""
+    leaves the collector alone for in-process callers; entry() flushes
+    help.  Stdout is UTF-8 in every locale: a report prints the bytes that
+    --out writes.  So is stderr, where a character UTF-8 cannot encode (an
+    undecodable byte of a path) prints as its backslash escape."""
     sys.stdout.reconfigure(encoding="utf-8")
     sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     gc.disable()
-    try:
-        code = main()
-    except SystemExit as exc:  # help or a usage error, from argparse
-        code = exc.code
+    code = main()
     try:
         sys.stdout.flush()
-    except OSError:  # main() reported its report's failed write, and
-        pass  # argparse ignores a failed write of its own
+    except OSError:  # main() reported a report's failed write; help's goes unreported
+        pass
     sys.stderr.flush()
     os._exit(code)
 

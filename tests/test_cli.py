@@ -16,8 +16,6 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import glueforge
 from glueforge import cli, farey, gluing, halfplane, hyplab, model
@@ -88,6 +86,12 @@ def files(tmp_path_factory):
         path.write_text(text)
         return str(path)
 
+    def self_glued(marking: AbstractMarking, mid: str = "c0", glue: SlotMap = tmap(REFLECTION)) -> GluingGraph:
+        """One core whose boundary, decorated by marking, is glued to
+        itself by glue, the reflection by default."""
+        to_self = Identification("p0", "E0", "p0", "E0", glue)
+        return GluingGraph(manifolds=(core(mid, marking),), pieces=(("p0", mid),), identifications=(to_self,))
+
     out = {"dir": root}
     out["chain"] = save("chain.json", core_stack_core([3]).canonical_json())
 
@@ -103,11 +107,7 @@ def files(tmp_path_factory):
 
     # a self-identification by the identity, which no graph can hold: the
     # text of a sound one with its map replaced
-    fixed = GluingGraph(
-        manifolds=(core("c0", MU),),
-        pieces=(("p0", "c0"),),
-        identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
-    ).to_json()
+    fixed = self_glued(MU).to_json()
     fixed["identifications"][0]["map"] = tmap(IDENTITY).to_json()
     out["fixed"] = save("fixed.json", canonical_dumps(fixed))
 
@@ -125,12 +125,7 @@ def files(tmp_path_factory):
     out["thin"] = save("thin.json", thin.canonical_json())
 
     # large gluing heights: a long continued fraction and a deep stack
-    inv1000 = GluingGraph(
-        manifolds=(core("c0", mk("1/1000", "0/1")),),
-        pieces=(("p0", "c0"),),
-        identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
-    )
-    out["inv1000"] = save("inv1000.json", inv1000.canonical_json())
+    out["inv1000"] = save("inv1000.json", self_glued(mk("1/1000", "0/1")).canonical_json())
     out["deep200"] = save("deep200.json", core_stack_core([200]).canonical_json())
     out["deep1000"] = save("deep1000.json", core_stack_core([1000]).canonical_json())
     for name, ks in STACKS.items():
@@ -138,15 +133,20 @@ def files(tmp_path_factory):
     # a 10,001-digit denominator: past the interpreter's default int/str
     # limit, which only the CLI lifts
     with _any_int_digits():
-        huge = GluingGraph(
-            manifolds=(
-                core("c0", AbstractMarking(T, FareyMarking(Slope(1, 10**10000), Slope(0, 1)))),
-            ),
-            pieces=(("p0", "c0"),),
-            identifications=(Identification("p0", "E0", "p0", "E0", tmap(REFLECTION)),),
-        )
+        huge = self_glued(AbstractMarking(T, FareyMarking(Slope(1, 10**10000), Slope(0, 1))))
         out["huge"] = save("huge.json", huge.canonical_json())
     out["deep30"] = save("deep30.json", core_stack_core([30]).canonical_json())
+    # the benchmark's self-glued cores (BENCH_INPUTS): decorated 1/300 and
+    # 1/1000, and (F1002/F1001, F1001/F1000) with F1 = F2 = 1
+    fib = [1, 1]
+    while len(fib) < 1002:
+        fib.append(fib[-2] + fib[-1])
+    for name, base, transversal in (
+        ("inv300", "1/300", "0/1"),
+        ("inv1000", "1/1000", "0/1"),
+        ("fib1000", f"{fib[1001]}/{fib[1000]}", f"{fib[1000]}/{fib[999]}"),
+    ):
+        out[f"bench:{name}"] = save(f"bench-{name}.json", self_glued(mk(base, transversal), "M").canonical_json())
     # 38 bits, the deepest double-path input of the benchmark
     out["axis7"] = save("axis7.json", core_stack_core([7]).canonical_json())
 
@@ -182,12 +182,7 @@ def files(tmp_path_factory):
     # a graph slot glued to itself by the reflection v -> -v, and a
     # compressible graph boundary with its disk set
     flip = SlotMap(h, perm=tuple(-v % 6 for v in range(6)), graph_reversing=True)
-    graph_self = GluingGraph(
-        manifolds=(core("c0", AbstractMarking(h, (0, 1))),),
-        pieces=(("p0", "c0"),),
-        identifications=(Identification("p0", "E0", "p0", "E0", flip),),
-    )
-    out["graph_self"] = save("graph_self.json", graph_self.canonical_json())
+    out["graph_self"] = save("graph_self.json", self_glued(AbstractMarking(h, (0, 1)), glue=flip).canonical_json())
     graph_disks = GluingGraph(
         manifolds=(core("c0", AbstractMarking(h, (0, 1)), disks={0: (3,)}), graph_pair.manifolds[1]),
         pieces=graph_pair.pieces,
@@ -1208,7 +1203,8 @@ UNBURIED = "warning: unburied slot p1:E1 has no free marking; boundary tube omit
 # taking a sample count; the result bytes stayed the same.  The exit
 # codes of the deep and stack pins, the stderr of every pin, and the
 # inv1000 and huge pins were recorded when the four tables of the suite
-# became this one.
+# became this one.  The last four, of the benchmark ops that no reference
+# digest checks, were recorded before help lost its argparse parser.
 COLD_PINS = {
     ("validate", "example:chain"): (0, "a2a597e0eca2cfd4d0c53f1a1948c70f1a9d52807be4b7219f99e971552e0a73", ""),
     ("report", "example:chain"): (0, "c41dc9a61f886de4e6c3bf1ccd81b99047fd12d9fca72eb2bed0b28a142962f4", ""),
@@ -1279,7 +1275,25 @@ COLD_PINS = {
     ("report", "inv1000"): (1, "6a325208ccb8684dde0fb16c48459d5fe74ea83bcbdb3b03717b5c36800cab16", ""),
     ("validate", "huge"): (0, "428e9bb3db32105aa22e8eacb92ffad6b621c8503e6a4eec6de7c1da85c7b132", ""),
     ("report", "huge"): (1, "5c643421238cdf4a7dc4c437f445cdafc27182e74aabdb62fdb7ade7bd85a68a", ""),
+    ("report", "bench:inv300"): (1, "05e5c83a9a32537e7f5966c6310a400fd41acabb89d1315c38227e7229e8bcb7", ""),
+    ("report", "bench:inv1000"): (1, "288d054d16566b8ac9a3b4db85b85a0e6ad149d78c10592bdc55cee0303e030b", ""),
+    ("report", "bench:fib1000"): (0, "3d3d58030661a1d80abee8f3780920c57a8b15f1296c9e92edb4527ad5ca1d5c", ""),
+    ("model", "deep30"): (0, "f7a185d9de484a74d6d78c6abc6ad6d2bfbb49c0246d8c75f5db62a76b76f9c1", ""),
 }
+
+# The sha256 of each input above that a benchmark op reads, by name: that
+# of the seed-1 input in the benchmark's manifest (perfbench/inputs.py)
+BENCH_INPUTS = {
+    "bench:inv300": "46dd15761cce8088c9f4a1dc85bb834fe7c735368e6b82da234f5deec5d2f5dd",
+    "bench:inv1000": "9099fca622750df0974e9609ee62c1e73a4c7842b5d55e7e50f391bf2ef5bf25",
+    "bench:fib1000": "663cb94aec58c634062bf270922ce2017c639b94ebd8f6e66998f58192633ebf",
+    "deep30": "c8d10c3eacf7c03b44be8cf543f70fc8e7b20042cc5adee06de4ad80f7dd59ca",
+}
+
+
+def test_pins_read_the_benchmark_inputs(files):
+    read = {name: hashlib.sha256(pathlib.Path(files[name]).read_bytes()).hexdigest() for name in BENCH_INPUTS}
+    assert read == BENCH_INPUTS
 
 
 # every pin under the caller's hash seed, and each example's pins again
@@ -1466,11 +1480,8 @@ def test_graph_files_are_ascii_integers(capsys, tmp_path, line, spelling):
 )
 def test_integer_flags_are_ascii_integers(files, capsys, command, flag, spelling):
     source = files["c6" if command == "hyplab" else "chain"]
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--input", source, flag, spelling])
-    out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (EXIT_PARSE, "")
-    assert err.splitlines()[-1].startswith(f"glueforge {command}: error: argument {flag}: invalid")
+    code, out, err = run(capsys, [command, "--input", source, flag, spelling])
+    assert (code, out, err) == (EXIT_PARSE, "", f"glueforge: error: '{flag}' does not take {spelling!r}\n")
 
 
 def test_oversized_input_is_a_parse_error(capsys, tmp_path):
@@ -1741,8 +1752,9 @@ MODULES_PROBE = (
 # precision demand runs in doubles and loads neither; the decimal path
 # (decimalpath) of a deeper one (deep30) loads both.  hashlib loads OpenSSL
 # (_hashlib); no command imports it, since the input hash is CPython's
-# builtin SHA-256.  argparse, with the gettext and locale of its messages,
-# reads only help and the lines the plain-line reader leaves to it
+# builtin SHA-256.  argparse loads gettext, and its first message lookup
+# locale; no module imports argparse, and help and usage errors load none
+# of the three
 HEAVY = {
     "dataclasses", "inspect", "fractions", "decimal", "hashlib", "_hashlib",
     "argparse", "gettext", "locale",
@@ -1794,6 +1806,15 @@ COLD_MODULES = {
 }
 
 
+@pytest.mark.parametrize("line", ["--help", "report --help", "bogus", "report --R=3 --input"])
+def test_help_and_usage_errors_load_no_module_of_a_command(files, line):
+    argv = [*line.split(), *[files["chain"]] * line.endswith("--input")]
+    code, *after = cold(["-c", MODULES_PROBE, *argv]).stdout.decode().splitlines()[-1].split()
+    loaded = {m.removeprefix("glueforge.") for m in after if m.startswith("glueforge.")}
+    assert int(code) == (EXIT_PASS if "--help" in argv else EXIT_PARSE)
+    assert loaded <= {"cli", "errors", "record"} and (HEAVY | {"numpy"}).isdisjoint(after)
+
+
 @pytest.mark.parametrize("command, name", list(COLD_MODULES))
 def test_cold_runs_load_only_their_modules(files, tmp_path, command, name):
     target = tmp_path / "out"
@@ -1821,8 +1842,8 @@ def test_cold_runs_load_only_their_modules(files, tmp_path, command, name):
 PROCESS_RUNS = {
     ("validate", "example:twisted"): EXIT_PASS,
     ("report", "example:chain"): EXIT_PASS,
-    # a spelling that only argparse reads
-    ("report --R=6", "example:chain"): EXIT_PASS,
+    # a flag and its value in one token: a usage error
+    ("report --R=6", "example:chain"): EXIT_PARSE,
     ("collapse --emit-correspondence", "example:stack"): EXIT_PASS,
     ("collapse", "example:fibered"): EXIT_FIBERED,
     ("decompose", "example:compression"): EXIT_PASS,
@@ -1859,39 +1880,87 @@ def test_warnings_print_one_line_each(files, capsys):
     assert (code, err) == (EXIT_PASS, UNBURIED)
 
 
-def full_parser_output(capsys, argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of argparse on the parser with every
-    command's arguments, in process: a cold process entry prints the same."""
-    with pytest.raises(SystemExit) as exc:
-        cli._build_parser().parse_args(argv)
-    captured = capsys.readouterr()
-    return exc.value.code, captured.out, captured.err
+# The top-level help, which `--help`, `-h` and a line with --help that
+# names no command print, and the help of each command
+TOP_HELP = """\
+usage: glueforge <command> --input INPUT [--flag value ...] [--out OUT]
+
+  validate   parse a gluing file and check every structural invariant
+  report     certify bounded combinatorics at (R, D)
+  collapse   combine I-bundle stacks and rewire the gluing
+  decompose  expand splittings and cut along maximal compressions
+  model      assemble, verify and export the metric skeleton as json or obj
+  hyplab     measure hyperbolicity and stability on a finite graph
+
+glueforge <command> --help lists the flags of a command
+"""
+HELP = {
+    "validate": "--input INPUT [--out OUT]\n\nparse a gluing file and check every structural invariant\n",
+    "report": "--input INPUT [--R R] [--D D] [--denom-bound DENOM_BOUND] [--out OUT]\n\n"
+    "certify bounded combinatorics at (R, D)\n",
+    "collapse": "--input INPUT [--R R] [--h H] [--denom-bound DENOM_BOUND] [--emit-correspondence] [--out OUT]\n\n"
+    "combine I-bundle stacks and rewire the gluing\n",
+    "decompose": "--input INPUT [--out OUT]\n\nexpand splittings and cut along maximal compressions\n",
+    "model": "--input INPUT [--eps0 EPS0] [--format FORMAT] [--out OUT]\n\n"
+    "assemble, verify and export the metric skeleton as json or obj\n",
+    "hyplab": "--input INPUT [--R R] [--out OUT]\n\nmeasure hyperbolicity and stability on a finite graph\n",
+}
+ALL_COMMANDS = "; the commands are validate, report, collapse, decompose, model, hyplab"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--help"],
-        ["report", "--help"],
-        ["collapse", "--help"],
-        ["bogus"],
-        [],
-        ["report"],
-        ["report", "--input", "x.json", "--bogus"],
-        ["model", "--input", "x.json", "--eps0", "many"],
-        ["hyplab", "--input", "x.txt", "--emit-correspondence"],
-        ["--R", "3", "report", "--input", "x.json"],
-        ["validate", "--help"],
-        ["decompose", "--help"],
-        ["model", "--help"],
-        ["hyplab", "--help"],
-    ],
-)
-def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
-    proc = cold([*CLI, *argv])
-    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == full_parser_output(
-        capsys, argv
-    )
+def usage(message: str) -> tuple[int, str, str]:
+    return EXIT_PARSE, "", f"glueforge: error: {message}\n"
+
+
+# Help, usage errors and flag values that fail their checks, by command
+# line (split at spaces): the exit code, stdout and stderr.  A usage error
+# names the first bad token, and --R=3, -- and a repeated flag are usage
+# errors.
+USAGE_LINES = {
+    "--help": (EXIT_PASS, TOP_HELP, ""),
+    "-h": (EXIT_PASS, TOP_HELP, ""),
+    "bogus --input x.json --help": (EXIT_PASS, TOP_HELP, ""),
+    **{f"{command} --help": (EXIT_PASS, f"usage: glueforge {command} {text}", "") for command, text in HELP.items()},
+    "report --input x.json --R 3 -h": (EXIT_PASS, "usage: glueforge report " + HELP["report"], ""),
+    "": usage("no command" + ALL_COMMANDS),
+    "bogus": usage("unknown command 'bogus'" + ALL_COMMANDS),
+    "bogus --input x.json": usage("unknown command 'bogus'" + ALL_COMMANDS),
+    "--R 3 report --input x.json": usage("unknown command '--R'" + ALL_COMMANDS),
+    "report": usage("report needs --input"),
+    "report --R 3": usage("report needs --input"),
+    "report --input x.json --bogus": usage("report does not take '--bogus'"),
+    "report --input x.json --R=3": usage("report does not take '--R=3'"),
+    "report --inp x.json": usage("report does not take '--inp'"),
+    "report --input x.json --denom_bound 5": usage("report does not take '--denom_bound'"),
+    "report --input x.json -- --R 3": usage("report does not take '--'"),
+    "hyplab --input x.txt --emit-correspondence": usage("hyplab does not take '--emit-correspondence'"),
+    "hyplab --input x.json --format obj": usage("hyplab does not take '--format'"),
+    "report --input x.json --input y.json": usage("'--input' is given twice"),
+    "report --input x.json --R 3 --R 4": usage("'--R' is given twice"),
+    "collapse --input x.json --emit-correspondence --emit-correspondence": usage("'--emit-correspondence' is given twice"),
+    "report --input x.json --R": usage("'--R' needs a value"),
+    "model --input x.json --format xyz": usage("'--format' does not take 'xyz'"),
+    "model --input x.json --eps0 many": usage("'--eps0' does not take 'many'"),
+    # a value is the next token, whatever it begins with
+    "report --input x.json --R -1": (EXIT_INVARIANT, "", "invariant violation: R must be at least 1\n"),
+    "model --input x.json --eps0 -0.5": (EXIT_INVARIANT, "", "invariant violation: eps0 must be positive\n"),
+}
+
+
+@pytest.mark.parametrize("line", list(USAGE_LINES))
+def test_help_and_usage_errors_are_pinned(capsys, line):
+    # in process through main, and from the cold process entry
+    code, out, err = run(capsys, line.split())
+    assert (code, out, err) == USAGE_LINES[line]
+    proc = cold([*CLI, *line.split()])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+@pytest.mark.parametrize("extra", [["--" + "x" * 99998], ["--R", "x" * 100000]])
+def test_long_bad_tokens_are_cut_in_usage_errors(files, capsys, extra):
+    code, out, err = run(capsys, ["report", "--input", files["chain"], *extra])
+    assert (code, out, err.count("\n")) == (EXIT_PARSE, "", 1)
+    assert len(err) < 200 and "... (100002 chars)" in err
 
 
 def help_flags(text: str) -> list[str]:
@@ -1931,24 +2000,16 @@ def test_each_command_takes_only_the_flags_it_reads(files, capsys, command):
     reads = ["--" + name.replace("_", "-") for name in DEFAULT_PARAMS[command]]
     if command == "collapse":
         reads.append("--emit-correspondence")
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert (exc.value.code, command in capsys.readouterr().out) == (EXIT_PASS, True)
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--help"])
-    assert exc.value.code == EXIT_PASS
-    assert help_flags(capsys.readouterr().out) == ["--input", *reads, "--out"]
+    code, out, _ = run(capsys, [command, "--help"])
+    assert code == EXIT_PASS
+    assert help_flags(out) == ["--input", *reads, "--out"]
     # any other flag is a usage error, as an unknown flag is, even one
     # that begins a flag the command takes (--h and --help)
     for flag, value in ALL_FLAGS.items():
         if flag in reads:
             continue
         argv = [command, "--input", source, flag, *([] if value is None else [value])]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        out, err = capsys.readouterr()
-        assert (exc.value.code, out) == (EXIT_PARSE, ""), argv
-        assert err.splitlines()[-1].startswith("glueforge: error: unrecognized arguments: " + flag)
+        assert run(capsys, argv) == usage(f"{command} does not take '{flag}'"), argv
     code, out, _ = run(capsys, [command, "--input", source])
     assert code == EXIT_PASS
     assert list(envelope(out)["params"].items()) == list(DEFAULT_PARAMS[command].items())
@@ -1956,103 +2017,39 @@ def test_each_command_takes_only_the_flags_it_reads(files, capsys, command):
 
 def test_model_takes_no_sample_count(files, capsys):
     # every tube is sampled at the model's one count; a sample count on the
-    # command line is a usage error, which the plain reader leaves to argparse
+    # command line is a usage error
     assert list(cli.FLAGS) == ["R", "D", "h", "denom_bound", "eps0", "format"]
     argv = ["model", "--input", files["thin"], "--samples", "9"]
-    assert cli._read_plain(argv) is None
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (EXIT_PARSE, "")
-    assert err.splitlines()[-1] == "glueforge: error: unrecognized arguments: --samples 9"
+    assert run(capsys, argv) == usage("model does not take '--samples'")
     code, out, _ = run(capsys, argv[:3])
     tubes = envelope(out)["result"]["skeleton"]["tubes"]
     assert code == EXIT_PASS
     assert [len(t["samples"]) for t in tubes if not t["degenerate"]] == [DEFAULT_SAMPLES]
 
 
-# The tokens of the command lines that the plain-line reader is held to
-# argparse on: the commands and a name that is none; every flag that some
-# command takes or refuses, the deleted --samples, which both refuse, and
-# spellings that only argparse reads (--R=3, an abbreviation, -h, --);
-# values that a flag takes or refuses
-LINE_COMMANDS = [*cli.COMMANDS, "bogus"]
-LINE_FLAGS = ["--input", "--out", *ALL_FLAGS, "--samples", "--denom_bound", "--inp", "--R=3", "-h", "--"]
-LINE_VALUES = ["x.json", "3", "-1", "", "1_0", "0.3", "obj", "json", "nan", "inf", "--", "-h"]
-
-
-@st.composite
-def command_lines(draw) -> list[str]:
-    """A command, then --input and some other flags it takes, shuffled,
-    each with the value `ALL_FLAGS` gives it; one token in four is
-    replaced by a token of its kind, and one line in two gets one more
-    token at a random place.  About one line in five stays plain."""
-
-    def mostly(token: str, others: list[str]) -> str:
-        return draw(st.sampled_from(others)) if draw(st.integers(0, 3)) == 0 else token
-
-    command = draw(st.sampled_from([*cli.COMMANDS]))
-    takes = ["--out", *("--" + name.replace("_", "-") for name in DEFAULT_PARAMS[command])]
-    if command == "collapse":
-        takes.append("--emit-correspondence")
-    flags = draw(st.permutations(["--input", *draw(st.lists(st.sampled_from(takes), unique=True))]))
-    argv = [mostly(command, LINE_COMMANDS)]
-    for flag in flags:
-        argv.append(mostly(flag, LINE_FLAGS))
-        if flag != "--emit-correspondence":
-            argv.append(mostly(ALL_FLAGS.get(flag, "x.json"), LINE_VALUES))
-    if draw(st.booleans()):
-        token = draw(st.sampled_from([*LINE_COMMANDS, *LINE_FLAGS, *LINE_VALUES]))
-        argv.insert(draw(st.integers(0, len(argv))), token)
-    return argv
-
-
-@settings(max_examples=1000, deadline=None)
-@given(command_lines())
-def test_plain_lines_read_as_the_full_parser_reads_them(argv):
-    # wherever the reader takes a line, argparse takes it too and gives the
-    # same fields; repr, so that a NaN --eps0 equals itself and the types
-    # count (1 is not 1.0, nor True)
-    plain = cli._read_plain(argv)
-    if plain is not None:
-        assert repr(vars(plain)) == repr(vars(cli._build_parser().parse_args(argv)))
-
-
-# the shapes of the benchmark ops and example command lines, which the
-# reader takes, then help, usage errors and the spellings that argparse
-# alone reads, which it leaves to the parser
+# The shapes of the benchmark ops and example command lines, each with
+# the fields that the reader gives it besides the command's defaults
+# (DEFAULT_PARAMS, input x.json, no --out, no --emit-correspondence)
 PLAIN_LINES = [
-    ["validate", "--input", "x.json"],
-    ["report", "--R", "3", "--input", "x.json", "--D", "0", "--denom-bound", "5"],
-    ["collapse", "--emit-correspondence", "--input", "x.json", "--h", "2", "--out", "o"],
-    ["model", "--input", "x.json", "--eps0", "nan", "--format", "obj"],
-    ["hyplab", "--out", "", "--input", "x.json", "--R", "3"],
-]
-PARSER_LINES = [
-    ["report", "--help"],
-    ["report"],
-    ["report", "--R", "3"],
-    ["report", "--input", "x.json", "--input", "y.json"],
-    ["report", "--input", "x.json", "--R=3"],
-    ["report", "--inp", "x.json"],
-    ["report", "--input", "x.json", "--denom_bound", "5"],
-    ["report", "--input", "x.json", "--R", "-1"],
-    ["report", "--input", "x.json", "--", "--R", "3"],
-    ["collapse", "--input", "x.json", "--emit-correspondence", "--emit-correspondence"],
-    ["model", "--input", "x.json", "--format", "xyz"],
-    ["model", "--input", "x.json", "--eps0", "many"],
-    ["hyplab", "--input", "x.json", "--format", "obj"],
-    ["bogus", "--input", "x.json"],
-    ["--R", "3", "report", "--input", "x.json"],
+    (["validate", "--input", "x.json"], {}),
+    (["report", "--R", "3", "--input", "x.json", "--D", "0", "--denom-bound", "5"], {"R": 3, "D": 0, "denom_bound": 5}),
+    (["collapse", "--emit-correspondence", "--input", "x.json", "--h", "2", "--out", "o"],
+     {"h": 2, "emit_correspondence": True, "out": "o"}),
+    (["model", "--input", "x.json", "--eps0", "nan", "--format", "obj"], {"eps0": float("nan"), "format": "obj"}),
+    (["hyplab", "--out", "", "--input", "x.json", "--R", "3"], {"out": "", "R": 3}),
+    # a value is the next token, whatever it begins with
+    (["report", "--input", "-1", "--D", "-1"], {"input": "-1", "D": -1}),
 ]
 
 
-@pytest.mark.parametrize("argv", [*PLAIN_LINES, *PARSER_LINES])
-def test_only_plain_lines_skip_the_full_parser(argv):
-    plain = cli._read_plain(argv)
-    assert (plain is None) == (argv in PARSER_LINES)
-    if plain is not None:
-        assert repr(vars(plain)) == repr(vars(cli._build_parser().parse_args(argv)))
+@pytest.mark.parametrize("argv, fields", PLAIN_LINES)
+def test_plain_lines_read_their_fields(argv, fields):
+    # repr, so that a NaN --eps0 equals itself and the types count (1 is
+    # not 1.0, nor True)
+    unset = {"command": argv[0], "input": "x.json", "out": None, "emit_correspondence": False}
+    want = {**unset, **DEFAULT_PARAMS[argv[0]], **fields}
+    read = vars(cli._read_argv(argv))
+    assert {name: repr(value) for name, value in read.items()} == {name: repr(value) for name, value in want.items()}
 
 
 def test_main_leaves_the_collector_alone(files, capsys):
