@@ -19,7 +19,6 @@ from __future__ import annotations
 import gc
 import os
 import sys
-import warnings
 from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator, NoReturn, Sequence
@@ -213,6 +212,8 @@ def cmd_model(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
     from .model import build_skeleton, export_skeleton, verify_thickness
 
     skeleton = build_skeleton(validate_gluing(text))
+    for p, b in skeleton.omitted:
+        print(f"warning: unburied slot {p}:{b} has no free marking; boundary tube omitted", file=sys.stderr)
     if args.format == "obj":
         return export_skeleton(skeleton), EXIT_PASS
     report = verify_thickness(skeleton, args.eps0)
@@ -229,9 +230,10 @@ def cmd_hyplab(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
 # Each command: its help line, the flags it reads, in the order its report
 # echoes them, and its runner, which maps the parsed command line, whose
 # flags `main` has checked against `FLAGS`, and the input's text to the
-# report's `result` (or the text of an OBJ export) and the exit code.  Every
-# command also takes --input and --out, and collapse --emit-correspondence,
-# which its report does not echo.
+# report's `result` (or the text of an OBJ export) and the exit code; model
+# also writes a stderr line per boundary tube it omits.  Every command also
+# takes --input and --out, and collapse --emit-correspondence, which its
+# report does not echo.
 COMMANDS = {
     "validate": ("parse a gluing file and check every structural invariant", (), cmd_validate),
     "report": ("certify bounded combinatorics at (R, D)", ("R", "D", "denom_bound"), cmd_report),
@@ -252,10 +254,10 @@ COMMANDS = {
 
 @contextmanager
 def _any_int_digits() -> Iterator[None]:
-    """Lift CPython's int/str digit limit (4,300 digits by default) while a
-    command runs: slopes may have any number of digits, and the input
-    bound caps the work.  The old limit comes back for an in-process
-    caller."""
+    """Lift CPython's int/str digit limit (4,300 digits by default) while
+    the CLI reads a command line and runs its command: flags and slopes may
+    have any number of digits, and the input bound caps the work.  The old
+    limit comes back for an in-process caller."""
     get = getattr(sys, "get_int_max_str_digits", None)
     if get is None:  # interpreters without the limit
         yield
@@ -268,26 +270,19 @@ def _any_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(saved)
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """One line per warning, without the source line that the default
-    format reads from the caller's file."""
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if "--help" in argv or "-h" in argv:
         print(_help(argv[0] if argv[0] in COMMANDS else None), end="")
         return EXIT_PASS
-    args = _read_argv(argv)
-    if isinstance(args, str):
-        print(f"glueforge: error: {args}", file=sys.stderr)
-        return EXIT_PARSE
-    data = None
-    try:
-        with _any_int_digits(), warnings.catch_warnings():
-            warnings.showwarning = _show_warning
+    with _any_int_digits():
+        args = _read_argv(argv)
+        if isinstance(args, str):
+            print(f"glueforge: error: {args}", file=sys.stderr)
+            return EXIT_PARSE
+        data = None
+        try:
             params = {name: getattr(args, name) for name in COMMANDS[args.command][1]}
             for name, value in params.items():
                 for test, message in FLAGS[name][2]:
@@ -300,19 +295,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             else:
                 _emit_report(args, params, data, result)
             return code
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except GlueforgeError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except Exception as exc:
-        # the input's hash, so that a fault report names what it ran on
-        from .ioutil import sha256_of_bytes
+        except ParseError as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except GlueforgeError as exc:
+            print(f"invariant violation: {exc}", file=sys.stderr)
+            return EXIT_INVARIANT
+        except Exception as exc:
+            # the input's hash, so that a fault report names what it ran on
+            from .ioutil import sha256_of_bytes
 
-        where = "" if data is None else f"; input sha256 {sha256_of_bytes(data)}"
-        print(f"internal error: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
-        return EXIT_INTERNAL
+            where = "" if data is None else f"; input sha256 {sha256_of_bytes(data)}"
+            print(f"internal error: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
+            return EXIT_INTERNAL
 
 
 def entry() -> NoReturn:

@@ -317,13 +317,16 @@ def _marking_pair_projection(core: Slope, m1: FareyMarking, m2: FareyMarking) ->
 # past it the search raises before it builds a slope, and the CLI exits 3.
 MAX_SWEEP_CANDIDATES = 250_000
 
+# How far the sweep window reaches past the marking slopes' values.
+SWEEP_PAD = 2
 
-def _sweep_candidates(values: list[Fraction], denom_bound: int, pad: int = 2) -> list[Slope]:
+
+def _sweep_candidates(values: list[Fraction], denom_bound: int) -> list[Slope]:
     """All slopes with denominator <= denom_bound in the padded value window.
     The window, at least 4 wide, holds at least 4q - 1 fractions of each
     denominator q, so counting them stops past the cap within 360 steps."""
-    lo = min(values) - pad
-    hi = max(values) + pad
+    lo = min(values) - SWEEP_PAD
+    hi = max(values) + SWEEP_PAD
     count = 1
     for q in range(1, denom_bound + 1):
         count += math.floor(hi * q) - math.ceil(lo * q) + 1

@@ -18,7 +18,6 @@ JSON that `glueforge model` prints inside its report envelope, and
 from __future__ import annotations
 
 import math
-import warnings
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError, clip
@@ -114,13 +113,16 @@ class PieceBlock(Record):
 class ModelSkeleton(Record):
     """Piece blocks plus one tube per identification, with free-marking
     boundary tubes appended; incidence lists the tubes' slot pairs in the
-    same order the tubes are stored."""
+    same order the tubes are stored.  omitted lists the unburied slots
+    without a free marking, whose boundary tubes are left out; the JSON
+    does not carry it."""
 
     pieces: tuple[PieceBlock, ...]
     tubes: tuple[TubeBlock, ...]
     incidence: tuple[tuple[str, str], ...]
     total_tube_length: float
     min_sampled_systole: float | None
+    omitted: tuple[Slot, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -144,8 +146,8 @@ def build_skeleton(
     Every identification produces exactly one tube between the induced
     balanced points of its two sides (a self-identification produces the
     quotient tube with the involution recorded).  Unburied slots holding a
-    free marking get a boundary tube; without one the tube is omitted with
-    a warning.
+    free marking get a boundary tube; without one the tube is omitted and
+    the slot listed in `omitted`.
     """
     blocks = []
     for pid, _ in x.pieces:
@@ -154,6 +156,7 @@ def build_skeleton(
         blocks.append(PieceBlock(pid, anchors))
 
     tubes: list[TubeBlock] = []
+    omitted: list[Slot] = []
     for ident in x.identifications:
         slot = ident.slot_a
         # a self-identification pairs the slot with itself through its map
@@ -168,12 +171,7 @@ def build_skeleton(
             continue
         free = x.lam(slot)
         if free is None:
-            warnings.warn(
-                f"unburied slot {_slot_name(slot)} has no free marking;"
-                " boundary tube omitted",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            omitted.append(slot)
             continue
         mu = x.decoration(slot)
         geometry = mu.handle.tube(mu.payload, free.payload, samples)
@@ -189,6 +187,7 @@ def build_skeleton(
         ),
         total_tube_length=math.fsum(g.length for g in geometric),
         min_sampled_systole=min(sampled) if sampled else None,
+        omitted=tuple(omitted),
     )
 
 

@@ -937,6 +937,12 @@ def load_skeleton(data: bytes | str) -> ModelSkeleton:
     return _skeleton_from_json(obj)
 
 
+def unmarked_slots(x: GluingGraph) -> tuple:
+    """The unburied slots of x without a free marking, in slot order: those
+    whose boundary tubes a skeleton omits."""
+    return tuple(s for s in x.slots() if not x.is_buried(s) and x.lam(s) is None)
+
+
 _CLAIMS = ("geodesic", "local-quasigeodesic", "quasigeodesic")
 
 

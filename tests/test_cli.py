@@ -262,7 +262,7 @@ def test_validate_lists_unburied_slots(files, capsys):
 
 def test_envelope_hashes_input_and_records_params(files, capsys):
     # each command echoes the flags it reads, in the order of cli.COMMANDS
-    text = open(files["chain"]).read()
+    text = pathlib.Path(files["chain"]).read_text()
     for argv, params in (
         (["validate"], []),
         (["report", "--denom-bound", "5", "--R", "7", "--D", "2"], [("R", 7), ("D", 2), ("denom_bound", 5)]),
@@ -1168,7 +1168,7 @@ def test_internal_fault_has_its_own_exit_code(files, capsys, monkeypatch):
     code, out, err = run(capsys, ["validate", "--input", files["chain"]])
     assert code == EXIT_INTERNAL
     assert out == ""
-    digest = sha256_of_text(open(files["chain"]).read())
+    digest = sha256_of_text(pathlib.Path(files["chain"]).read_text())
     assert err == f"internal error: RuntimeError: boom; input sha256 {digest}\n"
 
 
@@ -1296,27 +1296,32 @@ def test_pins_read_the_benchmark_inputs(files):
     assert read == BENCH_INPUTS
 
 
-# every pin under the caller's hash seed, and each example's pins again
-# under two fixed seeds: no printed byte may depend on the order of a set
-# of strings
+# Interpreter settings that no printed byte may depend on: warnings as
+# errors, dev mode, -O and the lowest digit limit CPython allows
+ADVERSE = {"PYTHONWARNINGS": "error", "PYTHONDEVMODE": "1", "PYTHONOPTIMIZE": "1", "PYTHONINTMAXSTRDIGITS": "640"}
+EXAMPLE_PINS = [pin for pin in COLD_PINS if pin[1].startswith("example:")]
+
+# every pin under the caller's environment; each example's pins again
+# under two fixed hash seeds, so that no printed byte depends on the order
+# of a set of strings, and under ADVERSE; and the pins with a stderr line
+# with warnings ignored, which must not drop that line
 PIN_RUNS = [
-    *(pytest.param(command, name, None, id=f"{command}-{name}") for command, name in COLD_PINS),
-    *(
-        pytest.param(command, name, seed, id=f"{command}-{name}-PYTHONHASHSEED={seed}")
-        for seed in ("0", "1")
-        for command, name in COLD_PINS
-        if name.startswith("example:")
-    ),
+    pytest.param(command, name, env, id="-".join([command, name, *(f"{k}={v}" for k, v in env.items())]))
+    for env, (command, name) in [
+        *(({}, pin) for pin in COLD_PINS),
+        *(({"PYTHONHASHSEED": seed}, pin) for seed in ("0", "1") for pin in EXAMPLE_PINS),
+        *((ADVERSE, pin) for pin in EXAMPLE_PINS),
+        *(({"PYTHONWARNINGS": "ignore"}, pin) for pin in COLD_PINS if COLD_PINS[pin][2]),
+    ]
 ]
 
 
-@pytest.mark.parametrize("command, name, hash_seed", PIN_RUNS)
-def test_cold_command_bytes_pinned(files, large_graph_files, command, name, hash_seed):
+@pytest.mark.parametrize("command, name, env", PIN_RUNS)
+def test_cold_command_bytes_pinned(files, large_graph_files, command, name, env):
     # a cold interpreter, as a user runs it: no warm caches, real stderr,
     # and stdout buffered, so that bytes the process entry fails to flush
     # are missing bytes
     path = {**files, **large_graph_files}[name]
-    env = {} if hash_seed is None else {"PYTHONHASHSEED": hash_seed}
     proc = cold([*CLI, *command.split(), "--input", path], **env)
     code, digest, stderr = COLD_PINS[command, name]
     assert (proc.returncode, proc.stderr.decode()) == (code, stderr)
@@ -1395,7 +1400,7 @@ def test_large_heights_finish_with_a_report(files, capsys, command, name):
     assert (code, err) == (COLD_PINS[command, name][0], "")
     obj = envelope(out)
     assert obj["command"] == command
-    assert obj["input_sha256"] == sha256_of_text(open(files[name]).read())
+    assert obj["input_sha256"] == sha256_of_text(pathlib.Path(files[name]).read_text())
 
 
 def test_main_restores_the_digit_limit(files, capsys):
@@ -1404,10 +1409,17 @@ def test_main_restores_the_digit_limit(files, capsys):
     assert code in (EXIT_PASS, EXIT_VERDICT)
     assert len(out) > 10000
     assert sys.get_int_max_str_digits() == saved
+    # a flag longer than the limit reads too: main reads the command line
+    # under the lifted limit
+    nines = "9" * 4301
+    code, out, _ = run(capsys, ["report", "--input", files["chain"], "--R", nines])
+    assert code in (EXIT_PASS, EXIT_VERDICT)
+    assert json.loads(out, parse_int=str)["params"]["R"] == nines
+    assert sys.get_int_max_str_digits() == saved
 
 
 def test_long_bad_values_are_cut_in_parse_errors(files, capsys, tmp_path):
-    text = open(files["inv1000"]).read().replace('"1/1000"', '"1/' + "9" * 10000 + 'x"')
+    text = pathlib.Path(files["inv1000"]).read_text().replace('"1/1000"', '"1/' + "9" * 10000 + 'x"')
     assert len(text) > 10000
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -3,7 +3,6 @@
 import json
 import math
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -55,7 +54,15 @@ from builders import (
     push,
     tmap,
 )
-from oracles import CLI, cold, load_skeleton, reference_balanced_marking, reference_tube, systole
+from oracles import (
+    CLI,
+    cold,
+    load_skeleton,
+    reference_balanced_marking,
+    reference_tube,
+    systole,
+    unmarked_slots,
+)
 
 
 def core_axis_core(k: int, left=None, right=None) -> GluingGraph:
@@ -321,9 +328,8 @@ def double_path_inputs() -> list[GluingGraph]:
 def test_decimal_path_agrees_with_the_double_path_within_38_bits():
     seen = 0
     for x in double_path_inputs():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # free slots without lambda
-            sk = build_skeleton(x)
+        sk = build_skeleton(x)
+        assert sk.omitted == unmarked_slots(x)
         for tube in sk.tubes:
             if tube.combinatorial or demand(tube) > PRECISION_BITS:
                 continue  # the stack example's last tube has 55 bits
@@ -363,10 +369,9 @@ def reference_cases() -> list[tuple[SurfaceMap, SurfaceMap]]:
         xs.append(self_glued(push(word([rng.random() < 0.5 for _ in range(24)])), involution))
     out = []
     for x in xs:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            tubes = build_skeleton(x, samples=2).tubes
-            out += [t.geometry.ends for t in tubes if not t.combinatorial]
+        sk = build_skeleton(x, samples=2)
+        assert sk.omitted == unmarked_slots(x)
+        out += [t.geometry.ends for t in sk.tubes if not t.combinatorial]
     return out
 
 
@@ -409,8 +414,9 @@ def test_skeleton_boundary_tube_and_missing_marking_warning():
     tube = sk.tubes[0]
     assert tube.kind == "boundary" and tube.name == "p0:E0--free"
     assert tube.geometry.sigma_b.z == pytest.approx(complex(50.0, 1.0), rel=1e-9)
-    with pytest.warns(RuntimeWarning, match="boundary tube omitted"):
-        bare = build_skeleton(single_free(MU, None))
+    assert sk.omitted == ()
+    bare = build_skeleton(single_free(MU, None))
+    assert bare.omitted == (("p0", "E0"),)
     assert bare.tubes == ()
     assert bare.min_sampled_systole is None
 
@@ -562,9 +568,10 @@ def test_export_json_schema_and_split_recorded():
 
 
 def test_export_piece_without_tubes():
-    with pytest.warns(RuntimeWarning):
-        sk = build_skeleton(single_free(MU, None))
+    sk = build_skeleton(single_free(MU, None))
+    assert sk.omitted == (("p0", "E0"),)
     obj = sk.to_json()
+    assert "omitted" not in obj
     assert len(obj["pieces"]) == 1
     assert obj["tubes"] == []
 

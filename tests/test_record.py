@@ -5,7 +5,6 @@ built here from the same annotations, defaults and methods."""
 import dataclasses
 import importlib
 import pkgutil
-import warnings
 
 import pytest
 
@@ -32,7 +31,7 @@ from builders import (
     tmap,
     twisted_end,
 )
-from oracles import CompressionStep, PathWitness, build_compression
+from oracles import CompressionStep, PathWitness, build_compression, unmarked_slots
 
 for _info in pkgutil.iter_modules(glueforge.__path__):
     importlib.import_module(f"glueforge.{_info.name}")
@@ -108,9 +107,8 @@ def samples() -> dict:
                 roots.append(run())
             except GlueforgeError:
                 pass
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # free slots without lambda
-            skeleton = build_skeleton(x, samples=3)
+        skeleton = build_skeleton(x, samples=3)
+        assert skeleton.omitted == unmarked_slots(x)
         roots.extend((skeleton, verify_thickness(skeleton, 0.1)))
     stack = example_builders()["stack"]()
     roots.extend((_resolve_stack(stack, ["p1", "p2", "p3"]), split_spec()))
