@@ -111,18 +111,6 @@ class CombinatoricsCertificate(Record):
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def slot(self, piece: str, bdry: str) -> SlotReport:
-        for entry in self.slots:
-            if entry.piece == piece and entry.boundary == bdry:
-                return entry
-        raise ValidationError(f"certificate has no slot {piece}:{bdry}")
-
-    def piece(self, piece: str) -> PieceReport:
-        for entry in self.pieces:
-            if entry.piece == piece:
-                return entry
-        raise ValidationError(f"certificate has no piece {piece}")
-
     def to_json(self) -> dict:
         return {
             "schema": "certificate/1",

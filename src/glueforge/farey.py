@@ -51,7 +51,6 @@ if TYPE_CHECKING:  # fractions loads decimal: only the --denom-bound sweep reads
 
 __all__ = [
     "AnnulusLabel",
-    "farey_distance",
     "distances_from",
     "farey_geodesic",
     "max_subsurface_projection",
@@ -84,11 +83,6 @@ def _chart_image(m: SurfaceMap, b: Slope) -> tuple[int, int]:
 def _chart_floor(m: SurfaceMap, b: Slope) -> int:
     num, den = _chart_image(m, b)
     return num // den
-
-
-def farey_distance(a: Slope, b: Slope) -> int:
-    """Exact distance in the Farey graph."""
-    return distances_from(a, (b,))[0]
 
 
 def distances_from(

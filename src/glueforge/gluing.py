@@ -179,7 +179,7 @@ class BoundarySpec(Record):
         return out
 
     @staticmethod
-    def from_json(obj: object, graphs: dict | None = None) -> "BoundarySpec":
+    def from_json(obj: object, graphs: dict) -> "BoundarySpec":
         if not isinstance(obj, Mapping) or "id" not in obj:
             raise ParseError("boundary spec must be an object with an id")
         bid = json_str(obj["id"], "boundary id")
@@ -381,7 +381,7 @@ class DecoratedManifoldSpec(Record):
         return out
 
     @staticmethod
-    def from_json(obj: object, graphs: dict | None = None) -> "DecoratedManifoldSpec":
+    def from_json(obj: object, graphs: dict) -> "DecoratedManifoldSpec":
         if not isinstance(obj, Mapping) or "id" not in obj or "kind" not in obj:
             raise ParseError("manifold spec must declare an id and a kind")
         mid = json_str(obj["id"], "manifold id")
@@ -429,7 +429,8 @@ def _piece_specs(
     manifolds: Sequence[DecoratedManifoldSpec], pieces: Sequence[tuple[str, str]]
 ) -> dict[str, DecoratedManifoldSpec]:
     """Each piece's spec, once the manifold ids and the piece ids are each
-    unique and every piece names a manifold."""
+    unique, no piece id holds the `:` that ends the piece part of a slot
+    name, and every piece names a manifold."""
     specs = {m.id: m for m in manifolds}
     if len(specs) != len(manifolds):
         raise ValidationError("duplicate manifold id")
@@ -437,6 +438,8 @@ def _piece_specs(
         raise ValidationError("duplicate piece id")
     out = {}
     for pid, mid in pieces:
+        if ":" in pid:
+            raise ValidationError(f"piece id {clip(pid)} contains ':'")
         spec = specs.get(mid)
         if spec is None:
             raise ValidationError(f"piece {pid} references unknown manifold {mid}")
@@ -598,7 +601,8 @@ class GluingGraph(Record):
         self.full  # checks each declared splitting
 
     def validate(self) -> "GluingGraph":
-        """Self: a graph was checked when it was built."""
+        """Self: a graph was checked when it was built.  The benchmark's
+        input writer, `perfbench/inputs.py`, calls it."""
         return self
 
     @cached_property
@@ -682,12 +686,10 @@ def _no_constant(text: str) -> NoReturn:
     raise ParseError(f"malformed gluing spec: {text} is not a number")
 
 
-def validate_gluing(source: str | Mapping) -> GluingGraph:
-    """Parse a gluing spec, given as JSON text or as its decoded mapping,
-    and check every structural invariant; returns the canonical in-memory
-    graph."""
-    if isinstance(source, Mapping):
-        return GluingGraph.from_json(source)
+def validate_gluing(source: str) -> GluingGraph:
+    """Parse a gluing spec from JSON text and check every structural
+    invariant; returns the canonical in-memory graph.  A decoded mapping
+    goes to `GluingGraph.from_json`."""
     if not isinstance(source, str):
         raise ParseError(f"cannot read a gluing spec from {type(source).__name__}")
     try:

@@ -31,9 +31,7 @@ __all__ = [
     "GraphBackend",
     "GraphProjection",
     "geodesic_interval",
-    "path_graph",
     "cycle_graph",
-    "complete_graph",
 ]
 
 
@@ -410,13 +408,5 @@ class GraphBackend(Record):
     tube = sigma
 
 
-def path_graph(n: int) -> FiniteGraph:
-    return FiniteGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def cycle_graph(n: int) -> FiniteGraph:
     return FiniteGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> FiniteGraph:
-    return FiniteGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])

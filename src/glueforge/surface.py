@@ -106,7 +106,7 @@ class BackendHandle(Protocol):
         return GraphBackend(graph, named, tuple(projections))
 
     @staticmethod
-    def from_json(obj: object, graphs: dict | None = None) -> BackendHandle:
+    def from_json(obj: object, graphs: dict) -> BackendHandle:
         """Parse a backend declaration.  graphs, shared across the
         declarations of one file, maps (n, edges) to the graph parsed for
         it, so that equal declarations share one FiniteGraph and its
@@ -120,7 +120,7 @@ class BackendHandle(Protocol):
             raise ParseError(f"unknown backend kind {clip(kind)}")
         from .hypgraph import GraphBackend
 
-        return GraphBackend.from_json(obj, {} if graphs is None else graphs)
+        return GraphBackend.from_json(obj, graphs)
 
 
 def _require_same(a: BackendHandle, b: BackendHandle) -> None:

@@ -156,7 +156,7 @@ class SurfaceMap(Record):
         s = self.det
         return SurfaceMap(s * self.d, -s * self.b, -s * self.c, s * self.a)
 
-    def compose(self, other: "SurfaceMap") -> "SurfaceMap":
+    def __matmul__(self, other: "SurfaceMap") -> "SurfaceMap":
         """self after other (matrix product self * other)."""
         return SurfaceMap(
             self.a * other.a + self.b * other.c,
@@ -164,9 +164,6 @@ class SurfaceMap(Record):
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def __matmul__(self, other: "SurfaceMap") -> "SurfaceMap":
-        return self.compose(other)
 
     def power(self, n: int) -> "SurfaceMap":
         if n < 0:

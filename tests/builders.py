@@ -1,11 +1,12 @@
 """The gluings that tier-1 tests share, built in one place: torus
 constants and markings, cores, trivial, twisted and skew I-bundles,
-compression bodies, chains and stacks of them, seeded map words, and the
-builders of scripts/make_example_gluings.py.  A test module imports its
-shared helpers from here and its references from oracles.py, never from
-another test module."""
+compression bodies, chains and stacks of them, seeded map words, path and
+complete graphs, and the builders of scripts/make_example_gluings.py.  A
+test module imports its shared helpers from here and its references from
+oracles.py, never from another test module."""
 
 import importlib.util
+import json
 import pathlib
 import random
 import sys
@@ -24,7 +25,7 @@ from glueforge.gluing import (
     Identification,
     SlotMap,
 )
-from glueforge.hypgraph import cycle_graph
+from glueforge.hypgraph import FiniteGraph, cycle_graph
 from glueforge.surface import AbstractMarking, BackendHandle, DiskSet
 from glueforge.torus import IDENTITY, REFLECTION, FareyMarking, Slope, SurfaceMap, parse_slope
 
@@ -64,6 +65,14 @@ core_stack_core = EXAMPLE_GLUINGS.core_stack_core
 
 T_MAP = SurfaceMap(1, 1, 0, 1)
 L_MAP = SurfaceMap(1, 0, 1, 1)
+
+
+def path_graph(n: int) -> FiniteGraph:
+    return FiniteGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete_graph(n: int) -> FiniteGraph:
+    return FiniteGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def mk(base: str, transversal: str) -> AbstractMarking:
@@ -288,16 +297,32 @@ def random_cycle_stack(rng: random.Random, n: int, k: int) -> GluingGraph:
     return chain(*specs, core("MR", end()), maps=[flip] * (k + 1))
 
 
+# the decorations of graph_stack, which its backend declares by name
+GRAPH_STACK_MARKINGS = {"left": (0, 1), "f0": (3, 4), "f1": (8, 9), "right": (6, 7)}
+
+
 def graph_stack() -> GluingGraph:
-    """A core, a trivial I-bundle and a core over C_12, glued by v -> -v."""
-    h = BackendHandle.finite_graph(cycle_graph(12))
+    """A core, a trivial I-bundle and a core over C_12, glued by v -> -v;
+    every backend declares GRAPH_STACK_MARKINGS."""
+    h = BackendHandle.finite_graph(cycle_graph(12), GRAPH_STACK_MARKINGS)
     flip = SlotMap(h, perm=tuple(-v % 12 for v in range(12)))
 
-    def edge(*vertices: int) -> AbstractMarking:
-        return AbstractMarking(h, vertices)
+    def edge(name: str) -> AbstractMarking:
+        return AbstractMarking(h, GRAPH_STACK_MARKINGS[name])
 
-    b = bundle("B0", edge(3, 4), edge(9, 8), flip)
-    return chain(core("ML", edge(0, 1)), b, core("MR", edge(6, 7)), maps=[flip, flip])
+    b = bundle("B0", edge("f0"), edge("f1"), flip)
+    return chain(core("ML", edge("left")), b, core("MR", edge("right")), maps=[flip, flip])
+
+
+def graph_stack_by_name() -> str:
+    """The JSON text of graph_stack with each decoration written as its
+    name in the markings table, {"name": ...}, in place of its vertices."""
+    obj = graph_stack().to_json()
+    names = {vs: name for name, vs in GRAPH_STACK_MARKINGS.items()}
+    for manifold in obj["manifolds"]:
+        for b in manifold["boundaries"]:
+            b["decoration"] = {"name": names[tuple(b["decoration"]["vertices"])]}
+    return json.dumps(obj)
 
 
 def split_spec() -> tuple[DecoratedManifoldSpec, ...]:

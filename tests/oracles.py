@@ -870,7 +870,7 @@ def _tube_block_from_json(obj: object) -> TubeBlock:
         involution = None
         if "involution" in obj:
             blob = obj["involution"]
-            handle = BackendHandle.from_json(blob["backend"])
+            handle = BackendHandle.from_json(blob["backend"], {})
             involution = SlotMap.from_json(handle, blob["map"])
         geometry = None
         if not obj["combinatorial"]:

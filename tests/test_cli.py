@@ -49,6 +49,7 @@ from builders import (
     core_stack_core,
     example_builders,
     graph_stack,
+    graph_stack_by_name,
     mk,
     push,
     skew_bundle,
@@ -593,6 +594,33 @@ def test_input_checks_name_their_fault(files, capsys, tmp_path, name):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(edit(chain_example(files))))
     assert run(capsys, ["validate", "--input", str(bad)]) == (code, "", f"{prefix}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "name, old, new, piece",
+    [
+        ("example:thin", '"p0', '"a:b', "a:b"),
+        ("example:chain", '"p0', '"a:b', "a:b"),
+        # a part of a split piece p0 is the piece p0/<sub-piece id>
+        ("split", '"core"', '"c:ore"', "p0/c:ore"),
+    ],
+    ids=["thin", "chain", "split"],
+)
+def test_a_piece_id_holds_no_colon(files, capsys, tmp_path, name, old, new, piece):
+    # a slot name is piece:boundary, read up to its first colon: a piece
+    # a:b could carry no free marking, and every slot name printed for it
+    # would be ambiguous
+    text = pathlib.Path(files[name]).read_text()
+    bad = tmp_path / "colon.json"
+    bad.write_text(text.replace(old, new))
+    line = f"invariant violation: piece id '{piece}' contains ':'\n"
+    for command in ("validate", "report", "collapse", "decompose", "model"):
+        assert run(capsys, [command, "--input", str(bad)]) == (EXIT_INVARIANT, "", line), command
+    # a boundary id may hold one, in a lambda key too (thin's p0:E:1): the
+    # piece part ends at the first colon
+    ok = tmp_path / "boundary.json"
+    ok.write_text(text.replace('E0"', 'E:0"').replace('E1"', 'E:1"'))
+    assert run(capsys, ["validate", "--input", str(ok)])[0] == EXIT_PASS
 
 
 def test_bare_toroidal_boundary_is_valid(files, capsys, tmp_path):
@@ -1666,6 +1694,22 @@ def test_a_graph_backend_checks_its_declared_data(capsys, tmp_path, backend, mes
     for argv in (["validate"], ["report", "--R", "6"]):
         code, out, err = run_gluing(capsys, tmp_path, c6_pair(**backend), argv)
         assert (code, out, err) == (EXIT_INVARIANT, "", f"invariant violation: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "report", "collapse", "decompose", "model"])
+def test_a_named_graph_marking_reads_as_its_vertices(capsys, tmp_path, command):
+    # graph_stack with its decorations written as vertices and as names
+    # from the markings table that every backend declares
+    by_name = graph_stack_by_name()
+    assert '"decoration": {"name": "left"}' in by_name
+    results = []
+    for form, text in (("vertices", graph_stack().canonical_json()), ("name", by_name)):
+        path = tmp_path / f"{form}.json"
+        path.write_text(text)
+        code, out, err = run(capsys, [command, "--input", str(path)])
+        results.append((code, envelope(out)["result"], err))
+    assert results[0] == results[1]
+    assert results[0][0] == EXIT_PASS
 
 
 @pytest.mark.parametrize("key", ["disk_records", "annulus_records"])

@@ -7,10 +7,15 @@ import re
 
 import pytest
 
-from glueforge.certify import check_bounded_combinatorics
+from glueforge.certify import (
+    CombinatoricsCertificate,
+    PieceReport,
+    SlotReport,
+    check_bounded_combinatorics,
+)
 from glueforge.cli import main
 from glueforge.errors import BackendMismatchError, ParseError, ValidationError
-from glueforge.farey import farey_distance
+from glueforge.farey import distances_from
 from glueforge.gluing import (
     COMPRESSION_BODY,
     GENERIC,
@@ -25,7 +30,7 @@ from glueforge.gluing import (
     induced_markings,
     validate_gluing,
 )
-from glueforge.hypgraph import FiniteGraph, cycle_graph, path_graph
+from glueforge.hypgraph import FiniteGraph, cycle_graph
 from glueforge.ioutil import canonical_dumps
 from glueforge.measures import heights
 from glueforge.surface import AbstractMarking, BackendHandle, DiskSet
@@ -52,6 +57,7 @@ from builders import (
     graph_stack,
     mk,
     on_core,
+    path_graph,
     rand_word,
     random_cycle_stack,
     random_torus_stack,
@@ -68,6 +74,18 @@ def two_piece_gluing(psi: SurfaceMap, mu0=MU, mu1=MU) -> GluingGraph:
         pieces=(("p0", "M0"), ("p1", "M1")),
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(psi)),),
     )
+
+
+def slot_report(cert: CombinatoricsCertificate, piece: str, bdry: str) -> SlotReport:
+    """The certificate's one entry for the slot piece:bdry."""
+    (entry,) = [s for s in cert.slots if (s.piece, s.boundary) == (piece, bdry)]
+    return entry
+
+
+def piece_report(cert: CombinatoricsCertificate, piece: str) -> PieceReport:
+    """The certificate's one entry for the piece."""
+    (entry,) = [p for p in cert.pieces if p.piece == piece]
+    return entry
 
 
 # ------------------------------------------------------ boundary specs
@@ -370,12 +388,6 @@ CONSTRUCTOR_RULES = {
     "twisted piece p2 must be terminal in a stack": lambda: combine_stack(
         chain(core("ML", MU), bundle("B", MU, MU), twisted("W", MU)), ["p2", "p1"], 1, 6
     ),
-    "certificate has no slot p9:E0": lambda: check_bounded_combinatorics(
-        two_piece_gluing(REFLECTION), 6, 1, 1
-    ).slot("p9", "E0"),
-    "certificate has no piece p9": lambda: check_bounded_combinatorics(
-        two_piece_gluing(REFLECTION), 6, 1, 1
-    ).piece("p9"),
 }
 
 
@@ -393,7 +405,7 @@ def test_induced_reflection_fixes_base_marking():
     table = induced_markings(x)
     assert table[("p1", "E0")] == MU
     assert table[("p0", "E0")] == MU
-    assert check_bounded_combinatorics(x, 6, 0).slot("p0", "E0").nu_source == "psi"
+    assert slot_report(check_bounded_combinatorics(x, 6, 0), "p0", "E0").nu_source == "psi"
 
 
 def test_induced_composite_map_example():
@@ -416,8 +428,8 @@ def test_unburied_slots_take_lambda_or_are_empty():
     assert table[("p0", "E1")] == lam
     assert [slot for slot, m in table.items() if m is None] == [("p1", "E1")]
     cert = check_bounded_combinatorics(x, 6, 0)
-    assert cert.slot("p0", "E1").nu_source == "lambda"
-    assert cert.slot("p1", "E1").nu_source == "empty"
+    assert slot_report(cert, "p0", "E1").nu_source == "lambda"
+    assert slot_report(cert, "p1", "E1").nu_source == "empty"
 
 
 def test_heights_frozen_values():
@@ -452,7 +464,7 @@ def test_certificate_frozen_pass():
     x = two_piece_gluing(SurfaceMap(13, 8, 8, 5) @ REFLECTION)
     cert = check_bounded_combinatorics(x, 6, 3, denom_bound=64)
     assert cert.passed
-    s0 = cert.slot("p0", "E0")
+    s0 = slot_report(cert, "p0", "E0")
     assert s0.height == 3 and s0.clause_a_ok and s0.height_ok
     assert s0.projection is not None and s0.projection.certified
     # regression pin: the certified sweep reports a maximal annular
@@ -474,7 +486,7 @@ def test_certificate_self_gluing_reflection():
     assert heights(x)[("p0", "E0")] == 0
     cert = check_bounded_combinatorics(x, 6, 1)
     assert not cert.passed
-    entry = cert.slot("p0", "E0")
+    entry = slot_report(cert, "p0", "E0")
     assert entry.clause_a_ok and entry.height_ok is False
     assert check_bounded_combinatorics(x, 6, 0).passed
 
@@ -497,15 +509,15 @@ def test_clause_b_meridian_inequality():
     height = heights(x)[("p0", "E0")]
     assert height == 3
     cert2 = check_bounded_combinatorics(x, 2, 0)
-    entry = cert2.slot("p0", "E0")
+    entry = slot_report(cert2, "p0", "E0")
     assert entry.clause_b == (3, 0, False)
     assert not cert2.passed
     # at R=3 the meridian clause clears but the annular coefficients
     # (pinned: 8 at p0, 7 at p1) keep clause (a) failing until R=8
     cert3 = check_bounded_combinatorics(x, 3, 0)
-    assert cert3.slot("p0", "E0").clause_b == (3, 0, True)
-    assert cert3.slot("p0", "E0").projection.value == 8
-    assert cert3.slot("p1", "E0").projection.value == 7
+    assert slot_report(cert3, "p0", "E0").clause_b == (3, 0, True)
+    assert slot_report(cert3, "p0", "E0").projection.value == 8
+    assert slot_report(cert3, "p1", "E0").projection.value == 7
     assert not cert3.passed
     assert check_bounded_combinatorics(x, 8, 0).passed
 
@@ -517,17 +529,17 @@ def test_clause_c_bundle_geodesic():
     fib = mk("55/34", "89/55")
     b = bundle("B", fib, fib)
     x = core_bundle_core(b, MU, MU)
-    d_expected = min(farey_distance(s, Slope(0, 1)) for s in fib.elements())
+    d_expected = min(distances_from(s, [Slope(0, 1)])[0] for s in fib.elements())
     assert d_expected >= 2
     cert = check_bounded_combinatorics(x, 1, 0)
-    report = cert.piece("b").clause_c
+    report = piece_report(cert, "b").clause_c
     assert report is not None
     assert report.distance_0 == d_expected
     assert report.distance_1 == d_expected
     assert not report.ok
     assert not cert.passed
     wide = check_bounded_combinatorics(x, d_expected, 0)
-    assert wide.piece("b").clause_c.ok
+    assert piece_report(wide, "b").clause_c.ok
 
 
 def test_clause_c_missing_induced_marking():
@@ -537,23 +549,25 @@ def test_clause_c_missing_induced_marking():
         pieces=(("p0", "ML"), ("b", "B")),
         identifications=(Identification("p0", "E0", "b", "F0", tmap(REFLECTION)),),
     )
-    report = check_bounded_combinatorics(x, 3, 0).piece("b").clause_c
+    report = piece_report(check_bounded_combinatorics(x, 3, 0), "b").clause_c
     assert report is not None and not report.ok
     assert "missing induced marking" in report.detail
 
 
 def test_clause_d_twisted_cover():
-    missing = check_bounded_combinatorics(on_core(twisted("W", MU), "M0"), 3, 0).piece("w").clause_d
+    missing_cert = check_bounded_combinatorics(on_core(twisted("W", MU), "M0"), 3, 0)
+    missing = piece_report(missing_cert, "w").clause_d
     assert missing is not None and not missing.ok
     assert missing.detail == "cover data missing"
     tw_covered = twisted("W", MU, MU)
-    report = check_bounded_combinatorics(on_core(tw_covered, "M0"), 1, 0).piece("w").clause_d
+    covered_cert = check_bounded_combinatorics(on_core(tw_covered, "M0"), 1, 0)
+    report = piece_report(covered_cert, "w").clause_d
     assert report is not None and report.ok
     assert report.distance_0 == 0 and report.distance_1 == 0
     assert "double cover" in report.detail
     # alone and without lambda, the covered bundle has no induced marking
     lone = GluingGraph(manifolds=(tw_covered,), pieces=(("w", "W"),), identifications=())
-    unmarked = check_bounded_combinatorics(lone, 1, 0).piece("w").clause_d
+    unmarked = piece_report(check_bounded_combinatorics(lone, 1, 0), "w").clause_d
     assert unmarked is not None and not unmarked.ok
     assert unmarked.detail == "missing induced marking on F0"
 
@@ -578,12 +592,12 @@ def test_clause_e_record_coverage():
         )
 
     bare = check_bounded_combinatorics(build(()), 3, 0)
-    report = bare.piece("p0")
+    report = piece_report(bare, "p0")
     assert not report.clause_e_ok
     assert "disk(E1)" in report.clause_e_detail
     assert not bare.passed
     covered = check_bounded_combinatorics(build(((("p0", "E1"), MU),)), 3, 0)
-    assert covered.piece("p0").clause_e_ok
+    assert piece_report(covered, "p0").clause_e_ok
     assert covered.passed
 
 
@@ -597,8 +611,8 @@ def test_empty_nu_skips_height_gate():
         identifications=(Identification("p0", "E0", "p1", "E0", tmap(REFLECTION)),),
     )
     cert = check_bounded_combinatorics(x, 6, 3)
-    assert cert.slot("p0", "E1").height is None
-    assert cert.slot("p0", "E1").height_ok is None
+    assert slot_report(cert, "p0", "E1").height is None
+    assert slot_report(cert, "p0", "E1").height_ok is None
     assert cert.passed
 
 
@@ -615,7 +629,7 @@ def test_graph_backend_gluing_and_unmodeled_caveat():
     assert heights(x)[("p1", "E0")] == 0
     cert = check_bounded_combinatorics(x, 2, 0)
     assert cert.passed
-    entry = cert.slot("p1", "E0")
+    entry = slot_report(cert, "p1", "E0")
     assert entry.projection.unmodeled and entry.projection.value == 0
     assert any("projection table" in c for c in cert.caveats)
 
@@ -682,7 +696,7 @@ def test_decoded_mappings_take_only_integers():
         identifications=(Identification("p0", "E0", "p1", "E0", SlotMap(h, perm=(0, 5, 4, 3, 2, 1))),),
     ).canonical_json()
     torus_text = two_piece_gluing(REFLECTION).canonical_json()
-    assert validate_gluing(json.loads(graph_text)) == validate_gluing(graph_text)
+    assert GluingGraph.from_json(json.loads(graph_text)) == validate_gluing(graph_text)
     backend = ("manifolds", 0, "boundaries", 0, "backend")
     edits = [
         (torus_text, ("identifications", 0, "map", 0, 0), 1.0),
@@ -704,7 +718,7 @@ def test_decoded_mappings_take_only_integers():
             target = target[key]
         target[last] = value
         with pytest.raises(ParseError):
-            validate_gluing(obj)
+            GluingGraph.from_json(obj)
 
 
 def test_each_graph_map_is_checked_once(monkeypatch):
@@ -751,7 +765,7 @@ def test_relabel_naturality():
     assert ty[("right", "E0")] == tx[("p1", "E0")]
     cx = check_bounded_combinatorics(x, 6, 3)
     cy = check_bounded_combinatorics(y, 6, 3)
-    assert cy.slot("left", "E0").height == cx.slot("p0", "E0").height
+    assert slot_report(cy, "left", "E0").height == slot_report(cx, "p0", "E0").height
     assert cy.verdict == cx.verdict
     with pytest.raises(ValidationError, match="not a bijection"):
         relabel(x, {"p0": "p1"})
@@ -876,8 +890,8 @@ def test_height_and_certificate_action_invariance():
         cx = check_bounded_combinatorics(x, 4, 1)
         cy = check_bounded_combinatorics(y, 4, 1)
         assert cx.verdict == cy.verdict
-        sx = cx.slot(pid, bid)
-        sy = cy.slot(pid, bid)
+        sx = slot_report(cx, pid, bid)
+        sy = slot_report(cy, pid, bid)
         assert sx.height == sy.height
         assert sx.clause_b == sy.clause_b
         if sx.projection is None:
@@ -1008,25 +1022,28 @@ def test_unread_manifold_keys_are_dropped():
     obj = x.to_json()
     obj["manifolds"][0]["jsj"] = [{"id": "st0", "type": "solidtorus"}]
     obj["manifolds"][0]["window_frames"] = {"E9": 1}
-    y = validate_gluing(obj)
+    y = GluingGraph.from_json(obj)
     assert y == x and y.canonical_json() == x.canonical_json()
 
 
 def test_validate_gluing_sources(tmp_path):
     x = full_featured_gluing()
     assert validate_gluing(x.canonical_json()) == x
-    assert validate_gluing(x.to_json()) == x
+    assert GluingGraph.from_json(x.to_json()) == x
     with pytest.raises(ParseError, match="malformed"):
         validate_gluing("{not json")
     with pytest.raises(ParseError):
         validate_gluing('{"manifolds": [{"id": "M"}]}')
-    # a path is no source: a string is JSON text, and a path object is refused
+    # a path is no source: a string is JSON text, and a path object is
+    # refused, as is a decoded mapping, which GluingGraph.from_json reads
     path = tmp_path / "gluing.json"
     path.write_text(x.canonical_json(), encoding="utf-8")
     with pytest.raises(ParseError, match="malformed"):
         validate_gluing(str(path))
     with pytest.raises(ParseError, match="cannot read a gluing spec"):
         validate_gluing(path)
+    with pytest.raises(ParseError, match="^cannot read a gluing spec from dict$"):
+        validate_gluing({})
 
 
 def test_certificate_reproducibility_bit_identical():
@@ -1053,5 +1070,5 @@ def test_twisted_bundle_spec_json_round_trip():
         bundle_map=tmap(SurfaceMap(0, 1, 1, 0)),
         cover=cover,
     )
-    again = DecoratedManifoldSpec.from_json(tw.to_json())
+    again = DecoratedManifoldSpec.from_json(tw.to_json(), {})
     assert again == tw

@@ -16,13 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from glueforge.errors import ParseError, ValidationError
-from glueforge.hypgraph import (
-    FiniteGraph,
-    complete_graph,
-    cycle_graph,
-    geodesic_interval,
-    path_graph,
-)
+from glueforge.hypgraph import FiniteGraph, cycle_graph, geodesic_interval
 from glueforge.hyplab import (
     _far_apart_pairs,
     _widest_gap,
@@ -31,6 +25,7 @@ from glueforge.hyplab import (
     quasiconvexity_constant,
     read_graph,
 )
+from builders import complete_graph, path_graph
 from oracles import PathWitness
 
 

@@ -1,6 +1,7 @@
 """Every name that a module of the package or of the tests imports at its
-top level is read by that module, every name that a module of the package
-imports from another exists there, and no test module imports another."""
+top level is read by that module, every name that a module of the package,
+of the benchmark or of the scripts imports from the package exists there,
+and no test module imports another."""
 
 import ast
 import importlib
@@ -124,6 +125,103 @@ def test_the_package_import_check_sees_every_form():
         ("import json\nfrom json import loads\nfrom glueforge.torus import Slope", []),
     ):
         assert package_imports(ast.parse(code)) == imports, code
+
+
+def absolute_imports(tree: ast.Module, package: str) -> list[tuple[int, str, str]]:
+    """(line, module, name) of each `from package[.module] import name` of
+    a module, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module is not None:
+            if node.module == package or node.module.startswith(f"{package}."):
+                found |= {(node.lineno, node.module, alias.name) for alias in node.names}
+    return sorted(found)
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    """The names a module body binds, inside its if and try blocks too:
+    the names a `from module import name` of it can reach."""
+    names = set()
+    blocks = [tree.body]
+    while blocks:
+        for node in blocks.pop():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            elif isinstance(node, (ast.If, ast.Try)):
+                blocks += [node.body, node.orelse, *(h.body for h in getattr(node, "handlers", ()))]
+    return names
+
+
+def missing_names(imports: list[tuple[int, str, str]], has) -> list[str]:
+    """The imports whose name has(module, name) does not find."""
+    return [f"line {line}: {module} has no {name}" for line, module, name in imports if not has(module, name)]
+
+
+def glueforge_has(module: str, name: str) -> bool:
+    """Whether `from module import name` finds an attribute or a submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_benchmark_and_script_imports_name_existing_attributes():
+    # perfbench/ runs only in CI's benchmark steps: a name it imports that
+    # the package lost would fail there first.  The files are read, never
+    # run.
+    root = TESTS.parent
+    script = root / "scripts" / "make_example_gluings.py"
+    script_names = top_level_names(ast.parse(script.read_text(), str(script)))
+    missing, checked = {}, 0
+    for path in [*sorted((root / "perfbench").glob("*.py")), *sorted((root / "scripts").glob("*.py"))]:
+        tree = ast.parse(path.read_text(), str(path))
+        package = absolute_imports(tree, "glueforge")
+        example = absolute_imports(tree, "make_example_gluings")
+        checked += len(package) + len(example)
+        found = missing_names(package, glueforge_has)
+        found += missing_names(example, lambda module, name: name in script_names)
+        if found:
+            missing[f"{path.parent.name}/{path.name}"] = found
+    assert checked >= 30
+    assert missing == {}
+
+
+def test_the_benchmark_import_check_sees_a_missing_name():
+    tree = ast.parse(
+        "from glueforge.hypgraph import FiniteGraph, cycle_graph, path_graph\n"
+        "def f():\n    from glueforge import cli\n"
+        "from make_example_gluings import EXAMPLES, core, nothing\n"
+        "from .torus import Slope\nimport glueforge.farey\n"
+    )
+    assert absolute_imports(tree, "glueforge") == [
+        (1, "glueforge.hypgraph", "FiniteGraph"),
+        (1, "glueforge.hypgraph", "cycle_graph"),
+        (1, "glueforge.hypgraph", "path_graph"),
+        (3, "glueforge", "cli"),
+    ]
+    assert missing_names(absolute_imports(tree, "glueforge"), glueforge_has) == [
+        "line 1: glueforge.hypgraph has no path_graph"
+    ]
+    script = ast.parse(
+        "import argparse\nfrom glueforge.torus import Slope as S\nEXAMPLES = []\n"
+        "A, (B, C) = 1, (2, 3)\ndef core(): pass\n"
+        "if __name__ == '__main__':\n    main = 1\ntry:\n    X = 1\nexcept ImportError:\n    Y = 1\n"
+        "def f():\n    nothing = 1\n"
+    )
+    names = top_level_names(script)
+    assert names == {"argparse", "S", "EXAMPLES", "A", "B", "C", "core", "main", "X", "Y", "f"}
+    example = absolute_imports(tree, "make_example_gluings")
+    assert missing_names(example, lambda module, name: name in names) == [
+        "line 4: make_example_gluings has no nothing"
+    ]
 
 
 def imported_test_modules(tree: ast.Module) -> list[str]:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import glueforge
 from glueforge.errors import BackendMismatchError, ParseError, ValidationError
-from glueforge.farey import farey_distance, max_subsurface_projection
+from glueforge.farey import distances_from, max_subsurface_projection
 from glueforge.gluing import SlotMap
-from glueforge.hypgraph import GraphBackend, GraphProjection, cycle_graph, path_graph
+from glueforge.hypgraph import GraphBackend, GraphProjection, cycle_graph
 from glueforge.surface import (
     AbstractMarking,
     BackendHandle,
@@ -33,7 +33,7 @@ from glueforge.torus import (
     SurfaceMap,
     TorusBackend,
 )
-from builders import rand_word
+from builders import path_graph, rand_word
 from oracles import marking_diameter
 
 
@@ -52,7 +52,7 @@ def rand_torus_marking(rng: random.Random, length: int = 7) -> AbstractMarking:
 def test_backend_handle_validation():
     # the contract has two implementations, and each checks its own data
     with pytest.raises(ParseError, match="unknown backend kind"):
-        BackendHandle.from_json({"kind": "sphere"})
+        BackendHandle.from_json({"kind": "sphere"}, {})
     with pytest.raises(TypeError):
         TorusBackend(cycle_graph(6))  # the torus takes no graph data
     with pytest.raises(TypeError):
@@ -89,13 +89,13 @@ def test_backend_json_round_trip():
             [GraphProjection((0, 1), (3,), "W0", 7)],
         ),
     ):
-        assert BackendHandle.from_json(handle.to_json()) == handle
+        assert BackendHandle.from_json(handle.to_json(), {}) == handle
     with pytest.raises(ParseError):
-        BackendHandle.from_json({"kind": "sphere"})
+        BackendHandle.from_json({"kind": "sphere"}, {})
     with pytest.raises(ParseError):
-        BackendHandle.from_json(["torus"])
+        BackendHandle.from_json(["torus"], {})
     with pytest.raises(ParseError):
-        BackendHandle.from_json({"kind": "graph", "edges": [[0, 1]]})
+        BackendHandle.from_json({"kind": "graph", "edges": [[0, 1]]}, {})
 
 
 def test_named_markings():
@@ -292,7 +292,7 @@ def test_curve_distances_from_is_a_row_of_curve_distance():
     rng = random.Random(5)
     slopes = [rand_torus_marking(rng, 12).payload.base for _ in range(20)] + [INFINITY]
     for a in slopes[:5]:
-        assert t.distances_from(a, slopes) == [farey_distance(a, b) for b in slopes]
+        assert t.distances_from(a, slopes) == [distances_from(a, [b])[0] for b in slopes]
     assert t.distances_from(INFINITY, []) == []
     with pytest.raises(ValidationError):
         t.distances_from(INFINITY, [Slope(0, 1), 1])
@@ -350,7 +350,7 @@ def test_disk_distance_frozen_examples():
     assert disk_distance(m, disks) == 1  # d(0,1/2)=1 beats d(0,2/5)=2
     assert disk_distance(torus_marking(Slope(0, 1), INFINITY), disks) == 0
     far = DiskSet(h, (Slope(13, 8),))
-    expect = min(farey_distance(Slope(13, 8), s) for s in (Slope(2, 5), Slope(1, 2)))
+    expect = min(distances_from(Slope(13, 8), [s])[0] for s in (Slope(2, 5), Slope(1, 2)))
     assert disk_distance(m, far) == expect
 
 
@@ -487,7 +487,7 @@ def test_geodesic_between_torus():
     m2 = torus_marking(INFINITY, Slope(0, 1))
     path = geodesic_between(m1, m2)
     assert path[0] == Slope(2, 5) and path[-1] == INFINITY
-    assert len(path) == farey_distance(Slope(2, 5), INFINITY) + 1
+    assert len(path) == distances_from(Slope(2, 5), [INFINITY])[0] + 1
 
 
 def test_geodesic_between_graph_deterministic():
@@ -545,7 +545,7 @@ def test_marking_rows_chart_through_the_partner_slope(monkeypatch):
         disks = DiskSet(t, (other.payload.base, rand_torus_marking(rng, 40).payload.base))
 
         expected = [
-            min(farey_distance(x, y) for x in m.elements() for y in targets)
+            min(distances_from(x, [y])[0] for x in m.elements() for y in targets)
             for targets in (other.elements(), path, disks.elements)
         ]
         neighbours.clear()

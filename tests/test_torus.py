@@ -21,7 +21,6 @@ from glueforge.errors import (
 from glueforge.farey import (
     AnnulusLabel,
     distances_from,
-    farey_distance,
     farey_geodesic,
     max_subsurface_projection,
 )
@@ -182,22 +181,22 @@ def test_intersection_invariant_under_maps(k, refl, p, q):
 
 
 def test_farey_distance_frozen_examples():
-    assert farey_distance(Slope(2, 5), INFINITY) == 3
-    assert farey_distance(Slope(0, 1), Slope(0, 1)) == 0
-    assert farey_distance(Slope(0, 1), INFINITY) == 1
-    assert farey_distance(Slope(0, 1), Slope(8, 5)) == 3
+    assert distances_from(Slope(2, 5), [INFINITY])[0] == 3
+    assert distances_from(Slope(0, 1), [Slope(0, 1)])[0] == 0
+    assert distances_from(Slope(0, 1), [INFINITY])[0] == 1
+    assert distances_from(Slope(0, 1), [Slope(8, 5)])[0] == 3
     # Every neighbour of 13/8 has the form (5+13k)/(3+8k) or (8+13k)/(5+8k),
     # none of which lies within distance 2 of 0/1, so this pair is at 4.
-    assert farey_distance(Slope(0, 1), Slope(13, 8)) == 4
-    assert farey_distance(INFINITY, Slope(8, 5)) == 3
-    assert farey_distance(INFINITY, Slope(13, 8)) == 3
+    assert distances_from(Slope(0, 1), [Slope(13, 8)])[0] == 4
+    assert distances_from(INFINITY, [Slope(8, 5)])[0] == 3
+    assert distances_from(INFINITY, [Slope(13, 8)])[0] == 3
 
 
 def test_farey_distance_agrees_with_bfs_oracle(oracle):
     for a in oracle.endpoints:
         for b in oracle.endpoints:
             sa, sb = Slope(*a), Slope(*b)
-            assert farey_distance(sa, sb) == oracle.distance(a, b), (a, b)
+            assert distances_from(sa, [sb])[0] == oracle.distance(a, b), (a, b)
 
 
 def test_oracle_truncation_stability():
@@ -218,8 +217,8 @@ def test_farey_distance_symmetry_and_adjacency():
     for _ in range(200):
         a = Slope(rng.randrange(-30, 31), rng.randrange(0, 13))
         b = Slope(rng.randrange(-30, 31), rng.randrange(0, 13))
-        d = farey_distance(a, b)
-        assert d == farey_distance(b, a)
+        d = distances_from(a, [b])[0]
+        assert d == distances_from(b, [a])[0]
         assert (d == 0) == (a == b)
         assert (d == 1) == (intersection_number(a, b) == 1)
 
@@ -240,10 +239,10 @@ def test_one_over_q_in_a_fresh_process(q):
     # a fresh interpreter has nothing memoized, so the answer cannot lean
     # on earlier, smaller questions
     code = (
-        "from glueforge.farey import farey_distance, farey_geodesic\n"
+        "from glueforge.farey import distances_from, farey_geodesic\n"
         "from glueforge.torus import INFINITY, Slope\n"
         f"s = Slope(1, {q})\n"
-        "print(farey_distance(INFINITY, s), farey_distance(s, INFINITY))\n"
+        "print(distances_from(INFINITY, [s])[0], distances_from(s, [INFINITY])[0])\n"
         "print(*farey_geodesic(INFINITY, s))\n"
     )
     out = cold(["-B", "-c", code])
@@ -257,8 +256,8 @@ def test_fibonacci_ratio_of_5000_terms_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        d_inf = farey_distance(INFINITY, s)
-        d_zero = farey_distance(Slope(0, 1), s)
+        d_inf = distances_from(INFINITY, [s])[0]
+        d_zero = distances_from(Slope(0, 1), [s])[0]
         row = distances_from(s, [INFINITY, Slope(0, 1), s])
     finally:
         sys.setrecursionlimit(limit)
@@ -277,7 +276,7 @@ def test_fibonacci_closed_form_matches_bfs_oracle(big_oracle):
         if s.q > 40:
             break
         assert big_oracle.distance((1, 0), (s.p - s.q, s.q)) == terms // 2 + 1
-        assert farey_distance(INFINITY, s) == terms // 2 + 1
+        assert distances_from(INFINITY, [s])[0] == terms // 2 + 1
         terms += 1
     assert terms > 8
 
@@ -296,9 +295,9 @@ def test_distance_invariant_under_high_axis_powers(k):
     for refl in (False, True):
         g = m @ REFLECTION if refl else m
         for a, b in pairs:
-            d = farey_distance(a, b)
-            assert farey_distance(g.on_slope(a), g.on_slope(b)) == d
-            assert farey_distance(g.on_slope(b), g.on_slope(a)) == d
+            d = distances_from(a, [b])[0]
+            assert distances_from(g.on_slope(a), [g.on_slope(b)])[0] == d
+            assert distances_from(g.on_slope(b), [g.on_slope(a)])[0] == d
 
 
 def test_distances_from_matches_pairwise_distance():
@@ -307,7 +306,7 @@ def test_distances_from_matches_pairwise_distance():
     pool += [Slope(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**6)) for _ in range(40)]
     pool += [A_GOLD.power(k).on_slope(Slope(rng.randrange(-9, 10), 1)) for k in range(0, 300, 37)]
     for a in pool:
-        assert distances_from(a, pool) == [farey_distance(a, t) for t in pool]
+        assert distances_from(a, pool) == [distances_from(a, [t])[0] for t in pool]
     assert distances_from(INFINITY, []) == []
 
 
@@ -332,7 +331,7 @@ def test_farey_geodesic_properties():
         b = Slope(rng.randrange(-20, 21), rng.randrange(0, 9))
         path = farey_geodesic(a, b)
         assert path[0] == a and path[-1] == b
-        assert len(path) == farey_distance(a, b) + 1
+        assert len(path) == distances_from(a, [b])[0] + 1
         for u, v in zip(path, path[1:]):
             assert intersection_number(u, v) == 1
 

@@ -897,7 +897,7 @@ def test_split_spec_records_hash_and_keep_their_bytes():
     # the internal map is stored as JSON text and written back as the JSON it was
     assert outer.splitting.to_json()["identifications"][0]["map"] == [[1, 0], [0, -1]]
     text = canonical_dumps(outer.to_json())
-    again = DecoratedManifoldSpec.from_json(json.loads(text))
+    again = DecoratedManifoldSpec.from_json(json.loads(text), {})
     assert again == outer and hash(again) == hash(outer)
     assert canonical_dumps(again.to_json()) == text
     graph_map = {"perm": [0, 2, 1], "reverses_orientation": True}
