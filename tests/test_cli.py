@@ -155,6 +155,26 @@ def files(tmp_path_factory):
         out[f"example:{name}"] = save(f"example-{name}.json", build().canonical_json())
     out["twisted-end"] = save("twisted-end.json", twisted_end().canonical_json())
     out["split"] = save("split.json", split_gluing().canonical_json())
+    # piece clauses that fail for missing data, which no example reaches:
+    # the compression body with a disk record on its unmarked E1 and an
+    # annulus record; the chain example cut after its bundle, whose F1 is
+    # then unmarked; twisted-end without its cover; and its bundle alone
+    records = example_builders()["compression"]().to_json()
+    set_field(records, "manifolds.1.disk_records", [["E1"]])
+    set_field(records, "manifolds.1.annulus_records", [["E0", "E1"]])
+    out["records"] = save("records.json", canonical_dumps(records))
+    open_bundle = example_builders()["chain"]().to_json()
+    for key, kept in (("manifolds", 2), ("pieces", 2), ("identifications", 1)):
+        open_bundle[key] = open_bundle[key][:kept]
+    out["open-bundle"] = save("open-bundle.json", canonical_dumps(open_bundle))
+    coverless = twisted_end().to_json()
+    del coverless["manifolds"][1]["cover"]
+    out["coverless"] = save("coverless.json", canonical_dumps(coverless))
+    lone = twisted_end().to_json()
+    for key, kept in (("manifolds", 1), ("pieces", 1)):
+        lone[key] = lone[key][kept:]
+    lone["identifications"] = []
+    out["lone-twisted"] = save("lone-twisted.json", canonical_dumps(lone))
     # two split pieces on either side of a two-boundary core, ids out of
     # sorted order: three components, and the node order is not the
     # report's order
@@ -950,6 +970,40 @@ def test_report_fails_when_height_floor_is_too_high(files, capsys):
     assert json.loads(out)["result"]["verdict"] == "fail"
 
 
+BUNDLE_ABSENT = {"ok": False, "distance_0": None, "distance_1": None}
+
+# by input: printed piece entries, by piece and clause, of piece clauses
+# that fail for missing data (and one that holds beside them)
+MISSING_DATA_CLAUSES = {
+    "records": {
+        ("p0", "clause_e"): {"ok": True, "detail": ""},
+        ("p1", "clause_e"): {"ok": False, "detail": "records without an induced marking: disk(E1)"},
+    },
+    "open-bundle": {("p1", "clause_c"): {**BUNDLE_ABSENT, "detail": "missing induced marking on F1"}},
+    "coverless": {("w", "clause_d"): {**BUNDLE_ABSENT, "detail": "cover data missing"}},
+    "lone-twisted": {("w", "clause_d"): {**BUNDLE_ABSENT, "detail": "missing induced marking on F0"}},
+}
+
+
+@pytest.mark.parametrize("name", list(MISSING_DATA_CLAUSES))
+def test_report_prints_piece_clauses_that_lack_data(files, capsys, name):
+    code, out, err = run(capsys, ["report", "--input", files[name]])
+    assert (code, err) == (EXIT_VERDICT, "")
+    result = envelope(out)["result"]
+    assert result["verdict"] == "fail"
+    pieces = {p["piece"]: p for p in result["pieces"]}
+    for (piece, clause), entry in MISSING_DATA_CLAUSES[name].items():
+        assert pieces[piece][clause] == entry
+
+
+def test_collapse_and_decompose_echo_the_records(files, capsys):
+    for command, key in (("collapse", "collapsed"), ("decompose", "full")):
+        code, out, err = run(capsys, [command, "--input", files["records"]])
+        assert (code, err) == (EXIT_PASS, "")
+        body = envelope(out)["result"][key]["manifolds"][1]
+        assert (body["disk_records"], body["annulus_records"]) == ([["E1"]], [["E0", "E1"]])
+
+
 # ---------------------------------------------------------------- collapse
 
 
@@ -1207,11 +1261,12 @@ UNBURIED = "warning: unburied slot p1:E1 has no free marking; boundary tube omit
 # The golden table of cold runs: (exit code, sha256 of the raw stdout,
 # stderr) of `python -m glueforge.cli <command line> --input <input>`, by
 # (command line, input name).  It holds every example command line; the
-# twisted-end and splitting branches that no example reaches; large
-# gluing heights: a long continued fraction (inv1000), a 10,001-digit
-# denominator (huge), axis powers 200 and 1000 and STACKS; and graph
-# backends: hyplab graphs of up to 1000 vertices and a stack over a
-# 400-cycle.  Any change is a report change.
+# twisted-end and splitting branches that no example reaches; the piece
+# clauses that fail for missing data (records, open-bundle, coverless,
+# lone-twisted); large gluing heights: a long continued fraction
+# (inv1000), a 10,001-digit denominator (huge), axis powers 200 and 1000
+# and STACKS; and graph backends: hyplab graphs of up to 1000 vertices
+# and a stack over a 400-cycle.  Any change is a report change.
 #
 # The example pins were recorded while the graph metric, the pushforward,
 # the skeleton JSON and the gluing source each still had a second,
@@ -1233,6 +1288,9 @@ UNBURIED = "warning: unburied slot p1:E1 has no free marking; boundary tube omit
 # inv1000 and huge pins were recorded when the four tables of the suite
 # became this one.  The last four, of the benchmark ops that no reference
 # digest checks, were recorded before help lost its argparse parser.
+# The four pins of piece clauses that fail for missing data were
+# recorded while the certificate's slot and piece entries still had
+# hand-written JSON and its verdict a failure count.
 COLD_PINS = {
     ("validate", "example:chain"): (0, "a2a597e0eca2cfd4d0c53f1a1948c70f1a9d52807be4b7219f99e971552e0a73", ""),
     ("report", "example:chain"): (0, "c41dc9a61f886de4e6c3bf1ccd81b99047fd12d9fca72eb2bed0b28a142962f4", ""),
@@ -1277,6 +1335,10 @@ COLD_PINS = {
     ("validate", "split"): (0, "865d03f6cca671f1c56344f0a0638c331c7638d20aa09c06c9a35526d4b8f396", ""),
     ("report", "split"): (1, "c11d16ef17825d75f61d26b6929a3d2b78de7413458c605c848ce48d632b9da1", ""),
     ("model", "split"): (0, "1d62be9b554697f50a091a3320f9a4dd6f5be5d1fb33405507201eb71820a265", ""),
+    ("report", "records"): (1, "769f0710ca3a81568a9f275fa3855620c6d03bedfdd9e3d236dd32d0aad49698", ""),
+    ("report", "open-bundle"): (1, "d382a02303c6c9e9bdb51f5a7061a0c68f5948f80797b7aec047eeff694139c7", ""),
+    ("report", "coverless"): (1, "eff4d7f134deb078102153d964cd674252824ade308097ab27fdb4c0f36da384", ""),
+    ("report", "lone-twisted"): (1, "bb13c077e7ef2da8a480b1464455104baba94290c07658d29a40acfe4026f03e", ""),
     ("collapse", "backtrack"): (1, "69050b36845362c97a26e976b3acc3c587bb2efd7a136f15dbfe819f1730a77d", ""),
     ("collapse", "wrap20"): (0, "98292565b1b3a4d24db6b16ad18141855cbb22dea0dfeec34b6c4e13e998d0d5", ""),
     ("report", "deep200"): (0, "16a7d39d4fab8d29f1bf9416d9faf8b80e71c5b15610ca9d8899d40e87d332b3", ""),
