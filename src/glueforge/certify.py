@@ -33,37 +33,27 @@ from .surface import (
 )
 
 
+class MeridianClause(Record):
+    """Clause b on a compressible slot: height <= disk_distance + R."""
+
+    height: int
+    disk_distance: int
+    ok: bool
+
+
 class SlotReport(Record):
     """Per-slot certificate entry: height, projection maximum, and the
-    pairwise and meridian clauses."""
+    pairwise and meridian clauses, each None on a slot without nu."""
 
     piece: str
     boundary: str
     buried: bool
     nu_source: str
-    height: int | None
-    projection: ProjectionResult | None
-    clause_a_ok: bool | None
-    clause_b: tuple[int, int, bool] | None  # (height, disk distance, ok)
-    height_ok: bool | None
-
-    def to_json(self) -> dict:
-        out: dict = {
-            "piece": self.piece,
-            "boundary": self.boundary,
-            "buried": self.buried,
-            "nu_source": self.nu_source,
-            "height": self.height,
-            "projection": None if self.projection is None else self.projection.to_json(),
-            "clause_a": self.clause_a_ok,
-        }
-        if self.clause_b is None:
-            out["clause_b"] = None
-        else:
-            h, dd, ok = self.clause_b
-            out["clause_b"] = {"height": h, "disk_distance": dd, "ok": ok}
-        out["height_ok"] = self.height_ok
-        return out
+    height: int | None = None
+    projection: ProjectionResult | None = None
+    clause_a: bool | None = None
+    clause_b: MeridianClause | None = None
+    height_ok: bool | None = None
 
 
 class BundleClauseReport(Record):
@@ -76,6 +66,14 @@ class BundleClauseReport(Record):
     detail: str = ""
 
 
+class RecordsClause(Record):
+    """Clause e: each declared disk and annulus record holds a boundary
+    with an induced marking; detail names the records that do not."""
+
+    ok: bool
+    detail: str = ""
+
+
 class PieceReport(Record):
     """Per-piece certificate entry for the bundle, cover and record
     coverage clauses."""
@@ -84,17 +82,7 @@ class PieceReport(Record):
     kind: str
     clause_c: BundleClauseReport | None
     clause_d: BundleClauseReport | None
-    clause_e_ok: bool
-    clause_e_detail: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "piece": self.piece,
-            "kind": self.kind,
-            "clause_c": None if self.clause_c is None else self.clause_c.to_json(),
-            "clause_d": None if self.clause_d is None else self.clause_d.to_json(),
-            "clause_e": {"ok": self.clause_e_ok, "detail": self.clause_e_detail},
-        }
+    clause_e: RecordsClause
 
 
 class CombinatoricsCertificate(Record):
@@ -187,7 +175,7 @@ def _clause_e(
     pid: str,
     spec: DecoratedManifoldSpec,
     induced: dict[Slot, AbstractMarking | None],
-) -> tuple[bool, str]:
+) -> RecordsClause:
     failing = []
     for kind, records in (("disk", spec.disk_records), ("annulus", spec.annulus_records)):
         for record in records:
@@ -198,8 +186,8 @@ def _clause_e(
             if not covered:
                 failing.append(f"{kind}({','.join(record)})")
     if failing:
-        return False, "records without an induced marking: " + "; ".join(failing)
-    return True, ""
+        return RecordsClause(False, "records without an induced marking: " + "; ".join(failing))
+    return RecordsClause(True)
 
 
 def check_bounded_combinatorics(
@@ -211,12 +199,13 @@ def check_bounded_combinatorics(
     """Verify every clause of bounded combinatorics against (R, D).
 
     Per slot with non-empty nu, its measure (`measures.slot_measures`) is
-    compared: the subsurface maximum with R, the meridian inequality
-    height <= d(disks, nu) + R on compressible slots, and the height
-    with D.
+    compared: the subsurface maximum with R, on compressible slots the
+    meridian inequality as excess = height - d(disks, nu) <= R (the
+    excess that `r_prime` reads), and the height with D.
     Per piece: the bundle geodesic clause, its double-cover analogue for
     twisted bundles, and coverage of the declared disk/annulus records.
-    Failures become certificate entries; nothing raises.
+    Failures become certificate entries; nothing raises.  The verdict is
+    the conjunction of the printed outcomes.
     """
     if not isinstance(r_bound, int) or r_bound <= 0:
         raise ValidationError("R must be a positive integer")
@@ -225,44 +214,37 @@ def check_bounded_combinatorics(
     induced = induced_markings(x)
     measures = slot_measures(x, induced, denom_bound)
     slot_reports: list[SlotReport] = []
-    failures = 0
-    uncertified = False
-    unmodeled = False
     for slot in x.slots():
         buried = x.is_buried(slot)
         source = "psi" if buried else "empty" if induced[slot] is None else "lambda"
         measure = measures.get(slot)
         if measure is None:
-            slot_reports.append(SlotReport(*slot, buried, source, None, None, None, None, None))
+            slot_reports.append(SlotReport(*slot, buried, source))
             continue
         height, projection, dd = measure.height, measure.projection, measure.disk_distance
-        uncertified |= not projection.certified
-        unmodeled |= projection.unmodeled
-        clause_a_ok = projection.value <= r_bound
-        clause_b = None if dd is None else (height, dd, height <= dd + r_bound)
-        height_ok = height >= d_bound
-        failures += (not clause_a_ok) + (clause_b is not None and not clause_b[2])
-        failures += not height_ok
+        clause_a, height_ok = projection.value <= r_bound, height >= d_bound
+        clause_b = None if dd is None else MeridianClause(height, dd, measure.excess <= r_bound)
         slot_reports.append(
-            SlotReport(*slot, buried, source, height, projection, clause_a_ok, clause_b, height_ok)
+            SlotReport(*slot, buried, source, height, projection, clause_a, clause_b, height_ok)
         )
     piece_reports: list[PieceReport] = []
     for pid, _ in x.pieces:
         spec = x.spec_of(pid)
-        clause_c = clause_d = None
-        if spec.kind == TRIVIAL_IBUNDLE:
-            clause_c = _clause_c(pid, spec, induced, r_bound)
-            failures += not clause_c.ok
-        elif spec.kind == TWISTED_IBUNDLE:
-            clause_d = _clause_d(pid, spec, induced, r_bound)
-            failures += not clause_d.ok
-        e_ok, e_detail = _clause_e(pid, spec, induced)
-        failures += not e_ok
-        piece_reports.append(PieceReport(pid, spec.kind, clause_c, clause_d, e_ok, e_detail))
+        clause_c = _clause_c(pid, spec, induced, r_bound) if spec.kind == TRIVIAL_IBUNDLE else None
+        clause_d = _clause_d(pid, spec, induced, r_bound) if spec.kind == TWISTED_IBUNDLE else None
+        clause_e = _clause_e(pid, spec, induced)
+        piece_reports.append(PieceReport(pid, spec.kind, clause_c, clause_d, clause_e))
+    # the verdict and the caveats read only what the entries print
+    measured = [s for s in slot_reports if s.projection is not None]
+    passed = all(
+        s.clause_a and s.height_ok and (s.clause_b is None or s.clause_b.ok) for s in measured
+    ) and all(
+        c is None or c.ok for p in piece_reports for c in (p.clause_c, p.clause_d, p.clause_e)
+    )
     caveats = ["meridian inequalities are relative to the declared finite disk sets"]
-    if uncertified:
+    if not all(s.projection.certified for s in measured):
         caveats.append("subsurface maxima are best-effort (no certifying sweep bound)")
-    if unmodeled:
+    if any(s.projection.unmodeled for s in measured):
         caveats.append("some graph slots carry no declared projection table")
     return CombinatoricsCertificate(
         r_bound,
@@ -272,5 +254,5 @@ def check_bounded_combinatorics(
         tuple(slot_reports),
         tuple(piece_reports),
         tuple(caveats),
-        "pass" if failures == 0 else "fail",
+        "pass" if passed else "fail",
     )

@@ -9,6 +9,7 @@ import pytest
 
 from glueforge.certify import (
     CombinatoricsCertificate,
+    MeridianClause,
     PieceReport,
     SlotReport,
     check_bounded_combinatorics,
@@ -465,7 +466,7 @@ def test_certificate_frozen_pass():
     cert = check_bounded_combinatorics(x, 6, 3, denom_bound=64)
     assert cert.passed
     s0 = slot_report(cert, "p0", "E0")
-    assert s0.height == 3 and s0.clause_a_ok and s0.height_ok
+    assert s0.height == 3 and s0.clause_a and s0.height_ok
     assert s0.projection is not None and s0.projection.certified
     # regression pin: the certified sweep reports a maximal annular
     # coefficient of 5 for this pair
@@ -487,7 +488,7 @@ def test_certificate_self_gluing_reflection():
     cert = check_bounded_combinatorics(x, 6, 1)
     assert not cert.passed
     entry = slot_report(cert, "p0", "E0")
-    assert entry.clause_a_ok and entry.height_ok is False
+    assert entry.clause_a and entry.height_ok is False
     assert check_bounded_combinatorics(x, 6, 0).passed
 
 
@@ -510,12 +511,12 @@ def test_clause_b_meridian_inequality():
     assert height == 3
     cert2 = check_bounded_combinatorics(x, 2, 0)
     entry = slot_report(cert2, "p0", "E0")
-    assert entry.clause_b == (3, 0, False)
+    assert entry.clause_b == MeridianClause(3, 0, False)
     assert not cert2.passed
     # at R=3 the meridian clause clears but the annular coefficients
     # (pinned: 8 at p0, 7 at p1) keep clause (a) failing until R=8
     cert3 = check_bounded_combinatorics(x, 3, 0)
-    assert slot_report(cert3, "p0", "E0").clause_b == (3, 0, True)
+    assert slot_report(cert3, "p0", "E0").clause_b == MeridianClause(3, 0, True)
     assert slot_report(cert3, "p0", "E0").projection.value == 8
     assert slot_report(cert3, "p1", "E0").projection.value == 7
     assert not cert3.passed
@@ -593,11 +594,11 @@ def test_clause_e_record_coverage():
 
     bare = check_bounded_combinatorics(build(()), 3, 0)
     report = piece_report(bare, "p0")
-    assert not report.clause_e_ok
-    assert "disk(E1)" in report.clause_e_detail
+    assert not report.clause_e.ok
+    assert "disk(E1)" in report.clause_e.detail
     assert not bare.passed
     covered = check_bounded_combinatorics(build(((("p0", "E1"), MU),)), 3, 0)
-    assert piece_report(covered, "p0").clause_e_ok
+    assert piece_report(covered, "p0").clause_e.ok
     assert covered.passed
 
 

@@ -656,7 +656,7 @@ def test_measured_r_bound_frozen():
 
 def clauses_a_and_b_pass(cert: CombinatoricsCertificate) -> bool:
     return all(
-        s.clause_a_ok is not False and (s.clause_b is None or s.clause_b[2]) for s in cert.slots
+        s.clause_a is not False and (s.clause_b is None or s.clause_b.ok) for s in cert.slots
     )
 
 
