@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from .errors import ParseError, ValidationError, json_str
+from .errors import ParseError, ValidationError, clip, json_str
 from .gluing import (
     COMPRESSION_BODY,
     DecoratedManifoldSpec,
@@ -40,6 +40,12 @@ class SubPiece(Record):
     id: str
     manifold: str
     boundaries: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self) -> None:
+        # its part of a split piece p is the piece p/<id>, and a piece id
+        # holds no ':'
+        if ":" in self.id:
+            raise ValidationError(f"sub-piece id {clip(self.id)} contains ':'")
 
     def to_json(self) -> dict:
         return {

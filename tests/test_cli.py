@@ -617,23 +617,24 @@ def test_input_checks_name_their_fault(files, capsys, tmp_path, name):
 
 
 @pytest.mark.parametrize(
-    "name, old, new, piece",
+    "name, old, new, id_field",
     [
-        ("example:thin", '"p0', '"a:b', "a:b"),
-        ("example:chain", '"p0', '"a:b', "a:b"),
-        # a part of a split piece p0 is the piece p0/<sub-piece id>
-        ("split", '"core"', '"c:ore"', "p0/c:ore"),
+        ("example:thin", '"p0', '"a:b', "piece id 'a:b'"),
+        ("example:chain", '"p0', '"a:b', "piece id 'a:b'"),
+        # a part of a split piece p0 is the piece p0/<sub-piece id>; the
+        # error names the id that the file holds
+        ("split", '"core"', '"c:ore"', "sub-piece id 'c:ore'"),
     ],
     ids=["thin", "chain", "split"],
 )
-def test_a_piece_id_holds_no_colon(files, capsys, tmp_path, name, old, new, piece):
+def test_a_piece_id_holds_no_colon(files, capsys, tmp_path, name, old, new, id_field):
     # a slot name is piece:boundary, read up to its first colon: a piece
     # a:b could carry no free marking, and every slot name printed for it
     # would be ambiguous
     text = pathlib.Path(files[name]).read_text()
     bad = tmp_path / "colon.json"
     bad.write_text(text.replace(old, new))
-    line = f"invariant violation: piece id '{piece}' contains ':'\n"
+    line = f"invariant violation: {id_field} contains ':'\n"
     for command in ("validate", "report", "collapse", "decompose", "model"):
         assert run(capsys, [command, "--input", str(bad)]) == (EXIT_INVARIANT, "", line), command
     # a boundary id may hold one, in a lambda key too (thin's p0:E:1): the
