@@ -358,7 +358,9 @@ class GraphBackend(Record):
         # f keeps the permutation it was given as a tuple
         if f.perm is None or f.matrix is not None:
             raise ValidationError("graph slot map needs a permutation and no matrix")
-        perm = tuple(map(int, f.perm))
+        if not isinstance(f.perm, (list, tuple)) or any(type(v) is not int for v in f.perm):
+            raise ValidationError(f"graph permutation {clip(f.perm)} is not a list of integers")
+        perm = tuple(f.perm)
         self.graph.check_automorphism(perm)
         object.__setattr__(f, "perm", perm)
 

@@ -334,6 +334,9 @@ class TorusBackend(Record):
     def check_map(self, f: SlotMap) -> None:
         if f.matrix is None or f.perm is not None:
             raise ValidationError("torus slot map needs a matrix and no permutation")
+        if not f.graph_reversing:
+            # so that equal maps are equal records
+            raise ValidationError("torus slot map takes its orientation from its matrix, not a flag")
 
     def identity_map(self) -> SlotMap:
         from .gluing import SlotMap

@@ -446,6 +446,28 @@ def test_pushforward_graph_rejects_bad_maps():
         flip.apply(torus_marking(Slope(0, 1), INFINITY))
 
 
+def test_a_torus_map_reads_its_orientation_from_its_matrix():
+    # a flag beside the matrix would make two maps that print alike unequal
+    t = BackendHandle.torus()
+    with pytest.raises(ValidationError, match="^torus slot map takes its orientation from its matrix, not a flag$"):
+        SlotMap(t, matrix=REFLECTION, graph_reversing=False)
+    assert SlotMap(t, matrix=REFLECTION) == SlotMap(t, matrix=REFLECTION, graph_reversing=True)
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [("1", "2", "3", "0"), (1.0, 2.0, 3.0, 0.0), (1, 2, 3, True), "1230", {1: 0, 0: 1}, range(4)],
+    ids=["strings", "floats", "bool", "string", "dict", "range"],
+)
+def test_a_graph_map_takes_only_integer_permutations(perm):
+    # as the file reader does: no entry is converted
+    h = BackendHandle.finite_graph(cycle_graph(4))
+    with pytest.raises(ValidationError, match="is not a list of integers$"):
+        SlotMap(h, perm=perm)
+    assert SlotMap(h, perm=[1, 2, 3, 0]).perm == (1, 2, 3, 0)
+    assert SlotMap(h, perm=[1, 2, 3, 0]) == SlotMap(h, perm=(1, 2, 3, 0))
+
+
 def test_pushforward_isometry_random_maps():
     rng = random.Random(20260814)
     for _ in range(300):
