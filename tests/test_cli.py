@@ -412,6 +412,15 @@ def _instead(name: str, path: str, value: object):
 
 
 TORUS_MARKING = {"base": "0/1", "transversal": "inf"}
+
+
+def _third_end(obj: dict) -> dict:
+    """The chain example with a third non-toroidal boundary F2 on its
+    bundle B."""
+    boundaries = obj["manifolds"][1]["boundaries"]
+    boundaries.append({"id": "F2", "backend": {"kind": "torus"}, "decoration": TORUS_MARKING})
+    return obj
+
 SPLITTING = "manifolds.0.splitting"
 
 # edits of the chain example, each with the message of the one check it
@@ -467,6 +476,21 @@ PARSE_CHECKS = {
         _toroidal(disks="junk", backend=7),
         "backend declaration must be an object with a kind",
     ),
+    # a graph payload's entries are JSON integers: its backend's reader
+    # refuses a string or true (and the JSON reader every float)
+    "graph-marking-entry": (_on_graph(0, 0, 0, "1"), "bad graph marking: '1' is not an integer"),
+    "graph-disk-entry": (
+        _set("manifolds.0.boundaries.0", {
+            **_graph_boundary("E0", 0), "compressible": True, "disks": [True],
+        }),
+        "bad disk set: True is not an integer",
+    ),
+    "graph-perm-entry": (
+        _then(_on_graph(0, 0, 0), _set("identifications.0", {
+            "a": ["p0", "E0"], "b": ["p0", "E0"], "map": {"perm": [0, 5, 4, 3, 2, "1"]},
+        })),
+        "bad permutation in slot map: '1' is not an integer",
+    ),
 }
 INVARIANT_CHECKS = {
     "no-pieces": (
@@ -499,6 +523,10 @@ INVARIANT_CHECKS = {
     ),
     # a rule of a record is an invariant wherever the file states it: on
     # either slot, glued or not, on either backend
+    "bundle-three-ends": (
+        _third_end,
+        "trivial bundle B needs exactly two non-toroidal boundaries",
+    ),
     "bundle-map-without-chart": (
         _set("manifolds.1.boundaries", [{"id": "T", "toroidal": True}]),
         "manifold B needs a non-toroidal boundary",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from glueforge import cli, decimalpath, halfplane
 from glueforge.decimalpath import exact_tube_length, exact_tube_samples
-from glueforge.errors import ParseError, ValidationError
+from glueforge.errors import ParseError, PrecisionLossError, ValidationError
 from glueforge.gluing import GluingGraph, Identification, SlotMap
 from glueforge.halfplane import (
     PRECISION_BITS,
@@ -406,6 +406,44 @@ def test_decimal_path_matches_the_high_precision_reference():
             middles.append(got[3][0])
     assert min(bits) < 10 and max(bits) > 300
     assert degenerate and 0.0 in middles
+
+
+def test_the_rounding_test_retries_at_a_higher_precision():
+    # just above the midpoint 1 + 2^-53 of two doubles: 17 digits round
+    # it down to 1, so the first two precisions disagree, and the next two
+    # agree on the double above
+    from decimal import Decimal, getcontext
+
+    value, precisions = Decimal("1.0000000000000001110223025625"), []
+
+    def evaluate() -> float:
+        precisions.append(getcontext().prec)
+        return float(+value)
+
+    assert decimalpath._correctly_rounded(evaluate, 53) == 1 + 2**-52
+    assert len(precisions) == 4 and precisions[0] < precisions[2] < precisions[1]
+
+
+def test_the_rounding_test_gives_up_on_a_value_that_never_settles():
+    from decimal import getcontext
+
+    with pytest.raises(PrecisionLossError, match="^no correctly rounded double after 424 bits$"):
+        decimalpath._correctly_rounded(lambda: getcontext().prec, 53)
+
+
+def test_model_prints_a_degenerate_tube_past_the_double_path(tmp_path, capsys):
+    # both sides of the identification share one balanced point of 42
+    # bits, so the decimal path samples the one point twice
+    deep = mk("1/2000000", "0/1")
+    assert precision_demand(sigma_matrix(deep.payload)) > PRECISION_BITS
+    x = chain(core("ML", deep), core("MR", AbstractMarking(T, REFLECTION.on_marking(deep.payload))))
+    path = tmp_path / "degenerate.json"
+    path.write_text(x.canonical_json())
+    assert cli.main(["model", "--input", str(path)]) == 0
+    (tube,) = json.loads(capsys.readouterr().out)["result"]["skeleton"]["tubes"]
+    assert tube["degenerate"] and tube["length"] == 0.0
+    assert [s["point"] for s in tube["samples"]] == [tube["sigma_a"]] * 2
+    assert tube["sigma_b"] == tube["sigma_a"]
 
 
 def test_skeleton_boundary_tube_and_missing_marking_warning():
