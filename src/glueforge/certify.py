@@ -34,7 +34,7 @@ from .surface import (
 
 
 class MeridianClause(Record):
-    """Clause b on a compressible slot: height <= disk_distance + R."""
+    """Clause b on a compressible slot: height - disk_distance <= R."""
 
     height: int
     disk_distance: int
@@ -43,7 +43,8 @@ class MeridianClause(Record):
 
 class SlotReport(Record):
     """Per-slot certificate entry: height, projection maximum, and the
-    pairwise and meridian clauses, each None on a slot without nu."""
+    pairwise and meridian clauses; the five measured fields are None on a
+    slot without nu."""
 
     piece: str
     boundary: str

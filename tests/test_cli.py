@@ -412,6 +412,7 @@ def _instead(name: str, path: str, value: object):
 
 
 TORUS_MARKING = {"base": "0/1", "transversal": "inf"}
+SPLITTING = "manifolds.0.splitting"
 
 
 def _third_end(obj: dict) -> dict:
@@ -421,7 +422,6 @@ def _third_end(obj: dict) -> dict:
     boundaries.append({"id": "F2", "backend": {"kind": "torus"}, "decoration": TORUS_MARKING})
     return obj
 
-SPLITTING = "manifolds.0.splitting"
 
 # edits of the chain example, each with the message of the one check it
 # trips
