@@ -32,6 +32,7 @@ from glueforge.decimalpath import _balanced_ints, _exact_tie_break
 from glueforge.errors import ParseError, ValidationError, clip
 from glueforge.gluing import (
     COMPRESSION_BODY,
+    TRIVIAL_IBUNDLE,
     DecoratedManifoldSpec,
     GluingGraph,
     Identification,
@@ -790,7 +791,8 @@ def enumerate_geodesics(
 
 
 # Former library functions that no command reaches.  The tests build
-# gluings with them (compression assembly, relabeling), read skeletons back
+# gluings with them (compression assembly, relabeling, a stack read the
+# other way round), read skeletons back
 # (the JSON reader), and check package values against them (systole,
 # marking diameter, path witnesses, transparent windows).
 
@@ -819,6 +821,36 @@ def relabel(x: GluingGraph, mapping: Mapping[str, str]) -> GluingGraph:
         ),
         tuple(((ren(pid), bid), m) for (pid, bid), m in x.boundary_markings),
     )
+
+
+def reversed_names(x: GluingGraph) -> GluingGraph:
+    """x with its piece ids handed out in reverse sorted order: the least
+    id goes to the piece with the greatest, and so on."""
+    ids = sorted(pid for pid, _ in x.pieces)
+    return relabel(x, dict(zip(ids, reversed(ids))))
+
+
+def reversed_bundles(x: GluingGraph) -> GluingGraph:
+    """x with each trivial bundle's boundary list reversed and its exchange
+    map inverted, which pushes the second boundary's chart onto the first
+    again: the same bundle, written from its other end."""
+
+    def turn(spec: DecoratedManifoldSpec) -> DecoratedManifoldSpec:
+        if spec.kind != TRIVIAL_IBUNDLE:
+            return spec
+        assert spec.bundle_map is not None
+        return DecoratedManifoldSpec(
+            spec.id,
+            spec.kind,
+            spec.boundaries[::-1],
+            spec.disk_records,
+            spec.annulus_records,
+            spec.bundle_map.inverse(),
+            spec.cover,
+            spec.splitting,
+        )
+
+    return GluingGraph(tuple(map(turn, x.manifolds)), x.pieces, x.identifications, x.boundary_markings)
 
 
 def marking_diameter(*markings: AbstractMarking) -> int:

@@ -61,7 +61,7 @@ from builders import (
     twisted_end,
     wrap_cycle_stack,
 )
-from oracles import CLI, cold
+from oracles import CLI, cold, reversed_bundles, reversed_names
 
 P4 = "4 3\n0 1\n1 2\n2 3\n"
 C6 = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
@@ -175,6 +175,33 @@ def files(tmp_path_factory):
         lone[key] = lone[key][kept:]
     lone["identifications"] = []
     out["lone-twisted"] = save("lone-twisted.json", canonical_dumps(lone))
+    # the shapes that decide how collapse walks a bundle chain: a trivial
+    # bundle folded on its second slot and on its first, a doubly
+    # identified two-bundle cycle, and a chain read from its other end,
+    # by renaming its pieces or by writing each bundle the other way round
+    for fold, joined in (("F1", "F0"), ("F0", "F1")):
+        folded = GluingGraph(
+            manifolds=(core("M", MU), bundle("B", mk("1/1", "1/0"), mk("1/1", "1/0"))),
+            pieces=(("p0", "M"), ("w", "B")),
+            identifications=(
+                Identification("p0", "E0", "w", joined, tmap(REFLECTION)),
+                Identification("w", fold, "w", fold, tmap(REFLECTION)),
+            ),
+        )
+        out[f"folded-{fold}"] = save(f"folded-{fold}.json", folded.canonical_json())
+    cycle = GluingGraph(
+        manifolds=(axis_bundle("B0", 2), axis_bundle("B1", 3)),
+        pieces=(("p0", "B0"), ("p1", "B1")),
+        identifications=(
+            Identification("p0", "F1", "p1", "F0", tmap(REFLECTION)),
+            Identification("p1", "F1", "p0", "F0", tmap(REFLECTION)),
+        ),
+    )
+    out["bundle-cycle"] = save("bundle-cycle.json", cycle.canonical_json())
+    out["chain-renamed"] = save("chain-renamed.json", reversed_names(example_builders()["chain"]()).canonical_json())
+    for name in ("chain", "fibered"):
+        turned = reversed_bundles(example_builders()[name]())
+        out[f"{name}-turned"] = save(f"{name}-turned.json", turned.canonical_json())
     # two split pieces on either side of a two-boundary core, ids out of
     # sorted order: three components, and the node order is not the
     # report's order
@@ -1319,7 +1346,10 @@ UNBURIED = "warning: unburied slot p1:E1 has no free marking; boundary tube omit
 # digest checks, were recorded before help lost its argparse parser.
 # The four pins of piece clauses that fail for missing data were
 # recorded while the certificate's slot and piece entries still had
-# hand-written JSON and its verdict a failure count.
+# hand-written JSON and its verdict a failure count.  The eleven collapse
+# pins after them, of the shapes that decide which end a bundle chain is
+# read from and which slots its walk names, were recorded while one walk
+# ordered each chain and a second walked it again to name its slots.
 COLD_PINS = {
     ("validate", "example:chain"): (0, "a2a597e0eca2cfd4d0c53f1a1948c70f1a9d52807be4b7219f99e971552e0a73", ""),
     ("report", "example:chain"): (0, "c41dc9a61f886de4e6c3bf1ccd81b99047fd12d9fca72eb2bed0b28a142962f4", ""),
@@ -1368,6 +1398,17 @@ COLD_PINS = {
     ("report", "open-bundle"): (1, "d382a02303c6c9e9bdb51f5a7061a0c68f5948f80797b7aec047eeff694139c7", ""),
     ("report", "coverless"): (1, "eff4d7f134deb078102153d964cd674252824ade308097ab27fdb4c0f36da384", ""),
     ("report", "lone-twisted"): (1, "bb13c077e7ef2da8a480b1464455104baba94290c07658d29a40acfe4026f03e", ""),
+    ("collapse --emit-correspondence", "records"): (0, "81831e7e5b5a7fb0e60e1b2d8679e404ad20ee5f12fba5a41255ac814fab1d21", ""),
+    ("collapse --emit-correspondence", "open-bundle"): (0, "a6447da3b8b259fd544c2f827f52679723ae8ebafc708ad13c14701e4fd82531", ""),
+    ("collapse --emit-correspondence", "coverless"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "invariant violation: twisted piece without cover data: w\n"),
+    ("collapse --emit-correspondence", "lone-twisted"): (4, "875144a05fb2f689b66e511be446eb681ac549f8632d233f92d66837ab747307", ""),
+    ("collapse --emit-correspondence", "folded-F1"): (1, "e31c1247fc7b0058dce185da975c04cca9728af7227991283e39946e469859fd", ""),
+    ("collapse --emit-correspondence", "folded-F0"): (1, "bb309cfe56d6dd63b2ab2e86520540ae3259f493395370851aa6300ce61289df", ""),
+    ("collapse --emit-correspondence", "bundle-cycle"): (4, "fb2d8c7255bcd2219bb27166978bed07afec9433cd4a6f1cba27083a4cc154cb", ""),
+    ("collapse --emit-correspondence", "chain-renamed"): (0, "1bbc01f928a4f69bbb9aff151a44e5911e997b191c2bb31274b3c881d28de4ea", ""),
+    ("collapse --emit-correspondence", "chain-turned"): (0, "b52979afc5e481b25510fea161b55d7f1cd73c1d6b9fef6454e2e35cef46c8fc", ""),
+    ("collapse --emit-correspondence", "fibered-turned"): (4, "93c5b04592f53fe2e574dfa8822673c9036db4d1ad2d13c8632b2d56732a8422", ""),
+    ("collapse --emit-correspondence", "graph_stack"): (0, "c5e1ae4aee07f5eb37062cbc5a36e930ade3d9b55827c03169f535346a40141b", ""),
     ("collapse", "backtrack"): (1, "69050b36845362c97a26e976b3acc3c587bb2efd7a136f15dbfe819f1730a77d", ""),
     ("collapse", "wrap20"): (0, "98292565b1b3a4d24db6b16ad18141855cbb22dea0dfeec34b6c4e13e998d0d5", ""),
     ("report", "deep200"): (0, "16a7d39d4fab8d29f1bf9416d9faf8b80e71c5b15610ca9d8899d40e87d332b3", ""),

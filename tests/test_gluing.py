@@ -64,8 +64,10 @@ from builders import (
     random_torus_stack,
     tmap,
     twisted,
+    twisted_end,
+    wrap_cycle_stack,
 )
-from oracles import relabel
+from oracles import relabel, reversed_bundles, reversed_names
 
 
 def two_piece_gluing(psi: SurfaceMap, mu0=MU, mu1=MU) -> GluingGraph:
@@ -959,16 +961,21 @@ def side_free_numbers(capsys, path) -> tuple:
     return res["verdict"], slots, code, col["ok"], col["fibered"], col["r_prime"], stacks
 
 
-def test_reversing_identifications_moves_nothing_at_depth(tmp_path, capsys):
-    # which side of an identification the file names first is a choice of
-    # writing: report and collapse read the same numbers either way
+def relation_inputs() -> list[GluingGraph]:
+    """The six examples, 30 torus and 30 graph stacks, two deep stacks, a
+    cycle-graph stack of ten bundles and a stack with a twisted end."""
     rng = random.Random(1)
     gluings = [build() for build in example_builders().values()]
     gluings += [random_torus_stack(rng, k) for k in list(range(1, 7)) * 5]
     gluings += [random_cycle_stack(rng, rng.randrange(5, 40), k) for k in list(range(1, 7)) * 5]
-    gluings += [core_stack_core([200]), core_stack_core([1000])]
+    return gluings + [core_stack_core([200]), core_stack_core([1000]), wrap_cycle_stack(10), twisted_end()]
+
+
+def test_reversing_identifications_moves_nothing_at_depth(tmp_path, capsys):
+    # which side of an identification the file names first is a choice of
+    # writing: report and collapse read the same numbers either way
     seen = set()
-    for n, x in enumerate(gluings):
+    for n, x in enumerate(relation_inputs()):
         px, py = tmp_path / f"x{n}.json", tmp_path / f"y{n}.json"
         px.write_text(x.canonical_json())
         py.write_text(reversed_identifications(x).canonical_json())
@@ -977,6 +984,71 @@ def test_reversing_identifications_moves_nothing_at_depth(tmp_path, capsys):
         seen.add((numbers[0], numbers[3]))
     # both verdicts, each beside a collapse that passes and one that fails
     assert seen == {("pass", True), ("pass", False), ("fail", True), ("fail", False)}
+
+
+# Two writings of a gluing that make collapse read a stack from its other
+# end: piece ids handed out in reverse, which moves the start of a chain
+# walk, and each trivial bundle written from its other boundary, which
+# moves the slot a lone bundle is entered through
+WALK_RELATIONS = {"renamed": reversed_names, "turned": reversed_bundles}
+
+
+def collapse_stacks(capsys, path) -> tuple[int, dict, list[dict]]:
+    """collapse's exit code, result and stacks."""
+    code = main(["collapse", "--input", str(path)])
+    res = json.loads(capsys.readouterr().out)["result"]
+    return code, res, res["stacks"]
+
+
+def end_free_numbers(capsys, path) -> tuple:
+    """collapse's exit code, ok, fibered and r_prime, and each stack's K',
+    sorted heights, combined height, certificate verdict and new height:
+    the numbers that do not depend on which end a stack is read from."""
+    code, res, stacks = collapse_stacks(capsys, path)
+    rows = [
+        [*(s["certificate"][k] for k in ("k_prime", "combined_height", "ok")), s["new_height"]]
+        + sorted(s["certificate"]["heights"])
+        for s in stacks
+    ]
+    return code, res["ok"], res["fibered"], res["r_prime"], sorted(rows, key=json.dumps)
+
+
+@pytest.mark.parametrize("relation", list(WALK_RELATIONS))
+def test_reading_a_stack_from_its_other_end_moves_no_verdict(tmp_path, capsys, relation):
+    for n, x in enumerate(relation_inputs()):
+        px, py = tmp_path / f"x{n}.json", tmp_path / f"y{n}.json"
+        px.write_text(x.canonical_json())
+        py.write_text(WALK_RELATIONS[relation](x).canonical_json())
+        assert end_free_numbers(capsys, px) == end_free_numbers(capsys, py), n
+
+
+@pytest.mark.parametrize(
+    "relation",
+    [
+        pytest.param(
+            "renamed",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="read from its other end, a torus stack moves its end projection and its"
+                " fellow-traveling constant: each stack's orientation comes from its least piece"
+                " id (ROADMAP item 27)",
+            ),
+        ),
+        "turned",
+    ],
+)
+def test_reading_a_stack_from_its_other_end_moves_no_end_measure(tmp_path, capsys, relation):
+    # renaming moved sup_value on 11 and fellow_traveling on 2 of the 30
+    # torus stacks, and nothing on a graph stack, when this test was written
+    for n, x in enumerate(relation_inputs()):
+        px, py = tmp_path / f"x{n}.json", tmp_path / f"y{n}.json"
+        px.write_text(x.canonical_json())
+        py.write_text(WALK_RELATIONS[relation](x).canonical_json())
+        ends = [
+            sorted((s["sup_value"], s["certificate"]["fellow_traveling"]) for s in collapse_stacks(capsys, p)[2])
+            for p in (px, py)
+        ]
+        assert ends[0] == ends[1], n
 
 
 def model_systoles(capsys, path) -> tuple:
