@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import BackendMismatchError, ValidationError
+from .errors import ValidationError
 from .gluing import (
     BoundarySpec,
     DecoratedManifoldSpec,
@@ -54,9 +54,9 @@ def _fraction_json(x: Rational | None) -> list[int] | None:
 
 
 class _StackStep(Record):
-    """One resolved piece of an ordered bundle chain: the slot the walk
-    enters through, the slot it leaves through (None on a terminal twisted
-    piece), and the exchange map pulling exit data into the entry chart."""
+    """One piece of a walked bundle chain: the slot the walk enters
+    through, the slot it leaves through (None on a terminal twisted piece),
+    and the exchange map pulling exit data into the entry chart."""
 
     piece: str
     entry: Slot
@@ -93,54 +93,52 @@ def _twisted_end(x: GluingGraph, pid: str) -> bool:
     return x.spec_of(pid).kind != TRIVIAL_IBUNDLE or _fold_slot(x, pid) is not None
 
 
-def _resolve_stack(x: GluingGraph, piece_ids: Sequence[str]) -> list[_StackStep]:
-    if not piece_ids:
-        raise ValidationError("empty stack")
-    if len(set(piece_ids)) < len(piece_ids):
-        raise ValidationError("stack names a piece twice")
-    specs = [x.spec_of(pid) for pid in piece_ids]
-    for pid, spec in zip(piece_ids, specs):
-        if not spec.is_bundle:
-            raise ValidationError(f"piece {pid} is not an I-bundle")
-        if spec.kind != TRIVIAL_IBUNDLE and pid != piece_ids[-1]:
-            raise ValidationError(f"twisted piece {pid} must be terminal in a stack")
-    handles = {spec.nontoroidal()[0].handle for spec in specs}
-    if len(handles) != 1:
-        raise BackendMismatchError("stack pieces live on different backends")
+def _stacks(x: GluingGraph) -> list[list[_StackStep]]:
+    """Each chain of bundle pieces as the steps of one walk along psi, the
+    chains in the order of their first pieces.
 
-    # the walk leaves each piece through the slot opposite its entry and
-    # follows psi into the next piece; the first piece leaves through its
-    # first slot, in boundary order, that psi carries into the second (a
-    # two-piece cycle is doubly identified, and either slot works), or a
-    # lone piece through its fold
-    steps: list[_StackStep] = []
-    for i, (pid, spec) in enumerate(zip(piece_ids, specs)):
-        slots = _bundle_slots(spec)
-        if spec.kind != TRIVIAL_IBUNDLE:
-            steps.append(_StackStep(pid, (pid, slots[0]), None, None))
-            continue
-        nxt = piece_ids[i + 1] if i + 1 < len(piece_ids) else None
-        if i == 0:
-            joined = [b for b in slots if _psi_into(x, (pid, b), nxt)]
-            leave = joined[0] if joined else _fold_slot(x, pid)
-            entry = slots[1] if leave == slots[0] else slots[0]
-        exit_bdry = slots[0] if entry == slots[1] else slots[1]
-        steps.append(_StackStep(pid, (pid, entry), (pid, exit_bdry), _exchange_into(spec, entry)))
-        if nxt is not None:
-            landing = _psi_into(x, (pid, exit_bdry), nxt)
-            if landing is None:
-                raise ValidationError(f"stack pieces {pid}, {nxt} are not identified end-to-end")
-            entry = landing[1]
-    return steps
+    A walk starts at the least end of its chain that no twisted piece or
+    folded slot closes, else at the least end; a cycle starts at its least
+    piece.  The first piece leaves toward its least bundle neighbour,
+    through its first slot in boundary order that leads there, and a lone
+    piece through its fold, if it has one; every trivial piece is entered
+    through its other slot.  From each exit slot psi leads into the next
+    piece's entry slot.  The walk stops at a closing piece, at a slot that
+    leads to no other bundle piece, or back at its start."""
+    bundle_ids = [pid for pid, _ in x.pieces if x.spec_of(pid).is_bundle]
+    bundle_set = set(bundle_ids)
 
+    def onward(slot: Slot) -> Slot | None:
+        """The slot of another bundle piece that psi carries slot to."""
+        if x.is_buried(slot):
+            partner = x.psi(slot)[0]
+            if partner[0] in bundle_set and partner[0] != slot[0]:
+                return partner
+        return None
 
-def _psi_into(x: GluingGraph, slot: Slot, pid: str | None) -> Slot | None:
-    """The slot of piece pid that psi carries slot to, or None."""
-    if x.is_buried(slot):
-        partner = x.psi(slot)[0]
-        if partner[0] == pid and partner != slot:
-            return partner
-    return None
+    joins = {pid: [(b, onward((pid, b))) for b in _bundle_slots(x.spec_of(pid))] for pid in bundle_ids}
+    neighbors = {pid: sorted({to[0] for _, to in joins[pid] if to}) for pid in bundle_ids}
+    stacks: list[list[_StackStep]] = []
+    for comp in components(bundle_ids, ((p, q) for p in bundle_ids for q in neighbors[p])):
+        ends = [p for p in sorted(comp) if len(neighbors[p]) < 2]
+        start = next((p for p in ends if not _twisted_end(x, p)), ends[0] if ends else min(comp))
+        toward = [b for b, to in joins[start] if to and to[0] == neighbors[start][0]]
+        leave = toward[0] if toward else _fold_slot(x, start)
+        pid, entry = start, next((b for b, _ in joins[start] if b != leave), leave)
+        steps: list[_StackStep] = []
+        while True:
+            spec = x.spec_of(pid)
+            if spec.kind != TRIVIAL_IBUNDLE:
+                steps.append(_StackStep(pid, (pid, entry), None, None))
+                break
+            exit_bdry = next(b for b in _bundle_slots(spec) if b != entry)
+            steps.append(_StackStep(pid, (pid, entry), (pid, exit_bdry), _exchange_into(spec, entry)))
+            landing = onward((pid, exit_bdry))
+            if landing is None or landing[0] == start:
+                break
+            pid, entry = landing
+        stacks.append(steps)
+    return sorted(stacks, key=lambda steps: steps[0].piece)
 
 
 class StackCertificate(Record):
@@ -326,21 +324,16 @@ def _fellow_traveling(handle: BackendHandle, path: list, direct: list) -> int:
     return best
 
 
-def combine_stack(
+def _certify_stack(
     x: GluingGraph,
-    piece_ids: Sequence[str],
+    steps: Sequence[_StackStep],
     h_bound: int,
     r_bound: int,
     denom_bound: int | None = None,
 ) -> StackCertificate:
-    """Verify the chain conditions for an ordered I-bundle stack and
+    """Verify the chain conditions for one walked I-bundle chain and
     certify the combined height against the measured quasigeodesic
     constant of the concatenated geodesic."""
-    if not isinstance(h_bound, int) or h_bound < 0:
-        raise ValidationError("height floor must be a non-negative integer")
-    if not isinstance(r_bound, int) or r_bound < 1:
-        raise ValidationError("combinatorics bound must be a positive integer")
-    steps = _resolve_stack(x, piece_ids)
     seq, flip_total, note = _nu_sequence(x, steps)
     handle = seq[0].handle
 
@@ -387,7 +380,7 @@ def combine_stack(
         and bool(lower_ok)
     )
     return StackCertificate(
-        pieces=tuple(piece_ids),
+        pieces=tuple(step.piece for step in steps),
         nu=tuple(seq),
         heights=hs,
         h_bound=h_bound,
@@ -482,43 +475,6 @@ class CollapseResult(Record):
                 for s in self.stacks
             ]
         return out
-
-
-def _stack_components(x: GluingGraph) -> list[list[str]]:
-    """Connected chains of bundle pieces, each ordered so that any twisted
-    piece comes last; cycles are cut at the lexicographically smallest
-    piece."""
-    bundle_ids = [pid for pid, _ in x.pieces if x.spec_of(pid).is_bundle]
-    bundle_set = set(bundle_ids)
-    neighbors: dict[str, list[str]] = {pid: [] for pid in bundle_ids}
-    for pid in bundle_ids:
-        for b in x.spec_of(pid).nontoroidal():
-            slot = (pid, b.id)
-            if not x.is_buried(slot):
-                continue
-            partner, _ = x.psi(slot)
-            if partner[0] in bundle_set and partner[0] != pid:
-                neighbors[pid].append(partner[0])
-
-    stacks: list[list[str]] = []
-    for comp in components(bundle_ids, ((p, q) for p in bundle_ids for q in neighbors[p])):
-        ends = [p for p in sorted(comp) if len(set(neighbors[p])) < 2]
-        if not ends:
-            start = min(comp)
-        else:
-            # a twisted piece or a folded slot must close the chain, so
-            # start the walk from a plain end when one exists
-            plain_ends = [p for p in ends if not _twisted_end(x, p)]
-            start = plain_ends[0] if plain_ends else ends[0]
-        order = [start]
-        prev = None
-        while len(order) < len(comp):
-            nxt = [p for p in set(neighbors[order[-1]]) if p != prev]
-            assert nxt, "bundle chain walk stalled"
-            prev = order[-1]
-            order.append(min(nxt))
-        stacks.append(order)
-    return sorted(stacks, key=lambda s: s[0])
 
 
 # one removed chain: the surviving slots at its two ends, the identification
@@ -650,6 +606,10 @@ def collapse_ibundles(
     piece or a folded slot leaves its piece one slot for the chain, so a
     chain closed at both ends would have no slot left for the rest of a
     connected gluing."""
+    if not isinstance(h_bound, int) or h_bound < 0:
+        raise ValidationError("height floor must be a non-negative integer")
+    if not isinstance(r_bound, int) or r_bound < 1:
+        raise ValidationError("combinatorics bound must be a positive integer")
     bundles = [x.spec_of(pid).is_bundle for pid, _ in x.pieces]
     fibered = all(bundles)
     note = ""
@@ -660,8 +620,7 @@ def collapse_ibundles(
     if note:
         collapsed, certs, wiring = x, [], []
     else:
-        orders = _stack_components(x)
-        certs = [combine_stack(x, order, h_bound, r_bound, denom_bound) for order in orders]
+        certs = [_certify_stack(x, steps, h_bound, r_bound, denom_bound) for steps in _stacks(x)]
         if fibered:
             assert len(certs) == 1, "connected all-bundle gluing must be one chain"
             collapsed, ident, note = _combined_bundle(x, certs[0])

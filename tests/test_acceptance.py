@@ -34,7 +34,7 @@ from glueforge.measures import heights
 from glueforge.model import build_skeleton
 from glueforge.surface import AbstractMarking, marking_distance, sup_projection
 from glueforge.torus import IDENTITY, REFLECTION, Slope, SurfaceMap, intersection_number
-from glueforge.transforms import collapse_ibundles, combine_stack
+from glueforge.transforms import collapse_ibundles
 from builders import (
     A,
     L_MAP,
@@ -163,7 +163,9 @@ def test_criterion_03_collapse_certificate():
         left = core("ML", MU)
         right = core("MR", push(A.power(ks[-1] + rng.randrange(5, 41)) @ REFLECTION))
         x = chain(left, *bundles, right)
-        cert = combine_stack(x, [f"p{i+1}" for i in range(length)], 1, 6)
+        [stack] = collapse_ibundles(x, 6, 1).stacks
+        assert stack.pieces == tuple(f"p{i+1}" for i in range(length))
+        cert = stack.certificate
         assert cert.ok, (trial, ks)
         assert cert.k_prime is not None
         lower = Fraction(sum(cert.heights)) / cert.k_prime - cert.k_prime

@@ -43,13 +43,12 @@ from glueforge.torus import (
     Slope,
     SurfaceMap,
 )
-from glueforge.transforms import collapse_ibundles, combine_stack
+from glueforge.transforms import collapse_ibundles
 from builders import (
     MU,
     T,
     T_MAP,
     bundle,
-    chain,
     core,
     core_bundle_core,
     core_stack_core,
@@ -388,9 +387,6 @@ CONSTRUCTOR_RULES = {
         E0, markings=((("p0", "E0"), MU), (("p0", "E0"), MU))
     ),
     "graph slot map needs a permutation and no matrix": lambda: SlotMap(C6, matrix=REFLECTION),
-    "twisted piece p2 must be terminal in a stack": lambda: combine_stack(
-        chain(core("ML", MU), bundle("B", MU, MU), twisted("W", MU)), ["p2", "p1"], 1, 6
-    ),
 }
 
 

@@ -20,7 +20,7 @@ from glueforge.model import build_skeleton, verify_thickness
 from glueforge.record import FrozenRecordError, Record
 from glueforge.surface import BackendHandle
 from glueforge.torus import REFLECTION, FareyMarking, Slope, SurfaceMap
-from glueforge.transforms import _resolve_stack, collapse_ibundles
+from glueforge.transforms import _stacks, collapse_ibundles
 from builders import (
     MU,
     body_spec,
@@ -111,7 +111,7 @@ def samples() -> dict:
         assert skeleton.omitted == unmarked_slots(x)
         roots.extend((skeleton, verify_thickness(skeleton, 0.1)))
     stack = example_builders()["stack"]()
-    roots.extend((_resolve_stack(stack, ["p1", "p2", "p3"]), split_spec()))
+    roots.extend((_stacks(stack), split_spec()))
     step = CompressionStep("c0", body_spec("C0"), ("p0", "E0"), tmap(REFLECTION))
     roots.extend((step, build_compression(core("M0", MU), [step])))
     g = cycle_graph(8)

@@ -9,7 +9,7 @@ import pytest
 
 from glueforge.certify import CombinatoricsCertificate, check_bounded_combinatorics
 from glueforge.decompose import Splitting, SubPiece, full_and_maximal_decomposition
-from glueforge.errors import BackendMismatchError, ValidationError
+from glueforge.errors import ValidationError
 from glueforge.gluing import (
     GENERIC,
     TRIVIAL_IBUNDLE,
@@ -30,10 +30,11 @@ from glueforge.surface import (
 )
 from glueforge.torus import REFLECTION, Slope, SurfaceMap
 from glueforge.transforms import (
+    _certify_stack,
     _k_prime,
     _stack_path,
+    _stacks,
     collapse_ibundles,
-    combine_stack,
 )
 
 from builders import (
@@ -82,12 +83,20 @@ def test_core_stack_core_matches_the_benchmark_builder():
         assert core_stack_core(ks).canonical_json() == bench.core_stack_core(ks).canonical_json()
 
 
-# ----------------------------------------------------------- combine_stack
+# ------------------------------------------------------ stack certificates
+
+
+def stack_certificate(x: GluingGraph, pieces: list[str], h_bound: int, r_bound: int):
+    """The certificate of the one bundle chain of x, which collapse walks
+    through pieces in order."""
+    [steps] = _stacks(x)
+    assert [step.piece for step in steps] == pieces
+    return _certify_stack(x, steps, h_bound, r_bound)
 
 
 def test_single_bundle_certificate_trivial():
     x = core_stack_core([3])
-    cert = combine_stack(x, ["p1"], 1, 6)
+    cert = stack_certificate(x, ["p1"], 1, 6)
     # paper-style bundle: both pushed decorations coincide, so the
     # combined height is the internal span, here zero
     assert len(cert.nu) == 1
@@ -99,7 +108,7 @@ def test_single_bundle_certificate_trivial():
 def test_single_bundle_with_span():
     b = bundle("B", MU, push(REFLECTION @ A.power(5)))
     x = chain(core("ML", MU), b, core("MR", push(A.power(5) @ REFLECTION)))
-    cert = combine_stack(x, ["p1"], 1, 6)
+    cert = stack_certificate(x, ["p1"], 1, 6)
     assert [str(m.payload) for m in cert.nu] == ["(0/1,inf)", "(55/34,89/55)"]
     assert cert.heights == (5,)
     assert cert.combined_height == 5
@@ -111,7 +120,7 @@ def test_single_bundle_with_span():
 
 def test_three_bundle_stack_exact_axis_march():
     x = core_stack_core([2, 7, 13], right_power=20)
-    cert = combine_stack(x, ["p1", "p2", "p3"], 4, 6)
+    cert = stack_certificate(x, ["p1", "p2", "p3"], 4, 6)
     assert [str(m.payload.base) for m in cert.nu] == ["3/2", "377/233", "121393/75025"]
     assert cert.heights == (5, 6)
     assert cert.combined_height == 11
@@ -123,7 +132,7 @@ def test_three_bundle_stack_exact_axis_march():
     assert cert.ok
     assert cert.witness is None
     # height floor failure carries the first offending step
-    tight = combine_stack(x, ["p1", "p2", "p3"], 5, 6)
+    tight = stack_certificate(x, ["p1", "p2", "p3"], 5, 6)
     assert not tight.heights_ok and tight.witness == ("height", 0)
 
 
@@ -134,7 +143,7 @@ def test_stack_condition_iii_backtracking_witness():
     b0 = bundle("B0", MU, push(REFLECTION @ A.power(12)))
     b1 = bundle("B1", push(A.power(3)), push(REFLECTION @ A.power(18)))
     x = chain(core("ML", MU), b0, b1, core("MR", push(A.power(18) @ REFLECTION)))
-    cert = combine_stack(x, ["p1", "p2"], 1, 6)
+    cert = stack_certificate(x, ["p1", "p2"], 1, 6)
     assert cert.heights == (12, 9, 15)
     expected = marking_to_path_distance(
         cert.nu[1], geodesic_between(cert.nu[0], cert.nu[2])
@@ -149,46 +158,24 @@ def test_stack_condition_iii_backtracking_witness():
     m0 = bundle("B0", MU, push(REFLECTION @ A.power(6)))
     m1 = bundle("B1", push(A.power(3)), push(REFLECTION @ A.power(9)))
     y = chain(core("ML", MU), m0, m1, core("MR", push(A.power(9) @ REFLECTION)))
-    mild = combine_stack(y, ["p1", "p2"], 1, 6)
+    mild = stack_certificate(y, ["p1", "p2"], 1, 6)
     assert mild.geodesic_values[0] == 3
     assert mild.heights_ok and mild.projections_ok and mild.geodesics_ok
     assert mild.k_prime is None and mild.lower_bound is None
     assert not mild.ok and mild.witness is None
 
 
-def test_combine_stack_input_validation():
-    x = core_stack_core([3])
-    with pytest.raises(ValidationError, match="not an I-bundle"):
-        combine_stack(x, ["p0"], 1, 6)
-    with pytest.raises(ValidationError, match="empty stack"):
-        combine_stack(x, [], 1, 6)
-    y = chain(
-        core("ML", MU),
-        axis_bundle("B0", 2),
-        core("M", push(A.power(4) @ REFLECTION), push(A.power(4))),
-        axis_bundle("B1", 3),
-        core("MR", push(A.power(6) @ REFLECTION)),
-    )
-    with pytest.raises(ValidationError, match="not identified end-to-end"):
-        combine_stack(y, ["p1", "p3"], 1, 6)
-    # a two-bundle cycle walks back into its first piece
-    cycle = GluingGraph(
-        manifolds=(axis_bundle("B0", 2), axis_bundle("B1", 3)),
-        pieces=(("p0", "B0"), ("p1", "B1")),
-        identifications=(
-            Identification("p0", "F1", "p1", "F0", tmap(REFLECTION)),
-            Identification("p1", "F1", "p0", "F0", tmap(REFLECTION)),
-        ),
-    )
-    with pytest.raises(ValidationError, match="names a piece twice"):
-        combine_stack(cycle, ["p0", "p1", "p0"], 1, 6)
-    with pytest.raises(ValidationError, match="positive integer"):
-        combine_stack(x, ["p1"], 1, 0)
-    with pytest.raises(ValidationError, match="height floor must be a non-negative"):
-        combine_stack(x, ["p1"], -1, 6)
+def test_collapse_checks_its_bounds_on_every_gluing():
+    # whether or not the gluing holds a bundle chain to certify
+    gluings = [build() for build in example_builders().values()] + [core_stack_core([3])]
+    for x in gluings:
+        with pytest.raises(ValidationError, match="combinatorics bound must be a positive integer"):
+            collapse_ibundles(x, 0, 1)
+        with pytest.raises(ValidationError, match="height floor must be a non-negative integer"):
+            collapse_ibundles(x, 6, -1)
 
 
-def test_combine_stack_backend_mismatch():
+def test_collapse_walks_the_chains_of_each_backend_apart():
     from glueforge.hypgraph import cycle_graph
 
     h = BackendHandle.finite_graph(cycle_graph(6))
@@ -203,8 +190,9 @@ def test_combine_stack_backend_mismatch():
             Identification("p1", "E1", "p2", "F0", SlotMap(h, perm=(0, 5, 4, 3, 2, 1))),
         ),
     )
-    with pytest.raises(BackendMismatchError, match="different backends"):
-        combine_stack(x, ["p0", "p2"], 1, 6)
+    stacks = collapse_ibundles(x, 6, 1).stacks
+    assert [s.pieces for s in stacks] == [("p0",), ("p2",)]
+    assert [s.certificate.nu[0].handle for s in stacks] == [T, h]
 
 
 def assert_stack_certificate_matches_oracles(x: GluingGraph, pieces: list[str]):
@@ -212,7 +200,7 @@ def assert_stack_certificate_matches_oracles(x: GluingGraph, pieces: list[str]):
     the full scan; returns the certificate, whether the path holds a
     bridge, and the kind of path: "geodesic", "revisit", or "detour"
     (neither)."""
-    cert = combine_stack(x, pieces, 1, 6)
+    cert = stack_certificate(x, pieces, 1, 6)
     handle = cert.nu[0].handle
     path, reach = _stack_path(handle, cert.nu)
     k_prime = _k_prime(handle, path, reach)
