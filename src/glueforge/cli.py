@@ -170,14 +170,14 @@ def _emit_report(args: SimpleNamespace, params: dict, data: bytes, result: dict)
 
 
 def cmd_validate(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
-    from .gluing import validate_gluing
+    from .gluing import _slot_name, validate_gluing
 
     x = validate_gluing(text)
     return {
         "valid": True,
         "pieces": len(x.pieces),
         "identifications": len(x.identifications),
-        "unburied": [f"{p}:{b}" for p, b in x.slots() if not x.is_buried((p, b))],
+        "unburied": [_slot_name(slot) for slot in x.slots() if not x.is_buried(slot)],
     }, EXIT_PASS
 
 
@@ -208,12 +208,12 @@ def cmd_decompose(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
 
 
 def cmd_model(args: SimpleNamespace, text: str) -> tuple[dict | str, int]:
-    from .gluing import validate_gluing
+    from .gluing import _slot_name, validate_gluing
     from .model import build_skeleton, export_skeleton, verify_thickness
 
     skeleton = build_skeleton(validate_gluing(text))
-    for p, b in skeleton.omitted:
-        print(f"warning: unburied slot {p}:{b} has no free marking; boundary tube omitted", file=sys.stderr)
+    for slot in skeleton.omitted:
+        print(f"warning: unburied slot {_slot_name(slot)} has no free marking; boundary tube omitted", file=sys.stderr)
     if args.format == "obj":
         return export_skeleton(skeleton), EXIT_PASS
     report = verify_thickness(skeleton, args.eps0)
