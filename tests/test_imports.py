@@ -256,3 +256,71 @@ def test_the_test_import_check_sees_every_form():
         ("import pytest\nfrom glueforge import test_x\nfrom . import test_y", []),
     ):
         assert imported_test_modules(ast.parse(code)) == imports, code
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each private function, class and module constant
+    that a module body binds, inside its if and try blocks too, and of
+    each private method of its classes.  Dunder names are not private."""
+    found = []
+    blocks = [(tree.body, True)]
+    while blocks:
+        body, module_level = blocks.pop()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append((node.lineno, node.name))
+                if isinstance(node, ast.ClassDef):
+                    blocks.append((node.body, False))
+            elif module_level and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [(node.lineno, n.id) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif module_level and isinstance(node, (ast.If, ast.Try)):
+                blocks += [(b, True) for b in (node.body, node.orelse, *(h.body for h in getattr(node, "handlers", ())))]
+    return sorted((line, name) for line, name in found if name.startswith("_") and not name.endswith("__"))
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """The names and attribute names a module loads."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            read.add(node.attr)
+    return read
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """The private definitions of the modules that no module reads."""
+    read = set().union(*map(read_names, trees.values()))
+    return [
+        f"{name} line {line}: {defined}"
+        for name, tree in sorted(trees.items())
+        for line, defined in private_definitions(tree)
+        if defined not in read
+    ]
+
+
+def test_every_private_name_of_the_package_is_read_by_the_package():
+    # a helper that only tests call is code that no command runs
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    assert sum(len(private_definitions(tree)) for tree in trees.values()) >= 80
+    assert unread_private_names(trees) == []
+
+
+def test_the_private_name_check_sees_a_planted_name():
+    planted = ast.parse(
+        "def _lost(): pass\n"
+        "def _used(): pass\n"
+        "class _K:\n    def _gone(self): pass\n    def _kept(self): pass\n    def __init__(self): self._kept()\n"
+        "_C, _D = 1, 2\n"
+        "if X:\n    _E: int = 3\n"
+        "def public():\n    _local = _used()\n    return _local, _K, _D\n"
+    )
+    assert private_definitions(planted) == [
+        (1, "_lost"), (2, "_used"), (3, "_K"), (4, "_gone"), (5, "_kept"), (7, "_C"), (7, "_D"), (9, "_E")
+    ]
+    reader = ast.parse("import m\nm._E\nm._C = 4\n")
+    assert unread_private_names({"m.py": planted, "r.py": reader}) == [
+        "m.py line 1: _lost", "m.py line 4: _gone", "m.py line 7: _C"
+    ]
