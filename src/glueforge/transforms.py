@@ -106,13 +106,12 @@ def _stacks(x: GluingGraph) -> list[list[_StackStep]]:
     piece's entry slot.  The walk stops at a closing piece, at a slot that
     leads to no other bundle piece, or back at its start."""
     bundle_ids = [pid for pid, _ in x.pieces if x.spec_of(pid).is_bundle]
-    bundle_set = set(bundle_ids)
 
     def onward(slot: Slot) -> Slot | None:
         """The slot of another bundle piece that psi carries slot to."""
         if x.is_buried(slot):
             partner = x.psi(slot)[0]
-            if partner[0] in bundle_set and partner[0] != slot[0]:
+            if partner[0] != slot[0] and x.spec_of(partner[0]).is_bundle:
                 return partner
         return None
 

@@ -989,23 +989,21 @@ def test_reversing_identifications_moves_nothing_at_depth(tmp_path, capsys):
 WALK_RELATIONS = {"renamed": reversed_names, "turned": reversed_bundles}
 
 
-def collapse_stacks(capsys, path) -> tuple[int, dict, list[dict]]:
-    """collapse's exit code, result and stacks."""
+def collapse_result(capsys, path) -> tuple[int, dict]:
+    """collapse's exit code and result."""
     code = main(["collapse", "--input", str(path)])
-    res = json.loads(capsys.readouterr().out)["result"]
-    return code, res, res["stacks"]
+    return code, json.loads(capsys.readouterr().out)["result"]
 
 
 def end_free_numbers(capsys, path) -> tuple:
     """collapse's exit code, ok, fibered and r_prime, and each stack's K',
     sorted heights, combined height, certificate verdict and new height:
     the numbers that do not depend on which end a stack is read from."""
-    code, res, stacks = collapse_stacks(capsys, path)
-    rows = [
-        [*(s["certificate"][k] for k in ("k_prime", "combined_height", "ok")), s["new_height"]]
-        + sorted(s["certificate"]["heights"])
-        for s in stacks
-    ]
+    code, res = collapse_result(capsys, path)
+    rows = []
+    for stack in res["stacks"]:
+        cert = stack["certificate"]
+        rows.append([cert["k_prime"], sorted(cert["heights"]), cert["combined_height"], cert["ok"], stack["new_height"]])
     return code, res["ok"], res["fibered"], res["r_prime"], sorted(rows, key=json.dumps)
 
 
@@ -1041,7 +1039,7 @@ def test_reading_a_stack_from_its_other_end_moves_no_end_measure(tmp_path, capsy
         px.write_text(x.canonical_json())
         py.write_text(WALK_RELATIONS[relation](x).canonical_json())
         ends = [
-            sorted((s["sup_value"], s["certificate"]["fellow_traveling"]) for s in collapse_stacks(capsys, p)[2])
+            sorted((s["sup_value"], s["certificate"]["fellow_traveling"]) for s in collapse_result(capsys, p)[1]["stacks"])
             for p in (px, py)
         ]
         assert ends[0] == ends[1], n
